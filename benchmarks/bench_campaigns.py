@@ -303,8 +303,8 @@ def test_supervised_sweep(benchmark):
 
 # ----------------------------------------------------------------------
 # execution transports: the same supervised universe over forked pipes
-# vs spawned `repro worker` socket processes — byte-identical statuses,
-# no degradations, and the socket spawn overhead on the record
+# vs the serial in-process path — byte-identical statuses, no
+# degradations, and the fork fan-out overhead on the record
 # ----------------------------------------------------------------------
 def transport_sweep_report():
     rng = random.Random(RANDLOGIC_SEED)
@@ -321,46 +321,28 @@ def transport_sweep_report():
     serial = sweep.sweep(universe)
     serial_seconds = time.perf_counter() - start
 
-    results = {}
-    for transport in ("fork", "socket"):
-        start = time.perf_counter()
-        statuses = sweep.sweep(universe, processes=2, transport=transport)
-        seconds = time.perf_counter() - start
-        report = sweep.last_report
-        results[transport] = {
-            "seconds": seconds,
-            "identical": statuses == serial,
-            "backend": report.backend,
-            "degradations": len(report.degradations),
-        }
+    start = time.perf_counter()
+    forked = sweep.sweep(universe, processes=2, transport="fork")
+    fork_seconds = time.perf_counter() - start
+    report = sweep.last_report
+    identical = forked == serial
+    degradations = len(report.degradations)
 
     lines = [
         "Execution transports over the random-logic universe "
         f"({len(universe)} faults, 2 lanes)",
         f"  serial:                     {serial_seconds:8.4f} s",
+        f"  fork:                       {fork_seconds:8.4f} s   "
+        f"(backend {report.backend}, {degradations} degradations)",
+        f"  statuses byte-identical across transports: {identical}",
     ]
-    for transport, entry in results.items():
-        lines.append(
-            f"  {transport + ':':27s} {entry['seconds']:8.4f} s   "
-            f"(backend {entry['backend']}, "
-            f"{entry['degradations']} degradations)"
-        )
-    identical = all(entry["identical"] for entry in results.values())
-    undegraded = all(
-        entry["degradations"] == 0 for entry in results.values()
-    )
-    lines.append(
-        f"  statuses byte-identical across transports: {identical}"
-    )
-    ok = identical and undegraded
+    ok = identical and degradations == 0
     metrics = {
         "transports_faults": len(universe),
         "transports_identical": identical,
-        "transports_fork_degradations": results["fork"]["degradations"],
-        "transports_socket_degradations": results["socket"]["degradations"],
+        "transports_fork_degradations": degradations,
         "transports_serial_seconds": serial_seconds,
-        "transports_fork_seconds": results["fork"]["seconds"],
-        "transports_socket_seconds": results["socket"]["seconds"],
+        "transports_fork_seconds": fork_seconds,
     }
     return "\n".join(lines), ok, metrics
 

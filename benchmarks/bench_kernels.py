@@ -6,9 +6,7 @@ with bench_campaigns) classified by the scalar bitmask path, the
 pure-Python packed fallback, the NumPy vectorized backend, and the
 program-specialized kernel tier.  The gate asserts statuses are
 byte-identical across all four and that the kernel's steady-state sweep
-beats the vectorized backend by at least ``MIN_KERNEL_SPEEDUP`` —
-measured on whichever tier is live (the exec'd-NumPy rung alone must
-hold the floor; Numba, when importable, only raises it).
+beats the vectorized backend by at least ``MIN_KERNEL_SPEEDUP``.
 
 The cold first sweep (kernel generation included) is reported but not
 gated: auto-selection already accounts for it by keeping circuits at or
@@ -36,7 +34,7 @@ from repro.workloads.randomlogic import random_mixed_network
 
 #: The PR's floor: the kernel tier's steady-state randlogic sweep must
 #: beat the vectorized backend by at least this factor (measured ~2.4x
-#: to 3.0x on the exec'd-NumPy rung).
+#: to 3.0x).
 MIN_KERNEL_SPEEDUP = 2.0
 
 #: Steady-state timings are best-of-N to damp scheduler noise.
@@ -74,7 +72,7 @@ def kernels_report():
             s for _, s in sweep.sweep(universe, backend="fallback")
         ]
         if HAVE_NUMPY:
-            from repro.engine.kernels import HAVE_NUMBA, KernelBackend
+            from repro.engine.kernels import KernelBackend
 
             vec = eng.vectorized
             vectorized = vec.sweep_statuses(universe)
@@ -90,12 +88,10 @@ def kernels_report():
                 lambda: kern.sweep_statuses(universe)
             )
             cache = kern.cache_stats()
-            tier = "numba" if (HAVE_NUMBA and kern.use_numba) else "numpy"
         else:
             vectorized = kernel_statuses = scalar
             vec_seconds = kern_seconds = cold_seconds = 0.0
             cache = {"kernels": 0, "blocks": 0, "tiles": 0}
-            tier = "unavailable"
     finally:
         obs.enable_metrics(was_enabled)
 
@@ -114,7 +110,7 @@ def kernels_report():
         f"  kernel steady-state:      {kern_seconds * 1e3:8.2f} ms   "
         f"({speedup:.2f}x, floor {MIN_KERNEL_SPEEDUP:.1f}x)",
         f"  kernel cold (codegen in): {cold_seconds * 1e3:8.2f} ms   "
-        f"({cache['kernels']} kernels compiled, tier {tier})",
+        f"({cache['kernels']} kernels compiled)",
     ]
     ok = identical and (
         not HAVE_NUMPY or speedup >= MIN_KERNEL_SPEEDUP
@@ -126,9 +122,6 @@ def kernels_report():
         "kernels_dangerous": counts["dangerous"],
         "kernels_statuses_identical": identical,
         "kernels_compiled": cache["kernels"],
-        # the live tier (numpy/numba) is in the text report only: it
-        # legitimately differs between the CI numba job and the plain
-        # job, and --check compares non-timing metrics exactly
         "kernels_vectorized_seconds": vec_seconds,
         "kernels_kernel_seconds": kern_seconds,
         "kernels_cold_seconds": cold_seconds,

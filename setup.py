@@ -26,10 +26,6 @@ setup(
         # NumPy accelerates the fault-batched vectorized backend; the
         # package runs fully (packed-word fallback) without it.
         "fast": ["numpy"],
-        # Numba opportunistically njit-compiles the codegen'd sweep
-        # kernels (engine/kernels.py) behind a feature probe; the
-        # exec'd-NumPy rung serves identically without it.
-        "kernel": ["numpy", "numba"],
     },
     keywords=[
         "self-checking",

@@ -20,7 +20,7 @@ Point the thesis's machinery at any ``.bench`` netlist:
 * ``synth``     — population-based synthesis/repair campaign evolving a
   gate network toward self-duality + self-checking (``--spec NAME`` or
   ``--repair NETLIST``), generations batched through the supervised
-  transport ladder with ``--checkpoint``/``--resume`` deterministic
+  fork transport with ``--checkpoint``/``--resume`` deterministic
   continuations and an area-vs-coverage Pareto report;
 * ``fuzz``      — seeded differential/metamorphic fuzz campaign with
   counterexample shrinking (see ``repro.qa``);
@@ -31,9 +31,7 @@ Point the thesis's machinery at any ``.bench`` netlist:
   identical campaigns by content fingerprint, streams NDJSON progress,
   enforces per-request deadlines with cooperative cancellation, drains
   gracefully on SIGTERM, journals accepted work for ``--recover``, and
-  exposes Prometheus metrics at ``/metrics``;
-* ``worker``    — one socket-transport worker lane (normally spawned by
-  the supervisor, never by hand).
+  exposes Prometheus metrics at ``/metrics``.
 
 ``campaign``, ``atpg``, and ``fuzz`` accept ``--metrics-out FILE`` (Prometheus
 text, or JSON when the name ends ``.json``) and ``--trace-out FILE``
@@ -54,6 +52,7 @@ from .core.design import make_self_checking
 from .core.report import fault_table, render_fault_table, undetected_faults
 from .core.simulate import ScalSimulator
 from .core.testgen import all_test_pairs, format_pair
+from .engine.supervisor import TRANSPORTS
 from .logic.benchfmt import load_bench, save_bench
 from .logic.faults import StuckAt
 from .logic.render import annotate_with_analysis, render_dot, render_listing
@@ -445,12 +444,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    from .engine.transport.socket import run_worker
-
-    return run_worker(args.connect)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from .server import serve
 
@@ -548,10 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "vectorized/fallback when unavailable)")
     p.add_argument("--processes", type=int, default=None,
                    help="fan out across this many supervised worker lanes")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "inline", "fork", "fork+shm", "socket"],
+    p.add_argument("--transport", default="auto", choices=TRANSPORTS,
                    help="execution transport for the fan-out (default: "
-                   "auto — fork+shm when --processes > 1)")
+                   "auto — fork when --processes > 1)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-chunk timeout; hung chunks are killed and "
                    "retried (default: no timeout)")
@@ -649,8 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=int, default=None,
                    help="fan generation batches across this many "
                    "supervised worker lanes")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "inline", "fork", "fork+shm", "socket"],
+    p.add_argument("--transport", default="auto", choices=TRANSPORTS,
                    help="execution transport for generation batches")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-chunk timeout for generation batches")
@@ -726,8 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port; 0 picks a free one (default 8341)")
     p.add_argument("--processes", type=int, default=None,
                    help="worker lanes per campaign (default: in-process)")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "inline", "fork", "fork+shm", "socket"],
+    p.add_argument("--transport", default="auto", choices=TRANSPORTS,
                    help="execution transport for served campaigns")
     p.add_argument("--workers", type=int, default=2,
                    help="concurrent campaign worker threads (default 2)")
@@ -757,14 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-connection header/body read timeout; slower "
                         "clients get 408 (default 10)")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "worker",
-        help="socket-transport worker lane (spawned by the supervisor)",
-    )
-    p.add_argument("--connect", required=True, metavar="SPEC",
-                   help="supervisor address: unix:PATH or tcp:HOST:PORT")
-    p.set_defaults(func=cmd_worker)
     return parser
 
 

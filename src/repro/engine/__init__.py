@@ -17,8 +17,8 @@ All backends share the cached fault-free baseline (an immutable tuple —
 engines are shared across sweeps and across ``serve`` requests, so
 in-place mutation must raise) and re-simulate only the injected fault's
 output cone; :mod:`repro.engine.campaign` batches that into multi-fault
-sweep drivers with optional fan-out across pluggable execution
-transports (:mod:`repro.engine.transport`), and the content-addressed
+sweep drivers with optional fan-out across supervised fork workers
+(:mod:`repro.engine.transport`), and the content-addressed
 :data:`repro.engine.store.STORE` lets identical compiled programs share
 derived artifacts across requests.
 
@@ -48,6 +48,7 @@ from .supervisor import (
     CheckpointError,
     Degradation,
     RetryEvent,
+    TRANSPORTS,
     run_campaign,
     run_generation_batch,
     universe_fingerprint,
@@ -63,7 +64,6 @@ from .store import STORE, ArtifactStore, program_fingerprint
 from .transport import (
     ForkTransport,
     InlineTransport,
-    SocketTransport,
     Transport,
     TransportError,
     TransportFailure,
@@ -173,10 +173,10 @@ def __getattr__(name: str):
         from . import atpg
 
         return getattr(atpg, name)
-    if name in ("KernelBackend", "HAVE_NUMBA"):
-        from . import kernels
+    if name == "KernelBackend":
+        from .kernels import KernelBackend
 
-        return getattr(kernels, name)
+        return KernelBackend
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -195,7 +195,6 @@ __all__ = [
     "FaultPlan",
     "FaultSweep",
     "ForkTransport",
-    "HAVE_NUMBA",
     "HAVE_NUMPY",
     "InlineTransport",
     "KERNEL_MAX_INPUTS",
@@ -208,7 +207,7 @@ __all__ = [
     "RetryEvent",
     "STORE",
     "SampledBackend",
-    "SocketTransport",
+    "TRANSPORTS",
     "Transport",
     "TransportError",
     "TransportFailure",

@@ -19,11 +19,9 @@ Bulk sweeps route through a backend-selection heuristic
 (:func:`~repro.engine.vectorized.select_backend`): small batches stay on
 the scalar big-int path, large ones go to the fault-batched vectorized
 backend (NumPy PPSFP, or its pure-Python packed fallback).  Execution —
-serial or fanned out across supervised workers on a pluggable transport
-(fork pipes, shared-memory fork, or ``repro worker`` sockets) with
-per-chunk timeouts, retries, work stealing, checkpoint/resume, and the
-explicit socket → fork+shm → fork → serial → scalar degradation ladder —
-is delegated to
+serial or fanned out across supervised fork workers with per-chunk
+timeouts, retries, work stealing, checkpoint/resume, and the explicit
+fork → serial → scalar degradation ladder — is delegated to
 :func:`repro.engine.supervisor.run_campaign`; every sweep leaves a
 structured :class:`~repro.engine.supervisor.CampaignReport` in
 :attr:`FaultSweep.last_report`.
@@ -173,8 +171,8 @@ class FaultSweep:
         ``vectorized``/``fallback`` when NumPy is absent or the circuit
         exceeds the kernel input ceiling), or ``fallback`` (pure-Python
         packed words).  ``transport`` picks the
-        execution fabric (``auto`` / ``inline`` / ``fork`` / ``fork+shm``
-        / ``socket`` — see :mod:`repro.engine.transport`).  With
+        execution fabric (``auto`` / ``inline`` / ``fork`` — see
+        :mod:`repro.engine.transport`).  With
         ``processes > 1`` (or an explicit worker transport) the universe
         is fanned out across supervised worker lanes: each
         chunk carries an optional per-chunk ``timeout`` (seconds),
@@ -255,10 +253,8 @@ class FaultSweep:
 
 def _legacy_backend_name(report: CampaignReport) -> str:
     """The :attr:`FaultSweep.last_sweep_backend` convention predating the
-    structured report: ``"fork:<block>"`` / ``"socket:<block>"`` for
-    fanned-out sweeps, the plain block-backend name otherwise."""
-    if report.backend.startswith("socket"):
-        return f"socket:{report.block_backend}"
+    structured report: ``"fork:<block>"`` for fanned-out sweeps, the
+    plain block-backend name otherwise."""
     if report.backend.startswith("fork"):
         return f"fork:{report.block_backend}"
     return report.block_backend

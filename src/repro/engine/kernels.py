@@ -35,13 +35,6 @@ engines of identical programs.  Prepared per-block argument tuples are
 cached too, so steady-state sweeps (the synthesis-campaign fitness shape:
 the same universe swept millions of times) skip all set-up.
 
-When Numba is importable the exec'd function is additionally
-``njit(nopython, parallel)``-wrapped behind a feature probe; a kernel
-whose typing Numba rejects (the bit-reversal helper is a Python closure)
-falls back permanently to the exec'd-NumPy tier on first call, recorded
-in ``repro_kernel_numba_fallbacks_total`` — the bench gate is held by
-the NumPy tier alone, the Numba rung is opportunistic.
-
 Wide tables are blocked into L2-sized **mirror tiles** on the word axis
 (words ``[lo, lo+K)`` together with ``[W-lo-K, W-lo)`` — a set closed
 under the ``X ↔ X̄`` word reflection, so alternation stays local to the
@@ -78,17 +71,9 @@ except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
 if HAVE_NUMPY:
     from .vectorized import _REV8
 
-try:  # Numba is optional: probe, never require.
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba absent in the default env
-    _numba = None
-    HAVE_NUMBA = False
-
 _REG = obs.REGISTRY
 _M_COMPILES = _REG.counter(
-    "repro_kernel_compiles_total", "Specialized kernels generated, by tier"
+    "repro_kernel_compiles_total", "Specialized kernels generated"
 )
 _M_HITS = _REG.counter(
     "repro_kernel_cache_hits_total", "Kernel cache hits, by source"
@@ -101,10 +86,6 @@ _M_BLOCKS = _REG.counter(
 )
 _M_FAULTS = _REG.counter(
     "repro_kernel_faults_total", "Faults classified by the kernel tier"
-)
-_M_JIT_FALLBACK = _REG.counter(
-    "repro_kernel_numba_fallbacks_total",
-    "Kernels that fell back from njit to the exec'd NumPy tier",
 )
 _M_OPS = _REG.counter(
     "repro_engine_ops_total", "Compiled ops evaluated, by backend"
@@ -136,35 +117,11 @@ def _rev_contiguous(a):
     return _REV8[a.view(_np.uint8)[..., ::-1]].view(_np.uint64)
 
 
-class _TierFn:
-    """Callable wrapper that tries the njit-compiled tier first and
-    falls back permanently to the exec'd function when Numba rejects
-    the kernel's typing at first call."""
-
-    __slots__ = ("py", "jit")
-
-    def __init__(self, py, jit) -> None:
-        self.py = py
-        self.jit = jit
-
-    def __call__(self, *args):
-        jit = self.jit
-        if jit is not None:
-            try:
-                return jit(*args)
-            except Exception:
-                self.jit = None
-                if _REG.enabled:
-                    _M_JIT_FALLBACK.inc()
-        return self.py(*args)
-
-
 class _Kernel:
     """One compiled signature: the exec'd function plus its arg spec."""
 
     __slots__ = (
         "fn",
-        "tier",
         "source",
         "digest",
         "base_args",
@@ -202,7 +159,6 @@ class KernelBackend:
         block_faults: int = DEFAULT_KERNEL_BLOCK_FAULTS,
         tile_words: int = DEFAULT_TILE_WORDS,
         threads: Optional[int] = None,
-        use_numba: bool = True,
         max_cached_blocks: int = 4096,
     ) -> None:
         if not HAVE_NUMPY:
@@ -231,7 +187,6 @@ class KernelBackend:
         self.threads = (
             threads if threads is not None else (os.cpu_count() or 1)
         )
-        self.use_numba = use_numba and HAVE_NUMBA
         self.max_cached_blocks = max_cached_blocks
         self._fingerprint = program_fingerprint(compiled)
         self._kernels: Dict[str, _Kernel] = {}
@@ -386,14 +341,14 @@ class KernelBackend:
         ):
             kern = self._generate(digest, stems, pins, sched)
             if _REG.enabled:
-                _M_COMPILES.inc(tier=kern.tier)
+                _M_COMPILES.inc()
         self._kernels[digest] = kern
         if STORE.enabled:
             STORE.put("kernel", self._fingerprint, digest, value=kern)
         return kern
 
     def _generate(self, digest, stem_lines, pin_keys, sched) -> _Kernel:
-        """Generate, ``exec``, and (optionally) njit one signature."""
+        """Generate and ``exec`` one signature."""
         comp = self.compiled
         ops = comp.ops
         stem_set = set(stem_lines)
@@ -481,7 +436,6 @@ class KernelBackend:
             # The block cannot reach any output: every fault's status is
             # decided by the baseline seeds alone.
             kern.fn = None
-            kern.tier = "const"
             kern.source = ""
             kern.base_args = ()
             kern.const_status = "detected" if det_const else "silent"
@@ -529,22 +483,9 @@ class KernelBackend:
         }
         code = compile(source, f"<repro-kernel-{digest[:12]}>", "exec")
         exec(code, globs)
-        pyfn = globs["_kernel"]
+        kern.fn = globs["_kernel"]
         kern.base_args = tuple(base_args)
         kern.source = source
-        if self.use_numba and _numba is not None:
-            try:
-                jit = _numba.njit(nogil=True, parallel=True)(pyfn)
-                kern.fn = _TierFn(pyfn, jit)
-                kern.tier = "numba"
-            except Exception:  # pragma: no cover - needs numba installed
-                kern.fn = pyfn
-                kern.tier = "numpy"
-                if _REG.enabled:
-                    _M_JIT_FALLBACK.inc()
-        else:
-            kern.fn = pyfn
-            kern.tier = "numpy"
         return kern
 
     # ------------------------------------------------------------------

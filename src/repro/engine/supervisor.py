@@ -3,9 +3,9 @@
 :mod:`repro.engine.campaign` makes sweeps fast; this module makes them
 survive.  A long campaign over a large fault universe dies in boring
 ways — a worker segfaults or is OOM-killed, a chunk hangs on a
-pathological cone, shared memory is unavailable inside a container —
-and an all-or-nothing ``pool.map`` turns any of those into a lost
-campaign.  :func:`run_campaign` replaces it with per-chunk supervision:
+pathological cone — and an all-or-nothing ``pool.map`` turns any of
+those into a lost campaign.  :func:`run_campaign` replaces it with
+per-chunk supervision:
 
 * the universe is split into **chunk tasks** (contiguous index ranges),
   each with a configurable ``timeout``;
@@ -25,20 +25,17 @@ campaign.  :func:`run_campaign` replaces it with per-chunk supervision:
 
 This module owns *policy* only.  Execution mechanics — where chunks
 actually run — live behind the :class:`repro.engine.transport.Transport`
-seam, with four fabrics: ``inline`` (in-process), ``fork`` and
-``fork+shm`` (forked workers, optionally attaching the parent's
-baseline through shared memory), and ``socket`` (``python -m repro
-worker`` subprocesses over TCP/Unix sockets).  Every step down the
-**degradation ladder** —
+seam, with two fabrics: ``inline`` (in-process) and ``fork`` (forked
+workers over pipes).  Every step down the **degradation ladder** —
 
-    ``socket`` → ``fork+shm`` → ``fork`` → ``serial`` → ``scalar``
+    ``fork`` → ``serial`` → ``scalar``
 
 — is recorded as a :class:`Degradation` in the :class:`CampaignReport`
 instead of being swallowed by a bare ``except``.
 
 Chaos hooks (:data:`WORKER_CHUNK_HOOK`, swapped by
 :mod:`repro.qa.chaos`) let the test suite SIGKILL a worker, hang a
-chunk, drop a socket, or deny shared memory mid-campaign and assert the
+chunk, or break the block backend mid-campaign and assert the
 sweep still finishes with statuses identical to the serial path.
 """
 
@@ -124,8 +121,7 @@ VALID_STATUSES = frozenset({"dangerous", "detected", "silent"})
 #: Test/chaos seam: when set, every worker calls this with
 #: ``(chunk_key, attempt)`` before classifying the chunk.  Fork workers
 #: inherit the value at spawn time, so arming it in the parent sabotages
-#: the children; socket workers arm it from the environment at startup
-#: (see :func:`repro.qa.chaos.sabotage_campaign`).
+#: the children (see :func:`repro.qa.chaos.sabotage_campaign`).
 WORKER_CHUNK_HOOK: Optional[Callable[[str, int], None]] = None
 
 
@@ -229,8 +225,8 @@ class CampaignReport:
     """Structured account of how a sweep actually ran.
 
     ``backend`` is the ladder rung plus block backend that served the
-    bulk of the campaign (e.g. ``"fork+shm:vectorized"``,
-    ``"socket:vectorized"``, ``"serial:fallback"``,
+    bulk of the campaign (e.g. ``"fork:vectorized"``,
+    ``"serial:fallback"``,
     ``"scalar:bitmask"``, or ``"resumed"`` when every chunk came from
     the checkpoint); ``block_backend`` is the final resolved
     block-backend name alone.  ``degradations`` lists every ladder step
@@ -562,7 +558,6 @@ class _TransportSupervisor:
         self.pending: deque = deque()
         self.inflight: Dict[int, _Inflight] = {}
         self.replaced = 0
-        self._noted_attach_failure = False
 
     def run(self, tasks: List[_Task]) -> None:
         """Drive ``tasks`` to completion; the transport must already be
@@ -665,8 +660,6 @@ class _TransportSupervisor:
             recorder = obs.get_recorder()
             if recorder is not None:
                 recorder.merge(result.events)
-        if not result.shm_ok:
-            self._note_attach_failure()
         entry = self.inflight.get(result.lane)
         if result.kind == "died":
             self.inflight.pop(result.lane, None)
@@ -735,16 +728,6 @@ class _TransportSupervisor:
         except TransportFailure as error:
             raise _SupervisionFailure(str(error))
 
-    def _note_attach_failure(self) -> None:
-        if not self._noted_attach_failure:
-            self._noted_attach_failure = True
-            self.report.degrade(
-                "fork+shm",
-                "fork",
-                "a worker could not attach the shared-memory baseline "
-                "and re-derived it locally",
-            )
-
     # -- retry policy ---------------------------------------------------
     def _requeue(self, task: _Task, reason: str) -> None:
         task.attempt += 1
@@ -799,8 +782,8 @@ def run_campaign(
 
     ``chosen`` is a resolved block-backend name (``bitmask`` /
     ``vectorized`` / ``fallback``).  ``transport`` picks the execution
-    fabric: ``auto`` (fork workers when ``processes > 1``, in-process
-    otherwise), ``inline``, ``fork``, ``fork+shm``, or ``socket``.
+    fabric (one of :data:`TRANSPORTS`): ``auto`` (fork workers when
+    ``processes > 1``, in-process otherwise), ``inline``, or ``fork``.
     ``abort_after_chunks`` is the interruption hook used by tests and
     drills: the campaign raises :class:`CampaignInterrupted` after that
     many newly simulated chunks, leaving the checkpoint resumable.
@@ -861,16 +844,9 @@ def run_campaign(
     return statuses, report
 
 
-#: Worker-rung ladders by requested transport: each rung is tried in
-#: order, with a recorded degradation between steps; the serial rungs
-#: (always available, in-process) are the implicit floor.
-_LADDERS = {
-    "auto": ("fork+shm",),
-    "fork+shm": ("fork+shm",),
-    "fork": ("fork",),
-    "socket": ("socket", "fork+shm"),
-    "inline": (),
-}
+#: Accepted ``transport`` values.  ``fork`` is the one worker rung; the
+#: serial rungs (always available, in-process) are the floor below it.
+TRANSPORTS = ("auto", "inline", "fork")
 
 
 def _run_campaign(
@@ -888,24 +864,15 @@ def _run_campaign(
 ) -> Tuple[List[str], CampaignReport]:
     if cancel is not None:
         cancel.check()
-    if transport not in _LADDERS:
+    if transport not in TRANSPORTS:
         raise ValueError(
-            f"unknown transport {transport!r}; "
-            f"expected one of {sorted(_LADDERS)}"
+            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
         )
     n = len(universe)
     lanes = max(processes or 1, 1)
-    want_workers = (
-        transport in ("fork", "fork+shm", "socket")
-        or (transport == "auto" and lanes > 1)
-    )
-    requested_rung = _LADDERS[transport][0] if want_workers else None
+    want_workers = transport == "fork" or (transport == "auto" and lanes > 1)
     report = CampaignReport(
-        requested=(
-            f"{requested_rung}:{chosen}"
-            if want_workers
-            else _serial_rung(chosen)
-        ),
+        requested=f"fork:{chosen}" if want_workers else _serial_rung(chosen),
         block_backend=chosen,
         faults=n,
         checkpoint_path=checkpoint,
@@ -958,11 +925,10 @@ def _run_campaign(
     use_workers = want_workers and n_remaining >= 4 * lanes
     if want_workers and not use_workers:
         report.degrade(
-            requested_rung,
+            "fork",
             "serial" if chosen != "bitmask" else "scalar",
             f"{n_remaining} remaining faults cannot amortize {lanes} "
-            f"{requested_rung} workers (need >= {4 * lanes}); running "
-            f"in-process",
+            f"fork workers (need >= {4 * lanes}); running in-process",
         )
     chunk = chunk_faults or default_chunk_faults(
         n_remaining, lanes if use_workers else None
@@ -970,23 +936,21 @@ def _run_campaign(
     tasks = _build_tasks(universe, statuses, chunk)
     report.chunks_total += len(tasks)
 
-    served_rung: Optional[str] = None
+    served = False
     if use_workers:
-        served_rung = _try_worker_rungs(
+        served = _run_fork_workers(
             sweep,
-            _LADDERS[transport],
             chosen,
             min(lanes, max(len(tasks), 1)),
             timeout,
             report,
             complete,
-            lambda: _build_tasks(universe, statuses, chunk),
             tasks,
             cancel,
         )
         n_left = sum(1 for s in statuses if s is None)
         if (
-            served_rung is None
+            not served
             and chosen == "bitmask"
             and n_left >= VECTOR_MIN_FAULTS
         ):
@@ -995,14 +959,14 @@ def _run_campaign(
             chosen = "vectorized" if HAVE_NUMPY else "fallback"
             report.block_backend = chosen
 
-    if served_rung is None:
+    if served:
+        report.backend = f"fork:{chosen}"
+    else:
         chosen = _serial_fill(
             sweep, universe, statuses, chosen, report, complete, chunk, cancel
         )
         report.block_backend = chosen
         report.backend = _serial_rung(chosen)
-    else:
-        report.backend = f"{served_rung}:{chosen}"
 
     missing = [i for i, s in enumerate(statuses) if s is None]
     if missing:  # pragma: no cover - defended invariant
@@ -1016,92 +980,43 @@ def _serial_rung(chosen: str) -> str:
     return f"scalar:{chosen}" if chosen == "bitmask" else f"serial:{chosen}"
 
 
-def _try_worker_rungs(
+def _run_fork_workers(
     sweep,
-    rungs: Sequence[str],
     chosen: str,
     lanes: int,
     timeout: Optional[float],
     report: CampaignReport,
     complete: Callable[[_Task, List[str]], None],
-    remaining_tasks: Callable[[], List[_Task]],
-    first_tasks: List[_Task],
+    tasks: List[_Task],
     cancel: Optional[CancelToken] = None,
-) -> Optional[str]:
-    """Walk the worker rungs of the ladder; returns the rung that served
-    the campaign, or ``None`` (with every degradation recorded) when the
-    remainder must be finished in-process."""
-    tasks = first_tasks
-    for index, rung in enumerate(rungs):
-        if tasks is None:
-            # A previous rung completed some chunks before failing:
-            # re-chunk the uncovered remainder and fix the ledger.
-            tasks = remaining_tasks()
-            report.chunks_total = (
-                report.chunks_completed
-                + report.chunks_resumed
-                + len(tasks)
-            )
-            if not tasks:
-                return rung
-        next_rung = rungs[index + 1] if index + 1 < len(rungs) else "serial"
-        fabric = create_transport(
-            rung,
-            sweep,
-            lanes,
-            on_degrade=report.degrade,
-            tracing=obs.get_recorder() is not None,
+) -> bool:
+    """Serve ``tasks`` on fork workers; returns ``False`` (with the
+    degradation recorded) when the remainder must be finished
+    in-process."""
+    fabric = create_transport("fork", sweep, lanes)
+    try:
+        fabric.start()
+    except TransportUnavailable as error:
+        report.degrade(
+            "fork",
+            "serial",
+            f"{error}; serving the batch on the serial block backend",
         )
-        try:
-            fabric.start()
-        except TransportUnavailable as error:
-            if next_rung == "serial":
-                report.degrade(
-                    rung,
-                    "serial",
-                    f"{error}; serving the batch on the serial block "
-                    f"backend",
-                )
-            else:
-                report.degrade(
-                    rung,
-                    next_rung,
-                    f"{error}; stepping down to {next_rung} workers",
-                )
-            continue
-        supervisor = _TransportSupervisor(
-            sweep, fabric, chosen, timeout, report, complete, cancel
+        return False
+    supervisor = _TransportSupervisor(
+        sweep, fabric, chosen, timeout, report, complete, cancel
+    )
+    try:
+        supervisor.run(tasks)
+    except _SupervisionFailure as error:
+        report.degrade(
+            "fork",
+            "serial",
+            f"supervised fork runtime failed: {error}; salvaging "
+            f"completed chunks and finishing serially",
         )
-        try:
-            supervisor.run(tasks)
-            return _served_rung(fabric, report)
-        except _SupervisionFailure as error:
-            served = _served_rung(fabric, report)
-            tail = (
-                "finishing serially"
-                if next_rung == "serial"
-                else f"finishing on {next_rung} workers"
-            )
-            report.degrade(
-                served,
-                next_rung,
-                f"supervised {served} runtime failed: {error}; salvaging "
-                f"completed chunks and {tail}",
-            )
-            tasks = None
-    return None
-
-
-def _served_rung(fabric: Transport, report: CampaignReport) -> str:
-    """The ladder rung a worker transport actually served: ``fork+shm``
-    collapses to ``fork`` when any worker fell back to re-deriving the
-    baseline locally."""
-    rung = fabric.rung
-    if rung == "fork+shm" and any(
-        d.frm == "fork+shm" and d.to == "fork" for d in report.degradations
-    ):
-        rung = "fork"
-    return rung
+        return False
+    return True
 
 
 def _serial_fill(
@@ -1154,12 +1069,12 @@ def run_generation_batch(
     :func:`repro.synth.fitness.evaluate_chunk`) and each returned payload
     is the matching JSON-encoded fitness record, in order.  The batch
     rides the exact same supervision machinery as fault campaigns — the
-    transport ladder, per-chunk timeouts, retries with splitting, work
+    fork transport, per-chunk timeouts, retries with splitting, work
     stealing, dead-worker replacement — under the reserved ``synth``
     chunk backend, which never degrades to the scalar fault path.
-    ``sweep`` hosts the transport (its network seeds fork/socket
-    workers) but takes no part in scoring: every candidate compiles its
-    own engine inside the worker.
+    ``sweep`` hosts the transport (its network seeds fork workers) but
+    takes no part in scoring: every candidate compiles its own engine
+    inside the worker.
 
     Unlike :func:`run_campaign` this emits a ``synth.batch`` span rather
     than a ``campaign.report`` flight event — a synthesis run makes one

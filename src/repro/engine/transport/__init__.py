@@ -1,20 +1,17 @@
-"""Pluggable execution transports for the supervised campaign runtime.
+"""Execution transports for the supervised campaign runtime.
 
 The supervisor owns *policy* — timeouts, backoff, splitting, work
 stealing, the degradation ladder, checkpoints, flight merging.  A
 :class:`Transport` owns *mechanics* — where chunks actually run and how
-their results travel back.  Four implementations ship:
+their results travel back.  Two implementations ship:
 
-============  =====================================================
-``inline``    one synchronous lane in the supervising process
-``fork``      forked worker processes over duplex pipes
-``fork+shm``  fork + shared-memory baseline fan-out (the default)
-``socket``    ``python -m repro worker`` subprocesses over a socket
-============  =====================================================
+==========  =====================================================
+``inline``  one synchronous lane in the supervising process
+``fork``    forked worker processes over duplex pipes
+==========  =====================================================
 
-``create_transport(rung, sweep, lanes)`` builds the implementation
-serving a ladder rung; the registry is the single place new fabrics
-(remote hosts, batch schedulers) plug in.
+``create_transport(name, sweep, lanes)`` builds the implementation
+named ``name``.
 """
 
 from __future__ import annotations
@@ -30,27 +27,16 @@ from .base import (
 )
 from .fork import ForkTransport
 from .inline import InlineTransport
-from .socket import SocketTransport
-
-#: Worker rungs of the degradation ladder, strongest first.  The serial
-#: rungs (``serial`` / ``scalar``) run on :class:`InlineTransport` and
-#: are always available, so they are not listed here.
-WORKER_RUNGS = ("socket", "fork+shm", "fork")
 
 
-def create_transport(rung: str, sweep, lanes: int, on_degrade=None,
-                     tracing: bool = False) -> Transport:
-    """The transport serving ladder rung ``rung`` for ``sweep``."""
-    if rung == "socket":
-        return SocketTransport(sweep, lanes, tracing=tracing)
-    if rung == "fork+shm":
-        return ForkTransport(sweep, lanes, use_shm=True,
-                             on_degrade=on_degrade)
-    if rung == "fork":
-        return ForkTransport(sweep, lanes, use_shm=False)
-    if rung == "inline":
+def create_transport(name: str, sweep, lanes: int) -> Transport:
+    """The transport named ``name`` (``fork`` or ``inline``) for
+    ``sweep``."""
+    if name == "fork":
+        return ForkTransport(sweep, lanes)
+    if name == "inline":
         return InlineTransport(sweep.engine)
-    raise ValueError(f"unknown transport rung: {rung!r}")
+    raise ValueError(f"unknown transport: {name!r}")
 
 
 __all__ = [
@@ -58,12 +44,10 @@ __all__ = [
     "ChunkTask",
     "ForkTransport",
     "InlineTransport",
-    "SocketTransport",
     "SubmitFailed",
     "Transport",
     "TransportError",
     "TransportFailure",
     "TransportUnavailable",
-    "WORKER_RUNGS",
     "create_transport",
 ]

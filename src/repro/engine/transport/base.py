@@ -1,7 +1,7 @@
 """The formal transport seam of the supervised campaign runtime.
 
 A :class:`Transport` owns *execution mechanics* — where chunk tasks run
-(in-process, fork workers, socket workers) and how their results come
+(in-process or fork workers) and how their results come
 back — and nothing else.  All *policy* (timeouts, backoff, splitting,
 work stealing, the degradation ladder, checkpoints, flight-recorder
 merging) stays in :mod:`repro.engine.supervisor`, which drives any
@@ -19,8 +19,8 @@ came from so the supervisor can enforce per-chunk deadlines and the
 worker-replacement cap without knowing what a lane *is*.  Results use
 one message shape across all transports: ``ok`` carries the statuses
 list, ``error`` carries the reason text (the chunk is retryable), and
-``died`` means the lane vanished mid-chunk (process killed, pipe EOF,
-socket dropped) and must be replaced before it can serve again.
+``died`` means the lane vanished mid-chunk (process killed, pipe EOF)
+and must be replaced before it can serve again.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ class TransportError(RuntimeError):
 
 
 class TransportUnavailable(TransportError):
-    """The transport cannot start at all (no fork start method, socket
-    bind denied, workers never connected); the ladder steps down to the
-    next rung with this reason recorded."""
+    """The transport cannot start at all (no fork start method); the
+    campaign steps down to the serial rung with this reason recorded."""
 
 
 class TransportFailure(TransportError):
@@ -74,17 +73,14 @@ class ChunkResult:
     ``kind`` is ``"ok"`` (``payload`` is the statuses list), ``"error"``
     (``payload`` is the reason text; the chunk is retryable), or
     ``"died"`` (the lane is gone; ``key`` names the chunk it was
-    carrying, or ``None`` if it was idle).  ``shm_ok`` is ``False`` when
-    a fork worker could not attach the shared-memory baseline and
-    re-derived it locally; ``events`` carries the worker's buffered
-    flight-recorder events for the parent to merge.
+    carrying, or ``None`` if it was idle).  ``events`` carries the
+    worker's buffered flight-recorder events for the parent to merge.
     """
 
     kind: str
     key: Optional[str]
     lane: int
     payload: object = None
-    shm_ok: bool = True
     events: Sequence[dict] = ()
     error: Optional[BaseException] = None  #: in-process transports only
 
@@ -94,8 +90,7 @@ class Transport:
 
     Attributes set by every implementation:
 
-    * ``name`` — registry name (``inline`` / ``fork`` / ``fork+shm`` /
-      ``socket``);
+    * ``name`` — registry name (``inline`` / ``fork``);
     * ``lanes`` — parallel lane count;
     * ``in_process`` — ``True`` when :meth:`poll` computes results
       synchronously in the caller (no deadline enforcement, no
@@ -105,12 +100,6 @@ class Transport:
     name: str = "?"
     lanes: int = 1
     in_process: bool = False
-
-    @property
-    def rung(self) -> str:
-        """The degradation-ladder rung this transport currently serves
-        (``fork+shm`` may step to ``fork`` internally)."""
-        return self.name
 
     def start(self) -> None:
         """Bring the lanes up; raises :class:`TransportUnavailable` when

@@ -2,16 +2,9 @@
 
 This is the machinery that used to live inline in
 ``repro.engine.supervisor`` (``_ForkSupervisor`` / ``_spawn_worker`` /
-the pipe result channel), now behind the :class:`Transport` seam.  Two
-rungs share one implementation:
-
-* ``fork+shm`` — the parent publishes its fault-free baseline through
-  :mod:`multiprocessing.shared_memory`; workers attach instead of
-  re-deriving it.  Allocation or attach failure steps down to plain
-  ``fork`` *inside* the running transport (recorded through the
-  supervisor's ``on_degrade`` callback — the sweep never restarts for
-  it).
-* ``fork`` — workers re-derive the baseline; correctness identical.
+the pipe result channel), now behind the :class:`Transport` seam.  Each
+worker builds its own engine from the inherited network and derives
+whatever baseline its block backend reads.
 
 Workers classify through the supervisor module's ``chunk_statuses``
 seam and honour :data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`, both
@@ -21,6 +14,7 @@ exactly as they always did (fork inherits the armed parent state).
 
 from __future__ import annotations
 
+import signal
 import time
 from typing import List, Optional
 
@@ -39,83 +33,33 @@ KILL_GRACE = 0.25
 
 
 # ----------------------------------------------------------------------
-# shared-memory baseline fan-out (parent side)
-# ----------------------------------------------------------------------
-def _baseline_line_bytes(n_inputs: int) -> int:
-    """Bytes per packed line in the shared baseline buffer (whole
-    64-bit words, minimum one word)."""
-    return max(1, (1 << n_inputs) >> 6) * 8
-
-
-def _create_shared_baseline(sweep):
-    """Publish the parent's fault-free baseline for workers to attach.
-
-    Returns ``(shm, name, line_bytes)``.  Raises the *narrow* set of
-    failures shared memory can legitimately produce — ``ImportError``
-    (no ``multiprocessing.shared_memory``), ``OSError`` (``/dev/shm``
-    missing, quota, permissions), ``ValueError`` (bad size) — so the
-    caller can record exactly why the ladder stepped down instead of
-    swallowing everything.  Swapped out by chaos tests.
-    """
-    from multiprocessing import shared_memory
-
-    baseline = sweep.bitmask.baseline()
-    line_bytes = _baseline_line_bytes(sweep.n)
-    payload = b"".join(
-        value.to_bytes(line_bytes, "little") for value in baseline
-    )
-    shm = shared_memory.SharedMemory(create=True, size=max(len(payload), 1))
-    shm.buf[: len(payload)] = payload
-    return shm, shm.name, line_bytes
-
-
-def _attach_shared_baseline(engine, shm_name: str, line_bytes: int) -> bool:
-    """Worker side: adopt the parent's baseline from shared memory.
-
-    Returns ``False`` (worker derives its own baseline — correctness
-    unchanged, throughput degraded) only on the narrow attach failures;
-    the supervisor records that as a ``fork+shm -> fork`` degradation.
-    The adopted baseline is installed as an immutable tuple, same as a
-    locally derived one.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=shm_name)
-    except (ImportError, OSError, ValueError):
-        return False
-    try:
-        buf = bytes(shm.buf)
-    finally:
-        shm.close()
-    expected = len(engine.compiled.names) * line_bytes
-    if len(buf) < expected:
-        return False
-    engine.bitmask._baseline = tuple(
-        int.from_bytes(buf[i * line_bytes : (i + 1) * line_bytes], "little")
-        for i in range(len(engine.compiled.names))
-    )
-    return True
-
-
-# ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def run_chunk_jobs(conn, engine, shm_ok: bool = True,
-                   drain=obs.drain_child_events) -> None:
-    """Serve chunk jobs on ``conn`` until a ``None`` shutdown sentinel
-    (or the parent disappears).  Shared by the fork and socket workers:
-    job messages are ``(key, faults, backend, attempt)`` tuples, replies
-    are ``(kind, key, payload, shm_ok, events)``.
+def _forked_worker(conn, network) -> None:
+    """One fork worker: build an engine, then serve chunk jobs on
+    ``conn`` until a ``None`` shutdown sentinel (or the parent
+    disappears).  Job messages are ``(key, faults, backend, attempt)``
+    tuples; replies are ``(kind, key, payload, events)``.
+
+    The child first drops the signal state it inherited: a parent
+    running an asyncio loop (``repro serve``) has SIGTERM/SIGINT routed
+    to the loop's wakeup fd, and the SIGTERM that stops this worker
+    must not reach the parent's drain handler through it.
 
     The supervisor module is consulted late for both the chunk hook and
     ``chunk_statuses`` so chaos patches stay effective inside workers.
-    ``drain`` yields the worker's buffered flight events per chunk
-    (fork workers use the inherited recorder's child buffer; socket
-    workers install their own recorder and drain it directly).
+    The per-chunk drain of the inherited recorder's child buffer carries
+    this chunk's spans back to the parent, which merges them into the
+    flight exactly once.
     """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+    from .. import NetworkEngine
     from .. import supervisor as _sup
 
+    engine = NetworkEngine(network)
     while True:
         try:
             job = conn.recv()
@@ -131,32 +75,11 @@ def run_chunk_jobs(conn, engine, shm_ok: bool = True,
                     hook(key, attempt)
                 statuses = _sup.chunk_statuses(engine, faults, backend)
         except Exception as error:  # reported, retried by the supervisor
-            conn.send(
-                (
-                    "error",
-                    key,
-                    f"{type(error).__name__}: {error}",
-                    shm_ok,
-                    drain(),
-                )
-            )
+            reply = ("error", key, f"{type(error).__name__}: {error}")
         else:
-            # The drained buffer carries this chunk's spans back to the
-            # parent, which merges them into the flight exactly once.
-            conn.send(("ok", key, statuses, shm_ok, drain()))
+            reply = ("ok", key, statuses)
+        conn.send(reply + (obs.drain_child_events(),))
     conn.close()
-
-
-def _forked_worker(conn, network, shm_name, line_bytes) -> None:
-    """One fork worker: build an engine, attach the shared baseline if
-    offered, then serve chunk jobs."""
-    from .. import NetworkEngine
-
-    engine = NetworkEngine(network)
-    shm_ok = True
-    if shm_name is not None:
-        shm_ok = _attach_shared_baseline(engine, shm_name, line_bytes)
-    run_chunk_jobs(conn, engine, shm_ok=shm_ok)
 
 
 class _Lane:
@@ -189,25 +112,15 @@ def _stop_lane(lane: _Lane) -> None:
 class ForkTransport(Transport):
     """Replaceable fork-worker lanes over duplex pipes."""
 
+    name = "fork"
     in_process = False
 
-    def __init__(self, sweep, lanes: int, use_shm: bool = True,
-                 on_degrade=None) -> None:
+    def __init__(self, sweep, lanes: int) -> None:
         self.sweep = sweep
         self.lanes = max(lanes, 1)
-        self.use_shm = use_shm
-        self.on_degrade = on_degrade
-        self.name = "fork+shm" if use_shm else "fork"
         self._ctx = None
         self._lanes: List[_Lane] = []
         self._tasks: List[Optional[ChunkTask]] = []
-        self._shm = None
-        self._shm_name: Optional[str] = None
-        self._line_bytes = 8
-
-    @property
-    def rung(self) -> str:
-        return "fork+shm" if self._shm_name is not None else "fork"
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -219,21 +132,6 @@ class ForkTransport(Transport):
             raise TransportUnavailable(
                 f"fork start method unavailable: {error}"
             )
-        if self.use_shm:
-            try:
-                self._shm, self._shm_name, self._line_bytes = (
-                    _create_shared_baseline(self.sweep)
-                )
-            except (ImportError, OSError, ValueError) as error:
-                self._shm, self._shm_name = None, None
-                if self.on_degrade is not None:
-                    self.on_degrade(
-                        "fork+shm",
-                        "fork",
-                        f"shared-memory baseline unavailable: "
-                        f"{type(error).__name__}: {error}; workers "
-                        f"re-derive it",
-                    )
         try:
             for _ in range(self.lanes):
                 self._lanes.append(self._spawn())
@@ -247,12 +145,7 @@ class ForkTransport(Transport):
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
                 target=_forked_worker,
-                args=(
-                    child_conn,
-                    self.sweep.network,
-                    self._shm_name,
-                    self._line_bytes,
-                ),
+                args=(child_conn, self.sweep.network),
                 daemon=True,
             )
             process.start()
@@ -276,13 +169,6 @@ class ForkTransport(Transport):
             _stop_lane(entry)
         self._lanes = []
         self._tasks = []
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            self._shm = None
 
     # -- task flow -----------------------------------------------------
     @property
@@ -341,15 +227,10 @@ class ForkTransport(Transport):
             message = entry.conn.recv()
         except (EOFError, OSError):
             return [self._death(index, entry)]
-        kind, key, payload, shm_ok, events = message
+        kind, key, payload, events = message
         entry.busy = False
         self._tasks[index] = None
-        return [
-            ChunkResult(
-                kind, key, index, payload=payload, shm_ok=shm_ok,
-                events=events,
-            )
-        ]
+        return [ChunkResult(kind, key, index, payload=payload, events=events)]
 
     def _death(self, index: int, entry: _Lane) -> ChunkResult:
         entry.dead = True

@@ -773,7 +773,7 @@ def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[st
 
     This is the single chunk-level entry point shared by the serial
     campaign driver and every execution transport's worker loop
-    (:func:`repro.engine.transport.fork.run_chunk_jobs` resolves it
+    (the fork worker in :mod:`repro.engine.transport.fork` resolves it
     late, so chaos patches land everywhere), which is why every rung of
     the degradation ladder classifies byte-identically.  ``engine``
     is a :class:`~repro.engine.NetworkEngine`; ``backend`` is a resolved
@@ -787,9 +787,9 @@ def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[st
         # Synthesis fitness chunks ride the same transport plumbing: each
         # "fault" is a candidate-evaluation task dict and each "status" a
         # JSON-encoded fitness record.  The host engine is deliberately
-        # ignored — every candidate compiles its own engine, so fork and
-        # socket workers (which pin the host network at spawn) still
-        # evaluate the right circuits.
+        # ignored — every candidate compiles its own engine, so fork
+        # workers (which pin the host network at spawn) still evaluate
+        # the right circuits.
         from ..synth.fitness import evaluate_chunk
 
         with obs.span("sweep.chunk", faults=len(universe), backend=backend):

@@ -11,15 +11,12 @@ sabotaged baseline outlives the context.
 The second half of this module sabotages the *campaign runtime* the
 same way: :func:`sabotage_campaign` arms worker-level failures — a
 chunk that raises, a chunk that hangs, a worker SIGKILLed or exiting
-mid-sweep, shared-memory allocation denied, the block backend broken —
-and the supervisor tests assert the sweep still completes with
-statuses byte-identical to the serial path, the incident visible in
-the :class:`~repro.engine.supervisor.CampaignReport`.  Worker
+mid-sweep, the block backend broken — and the supervisor tests assert
+the sweep still completes with statuses byte-identical to the serial
+path, the incident visible in the
+:class:`~repro.engine.supervisor.CampaignReport`.  Worker
 sabotages ride :data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`,
-which fork children inherit from the parent at spawn time; *spawned*
-socket workers (fresh interpreters, no inherited state) re-arm the
-same hook from the ``REPRO_CHAOS_KIND`` / ``REPRO_CHAOS_ONCE``
-environment variables via :func:`install_env_sabotage`.  One-shot
+which fork children inherit from the parent at spawn time.  One-shot
 kinds coordinate across processes through an ``O_EXCL`` sentinel file
 so a replacement worker does not re-fire the failure forever.
 
@@ -44,12 +41,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..engine import backends
 from ..engine import supervisor as _supervisor
-from ..engine.transport import fork as _transport_fork
 from ..logic.gates import GateKind
-
-#: Environment seam arming worker sabotage in spawned (non-fork) workers.
-CHAOS_KIND_ENV = "REPRO_CHAOS_KIND"
-CHAOS_ONCE_ENV = "REPRO_CHAOS_ONCE"
 
 
 def _make_mask_bug(swap_from: GateKind, swap_as: GateKind) -> Callable:
@@ -155,25 +147,8 @@ def _worker_exits() -> None:
     os._exit(3)
 
 
-def _socket_dropped() -> None:
-    # Sever the worker's command connection without killing the
-    # process: the supervisor sees EOF mid-chunk, must treat the lane
-    # as dead, kill this orphan, and replace it.  The sleep keeps the
-    # orphan alive long enough to prove the parent does the killing.
-    from ..engine.transport import socket as _transport_socket
-
-    conn = _transport_socket.CURRENT_CONNECTION
-    if conn is not None:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-    time.sleep(3600)
-
-
 #: Worker-level sabotages delivered through WORKER_CHUNK_HOOK (fork
-#: children inherit the armed hook from the parent; spawned socket
-#: workers re-arm it from the environment).
+#: children inherit the armed hook from the parent).
 WORKER_SABOTAGE: Dict[str, Callable[[], None]] = {
     # The first chunk touched raises inside the worker: the supervisor
     # must retry it (backoff) and the sweep must still complete.
@@ -185,28 +160,11 @@ WORKER_SABOTAGE: Dict[str, Callable[[], None]] = {
     "worker-killed": _worker_killed,
     # A worker exits cleanly but prematurely mid-chunk: same recovery.
     "worker-exits": _worker_exits,
-    # A socket worker's connection drops mid-chunk while the process
-    # lives on: lane death, orphan reaped, replacement, retry.
-    "socket-dropped": _socket_dropped,
 }
 
 
-def install_env_sabotage() -> None:
-    """Arm this process's :data:`WORKER_CHUNK_HOOK` from the chaos
-    environment variables.  Called by the ``repro worker`` entry point:
-    spawned workers inherit no parent Python state, so the sabotage
-    travels as environment instead of an inherited module global."""
-    kind = os.environ.get(CHAOS_KIND_ENV)
-    if not kind or kind not in WORKER_SABOTAGE:
-        return
-    once_path = os.environ.get(CHAOS_ONCE_ENV) or None
-    _supervisor.WORKER_CHUNK_HOOK = _worker_hook(
-        WORKER_SABOTAGE[kind], once_path
-    )
-
-
 def campaign_sabotage_names() -> list:
-    return sorted(WORKER_SABOTAGE) + ["shm-denied", "block-backend-broken"]
+    return sorted(WORKER_SABOTAGE) + ["block-backend-broken"]
 
 
 @contextlib.contextmanager
@@ -219,48 +177,20 @@ def sabotage_campaign(
     :data:`~repro.engine.supervisor.WORKER_CHUNK_HOOK`; pass
     ``once_path`` (a path that does not exist yet) to make the failure
     one-shot across all forked workers, otherwise every chunk attempt
-    fails and the sweep degrades to the serial rung.  Parent-side kinds:
-
-    * ``shm-denied`` — shared-memory baseline allocation raises
-      ``OSError``, forcing the ``fork+shm -> fork`` step;
-    * ``block-backend-broken`` — the block backends raise on every
-      chunk, forcing the ``serial -> scalar`` step (the scalar bitmask
-      path stays honest).
+    fails and the sweep degrades to the serial rung.  The parent-side
+    kind ``block-backend-broken`` makes the block backends raise on
+    every chunk, forcing the ``serial -> scalar`` step (the scalar
+    bitmask path stays honest).
     """
     if kind in WORKER_SABOTAGE:
         previous = _supervisor.WORKER_CHUNK_HOOK
-        previous_env = {
-            key: os.environ.get(key)
-            for key in (CHAOS_KIND_ENV, CHAOS_ONCE_ENV)
-        }
         _supervisor.WORKER_CHUNK_HOOK = _worker_hook(
             WORKER_SABOTAGE[kind], once_path
         )
-        # Spawned socket workers cannot inherit the hook: arm the
-        # environment too, which they read back at startup.
-        os.environ[CHAOS_KIND_ENV] = kind
-        if once_path is not None:
-            os.environ[CHAOS_ONCE_ENV] = once_path
         try:
             yield
         finally:
             _supervisor.WORKER_CHUNK_HOOK = previous
-            for key, value in previous_env.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:  # pragma: no cover - nested sabotage
-                    os.environ[key] = value
-    elif kind == "shm-denied":
-        original = _transport_fork._create_shared_baseline
-
-        def denied(_sweep):
-            raise OSError("chaos: shared memory denied")
-
-        _transport_fork._create_shared_baseline = denied
-        try:
-            yield
-        finally:
-            _transport_fork._create_shared_baseline = original
     elif kind == "block-backend-broken":
         original = _supervisor.chunk_statuses
 
@@ -358,7 +288,7 @@ def install_serve_env_sabotage() -> None:
     process.  Called by :func:`repro.server.serve` at startup when
     :data:`SERVE_CHAOS_ENV` is set: the SIGKILL+``--recover`` chaos test
     spawns real server subprocesses, so the sabotage travels as
-    environment, exactly like worker sabotage does for spawned workers.
+    environment.
     """
     kind = os.environ.get(SERVE_CHAOS_ENV)
     if not kind or kind not in SERVICE_SABOTAGE:

@@ -80,8 +80,14 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from . import obs
+from .engine.campaign import SWEEP_BACKENDS
 from .engine.store import STORE, program_fingerprint, text_fingerprint
-from .engine.supervisor import CampaignCancelled, CancelToken, CheckpointError
+from .engine.supervisor import (
+    TRANSPORTS,
+    CampaignCancelled,
+    CancelToken,
+    CheckpointError,
+)
 from .obs.recorder import MemoryRecorder
 
 #: Request fields a client may set, with their defaults.  Anything else
@@ -181,6 +187,14 @@ def canonical_request(body: dict) -> dict:
     kind = request["kind"]
     if kind not in ("campaign", "synth"):
         raise RequestError("'kind' must be 'campaign' or 'synth'")
+    for key, accepted in (
+        ("backend", SWEEP_BACKENDS),
+        ("transport", TRANSPORTS),
+    ):
+        if request[key] not in accepted:
+            raise RequestError(
+                f"'{key}' must be one of: {', '.join(accepted)}"
+            )
     has_netlist = isinstance(netlist, str) and bool(netlist.strip())
     if kind == "campaign":
         if not has_netlist:

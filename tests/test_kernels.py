@@ -4,14 +4,11 @@ Every test here is a differential check against the scalar classifier:
 the kernel tier re-derives the SCAL pair classification from generated
 straight-line source (folded constants, dead-line elimination, fused
 seeds), so nothing short of byte-identical statuses counts as passing.
-Covers the exec'd-NumPy rung, both Numba-probe branches (via a stub
-module — the tier must behave identically whether Numba is importable
-or not), single-threaded and tiled/threaded word axes, and the
-kernel cache against the content-addressed store.
+Covers the exec'd-NumPy kernels, single-threaded and tiled/threaded
+word axes, and the kernel cache against the content-addressed store.
 """
 
 import random
-import types
 
 import pytest
 
@@ -37,7 +34,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 if HAVE_NUMPY:
-    from repro.engine import kernels
     from repro.engine.kernels import KernelBackend
 
 
@@ -124,7 +120,7 @@ class TestKernelEquivalence:
         kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
         assert kern.sweep_statuses([fault]) == scalar_statuses(eng, [fault])
         (kobj,) = kern._kernels.values()
-        assert kobj.tier == "const"
+        assert kobj.const_status is not None
         assert kobj.fn is None
 
     def test_constant_folding_collapses_const_cones(self):
@@ -217,78 +213,6 @@ class TestKernelCeilingAndSelection:
     def test_auto_never_picks_kernel_beyond_ceiling(self):
         for n in range(KERNEL_MAX_INPUTS + 1, KERNEL_MAX_INPUTS + 6):
             assert select_backend(n, 500, numpy_available=True) != "kernel"
-
-
-class TestNumbaProbe:
-    """Both probe branches, via a stub numba module — the real package
-    is absent in the pinned environment and optional everywhere."""
-
-    def _stub(self, monkeypatch, njit):
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-        monkeypatch.setattr(
-            kernels, "_numba", types.SimpleNamespace(njit=njit)
-        )
-
-    def test_identity_jit_serves_numba_tier(self, monkeypatch, mixed9):
-        calls = []
-
-        def njit(**kwargs):
-            def deco(fn):
-                def jitted(*args):
-                    calls.append(1)
-                    return fn(*args)
-
-                return jitted
-
-            return deco
-
-        self._stub(monkeypatch, njit)
-        eng = engine_for(mixed9)
-        universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
-        assert kern.use_numba
-        assert kern.sweep_statuses(universe) == scalar_statuses(
-            eng, universe
-        )
-        tiers = {k.tier for k in kern._kernels.values() if k.fn is not None}
-        assert tiers == {"numba"}
-        assert calls  # the jit wrapper actually ran
-
-    def test_typing_failure_falls_back_to_numpy_tier(
-        self, monkeypatch, mixed9
-    ):
-        def njit(**kwargs):
-            def deco(fn):
-                def jitted(*args):
-                    raise TypeError("nopython typing failed")
-
-                return jitted
-
-            return deco
-
-        self._stub(monkeypatch, njit)
-        eng = engine_for(mixed9)
-        universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
-        assert kern.sweep_statuses(universe) == scalar_statuses(
-            eng, universe
-        )
-        # every jit slot burned out permanently; the py tier served
-        for kobj in kern._kernels.values():
-            if kobj.fn is not None:
-                assert kobj.fn.jit is None
-
-    def test_without_numba_numpy_tier_serves(self, mixed9):
-        eng = engine_for(mixed9)
-        universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        kern = KernelBackend(
-            eng.compiled, vectorized=eng.vectorized, use_numba=False
-        )
-        assert kern.sweep_statuses(universe) == scalar_statuses(
-            eng, universe
-        )
-        tiers = {k.tier for k in kern._kernels.values() if k.fn is not None}
-        assert tiers <= {"numpy"}
 
 
 class TestKernelStoreCache:

@@ -290,6 +290,31 @@ class TestRequestCanonicalization:
         with pytest.raises(RequestError, match="transprot"):
             canonical_request({"netlist": BENCH, "transprot": "fork"})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("transport", "socket"),
+            ("backend", "numba"),
+        ],
+    )
+    def test_unknown_transport_or_backend_rejected(self, field, value):
+        """Bad execution knobs are refused at admission, naming the
+        values the engine accepts, instead of being journaled and
+        failing inside the campaign."""
+        with pytest.raises(RequestError, match=f"'{field}' must be one of"):
+            canonical_request({"netlist": BENCH, field: value})
+
+    def test_unknown_transport_is_http_400(self):
+        async def scenario(server):
+            return await _post_campaign(
+                server.host, server.port,
+                {"netlist": BENCH, "transport": "socket"},
+            )
+
+        status, lines = _run(_with_server(scenario))
+        assert "400" in status
+        assert "auto, inline, fork" in lines[0]["error"]
+
     def test_fingerprint_ignores_key_order(self):
         one = canonical_request(
             {"netlist": BENCH, "backend": "auto", "collapse": True}

@@ -560,3 +560,40 @@ class TestKillRecover:
                 proc2.kill()
                 proc2.wait()
             proc2.stdout.close()
+
+
+class TestServedForkFanout:
+    def test_sequential_fork_requests_keep_server_ready(self):
+        """A served campaign with ``"processes": 2`` runs on fork
+        workers that the supervisor stops with SIGTERM.  Those workers
+        must not inherit the server's asyncio signal wakeup fd, or the
+        SIGTERM reaches the drain handler and the server stops
+        admitting after the first request."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        proc, port = _spawn_server([], env)
+        try:
+            for bench in (
+                CHAIN_BENCH,
+                CHAIN_BENCH.replace("g0 = AND", "g0 = OR"),
+            ):
+                lines = _post_blocking(
+                    port, {"netlist": bench, "processes": 2}
+                )
+                final = lines[-1]
+                assert final.get("event") == "result", final
+                assert final["backend"].startswith("fork:"), final
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                conn.request("GET", "/readyz")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=20)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()

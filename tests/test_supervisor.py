@@ -114,22 +114,6 @@ class TestChaosWorkerFailures:
         assert any("timeout" in r.reason for r in report.retries)
         assert report.workers_replaced >= 1
 
-    def test_shm_allocation_failure_degrades_to_plain_fork(
-        self, adder, adder_reference
-    ):
-        universe, reference = adder_reference
-        sweep = fresh_sweep(adder)
-        with sabotage_campaign("shm-denied"):
-            result = sweep.sweep(universe, processes=2)
-        assert _statuses(result) == reference
-        report = sweep.last_report
-        assert sweep.last_sweep_backend.startswith("fork:")
-        assert any(
-            d.frm == "fork+shm" and d.to == "fork" for d in report.degradations
-        )
-        assert "shared-memory" in report.degradations[0].reason
-        assert report.backend.startswith("fork:")
-
     def test_unkillable_workers_salvaged_serially(
         self, adder, adder_reference
     ):

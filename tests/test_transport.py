@@ -1,22 +1,22 @@
-"""The pluggable transport layer: parity, chaos, stealing, the store.
+"""The transport layer: parity, chaos, stealing, the store.
 
 The transports' one hard contract is indistinguishability: a sweep
-fanned out over any execution fabric — inline, forked pipes, fork with
-the shared-memory baseline, or spawned ``repro worker`` processes on a
-socket — must return statuses byte-identical to the undisturbed serial
-scalar path, under health *and* under injected failure.  The chaos
-cases reuse the fuzz harness's sabotage discipline per transport:
-workers killed, the socket connection dropped mid-chunk, shared memory
-denied.  Work stealing and the content-addressed artifact store are
+run inline or fanned out over forked workers must return statuses
+byte-identical to the undisturbed serial scalar path, under health
+*and* under injected failure.  The chaos cases reuse the fuzz
+harness's sabotage discipline: workers killed mid-chunk.  Work
+stealing and the content-addressed artifact store are
 covered at the same level: observable bookkeeping, identical results.
 """
 
 import os
+import random
 import time
 
 import pytest
 
 from repro.engine import (
+    HAVE_NUMPY,
     FaultSweep,
     NetworkEngine,
     STORE,
@@ -24,15 +24,15 @@ from repro.engine import (
     program_fingerprint,
 )
 from repro.engine import supervisor as supervisor_mod
-from repro.engine.transport import WORKER_RUNGS, create_transport
+from repro.engine.transport import create_transport
 from repro.logic.benchfmt import load_bench, parse_bench
 from repro.qa.chaos import sabotage_campaign
+from repro.workloads.randomlogic import random_mixed_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "data")
 
-#: Transports a test process can always exercise (socket needs spawn,
-#: which every supported platform has; fork rungs need os.fork).
-ALL_TRANSPORTS = ("inline", "fork", "fork+shm", "socket")
+#: Transports a test process can always exercise (fork needs os.fork).
+ALL_TRANSPORTS = ("inline", "fork")
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ class TestTransportParity:
             assert report.backend.startswith(transport)
             assert report.degradations == []
 
-    @pytest.mark.parametrize("transport", ("fork", "socket"))
+    @pytest.mark.parametrize("transport", ("fork",))
     def test_scalar_block_backend_parity(
         self, adder, adder_reference, transport
     ):
@@ -111,9 +111,9 @@ class TestTransportParity:
 
     def test_create_transport_registry(self, adder):
         sweep = fresh_sweep(adder)
-        for rung in WORKER_RUNGS + ("inline",):
-            fabric = create_transport(rung, sweep, lanes=1)
-            assert fabric.rung in (rung, "fork")  # fork+shm may present fork
+        for name in ALL_TRANSPORTS:
+            fabric = create_transport(name, sweep, lanes=1)
+            assert fabric.name == name
         with pytest.raises(ValueError, match="carrier-pigeon"):
             create_transport("carrier-pigeon", sweep, lanes=1)
 
@@ -121,7 +121,7 @@ class TestTransportParity:
 class TestTransportChaos:
     """Per-transport injected failure: recovery plus byte-identity."""
 
-    @pytest.mark.parametrize("transport", ("fork", "fork+shm", "socket"))
+    @pytest.mark.parametrize("transport", ("fork",))
     def test_worker_killed_is_replaced(
         self, adder, adder_reference, transport, tmp_path
     ):
@@ -139,43 +139,21 @@ class TestTransportChaos:
         assert any("worker died" in r.reason for r in report.retries)
         assert report.backend.startswith(transport)
 
-    def test_socket_dropped_mid_chunk(
-        self, adder, adder_reference, tmp_path
-    ):
-        """A worker's connection drops while the process lives on: the
-        lane is declared dead, the orphan reaped, the chunk retried."""
-        universe, reference = adder_reference
-        sweep = fresh_sweep(adder)
-        with sabotage_campaign(
-            "socket-dropped", once_path=str(tmp_path / "once")
-        ):
-            result = sweep.sweep(
-                universe, processes=2, transport="socket"
-            )
-        assert _statuses(result) == reference
-        report = sweep.last_report
-        assert report.workers_replaced >= 1
-        assert any("worker died" in r.reason for r in report.retries)
-        assert report.backend.startswith("socket")
 
-    def test_shm_denied_steps_socket_ladder_to_fork(
-        self, adder, adder_reference
-    ):
-        """The fork+shm rung below socket degrades to plain fork when
-        shared memory is denied — mid-ladder, not just from the top."""
-        universe, reference = adder_reference
-        sweep = fresh_sweep(adder)
-        with sabotage_campaign("shm-denied"):
-            result = sweep.sweep(
-                universe, processes=2, transport="fork+shm"
-            )
-        assert _statuses(result) == reference
-        report = sweep.last_report
-        assert any(
-            d.frm == "fork+shm" and d.to == "fork"
-            for d in report.degradations
-        )
-        assert report.backend.startswith("fork:")
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the kernel tier needs NumPy")
+@pytest.mark.parametrize("transport", ("auto", "fork"))
+def test_fork_fanout_never_builds_bitmask_baseline(transport):
+    """The parent of a forked block-backend campaign has no use for the
+    exhaustive big-int baseline (workers derive whatever their backend
+    reads), so fanning out must not build it."""
+    network = random_mixed_network(
+        random.Random("fork-baseline"), 14, 120, n_outputs=16
+    )
+    sweep = fresh_sweep(network)
+    universe = sweep.single_fault_universe()
+    sweep.sweep(universe, processes=2, transport=transport)
+    assert sweep.engine._bitmask is None
+    assert sweep.last_report.backend == "fork:kernel"
 
 
 class TestWorkStealing:
