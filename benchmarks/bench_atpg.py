@@ -20,8 +20,8 @@ seed circuits, ripple adders, and the committed random-logic batch
   ``SWEEP_MAX_INPUTS`` inputs (wider ones are covered by parity: a
   completed PODEM verdict is already exact);
 * speed: the dropping driver beats the scalar loop by at least
-  ``MIN_ATPG_SPEEDUP`` overall (NumPy runs only — the packed fallback
-  is a correctness rung, not a performance claim).
+  ``MIN_ATPG_SPEEDUP`` overall (NumPy runs only — the big-int bitmask
+  rung is a correctness rung, not a performance claim).
 
 The count metrics land in ``BENCH_atpg.json`` where ``--check`` compares
 them exactly; the ``*_seconds``/``*_speedup`` keys ride along as
@@ -140,10 +140,10 @@ def _workload():
 def _detectable_count(network, universe):
     """Faults the block backend distinguishes from the fault-free
     circuit on some input point — the sweep-level coverage ceiling."""
-    packed = engine_for(network).packed
-    baseline = packed.output_bits(None)
+    bitmask = engine_for(network).bitmask
+    baseline = bitmask.output_bits(None)
     return sum(
-        1 for fault in universe if packed.output_bits(fault) != baseline
+        1 for fault in universe if bitmask.output_bits(fault) != baseline
     )
 
 
@@ -226,7 +226,7 @@ def engine_atpg_report():
     lines.append(
         f"  scalar {scalar_wall:.3f}s  engine {engine_wall:.3f}s  "
         f"-> {speedup:.1f}x"
-        + ("" if HAVE_NUMPY else "  (packed fallback, ungated)")
+        + ("" if HAVE_NUMPY else "  (big-int bitmask, ungated)")
     )
     metrics = dict(totals)
     metrics["scalar_seconds"] = round(scalar_wall, 4)

@@ -1,11 +1,11 @@
 """E-KERNELS — the codegen kernel tier vs the vectorized interpreter
 (PR 8, ROADMAP item 5).
 
-One workload, four rungs: the randlogic single-fault universe (shared
-with bench_campaigns) classified by the scalar bitmask path, the
-pure-Python packed fallback, the NumPy vectorized backend, and the
-program-specialized kernel tier.  The gate asserts statuses are
-byte-identical across all four and that the kernel's steady-state sweep
+One workload, three rungs: the randlogic single-fault universe (shared
+with bench_campaigns) classified by the scalar big-int bitmask path,
+the NumPy vectorized backend, and the program-specialized kernel tier.
+The gate asserts statuses are byte-identical across all three and
+that the kernel's steady-state sweep
 beats the vectorized backend by at least ``MIN_KERNEL_SPEEDUP``.
 
 The cold first sweep (kernel generation included) is reported but not
@@ -68,9 +68,6 @@ def kernels_report():
         scalar = [
             s for _, s in sweep.sweep(universe, backend="bitmask")
         ]
-        fallback = [
-            s for _, s in sweep.sweep(universe, backend="fallback")
-        ]
         if HAVE_NUMPY:
             from repro.engine.kernels import KernelBackend
 
@@ -95,7 +92,7 @@ def kernels_report():
     finally:
         obs.enable_metrics(was_enabled)
 
-    identical = scalar == fallback == vectorized == kernel_statuses
+    identical = scalar == vectorized == kernel_statuses
     speedup = vec_seconds / kern_seconds if kern_seconds > 0 else 0.0
     counts = Counter(scalar)
     lines = [
@@ -104,7 +101,7 @@ def kernels_report():
         f"{len(universe)} live faults)",
         f"  statuses: {counts['detected']} detected, "
         f"{counts['silent']} silent, {counts['dangerous']} dangerous",
-        f"  byte-identical across scalar/fallback/vectorized/kernel: "
+        f"  byte-identical across scalar/vectorized/kernel: "
         f"{identical}",
         f"  vectorized steady-state:  {vec_seconds * 1e3:8.2f} ms",
         f"  kernel steady-state:      {kern_seconds * 1e3:8.2f} ms   "

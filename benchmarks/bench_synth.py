@@ -8,7 +8,7 @@ Two claims land in ``BENCH_synth.json``:
   evaluator must produce records byte-identical (modulo the advisory
   ``backend`` field) to the pointwise scalar evaluator while being at
   least ``MIN_SYNTH_SPEEDUP`` faster overall (NumPy runs only — the
-  packed fallback is a correctness rung, not a performance claim);
+  big-int bitmask rung is a correctness rung, not a performance claim);
 * **fixed-seed search convergence** — the committed micro-campaign
   configurations (the same ones the tests and CI smoke drill) converge
   to perfect self-dual, self-checking winners in a pinned number of
@@ -117,7 +117,7 @@ def synth_report():
         f"{tp_agreed}/{len(throughput)}",
         f"  scalar {tp_scalar:.3f}s  batched {tp_batched:.3f}s  "
         f"-> {speedup:.1f}x"
-        + ("" if HAVE_NUMPY else "  (packed fallback, ungated)"),
+        + ("" if HAVE_NUMPY else "  (big-int bitmask, ungated)"),
         "",
         "Fixed-seed micro-campaigns (population=24, max_gates=16):",
     ]

@@ -10,9 +10,9 @@ Point the thesis's machinery at any ``.bench`` netlist:
 * ``dot``       — Graphviz export with the failing lines highlighted;
 * ``faulttable``— a Figure 3.6-style fault table for chosen lines;
 * ``campaign``  — a bulk single-fault coverage sweep through the
-  backend-selection heuristic (bitmask / vectorized / fallback /
-  kernel) under the supervised runtime (``--timeout``,
-  ``--checkpoint``/``--resume``, ``--report``);
+  backend-selection heuristic (bitmask / vectorized / kernel) under
+  the supervised runtime (``--timeout``, ``--checkpoint``/``--resume``,
+  ``--report``);
 * ``atpg``      — fault-dropping PODEM campaign: guided search per
   target, batched candidate completions simulated against the whole
   remaining fault universe, reverse-greedy compaction
@@ -52,7 +52,9 @@ from .core.design import make_self_checking
 from .core.report import fault_table, render_fault_table, undetected_faults
 from .core.simulate import ScalSimulator
 from .core.testgen import all_test_pairs, format_pair
+from .engine.campaign import SWEEP_BACKENDS
 from .engine.supervisor import TRANSPORTS
+from .engine.vectorized import ATPG_RUNGS
 from .logic.benchfmt import load_bench, save_bench
 from .logic.faults import StuckAt
 from .logic.render import annotate_with_analysis, render_dot, render_listing
@@ -533,12 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bulk single-fault coverage sweep (heuristic backend choice)",
     )
     p.add_argument("netlist")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "bitmask", "vectorized", "fallback",
-                            "kernel"],
+    p.add_argument("--backend", default="auto", choices=SWEEP_BACKENDS,
                    help="sweep backend (default: auto heuristic; kernel "
                    "= codegen'd specialized sweep kernels, degrades to "
-                   "vectorized/fallback when unavailable)")
+                   "vectorized/bitmask when unavailable)")
     p.add_argument("--processes", type=int, default=None,
                    help="fan out across this many supervised worker lanes")
     p.add_argument("--transport", default="auto", choices=TRANSPORTS,
@@ -575,9 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("netlist")
     p.add_argument("--backend", default="auto",
-                   choices=["auto", "vectorized", "fallback", "pointwise"],
+                   choices=("auto",) + ATPG_RUNGS,
                    help="pattern-simulation rung (default: auto; failures "
-                   "degrade vectorized -> fallback -> pointwise)")
+                   "degrade vectorized -> bitmask -> pointwise)")
     p.add_argument("--candidates", type=int, default=8,
                    help="PODEM completion candidates simulated per "
                    "target (default 8)")

@@ -5,13 +5,16 @@ exhaustive Chapter-3 conditions, the Definition-2.4 SCAL oracle, PODEM's
 validation runs, and the Chapter-4 sequential campaigns all compile
 their :class:`~repro.logic.network.Network` once (into the flat,
 integer-indexed op program of :mod:`repro.engine.compiled`) and then
-simulate many times through one of three interchangeable backends:
+simulate many times through one of two interchangeable scalar backends:
 
-* **bitmask** — word-parallel truth-table masks (exhaustive sweeps),
+* **bitmask** — word-parallel big-int truth-table masks (exhaustive
+  sweeps, and the pure-Python block rung when NumPy is absent),
 * **pointwise** — one assignment at a time with a baseline-point cache
-  (sequential clocked simulation),
-* **sampled** — pointwise over explicit truth-table points (spaces too
-  wide to enumerate).
+  (sequential clocked simulation, and explicit point lists for spaces
+  too wide to enumerate).
+
+The NumPy block backends (:attr:`NetworkEngine.vectorized`,
+:attr:`NetworkEngine.kernel`) batch whole fault blocks on top.
 
 All backends share the cached fault-free baseline (an immutable tuple —
 engines are shared across sweeps and across ``serve`` requests, so
@@ -37,7 +40,7 @@ import weakref
 from typing import Optional
 
 from ..logic.network import Network
-from .backends import BitmaskBackend, PointwiseBackend, SampledBackend
+from .backends import BitmaskBackend, PointwiseBackend
 from .campaign import FaultSweep, ResponseBits
 from .supervisor import (
     CampaignCancelled,
@@ -73,7 +76,6 @@ from .transport import (
 from .vectorized import (
     HAVE_NUMPY,
     KERNEL_MAX_INPUTS,
-    PackedFallbackBackend,
     VectorizedBackend,
     select_backend,
 )
@@ -82,13 +84,13 @@ from .vectorized import (
 class NetworkEngine:
     """One network's compiled form plus its shared backends.
 
-    The pointwise/sampled scalar backends are always built; the
-    exhaustive :attr:`bitmask` backend and the fault-batched block
-    backends (:attr:`packed`, :attr:`vectorized`, :attr:`kernel`) are
-    constructed lazily on first use — so engines for small one-off
-    queries pay nothing, and engines for circuits beyond the
+    The pointwise backend is always built; the exhaustive
+    :attr:`bitmask` backend and the NumPy block backends
+    (:attr:`vectorized`, :attr:`kernel`) are constructed lazily on
+    first use — so engines for small one-off queries pay nothing, and
+    engines for circuits beyond the
     :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` exhaustive
-    ceiling can still serve the sampled/vectorized paths (touching
+    ceiling can still serve the pointwise/vectorized paths (touching
     ``.bitmask`` there raises ``ValueError`` instead of attempting the
     2^n-bit allocation).
     """
@@ -96,9 +98,7 @@ class NetworkEngine:
     def __init__(self, network: Network) -> None:
         self.compiled = compile_network(network)
         self.pointwise = PointwiseBackend(self.compiled)
-        self.sampled = SampledBackend(self.pointwise)
         self._bitmask: Optional[BitmaskBackend] = None
-        self._packed: Optional[PackedFallbackBackend] = None
         self._vectorized: Optional[VectorizedBackend] = None
         self._kernel: Optional["KernelBackend"] = None
 
@@ -113,14 +113,6 @@ class NetworkEngine:
         if self._bitmask is None:
             self._bitmask = BitmaskBackend(self.compiled)
         return self._bitmask
-
-    @property
-    def packed(self) -> PackedFallbackBackend:
-        """The pure-Python packed-word block backend (shares the bitmask
-        backend's baseline — always available)."""
-        if self._packed is None:
-            self._packed = PackedFallbackBackend(self.compiled, self.bitmask)
-        return self._packed
 
     @property
     def vectorized(self) -> Optional["VectorizedBackend"]:
@@ -201,12 +193,10 @@ __all__ = [
     "KernelBackend",
     "NetworkEngine",
     "Op",
-    "PackedFallbackBackend",
     "PointwiseBackend",
     "ResponseBits",
     "RetryEvent",
     "STORE",
-    "SampledBackend",
     "TRANSPORTS",
     "Transport",
     "TransportError",

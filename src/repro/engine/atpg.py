@@ -21,7 +21,7 @@ patterns against the detected set and discards every pattern whose
 coverage is subsumed — conservation is machine-checked by the
 ``atpg-compaction-conservation`` QA property.
 
-Pattern simulation runs down a vectorized → packed-fallback → pointwise
+Pattern simulation runs down a vectorized → bitmask → pointwise
 degradation ladder (each step recorded as a
 :class:`~repro.engine.supervisor.Degradation`, mirroring the campaign
 supervisor's serial→scalar rung), per-target deadlines reuse
@@ -48,7 +48,7 @@ from ..core.collapse import collapse_stem_faults
 from ..logic.faults import Fault, StuckAt
 from ..logic.network import Network
 from .supervisor import Degradation
-from .vectorized import chunk_pattern_bits
+from .vectorized import ATPG_RUNGS, chunk_pattern_bits, resolve_rung
 
 _REG = obs.REGISTRY
 _M_TARGETS = _REG.counter(
@@ -65,17 +65,14 @@ _M_CANDIDATES = _REG.counter(
     "repro_atpg_candidates_total", "Candidate completions simulated"
 )
 
-#: Ladder of pattern-simulation rungs, fastest first.
-_RUNGS = ("vectorized", "fallback", "pointwise")
-
-#: Below this many targets, ``backend="auto"`` starts on the packed
-#: fallback: NumPy's fixed per-call overhead beats its fault-axis
+#: Below this many targets, ``backend="auto"`` starts on the big-int
+#: bitmask rung: NumPy's fixed per-call overhead beats its fault-axis
 #: throughput on small universes.  Re-measured against the PR-8 engine
 #: (the kernel tier made baseline derivation and block set-up cheaper):
 #: the crossover on candidate-batch pattern simulation is now ~8-16
 #: targets at 10-14 inputs, so the old 48 cutoff kept mid-sized
 #: universes on the slow rung.
-AUTO_FALLBACK_MAX_FAULTS = 16
+AUTO_BITMASK_MAX_FAULTS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,7 +104,7 @@ class AtpgReport:
     detected_by: Dict[str, int]
     degradations: Tuple[Degradation, ...] = ()
     #: The resolved simulation rung ``backend="auto"`` chose to *start*
-    #: on (``"vectorized"`` / ``"fallback"``); for explicit backends,
+    #: on (``"vectorized"`` / ``"bitmask"``); for explicit backends,
     #: the requested rung after availability resolution.
     auto_rung: str = ""
 
@@ -249,12 +246,12 @@ def run_atpg(
     generated pattern.  ``candidates`` bounds the completion
     batch per target; ``pairs`` generates alternating SCAL pairs.
     ``backend`` picks the top simulation rung (``auto`` / ``vectorized``
-    / ``fallback`` / ``pointwise``); failures degrade down the ladder.
+    / ``bitmask`` / ``pointwise``); failures degrade down the ladder.
     ``target_timeout`` is a per-target PODEM deadline in seconds.
     """
     from . import engine_for
 
-    if backend not in ("auto",) + _RUNGS:
+    if backend not in ("auto",) + ATPG_RUNGS:
         raise ValueError(f"unknown atpg backend {backend!r}")
     if candidates < 1:
         raise ValueError("candidates must be >= 1")
@@ -272,20 +269,14 @@ def run_atpg(
         else _default_universe(network, collapse)
     )
 
+    wanted = backend
     if backend == "auto":
-        if (
-            eng.vectorized is not None
-            and len(universe) >= AUTO_FALLBACK_MAX_FAULTS
-        ):
-            start = "vectorized"
-        else:
-            start = "fallback"
-    else:
-        start = backend
-        if start == "vectorized" and eng.vectorized is None:
-            degrade("vectorized", "fallback", "numpy unavailable")
-            start = "fallback"
-    ladder = _RUNGS[_RUNGS.index(start):]
+        big = len(universe) >= AUTO_BITMASK_MAX_FAULTS
+        wanted = "vectorized" if big else "bitmask"
+    start = resolve_rung(eng, wanted, exhaustive=False)
+    if backend != "auto" and start != backend:
+        degrade(backend, start, f"{backend} unavailable on this engine")
+    ladder = ATPG_RUNGS[ATPG_RUNGS.index(start):]
     rung = [0]
 
     def simulate(patterns, fault_list):

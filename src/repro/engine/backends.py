@@ -1,6 +1,6 @@
 """Interchangeable execution backends over a compiled netlist.
 
-Three backends share one :class:`~repro.engine.compiled.CompiledNetwork`
+Two backends share one :class:`~repro.engine.compiled.CompiledNetwork`
 and one discipline: compute the fault-free **baseline** once, cache it,
 and answer each faulty query by copying the baseline and re-evaluating
 only the ops in the fault's output cone (the
@@ -8,37 +8,39 @@ only the ops in the fault's output cone (the
 
 * :class:`BitmaskBackend` — word-parallel: every line is a ``2**n``-bit
   truth-table mask, one pass covers the whole input space.  This is the
-  exhaustive-oracle backend (Definition 2.4, conditions A–E).
-* :class:`PointwiseBackend` — one input assignment at a time, with a
+  exhaustive-oracle backend (Definition 2.4, conditions A–E) and the
+  block rung without NumPy (a big int already is a packed word array).
+  :func:`bitmask_pattern_bits` packs explicit pattern lists the same
+  way, with no ``2**n`` table and so no input ceiling.
+* :class:`PointwiseBackend` — one input assignment (or an explicit list
+  of points, for spaces too wide to enumerate) at a time, with a
   bounded per-point baseline cache.  Sequential campaigns revisit the
   same few (input, state, clock) points thousands of times across
   faults, so the cache turns most steps into a cone-sized update.
-* :class:`SampledBackend` — pointwise over an explicit list of
-  truth-table points, for input spaces too wide to enumerate.
 
-All three return plain ``list``/``tuple`` values; the name-keyed wrappers
-in :mod:`repro.logic.evaluate` re-attach line names for callers that
-want them.
+Both backends return plain ``list``/``tuple`` values; the name-keyed
+wrappers in :mod:`repro.logic.evaluate` re-attach line names for
+callers that want them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..logic.gates import evaluate as eval_gate
 from ..logic.gates import evaluate_mask
 from .. import obs
-from .compiled import CompiledNetwork, FaultLike
+from .compiled import CompiledNetwork, FaultLike, reflect_bits
 
 #: Pointwise baseline caches stop growing beyond this many distinct
-#: input points (2**16 — larger spaces should use the sampled backend).
+#: input points (2**16 — larger spaces should sample explicit points).
 POINT_CACHE_LIMIT = 1 << 16
 
 #: Exhaustive big-int masks are ``2**n`` bits *per line*; beyond this
 #: many inputs even the all-ones ``full`` mask is a multi-gigabyte
 #: allocation, so :class:`BitmaskBackend` refuses with ``ValueError``
-#: instead of attempting the OOM.  Wider circuits use the sampled /
+#: instead of attempting the OOM.  Wider circuits use the pointwise /
 #: vectorized (chunked) paths, which never materialize ``2**n`` bits
 #: at once.
 MAX_BITMASK_INPUTS = 25
@@ -55,6 +57,57 @@ _M_WORDS = _REG.counter(
 )
 
 
+def classify_status(detected: int, violations: int) -> str:
+    """``dangerous`` | ``detected`` | ``silent`` from pair-level masks
+    (or any truthy stand-ins for them) — the Section 2.4 coverage
+    buckets (dangerous = fault-secure violation)."""
+    if violations:
+        return "dangerous"
+    if detected:
+        return "detected"
+    return "silent"
+
+
+def _evaluate_masks(
+    comp: CompiledNetwork, inputs: List[int], full: int, words: int
+) -> List[int]:
+    """Every line's mask from the input lines' masks: one pass over the
+    op program.  ``words`` (64-bit words per mask) sizes the telemetry."""
+    values = list(inputs) + [0] * len(comp.ops)
+    for op in comp.ops:
+        values[op.out] = evaluate_mask(
+            op.kind, [values[s] for s in op.srcs], full
+        )
+    if _REG.enabled:
+        _M_OPS.inc(len(comp.ops), backend="bitmask")
+        _M_WORDS.inc(len(comp.ops) * words, backend="bitmask")
+    return values
+
+
+def _inject_masks(
+    comp: CompiledNetwork, baseline, plan, full: int, words: int
+) -> List[int]:
+    """A fresh copy of ``baseline`` under one fault plan: the plan's
+    stems forced, only its cone ops re-evaluated."""
+    values = list(baseline)
+    for idx, forced in plan.stems:
+        values[idx] = full if forced else 0
+    pins = plan.pins
+    ops = comp.ops
+    for pos in plan.ops:
+        op = ops[pos]
+        operands = [values[s] for s in op.srcs]
+        overrides = pins.get(pos)
+        if overrides:
+            for slot, forced in overrides:
+                operands[slot] = full if forced else 0
+        values[op.out] = evaluate_mask(op.kind, operands, full)
+    if _REG.enabled:
+        _M_OPS.inc(len(plan.ops), backend="bitmask")
+        _M_WORDS.inc(len(plan.ops) * words, backend="bitmask")
+    return values
+
+
 class BitmaskBackend:
     """Word-parallel evaluation: one integer mask per line."""
 
@@ -64,13 +117,14 @@ class BitmaskBackend:
                 f"BitmaskBackend: {compiled.n_inputs} inputs exceeds the "
                 f"{MAX_BITMASK_INPUTS}-input exhaustive ceiling (a "
                 f"2**{compiled.n_inputs}-bit mask per line); use the "
-                "sampled or vectorized backends for wide circuits"
+                "pointwise or vectorized backends for wide circuits"
             )
         self.compiled = compiled
         self.full = (1 << (1 << compiled.n_inputs)) - 1
         self._baseline: Optional[Tuple[int, ...]] = None
         self._baseline_lock = threading.Lock()
         self._words_per_line = max(1, (1 << compiled.n_inputs) >> 6)
+        self._normals: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
     def baseline(self) -> Tuple[int, ...]:
         """Fault-free masks for every line.
@@ -100,10 +154,9 @@ class BitmaskBackend:
             cached = STORE.get("baseline", fingerprint)
             if cached is not None:
                 return cached
-        comp = self.compiled
-        n = comp.n_inputs
-        values: List[int] = [0] * len(comp.names)
+        n = self.compiled.n_inputs
         total = 1 << n
+        variables: List[int] = []
         for i in range(n):
             # Variable mask: bit p of the table is bit i of point p.
             # Mask doubling: start from one period (2**i zeros then
@@ -114,17 +167,12 @@ class BitmaskBackend:
             while span < total:
                 mask |= mask << span
                 span <<= 1
-            values[i] = mask
-        for op in comp.ops:
-            values[op.out] = evaluate_mask(
-                op.kind, [values[s] for s in op.srcs], self.full
+            variables.append(mask)
+        frozen = tuple(
+            _evaluate_masks(
+                self.compiled, variables, self.full, self._words_per_line
             )
-        if _REG.enabled:
-            _M_OPS.inc(len(comp.ops), backend="bitmask")
-            _M_WORDS.inc(
-                len(comp.ops) * self._words_per_line, backend="bitmask"
-            )
-        frozen = tuple(values)
+        )
         if fingerprint is not None:
             STORE.put("baseline", fingerprint, value=frozen)
         return frozen
@@ -138,31 +186,110 @@ class BitmaskBackend:
         if fault is None:
             return list(baseline)
         comp = self.compiled
-        plan = comp.fault_plan(fault)
-        values = list(baseline)
-        full = self.full
-        for idx, forced in plan.stems:
-            values[idx] = full if forced else 0
-        pins = plan.pins
-        ops = comp.ops
-        for pos in plan.ops:
-            op = ops[pos]
-            operands = [values[s] for s in op.srcs]
-            overrides = pins.get(pos)
-            if overrides:
-                for slot, forced in overrides:
-                    operands[slot] = full if forced else 0
-            values[op.out] = evaluate_mask(op.kind, operands, full)
-        if _REG.enabled:
-            _M_OPS.inc(len(plan.ops), backend="bitmask")
-            _M_WORDS.inc(
-                len(plan.ops) * self._words_per_line, backend="bitmask"
-            )
-        return values
+        return _inject_masks(
+            comp, baseline, comp.fault_plan(fault), self.full,
+            self._words_per_line,
+        )
 
     def output_bits(self, fault: Optional[FaultLike] = None) -> Tuple[int, ...]:
         values = self.line_bits(fault)
         return tuple(values[i] for i in self.compiled.out_idx)
+
+    # ------------------------------------------------------------------
+    # SCAL pair classification (Definition 2.4)
+    # ------------------------------------------------------------------
+    def normals(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Fault-free output masks and their alternation masks (cached)."""
+        if self._normals is None:
+            n = self.compiled.n_inputs
+            outs = self.output_bits()
+            alts = tuple(bits ^ reflect_bits(bits, n) for bits in outs)
+            self._normals = (outs, alts)
+        return self._normals
+
+    def response_triple(self, fault: FaultLike) -> Tuple[int, int, int]:
+        """``(affected, detected, violations)`` pair-level masks for one
+        fault — the raw-integer SCAL classification."""
+        normal_out, normal_alt = self.normals()
+        values = self.line_bits(fault)
+        n = self.compiled.n_inputs
+        full = self.full
+        wrong = 0
+        detected = 0
+        all_alternate = full
+        for pos, idx in enumerate(self.compiled.out_idx):
+            t_fault = values[idx]
+            t_normal = normal_out[pos]
+            if t_fault == t_normal:
+                alternates = normal_alt[pos]
+            else:
+                alternates = t_fault ^ reflect_bits(t_fault, n)
+                wrong |= t_normal ^ t_fault
+            detected |= alternates ^ full  # nonalternating pairs
+            all_alternate &= alternates
+        # Close point sets under the X ↔ X̄ pairing (alternation masks
+        # are already pair-symmetric, so `detected` needs no closing).
+        affected = wrong | reflect_bits(wrong, n)
+        violations = affected & all_alternate
+        return affected, detected, violations
+
+    def sweep_statuses(self, faults: Iterable[FaultLike]) -> List[str]:
+        """Classify every fault (``dangerous``/``detected``/``silent``)."""
+        return [
+            classify_status(det, vio)
+            for _aff, det, vio in (self.response_triple(f) for f in faults)
+        ]
+
+
+def pack_pattern_masks(
+    patterns: Sequence[int], n_inputs: int
+) -> List[int]:
+    """Per-input big-int masks of an explicit pattern list.
+
+    Bit ``j`` of mask ``i`` is input ``i``'s value under pattern ``j``
+    (patterns are point encodings: bit ``i`` = input ``i``) — the
+    pattern-space analogue of the truth-table variable masks.
+    """
+    masks = [0] * n_inputs
+    for j, point in enumerate(patterns):
+        p = int(point)
+        bit = 1 << j
+        i = 0
+        while p and i < n_inputs:
+            if p & 1:
+                masks[i] |= bit
+            p >>= 1
+            i += 1
+    return masks
+
+
+def bitmask_pattern_bits(
+    compiled: CompiledNetwork,
+    patterns: Sequence[int],
+    faults: Optional[Sequence[FaultLike]] = None,
+):
+    """Output masks over an explicit pattern list (pure-int path).
+
+    ``patterns`` is a sequence of point encodings (bit ``i`` = value of
+    input ``i``, the repo-wide convention); bit ``j`` of each returned
+    output mask is that output's value under pattern ``j``.  Returns the
+    fault-free tuple when ``faults`` is ``None``, else a list with one
+    tuple per fault.  Only the pattern list is packed, so there is no
+    input-count ceiling.
+    """
+    full = (1 << len(patterns)) - 1
+    words = max(1, (len(patterns) + 63) >> 6)
+    inputs = pack_pattern_masks(patterns, compiled.n_inputs)
+    base = _evaluate_masks(compiled, inputs, full, words)
+    out_idx = compiled.out_idx
+    if faults is None:
+        return tuple(base[i] for i in out_idx)
+    rows = []
+    for fault in faults:
+        plan = compiled.fault_plan(fault)
+        values = _inject_masks(compiled, base, plan, full, words)
+        rows.append(tuple(values[i] for i in out_idx))
+    return rows
 
 
 class PointwiseBackend:
@@ -220,14 +347,6 @@ class PointwiseBackend:
         values = self.line_values(point, fault)
         return tuple(values[i] for i in self.compiled.out_idx)
 
-
-class SampledBackend:
-    """Pointwise evaluation over an explicit list of truth-table points."""
-
-    def __init__(self, pointwise: PointwiseBackend) -> None:
-        self.pointwise = pointwise
-        self.compiled = pointwise.compiled
-
     def point_tuple(self, point: int) -> Tuple[int, ...]:
         """Decode a truth-table index into the engine's input tuple
         (bit *i* of ``point`` is input *i* — the repo-wide convention)."""
@@ -237,7 +356,5 @@ class SampledBackend:
     def output_vectors(
         self, points: Iterable[int], fault: Optional[FaultLike] = None
     ) -> List[Tuple[int, ...]]:
-        return [
-            self.pointwise.output_values(self.point_tuple(p), fault)
-            for p in points
-        ]
+        """Output tuples at an explicit list of truth-table points."""
+        return [self.output_values(self.point_tuple(p), fault) for p in points]

@@ -17,8 +17,10 @@ The SCAL pair-level classification lives here in raw-integer form (the
 
 Bulk sweeps route through a backend-selection heuristic
 (:func:`~repro.engine.vectorized.select_backend`): small batches stay on
-the scalar big-int path, large ones go to the fault-batched vectorized
-backend (NumPy PPSFP, or its pure-Python packed fallback).  Execution —
+the scalar big-int path, large ones go to the fault-batched NumPy
+backends (without NumPy every sweep runs on the big-int path, and
+:func:`~repro.engine.vectorized.resolve_rung` refuses exhaustive
+sweeps the big-int tables cannot hold).  Execution —
 serial or fanned out across supervised fork workers with per-chunk
 timeouts, retries, work stealing, checkpoint/resume, and the explicit
 fork → serial → scalar degradation ladder — is delegated to
@@ -37,7 +39,7 @@ from ..logic.faults import enumerate_single_faults
 from ..logic.network import Network
 from .compiled import FaultLike
 from .supervisor import CampaignReport, CancelToken, run_campaign
-from .vectorized import HAVE_NUMPY, chunk_statuses, select_backend
+from .vectorized import classify_status, resolve_rung, select_backend
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,15 +54,11 @@ class ResponseBits:
     def status(self) -> str:
         """``dangerous`` | ``detected`` | ``silent`` — the Section 2.4
         coverage buckets (dangerous = fault-secure violation)."""
-        if self.violations:
-            return "dangerous"
-        if self.detected:
-            return "detected"
-        return "silent"
+        return classify_status(self.detected, self.violations)
 
 
 #: Backend names accepted by :meth:`FaultSweep.sweep`.
-SWEEP_BACKENDS = ("auto", "bitmask", "vectorized", "fallback", "kernel")
+SWEEP_BACKENDS = ("auto", "bitmask", "vectorized", "kernel")
 
 
 class FaultSweep:
@@ -88,21 +86,15 @@ class FaultSweep:
         self.last_report: Optional[CampaignReport] = None
 
     @property
-    def bitmask(self):
-        """The engine's exhaustive backend, built lazily — wide-input
-        sweeps (sampled/vectorized paths) never pay or risk the 2^n-bit
-        allocation, and touching this on a >MAX_BITMASK_INPUTS circuit
-        raises the backend's clear ``ValueError``."""
-        return self.engine.bitmask
-
-    @property
     def full(self) -> int:
-        """The all-ones 2^n-bit input-space mask (lazy, exhaustive-only)."""
-        return self.bitmask.full
+        """The all-ones 2^n-bit input-space mask, built lazily: on a
+        >MAX_BITMASK_INPUTS circuit it raises the bitmask backend's
+        clear ``ValueError`` instead of allocating."""
+        return self.engine.bitmask.full
 
     def response_bits(self, fault: FaultLike) -> ResponseBits:
         """The pair-level response masks for one fault."""
-        return ResponseBits(*self.engine.packed.response_triple(fault))
+        return ResponseBits(*self.engine.bitmask.response_triple(fault))
 
     def classify(self, fault: FaultLike) -> str:
         return self.response_bits(fault).status
@@ -137,17 +129,7 @@ class FaultSweep:
             )
         if backend == "auto":
             backend = select_backend(self.n, n_faults)
-        if backend == "kernel" and self.engine.kernel is None:
-            backend = "vectorized"
-        if backend == "vectorized" and not HAVE_NUMPY:
-            backend = "fallback"
-        return backend
-
-    def _statuses(self, universe: Sequence[FaultLike], backend: str) -> List[str]:
-        """Serial classification of ``universe`` on a resolved backend
-        (one chunk, no supervision — the supervised drivers build on the
-        same :func:`chunk_statuses` seam)."""
-        return chunk_statuses(self.engine, universe, backend)
+        return resolve_rung(self.engine, backend)
 
     def sweep(
         self,
@@ -165,12 +147,14 @@ class FaultSweep:
         """Classify every fault under the supervised campaign runtime.
 
         ``backend`` is ``auto`` (the :func:`select_backend` heuristic),
-        ``bitmask`` (scalar big-int masks), ``vectorized`` (NumPy
-        fault-batched; degrades to ``fallback`` without NumPy),
+        ``bitmask`` (big-int masks, pure Python), ``vectorized`` (NumPy
+        fault-batched; degrades to ``bitmask`` without NumPy), or
         ``kernel`` (codegen'd specialized sweep kernels; degrades to
-        ``vectorized``/``fallback`` when NumPy is absent or the circuit
-        exceeds the kernel input ceiling), or ``fallback`` (pure-Python
-        packed words).  ``transport`` picks the
+        ``vectorized``/``bitmask`` when NumPy is absent or the circuit
+        exceeds the kernel input ceiling).  A sweep that resolves to
+        ``bitmask`` on a circuit beyond
+        :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` inputs raises
+        ``ValueError`` before any chunk runs.  ``transport`` picks the
         execution fabric (``auto`` / ``inline`` / ``fork`` — see
         :mod:`repro.engine.transport`).  With
         ``processes > 1`` (or an explicit worker transport) the universe

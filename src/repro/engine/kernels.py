@@ -164,13 +164,13 @@ class KernelBackend:
         if not HAVE_NUMPY:
             raise RuntimeError(
                 "NumPy is unavailable; the kernel tier needs it "
-                "(use PackedFallbackBackend instead)"
+                "(use BitmaskBackend instead)"
             )
         if compiled.n_inputs > KERNEL_MAX_INPUTS:
             raise ValueError(
                 f"kernel backend supports at most {KERNEL_MAX_INPUTS} "
                 f"inputs (got {compiled.n_inputs}); use the vectorized "
-                f"or sampled backends for wider input spaces"
+                f"or pointwise backends for wider input spaces"
             )
         self.compiled = compiled
         self.vec = (

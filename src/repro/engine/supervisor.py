@@ -58,7 +58,8 @@ from .transport import (
     TransportUnavailable,
     create_transport,
 )
-from .vectorized import HAVE_NUMPY, VECTOR_MIN_FAULTS, chunk_statuses
+from .vectorized import VECTOR_MIN_FAULTS, resolve_rung
+from .vectorized import chunk_statuses as _fault_chunk_statuses
 
 # Telemetry: campaign-level counters are incremented by the supervising
 # parent (workers keep their own process-local registries, which die
@@ -92,6 +93,10 @@ _M_CANCELLED = _REG.counter(
 )
 _M_WALL = _REG.histogram(
     "repro_campaign_wall_seconds", "End-to-end campaign wall time"
+)
+_M_CHUNK_FAULTS = _REG.counter(
+    "repro_campaign_chunk_faults_total",
+    "Faults classified through chunk_statuses, by backend",
 )
 
 #: Attempts on one chunk before it is split (multi-fault chunks) or
@@ -226,7 +231,7 @@ class CampaignReport:
 
     ``backend`` is the ladder rung plus block backend that served the
     bulk of the campaign (e.g. ``"fork:vectorized"``,
-    ``"serial:fallback"``,
+    ``"serial:kernel"``,
     ``"scalar:bitmask"``, or ``"resumed"`` when every chunk came from
     the checkpoint); ``block_backend`` is the final resolved
     block-backend name alone.  ``degradations`` lists every ladder step
@@ -489,15 +494,38 @@ def _build_tasks(
     return tasks
 
 
+#: The ladder's ``serial -> scalar`` step for a failing block rung.  A
+#: rung missing here (``bitmask`` itself, ``synth``) re-raises instead.
+_STEP_DOWN = {"kernel": "bitmask", "vectorized": "bitmask"}
+
+
+def chunk_statuses(engine, tasks: Sequence, backend: str) -> List:
+    """Run one chunk: the function both transports look up late here,
+    so chaos patches of it reach every rung.  Fault chunks go to
+    :func:`repro.engine.vectorized.chunk_statuses`; ``synth`` chunks
+    carry candidate tasks scored by
+    :func:`repro.synth.fitness.evaluate_chunk`, each compiling its own
+    engine (the host ``engine`` is ignored)."""
+    if backend != "synth":
+        return _fault_chunk_statuses(engine, tasks, backend)
+    from ..synth.fitness import evaluate_chunk
+
+    batch = list(tasks)
+    with obs.span("sweep.chunk", faults=len(batch), backend=backend):
+        payloads = evaluate_chunk(batch)
+    if _REG.enabled:
+        _M_CHUNK_FAULTS.inc(len(batch), backend=backend)
+    return payloads
+
+
 def _parent_serial_chunk(sweep, faults, chosen, report) -> List[str]:
     """Classify one chunk in the parent, degrading serial -> scalar on a
     block-backend failure (recorded, never swallowed)."""
     try:
         return chunk_statuses(sweep.engine, faults, chosen)
     except Exception as error:
-        if chosen in ("bitmask", "synth"):
-            # bitmask has nowhere lower to go; synth chunks are not
-            # fault sweeps and must never degrade onto the scalar path.
+        lower = _STEP_DOWN.get(chosen)
+        if lower is None:
             raise
         report.degrade(
             "serial",
@@ -505,7 +533,7 @@ def _parent_serial_chunk(sweep, faults, chosen, report) -> List[str]:
             f"{chosen} block backend failed: "
             f"{type(error).__name__}: {error}",
         )
-        return chunk_statuses(sweep.engine, faults, "bitmask")
+        return chunk_statuses(sweep.engine, faults, lower)
 
 
 # ----------------------------------------------------------------------
@@ -685,10 +713,10 @@ class _TransportSupervisor:
 
     def _inline_error(self, task: _Task, result) -> None:
         """The in-process rung has no worker to blame: a block-backend
-        failure steps the whole remainder down to the scalar rung once;
-        the scalar rung itself has nowhere lower to go (and synth
-        fitness chunks, which are not fault sweeps, never step down)."""
-        if self.chosen in ("bitmask", "synth"):
+        failure steps the whole remainder down :data:`_STEP_DOWN` once;
+        a rung with no lower step re-raises."""
+        lower = _STEP_DOWN.get(self.chosen)
+        if lower is None:
             if result.error is not None:
                 raise result.error
             raise RuntimeError(str(result.payload))  # pragma: no cover
@@ -697,7 +725,7 @@ class _TransportSupervisor:
             "scalar",
             f"{self.chosen} block backend failed: {result.payload}",
         )
-        self.chosen = "bitmask"
+        self.chosen = lower
         task.not_before = 0.0
         self.pending.appendleft(task)
 
@@ -781,7 +809,7 @@ def run_campaign(
     """Run one supervised campaign; returns ``(statuses, report)``.
 
     ``chosen`` is a resolved block-backend name (``bitmask`` /
-    ``vectorized`` / ``fallback``).  ``transport`` picks the execution
+    ``vectorized`` / ``kernel``).  ``transport`` picks the execution
     fabric (one of :data:`TRANSPORTS`): ``auto`` (fork workers when
     ``processes > 1``, in-process otherwise), ``inline``, or ``fork``.
     ``abort_after_chunks`` is the interruption hook used by tests and
@@ -954,9 +982,9 @@ def _run_campaign(
             and chosen == "bitmask"
             and n_left >= VECTOR_MIN_FAULTS
         ):
-            # Serve the bulk remainder on the serial block backend rather
-            # than degrading all the way to the per-fault scalar loop.
-            chosen = "vectorized" if HAVE_NUMPY else "fallback"
+            # Serve the bulk remainder on the serial block backend (when
+            # NumPy can build one) rather than the per-fault scalar loop.
+            chosen = resolve_rung(sweep.engine, "vectorized")
             report.block_backend = chosen
 
     if served:

@@ -6,8 +6,8 @@ the pipe result channel), now behind the :class:`Transport` seam.  Each
 worker builds its own engine from the inherited network and derives
 whatever baseline its block backend reads.
 
-Workers classify through the supervisor module's ``chunk_statuses``
-seam and honour :data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`, both
+Workers run chunks through the supervisor module's ``chunk_statuses``
+seam (fault chunks and ``synth`` fitness chunks alike) and honour :data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`, both
 looked up late so the chaos suite's patches reach forked children
 exactly as they always did (fork inherits the armed parent state).
 """

@@ -1,13 +1,14 @@
 """The in-process transport: zero dependencies, one synchronous lane.
 
 The ``serial`` and ``scalar`` rungs of the degradation ladder run here:
-:meth:`poll` classifies the submitted chunk immediately in the calling
+:meth:`poll` runs the submitted chunk immediately in the calling
 process through the :func:`repro.engine.supervisor.chunk_statuses` seam
 (looked up late, so the chaos suite's ``block-backend-broken`` patch on
 the supervisor module is honoured).  A chunk that raises comes back as
-an ``error`` result carrying the original exception — the supervisor
-decides whether that means "step down to the scalar rung" or "re-raise"
-(the bitmask path has nowhere lower to go).
+an ``error`` result carrying the original exception — the supervisor's
+step-down table decides whether that means "step down to the scalar
+rung" or "re-raise" (the scalar ``bitmask`` rung and ``synth`` fitness
+chunks have no lower step).
 """
 
 from __future__ import annotations

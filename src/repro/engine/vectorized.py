@@ -31,19 +31,26 @@ pairs** (words ``[lo, lo+K)`` together with ``[W-lo-K, W-lo)``) so the
 alternation test stays local while memory is bounded by
 ``faults × 2K × lines`` words instead of the full table.
 
-When NumPy is missing, :class:`PackedFallbackBackend` offers the same
-block API over Python big ints (a big int *is* a packed word array —
-CPython already stores it as 30-bit digits and runs mask ops in C), so
-callers never branch on NumPy availability; :func:`select_backend`
-performs that selection automatically.
+When NumPy is missing, the big-int
+:class:`~repro.engine.backends.BitmaskBackend` serves the same
+classification (a big int *is* a packed word array — CPython already
+stores it as 30-bit digits and runs mask ops in C).  Callers never
+branch on NumPy availability: :func:`select_backend` picks a rung from
+the campaign's shape and :func:`resolve_rung` maps it to the rung an
+engine can actually serve.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .backends import BitmaskBackend
-from .compiled import CompiledNetwork, FaultLike, reflect_bits
+from .backends import (
+    MAX_BITMASK_INPUTS,
+    bitmask_pattern_bits,
+    classify_status,
+    pack_pattern_masks,
+)
+from .compiled import CompiledNetwork, FaultLike
 from .. import obs
 from ..logic.gates import GateKind
 
@@ -67,7 +74,7 @@ _M_CHUNKS = _REG.counter(
     "Faults classified through chunk_statuses, by backend",
 )
 
-try:  # NumPy is optional: the packed fallback keeps every path alive.
+try:  # NumPy is optional: the big-int bitmask rung keeps every path alive.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
     _np = None
@@ -128,190 +135,62 @@ def select_backend(
     n_inputs: int,
     n_faults: int,
     numpy_available: Optional[bool] = None,
-    n_points: Optional[int] = None,
 ) -> str:
     """Pick an execution backend from the campaign's shape.
 
     ==================  =============  =========================================
     input space         fault count    backend
     ==================  =============  =========================================
-    explicit points     —              ``pointwise`` (one) / ``sampled`` (many)
     ``n ≤ 16``          ``< 8``        ``bitmask`` (big-int masks, per fault)
-    ``n ≤ 12``          ``≥ 8``        ``vectorized`` (NumPy) or ``fallback``
-    ``12 < n ≤ 20``     ``≥ 8``        ``kernel`` (codegen) or ``fallback``
-    ``n > 20``          any            ``vectorized`` (chunked) or ``fallback``
+    ``n ≤ 12``          ``≥ 8``        ``vectorized`` (NumPy) or ``bitmask``
+    ``12 < n ≤ 20``     ``≥ 8``        ``kernel`` (codegen) or ``bitmask``
+    ``n > 20``          any            ``vectorized`` (chunked) or ``bitmask``
     ==================  =============  =========================================
 
-    ``fallback`` is the pure-Python packed-word path — selected
-    automatically whenever NumPy is absent.  The ``kernel`` rung only
-    engages where its codegen cost wins even on a cold one-shot sweep
-    (``n_inputs > KERNEL_AUTO_MIN_INPUTS``); narrower circuits still
-    reach it explicitly via ``backend="kernel"``.
+    ``bitmask`` is the pure-Python big-int path, the only choice without
+    NumPy.  The ``kernel`` rung only engages where its codegen cost wins
+    even on a cold one-shot sweep (``n_inputs > KERNEL_AUTO_MIN_INPUTS``);
+    narrower circuits still reach it explicitly via ``backend="kernel"``.
     """
     if numpy_available is None:
         numpy_available = HAVE_NUMPY
-    if n_points is not None:
-        return "pointwise" if n_points == 1 else "sampled"
-    if n_inputs <= EXHAUSTIVE_INPUT_LIMIT and n_faults < VECTOR_MIN_FAULTS:
+    if not numpy_available or (
+        n_inputs <= EXHAUSTIVE_INPUT_LIMIT and n_faults < VECTOR_MIN_FAULTS
+    ):
         return "bitmask"
-    if not numpy_available:
-        return "fallback"
     if KERNEL_AUTO_MIN_INPUTS < n_inputs <= KERNEL_MAX_INPUTS:
         return "kernel"
     return "vectorized"
 
 
-def classify_status(detected: int, violations: int) -> str:
-    """``dangerous`` | ``detected`` | ``silent`` from pair-level masks
-    (or any truthy stand-ins for them)."""
-    if violations:
-        return "dangerous"
-    if detected:
-        return "detected"
-    return "silent"
+#: The one rung table: where a request lands when the engine cannot
+#: build that rung (kernel needs NumPy and <= KERNEL_MAX_INPUTS inputs,
+#: vectorized needs NumPy; the big-int bitmask rung is always there).
+_UNAVAILABLE_STEP = {"kernel": "vectorized", "vectorized": "bitmask"}
 
 
-class PackedFallbackBackend:
-    """The pure-Python packed-word executor (and the scalar classifier).
+def resolve_rung(engine, rung: str, exhaustive: bool = True) -> str:
+    """The rung that actually serves a request for ``rung`` on ``engine``.
 
-    A Python big int already is a packed word array — CPython runs
-    ``&``/``|``/``^`` over its digits in C — so this backend simply
-    drives the shared :class:`BitmaskBackend` per fault and performs
-    the SCAL pair classification with :func:`reflect_bits`.  It exposes
-    the same block API as :class:`VectorizedBackend` so callers select
-    by name, never by ``try: import numpy``.
+    A rung in :data:`_UNAVAILABLE_STEP` is available when the engine's
+    attribute of the same name is not ``None``; otherwise the request
+    steps down the table (callers validate names first).  For
+    ``exhaustive`` sweeps over the ``2**n`` truth table, landing on
+    ``bitmask`` beyond ``MAX_BITMASK_INPUTS`` inputs raises
+    ``ValueError`` before any chunk runs; pattern simulation packs only
+    its patterns and passes ``exhaustive=False``.
     """
-
-    name = "fallback"
-
-    def __init__(
-        self,
-        compiled: CompiledNetwork,
-        bitmask: Optional[BitmaskBackend] = None,
-    ) -> None:
-        self.compiled = compiled
-        self.bitmask = bitmask if bitmask is not None else BitmaskBackend(compiled)
-        self.n = compiled.n_inputs
-        self.full = self.bitmask.full
-        self._normal_out: Optional[Tuple[int, ...]] = None
-        self._normal_alt: Optional[Tuple[int, ...]] = None
-
-    def normals(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Fault-free output masks and their alternation masks (cached)."""
-        if self._normal_out is None:
-            baseline = self.bitmask.baseline()
-            self._normal_out = tuple(
-                baseline[i] for i in self.compiled.out_idx
-            )
-            self._normal_alt = tuple(
-                bits ^ reflect_bits(bits, self.n) for bits in self._normal_out
-            )
-        return self._normal_out, self._normal_alt
-
-    # ------------------------------------------------------------------
-    # per-fault queries (delegate to the shared bitmask backend)
-    # ------------------------------------------------------------------
-    def line_bits(self, fault: Optional[FaultLike] = None) -> List[int]:
-        return self.bitmask.line_bits(fault)
-
-    def output_bits(self, fault: Optional[FaultLike] = None) -> Tuple[int, ...]:
-        return self.bitmask.output_bits(fault)
-
-    def response_triple(self, fault: FaultLike) -> Tuple[int, int, int]:
-        """``(affected, detected, violations)`` pair-level masks for one
-        fault — the raw-integer SCAL classification."""
-        normal_out, normal_alt = self.normals()
-        values = self.bitmask.line_bits(fault)
-        n = self.n
-        full = self.full
-        wrong = 0
-        detected = 0
-        all_alternate = full
-        for pos, idx in enumerate(self.compiled.out_idx):
-            t_fault = values[idx]
-            t_normal = normal_out[pos]
-            if t_fault == t_normal:
-                alternates = normal_alt[pos]
-            else:
-                alternates = t_fault ^ reflect_bits(t_fault, n)
-                wrong |= t_normal ^ t_fault
-            detected |= alternates ^ full  # nonalternating pairs
-            all_alternate &= alternates
-        # Close point sets under the X ↔ X̄ pairing (alternation masks
-        # are already pair-symmetric, so `detected` needs no closing).
-        affected = wrong | reflect_bits(wrong, n)
-        violations = affected & all_alternate
-        return affected, detected, violations
-
-    # ------------------------------------------------------------------
-    # block API (shared with VectorizedBackend)
-    # ------------------------------------------------------------------
-    def response_block(
-        self, faults: Sequence[FaultLike]
-    ) -> List[Tuple[int, int, int]]:
-        return [self.response_triple(fault) for fault in faults]
-
-    def sweep_statuses(
-        self,
-        faults: Iterable[FaultLike],
-        block_faults: Optional[int] = None,
-    ) -> List[str]:
-        return [
-            classify_status(det, vio)
-            for _aff, det, vio in (self.response_triple(f) for f in faults)
-        ]
-
-    def pattern_bits(
-        self,
-        patterns: Sequence[int],
-        faults: Optional[Sequence[FaultLike]] = None,
-    ):
-        """Output masks over an explicit pattern list (pure-int path).
-
-        ``patterns`` is a sequence of point encodings (bit ``i`` = value
-        of input ``i``, the repo-wide convention); bit ``j`` of each
-        returned output mask is that output's value under pattern ``j``.
-        Returns the fault-free tuple when ``faults`` is ``None``, else a
-        list with one tuple per fault (stem forcing wins over pin
-        overrides, exactly as the truth-table plans resolve it).
-        """
-        from . import backends as _backends
-
-        comp = self.compiled
-        n_patterns = len(patterns)
-        full = (1 << n_patterns) - 1 if n_patterns else 0
-        var = pack_pattern_masks(patterns, comp.n_inputs)
-        if _REG.enabled:
-            words = max(1, (n_patterns + 63) >> 6)
-            runs = 1 if faults is None else len(faults)
-            _M_OPS.inc(len(comp.ops) * runs, backend="fallback")
-            _M_WORDS.inc(len(comp.ops) * words * runs, backend="fallback")
-
-        def run(plan) -> Tuple[int, ...]:
-            values: List[Optional[int]] = [None] * len(comp.names)
-            stems = dict(plan.stems) if plan is not None else {}
-            for i in range(comp.n_inputs):
-                forced = stems.get(i)
-                values[i] = (
-                    var[i] if forced is None else (full if forced else 0)
-                )
-            pins = plan.pins if plan is not None else {}
-            for pos, op in enumerate(comp.ops):
-                forced = stems.get(op.out)
-                if forced is not None:
-                    values[op.out] = full if forced else 0
-                    continue
-                masks = [values[s] for s in op.srcs]
-                for slot, value in pins.get(pos, ()):
-                    masks[slot] = full if value else 0
-                values[op.out] = _backends.evaluate_mask(
-                    op.kind, masks, full
-                )
-            return tuple(values[i] for i in comp.out_idx)
-
-        if faults is None:
-            return run(None)
-        return [run(comp.fault_plan(fault)) for fault in faults]
+    while rung in _UNAVAILABLE_STEP and getattr(engine, rung) is None:
+        rung = _UNAVAILABLE_STEP[rung]
+    n = engine.compiled.n_inputs
+    if exhaustive and rung == "bitmask" and n > MAX_BITMASK_INPUTS:
+        raise ValueError(
+            f"exhaustive campaigns above {MAX_BITMASK_INPUTS} inputs need "
+            f"NumPy: this circuit has {n} inputs, and the big-int bitmask "
+            f"rung would hold a 2**{n}-bit table per line; install NumPy "
+            "and sweep with backend 'auto' or 'vectorized'"
+        )
+    return rung
 
 
 class VectorizedBackend:
@@ -327,7 +206,7 @@ class VectorizedBackend:
     ) -> None:
         if not HAVE_NUMPY:
             raise RuntimeError(
-                "NumPy is unavailable; use PackedFallbackBackend instead"
+                "NumPy is unavailable; use BitmaskBackend instead"
             )
         self.compiled = compiled
         self.n = compiled.n_inputs
@@ -586,7 +465,7 @@ class VectorizedBackend:
     ):
         """Output masks over an explicit pattern list (NumPy path).
 
-        Same contract as :meth:`PackedFallbackBackend.pattern_bits`,
+        Same contract as :func:`~repro.engine.backends.bitmask_pattern_bits`,
         but the pattern list is packed onto the ``uint64`` word axis and
         whole fault blocks ride one :meth:`_block_outputs` pass — this
         is the word axis the fault-dropping ATPG driver batches its
@@ -600,21 +479,10 @@ class VectorizedBackend:
         n_words = max(1, (n_patterns + 63) >> 6)
         valid = (1 << n_patterns) - 1 if n_patterns else 0
         full64 = np.uint64(_FULL64)
-        bits = np.zeros((comp.n_inputs, n_words * 64), dtype=np.uint8)
-        for j, point in enumerate(patterns):
-            p = int(point)
-            i = 0
-            while p and i < comp.n_inputs:
-                if p & 1:
-                    bits[i, j] = 1
-                p >>= 1
-                i += 1
         base: List = [None] * len(comp.names)
-        for i in range(comp.n_inputs):
-            packed = np.packbits(bits[i], bitorder="little")
-            base[i] = np.frombuffer(packed.tobytes(), dtype="<u8").astype(
-                np.uint64
-            )
+        for i, mask in enumerate(pack_pattern_masks(patterns, comp.n_inputs)):
+            raw = mask.to_bytes(n_words * 8, "little")
+            base[i] = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
         for op in comp.ops:
             base[op.out] = _eval_words(
                 op.kind, [base[s] for s in op.srcs], full64
@@ -627,18 +495,8 @@ class VectorizedBackend:
             _M_OPS.inc(len(comp.ops), backend="vectorized")
             _M_WORDS.inc(len(comp.ops) * n_words, backend="vectorized")
 
-        def row_ints(get, row: Optional[int] = None) -> Tuple[int, ...]:
-            out: List[int] = []
-            for idx in comp.out_idx:
-                arr = np.asarray(get(idx), dtype=np.uint64)
-                if row is not None and arr.ndim == 2:
-                    arr = arr[row]
-                arr = np.broadcast_to(arr, (n_words,))
-                out.append(_words_to_int(arr) & valid)
-            return tuple(out)
-
         if faults is None:
-            return row_ints(lambda idx: base[idx])
+            return tuple(_words_to_int(base[idx]) & valid for idx in comp.out_idx)
         results: List[Tuple[int, ...]] = []
         for start in range(0, len(faults), self.block_faults):
             chunk = faults[start : start + self.block_faults]
@@ -769,98 +627,36 @@ class VectorizedBackend:
 
 
 def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[str]:
-    """Classify one chunk of faults on a resolved block backend.
+    """Classify one chunk of faults on ``kernel`` / ``vectorized`` /
+    ``bitmask``, mapped through :func:`resolve_rung` to the rung this
+    :class:`~repro.engine.NetworkEngine` can serve.
 
-    This is the single chunk-level entry point shared by the serial
-    campaign driver and every execution transport's worker loop
-    (the fork worker in :mod:`repro.engine.transport.fork` resolves it
-    late, so chaos patches land everywhere), which is why every rung of
-    the degradation ladder classifies byte-identically.  ``engine``
-    is a :class:`~repro.engine.NetworkEngine`; ``backend`` is a resolved
-    name (``kernel`` / ``vectorized`` / ``fallback`` / ``bitmask``) —
-    ``kernel`` and ``vectorized`` quietly degrade down the ladder when
-    NumPy is absent or the circuit exceeds the kernel ceiling (the
-    selection already happened upstream).
+    Every transport reaches it through
+    :func:`repro.engine.supervisor.chunk_statuses`, which is why every
+    rung of the degradation ladder classifies byte-identically.
     """
     universe = list(faults)
-    if backend == "synth":
-        # Synthesis fitness chunks ride the same transport plumbing: each
-        # "fault" is a candidate-evaluation task dict and each "status" a
-        # JSON-encoded fitness record.  The host engine is deliberately
-        # ignored — every candidate compiles its own engine, so fork
-        # workers (which pin the host network at spawn) still evaluate
-        # the right circuits.
-        from ..synth.fitness import evaluate_chunk
-
-        with obs.span("sweep.chunk", faults=len(universe), backend=backend):
-            payloads = evaluate_chunk(universe)
-        if _REG.enabled:
-            _M_CHUNKS.inc(len(universe), backend=backend)
-        return payloads
-    if backend == "kernel" and getattr(engine, "kernel", None) is None:
-        backend = "vectorized"
-    if backend == "vectorized" and engine.vectorized is None:
-        backend = "fallback"
-    if backend not in ("kernel", "vectorized", "fallback", "bitmask"):
+    if backend not in ("kernel", "vectorized", "bitmask"):
         raise ValueError(f"unknown chunk backend {backend!r}")
+    backend = resolve_rung(engine, backend)
     # Every rung classifies through this span: the flight's count of
     # successful "sweep.chunk" spans equals the report's chunk ledger.
     with obs.span("sweep.chunk", faults=len(universe), backend=backend):
-        if backend == "kernel":
-            statuses = engine.kernel.sweep_statuses(universe)
-        elif backend == "vectorized":
-            statuses = engine.vectorized.sweep_statuses(universe)
-        elif backend == "fallback":
-            statuses = engine.packed.sweep_statuses(universe)
-        else:
-            # "bitmask": the scalar per-fault big-int path.
-            packed = engine.packed
-            statuses = [
-                classify_status(det, vio)
-                for _aff, det, vio in (
-                    packed.response_triple(f) for f in universe
-                )
-            ]
+        statuses = getattr(engine, backend).sweep_statuses(universe)
     if _REG.enabled:
         _M_CHUNKS.inc(len(universe), backend=backend)
     return statuses
 
 
-def pack_pattern_masks(
-    patterns: Sequence[int], n_inputs: int
-) -> List[int]:
-    """Per-input big-int masks of an explicit pattern list.
-
-    Bit ``j`` of mask ``i`` is input ``i``'s value under pattern ``j``
-    (patterns are point encodings: bit ``i`` = input ``i``) — the
-    pattern-space analogue of the truth-table variable masks.
-    """
-    masks = [0] * n_inputs
-    for j, point in enumerate(patterns):
-        p = int(point)
-        bit = 1 << j
-        i = 0
-        while p and i < n_inputs:
-            if p & 1:
-                masks[i] |= bit
-            p >>= 1
-            i += 1
-    return masks
-
-
 def _pointwise_pattern_bits(engine, patterns, faults):
     """Scalar rung of :func:`chunk_pattern_bits`: one cone-pruned point
     evaluation per (pattern, fault) through the pointwise backend."""
-    comp = engine.compiled
-    n = comp.n_inputs
-    points = [
-        tuple((int(p) >> i) & 1 for i in range(n)) for p in patterns
-    ]
+    width = len(engine.compiled.out_idx)
 
     def run(fault):
-        masks = [0] * len(comp.out_idx)
-        for j, point in enumerate(points):
-            values = engine.pointwise.output_values(point, fault)
+        masks = [0] * width
+        vectors = engine.pointwise.output_vectors(patterns, fault)
+        for j, values in enumerate(vectors):
             for pos, value in enumerate(values):
                 if value:
                     masks[pos] |= 1 << j
@@ -871,13 +667,17 @@ def _pointwise_pattern_bits(engine, patterns, faults):
     return [run(fault) for fault in faults]
 
 
+#: Pattern-simulation rungs (the ATPG degradation ladder), fastest first.
+ATPG_RUNGS = ("vectorized", "bitmask", "pointwise")
+
+
 def chunk_pattern_bits(
     engine,
     patterns: Sequence[int],
     faults: Optional[Sequence[FaultLike]],
     backend: str,
 ):
-    """Output masks over an explicit pattern list on a resolved backend.
+    """Output masks over an explicit pattern list on a pattern rung.
 
     The pattern-space analogue of :func:`chunk_statuses` — the single
     chunk-level entry the fault-dropping ATPG driver (and its QA
@@ -885,14 +685,13 @@ def chunk_pattern_bits(
     patterns identically.  ``patterns`` is a list of point encodings;
     ``faults`` is a fault sequence (one output-mask tuple per fault,
     bit ``j`` = the output value under pattern ``j``) or ``None`` for
-    the fault-free baseline tuple.  ``backend`` is a resolved name
-    (``vectorized`` / ``fallback`` / ``pointwise``); ``vectorized``
-    quietly serves on the packed fallback when NumPy is absent.
+    the fault-free baseline tuple.  ``backend`` is ``vectorized`` /
+    ``bitmask`` / ``pointwise``, mapped through :func:`resolve_rung`
+    (``vectorized`` serves on the big-int path when NumPy is absent).
     """
-    if backend == "vectorized" and engine.vectorized is None:
-        backend = "fallback"
-    if backend not in ("vectorized", "fallback", "pointwise"):
+    if backend not in ATPG_RUNGS:
         raise ValueError(f"unknown pattern backend {backend!r}")
+    backend = resolve_rung(engine, backend, exhaustive=False)
     with obs.span(
         "atpg.chunk",
         patterns=len(patterns),
@@ -901,21 +700,9 @@ def chunk_pattern_bits(
     ):
         if backend == "vectorized":
             return engine.vectorized.pattern_bits(patterns, faults)
-        if backend == "fallback":
-            return engine.packed.pattern_bits(patterns, faults)
+        if backend == "bitmask":
+            return bitmask_pattern_bits(engine.compiled, patterns, faults)
         return _pointwise_pattern_bits(engine, patterns, faults)
-
-
-def vectorized_backend_for(
-    compiled: CompiledNetwork,
-    bitmask: Optional[BitmaskBackend] = None,
-    prefer_numpy: bool = True,
-):
-    """The best available block backend: NumPy when importable (and
-    preferred), the pure-Python packed fallback otherwise."""
-    if prefer_numpy and HAVE_NUMPY:
-        return VectorizedBackend(compiled)
-    return PackedFallbackBackend(compiled, bitmask)
 
 
 # ----------------------------------------------------------------------

@@ -110,7 +110,7 @@ def sampled_output_vectors(
     Used when the input space is too large to enumerate — the randomized
     coverage benchmarks sample points instead.
     """
-    return engine_for(network).sampled.output_vectors(points, fault)
+    return engine_for(network).pointwise.output_vectors(points, fault)
 
 
 def functionally_equivalent(a: Network, b: Network) -> bool:

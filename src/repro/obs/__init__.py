@@ -21,7 +21,8 @@ Three cooperating pieces:
 
 Instrumented seams: the engine backends (op/word counters, block
 sizes), :func:`repro.engine.vectorized.chunk_statuses` (the per-chunk
-``sweep.chunk`` span every ladder rung classifies through),
+``sweep.chunk`` span every ladder rung classifies through; synthesis
+fitness chunks open it in :func:`repro.engine.supervisor.chunk_statuses`),
 :mod:`repro.engine.supervisor` (chunk completions, retries, worker
 replacements, work steals, checkpoint writes, the campaign wall-clock
 stopwatch), :mod:`repro.engine.store` (artifact hits/misses/evictions),

@@ -178,9 +178,10 @@ def sabotage_campaign(
     ``once_path`` (a path that does not exist yet) to make the failure
     one-shot across all forked workers, otherwise every chunk attempt
     fails and the sweep degrades to the serial rung.  The parent-side
-    kind ``block-backend-broken`` makes the block backends raise on
-    every chunk, forcing the ``serial -> scalar`` step (the scalar
-    bitmask path stays honest).
+    kind ``block-backend-broken`` makes every non-``bitmask`` chunk
+    raise, forcing the ``serial -> scalar`` step (the scalar bitmask
+    rung stays honest; without NumPy it is the only rung, so there is
+    nothing to break).
     """
     if kind in WORKER_SABOTAGE:
         previous = _supervisor.WORKER_CHUNK_HOOK
@@ -264,11 +265,11 @@ def sabotage_service(kind: str, slow_s: float = 0.2) -> Iterator[None]:
       finishes on its own, so only cancellation bounded by the drain
       grace period gets the server out.
 
-    The sabotage patches :func:`repro.engine.vectorized.chunk_statuses`
-    through the :mod:`~repro.engine.supervisor` module attribute — the
-    same seam ``block-backend-broken`` uses — so it bites every
-    transport, including the inline/serial path ``repro serve`` runs
-    small requests on.
+    The sabotage patches :func:`repro.engine.supervisor.chunk_statuses`
+    — the one function every transport calls, and the same seam
+    ``block-backend-broken`` uses — so it bites every transport,
+    including the inline/serial path ``repro serve`` runs small
+    requests on.
     """
     if kind not in SERVICE_SABOTAGE:
         known = ", ".join(SERVICE_SABOTAGE)

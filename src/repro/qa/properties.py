@@ -7,12 +7,12 @@ universes (all inputs, all single faults) so the greedy shrinker can
 re-check mutated cases without carrying a fault or point selection
 around.  The registered invariants:
 
-* ``backend-agreement`` — bitmask / pointwise / sampled backends agree
-  bit-for-bit with the naive reference interpreter, fault-free and under
-  every single stem/pin fault (the differential anchor for PR 1's
-  single-engine seam); the fault-batched block backends (packed
-  fallback, and NumPy vectorized when installed) match the same tables
-  and produce byte-identical sweep statuses.
+* ``backend-agreement`` — the bitmask and pointwise backends (single
+  points and explicit point lists) agree bit-for-bit with the naive
+  reference interpreter, fault-free and under every single stem/pin
+  fault (the differential anchor for the single-engine seam); the NumPy
+  block backends (vectorized and kernel, when installed) match the same
+  tables and produce byte-identical sweep statuses.
 * ``alternation-self-dual`` — a synthesized self-dual network satisfies
   ``F(X̄) = ¬F(X)`` at every point (Definition 2.5 / Theorem 2.1), per
   the reference interpreter, and the engine's tables match it.
@@ -63,11 +63,8 @@ from ..core.atpg import Podem
 from ..core.collapse import collapse_stem_faults, equivalence_collapse
 from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
-from ..engine.vectorized import (
-    HAVE_NUMPY,
-    PackedFallbackBackend,
-    VectorizedBackend,
-)
+from ..engine.backends import bitmask_pattern_bits
+from ..engine.vectorized import HAVE_NUMPY, VectorizedBackend
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.network import Network
 from ..scal.codeconv import to_code_conversion
@@ -145,7 +142,6 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
     engine = NetworkEngine(net)  # fresh — never trust another run's cache
     universe = [None] + enumerate_single_faults(net, collapse=False)
     all_points = list(range(1 << n))
-    packed = PackedFallbackBackend(engine.compiled, engine.bitmask)
     vectorized = (
         VectorizedBackend(engine.compiled) if HAVE_NUMPY else None
     )
@@ -157,12 +153,6 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
             return (
                 f"bitmask backend disagrees with reference under {label}: "
                 f"{got_mask} != {expected}"
-            )
-        got_packed = packed.output_bits(fault)
-        if got_packed != expected:
-            return (
-                f"packed fallback backend disagrees with reference under "
-                f"{label}: {got_packed} != {expected}"
             )
         if vectorized is not None:
             got_vec = vectorized.output_bits(fault)
@@ -180,13 +170,16 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
                     f"pointwise backend disagrees with reference under "
                     f"{label} at point {index}: {tuple(got)} != {want}"
                 )
-        sampled = engine.sampled.output_vectors(all_points, fault)
+        vectors = engine.pointwise.output_vectors(all_points, fault)
         want_all = [
             reference_outputs(net, point_tuple(n, i), fault)
             for i in all_points
         ]
-        if [tuple(v) for v in sampled] != want_all:
-            return f"sampled backend disagrees with reference under {label}"
+        if [tuple(v) for v in vectors] != want_all:
+            return (
+                f"pointwise output vectors disagree with reference under "
+                f"{label}"
+            )
     # Fault statuses must be byte-identical across the sweep backends
     # (the vectorized classification is a re-derivation, not a reuse, of
     # the scalar one — this is the differential check that keeps them
@@ -194,12 +187,6 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
     sweep = FaultSweep(net, engine=engine)
     faults = [f for f in universe if f is not None]
     scalar = [status for _f, status in sweep.sweep(faults, backend="bitmask")]
-    fallback = packed.sweep_statuses(faults)
-    if fallback != scalar:
-        return (
-            "packed fallback statuses diverge from scalar bitmask: "
-            f"{fallback} != {scalar}"
-        )
     if vectorized is not None:
         vec_statuses = vectorized.sweep_statuses(faults)
         if vec_statuses != scalar:
@@ -231,7 +218,7 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
 
 backend_agreement = register(
     "backend-agreement",
-    "bitmask/pointwise/sampled/packed/vectorized/kernel backends match "
+    "bitmask/pointwise/vectorized/kernel backends match "
     "the naive interpreter bit-for-bit under every single fault, with "
     "identical sweep statuses",
 )((_gen_mixed, _check_backend_agreement))
@@ -474,7 +461,7 @@ def _sampled_run(
     engine = NetworkEngine(net)
     verdicts = []
     for fault in enumerate_stem_faults(net):
-        vectors = tuple(engine.sampled.output_vectors(points, fault))
+        vectors = tuple(engine.pointwise.output_vectors(points, fault))
         verdicts.append((fault.describe(), vectors))
     return points, verdicts
 
@@ -578,9 +565,9 @@ def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
     # One block-backend pass per credited pattern (not per fault).
     for index, names in sorted(by_pattern.items()):
         pattern = report.patterns[index]
-        base = engine.packed.pattern_bits([pattern], None)
-        rows = engine.packed.pattern_bits(
-            [pattern], [by_name[name] for name in names]
+        base = bitmask_pattern_bits(engine.compiled, [pattern], None)
+        rows = bitmask_pattern_bits(
+            engine.compiled, [pattern], [by_name[name] for name in names]
         )
         point = point_tuple(n, pattern)
         reference_good = reference_outputs(net, point)
@@ -613,8 +600,8 @@ def _detected_set(engine: NetworkEngine, patterns, universe) -> frozenset:
     if not patterns:
         return frozenset()
     pats = list(patterns)
-    base = engine.packed.pattern_bits(pats, None)
-    rows = engine.packed.pattern_bits(pats, universe)
+    base = bitmask_pattern_bits(engine.compiled, pats, None)
+    rows = bitmask_pattern_bits(engine.compiled, pats, universe)
     detected = set()
     for fault, row in zip(universe, rows):
         if any(b ^ r for b, r in zip(base, row)):

@@ -21,7 +21,7 @@ campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
 :func:`evaluate_chunk` is the transport-facing entry point: the
-``synth`` chunk backend in :func:`repro.engine.vectorized.chunk_statuses`
+``synth`` chunk backend in :func:`repro.engine.supervisor.chunk_statuses`
 hands it a chunk of task dicts and ships back one JSON record per task.
 Every per-candidate exception is captured *inside* the record (an
 invalid candidate is a normal low-fitness outcome, not a chunk failure
@@ -152,7 +152,7 @@ def _scalar_statuses(
     engine: NetworkEngine, universe: Sequence
 ) -> Tuple[Tuple[int, ...], List[str]]:
     """Per-fault scalar classification replicating
-    :meth:`PackedFallbackBackend.response_triple` arithmetic exactly, so
+    :meth:`BitmaskBackend.response_triple` arithmetic exactly, so
     statuses match the block backends bit for bit."""
     n = engine.compiled.n_inputs
     full = (1 << (1 << n)) - 1

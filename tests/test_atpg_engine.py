@@ -5,8 +5,8 @@ compaction are *accelerations*, never reclassifications: on every seed
 circuit and a fixed-seed random-logic batch its final classification
 map must be byte-identical to running the scalar ``Podem`` once per
 collapsed fault.  The suite also pins the pattern seam the driver rides
-(``chunk_pattern_bits`` across the vectorized / packed-fallback /
-pointwise rungs), the degradation ladder, determinism, compaction
+(``chunk_pattern_bits`` across the vectorized / bitmask / pointwise
+rungs), the degradation ladder, determinism, compaction
 conservation, and the ``python -m repro atpg`` entry point.
 """
 
@@ -19,9 +19,10 @@ import pytest
 from repro.cli import main
 from repro.core.atpg import Podem
 from repro.core.collapse import collapse_stem_faults
-from repro.engine import NetworkEngine, engine_for
+from repro.engine import FaultSweep, NetworkEngine, engine_for
 from repro.engine.atpg import AtpgReport, run_atpg
-from repro.engine.vectorized import chunk_pattern_bits, pack_pattern_masks
+from repro.engine.backends import bitmask_pattern_bits, pack_pattern_masks
+from repro.engine.vectorized import chunk_pattern_bits
 from repro.logic.benchfmt import load_bench, save_bench
 from repro.logic.faults import StuckAt
 from repro.workloads.benchcircuits import fig62_nand_network
@@ -95,7 +96,7 @@ class TestPatternSeam:
         assert masks == [0b101, 0b110]
 
     @pytest.mark.parametrize(
-        "backend", ["vectorized", "fallback", "pointwise"]
+        "backend", ["vectorized", "bitmask", "pointwise"]
     )
     def test_rungs_match_truth_tables(self, backend, fig34):
         eng = engine_for(fig34)
@@ -117,7 +118,7 @@ class TestPatternSeam:
         rng = random.Random(5)
         patterns = [rng.randrange(1 << n) for _ in range(11)]
         tables = tuple(eng.bitmask.output_bits(None))
-        for backend in ("vectorized", "fallback", "pointwise"):
+        for backend in ("vectorized", "bitmask", "pointwise"):
             base = chunk_pattern_bits(eng, patterns, None, backend)
             for pos, mask in enumerate(base):
                 for j, p in enumerate(patterns):
@@ -140,17 +141,17 @@ class TestPatternSeam:
                     )
                 ),
             )
-            for backend in ("vectorized", "fallback", "pointwise")
+            for backend in ("vectorized", "bitmask", "pointwise")
         }
         assert (
             results["vectorized"]
-            == results["fallback"]
+            == results["bitmask"]
             == results["pointwise"]
         )
 
     def test_unknown_backend_rejected(self, fig34):
         with pytest.raises(ValueError):
-            chunk_pattern_bits(engine_for(fig34), [0], None, "bitmask")
+            chunk_pattern_bits(engine_for(fig34), [0], None, "kernel")
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +159,7 @@ class TestPatternSeam:
 # ----------------------------------------------------------------------
 class TestParity:
     @pytest.mark.parametrize("index", range(3))
-    @pytest.mark.parametrize("backend", ["auto", "fallback"])
+    @pytest.mark.parametrize("backend", ["auto", "bitmask"])
     def test_seed_circuits(self, index, backend):
         net = seed_networks()[index]
         expected = scalar_classifications(net)
@@ -186,13 +187,13 @@ class TestParity:
     def test_fixed_seed_random_batch(self, index):
         net = random_batch()[index]
         expected = scalar_classifications(net)
-        for backend in ("auto", "fallback"):
+        for backend in ("auto", "bitmask"):
             report = run_atpg(net, backend=backend)
             assert report.classifications == expected, backend
 
     def test_packed_fallback_when_vectorized_absent(self, fig34):
         """The no-NumPy shape: an engine whose vectorized backend is
-        None must resolve auto to the packed fallback silently, and an
+        None must resolve auto to the bitmask rung silently, and an
         explicit vectorized request must degrade with a recorded
         reason.  (The CI tests-no-numpy job runs this whole suite with
         NumPy genuinely uninstalled.)"""
@@ -203,15 +204,27 @@ class TestParity:
 
         eng = NoNumpyEngine(fig34)
         auto = run_atpg(fig34, engine=eng)
-        assert auto.backend == "fallback"
+        assert auto.backend == "bitmask"
         assert auto.degradations == ()
         explicit = run_atpg(fig34, engine=eng, backend="vectorized")
-        assert explicit.backend == "fallback"
+        assert explicit.backend == "bitmask"
         assert [(d.frm, d.to) for d in explicit.degradations] == [
-            ("vectorized", "fallback")
+            ("vectorized", "bitmask")
         ]
         assert auto.classifications == scalar_classifications(fig34)
         assert explicit.classifications == auto.classifications
+
+    def test_wide_net_stays_on_bitmask_rung(self):
+        """Pattern simulation packs only the pattern list, so the
+        25-input exhaustive ceiling must not push a 30-input run off
+        the big-int rung."""
+        from .test_engine import TestWideInputGuard
+
+        net = TestWideInputGuard()._wide_net()
+        faults = FaultSweep(net).single_fault_universe()[:8]
+        report = run_atpg(net, faults=faults, backend="auto")
+        assert report.backend == "bitmask"
+        assert report.degradations == ()
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +260,10 @@ class TestDriver:
         }
         for name, index in compacted.detected_by.items():
             pattern = compacted.patterns[index]
-            base = eng.packed.pattern_bits([pattern], None)
-            row = eng.packed.pattern_bits([pattern], [universe[name]])[0]
+            base = bitmask_pattern_bits(eng.compiled, [pattern], None)
+            row = bitmask_pattern_bits(
+                eng.compiled, [pattern], [universe[name]]
+            )[0]
             assert any((b ^ r) & 1 for b, r in zip(base, row)), name
 
     def test_pairs_mode_emits_alternating_pairs(self, fig37):
@@ -266,8 +281,8 @@ class TestDriver:
         for name, index in report.detected_by.items():
             x = report.patterns[index]
             pair = [x, x ^ full]
-            base = eng.packed.pattern_bits(pair, None)
-            row = eng.packed.pattern_bits(pair, [universe[name]])[0]
+            base = bitmask_pattern_bits(eng.compiled, pair, None)
+            row = bitmask_pattern_bits(eng.compiled, pair, [universe[name]])[0]
             good_alternates = any(
                 ((b & 1) ^ ((b >> 1) & 1)) for b in base
             )
@@ -322,7 +337,7 @@ class TestDriver:
 
     def test_invalid_arguments_rejected(self, fig34):
         with pytest.raises(ValueError):
-            run_atpg(fig34, backend="bitmask")
+            run_atpg(fig34, backend="kernel")
         with pytest.raises(ValueError):
             run_atpg(fig34, candidates=0)
 
@@ -359,13 +374,13 @@ class TestAtpgCli:
             main(
                 [
                     "atpg", fig34_bench, "--no-collapse", "--no-drop",
-                    "--no-compact", "--backend", "fallback", "--json",
+                    "--no-compact", "--backend", "bitmask", "--json",
                 ]
             )
             == 0
         )
         data = json.loads(capsys.readouterr().out)
-        assert data["backend"] == "fallback"
+        assert data["backend"] == "bitmask"
         assert data["dropped"] == 0
         # raw (uncollapsed) stem universe is strictly larger
         assert data["requested"] > run_atpg(fig34_network()).requested
@@ -428,10 +443,10 @@ class TestCommittedBatch:
             if status == "redundant"
         }
         assert len(redundant) == data["redundant"]
-        packed = engine_for(net).packed
-        baseline = packed.output_bits(None)
+        bitmask = engine_for(net).bitmask
+        baseline = bitmask.output_bits(None)
         for fault in universe:
             if fault.describe() in redundant:
-                assert packed.output_bits(fault) == baseline, (
+                assert bitmask.output_bits(fault) == baseline, (
                     f"{fault.describe()} claimed redundant but detectable"
                 )

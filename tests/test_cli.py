@@ -38,13 +38,13 @@ class TestCampaign:
         import json
 
         stats = {}
-        for backend in ("bitmask", "vectorized", "fallback"):
+        for backend in ("bitmask", "vectorized", "kernel"):
             assert main(
                 ["campaign", fig37_bench, "--json", "--backend", backend]
             ) == 0
             stats[backend] = json.loads(capsys.readouterr().out)
             del stats[backend]["backend"]
-        assert stats["bitmask"] == stats["vectorized"] == stats["fallback"]
+        assert stats["bitmask"] == stats["vectorized"] == stats["kernel"]
 
     def test_processes_flag(self, fig37_bench, capsys):
         assert main(["campaign", fig37_bench, "--processes", "2",

@@ -1,6 +1,7 @@
 """Cross-backend equivalence of the compiled engine (repro.engine).
 
-Every backend — word-parallel bitmask, pointwise, sampled — must agree
+Every backend — word-parallel bitmask, pointwise (single points and
+explicit point lists) — must agree
 bit-for-bit with a naive dict-walking reference evaluator on every seed
 circuit, fault-free and under exhaustive single-fault injection (stem
 and pin stuck-ats).  The reference below deliberately shares no code
@@ -14,11 +15,7 @@ import random
 import pytest
 
 from repro.engine import FaultSweep, engine_for, select_backend
-from repro.engine.vectorized import (
-    HAVE_NUMPY,
-    PackedFallbackBackend,
-    VectorizedBackend,
-)
+from repro.engine.vectorized import HAVE_NUMPY, VectorizedBackend
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import enumerate_single_faults, fault_overrides
 from repro.logic.gates import evaluate as eval_gate
@@ -90,16 +87,16 @@ class TestFaultFree:
             for name, idx in comp.index.items():
                 assert (bits[idx] >> point) & 1 == ref[name], (name, point)
             # pointwise: full line list
-            tuple_point = engine.sampled.point_tuple(point)
+            tuple_point = engine.pointwise.point_tuple(point)
             vals = engine.pointwise.line_values(tuple_point)
             for name, idx in comp.index.items():
                 assert vals[idx] == ref[name], (name, point)
-        # sampled: output vectors over the whole point list at once
+        # point lists: output vectors over the whole list at once
         expected = [
             tuple(reference_values(circuit, p)[o] for o in circuit.outputs)
             for p in points
         ]
-        assert engine.sampled.output_vectors(points) == expected
+        assert engine.pointwise.output_vectors(points) == expected
 
 
 class TestSingleFaultEquivalence:
@@ -109,7 +106,7 @@ class TestSingleFaultEquivalence:
         points = check_points(circuit)
         for fault in enumerate_single_faults(circuit):
             bits = engine.bitmask.line_bits(fault)
-            sampled = engine.sampled.output_vectors(points, fault)
+            sampled = engine.pointwise.output_vectors(points, fault)
             for pos, point in enumerate(points):
                 ref = reference_values(circuit, point, fault)
                 for name, idx in comp.index.items():
@@ -118,7 +115,7 @@ class TestSingleFaultEquivalence:
                         name,
                         point,
                     )
-                tuple_point = engine.sampled.point_tuple(point)
+                tuple_point = engine.pointwise.point_tuple(point)
                 vals = engine.pointwise.line_values(tuple_point, fault)
                 for name, idx in comp.index.items():
                     assert vals[idx] == ref[name], (
@@ -133,15 +130,6 @@ class TestSingleFaultEquivalence:
 class TestVectorizedEquivalence:
     """The fault-batched block backends must agree bit-for-bit with the
     scalar bitmask backend, fault-free and under every single fault."""
-
-    def test_fallback_output_bits_match_bitmask(self, circuit):
-        engine = engine_for(circuit)
-        packed = PackedFallbackBackend(engine.compiled, engine.bitmask)
-        assert packed.output_bits() == engine.bitmask.output_bits()
-        for fault in enumerate_single_faults(circuit):
-            assert packed.output_bits(fault) == engine.bitmask.output_bits(
-                fault
-            ), fault.describe()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
     def test_vectorized_line_bits_match_bitmask(self, circuit):
@@ -172,7 +160,6 @@ class TestVectorizedEquivalence:
         universe = sweep.single_fault_universe()
         reference = [(f, sweep.classify(f)) for f in universe]
         assert sweep.sweep(universe, backend="bitmask") == reference
-        assert sweep.sweep(universe, backend="fallback") == reference
         assert sweep.sweep(universe, backend="vectorized") == reference
         assert sweep.sweep(universe, backend="kernel") == reference
         assert sweep.sweep(universe, backend="auto") == reference
@@ -200,26 +187,22 @@ class TestVectorizedEquivalence:
 
 
 class TestBackendSelection:
-    def test_explicit_points_pick_pointwise_or_sampled(self):
-        assert select_backend(4, 100, n_points=1) == "pointwise"
-        assert select_backend(4, 100, n_points=64) == "sampled"
-
     def test_small_batches_stay_scalar(self):
         assert select_backend(4, 3, numpy_available=True) == "bitmask"
         assert select_backend(4, 3, numpy_available=False) == "bitmask"
 
     def test_large_batches_vectorize(self):
         assert select_backend(4, 200, numpy_available=True) == "vectorized"
-        assert select_backend(4, 200, numpy_available=False) == "fallback"
+        assert select_backend(4, 200, numpy_available=False) == "bitmask"
 
     def test_wide_inputs_block_even_for_few_faults(self):
         # Beyond the exhaustive limit the scalar bitmask rung never
         # engages: 17-20 inputs land on the kernel tier, wider circuits
         # on the chunked vectorized path.
         assert select_backend(20, 2, numpy_available=True) == "kernel"
-        assert select_backend(20, 2, numpy_available=False) == "fallback"
+        assert select_backend(20, 2, numpy_available=False) == "bitmask"
         assert select_backend(24, 2, numpy_available=True) == "vectorized"
-        assert select_backend(24, 2, numpy_available=False) == "fallback"
+        assert select_backend(24, 2, numpy_available=False) == "bitmask"
 
     def test_kernel_rung_engages_above_cold_crossover(self):
         # n > 12 is where codegen wins even cold (BENCH_kernels.json);
@@ -227,7 +210,7 @@ class TestBackendSelection:
         # explicit-only.
         assert select_backend(12, 200, numpy_available=True) == "vectorized"
         assert select_backend(13, 200, numpy_available=True) == "kernel"
-        assert select_backend(13, 200, numpy_available=False) == "fallback"
+        assert select_backend(13, 200, numpy_available=False) == "bitmask"
 
     def test_unknown_backend_name_rejected(self):
         sweep = FaultSweep(fig34_network())
@@ -269,7 +252,27 @@ class TestWideInputGuard:
     def test_selection_never_picks_bitmask_wide(self):
         for n in (26, 30, 40):
             for faults in (1, 4, 100):
-                assert select_backend(n, faults) != "bitmask"
+                assert (
+                    select_backend(n, faults, numpy_available=True)
+                    != "bitmask"
+                )
+
+    def test_wide_sweep_without_numpy_names_numpy(self, monkeypatch):
+        """Without NumPy every sweep resolves to the big-int bitmask
+        rung, which cannot hold a 2^30-bit table per line: the sweep
+        must refuse up front, before any chunk or transport starts, and
+        say that NumPy is what such a campaign needs."""
+        import repro.engine
+        import repro.engine.vectorized
+
+        monkeypatch.setattr(repro.engine, "HAVE_NUMPY", False)
+        monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", False)
+        sweep = FaultSweep(self._wide_net())
+        universe = sweep.single_fault_universe()
+        for processes in (None, 2):
+            with pytest.raises(ValueError, match="above 25 inputs need NumPy"):
+                sweep.sweep(universe, processes=processes)
+        assert sweep.last_report is None
 
 
 class TestSweepDrivers:
@@ -306,7 +309,7 @@ class TestSweepDrivers:
         reference = [(f, sweep.classify(f)) for f in universe]
         result = sweep.sweep(universe, processes=4)
         assert result == reference
-        assert sweep.last_sweep_backend in ("vectorized", "fallback")
+        assert sweep.last_sweep_backend in ("vectorized", "bitmask")
         # The fallback is recorded, not silent: the campaign report
         # names the ladder step and the reason.
         assert any(

@@ -38,7 +38,7 @@ if HAVE_NUMPY:
 
 
 def scalar_statuses(engine, universe):
-    return engine.packed.sweep_statuses(universe)
+    return engine.bitmask.sweep_statuses(universe)
 
 
 @pytest.fixture(params=sorted(SEED_CIRCUITS))
@@ -187,7 +187,7 @@ class TestKernelCeilingAndSelection:
         )
 
     def test_chunk_statuses_degrades_without_kernel(self, mixed9):
-        """A resolved "kernel" chunk lands on vectorized/fallback when
+        """A resolved "kernel" chunk lands on vectorized/bitmask when
         the engine cannot build the tier (worker-side degradation)."""
 
         class NoKernelEngine(NetworkEngine):

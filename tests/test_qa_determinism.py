@@ -33,7 +33,7 @@ def _sampled_campaign(network, seed):
     points = random_sample_points(rng, n, min(8, 1 << n))
     engine = NetworkEngine(network)
     verdicts = [
-        (fault.describe(), tuple(engine.sampled.output_vectors(points, fault)))
+        (fault.describe(), tuple(engine.pointwise.output_vectors(points, fault)))
         for fault in enumerate_stem_faults(network)
     ]
     return points, verdicts

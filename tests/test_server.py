@@ -295,6 +295,7 @@ class TestRequestCanonicalization:
         [
             ("transport", "socket"),
             ("backend", "numba"),
+            ("backend", "fallback"),
         ],
     )
     def test_unknown_transport_or_backend_rejected(self, field, value):
