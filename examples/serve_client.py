@@ -9,7 +9,7 @@ then submit a netlist and watch the campaign stream back as NDJSON —
 one JSON object per line: the ``accepted`` header (carrying the content
 fingerprint and whether this submission was coalesced onto an identical
 in-flight campaign), every ``campaign.*`` flight event as it happens
-(chunk completions, retries, degradations, steals), and finally the
+(chunk completions, retries, degradations), and finally the
 ``result`` line with the coverage fractions and the structured
 campaign report::
 

@@ -22,7 +22,7 @@ backends (without NumPy every sweep runs on the big-int path, and
 :func:`~repro.engine.vectorized.resolve_rung` refuses exhaustive
 sweeps the big-int tables cannot hold).  Execution —
 serial or fanned out across supervised fork workers with per-chunk
-timeouts, retries, work stealing, checkpoint/resume, and the explicit
+timeouts, retries, checkpoint/resume, and the explicit
 fork → serial → scalar degradation ladder — is delegated to
 :func:`repro.engine.supervisor.run_campaign`; every sweep leaves a
 structured :class:`~repro.engine.supervisor.CampaignReport` in
@@ -160,8 +160,8 @@ class FaultSweep:
         ``processes > 1`` (or an explicit worker transport) the universe
         is fanned out across supervised worker lanes: each
         chunk carries an optional per-chunk ``timeout`` (seconds),
-        failed or hung chunks are retried with exponential backoff and
-        re-chunked smaller on repeat failure, and dead workers are
+        failed or hung chunks are retried and re-chunked smaller on
+        repeat failure, and dead workers are
         replaced instead of aborting the sweep.  ``checkpoint`` names a
         JSON artifact that records completed chunks after each one;
         ``resume=True`` reloads it and re-simulates only the uncovered

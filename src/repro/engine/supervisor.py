@@ -9,19 +9,17 @@ per-chunk supervision:
 
 * the universe is split into **chunk tasks** (contiguous index ranges),
   each with a configurable ``timeout``;
-* a failed or hung chunk is retried with exponential backoff and, on
-  repeat failure, **split in half** so a single poisoned fault cannot
-  hold a whole chunk hostage;
-* an idle lane **steals** half of the largest long-running chunk
-  instead of going to waste, so one slow shard cannot serialize the
-  tail of a campaign;
+* a failed or hung chunk is re-queued and, on repeat failure,
+  **split in half** so a single poisoned fault cannot hold a whole
+  chunk hostage;
 * a dead worker is **replaced** instead of killing the sweep, and a
   runtime that cannot keep workers alive salvages every completed
   chunk and finishes the remainder serially;
-* completed chunks are **checkpointed** to a JSON artifact so an
-  interrupted campaign can resume without re-simulating them, with
-  byte-identical statuses (classification is per-fault deterministic,
-  so chunking never changes results).
+* completed chunks are **checkpointed** to a JSON artifact (through
+  :mod:`repro.engine.durable`) so an interrupted campaign can resume
+  without re-simulating them, with byte-identical statuses
+  (classification is per-fault deterministic, so chunking never
+  changes results).
 
 This module owns *policy* only.  Execution mechanics — where chunks
 actually run — live behind the :class:`repro.engine.transport.Transport`
@@ -43,13 +41,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
+from .durable import CheckpointError, load_envelope, write_envelope
 from .transport import (
     ChunkTask,
     SubmitFailed,
@@ -84,9 +81,6 @@ _M_CHECKPOINTS = _REG.counter(
 _M_FAULTS = _REG.counter(
     "repro_campaign_faults_total", "Faults classified by campaigns, by status"
 )
-_M_STEALS = _REG.counter(
-    "repro_campaign_steals_total", "Chunk halves stolen by idle lanes"
-)
 _M_CANCELLED = _REG.counter(
     "repro_campaign_cancelled_total",
     "Campaigns cancelled cooperatively, by reason kind",
@@ -108,17 +102,9 @@ MAX_CHUNK_ATTEMPTS = 3
 def _max_replacements(lanes: int) -> int:
     return max(2 * lanes, 4)
 
-#: Exponential-backoff schedule for chunk retries (seconds).
-BACKOFF_BASE = 0.05
-BACKOFF_CAP = 2.0
-
 #: Supervision poll interval: deadline precision and the latency of
 #: noticing a dead worker (seconds).
 POLL_SECONDS = 0.05
-
-#: How long a chunk must have been in flight, with the queue empty and
-#: a lane idle, before half of it is stolen (seconds).
-STEAL_AGE_SECONDS = 0.2
 
 #: Statuses a checkpoint may legally contain.
 VALID_STATUSES = frozenset({"dangerous", "detected", "silent"})
@@ -128,11 +114,6 @@ VALID_STATUSES = frozenset({"dangerous", "detected", "silent"})
 #: inherit the value at spawn time, so arming it in the parent sabotages
 #: the children (see :func:`repro.qa.chaos.sabotage_campaign`).
 WORKER_CHUNK_HOOK: Optional[Callable[[str, int], None]] = None
-
-
-class CheckpointError(ValueError):
-    """A checkpoint artifact is unreadable or belongs to a different
-    campaign (wrong fault universe, corrupted statuses)."""
 
 
 class CampaignInterrupted(RuntimeError):
@@ -236,8 +217,7 @@ class CampaignReport:
     the checkpoint); ``block_backend`` is the final resolved
     block-backend name alone.  ``degradations`` lists every ladder step
     down with its reason — an empty list means the requested mode is
-    exactly what ran.  ``steals`` counts chunk halves re-assigned to
-    idle lanes by the work-stealing scheduler.
+    exactly what ran.
     """
 
     requested: str
@@ -248,7 +228,6 @@ class CampaignReport:
     chunks_completed: int = 0
     chunks_resumed: int = 0
     workers_replaced: int = 0
-    steals: int = 0
     degradations: List[Degradation] = dataclasses.field(default_factory=list)
     retries: List[RetryEvent] = dataclasses.field(default_factory=list)
     wall_seconds: float = 0.0
@@ -285,7 +264,6 @@ class CampaignReport:
             "chunks_completed": self.chunks_completed,
             "chunks_resumed": self.chunks_resumed,
             "workers_replaced": self.workers_replaced,
-            "steals": self.steals,
             "degradations": [dataclasses.asdict(d) for d in self.degradations],
             "retries": [dataclasses.asdict(r) for r in self.retries],
             "wall_seconds": self.wall_seconds,
@@ -301,8 +279,6 @@ class CampaignReport:
         ]
         if self.workers_replaced:
             lines.append(f"  workers replaced: {self.workers_replaced}")
-        if self.steals:
-            lines.append(f"  chunks stolen by idle lanes: {self.steals}")
         for event in self.retries:
             lines.append(
                 f"  retry [{event.chunk}] attempt {event.attempt}: "
@@ -353,27 +329,7 @@ class CampaignCheckpoint:
 
     def load(self) -> None:
         """Read and validate an existing artifact (for ``--resume``)."""
-        try:
-            with open(self.path) as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            raise CheckpointError(
-                f"checkpoint {self.path!r} does not exist; run without "
-                f"--resume to start a fresh campaign"
-            )
-        except (OSError, ValueError) as error:
-            raise CheckpointError(
-                f"checkpoint {self.path!r} is unreadable: {error}"
-            )
-        if not isinstance(payload, dict) or payload.get("version") != self.VERSION:
-            raise CheckpointError(
-                f"checkpoint {self.path!r} has an unsupported format"
-            )
-        if payload.get("fingerprint") != self.fingerprint:
-            raise CheckpointError(
-                f"checkpoint {self.path!r} belongs to a different campaign "
-                f"(fault universe or netlist changed); run without --resume"
-            )
+        payload = load_envelope(self.path, self.VERSION, self.fingerprint)
         if payload.get("n_faults") != self.n_faults:
             raise CheckpointError(
                 f"checkpoint {self.path!r} covers {payload.get('n_faults')} "
@@ -421,25 +377,18 @@ class CampaignCheckpoint:
         )
 
     def _flush(self) -> None:
-        payload = {
-            "version": self.VERSION,
-            "fingerprint": self.fingerprint,
-            "n_faults": self.n_faults,
-            "ranges": [
-                {"start": start, "stop": stop, "statuses": values}
-                for (start, stop), values in sorted(self.ranges.items())
-            ],
-        }
-        # Atomic flush: a kill at any instant leaves either the previous
-        # complete artifact or the new one, never a truncated JSON that
-        # would poison --resume.  The fsync makes the rename durable.
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        write_envelope(
+            self.path,
+            self.VERSION,
+            self.fingerprint,
+            {
+                "n_faults": self.n_faults,
+                "ranges": [
+                    {"start": start, "stop": stop, "statuses": values}
+                    for (start, stop), values in sorted(self.ranges.items())
+                ],
+            },
+        )
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +400,6 @@ class _Task:
     stop: int
     faults: List
     attempt: int = 0
-    not_before: float = 0.0
 
     @property
     def key(self) -> str:
@@ -540,30 +488,22 @@ def _parent_serial_chunk(sweep, faults, chosen, report) -> List[str]:
 # the transport-agnostic supervision loop
 # ----------------------------------------------------------------------
 class _Inflight:
-    """Parent-side record of one submitted chunk.  ``sent_key`` and
-    ``sent_len`` are snapshotted at submit time: work stealing may
-    shrink ``task`` while the lane is still computing the original
-    range, and the (full-width) result is matched against the snapshot,
-    then sliced to the surviving width."""
+    """Parent-side record of one submitted chunk."""
 
-    __slots__ = ("task", "deadline", "started", "sent_key", "sent_len")
+    __slots__ = ("task", "deadline")
 
-    def __init__(self, task: _Task, deadline: Optional[float],
-                 started: float) -> None:
+    def __init__(self, task: _Task, deadline: Optional[float]) -> None:
         self.task = task
         self.deadline = deadline
-        self.started = started
-        self.sent_key = task.key
-        self.sent_len = len(task.faults)
 
 
 class _TransportSupervisor:
     """Drives chunk tasks through any :class:`Transport`.
 
-    Owns every piece of policy: backoff retries, split-on-repeat-failure,
-    per-chunk deadlines, lane replacement with a global cap, work
-    stealing, the inline serial->scalar step-down, and flight-recorder
-    merging.  The transport only moves tasks and results.
+    Owns every piece of policy: retries, split-on-repeat-failure,
+    per-chunk deadlines, lane replacement with a global cap, the inline
+    serial->scalar step-down, and flight-recorder merging.  The
+    transport only moves tasks and results.
     """
 
     def __init__(
@@ -601,23 +541,14 @@ class _TransportSupervisor:
         while self.pending or self.inflight:
             if self.cancel is not None:
                 self.cancel.check()
-            now = time.monotonic()
-            self._assign(now)
-            self._maybe_steal(now)
-            if not self.inflight:
-                if self.pending:
-                    delay = min(t.not_before for t in self.pending) - now
-                    time.sleep(max(delay, 0.005))
-                continue
+            self._assign()
             for result in self.transport.poll(POLL_SECONDS):
                 self._handle(result)
             self._enforce_deadlines()
 
-    def _assign(self, now: float) -> None:
+    def _assign(self) -> None:
         while self.pending and self.transport.free_lanes > 0:
-            task = self._next_ready(now)
-            if task is None:
-                break
+            task = self.pending.popleft()
             try:
                 lane = self.transport.submit(
                     ChunkTask(task.key, task.faults, self.chosen, task.attempt)
@@ -628,60 +559,12 @@ class _TransportSupervisor:
                 self.report.retry(task.key, task.attempt, str(error), "retried")
                 self._replace_lane(error.lane)
                 continue
-            deadline = now + self.timeout if self.timeout is not None else None
-            self.inflight[lane] = _Inflight(task, deadline, now)
-
-    def _next_ready(self, now: float) -> Optional[_Task]:
-        for _ in range(len(self.pending)):
-            task = self.pending.popleft()
-            if task.not_before <= now:
-                return task
-            self.pending.append(task)
-        return None
-
-    def _maybe_steal(self, now: float) -> None:
-        """Re-assign half of the widest long-running chunk to an idle
-        lane.  The victim lane keeps computing its original range; its
-        result is sliced to the surviving half on arrival, so statuses
-        stay byte-identical while the tail stops serializing the sweep.
-        """
-        if (
-            self.transport.in_process
-            or self.pending
-            or self.transport.free_lanes <= 0
-        ):
-            return
-        victim: Optional[_Inflight] = None
-        for entry in self.inflight.values():
-            if entry.task.stop - entry.task.start < 2:
-                continue
-            if now - entry.started < STEAL_AGE_SECONDS:
-                continue
-            if (
-                victim is None
-                or entry.task.stop - entry.task.start
-                > victim.task.stop - victim.task.start
-            ):
-                victim = entry
-        if victim is None:
-            return
-        task = victim.task
-        mid = (task.start + task.stop) // 2
-        cut = mid - task.start
-        stolen = _Task(mid, task.stop, task.faults[cut:])
-        task.stop = mid
-        task.faults = task.faults[:cut]
-        victim.started = now  # restart the age clock for this victim
-        self.pending.append(stolen)
-        self.report.chunks_total += 1
-        self.report.steals += 1
-        _M_STEALS.inc()
-        obs.event(
-            "campaign.steal",
-            victim=victim.sent_key,
-            chunk=stolen.key,
-            n=len(stolen.faults),
-        )
+            deadline = (
+                time.monotonic() + self.timeout
+                if self.timeout is not None
+                else None
+            )
+            self.inflight[lane] = _Inflight(task, deadline)
 
     def _handle(self, result) -> None:
         if result.events:
@@ -695,12 +578,12 @@ class _TransportSupervisor:
             if entry is not None:
                 self._requeue(entry.task, "worker died mid-chunk")
             return
-        if entry is None or result.key != entry.sent_key:
+        if entry is None or result.key != entry.task.key:
             return  # pragma: no cover - stale reply from a replaced lane
         del self.inflight[result.lane]
         task = entry.task
-        if result.kind == "ok" and len(result.payload) == entry.sent_len:
-            self.complete(task, list(result.payload[: task.stop - task.start]))
+        if result.kind == "ok" and len(result.payload) == len(task.faults):
+            self.complete(task, list(result.payload))
         elif result.kind == "error" and self.transport.in_process:
             self._inline_error(task, result)
         else:
@@ -726,7 +609,6 @@ class _TransportSupervisor:
             f"{self.chosen} block backend failed: {result.payload}",
         )
         self.chosen = lower
-        task.not_before = 0.0
         self.pending.appendleft(task)
 
     def _enforce_deadlines(self) -> None:
@@ -759,7 +641,6 @@ class _TransportSupervisor:
     # -- retry policy ---------------------------------------------------
     def _requeue(self, task: _Task, reason: str) -> None:
         task.attempt += 1
-        now = time.monotonic()
         if task.attempt >= MAX_CHUNK_ATTEMPTS:
             if task.stop - task.start > 1:
                 # Re-chunk smaller: a repeatedly failing chunk is split
@@ -783,9 +664,6 @@ class _TransportSupervisor:
                 )
                 self.complete(task, statuses)
         else:
-            task.not_before = now + min(
-                BACKOFF_BASE * (2 ** (task.attempt - 1)), BACKOFF_CAP
-            )
             self.report.retry(task.key, task.attempt, reason, "retried")
             self.pending.append(task)
 
@@ -1097,8 +975,8 @@ def run_generation_batch(
     :func:`repro.synth.fitness.evaluate_chunk`) and each returned payload
     is the matching JSON-encoded fitness record, in order.  The batch
     rides the exact same supervision machinery as fault campaigns — the
-    fork transport, per-chunk timeouts, retries with splitting, work
-    stealing, dead-worker replacement — under the reserved ``synth``
+    fork transport, per-chunk timeouts, retries with splitting,
+    dead-worker replacement — under the reserved ``synth``
     chunk backend, which never degrades to the scalar fault path.
     ``sweep`` hosts the transport (its network seeds fork workers) but
     takes no part in scoring: every candidate compiles its own engine

@@ -1,7 +1,7 @@
 """Execution transports for the supervised campaign runtime.
 
-The supervisor owns *policy* — timeouts, backoff, splitting, work
-stealing, the degradation ladder, checkpoints, flight merging.  A
+The supervisor owns *policy* — timeouts, retries, splitting, the
+degradation ladder, checkpoints, flight merging.  A
 :class:`Transport` owns *mechanics* — where chunks actually run and how
 their results travel back.  Two implementations ship:
 

@@ -2,9 +2,8 @@
 
 A :class:`Transport` owns *execution mechanics* — where chunk tasks run
 (in-process or fork workers) and how their results come
-back — and nothing else.  All *policy* (timeouts, backoff, splitting,
-work stealing, the degradation ladder, checkpoints, flight-recorder
-merging) stays in :mod:`repro.engine.supervisor`, which drives any
+back — and nothing else.  All *policy* (timeouts, retries, splitting,
+the degradation ladder, checkpoints, flight-recorder merging) stays in :mod:`repro.engine.supervisor`, which drives any
 transport through the same four calls::
 
     transport.start()

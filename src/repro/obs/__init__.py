@@ -24,7 +24,7 @@ sizes), :func:`repro.engine.vectorized.chunk_statuses` (the per-chunk
 ``sweep.chunk`` span every ladder rung classifies through; synthesis
 fitness chunks open it in :func:`repro.engine.supervisor.chunk_statuses`),
 :mod:`repro.engine.supervisor` (chunk completions, retries, worker
-replacements, work steals, checkpoint writes, the campaign wall-clock
+replacements, checkpoint writes, the campaign wall-clock
 stopwatch), :mod:`repro.engine.store` (artifact hits/misses/evictions),
 :mod:`repro.server` (request/job/subscriber counters behind
 ``GET /metrics``),

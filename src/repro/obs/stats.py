@@ -49,7 +49,6 @@ def summarize(events: Iterable[dict]) -> dict:
     reports: List[dict] = []
     qa_reports: List[dict] = []
     workers_replaced = 0
-    steals = 0
     checkpoint_writes = 0
     pids = set()
     total_events = 0
@@ -119,8 +118,6 @@ def summarize(events: Iterable[dict]) -> dict:
             retries[action] = retries.get(action, 0) + 1
         elif kind == "event" and name == "campaign.worker_replaced":
             workers_replaced += 1
-        elif kind == "event" and name == "campaign.steal":
-            steals += 1
         elif kind == "event" and name == "campaign.checkpoint":
             checkpoint_writes += 1
         elif kind == "event" and name == "campaign.report":
@@ -186,7 +183,6 @@ def summarize(events: Iterable[dict]) -> dict:
         "degradations": degradations,
         "retries": retries,
         "workers_replaced": workers_replaced,
-        "steals": steals,
         "checkpoint_writes": checkpoint_writes,
         "qa_properties": dict(qa),
         "qa_reports": qa_reports,
@@ -303,8 +299,6 @@ def render(summary: dict) -> str:
         lines.append(f"retries: {total} ({detail})")
     if summary["workers_replaced"]:
         lines.append(f"workers replaced: {summary['workers_replaced']}")
-    if summary.get("steals"):
-        lines.append(f"chunks stolen by idle lanes: {summary['steals']}")
     if summary["checkpoint_writes"]:
         lines.append(f"checkpoint writes: {summary['checkpoint_writes']}")
     if summary["degradations"]:

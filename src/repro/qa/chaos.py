@@ -151,7 +151,7 @@ def _worker_exits() -> None:
 #: children inherit the armed hook from the parent).
 WORKER_SABOTAGE: Dict[str, Callable[[], None]] = {
     # The first chunk touched raises inside the worker: the supervisor
-    # must retry it (backoff) and the sweep must still complete.
+    # must retry it and the sweep must still complete.
     "chunk-raises": _chunk_raises,
     # The first chunk hangs forever: the per-chunk timeout must fire,
     # the worker be killed and replaced, the chunk retried elsewhere.

@@ -81,6 +81,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import obs
 from .engine.campaign import SWEEP_BACKENDS
+from .engine.durable import append_line, atomic_write, open_log
 from .engine.store import STORE, program_fingerprint, text_fingerprint
 from .engine.supervisor import (
     TRANSPORTS,
@@ -266,19 +267,22 @@ class RequestJournal:
     """Append-only JSONL write-ahead journal of accepted requests.
 
     Two record shapes, one per line: ``{"op": "accepted",
-    "fingerprint": ..., "request": {...}}`` written (and fsync'd)
-    *before* a campaign executes, and ``{"op": "done", "fingerprint":
-    ..., "outcome": {...}}`` after it finishes (successfully, with an
-    error, or cancelled for good — a drain cancellation is deliberately
-    *not* marked done, so the work survives the restart).  Recovery
-    replays every accepted record without a matching done.
+    "fingerprint": ..., "request": {...}}`` written (and fsync'd, through
+    :mod:`repro.engine.durable`) *before* a campaign executes, and
+    ``{"op": "done", "fingerprint": ..., "outcome": {...}}`` after it
+    finishes (successfully, with an error, or cancelled for good — a
+    drain cancellation is deliberately *not* marked done, so the work
+    survives the restart).  Recovery replays every accepted record
+    without a matching done.
 
     The journal lives in a state directory alongside one supervisor
     checkpoint per in-flight request (``ckpt-<fingerprint>.json``), so
     a recovered campaign resumes from its completed chunks instead of
     starting over — statuses are byte-identical either way.  A partial
-    final line (the crash landed mid-append) is skipped on read; the
-    journal is compacted to just the pending records on recovery.
+    final line (the crash landed mid-append) is skipped on read and
+    truncated when the journal is reopened for append, so the next
+    record never glues onto it; the journal is compacted to just the
+    pending records on recovery.
     """
 
     def __init__(self, directory: str) -> None:
@@ -289,7 +293,7 @@ class RequestJournal:
 
     def open(self) -> None:
         os.makedirs(self.directory, exist_ok=True)
-        self._handle = open(self.path, "a")
+        self._handle = open_log(self.path)
 
     def close(self) -> None:
         with self._lock:
@@ -304,9 +308,7 @@ class RequestJournal:
         with self._lock:
             if self._handle is None:  # pragma: no cover - closed journal
                 return
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            append_line(self._handle, json.dumps(record, sort_keys=True))
         _M_JOURNAL.inc(op=record["op"])
 
     def accepted(self, fingerprint: str, request: dict) -> None:
@@ -353,27 +355,25 @@ class RequestJournal:
     def compact(self, pending: "OrderedDict[str, dict]") -> None:
         """Atomically rewrite the journal to just ``pending`` (recovery
         startup: done work and torn lines are dropped for good)."""
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w") as handle:
-            for fingerprint, request in pending.items():
-                handle.write(
-                    json.dumps(
-                        {
-                            "op": "accepted",
-                            "fingerprint": fingerprint,
-                            "request": request,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
+        atomic_write(
+            self.path,
+            "".join(
+                json.dumps(
+                    {
+                        "op": "accepted",
+                        "fingerprint": fingerprint,
+                        "request": request,
+                    },
+                    sort_keys=True,
                 )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+                + "\n"
+                for fingerprint, request in pending.items()
+            ),
+        )
         with self._lock:
             if self._handle is not None:
                 self._handle.close()
-            self._handle = open(self.path, "a")
+            self._handle = open_log(self.path)
 
 
 class _BridgeRecorder(MemoryRecorder):
@@ -463,159 +463,71 @@ class _Job:
         self.done.set()
 
 
-def _execute_campaign(
-    request: dict,
-    recorder,
-    cancel: Optional[CancelToken] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-) -> dict:
-    """Run one campaign (worker-thread side) and shape the result line.
-
-    Parses are deduped through the store (kind ``"network"`` by text
-    fingerprint) so identical netlists share one ``Network`` instance —
-    and therefore, via ``engine_for``, one compiled program and one
-    cached baseline.  Completed status vectors land under kind
-    ``"campaign"`` keyed purely by content (program + universe
-    fingerprints + universe shape), so a replay does not even need the
-    supervised runtime.
-
-    ``checkpoint``/``resume`` ride the journal's state directory: a
-    recovered request resumes from the chunks its interrupted run
-    already completed (an unusable checkpoint falls back to a fresh
-    run — statuses are deterministic either way).
-    """
+def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
+    """Store key and run step of one fault campaign.  The key is pure
+    content (program + universe fingerprints + universe shape), so a
+    replay does not even need the supervised runtime."""
     from .core.collapse import collapsed_single_faults
     from .engine import FaultSweep, universe_fingerprint
-    from .logic.benchfmt import BenchFormatError, parse_bench
 
-    if cancel is not None:
-        cancel.check()
-    text_fp = text_fingerprint(request["netlist"])
-    network = STORE.get("network", text_fp)
-    if network is None:
-        try:
-            network = parse_bench(request["netlist"], name="serve")
-        except BenchFormatError as error:
-            raise RequestError(f"netlist does not parse: {error}")
-        STORE.put("network", text_fp, value=network)
     sweep = FaultSweep(network)
     if request["collapse"]:
         universe = list(collapsed_single_faults(network))
     else:
         universe = sweep.single_fault_universe()
-    program_fp = program_fingerprint(sweep.compiled)
-    universe_fp = universe_fingerprint(universe, sweep.n)
-    shape = f"collapse={request['collapse']}"
-    cached = STORE.get("campaign", program_fp, universe_fp, shape)
-    if cached is not None:
-        statuses, report_dict, backend = cached
-        replayed = True
-    else:
-        with obs.recording(recorder=recorder):
-            try:
-                pairs = sweep.sweep(
-                    universe,
-                    processes=request["processes"],
-                    backend=request["backend"],
-                    timeout=request["timeout"],
-                    transport=request["transport"],
-                    checkpoint=checkpoint,
-                    resume=resume,
-                    cancel=cancel,
-                )
-            except CheckpointError:
-                # The checkpoint is torn or belongs to an older universe:
-                # run fresh — determinism makes the statuses identical.
-                pairs = sweep.sweep(
-                    universe,
-                    processes=request["processes"],
-                    backend=request["backend"],
-                    timeout=request["timeout"],
-                    transport=request["transport"],
-                    checkpoint=checkpoint,
-                    cancel=cancel,
-                )
-        statuses = tuple(status for _fault, status in pairs)
-        report_dict = sweep.last_report.to_dict()
-        backend = sweep.last_sweep_backend
-        STORE.put(
-            "campaign",
-            program_fp,
-            universe_fp,
-            shape,
-            value=(statuses, report_dict, backend),
+    key = (
+        "campaign",
+        program_fingerprint(sweep.compiled),
+        universe_fingerprint(universe, sweep.n),
+        f"collapse={request['collapse']}",
+    )
+
+    def run(checkpoint: Optional[str], resume: bool) -> dict:
+        pairs = sweep.sweep(
+            universe,
+            processes=request["processes"],
+            backend=request["backend"],
+            timeout=request["timeout"],
+            transport=request["transport"],
+            checkpoint=checkpoint,
+            resume=resume,
+            cancel=cancel,
         )
-        replayed = False
-    counts = {"detected": 0, "silent": 0, "dangerous": 0}
-    for status in statuses:
-        counts[status] += 1
-    total = max(len(statuses), 1)
-    result = {
-        "faults": len(statuses),
-        "detected": counts["detected"] / total,
-        "silent": counts["silent"] / total,
-        "dangerous": counts["dangerous"] / total,
-        "backend": backend,
-        "replayed": replayed,
-        "report": report_dict,
-        "store": STORE.stats(),
-    }
-    if request["statuses"]:
-        result["statuses"] = list(statuses)
-    return result
+        statuses = tuple(status for _fault, status in pairs)
+        total = max(len(statuses), 1)
+        return {
+            "faults": len(statuses),
+            "detected": statuses.count("detected") / total,
+            "silent": statuses.count("silent") / total,
+            "dangerous": statuses.count("dangerous") / total,
+            "backend": sweep.last_sweep_backend,
+            "report": sweep.last_report.to_dict(),
+            "statuses": statuses,
+        }
+
+    return key, run
 
 
-def _execute_synth(
-    request: dict,
-    recorder,
-    cancel: Optional[CancelToken] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-) -> dict:
-    """Run one synthesis/repair campaign (worker-thread side).
-
-    The same store/journal discipline as sweeps: a finished search is
-    cached under kind ``"synth"`` keyed by the target identity (spec
-    fingerprint, or the netlist text fingerprint in repair mode) plus
-    the search knobs, so an identical resubmission replays without
-    touching the generational runtime; a journal-recovered request
-    resumes from its :class:`~repro.synth.SynthCheckpoint` (an
-    unusable checkpoint falls back to a fresh run — the search is a
-    pure function of the seed, so the winner is identical either way).
-    """
-    from .logic.benchfmt import BenchFormatError, parse_bench
+def _synth_job(request: dict, network, cancel: Optional[CancelToken]):
+    """Store key and run step of one synthesis/repair campaign, keyed
+    by the target identity (spec fingerprint, or the netlist text
+    fingerprint in repair mode) plus the search knobs."""
     from .synth import SPECS, SynthCampaign, repair_campaign
 
-    if cancel is not None:
-        cancel.check()
-    network = None
-    if request["spec"] is not None:
+    if network is None:
         spec = SPECS[request["spec"]]
         target_fp = spec.fingerprint()
     else:
-        text_fp = text_fingerprint(request["netlist"])
-        network = STORE.get("network", text_fp)
-        if network is None:
-            try:
-                network = parse_bench(request["netlist"], name="serve")
-            except BenchFormatError as error:
-                raise RequestError(f"netlist does not parse: {error}")
-            STORE.put("network", text_fp, value=network)
-        target_fp = text_fp
-    shape = (
+        target_fp = text_fingerprint(request["netlist"])
+    key = (
+        "synth",
+        target_fp,
         f"seed={request['seed']},population={request['population']},"
         f"generations={request['generations']},"
-        f"max_gates={request['max_gates']},damage={request['damage']}"
+        f"max_gates={request['max_gates']},damage={request['damage']}",
     )
-    cached = STORE.get("synth", target_fp, shape)
-    if cached is not None:
-        result = dict(cached)
-        result["replayed"] = True
-        result["store"] = STORE.stats()
-        return result
 
-    def build(resume_flag: bool):
+    def run(checkpoint: Optional[str], resume: bool) -> dict:
         common = dict(
             seed=request["seed"],
             population=request["population"],
@@ -625,43 +537,87 @@ def _execute_synth(
             timeout=request["timeout"],
             transport=request["transport"],
             checkpoint=checkpoint,
-            resume=resume_flag,
+            resume=resume,
             cancel=cancel,
         )
         if network is None:
-            return SynthCampaign(spec, **common)
-        return repair_campaign(network, damage=request["damage"], **common)
+            campaign = SynthCampaign(spec, **common)
+        else:
+            campaign = repair_campaign(
+                network, damage=request["damage"], **common
+            )
+        report = campaign.run()
+        return {
+            "kind": "synth",
+            "spec": report.spec,
+            "seed": report.seed,
+            "mode": report.mode,
+            "converged": report.converged,
+            "generations": report.generations_run,
+            "evaluations": report.evaluations,
+            "best_score": report.best_record.score,
+            "best_fingerprint": report.best_fingerprint,
+            "best_genome": json.loads(report.best_genome),
+            "pareto": report.pareto,
+            "report": report.to_dict(),
+        }
 
-    with obs.recording(recorder=recorder):
-        try:
-            report = build(resume).run()
-        except CheckpointError:
-            # Torn checkpoint or a config mismatch: run fresh — the
-            # deterministic search converges on the same winner.
-            report = build(False).run()
-    report_dict = report.to_dict()
-    result = {
-        "kind": "synth",
-        "spec": report.spec,
-        "seed": report.seed,
-        "mode": report.mode,
-        "converged": report.converged,
-        "generations": report.generations_run,
-        "evaluations": report.evaluations,
-        "best_score": report.best_record.score,
-        "best_fingerprint": report.best_fingerprint,
-        "best_genome": json.loads(report.best_genome),
-        "pareto": report.pareto,
-        "replayed": False,
-        "report": report_dict,
-    }
-    STORE.put(
-        "synth",
-        target_fp,
-        shape,
-        value={key: value for key, value in result.items() if key != "store"},
-    )
-    result["store"] = STORE.stats()
+    return key, run
+
+
+#: Request kind -> ``(request, network, cancel) -> (store key, run)``.
+_JOBS = {"campaign": _campaign_job, "synth": _synth_job}
+
+
+def _execute(
+    request: dict,
+    recorder,
+    cancel: Optional[CancelToken] = None,
+    checkpoint: Optional[str] = None,
+    resume: bool = False,
+) -> dict:
+    """Run one request (worker-thread side) and shape the result line.
+
+    Parses are deduped through the store (kind ``"network"`` by text
+    fingerprint) so identical netlists share one ``Network`` instance —
+    and therefore, via ``engine_for``, one compiled program and one
+    cached baseline.  A finished run lands in the store under its
+    kind's content key, so an identical resubmission replays without
+    touching the supervised runtime.
+
+    ``checkpoint``/``resume`` ride the journal's state directory: a
+    recovered request resumes from the work its interrupted run already
+    checkpointed.  An unusable checkpoint falls back to one fresh run —
+    both kinds are deterministic, so the result is identical either way.
+    """
+    from .logic.benchfmt import BenchFormatError, parse_bench
+
+    if cancel is not None:
+        cancel.check()
+    network = None
+    if request["netlist"] is not None:
+        text_fp = text_fingerprint(request["netlist"])
+        network = STORE.get("network", text_fp)
+        if network is None:
+            try:
+                network = parse_bench(request["netlist"], name="serve")
+            except BenchFormatError as error:
+                raise RequestError(f"netlist does not parse: {error}")
+            STORE.put("network", text_fp, value=network)
+    key, run = _JOBS[request["kind"]](request, network, cancel)
+    value = STORE.get(*key)
+    replayed = value is not None
+    if not replayed:
+        with obs.recording(recorder=recorder):
+            try:
+                value = run(checkpoint, resume)
+            except CheckpointError:
+                value = run(checkpoint, False)
+        STORE.put(*key, value=value)
+    result = dict(value, replayed=replayed, store=STORE.stats())
+    statuses = result.pop("statuses", None)
+    if request["statuses"] and statuses is not None:
+        result["statuses"] = list(statuses)
     return result
 
 
@@ -837,7 +793,7 @@ class CampaignServer:
         self.jobs.move_to_end(fingerprint)
         self.executions += 1
         _M_JOBS.inc(disposition="executed")
-        checkpoint = resume = None
+        checkpoint, resume = None, False
         if self.journal is not None:
             if not detached:
                 # WAL discipline: the accepted record is durable before
@@ -850,19 +806,13 @@ class CampaignServer:
         loop = asyncio.get_running_loop()
         recorder = _BridgeRecorder(loop, job)
 
-        execute = (
-            _execute_synth
-            if request.get("kind") == "synth"
-            else _execute_campaign
-        )
-
         def run() -> dict:
-            return execute(
+            return _execute(
                 request,
                 recorder,
                 cancel=cancel,
                 checkpoint=checkpoint,
-                resume=bool(resume),
+                resume=resume,
             )
 
         def finish(future: "asyncio.Future") -> None:
@@ -907,27 +857,9 @@ class CampaignServer:
             return
         checkpoint = self.journal.checkpoint_path(fingerprint)
         if error is None:
-            if result.get("kind") == "synth":
-                keys = (
-                    "converged",
-                    "generations",
-                    "evaluations",
-                    "best_score",
-                    "best_fingerprint",
-                    "replayed",
-                )
-            else:
-                keys = (
-                    "faults",
-                    "detected",
-                    "silent",
-                    "dangerous",
-                    "backend",
-                    "replayed",
-                )
-            outcome = {key: result.get(key) for key in keys}
-            outcome["ok"] = True
-            self.journal.done(fingerprint, outcome)
+            self.journal.done(
+                fingerprint, {"ok": True, "replayed": result["replayed"]}
+            )
             with contextlib.suppress(OSError):
                 os.remove(checkpoint)
             return

@@ -26,7 +26,6 @@ Layers:
 
 from .campaign import (
     SynthCampaign,
-    SynthCheckpoint,
     SynthInterrupted,
     SynthReport,
     damage_network,
@@ -43,7 +42,6 @@ __all__ = [
     "GenomeError",
     "SPECS",
     "SynthCampaign",
-    "SynthCheckpoint",
     "SynthInterrupted",
     "SynthReport",
     "SynthSpec",

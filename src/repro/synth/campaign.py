@@ -6,8 +6,8 @@ elite, breed the rest by tournament selection with seeded
 mutation/crossover, and charge every generation's *fresh* candidates as
 one supervised batch through
 :func:`repro.engine.run_generation_batch` — so synthesis inherits the
-whole execution fabric (transport ladder, retries with splitting, work
-stealing, dead-worker replacement) that fault campaigns already have.
+whole execution fabric (transport ladder, retries with splitting,
+dead-worker replacement) that fault campaigns already have.
 
 Determinism contract: a campaign is a pure function of
 ``(spec, seed, population, tunables)``.  All randomness flows through
@@ -27,9 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import random
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -39,6 +37,7 @@ from ..engine import (
     FaultSweep,
     run_generation_batch,
 )
+from ..engine.durable import load_envelope, write_envelope
 from ..logic.network import Network
 from ..scal.costs import REYNOLDS_COST_FACTOR, network_cost
 from .fitness import FitnessRecord, make_task
@@ -71,62 +70,6 @@ class SynthInterrupted(RuntimeError):
     completed generation and ``--resume`` continues deterministically."""
 
 
-class SynthCheckpoint:
-    """Atomic JSON checkpoint of the full campaign state.
-
-    Same discipline as :class:`repro.engine.CampaignCheckpoint`: a
-    config fingerprint guards against resuming someone else's search,
-    and every flush goes through a same-directory temp file + ``fsync``
-    + ``os.replace`` so a crash can never leave a torn artifact.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: str, fingerprint: str) -> None:
-        self.path = path
-        self.fingerprint = fingerprint
-
-    def save(self, state: Dict[str, object]) -> None:
-        payload = dict(state)
-        payload["version"] = self.VERSION
-        payload["fingerprint"] = self.fingerprint
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=".synth-ckpt-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        if _REG.enabled:
-            _M_CHECKPOINTS.inc()
-
-    def load(self) -> Dict[str, object]:
-        try:
-            with open(self.path) as handle:
-                data = json.load(handle)
-        except FileNotFoundError:
-            raise CheckpointError(f"no checkpoint at {self.path!r}")
-        except (OSError, ValueError) as error:
-            raise CheckpointError(f"unreadable checkpoint: {error}")
-        if not isinstance(data, dict) or data.get("version") != self.VERSION:
-            raise CheckpointError("unsupported synth checkpoint version")
-        if data.get("fingerprint") != self.fingerprint:
-            raise CheckpointError(
-                "checkpoint belongs to a different synthesis campaign "
-                "(spec/seed/tunables changed)"
-            )
-        return data
-
-
 @dataclasses.dataclass
 class SynthReport:
     """Structured result of one synthesis/repair campaign."""
@@ -150,7 +93,6 @@ class SynthReport:
     retries: int = 0
     degradations: int = 0
     workers_replaced: int = 0
-    steals: int = 0
     checkpoint_path: Optional[str] = None
     resumed_generation: int = 0
     cost_reference: Optional[float] = None
@@ -245,6 +187,9 @@ def _pareto_insert(front: List[dict], entry: dict) -> List[dict]:
 class SynthCampaign:
     """One population-based synthesis or repair search (module docstring
     has the determinism contract)."""
+
+    #: Checkpoint envelope version (see :mod:`repro.engine.durable`).
+    VERSION = 1
 
     def __init__(
         self,
@@ -349,12 +294,7 @@ class SynthCampaign:
     def run(self) -> SynthReport:
         watch = obs.Stopwatch()
         rng = random.Random(f"repro-synth:{self.seed}")
-        store = (
-            SynthCheckpoint(self.checkpoint_path, self.fingerprint())
-            if self.checkpoint_path is not None
-            else None
-        )
-        state = self._initial_state(rng, store)
+        state = self._initial_state(rng)
         population: List[Genome] = state["population"]
         generation: int = state["generation"]
         resumed_at = generation if self.resume else 0
@@ -375,7 +315,6 @@ class SynthCampaign:
             "retries": 0,
             "degradations": 0,
             "workers_replaced": 0,
-            "steals": 0,
         }
         completed_this_run = 0
 
@@ -453,8 +392,8 @@ class SynthCampaign:
             converged = best[1].perfect
             if not converged:
                 population = self._breed(ranked, rng)
-            if store is not None:
-                store.save(
+            if self.checkpoint_path is not None:
+                self._save(
                     self._state_payload(
                         rng,
                         population,
@@ -520,12 +459,20 @@ class SynthCampaign:
     # ------------------------------------------------------------------
     # state plumbing
     # ------------------------------------------------------------------
-    def _initial_state(
-        self, rng: random.Random, store: Optional[SynthCheckpoint]
-    ) -> Dict[str, object]:
+    def _save(self, state: Dict[str, object]) -> None:
+        """Checkpoint the full campaign state (atomic; a config
+        fingerprint guards against resuming someone else's search)."""
+        write_envelope(
+            self.checkpoint_path, self.VERSION, self.fingerprint(), state
+        )
+        if _REG.enabled:
+            _M_CHECKPOINTS.inc()
+
+    def _initial_state(self, rng: random.Random) -> Dict[str, object]:
         if self.resume:
-            assert store is not None
-            data = store.load()
+            data = load_envelope(
+                self.checkpoint_path, self.VERSION, self.fingerprint()
+            )
             rng.setstate(_rng_state_from_json(data["rng_state"]))
             best = None
             if data["best"] is not None:
@@ -653,7 +600,6 @@ class SynthCampaign:
             totals["retries"] += len(batch_report.retries)
             totals["degradations"] += len(batch_report.degradations)
             totals["workers_replaced"] += batch_report.workers_replaced
-            totals["steals"] += batch_report.steals
         if _REG.enabled:
             if tasks:
                 _M_EVALS.inc(len(tasks), outcome="fresh")

@@ -32,7 +32,7 @@ from repro.qa import chaos
 from repro.server import (
     CampaignServer,
     RequestJournal,
-    _execute_campaign,
+    _execute,
     _Job,
     canonical_request,
 )
@@ -395,6 +395,20 @@ class TestJournal:
         assert journal.load_pending() == {}
         journal.close()
 
+    def test_reopen_truncates_torn_tail(self, tmp_path):
+        """A crash mid-append leaves a partial final line; a restart
+        without --recover must not glue the next record onto it."""
+        journal = RequestJournal(str(tmp_path))
+        journal.open()
+        journal.accepted("fp1", {"netlist": "x"})
+        journal.close()
+        with open(journal.path, "a") as handle:
+            handle.write('{"op": "accepted", "fingerprint": "fp2"')  # torn
+        journal.open()
+        journal.accepted("fp3", {"netlist": "z"})
+        journal.close()
+        assert list(journal.load_pending()) == ["fp1", "fp3"]
+
     def test_completed_requests_do_not_replay_on_recover(self, tmp_path):
         state = str(tmp_path / "state")
 
@@ -501,7 +515,7 @@ class TestKillRecover:
         }
         # The uninterrupted yardstick, computed in-process through the
         # same execution path the server uses.
-        expected = _execute_campaign(
+        expected = _execute(
             canonical_request(dict(request)), MemoryRecorder()
         )["statuses"]
 

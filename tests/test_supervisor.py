@@ -24,7 +24,7 @@ from repro.engine import (
     FaultSweep,
     universe_fingerprint,
 )
-from repro.engine import supervisor as supervisor_mod
+from repro.engine import durable
 from repro.logic.benchfmt import load_bench
 from repro.qa.chaos import (
     campaign_sabotage_names,
@@ -134,12 +134,11 @@ class TestChaosWorkerFailures:
         )
 
     def test_poisoned_chunk_splits_then_runs_in_parent(
-        self, adder, adder_reference, monkeypatch
+        self, adder, adder_reference
     ):
         """A chunk that fails on every attempt is re-chunked smaller and
         its single faults finally classified in the parent."""
         universe, reference = adder_reference
-        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.001)
         sweep = fresh_sweep(adder)
         sub = universe[:8]
         with sabotage_campaign("chunk-raises"):
@@ -331,6 +330,34 @@ class TestCheckpointResume:
             sweep = fresh_sweep(adder)
             with pytest.raises(CheckpointError):
                 sweep.sweep(universe, checkpoint=str(path), resume=True)
+
+    def test_failed_checkpoint_write_leaves_no_temp_file(
+        self, adder, adder_reference, tmp_path, monkeypatch
+    ):
+        """A write that dies mid-flush keeps the previous checkpoint
+        intact and resumable, and leaves no temp file behind."""
+        universe, reference = adder_reference
+        ckpt = tmp_path / "campaign.json"
+        real_fsync = durable.os.fsync
+        calls = []
+
+        def failing_fsync(fd):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            real_fsync(fd)
+
+        monkeypatch.setattr(durable.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="No space left"):
+            fresh_sweep(adder).sweep(universe, checkpoint=str(ckpt))
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["campaign.json"]
+        ranges = json.loads(ckpt.read_text())["ranges"]
+        assert len(ranges) == 1
+        again = fresh_sweep(adder)
+        result = again.sweep(universe, checkpoint=str(ckpt), resume=True)
+        assert _statuses(result) == reference
+        assert again.last_report.chunks_resumed == 1
 
     def test_chunk_size_change_does_not_break_resume(
         self, adder, adder_reference, tmp_path

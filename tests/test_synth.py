@@ -260,6 +260,18 @@ class TestDeterminism:
                 "or2", 3, generations=12, checkpoint=ckpt, resume=True
             ).run()
 
+    @pytest.mark.parametrize(
+        "content", ["not json at all {", json.dumps({"version": 99})]
+    )
+    def test_corrupt_checkpoint_raises(self, tmp_path, content):
+        ckpt = os.path.join(tmp_path, "synth.ckpt.json")
+        with open(ckpt, "w") as handle:
+            handle.write(content)
+        with pytest.raises(CheckpointError):
+            _campaign(
+                "or2", 2, generations=12, checkpoint=ckpt, resume=True
+            ).run()
+
     def test_fork_transport_matches_inline(self):
         inline = _campaign("and2", 2, transport="inline").run()
         forked = _campaign(

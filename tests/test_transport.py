@@ -1,17 +1,16 @@
-"""The transport layer: parity, chaos, stealing, the store.
+"""The transport layer: parity, chaos, the store.
 
 The transports' one hard contract is indistinguishability: a sweep
 run inline or fanned out over forked workers must return statuses
 byte-identical to the undisturbed serial scalar path, under health
 *and* under injected failure.  The chaos cases reuse the fuzz
-harness's sabotage discipline: workers killed mid-chunk.  Work
-stealing and the content-addressed artifact store are
-covered at the same level: observable bookkeeping, identical results.
+harness's sabotage discipline: workers killed mid-chunk.  The
+content-addressed artifact store is covered at the same level:
+observable bookkeeping, identical results.
 """
 
 import os
 import random
-import time
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.engine import (
     ArtifactStore,
     program_fingerprint,
 )
-from repro.engine import supervisor as supervisor_mod
 from repro.engine.transport import create_transport
 from repro.logic.benchfmt import load_bench, parse_bench
 from repro.qa.chaos import sabotage_campaign
@@ -154,44 +152,6 @@ def test_fork_fanout_never_builds_bitmask_baseline(transport):
     sweep.sweep(universe, processes=2, transport=transport)
     assert sweep.engine._bitmask is None
     assert sweep.last_report.backend == "fork:kernel"
-
-
-class TestWorkStealing:
-    def test_idle_lane_steals_tail_of_slow_chunk(
-        self, adder, adder_reference, monkeypatch
-    ):
-        """One lane dawdles on a wide chunk while the other drains the
-        queue; the idle lane must steal the tail, and the sliced victim
-        result plus the stolen tail must reassemble byte-identically."""
-        universe, reference = adder_reference
-        sweep = fresh_sweep(adder)
-        monkeypatch.setattr(supervisor_mod, "STEAL_AGE_SECONDS", 0.0)
-
-        def slow_first_chunk(chunk_key, _attempt):
-            if chunk_key.startswith("0:"):
-                time.sleep(1.0)
-
-        monkeypatch.setattr(
-            supervisor_mod, "WORKER_CHUNK_HOOK", slow_first_chunk
-        )
-        result = sweep.sweep(
-            universe,
-            processes=2,
-            transport="fork",
-            chunk_faults=max(len(universe) // 3, 2),
-        )
-        assert _statuses(result) == reference
-        report = sweep.last_report
-        assert report.steals >= 1
-        assert report.chunks_completed == report.chunks_total
-        assert report.to_dict()["steals"] == report.steals
-
-    def test_inline_transport_never_steals(self, adder, monkeypatch):
-        monkeypatch.setattr(supervisor_mod, "STEAL_AGE_SECONDS", 0.0)
-        sweep = fresh_sweep(adder)
-        universe = sweep.single_fault_universe()
-        sweep.sweep(universe, transport="inline")
-        assert sweep.last_report.steals == 0
 
 
 class TestArtifactStore:
