@@ -302,7 +302,7 @@ def test_supervised_sweep(benchmark):
 
 
 # ----------------------------------------------------------------------
-# execution transports: the same supervised universe over forked pipes
+# fork fan-out: the same supervised universe over forked pipes
 # vs the serial in-process path — byte-identical statuses, no
 # degradations, and the fork fan-out overhead on the record
 # ----------------------------------------------------------------------
@@ -322,7 +322,7 @@ def transport_sweep_report():
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    forked = sweep.sweep(universe, processes=2, transport="fork")
+    forked = sweep.sweep(universe, processes=2)
     fork_seconds = time.perf_counter() - start
     report = sweep.last_report
     identical = forked == serial

@@ -48,23 +48,14 @@ OUTPUT(cout)
 """
 
 
-def submit(
-    base_url, netlist, processes=2, transport="auto", quiet=False, **fields
-):
+def submit(base_url, netlist, processes=2, quiet=False, **fields):
     """POST one campaign and yield each NDJSON event as a dict.
 
     Extra keyword ``fields`` go into the request body verbatim —
     ``statuses=True`` for per-fault statuses, ``deadline_s=5.0`` for a
     server-enforced deadline, and so on."""
     body = json.dumps(
-        dict(
-            {
-                "netlist": netlist,
-                "processes": processes,
-                "transport": transport,
-            },
-            **fields,
-        )
+        dict({"netlist": netlist, "processes": processes}, **fields)
     ).encode()
     request = Request(
         base_url.rstrip("/") + "/campaign",
@@ -151,7 +142,7 @@ def run_recover_drill():
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    request = {"processes": None, "transport": "inline", "statuses": True}
+    request = {"processes": None, "statuses": True}
     workdir = tempfile.mkdtemp(prefix="repro-recover-drill-")
     procs = []
     try:

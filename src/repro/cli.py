@@ -20,7 +20,7 @@ Point the thesis's machinery at any ``.bench`` netlist:
 * ``synth``     — population-based synthesis/repair campaign evolving a
   gate network toward self-duality + self-checking (``--spec NAME`` or
   ``--repair NETLIST``), generations batched through the supervised
-  fork transport with ``--checkpoint``/``--resume`` deterministic
+  fork workers with ``--checkpoint``/``--resume`` deterministic
   continuations and an area-vs-coverage Pareto report;
 * ``fuzz``      — seeded differential/metamorphic fuzz campaign with
   counterexample shrinking (see ``repro.qa``);
@@ -53,7 +53,6 @@ from .core.report import fault_table, render_fault_table, undetected_faults
 from .core.simulate import ScalSimulator
 from .core.testgen import all_test_pairs, format_pair
 from .engine.campaign import SWEEP_BACKENDS
-from .engine.supervisor import TRANSPORTS
 from .engine.vectorized import ATPG_RUNGS
 from .logic.benchfmt import load_bench, save_bench
 from .logic.faults import StuckAt
@@ -248,7 +247,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
                 checkpoint=args.checkpoint,
                 resume=args.resume,
-                transport=args.transport,
             )
     except CheckpointError as error:
         raise SystemExit(str(error))
@@ -360,7 +358,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         max_gates=args.max_gates,
         processes=args.processes,
         timeout=args.timeout,
-        transport=args.transport,
         checkpoint=args.checkpoint,
         resume=args.resume,
         abort_after_generations=args.abort_after_generations,
@@ -453,7 +450,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         processes=args.processes,
-        transport=args.transport,
         workers=args.workers,
         queue_limit=args.queue_limit,
         deadline_s=args.deadline_s,
@@ -540,10 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "= codegen'd specialized sweep kernels, degrades to "
                    "vectorized/bitmask when unavailable)")
     p.add_argument("--processes", type=int, default=None,
-                   help="fan out across this many supervised worker lanes")
-    p.add_argument("--transport", default="auto", choices=TRANSPORTS,
-                   help="execution transport for the fan-out (default: "
-                   "auto — fork when --processes > 1)")
+                   help="fan out across this many supervised fork-worker "
+                   "lanes when > 1 (default: in-process)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-chunk timeout; hung chunks are killed and "
                    "retried (default: no timeout)")
@@ -641,8 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=int, default=None,
                    help="fan generation batches across this many "
                    "supervised worker lanes")
-    p.add_argument("--transport", default="auto", choices=TRANSPORTS,
-                   help="execution transport for generation batches")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-chunk timeout for generation batches")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
@@ -717,8 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port; 0 picks a free one (default 8341)")
     p.add_argument("--processes", type=int, default=None,
                    help="worker lanes per campaign (default: in-process)")
-    p.add_argument("--transport", default="auto", choices=TRANSPORTS,
-                   help="execution transport for served campaigns")
     p.add_argument("--workers", type=int, default=2,
                    help="concurrent campaign worker threads (default 2)")
     p.add_argument("--queue", type=int, default=8, dest="queue_limit",

@@ -20,10 +20,10 @@ All backends share the cached fault-free baseline (an immutable tuple —
 engines are shared across sweeps and across ``serve`` requests, so
 in-place mutation must raise) and re-simulate only the injected fault's
 output cone; :mod:`repro.engine.campaign` batches that into multi-fault
-sweep drivers with optional fan-out across supervised fork workers
-(:mod:`repro.engine.transport`), and the content-addressed
-:data:`repro.engine.store.STORE` lets identical compiled programs share
-derived artifacts across requests.
+sweep drivers with fan-out across supervised fork workers
+(:mod:`repro.engine.fork`) whenever ``processes > 1``, and the
+content-addressed :data:`repro.engine.store.STORE` lets identical
+compiled programs share derived artifacts across requests.
 
 Usage::
 
@@ -51,7 +51,6 @@ from .supervisor import (
     CheckpointError,
     Degradation,
     RetryEvent,
-    TRANSPORTS,
     run_campaign,
     run_generation_batch,
     universe_fingerprint,
@@ -64,14 +63,14 @@ from .compiled import (
     reflect_bits,
 )
 from .store import STORE, ArtifactStore, program_fingerprint
-from .transport import (
+from .fork import (
+    ChunkResult,
+    ChunkTask,
     ForkTransport,
-    InlineTransport,
-    Transport,
+    SubmitFailed,
     TransportError,
     TransportFailure,
     TransportUnavailable,
-    create_transport,
 )
 from .vectorized import (
     HAVE_NUMPY,
@@ -182,13 +181,14 @@ __all__ = [
     "CampaignReport",
     "CancelToken",
     "CheckpointError",
+    "ChunkResult",
+    "ChunkTask",
     "CompiledNetwork",
     "Degradation",
     "FaultPlan",
     "FaultSweep",
     "ForkTransport",
     "HAVE_NUMPY",
-    "InlineTransport",
     "KERNEL_MAX_INPUTS",
     "KernelBackend",
     "NetworkEngine",
@@ -197,15 +197,13 @@ __all__ = [
     "ResponseBits",
     "RetryEvent",
     "STORE",
-    "TRANSPORTS",
-    "Transport",
+    "SubmitFailed",
     "TransportError",
     "TransportFailure",
     "TransportUnavailable",
     "VectorizedBackend",
     "chunk_pattern_bits",
     "compile_network",
-    "create_transport",
     "engine_for",
     "program_fingerprint",
     "reflect_bits",

@@ -141,7 +141,6 @@ class FaultSweep:
         resume: bool = False,
         chunk_faults: Optional[int] = None,
         abort_after_chunks: Optional[int] = None,
-        transport: str = "auto",
         cancel: Optional[CancelToken] = None,
     ) -> List[Tuple[FaultLike, str]]:
         """Classify every fault under the supervised campaign runtime.
@@ -154,15 +153,12 @@ class FaultSweep:
         exceeds the kernel input ceiling).  A sweep that resolves to
         ``bitmask`` on a circuit beyond
         :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` inputs raises
-        ``ValueError`` before any chunk runs.  ``transport`` picks the
-        execution fabric (``auto`` / ``inline`` / ``fork`` — see
-        :mod:`repro.engine.transport`).  With
-        ``processes > 1`` (or an explicit worker transport) the universe
-        is fanned out across supervised worker lanes: each
-        chunk carries an optional per-chunk ``timeout`` (seconds),
-        failed or hung chunks are retried and re-chunked smaller on
-        repeat failure, and dead workers are
-        replaced instead of aborting the sweep.  ``checkpoint`` names a
+        ``ValueError`` before any chunk runs.  With ``processes > 1``
+        the universe is fanned out across supervised fork-worker lanes
+        (:mod:`repro.engine.fork`): each chunk carries an optional
+        per-chunk ``timeout`` (seconds), failed or hung chunks are
+        retried and re-chunked smaller on repeat failure, and dead
+        workers are replaced instead of aborting the sweep.  ``checkpoint`` names a
         JSON artifact that records completed chunks after each one;
         ``resume=True`` reloads it and re-simulates only the uncovered
         remainder (statuses are byte-identical either way).  Every
@@ -182,7 +178,6 @@ class FaultSweep:
             faults=len(universe),
             requested=backend,
             backend=chosen,
-            transport=transport,
         ):
             statuses, report = run_campaign(
                 self,
@@ -194,7 +189,6 @@ class FaultSweep:
                 resume=resume,
                 chunk_faults=chunk_faults,
                 abort_after_chunks=abort_after_chunks,
-                transport=transport,
                 cancel=cancel,
             )
         self.last_report = report
@@ -209,7 +203,6 @@ class FaultSweep:
         timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        transport: str = "auto",
     ) -> dict:
         """Section 2.4 coverage fractions over a fault universe."""
         universe = (
@@ -223,7 +216,6 @@ class FaultSweep:
             timeout=timeout,
             checkpoint=checkpoint,
             resume=resume,
-            transport=transport,
         ):
             counts[status] += 1
         total = max(len(universe), 1)

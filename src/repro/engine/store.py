@@ -10,7 +10,7 @@ object identity:
   program's structure (input count, line names, op list, output
   indices).  Two separately constructed but identical netlists hash the
   same, so artifacts survive across ``Network`` instances, across
-  transports, and across ``serve`` requests.
+  fork workers, and across ``serve`` requests.
 * :func:`repro.engine.supervisor.universe_fingerprint` — the existing
   sha256 of the ordered fault universe.
 

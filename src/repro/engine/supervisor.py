@@ -21,10 +21,10 @@ per-chunk supervision:
   (classification is per-fault deterministic, so chunking never
   changes results).
 
-This module owns *policy* only.  Execution mechanics — where chunks
-actually run — live behind the :class:`repro.engine.transport.Transport`
-seam, with two fabrics: ``inline`` (in-process) and ``fork`` (forked
-workers over pipes).  Every step down the **degradation ladder** —
+This module owns *policy* only.  With ``processes > 1`` chunks fan out
+to forked workers over pipes (:class:`repro.engine.fork.ForkTransport`);
+otherwise they run in-process in a plain loop.  Every step down the
+**degradation ladder** —
 
     ``fork`` → ``serial`` → ``scalar``
 
@@ -47,13 +47,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from .durable import CheckpointError, load_envelope, write_envelope
-from .transport import (
+from .fork import (
     ChunkTask,
+    ForkTransport,
     SubmitFailed,
-    Transport,
     TransportFailure,
     TransportUnavailable,
-    create_transport,
 )
 from .vectorized import VECTOR_MIN_FAULTS, resolve_rung
 from .vectorized import chunk_statuses as _fault_chunk_statuses
@@ -135,10 +134,11 @@ class CancelToken:
     serve`` HTTP layer) into :func:`run_campaign`'s supervision loop.
 
     The token fires when :meth:`cancel` is called from any thread, or —
-    with ``deadline_s`` set — once the deadline has elapsed.  The
-    supervision loop checks it once per poll interval, so a running
-    campaign stops and frees its transport lanes within roughly
-    :data:`POLL_SECONDS` plus the cost of the chunk currently in flight.
+    with ``deadline_s`` set — once the deadline has elapsed.  The fork
+    supervision loop checks it once per poll interval and the serial
+    loop once per chunk, so a running campaign stops and frees its
+    worker lanes within roughly :data:`POLL_SECONDS` plus the cost of
+    the chunk currently in flight.
     Reads and writes are simple attribute operations (atomic under the
     GIL); no lock is needed.
     """
@@ -448,8 +448,8 @@ _STEP_DOWN = {"kernel": "bitmask", "vectorized": "bitmask"}
 
 
 def chunk_statuses(engine, tasks: Sequence, backend: str) -> List:
-    """Run one chunk: the function both transports look up late here,
-    so chaos patches of it reach every rung.  Fault chunks go to
+    """Run one chunk: fork workers and the serial loop both look this
+    function up late here, so chaos patches of it reach every rung.  Fault chunks go to
     :func:`repro.engine.vectorized.chunk_statuses`; ``synth`` chunks
     carry candidate tasks scored by
     :func:`repro.synth.fitness.evaluate_chunk`, each compiling its own
@@ -466,11 +466,17 @@ def chunk_statuses(engine, tasks: Sequence, backend: str) -> List:
     return payloads
 
 
-def _parent_serial_chunk(sweep, faults, chosen, report) -> List[str]:
-    """Classify one chunk in the parent, degrading serial -> scalar on a
-    block-backend failure (recorded, never swallowed)."""
+def _parent_serial_chunk(
+    sweep, faults, chosen, report
+) -> Tuple[List[str], str]:
+    """Classify one chunk in the parent; returns ``(statuses, rung)``.
+
+    A block-backend failure steps down :data:`_STEP_DOWN` once (recorded
+    as a ``serial -> scalar`` degradation, never swallowed) and the
+    chunk runs on the lower rung, which the caller keeps for the rest
+    of its chunks; a rung with no lower step re-raises."""
     try:
-        return chunk_statuses(sweep.engine, faults, chosen)
+        return chunk_statuses(sweep.engine, faults, chosen), chosen
     except Exception as error:
         lower = _STEP_DOWN.get(chosen)
         if lower is None:
@@ -481,11 +487,11 @@ def _parent_serial_chunk(sweep, faults, chosen, report) -> List[str]:
             f"{chosen} block backend failed: "
             f"{type(error).__name__}: {error}",
         )
-        return chunk_statuses(sweep.engine, faults, lower)
+        return chunk_statuses(sweep.engine, faults, lower), lower
 
 
 # ----------------------------------------------------------------------
-# the transport-agnostic supervision loop
+# the fork supervision loop
 # ----------------------------------------------------------------------
 class _Inflight:
     """Parent-side record of one submitted chunk."""
@@ -497,19 +503,20 @@ class _Inflight:
         self.deadline = deadline
 
 
-class _TransportSupervisor:
-    """Drives chunk tasks through any :class:`Transport`.
+class _ForkSupervisor:
+    """Drives chunk tasks through a :class:`ForkTransport`.
 
     Owns every piece of policy: retries, split-on-repeat-failure,
-    per-chunk deadlines, lane replacement with a global cap, the inline
-    serial->scalar step-down, and flight-recorder merging.  The
-    transport only moves tasks and results.
+    per-chunk deadlines, lane replacement with a global cap,
+    parent-serial salvage of single poisoned faults, and
+    flight-recorder merging.  The transport only moves tasks and
+    results.
     """
 
     def __init__(
         self,
         sweep,
-        transport: Transport,
+        transport: ForkTransport,
         chosen: str,
         timeout: Optional[float],
         report: CampaignReport,
@@ -519,7 +526,7 @@ class _TransportSupervisor:
         self.sweep = sweep
         self.transport = transport
         self.chosen = chosen
-        self.timeout = None if transport.in_process else timeout
+        self.timeout = timeout
         self.report = report
         self.complete = complete
         self.cancel = cancel
@@ -584,8 +591,6 @@ class _TransportSupervisor:
         task = entry.task
         if result.kind == "ok" and len(result.payload) == len(task.faults):
             self.complete(task, list(result.payload))
-        elif result.kind == "error" and self.transport.in_process:
-            self._inline_error(task, result)
         else:
             reason = (
                 f"chunk raised: {result.payload}"
@@ -593,23 +598,6 @@ class _TransportSupervisor:
                 else "malformed chunk result"
             )
             self._requeue(task, reason)
-
-    def _inline_error(self, task: _Task, result) -> None:
-        """The in-process rung has no worker to blame: a block-backend
-        failure steps the whole remainder down :data:`_STEP_DOWN` once;
-        a rung with no lower step re-raises."""
-        lower = _STEP_DOWN.get(self.chosen)
-        if lower is None:
-            if result.error is not None:
-                raise result.error
-            raise RuntimeError(str(result.payload))  # pragma: no cover
-        self.report.degrade(
-            "serial",
-            "scalar",
-            f"{self.chosen} block backend failed: {result.payload}",
-        )
-        self.chosen = lower
-        self.pending.appendleft(task)
 
     def _enforce_deadlines(self) -> None:
         now = time.monotonic()
@@ -659,7 +647,7 @@ class _TransportSupervisor:
                 self.report.retry(
                     task.key, task.attempt, reason, "parent-serial"
                 )
-                statuses = _parent_serial_chunk(
+                statuses, _rung = _parent_serial_chunk(
                     self.sweep, task.faults, self.chosen, self.report
                 )
                 self.complete(task, statuses)
@@ -681,21 +669,20 @@ def run_campaign(
     resume: bool = False,
     chunk_faults: Optional[int] = None,
     abort_after_chunks: Optional[int] = None,
-    transport: str = "auto",
     cancel: Optional[CancelToken] = None,
 ) -> Tuple[List[str], CampaignReport]:
     """Run one supervised campaign; returns ``(statuses, report)``.
 
     ``chosen`` is a resolved block-backend name (``bitmask`` /
-    ``vectorized`` / ``kernel``).  ``transport`` picks the execution
-    fabric (one of :data:`TRANSPORTS`): ``auto`` (fork workers when
-    ``processes > 1``, in-process otherwise), ``inline``, or ``fork``.
+    ``vectorized`` / ``kernel``).  The campaign fans out to fork
+    workers iff ``processes > 1``; otherwise it runs in-process.
     ``abort_after_chunks`` is the interruption hook used by tests and
     drills: the campaign raises :class:`CampaignInterrupted` after that
     many newly simulated chunks, leaving the checkpoint resumable.
     ``cancel`` is a :class:`CancelToken` checked once per supervision
-    poll interval; when it fires the campaign raises
-    :class:`CampaignCancelled` (after shutting its transport down and
+    poll interval (once per chunk in-process); when it fires the
+    campaign raises
+    :class:`CampaignCancelled` (after shutting its workers down and
     recording a ``campaign.cancelled`` flight event), with every
     completed chunk already checkpointed.
 
@@ -710,7 +697,6 @@ def run_campaign(
         faults=len(universe),
         backend=chosen,
         processes=processes or 0,
-        transport=transport,
     ):
         try:
             statuses, report = _run_campaign(
@@ -723,7 +709,6 @@ def run_campaign(
                 resume=resume,
                 chunk_faults=chunk_faults,
                 abort_after_chunks=abort_after_chunks,
-                transport=transport,
                 cancel=cancel,
             )
         except CampaignCancelled as error:
@@ -750,11 +735,6 @@ def run_campaign(
     return statuses, report
 
 
-#: Accepted ``transport`` values.  ``fork`` is the one worker rung; the
-#: serial rungs (always available, in-process) are the floor below it.
-TRANSPORTS = ("auto", "inline", "fork")
-
-
 def _run_campaign(
     sweep,
     universe: Sequence,
@@ -765,18 +745,13 @@ def _run_campaign(
     resume: bool = False,
     chunk_faults: Optional[int] = None,
     abort_after_chunks: Optional[int] = None,
-    transport: str = "auto",
     cancel: Optional[CancelToken] = None,
 ) -> Tuple[List[str], CampaignReport]:
     if cancel is not None:
         cancel.check()
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
     n = len(universe)
     lanes = max(processes or 1, 1)
-    want_workers = transport == "fork" or (transport == "auto" and lanes > 1)
+    want_workers = lanes > 1
     report = CampaignReport(
         requested=f"fork:{chosen}" if want_workers else _serial_rung(chosen),
         block_backend=chosen,
@@ -899,7 +874,7 @@ def _run_fork_workers(
     """Serve ``tasks`` on fork workers; returns ``False`` (with the
     degradation recorded) when the remainder must be finished
     in-process."""
-    fabric = create_transport("fork", sweep, lanes)
+    fabric = ForkTransport(sweep, lanes)
     try:
         fabric.start()
     except TransportUnavailable as error:
@@ -909,7 +884,7 @@ def _run_fork_workers(
             f"{error}; serving the batch on the serial block backend",
         )
         return False
-    supervisor = _TransportSupervisor(
+    supervisor = _ForkSupervisor(
         sweep, fabric, chosen, timeout, report, complete, cancel
     )
     try:
@@ -935,25 +910,22 @@ def _serial_fill(
     chunk: int,
     cancel: Optional[CancelToken] = None,
 ) -> str:
-    """Classify every still-uncovered fault in-process through the
-    inline transport, stepping down to the scalar rung on a
-    block-backend failure.  Returns the backend that finished the job."""
-    from .transport import InlineTransport
-
+    """Classify every still-uncovered fault in-process, one chunk at a
+    time, stepping down to the scalar rung once on a block-backend
+    failure.  Returns the backend that finished the job."""
     tasks = _build_tasks(universe, statuses, chunk)
     # _build_tasks was already counted for the worker attempt; only count
     # tasks that re-chunked differently after a partial salvage.
     already = report.chunks_completed + report.chunks_resumed
     report.chunks_total = already + len(tasks)
-    if not tasks:
-        return chosen
-    fabric = InlineTransport(sweep.engine)
-    fabric.start()
-    supervisor = _TransportSupervisor(
-        sweep, fabric, chosen, None, report, complete, cancel
-    )
-    supervisor.run(tasks)
-    return supervisor.chosen
+    for task in tasks:
+        if cancel is not None:
+            cancel.check()
+        values, chosen = _parent_serial_chunk(
+            sweep, task.faults, chosen, report
+        )
+        complete(task, values)
+    return chosen
 
 
 # ----------------------------------------------------------------------
@@ -964,7 +936,6 @@ def run_generation_batch(
     tasks: Sequence,
     processes: Optional[int] = None,
     timeout: Optional[float] = None,
-    transport: str = "auto",
     cancel: Optional[CancelToken] = None,
     chunk_tasks: Optional[int] = None,
 ) -> Tuple[List[str], CampaignReport]:
@@ -974,11 +945,11 @@ def run_generation_batch(
     ``tasks`` are candidate-evaluation dicts (see
     :func:`repro.synth.fitness.evaluate_chunk`) and each returned payload
     is the matching JSON-encoded fitness record, in order.  The batch
-    rides the exact same supervision machinery as fault campaigns — the
-    fork transport, per-chunk timeouts, retries with splitting,
-    dead-worker replacement — under the reserved ``synth``
+    rides the exact same supervision machinery as fault campaigns — fork
+    workers iff ``processes > 1``, per-chunk timeouts, retries with
+    splitting, dead-worker replacement — under the reserved ``synth``
     chunk backend, which never degrades to the scalar fault path.
-    ``sweep`` hosts the transport (its network seeds fork workers) but
+    ``sweep`` hosts the workers (its network seeds fork workers) but
     takes no part in scoring: every candidate compiles its own engine
     inside the worker.
 
@@ -993,7 +964,6 @@ def run_generation_batch(
         "synth.batch",
         candidates=len(batch),
         processes=processes or 0,
-        transport=transport,
     ):
         payloads, report = _run_campaign(
             sweep,
@@ -1002,7 +972,6 @@ def run_generation_batch(
             processes=processes,
             timeout=timeout,
             chunk_faults=chunk_tasks,
-            transport=transport,
             cancel=cancel,
         )
     report.wall_seconds = watch.elapsed()

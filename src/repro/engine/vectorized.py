@@ -631,7 +631,7 @@ def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[st
     ``bitmask``, mapped through :func:`resolve_rung` to the rung this
     :class:`~repro.engine.NetworkEngine` can serve.
 
-    Every transport reaches it through
+    Fork workers and the serial loop both reach it through
     :func:`repro.engine.supervisor.chunk_statuses`, which is why every
     rung of the degradation ladder classifies byte-identically.
     """

@@ -266,10 +266,10 @@ def sabotage_service(kind: str, slow_s: float = 0.2) -> Iterator[None]:
       grace period gets the server out.
 
     The sabotage patches :func:`repro.engine.supervisor.chunk_statuses`
-    — the one function every transport calls, and the same seam
-    ``block-backend-broken`` uses — so it bites every transport,
-    including the inline/serial path ``repro serve`` runs small
-    requests on.
+    — the one function fork workers and the serial loop both call, and
+    the same seam ``block-backend-broken`` uses — so it bites fork
+    fan-out and the in-process serial path ``repro serve`` runs
+    requests on by default.
     """
     if kind not in SERVICE_SABOTAGE:
         known = ", ".join(SERVICE_SABOTAGE)

@@ -702,7 +702,7 @@ def _micro_synth(
 
 
 def _synth_identity(report) -> Tuple:
-    """The replay-comparable slice of a SynthReport (timing, transport
+    """The replay-comparable slice of a SynthReport (timing, chunk
     accounting, and checkpoint paths legitimately vary)."""
     return (
         report.best_genome,

@@ -33,7 +33,7 @@ The service supervises itself with the same discipline the campaign
 runtime applies to its workers:
 
 * **Admission control** — campaigns run on a bounded worker pool
-  (``workers`` threads; each campaign still owns its own transport
+  (``workers`` threads; each campaign still owns its own fork
   fan-out) behind a bounded accept queue.  When ``workers +
   queue_limit`` jobs are outstanding, new *distinct* submissions are
   shed with ``429 + Retry-After`` instead of queueing unboundedly
@@ -43,7 +43,7 @@ runtime applies to its workers:
   :class:`~repro.engine.supervisor.CancelToken` threaded into the
   supervision poll loop.  A per-request ``deadline_s`` (or the server
   default), the last subscriber disconnecting mid-stream, or a drain
-  fires the token; the campaign stops and frees its transport lanes
+  fires the token; the campaign stops and frees its worker lanes
   within one poll interval, recording a ``campaign.cancelled`` flight
   event.
 * **Graceful drain** — SIGTERM/SIGINT stops the listener, lets
@@ -84,7 +84,6 @@ from .engine.campaign import SWEEP_BACKENDS
 from .engine.durable import append_line, atomic_write, open_log
 from .engine.store import STORE, program_fingerprint, text_fingerprint
 from .engine.supervisor import (
-    TRANSPORTS,
     CampaignCancelled,
     CancelToken,
     CheckpointError,
@@ -92,13 +91,12 @@ from .engine.supervisor import (
 from .obs.recorder import MemoryRecorder
 
 #: Request fields a client may set, with their defaults.  Anything else
-#: in the body is rejected — silent typos ("transprot") would otherwise
+#: in the body is rejected — silent typos ("backnd") would otherwise
 #: dedup two requests the client believes are different.
 REQUEST_DEFAULTS = {
     "kind": "campaign",
     "backend": "auto",
     "processes": None,
-    "transport": "auto",
     "timeout": None,
     "collapse": True,
     "statuses": False,
@@ -188,14 +186,10 @@ def canonical_request(body: dict) -> dict:
     kind = request["kind"]
     if kind not in ("campaign", "synth"):
         raise RequestError("'kind' must be 'campaign' or 'synth'")
-    for key, accepted in (
-        ("backend", SWEEP_BACKENDS),
-        ("transport", TRANSPORTS),
-    ):
-        if request[key] not in accepted:
-            raise RequestError(
-                f"'{key}' must be one of: {', '.join(accepted)}"
-            )
+    if request["backend"] not in SWEEP_BACKENDS:
+        raise RequestError(
+            f"'backend' must be one of: {', '.join(SWEEP_BACKENDS)}"
+        )
     has_netlist = isinstance(netlist, str) and bool(netlist.strip())
     if kind == "campaign":
         if not has_netlist:
@@ -235,16 +229,24 @@ def canonical_request(body: dict) -> dict:
                 or value < floor
             ):
                 raise RequestError(f"'{key}' must be an integer >= {floor}")
-    if request["processes"] is not None and (
-        not isinstance(request["processes"], int) or request["processes"] < 1
+    processes = request["processes"]
+    if processes is not None and (
+        not isinstance(processes, int)
+        or isinstance(processes, bool)
+        or processes < 1
     ):
         raise RequestError("'processes' must be an integer >= 1")
-    if request["deadline_s"] is not None and (
-        not isinstance(request["deadline_s"], (int, float))
-        or isinstance(request["deadline_s"], bool)
-        or request["deadline_s"] <= 0
-    ):
-        raise RequestError("'deadline_s' must be a number > 0")
+    for key in ("timeout", "deadline_s"):
+        value = request[key]
+        if value is not None and (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or value <= 0
+        ):
+            raise RequestError(f"'{key}' must be a number > 0")
+    for key in ("collapse", "statuses"):
+        if not isinstance(request[key], bool):
+            raise RequestError(f"'{key}' must be a boolean")
     return request
 
 
@@ -488,7 +490,6 @@ def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
             processes=request["processes"],
             backend=request["backend"],
             timeout=request["timeout"],
-            transport=request["transport"],
             checkpoint=checkpoint,
             resume=resume,
             cancel=cancel,
@@ -535,7 +536,6 @@ def _synth_job(request: dict, network, cancel: Optional[CancelToken]):
             max_gates=request["max_gates"],
             processes=request["processes"],
             timeout=request["timeout"],
-            transport=request["transport"],
             checkpoint=checkpoint,
             resume=resume,
             cancel=cancel,
@@ -639,7 +639,6 @@ class CampaignServer:
         host: str = "127.0.0.1",
         port: int = 8341,
         processes: Optional[int] = None,
-        transport: str = "auto",
         workers: int = 2,
         queue_limit: int = 8,
         deadline_s: Optional[float] = None,
@@ -653,7 +652,6 @@ class CampaignServer:
         self.host = host
         self.port = port
         self.default_processes = processes
-        self.default_transport = transport
         self.workers = max(int(workers), 1)
         self.queue_limit = max(int(queue_limit), 0)
         self.default_deadline_s = deadline_s
@@ -670,7 +668,7 @@ class CampaignServer:
         self._server: Optional[asyncio.AbstractServer] = None
         # A bounded pool: the recorder/metrics seams are process-global
         # but per-job recorders keep flights attributable, and each
-        # campaign owns its own transport fan-out, so a small number of
+        # campaign owns its own fork fan-out, so a small number of
         # concurrent campaigns shares the machine without oversubscribing.
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
@@ -1006,8 +1004,6 @@ class CampaignServer:
             return
         if request["processes"] is None:
             request["processes"] = self.default_processes
-        if request["transport"] == "auto":
-            request["transport"] = self.default_transport
 
         # Admission control.  Coalescing onto a live identical job is
         # always admitted (it adds no work); everything else is checked
@@ -1191,7 +1187,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8341,
     processes: Optional[int] = None,
-    transport: str = "auto",
     workers: int = 2,
     queue_limit: int = 8,
     deadline_s: Optional[float] = None,
@@ -1226,7 +1221,6 @@ def serve(
         host=host,
         port=port,
         processes=processes,
-        transport=transport,
         workers=workers,
         queue_limit=queue_limit,
         deadline_s=deadline_s,

@@ -17,7 +17,7 @@ Layers:
   functions plus natively self-dual ones) and repair-mode spec
   derivation;
 * :mod:`repro.synth.fitness` — the batched and scalar evaluators with
-  byte-identical records, and the transport-facing
+  byte-identical records, and the worker-facing
   :func:`~repro.synth.fitness.evaluate_chunk`;
 * :mod:`repro.synth.campaign` — the deterministic generational driver
   with checkpoint/resume, flight events, metrics, and the

@@ -6,8 +6,9 @@ elite, breed the rest by tournament selection with seeded
 mutation/crossover, and charge every generation's *fresh* candidates as
 one supervised batch through
 :func:`repro.engine.run_generation_batch` — so synthesis inherits the
-whole execution fabric (transport ladder, retries with splitting,
-dead-worker replacement) that fault campaigns already have.
+whole execution fabric (fork fan-out iff ``processes > 1``, retries
+with splitting, dead-worker replacement) that fault campaigns already
+have.
 
 Determinism contract: a campaign is a pure function of
 ``(spec, seed, population, tunables)``.  All randomness flows through
@@ -209,7 +210,6 @@ class SynthCampaign:
         cost_reference: Optional[float] = None,
         processes: Optional[int] = None,
         timeout: Optional[float] = None,
-        transport: str = "auto",
         checkpoint: Optional[str] = None,
         resume: bool = False,
         abort_after_generations: Optional[int] = None,
@@ -253,7 +253,6 @@ class SynthCampaign:
         self.cost_reference = cost_reference
         self.processes = processes
         self.timeout = timeout
-        self.transport = transport
         self.checkpoint_path = checkpoint
         self.resume = resume
         self.abort_after_generations = abort_after_generations
@@ -265,7 +264,7 @@ class SynthCampaign:
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
         """Campaign identity for checkpoint validation.  Execution knobs
-        (processes/transport/timeout) and the stop conditions
+        (processes/timeout) and the stop conditions
         (generations/budget) are excluded on purpose: they change how
         far or how fast the search runs, never what it computes."""
         payload = json.dumps(
@@ -588,7 +587,6 @@ class SynthCampaign:
                 tasks,
                 processes=self.processes,
                 timeout=self.timeout,
-                transport=self.transport,
                 cancel=self.cancel,
             )
             for i, payload in zip(fresh_index, payloads):

@@ -20,7 +20,7 @@ The module exposes two evaluators with byte-identical records: the
 campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
-:func:`evaluate_chunk` is the transport-facing entry point: the
+:func:`evaluate_chunk` is the worker-facing entry point: the
 ``synth`` chunk backend in :func:`repro.engine.supervisor.chunk_statuses`
 hands it a chunk of task dicts and ships back one JSON record per task.
 Every per-candidate exception is captured *inside* the record (an
@@ -115,7 +115,7 @@ class FitnessRecord:
 def make_task(
     genome: Genome, spec: SynthSpec, mode: str = "batched"
 ) -> Dict[str, object]:
-    """The transport-safe (plain-JSON) evaluation task for one candidate."""
+    """The pickle-safe (plain-JSON) evaluation task for one candidate."""
     return {
         "genome": genome.canonical(),
         "input_names": list(spec.input_names),

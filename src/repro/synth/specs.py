@@ -10,7 +10,7 @@ candidate is simultaneously functionally correct *and* alternating.
 
 Each spec also carries a two-level reference realization
 (:func:`repro.logic.synthesis.sop_network`) — the Yamamoto-style SCAL
-network that hosts the campaign's execution transports and anchors the
+network that hosts the campaign's fork workers and anchors the
 Table 4.1 cost comparison in the Pareto report.
 """
 

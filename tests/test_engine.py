@@ -260,7 +260,7 @@ class TestWideInputGuard:
     def test_wide_sweep_without_numpy_names_numpy(self, monkeypatch):
         """Without NumPy every sweep resolves to the big-int bitmask
         rung, which cannot hold a 2^30-bit table per line: the sweep
-        must refuse up front, before any chunk or transport starts, and
+        must refuse up front, before any chunk or fork worker starts, and
         say that NumPy is what such a campaign needs."""
         import repro.engine
         import repro.engine.vectorized

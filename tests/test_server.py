@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.engine.campaign import SWEEP_BACKENDS
 from repro.engine.store import STORE
 from repro.server import (
     CampaignServer,
@@ -96,7 +97,7 @@ async def _with_server(inner):
 class TestCoalescing:
     def test_concurrent_identical_submissions_execute_once(self):
         async def scenario(server):
-            body = {"netlist": BENCH, "processes": 2, "transport": "fork"}
+            body = {"netlist": BENCH, "processes": 2}
             results = await asyncio.gather(
                 *[
                     _post_campaign(server.host, server.port, body)
@@ -131,7 +132,7 @@ class TestCoalescing:
 
     def test_completed_campaign_replays_from_store(self):
         async def scenario(server):
-            body = {"netlist": BENCH, "transport": "inline"}
+            body = {"netlist": BENCH}
             _status, first = await _post_campaign(
                 server.host, server.port, body
             )
@@ -153,8 +154,8 @@ class TestCoalescing:
         _run(_with_server(scenario))
 
     def test_different_requests_do_not_coalesce(self):
-        body_a = {"netlist": BENCH, "transport": "inline"}
-        body_b = {"netlist": BENCH, "transport": "inline", "collapse": False}
+        body_a = {"netlist": BENCH}
+        body_b = {"netlist": BENCH, "collapse": False}
         fp_a = request_fingerprint(canonical_request(body_a))
         fp_b = request_fingerprint(canonical_request(body_b))
         assert fp_a != fp_b
@@ -166,7 +167,7 @@ class TestHttpSurface:
             await _post_campaign(
                 server.host,
                 server.port,
-                {"netlist": BENCH, "transport": "inline"},
+                {"netlist": BENCH},
             )
             return await _get(server.host, server.port, "/metrics")
 
@@ -290,31 +291,47 @@ class TestRequestCanonicalization:
         with pytest.raises(RequestError, match="transprot"):
             canonical_request({"netlist": BENCH, "transprot": "fork"})
 
+    #: What each rejected knob's error says it must be.
+    KNOB_RULES = {
+        "backend": "must be one of",
+        "timeout": "must be a number > 0",
+        "processes": "must be an integer >= 1",
+        "collapse": "must be a boolean",
+        "statuses": "must be a boolean",
+    }
+
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("transport", "socket"),
             ("backend", "numba"),
             ("backend", "fallback"),
+            ("timeout", "abc"),
+            ("timeout", -1),
+            ("timeout", True),
+            ("processes", True),
+            ("collapse", "no"),
+            ("statuses", 3),
         ],
     )
     def test_unknown_transport_or_backend_rejected(self, field, value):
-        """Bad execution knobs are refused at admission, naming the
-        values the engine accepts, instead of being journaled and
-        failing inside the campaign."""
-        with pytest.raises(RequestError, match=f"'{field}' must be one of"):
+        """Bad execution knobs are refused at admission, naming what the
+        engine accepts, instead of being journaled and failing (or
+        silently running under a distinct fingerprint) inside the
+        campaign."""
+        rule = self.KNOB_RULES[field]
+        with pytest.raises(RequestError, match=f"'{field}' {rule}"):
             canonical_request({"netlist": BENCH, field: value})
 
-    def test_unknown_transport_is_http_400(self):
+    def test_unknown_backend_is_http_400(self):
         async def scenario(server):
             return await _post_campaign(
                 server.host, server.port,
-                {"netlist": BENCH, "transport": "socket"},
+                {"netlist": BENCH, "backend": "numba"},
             )
 
         status, lines = _run(_with_server(scenario))
         assert "400" in status
-        assert "auto, inline, fork" in lines[0]["error"]
+        assert ", ".join(SWEEP_BACKENDS) in lines[0]["error"]
 
     def test_fingerprint_ignores_key_order(self):
         one = canonical_request(

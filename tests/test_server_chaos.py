@@ -133,14 +133,14 @@ class TestAdmissionControl:
                     _post_campaign(
                         server.host,
                         server.port,
-                        {"netlist": CHAIN_BENCH, "transport": "inline"},
+                        {"netlist": CHAIN_BENCH},
                     )
                 )
                 await _wait_for(lambda: server._outstanding() >= 1)
                 head, body = await _post_raw(
                     server.host,
                     server.port,
-                    {"netlist": BENCH_B, "transport": "inline"},
+                    {"netlist": BENCH_B},
                 )
                 assert " 429 " in head.splitlines()[0]
                 assert re.search(r"(?im)^retry-after: \d+\r?$", head), head
@@ -157,7 +157,7 @@ class TestAdmissionControl:
     def test_coalescing_is_exempt_from_admission_control(self):
         async def scenario(server):
             with chaos.sabotage_service("campaign-slow", slow_s=0.2):
-                body = {"netlist": CHAIN_BENCH, "transport": "inline"}
+                body = {"netlist": CHAIN_BENCH}
                 first = asyncio.ensure_future(
                     _post_campaign(server.host, server.port, body)
                 )
@@ -184,7 +184,6 @@ class TestDeadlines:
                     server.port,
                     {
                         "netlist": CHAIN_BENCH,
-                        "transport": "inline",
                         "deadline_s": 0.3,
                     },
                 )
@@ -215,7 +214,7 @@ class TestDeadlines:
                 _status, lines = await _post_campaign(
                     server.host,
                     server.port,
-                    {"netlist": CHAIN_BENCH, "transport": "inline"},
+                    {"netlist": CHAIN_BENCH},
                 )
             assert lines[-1].get("cancelled") is True
             assert "deadline" in lines[-1]["error"]
@@ -235,7 +234,7 @@ class TestSubscriberDisconnect:
                 lines = await chaos.disconnecting_subscriber(
                     server.host,
                     server.port,
-                    {"netlist": CHAIN_BENCH, "transport": "inline"},
+                    {"netlist": CHAIN_BENCH},
                     after_lines=1,
                 )
                 assert lines and lines[0]["event"] == "accepted"
@@ -254,7 +253,7 @@ class TestSubscriberDisconnect:
     def test_detached_recovery_jobs_survive_without_subscribers(self):
         async def scenario(server):
             request = canonical_request(
-                {"netlist": BENCH_C, "transport": "inline"}
+                {"netlist": BENCH_C}
             )
             job, disposition = server.submit(request, detached=True)
             assert disposition == "executed"
@@ -318,7 +317,7 @@ class TestBoundedBuffers:
                 _status, lines = await _post_campaign(
                     server.host,
                     server.port,
-                    {"netlist": bench, "transport": "inline"},
+                    {"netlist": bench},
                 )
                 assert lines[-1]["event"] == "result"
             assert len(server.jobs) <= 2
@@ -339,7 +338,7 @@ class TestDrain:
                     _post_campaign(
                         server.host,
                         server.port,
-                        {"netlist": CHAIN_BENCH, "transport": "inline"},
+                        {"netlist": CHAIN_BENCH},
                     )
                 )
                 await _wait_for(lambda: server._outstanding() >= 1)
@@ -358,7 +357,7 @@ class TestDrain:
                 status_p, lines_p = await _post_campaign(
                     server.host,
                     server.port,
-                    {"netlist": BENCH_B, "transport": "inline"},
+                    {"netlist": BENCH_B},
                 )
                 assert "503" in status_p
                 assert "draining" in lines_p[0]["error"]
@@ -416,7 +415,7 @@ class TestJournal:
             _status, lines = await _post_campaign(
                 server.host,
                 server.port,
-                {"netlist": BENCH_C, "transport": "inline"},
+                {"netlist": BENCH_C},
             )
             assert lines[-1]["event"] == "result"
 
@@ -426,6 +425,31 @@ class TestJournal:
 
         _run(_with_server(first_life, state_dir=state))
         _run(_with_server(second_life, state_dir=state, recover=True))
+
+    def test_unreplayable_record_is_finished_not_replayed(self, tmp_path):
+        """An accepted record that no longer validates (here one written
+        with the retired ``transport`` field) is closed with an error
+        outcome on ``--recover``; it must not block startup or linger."""
+        state = str(tmp_path / "state")
+        journal = RequestJournal(state)
+        journal.open()
+        journal.accepted("fp-old", {"netlist": BENCH_C, "transport": "inline"})
+        journal.close()
+
+        async def recovered_life(server):
+            assert server.recovered == 0
+            assert server.executions == 0
+            status, _body = await _get(server.host, server.port, "/readyz")
+            assert " 200 " in status
+
+        _run(_with_server(recovered_life, state_dir=state, recover=True))
+        (done,) = [r for r in journal.records() if r["op"] == "done"]
+        assert done["fingerprint"] == "fp-old"
+        assert done["outcome"]["ok"] is False
+        assert done["outcome"]["error"].startswith(
+            "unreplayable record: unknown request field(s): transport"
+        )
+        assert journal.load_pending() == {}
 
 
 def _spawn_server(extra_args, env, timeout=30.0):
@@ -510,7 +534,6 @@ class TestKillRecover:
         state = str(tmp_path / "state")
         request = {
             "netlist": CHAIN_BENCH,
-            "transport": "inline",
             "statuses": True,
         }
         # The uninterrupted yardstick, computed in-process through the

@@ -56,7 +56,7 @@ def _campaign(spec_name, seed, **overrides):
 
 
 def _report_identity(report):
-    """The replay-comparable slice (timing/transport accounting vary)."""
+    """The replay-comparable slice (timing/chunk accounting vary)."""
     return (
         report.best_genome,
         report.best_fingerprint,
@@ -225,7 +225,7 @@ def test_report_carries_cost_factor_against_reference(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# determinism: checkpoint/--resume and transport parity
+# determinism: checkpoint/--resume and fork-vs-serial parity
 # ----------------------------------------------------------------------
 class TestDeterminism:
     def test_interrupt_then_resume_is_byte_identical(self, tmp_path):
@@ -273,10 +273,8 @@ class TestDeterminism:
             ).run()
 
     def test_fork_transport_matches_inline(self):
-        inline = _campaign("and2", 2, transport="inline").run()
-        forked = _campaign(
-            "and2", 2, processes=2, transport="fork"
-        ).run()
+        inline = _campaign("and2", 2).run()
+        forked = _campaign("and2", 2, processes=2).run()
         assert _report_identity(forked) == _report_identity(inline)
 
 

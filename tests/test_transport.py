@@ -1,7 +1,7 @@
-"""The transport layer: parity, chaos, the store.
+"""The execution layer: parity, chaos, the store.
 
-The transports' one hard contract is indistinguishability: a sweep
-run inline or fanned out over forked workers must return statuses
+Fan-out's one hard contract is indistinguishability: a sweep run
+in-process or fanned out over forked workers must return statuses
 byte-identical to the undisturbed serial scalar path, under health
 *and* under injected failure.  The chaos cases reuse the fuzz
 harness's sabotage discipline: workers killed mid-chunk.  The
@@ -22,16 +22,11 @@ from repro.engine import (
     ArtifactStore,
     program_fingerprint,
 )
-from repro.engine.transport import create_transport
 from repro.logic.benchfmt import load_bench, parse_bench
 from repro.qa.chaos import sabotage_campaign
 from repro.workloads.randomlogic import random_mixed_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "data")
-
-#: Transports a test process can always exercise (fork needs os.fork).
-ALL_TRANSPORTS = ("inline", "fork")
-
 
 @pytest.fixture(scope="module")
 def adder():
@@ -57,99 +52,73 @@ def _statuses(pairs):
     return [status for _fault, status in pairs]
 
 
+#: ``processes`` per execution path, keyed by the id each parity test
+#: carries: fan-out happens iff ``processes > 1``.
+PATHS = {"inline": 1, "fork": 2}
+
+
 class TestTransportParity:
-    @pytest.mark.parametrize("transport", ALL_TRANSPORTS)
-    def test_statuses_byte_identical(
-        self, adder, adder_reference, transport
-    ):
+    @pytest.mark.parametrize("path", ("inline", "fork"))
+    def test_statuses_byte_identical(self, adder, adder_reference, path):
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
-        result = sweep.sweep(universe, processes=2, transport=transport)
+        result = sweep.sweep(universe, processes=PATHS[path])
         assert _statuses(result) == reference
         report = sweep.last_report
         assert report.chunks_completed == report.chunks_total
-        if transport == "inline":
-            # Inline is the serial rung made explicit: in-process, no
-            # fan-out, no degradation to report.
+        assert report.degradations == []
+        if path == "inline":
+            # processes=1 is the serial rung: in-process, no fan-out.
             assert report.backend.startswith(("serial:", "scalar:"))
         else:
-            assert report.backend.startswith(transport)
-            assert report.degradations == []
+            assert report.backend.startswith("fork:")
 
-    @pytest.mark.parametrize("transport", ("fork",))
-    def test_scalar_block_backend_parity(
-        self, adder, adder_reference, transport
-    ):
+    @pytest.mark.parametrize("path", ("fork",))
+    def test_scalar_block_backend_parity(self, adder, adder_reference, path):
         """The worker rungs stay honest on the scalar bitmask backend
         too, not just the fault-batched block backends."""
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         result = sweep.sweep(
-            universe, processes=2, backend="bitmask", transport=transport
+            universe, processes=PATHS[path], backend="bitmask"
         )
         assert _statuses(result) == reference
-        assert sweep.last_report.block_backend == "bitmask"
-
-    def test_explicit_transport_overrides_lane_heuristic(
-        self, adder, adder_reference
-    ):
-        """An explicit worker transport fans out even at processes=1."""
-        universe, reference = adder_reference
-        sweep = fresh_sweep(adder)
-        result = sweep.sweep(universe, processes=1, transport="fork")
-        assert _statuses(result) == reference
-        assert sweep.last_report.backend.startswith("fork")
-
-    def test_unknown_transport_rejected(self, adder):
-        sweep = fresh_sweep(adder)
-        with pytest.raises(ValueError, match="transport"):
-            sweep.sweep(
-                sweep.single_fault_universe()[:4], transport="carrier-pigeon"
-            )
-
-    def test_create_transport_registry(self, adder):
-        sweep = fresh_sweep(adder)
-        for name in ALL_TRANSPORTS:
-            fabric = create_transport(name, sweep, lanes=1)
-            assert fabric.name == name
-        with pytest.raises(ValueError, match="carrier-pigeon"):
-            create_transport("carrier-pigeon", sweep, lanes=1)
+        assert sweep.last_report.backend == "fork:bitmask"
 
 
 class TestTransportChaos:
-    """Per-transport injected failure: recovery plus byte-identity."""
+    """Injected worker failure: recovery plus byte-identity."""
 
-    @pytest.mark.parametrize("transport", ("fork",))
+    @pytest.mark.parametrize("path", ("fork",))
     def test_worker_killed_is_replaced(
-        self, adder, adder_reference, transport, tmp_path
+        self, adder, adder_reference, path, tmp_path
     ):
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         with sabotage_campaign(
             "worker-killed", once_path=str(tmp_path / "once")
         ):
-            result = sweep.sweep(
-                universe, processes=2, transport=transport
-            )
+            result = sweep.sweep(universe, processes=PATHS[path])
         assert _statuses(result) == reference
         report = sweep.last_report
         assert report.workers_replaced >= 1
         assert any("worker died" in r.reason for r in report.retries)
-        assert report.backend.startswith(transport)
+        assert report.backend.startswith("fork:")
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the kernel tier needs NumPy")
-@pytest.mark.parametrize("transport", ("auto", "fork"))
-def test_fork_fanout_never_builds_bitmask_baseline(transport):
+@pytest.mark.parametrize("backend", ("auto", "kernel"))
+def test_fork_fanout_never_builds_bitmask_baseline(backend):
     """The parent of a forked block-backend campaign has no use for the
     exhaustive big-int baseline (workers derive whatever their backend
-    reads), so fanning out must not build it."""
+    reads), so fanning out must not build it — whether the kernel rung
+    is picked by the heuristic or asked for."""
     network = random_mixed_network(
         random.Random("fork-baseline"), 14, 120, n_outputs=16
     )
     sweep = fresh_sweep(network)
     universe = sweep.single_fault_universe()
-    sweep.sweep(universe, processes=2, transport=transport)
+    sweep.sweep(universe, processes=2, backend=backend)
     assert sweep.engine._bitmask is None
     assert sweep.last_report.backend == "fork:kernel"
 
