@@ -10,8 +10,11 @@ simulate many times through one of two interchangeable scalar backends:
 * **bitmask** — word-parallel big-int truth-table masks (exhaustive
   sweeps, and the pure-Python block rung when NumPy is absent),
 * **pointwise** — one assignment at a time with a baseline-point cache
-  (sequential clocked simulation, and explicit point lists for spaces
-  too wide to enumerate).
+  (explicit point lists for spaces too wide to enumerate).
+
+The Chapter-4 clocked campaigns (:mod:`repro.seq.simulator`) run the
+same op program row-parallel through the bitmask primitive, one fault
+per bit.
 
 The NumPy block backends (:attr:`NetworkEngine.vectorized`,
 :attr:`NetworkEngine.kernel`) batch whole fault blocks on top.

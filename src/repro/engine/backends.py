@@ -14,9 +14,13 @@ only the ops in the fault's output cone (the
   way, with no ``2**n`` table and so no input ceiling.
 * :class:`PointwiseBackend` — one input assignment (or an explicit list
   of points, for spaces too wide to enumerate) at a time, with a
-  bounded per-point baseline cache.  Sequential campaigns revisit the
-  same few (input, state, clock) points thousands of times across
-  faults, so the cache turns most steps into a cone-sized update.
+  bounded per-point baseline cache, so a revisited point costs only a
+  cone-sized update.
+
+Clocked sequential campaigns do not use either backend's fault plans:
+:func:`repro.seq.simulator.evaluate_rows` puts one fault per bit and
+calls :func:`evaluate_mask` through this module, so the bitmask chaos
+sabotage of :mod:`repro.qa.chaos` reaches them too.
 
 Both backends return plain ``list``/``tuple`` values; the name-keyed
 wrappers in :mod:`repro.logic.evaluate` re-attach line names for

@@ -73,12 +73,13 @@ BUGS: Dict[str, Callable[[], tuple]] = {
         "evaluate_mask",
         _make_mask_bug(GateKind.NAND, GateKind.AND),
     ),
-    # The pointwise (clocked-campaign) backend miscompiles NOR into OR.
+    # The pointwise (explicit point list) backend miscompiles NOR into OR.
     "nor-as-or-pointwise": lambda: (
         "eval_gate",
         _make_point_bug(GateKind.NOR, GateKind.OR),
     ),
-    # The bitmask backend drops the inversion of NOT.
+    # The bitmask backend, and the row-parallel clocked stepper that
+    # shares its primitive, drop the inversion of NOT.
     "not-as-buf": lambda: (
         "evaluate_mask",
         _make_mask_bug(GateKind.NOT, GateKind.BUF),

@@ -29,6 +29,12 @@ around.  The registered invariants:
 * ``seq-transform-equivalence`` — dual flip-flop (Figure 4.2a) and
   code-conversion (Figure 4.5) machines decode to the reference Mealy
   run and alternate cleanly when fault-free.
+* ``clocked-campaign-reference`` — the row-parallel clocked stepper
+  agrees with independent steppers: every dual flip-flop row (stem, pin
+  and flip-flop faults) has the first-detection step and decoded-wrong
+  verdict of a naive per-fault stepper on the reference interpreter,
+  and every code-conversion row (network, translator and memory
+  faults) equals that fault's one-row run.
 * ``sampled-determinism`` — one seed yields one sample set and one set
   of verdicts, across fresh backends and across the sweep's serial vs
   fork-worker paths; the supervised campaign report's chunk ledger must
@@ -67,8 +73,13 @@ from ..engine.backends import bitmask_pattern_bits
 from ..engine.vectorized import HAVE_NUMPY, VectorizedBackend
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.network import Network
+from ..scal.alternating import AlternatingRun, AlternatingStep, RowTrace
 from ..scal.codeconv import to_code_conversion
 from ..scal.dualff import to_dual_flipflop
+from ..scal.translators import TranslatorFault
+from ..seq.forcing import RowForcing
+from ..seq.simulator import FlipFlopFault
+from ..system.memory import single_memory_faults
 from ..workloads.randomlogic import (
     random_alternating_network,
     random_input_vectors,
@@ -441,6 +452,162 @@ seq_equivalence = register(
     "dual flip-flop and code-conversion SCAL machines both decode to the "
     "reference Mealy run and alternate cleanly fault-free",
 )((_gen_machine, _check_seq_equivalence))
+
+
+# ----------------------------------------------------------------------
+# clocked-campaign-reference
+# ----------------------------------------------------------------------
+def _row_trace(trace: RowTrace, row: int) -> RowTrace:
+    """One row of a row-parallel clocked trace, as 0/1 values."""
+    return [
+        (
+            tuple(v >> row & 1 for v in first),
+            tuple(v >> row & 1 for v in second),
+            flags >> row & 1,
+        )
+        for first, second, flags in trace
+    ]
+
+
+def _row_verdict(trace: RowTrace, reference, n_z: int) -> Tuple:
+    """(first-detection step, decoded Z ever wrong) of a one-row trace."""
+    first_detection = next(
+        (
+            step
+            for step, (first, second, flags) in enumerate(trace)
+            if flags or any(a == b for a, b in zip(first, second))
+        ),
+        None,
+    )
+    wrong = any(
+        first[:n_z] != tuple(expected)
+        for (first, _second, _flags), expected in zip(trace, reference)
+    )
+    return first_detection, wrong
+
+
+def _naive_dualff(dualff, vectors, fault) -> RowTrace:
+    """The dual flip-flop machine stepped by hand: the reference
+    interpreter per period and a plain two-stage shift per chain."""
+    network = dualff.circuit.network
+    ff = fault if isinstance(fault, FlipFlopFault) else None
+    stem = None if ff is not None else fault
+    code = dualff.encoding.code(dualff.machine.initial_state)
+    chains = {f"y{i}": [1 - bit, bit] for i, bit in enumerate(code)}
+    next_line = {p: n for n, p in dualff.circuit.feedback.items()}
+    outputs = list(network.outputs)
+    monitored = [
+        outputs.index(name)
+        for name in dualff.output_names + dualff.state_output_names
+    ]
+    trace: RowTrace = []
+    for vector in vectors:
+        pair = []
+        for phase in (0, 1):
+            values = {
+                name: bit ^ phase
+                for name, bit in zip(dualff.input_names, vector)
+            }
+            values[dualff.clock_name] = phase
+            for line, chain in chains.items():
+                stuck = ff is not None and (ff.state_line, ff.stage) == (line, 1)
+                values[line] = ff.value if stuck else chain[1]
+            out = reference_outputs(
+                network, [values[name] for name in network.inputs], stem
+            )
+            pair.append(tuple(out[i] for i in monitored))
+            for line, chain in chains.items():
+                chain[1] = chain[0]
+                chain[0] = out[outputs.index(next_line[line])]
+                if ff is not None and (ff.state_line, ff.stage) == (line, 0):
+                    chain[0] = ff.value
+        trace.append((pair[0], pair[1], 0))
+    return trace
+
+
+def _check_clocked_campaign(case: Case) -> Optional[str]:
+    if case.machine is None or case.vectors is None:
+        return None
+    machine, vectors = case.machine, list(case.vectors)
+    reference = machine.run(vectors)
+    n_z = machine.n_outputs
+    dualff = to_dual_flipflop(machine)
+    circuit = dualff.circuit
+    universe: List = enumerate_single_faults(circuit.network, collapse=False)
+    universe += [
+        FlipFlopFault(line, stage, value)
+        for line in circuit.stages
+        for stage in range(circuit.depth)
+        for value in (0, 1)
+    ]
+    forcing = RowForcing(len(universe))
+    for row, fault in enumerate(universe):
+        circuit.force(forcing, row, fault)
+    packed = dualff.clock_rows(vectors, forcing)
+    for row, fault in enumerate(universe):
+        got = _row_verdict(_row_trace(packed, row), reference, n_z)
+        want = _row_verdict(_naive_dualff(dualff, vectors, fault), reference, n_z)
+        if got != want:
+            return (
+                f"dual flip-flop row {fault.describe()}: packed run gives "
+                f"(first detection, wrong) = {got}, naive stepper {want}"
+            )
+    codeconv = to_code_conversion(machine)
+    width = codeconv.encoding.width
+    universe = [
+        ("comb", fault)
+        for fault in enumerate_stem_faults(codeconv.network, include_inputs=True)
+    ]
+    for unit, sites in (("alpt", "abcdefghij"), ("palt", "abcdefgh")):
+        universe += [
+            (unit, TranslatorFault(site, k, value))
+            for site in sites
+            for k in range(width)
+            for value in (0, 1)
+        ]
+    # Cells at addresses 0 (the state word) and 1 (where a stuck
+    # address line reroutes it).
+    universe += [
+        ("mem", fault)
+        for fault in single_memory_faults(
+            width, codeconv.memory.address_bits, (0, 1)
+        )
+    ]
+    forcing = RowForcing(len(universe))
+    for row, (unit, fault) in enumerate(universe):
+        codeconv.force(forcing, row, unit, fault)
+    packed = codeconv.clock_rows(vectors, forcing)
+    stopped = codeconv.stopped_rows(forcing)
+    keyword = {
+        "comb": "comb_fault",
+        "alpt": "alpt_fault",
+        "palt": "palt_fault",
+        "mem": "memory_fault",
+    }
+    for row, (unit, fault) in enumerate(universe):
+        single = codeconv.run(vectors, **{keyword[unit]: fault})
+        if stopped >> row & 1:
+            got = AlternatingRun((), (True,))
+        else:
+            steps = _row_trace(packed, row)
+            got = AlternatingRun(
+                tuple(AlternatingStep(a, b) for a, b, _ in steps),
+                tuple(bool(flag) for _, _, flag in steps),
+            )
+        if got != single:
+            return (
+                f"code-conversion row {unit} {fault.describe()} differs "
+                "from its one-row run"
+            )
+    return None
+
+
+clocked_campaign = register(
+    "clocked-campaign-reference",
+    "row-parallel clocked campaigns match a naive per-fault stepper on the "
+    "reference interpreter (dual flip-flop) and each fault's one-row run "
+    "(code conversion)",
+)((_gen_machine, _check_clocked_campaign))
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 PERIOD_CLOCK = "phi"
 
+#: A row-parallel clocked run (:mod:`repro.seq.forcing`): per logical
+#: step, the first- and second-period monitored row masks and the rows
+#: an extra checker flagged.
+RowTrace = List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]
+
 
 def alternating_pair(
     vector: Mapping[str, int], clock_name: str = PERIOD_CLOCK
@@ -86,6 +91,21 @@ class AlternatingRun:
 
     def decoded_outputs(self) -> List[Tuple[int, ...]]:
         return [step.decoded for step in self.steps]
+
+
+def check_vectors(
+    vectors: Iterable[Sequence[int]], n_inputs: int
+) -> List[Tuple[int, ...]]:
+    """The input stream as tuples, each exactly ``n_inputs`` bits wide
+    (``ValueError`` naming the first offending vector otherwise)."""
+    stream = [tuple(vector) for vector in vectors]
+    for index, vector in enumerate(stream):
+        if len(vector) != n_inputs:
+            raise ValueError(
+                f"input vector {index} has width {len(vector)}; "
+                f"the machine has n_inputs={n_inputs}"
+            )
+    return stream
 
 
 def pair_periods(trace: Sequence[Tuple[int, ...]]) -> AlternatingRun:

@@ -12,7 +12,9 @@ Theorem 4.4 proves sufficient for the feedback to be self-checking.
 
 Single-fault injection reaches every part of the loop: the combinational
 network (stem/pin stuck-ats), ALPT lines, memory (cells, data lines,
-address lines), and PALT lines.
+address lines), and PALT lines.  The loop is clocked row-parallel
+(:mod:`repro.seq.forcing`): a campaign runs every fault at once, one
+per row, and :meth:`CodeConversionMachine.run` is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,12 +22,21 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple, Union
 
+from ..engine.compiled import compile_network
 from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from ..seq.encoding import StateEncoding
+from ..seq.forcing import RowForcing
 from ..seq.machine import StateTable
+from ..seq.simulator import evaluate_rows, force_fault
 from ..system.memory import MemoryFault, ParityMemory, parity
-from .alternating import PERIOD_CLOCK, AlternatingRun, AlternatingStep
+from .alternating import (
+    PERIOD_CLOCK,
+    AlternatingRun,
+    AlternatingStep,
+    RowTrace,
+    check_vectors,
+)
 from .dualff import self_dual_machine_network
 from .translators import ALPT, PALT, TranslatorFault
 
@@ -71,15 +82,19 @@ class CodeConversionMachine:
             self.encoding.width + 2
         )
 
-    def reset(self) -> None:
+    def reset(self, rows: int = 1) -> None:
+        """Clear memory and store the initial state's code word, fault
+        free, in each of ``rows`` rows."""
+        idle = RowForcing(rows)
         self.memory.clear()
+        for unit in (self.alpt, self.palt, self.memory):
+            unit.forcing = idle
         code = self.encoding.code(self.machine.initial_state)
-        addr_par = self._address_parity()
-        self.alpt.data_latches = list(code)
-        self.alpt.parity_latch = parity(code) ^ addr_par
-        self.memory.store(
-            self.state_address, list(code), parity(code) ^ addr_par
-        )
+        word = [idle.full if bit else 0 for bit in code]
+        par = idle.full if parity(code) ^ self._address_parity() else 0
+        self.alpt.data_latches = list(word)
+        self.alpt.parity_latch = par
+        self.memory.store(self.state_address, word, par)
 
     def _address_parity(self) -> int:
         return parity(
@@ -88,6 +103,17 @@ class CodeConversionMachine:
                 for i in range(self.memory.address_bits)
             ]
         )
+
+    def force(
+        self, forcing: RowForcing, row: int, unit: str, fault: object
+    ) -> None:
+        """Add one fault of ``unit`` — ``comb`` (a network stem/pin
+        fault), ``alpt``, ``palt`` or ``mem`` — to ``forcing`` in ``row``."""
+        if unit == "comb":
+            force_fault(forcing, row, fault, compile_network(self.network))
+        else:
+            units = {"alpt": self.alpt, "palt": self.palt, "mem": self.memory}
+            units[unit].force(forcing, row, fault)
 
     def run(
         self,
@@ -103,61 +129,84 @@ class CodeConversionMachine:
         ``checker_flags[t]`` is True when the PALT's 1-out-of-2 code was
         a noncode word at step *t*.
         """
-        from ..engine import engine_for
-
-        if alpt_fault is not None and alpt_fault.site == "g":
+        forcing = RowForcing()
+        for unit, fault in (
+            ("comb", comb_fault),
+            ("alpt", alpt_fault),
+            ("palt", palt_fault),
+            ("mem", memory_fault),
+        ):
+            if fault is not None:
+                self.force(forcing, 0, unit, fault)
+        trace = self.clock_rows(vectors, forcing)
+        if self.stopped_rows(forcing):
             # Common-clock failure (Theorem 4.1 case 5): all clock fanout
             # is from one node, so the whole system stops.  Shutdown is
             # regarded as a noncode state — reported as a detection.
             return AlternatingRun((), (True,))
-        self.reset()
-        self.alpt.inject(alpt_fault)
-        self.palt.inject(palt_fault)
-        self.memory.inject(memory_fault)
-        monitored = list(self.output_names) + list(self.state_output_names)
-        # Engine fast path: monitoring and feedback only read output
-        # lines, so each period is one cone-pruned output query on a
-        # directly-built input point.
-        engine = engine_for(self.network)
-        pos = {name: i for i, name in enumerate(self.network.inputs)}
+        return AlternatingRun(
+            tuple(AlternatingStep(first, second) for first, second, _ in trace),
+            tuple(bool(flag) for _, _, flag in trace),
+        )
+
+    @staticmethod
+    def stopped_rows(forcing: RowForcing) -> int:
+        """Rows whose ALPT common clock (site ``g``) is stuck: the whole
+        system stops, a detection with no latency."""
+        return forcing.forced_rows(("alpt", "g", 0))
+
+    def clock_rows(
+        self, vectors: Sequence[Tuple[int, ...]], forcing: RowForcing
+    ) -> RowTrace:
+        """Clock every row of ``forcing`` through the full loop.
+
+        Returns per step the first- and second-period (Z..., Y...) row
+        masks and the rows whose PALT 1-out-of-2 code was a noncode word.
+        """
+        vectors = check_vectors(vectors, self.machine.n_inputs)
+        self.reset(forcing.rows)
+        full = forcing.full
+        compiled = compile_network(self.network)
+        pos = compiled.index
         x_pos = [pos[name] for name in self.input_names]
         y_pos = [pos[f"y{i}"] for i in range(self.encoding.width)]
         clock_pos = pos[self.clock_name]
-        out_pos = {name: i for i, name in enumerate(self.network.outputs)}
-        mon_idx = [out_pos[m] for m in monitored]
-        y_idx = [out_pos[name] for name in self.state_output_names]
+        monitored = [
+            pos[name] for name in self.output_names + self.state_output_names
+        ]
+        y_idx = [pos[name] for name in self.state_output_names]
         addr_par = self._address_parity()
-        steps: List[AlternatingStep] = []
-        flags: List[bool] = []
-        for vector in vectors:
-            data, stored_parity = self.memory.load(self.state_address)
-            code = self.palt.code_output(data, stored_parity, addr_par)
-            code_bad = not PALT.code_valid(code)
-            period_values = []
-            y_pair = []
-            for phase in (0, 1):
-                present = self.palt.outputs_for_period(data, phase)
-                point = [0] * len(pos)
-                for p, bit in zip(x_pos, vector):
-                    point[p] = (bit if phase == 0 else 1 - bit) & 1
-                point[clock_pos] = phase
-                for p, value in zip(y_pos, present):
-                    point[p] = value & 1
-                outputs = engine.pointwise.output_values(
-                    tuple(point), comb_fault
+        alpt, palt, memory = self.alpt, self.palt, self.memory
+        for unit in (alpt, palt, memory):
+            unit.forcing = forcing
+        trace = []
+        try:
+            for vector in vectors:
+                data, stored_parity = memory.load(self.state_address)
+                g_line, h_line = palt.code_output(data, stored_parity, addr_par)
+                noncode = full & ~(g_line ^ h_line)
+                pair = []
+                y_pair = []
+                for phase in (0, 1):
+                    point = [0] * compiled.n_inputs
+                    for p, bit in zip(x_pos, vector):
+                        point[p] = full if (bit & 1) ^ phase else 0
+                    point[clock_pos] = full if phase else 0
+                    present = palt.outputs_for_period(data, phase)
+                    for p, value in zip(y_pos, present):
+                        point[p] = value
+                    values = evaluate_rows(compiled, point, forcing)
+                    pair.append(tuple(values[i] for i in monitored))
+                    y_pair.append([values[i] for i in y_idx])
+                word, new_parity = alpt.feed_pair(
+                    y_pair[0], y_pair[1], address_parity=addr_par
                 )
-                period_values.append(tuple(outputs[i] for i in mon_idx))
-                y_pair.append([outputs[i] for i in y_idx])
-            word, new_parity = self.alpt.feed_pair(
-                y_pair[0], y_pair[1], address_parity=addr_par
-            )
-            self.memory.store(self.state_address, word, new_parity)
-            steps.append(AlternatingStep(period_values[0], period_values[1]))
-            flags.append(code_bad)
-        self.alpt.inject(None)
-        self.palt.inject(None)
-        self.memory.inject(None)
-        return AlternatingRun(tuple(steps), tuple(flags))
+                memory.store(self.state_address, word, new_parity)
+                trace.append((pair[0], pair[1], noncode))
+        finally:
+            for unit in (alpt, palt, memory):
+                unit.inject(None)
+        return trace
 
     def decoded_outputs(self, run: AlternatingRun) -> List[Tuple[int, ...]]:
         n_z = len(self.output_names)

@@ -27,10 +27,17 @@ from ..logic.network import Network
 from ..logic.selfdual import self_dualize_table
 from ..logic.truthtable import TruthTable
 from ..seq.encoding import StateEncoding, binary_encoding
+from ..seq.forcing import RowForcing
 from ..seq.machine import StateTable
 from ..seq.simulator import FlipFlopFault, SequentialCircuit
 from ..seq.synthesis import machine_tables
-from .alternating import PERIOD_CLOCK, AlternatingRun, AlternatingStep
+from .alternating import (
+    PERIOD_CLOCK,
+    AlternatingRun,
+    AlternatingStep,
+    RowTrace,
+    check_vectors,
+)
 
 FaultLike = Union[Fault, MultipleFault]
 
@@ -114,49 +121,68 @@ class DualFlipFlopMachine:
         periods ``first..last`` inclusive (period = 2·step + phase).
         ``None`` means permanent.
         """
-        self.circuit.reset()
-        self._set_alternating_initial_state()
-        monitored = list(self.output_names) + list(self.state_output_names)
-        out_pos = {
-            name: i for i, name in enumerate(self.circuit.network.outputs)
-        }
-        mon_idx = [out_pos[m] for m in monitored]
-        steps: List[AlternatingStep] = []
+        forcing = self.circuit.fault_forcing(fault, ff_fault)
+        trace = self.clock_rows(vectors, forcing, fault_window=fault_window)
+        return AlternatingRun(
+            tuple(AlternatingStep(first, second) for first, second, _ in trace)
+        )
+
+    def clock_rows(
+        self,
+        vectors: Sequence[Tuple[int, ...]],
+        forcing: RowForcing,
+        state: Optional[str] = None,
+        fault_window: Optional[Tuple[int, int]] = None,
+    ) -> RowTrace:
+        """Clock every row of ``forcing`` through ``vectors`` from
+        ``state`` (default: the initial state), chains seeded with the
+        alternating pair.
+
+        Returns per step the first- and second-period (Z..., Y...) row
+        masks and a checker mask, always 0: this form's only checkers
+        are the alternation monitors.  A ``fault_window`` switches the
+        forcing off in every period outside it.
+        """
+        vectors = check_vectors(vectors, self.machine.n_inputs)
+        circuit = self.circuit
+        circuit.reset(rows=forcing.rows)
+        # Seed the two-stage chains with (ȳ, y): the block must see the
+        # true code in period 0 and its complement in period 1.
+        code = self.encoding.code(
+            state if state is not None else self.machine.initial_state
+        )
+        circuit.set_stages(
+            {f"y{i}": (1 - bit, bit) for i, bit in enumerate(code)}
+        )
+        full = forcing.full
+        idle = RowForcing(forcing.rows)
+        index = circuit.compiled.index
+        monitored = [
+            index[name] for name in self.output_names + self.state_output_names
+        ]
+        trace = []
         period = 0
         for vector in vectors:
-            period_values = []
+            pair = []
             for phase in (0, 1):
                 active = fault_window is None or (
                     fault_window[0] <= period <= fault_window[1]
                 )
-                assignment = {
-                    name: (bit if phase == 0 else 1 - bit)
+                inputs = {
+                    name: full if (bit & 1) ^ phase else 0
                     for name, bit in zip(self.input_names, vector)
                 }
-                assignment[self.clock_name] = phase
-                outputs = self.circuit.step_outputs(
-                    assignment,
-                    fault=fault if active else None,
-                    ff_fault=ff_fault if active else None,
-                )
-                period_values.append(tuple(outputs[i] for i in mon_idx))
+                inputs[self.clock_name] = full if phase else 0
+                values = circuit.clock(inputs, forcing if active else idle)
+                pair.append(tuple(values[i] for i in monitored))
                 period += 1
-            steps.append(AlternatingStep(period_values[0], period_values[1]))
-        return AlternatingRun(tuple(steps))
+            trace.append((pair[0], pair[1], 0))
+        return trace
 
     def decoded_outputs(self, run: AlternatingRun) -> List[Tuple[int, ...]]:
         """Logical Z values (first-period, Z positions only)."""
         n_z = len(self.output_names)
         return [step.first[:n_z] for step in run.steps]
-
-    def _set_alternating_initial_state(self) -> None:
-        """Seed the two-stage chains with (ȳ_init, y_init): the block
-        must see the true code in period 0 and its complement in period 1."""
-        code = self.encoding.code(self.machine.initial_state)
-        for i, bit in enumerate(code):
-            chain = self.circuit.chains[f"y{i}"]
-            chain.stages[-1].q = bit
-            chain.stages[0].q = 1 - bit
 
 
 def to_dual_flipflop(

@@ -67,15 +67,6 @@ class InductiveVerdict:
         return text
 
 
-def _seed_state(machine: DualFlipFlopMachine, state: str) -> None:
-    code = machine.encoding.code(state)
-    machine.circuit.reset()
-    for i, bit in enumerate(code):
-        chain = machine.circuit.chains[f"y{i}"]
-        chain.stages[-1].q = bit
-        chain.stages[0].q = 1 - bit
-
-
 def _single_step(
     machine: DualFlipFlopMachine,
     state: str,
@@ -83,22 +74,9 @@ def _single_step(
     fault: Optional[Fault],
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """One logical step from ``state``; returns the (Z…Y…) period pair."""
-    _seed_state(machine, state)
-    monitored = list(machine.output_names) + list(machine.state_output_names)
-    out_pos = {
-        name: i for i, name in enumerate(machine.circuit.network.outputs)
-    }
-    mon_idx = [out_pos[m] for m in monitored]
-    pair = []
-    for phase in (0, 1):
-        assignment = {
-            name: (bit if phase == 0 else 1 - bit)
-            for name, bit in zip(machine.input_names, vector)
-        }
-        assignment[machine.clock_name] = phase
-        outputs = machine.circuit.step_outputs(assignment, fault=fault)
-        pair.append(tuple(outputs[i] for i in mon_idx))
-    return pair[0], pair[1]
+    forcing = machine.circuit.fault_forcing(fault)
+    ((first, second, _flags),) = machine.clock_rows([vector], forcing, state)
+    return first, second
 
 
 def verify_inductively(

@@ -18,7 +18,9 @@
 Both are register-transfer-level models with *named internal fault
 sites* matching the line classes the proofs of Theorems 4.1 and 4.3 walk
 through (letters a–j as printed in Figures 4.4a/4.4b), so the theorems
-can be checked by exhaustive injection.
+can be checked by exhaustive injection.  Both are row-parallel: a
+code-conversion campaign clocks every fault at once, one per row, and
+the single-fault API is the one-row case.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from ..system.memory import parity
+from ..seq.forcing import RowForcing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,22 +58,31 @@ class TranslatorFault:
 
 
 class ALPT:
-    """Alternating Logic to Parity Translator (Figure 4.4a)."""
+    """Alternating Logic to Parity Translator (Figure 4.4a).
+
+    Row-parallel (:mod:`repro.seq.forcing`): latches and line values are
+    row masks and every site is forced through :attr:`forcing`.
+    :meth:`inject` arms one fault in a one-row forcing — the scalar case.
+    """
 
     def __init__(self, width: int) -> None:
         self.width = width
         self.data_latches: List[int] = [0] * width
         self.parity_latch: int = 0
-        self.fault: Optional[TranslatorFault] = None
+        self.inject(None)
 
     def inject(self, fault: Optional[TranslatorFault]) -> None:
         self.fault = fault
+        self.forcing = RowForcing()
+        if fault is not None:
+            self.force(self.forcing, 0, fault)
 
-    def _stuck(self, site: str, index: int, value: int) -> int:
-        f = self.fault
-        if f is not None and f.site == site and f.index == index:
-            return f.value
-        return value
+    @staticmethod
+    def force(forcing: RowForcing, row: int, fault: TranslatorFault) -> None:
+        """Add one ALPT line fault to ``forcing`` in ``row``.  The clock
+        sites ``g`` and ``h``/``j`` have no bit position."""
+        index = 0 if fault.site in ("g", "h", "j") else fault.index
+        forcing.stick(("alpt", fault.site, index), row, fault.value)
 
     def feed_pair(
         self,
@@ -81,69 +92,79 @@ class ALPT:
     ) -> Tuple[List[int], int]:
         """Consume one alternating pair; return the (data, parity) word.
 
-        ``address_parity`` is folded into the parity bit when the word is
-        headed for random-access memory (Dussault's scheme).
+        ``address_parity`` (one bit, the same in every row) is folded
+        into the parity bit when the word is headed for random-access
+        memory (Dussault's scheme).
         """
         if len(true_values) != self.width or len(comp_values) != self.width:
             raise ValueError("value width mismatch")
-        f = self.fault
-        clock_dead = f is not None and f.site == "g"
-        # First period ends: 0->1 transition latches the true data values.
+        f = self.forcing
+        full = f.full
+        # A stuck common clock (g) holds every latch.
+        stopped = f.forced_rows(("alpt", "g", 0))
+        # First period ends: 0->1 transition latches the true data
+        # values; a stuck latch clock (d) retains the previous value.
         for k in range(self.width):
-            a = self._stuck("a", k, int(true_values[k]) & 1)
-            b = self._stuck("b", k, a)
-            if clock_dead or (f is not None and f.site == "d" and f.index == k):
-                pass  # latch clock stuck: retain the previous value
-            else:
-                self.data_latches[k] = b
+            a = f.apply(("alpt", "a", k), int(true_values[k]) & full)
+            b = f.apply(("alpt", "b", k), a)
+            hold = stopped | f.forced_rows(("alpt", "d", k))
+            self.data_latches[k] = (self.data_latches[k] & hold) | (b & ~hold)
         # Second period ends: 1->0 transition latches the parity of the
         # complemented values (for even width this equals the data
         # parity; odd widths fold the period clock, i.e. a constant 1).
-        tree_inputs = []
+        par = 0
         for k in range(self.width):
-            a = self._stuck("a", k, int(comp_values[k]) & 1)
-            tree_inputs.append(self._stuck("e", k, a))
-        par = parity(tree_inputs) ^ (self.width & 1) ^ (int(address_parity) & 1)
-        par = self._stuck("f", 0, par)
-        if clock_dead or (f is not None and f.site in ("h", "j")):
-            pass  # parity latch clock stuck: retain previous parity
-        else:
-            self.parity_latch = par
+            a = f.apply(("alpt", "a", k), int(comp_values[k]) & full)
+            par ^= f.apply(("alpt", "e", k), a)
+        if (self.width ^ int(address_parity)) & 1:
+            par ^= full
+        par = f.apply(("alpt", "f", 0), par)
+        hold = (
+            stopped
+            | f.forced_rows(("alpt", "h", 0))
+            | f.forced_rows(("alpt", "j", 0))
+        )
+        self.parity_latch = (self.parity_latch & hold) | (par & ~hold)
         data_out = [
-            self._stuck("c", k, self.data_latches[k]) for k in range(self.width)
+            f.apply(("alpt", "c", k), latch)
+            for k, latch in enumerate(self.data_latches)
         ]
-        parity_out = self._stuck("i", 0, self.parity_latch)
-        return data_out, parity_out
+        return data_out, f.apply(("alpt", "i", 0), self.parity_latch)
 
 
 class PALT:
-    """Parity to Alternating Logic Translator (Figure 4.4b)."""
+    """Parity to Alternating Logic Translator (Figure 4.4b), row-parallel
+    like :class:`ALPT`."""
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self.fault: Optional[TranslatorFault] = None
+        self.inject(None)
 
     def inject(self, fault: Optional[TranslatorFault]) -> None:
         self.fault = fault
+        self.forcing = RowForcing()
+        if fault is not None:
+            self.force(self.forcing, 0, fault)
 
-    def _stuck(self, site: str, index: int, value: int) -> int:
-        f = self.fault
-        if f is not None and f.site == site and f.index == index:
-            return f.value
-        return value
+    @staticmethod
+    def force(forcing: RowForcing, row: int, fault: TranslatorFault) -> None:
+        """Add one PALT line fault to ``forcing`` in ``row``."""
+        forcing.stick(("palt", fault.site, fault.index), row, fault.value)
 
     def outputs_for_period(
         self, stored_data: Sequence[int], phase: int
     ) -> List[int]:
-        """The alternating data outputs ``y_k = t_k ⊕ φ`` for one period."""
+        """The alternating data outputs ``y_k = t_k ⊕ φ`` for one period
+        (``phase`` is one bit, the same in every row)."""
         if len(stored_data) != self.width:
             raise ValueError("stored word width mismatch")
+        f = self.forcing
+        clock = f.full if int(phase) & 1 else 0
         outs = []
         for k in range(self.width):
-            a = self._stuck("a", k, int(stored_data[k]) & 1)
-            clock = self._stuck("c", k, int(phase) & 1)
-            clock = self._stuck("d", k, clock)
-            outs.append(self._stuck("b", k, a ^ clock))
+            a = f.apply(("palt", "a", k), int(stored_data[k]) & f.full)
+            c = f.apply(("palt", "d", k), f.apply(("palt", "c", k), clock))
+            outs.append(f.apply(("palt", "b", k), a ^ c))
         return outs
 
     def code_output(
@@ -158,12 +179,15 @@ class PALT:
         Valid operation gives complementary values; equal values are a
         noncode word — the checker input Theorem 4.3 requires.
         """
-        first_period = self.outputs_for_period(stored_data, 0)
-        tree = [self._stuck("e", k, v) for k, v in enumerate(first_period)]
-        computed = parity(tree) ^ (int(address_parity) & 1)
-        complement = self._stuck("f", 0, 1 - computed)
-        g_line = self._stuck("g", 0, int(stored_parity) & 1)
-        h_line = self._stuck("h", 0, complement)
+        f = self.forcing
+        computed = 0
+        for k, value in enumerate(self.outputs_for_period(stored_data, 0)):
+            computed ^= f.apply(("palt", "e", k), value)
+        if int(address_parity) & 1:
+            computed ^= f.full
+        complement = f.apply(("palt", "f", 0), computed ^ f.full)
+        g_line = f.apply(("palt", "g", 0), int(stored_parity) & f.full)
+        h_line = f.apply(("palt", "h", 0), complement)
         return g_line, h_line
 
     @staticmethod

@@ -3,10 +3,12 @@
 The combinational oracle (:mod:`repro.core.simulate`) is exhaustive over
 inputs; sequential machines additionally carry state, so their campaigns
 drive a (seeded or supplied) input stream against every fault and
-classify the runs.  This is the API behind the Chapter 4 benches and the
-tool a user points at their own machine:
+classify the runs.  Every fault is one row of a row-parallel clocked
+run (:mod:`repro.seq.forcing`), so one pass over the compiled block
+per clock period advances the whole universe.  This is the API behind
+the Chapter 4 benches and the tool a user points at their own machine:
 
-    campaign = sequential_campaign(to_dual_flipflop(machine), vectors)
+    campaign = dualff_campaign(to_dual_flipflop(machine), vectors)
     assert campaign.dangerous == 0
 """
 
@@ -17,10 +19,14 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from ..logic.faults import Fault, enumerate_stem_faults
+from ..seq.forcing import RowForcing
 from ..seq.machine import StateTable
 from ..seq.simulator import FlipFlopFault
+from ..system.memory import single_memory_faults
+from .alternating import RowTrace
 from .codeconv import CodeConversionMachine
 from .dualff import DualFlipFlopMachine
+from .translators import TranslatorFault
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,33 +60,53 @@ class CampaignResult:
 
 def _campaign(
     machine_name: str,
+    labels: Sequence[str],
+    trace: RowTrace,
     reference: List[Tuple[int, ...]],
-    runs,
+    n_z: int,
+    full: int,
+    stopped: int = 0,
 ) -> CampaignResult:
-    total = detected = silent = dangerous = 0
-    latencies: List[int] = []
-    bad: List[str] = []
-    for label, run, decoded in runs:
-        total += 1
-        wrong = decoded != reference
-        if run.detected:
-            detected += 1
-            if run.first_detection is not None:
-                latencies.append(run.first_detection)
-        elif wrong:
-            dangerous += 1
-            bad.append(label)
-        else:
-            silent += 1
-    mean_latency = sum(latencies) / len(latencies) if latencies else None
+    """Classify every row of a clocked trace (row ``r`` is ``labels[r]``).
+
+    A row is detected at the first step where a monitored output fails
+    to alternate or the checker mask flags it; that step is its
+    latency.  ``stopped`` rows are detected with no latency.  An
+    undetected row whose decoded Z ever differs from ``reference`` is
+    dangerous.
+    """
+    detected = stopped
+    wrong = 0
+    latency_sum = latency_count = 0
+    for step, ((first, second, flags), expected) in enumerate(
+        zip(trace, reference)
+    ):
+        bad = flags
+        for a, b in zip(first, second):
+            bad |= full & ~(a ^ b)
+        new = bad & ~detected
+        if new:
+            count = new.bit_count()
+            latency_sum += step * count
+            latency_count += count
+            detected |= new
+        for value, bit in zip(first[:n_z], expected):
+            wrong |= value ^ (full if bit else 0)
+    dangerous = wrong & ~detected
+    bad_labels = tuple(
+        label for row, label in enumerate(labels) if dangerous >> row & 1
+    )
+    n_detected = detected.bit_count()
     return CampaignResult(
         machine_name=machine_name,
-        total=total,
-        detected=detected,
-        silent=silent,
-        dangerous=dangerous,
-        dangerous_faults=tuple(bad),
-        mean_detection_latency=mean_latency,
+        total=len(labels),
+        detected=n_detected,
+        silent=len(labels) - n_detected - len(bad_labels),
+        dangerous=len(bad_labels),
+        dangerous_faults=bad_labels,
+        mean_detection_latency=(
+            latency_sum / latency_count if latency_count else None
+        ),
     )
 
 
@@ -116,23 +142,27 @@ def dualff_campaign(
     combinational stem fault (collapsed to equivalence-class
     representatives unless ``collapse=False``) plus (optionally) every
     flip-flop stage output stuck."""
-    reference = machine.machine.run(list(vectors))
-
-    def runs():
-        for fault in _stem_universe(
-            machine.circuit.network, include_inputs, collapse
-        ):
-            run = machine.run(vectors, fault=fault)
-            yield fault.describe(), run, machine.decoded_outputs(run)
-        if include_flip_flops:
-            for state_line in machine.circuit.chains:
-                for stage in range(machine.circuit.depth):
-                    for value in (0, 1):
-                        ff = FlipFlopFault(state_line, stage, value)
-                        run = machine.run(vectors, ff_fault=ff)
-                        yield ff.describe(), run, machine.decoded_outputs(run)
-
-    return _campaign(machine.circuit.name, reference, runs())
+    circuit = machine.circuit
+    universe: List = _stem_universe(circuit.network, include_inputs, collapse)
+    if include_flip_flops:
+        universe += [
+            FlipFlopFault(state_line, stage, value)
+            for state_line in circuit.stages
+            for stage in range(circuit.depth)
+            for value in (0, 1)
+        ]
+    forcing = RowForcing(len(universe))
+    for row, fault in enumerate(universe):
+        circuit.force(forcing, row, fault)
+    trace = machine.clock_rows(vectors, forcing)
+    return _campaign(
+        circuit.name,
+        [fault.describe() for fault in universe],
+        trace,
+        machine.machine.run(list(vectors)),
+        len(machine.output_names),
+        forcing.full,
+    )
 
 
 def codeconv_campaign(
@@ -144,37 +174,38 @@ def codeconv_campaign(
     """Single-fault campaign over a code-conversion machine: every
     combinational stem fault (collapsed unless ``collapse=False``),
     every translator line class, every memory fault."""
-    from ..scal.translators import TranslatorFault
-    from ..system.memory import single_memory_faults
-
-    reference = machine.machine.run(list(vectors))
     width = machine.encoding.width
-
-    def runs():
-        for fault in _stem_universe(
-            machine.network, include_inputs, collapse
-        ):
-            run = machine.run(vectors, comb_fault=fault)
-            yield f"comb {fault.describe()}", run, machine.decoded_outputs(run)
-        alpt_sites = [(s, k) for s in "abcde" for k in range(width)]
-        alpt_sites += [("f", 0), ("i", 0), ("h", 0), ("g", 0)]
-        for site, k in alpt_sites:
-            for value in (0, 1):
-                tf = TranslatorFault(site, k, value)
-                run = machine.run(vectors, alpt_fault=tf)
-                yield f"alpt {tf.describe()}", run, machine.decoded_outputs(run)
-        palt_sites = [(s, k) for s in "abcde" for k in range(width)]
-        palt_sites += [("f", 0), ("g", 0), ("h", 0)]
-        for site, k in palt_sites:
-            for value in (0, 1):
-                tf = TranslatorFault(site, k, value)
-                run = machine.run(vectors, palt_fault=tf)
-                yield f"palt {tf.describe()}", run, machine.decoded_outputs(run)
-        for mf in single_memory_faults(width, machine.memory.address_bits):
-            run = machine.run(vectors, memory_fault=mf)
-            yield f"mem {mf.describe()}", run, machine.decoded_outputs(run)
-
-    return _campaign(f"{machine.machine.name}_codeconv", reference, runs())
+    universe: List[Tuple[str, object]] = [
+        ("comb", fault)
+        for fault in _stem_universe(machine.network, include_inputs, collapse)
+    ]
+    alpt_sites = [(s, k) for s in "abcde" for k in range(width)]
+    alpt_sites += [("f", 0), ("i", 0), ("h", 0), ("g", 0)]
+    palt_sites = [(s, k) for s in "abcde" for k in range(width)]
+    palt_sites += [("f", 0), ("g", 0), ("h", 0)]
+    for unit, sites in (("alpt", alpt_sites), ("palt", palt_sites)):
+        universe += [
+            (unit, TranslatorFault(site, k, value))
+            for site, k in sites
+            for value in (0, 1)
+        ]
+    universe += [
+        ("mem", fault)
+        for fault in single_memory_faults(width, machine.memory.address_bits)
+    ]
+    forcing = RowForcing(len(universe))
+    for row, (unit, fault) in enumerate(universe):
+        machine.force(forcing, row, unit, fault)
+    trace = machine.clock_rows(vectors, forcing)
+    return _campaign(
+        f"{machine.machine.name}_codeconv",
+        [f"{unit} {fault.describe()}" for unit, fault in universe],
+        trace,
+        machine.machine.run(list(vectors)),
+        len(machine.output_names),
+        forcing.full,
+        stopped=machine.stopped_rows(forcing),
+    )
 
 
 def random_vectors(

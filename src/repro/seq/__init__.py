@@ -1,7 +1,7 @@
 """Sequential-machine substrate: state tables, flip-flops, clocked
 simulation, state assignment, and Kohavi-style synthesis."""
 
-from .dff import DelayChain, DFlipFlop, Register
+from .dff import DFlipFlop, Register
 from .encoding import (
     StateEncoding,
     binary_encoding,
@@ -18,14 +18,15 @@ from .stg import (
     render_stg_dot,
 )
 from .machine import StateTable, StateTableError, Transition, single_input_table
+from .forcing import RowForcing
 from .simulator import FlipFlopFault, SequentialCircuit
 from .synthesis import SynthesizedMachine, machine_tables, synthesize_machine
 
 __all__ = [
     "DFlipFlop",
-    "DelayChain",
     "FlipFlopFault",
     "Register",
+    "RowForcing",
     "SequentialCircuit",
     "StateEncoding",
     "StateTable",

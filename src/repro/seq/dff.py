@@ -71,30 +71,3 @@ class Register:
     def __len__(self) -> int:
         return len(self.cells)
 
-
-class DelayChain:
-    """``depth`` flip-flops in series — the dual flip-flop feedback path
-    of Figure 4.2a uses ``depth=2`` so the present state lags the next
-    state by two clock periods."""
-
-    def __init__(self, depth: int, initial: int = 0) -> None:
-        if depth < 1:
-            raise ValueError("delay chain needs at least one stage")
-        self.stages = [DFlipFlop(initial) for _ in range(depth)]
-
-    def clock_edge(self, d: int, clock: int) -> int:
-        """Shift one position on the rising edge; returns the tail."""
-        # Read stage outputs before the edge so all stages move together.
-        values = [stage.output for stage in self.stages]
-        inputs = [d] + values[:-1]
-        for stage, value in zip(self.stages, inputs):
-            stage.clock_edge(value, clock)
-        return self.output
-
-    @property
-    def output(self) -> int:
-        return self.stages[-1].output
-
-    def reset(self, value: int = 0) -> None:
-        for stage in self.stages:
-            stage.reset(value)

@@ -3,24 +3,33 @@
 A :class:`SequentialCircuit` is the Figure 4.1a model made executable: a
 combinational :class:`~repro.logic.network.Network` whose inputs include
 the present-state lines, plus a feedback map *next-state output line →
-present-state input line* realized with D delay chains.  ``depth=1``
-gives the standard machine; ``depth=2`` gives the dual flip-flop
-alternating machine of Figure 4.2a.
+present-state input line* realized with ``depth`` D flip-flops in
+series.  ``depth=1`` gives the standard machine; ``depth=2`` gives the
+dual flip-flop alternating machine of Figure 4.2a.
+
+Simulation is row-parallel (:mod:`repro.seq.forcing`): the circuit
+clocks many copies of itself at once, every line value and flip-flop
+stage a big int whose bit ``r`` is row ``r``.  One clock period is one
+pass over the compiled op program for every row, so a fault campaign
+puts one fault per row and clocks them all together.  The scalar API
+(:meth:`SequentialCircuit.step`, :meth:`~SequentialCircuit.run`) is the
+one-row case.
 
 Faults can be injected persistently into the combinational network (any
-stem/pin stuck-at) or onto a flip-flop output — the fault lives for the
-whole simulated run, matching the permanent single-fault model.
+stem/pin stuck-at) or onto a flip-flop stage output — the fault lives
+for the whole simulated run, matching the permanent single-fault model.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..engine import engine_for
-from ..logic.faults import Fault, MultipleFault
+from ..engine import backends
+from ..engine.compiled import CompiledNetwork, compile_network
+from ..logic.faults import Fault, MultipleFault, fault_overrides
 from ..logic.network import Network
-from .dff import DelayChain
+from .forcing import RowForcing
 
 FaultLike = Union[Fault, MultipleFault]
 
@@ -37,6 +46,57 @@ class FlipFlopFault:
         return f"ff[{self.state_line}#{self.stage}] s/{self.value}"
 
 
+def force_fault(
+    forcing: RowForcing, row: int, fault: FaultLike, compiled: CompiledNetwork
+) -> None:
+    """Add one network stem/pin fault to ``forcing`` in ``row``.
+
+    Faults naming lines (or pin slots) absent from the network are
+    ignored, as :meth:`CompiledNetwork.fault_plan` ignores them.  A stem
+    force shadows a pin force on the gate driving that stem, because
+    :func:`evaluate_rows` forces a stem after its gate evaluates.
+    """
+    stems, pins = fault_overrides(fault)
+    for name, value in stems.items():
+        line = compiled.index.get(name)
+        if line is not None:
+            forcing.stick_line(line, row, value)
+    for (gate, slot), value in pins.items():
+        line = compiled.index.get(gate)
+        if line is None or line < compiled.n_inputs:
+            continue
+        pos = line - compiled.n_inputs
+        if slot < len(compiled.ops[pos].srcs):
+            forcing.stick_pin(pos, slot, row, value)
+
+
+def evaluate_rows(
+    compiled: CompiledNetwork, inputs: Sequence[int], forcing: RowForcing
+) -> List[int]:
+    """Every line's row mask from the input lines' row masks: one pass
+    over the op program with ``forcing``'s stems and pins applied."""
+    evaluate = backends.evaluate_mask  # looked up per call: chaos patches bite
+    full = forcing.full
+    lines = forcing.lines
+    pins = forcing.pins
+    values = list(inputs) + [0] * len(compiled.ops)
+    for line, (rows, ones) in lines.items():
+        if line < compiled.n_inputs:
+            values[line] = (values[line] & ~rows) | ones
+    for pos, op in enumerate(compiled.ops):
+        operands = [values[s] for s in op.srcs]
+        overrides = pins.get(pos)
+        if overrides:
+            for slot, (rows, ones) in overrides.items():
+                operands[slot] = (operands[slot] & ~rows) | ones
+        value = evaluate(op.kind, operands, full)
+        forced = lines.get(op.out)
+        if forced is not None:
+            value = (value & ~forced[0]) | forced[1]
+        values[op.out] = value
+    return values
+
+
 class SequentialCircuit:
     """A combinational network closed through D flip-flop chains."""
 
@@ -51,9 +111,11 @@ class SequentialCircuit:
         """``feedback`` maps next-state *output* line → present-state
         *input* line.  Present-state lines must be primary inputs of the
         network; next-state lines must be among its outputs."""
+        if depth < 1:
+            raise ValueError("a feedback chain needs at least one stage")
         self.name = name
         self.network = network
-        self._engine = engine_for(network)
+        self.compiled = compile_network(network)
         self.depth = depth
         self.feedback: Dict[str, str] = dict(feedback)
         for next_line, present_line in self.feedback.items():
@@ -68,23 +130,101 @@ class SequentialCircuit:
             o for o in network.outputs if o not in self.feedback
         )
         init = dict(initial_state or {})
-        self.chains: Dict[str, DelayChain] = {
-            present: DelayChain(depth, init.get(present, 0))
-            for present in self.feedback.values()
-        }
         self._initial = {p: init.get(p, 0) for p in self.feedback.values()}
-        self._out_pos = {name: i for i, name in enumerate(network.outputs)}
+        self._next_line = {
+            present: self.compiled.index[next_line]
+            for next_line, present in self.feedback.items()
+        }
+        #: present-state line -> stage row masks, stage 0 at the input
+        #: end; the last stage drives the present-state line.
+        self.stages: Dict[str, List[int]] = {}
+        self.reset()
 
-    def reset(self, state: Optional[Mapping[str, int]] = None) -> None:
+    def reset(
+        self, state: Optional[Mapping[str, int]] = None, rows: int = 1
+    ) -> None:
+        """Fill every stage of every chain with its initial bit (or
+        ``state``'s), in each of ``rows`` rows."""
         values = dict(self._initial)
         if state:
             values.update(state)
-        for present, chain in self.chains.items():
-            chain.reset(values.get(present, 0))
+        full = (1 << rows) - 1
+        self.stages = {
+            present: [full if values.get(present, 0) else 0] * self.depth
+            for present in self._initial
+        }
+        self._full = full
+
+    def set_stages(self, stages: Mapping[str, Sequence[int]]) -> None:
+        """Load per-stage bits (stage 0 first) into chains, the same in
+        every row — e.g. the dual flip-flop machine's alternating seed
+        ``(ȳ, y)``."""
+        for present, bits in stages.items():
+            if present not in self.stages:
+                raise ValueError(f"{present!r} is not a present-state line")
+            if len(bits) != self.depth:
+                raise ValueError(
+                    f"{present!r}: {len(bits)} stage values for a "
+                    f"depth-{self.depth} chain"
+                )
+            self.stages[present] = [self._full if b & 1 else 0 for b in bits]
 
     @property
     def present_state(self) -> Dict[str, int]:
-        return {line: chain.output for line, chain in self.chains.items()}
+        return {line: chain[-1] for line, chain in self.stages.items()}
+
+    def force(
+        self,
+        forcing: RowForcing,
+        row: int,
+        fault: Union[FaultLike, FlipFlopFault],
+    ) -> None:
+        """Add a network or flip-flop fault to ``forcing`` in ``row``."""
+        if isinstance(fault, FlipFlopFault):
+            forcing.stick(
+                ("ff", fault.state_line, fault.stage), row, fault.value
+            )
+        else:
+            force_fault(forcing, row, fault, self.compiled)
+
+    def fault_forcing(
+        self,
+        fault: Optional[FaultLike] = None,
+        ff_fault: Optional[FlipFlopFault] = None,
+    ) -> RowForcing:
+        """The one-row forcing of a network and/or flip-flop fault."""
+        forcing = RowForcing()
+        for part in (fault, ff_fault):
+            if part is not None:
+                self.force(forcing, 0, part)
+        return forcing
+
+    def clock(
+        self, inputs: Mapping[str, int], forcing: RowForcing
+    ) -> List[int]:
+        """One clock period over every row: evaluate, then shift every
+        chain on the rising edge.
+
+        ``inputs`` maps each external input to its row mask.  Returns
+        every line's row mask (compiled order) as seen *before* the
+        edge.  A stuck final stage corrupts the present state the block
+        reads; a stuck earlier stage corrupts the value shifted into it.
+        """
+        last = self.depth - 1
+        point = []
+        for name in self.compiled.input_names:
+            chain = self.stages.get(name)
+            if chain is None:
+                point.append(inputs[name])
+            else:
+                point.append(forcing.apply(("ff", name, last), chain[-1]))
+        values = evaluate_rows(self.compiled, point, forcing)
+        for present, chain in self.stages.items():
+            chain[1:] = chain[:-1]
+            chain[0] = values[self._next_line[present]]
+            for stage in range(last):
+                chain[stage] = forcing.apply(("ff", present, stage), chain[stage])
+        return values
 
     def step(
         self,
@@ -92,77 +232,19 @@ class SequentialCircuit:
         fault: Optional[FaultLike] = None,
         ff_fault: Optional[FlipFlopFault] = None,
     ) -> Dict[str, int]:
-        """One clock period: evaluate, then latch on the rising edge.
+        """One clock period of a one-row circuit: evaluate, then latch on
+        the rising edge.
 
         Returns the values of all network lines for this period (external
         outputs included), as seen *before* the edge.
         """
-        assignment = dict(inputs)
-        for present, chain in self.chains.items():
-            assignment[present] = chain.output
-        if ff_fault is not None and ff_fault.stage == self.depth - 1:
-            # A stuck final-stage output corrupts the present state seen
-            # by the combinational logic.
-            assignment[ff_fault.state_line] = ff_fault.value
-        # Engine pointwise path: clocked runs revisit the same few
-        # (input, state) points across faults, so the baseline cache and
-        # cone-pruned faulty re-simulation make each period cheap.
-        point = tuple(
-            int(assignment[name]) & 1 for name in self.network.inputs
-        )
-        line_values = self._engine.pointwise.line_values(point, fault)
-        values = dict(zip(self._engine.compiled.names, line_values))
-        for next_line, present in self.feedback.items():
-            chain = self.chains[present]
-            d = values[next_line]
-            if (
-                ff_fault is not None
-                and ff_fault.state_line == present
-                and ff_fault.stage < self.depth - 1
-            ):
-                # Intermediate-stage stuck: corrupt the shifted value.
-                chain.clock_edge(d, 1)
-                chain.stages[ff_fault.stage].q = ff_fault.value
-            else:
-                chain.clock_edge(d, 1)
-            chain.clock_edge(d, 0)  # falling edge re-arms the chain
-        return values
+        return self._named(inputs, self.fault_forcing(fault, ff_fault))
 
-    def step_outputs(
-        self,
-        inputs: Mapping[str, int],
-        fault: Optional[FaultLike] = None,
-        ff_fault: Optional[FlipFlopFault] = None,
-    ) -> Tuple[int, ...]:
-        """One clock period returning only the network-output tuple.
-
-        The campaign fast path: feedback and alternation monitoring both
-        read output lines, so the full line-value map of :meth:`step` is
-        not materialized.
-        """
-        assignment = dict(inputs)
-        for present, chain in self.chains.items():
-            assignment[present] = chain.output
-        if ff_fault is not None and ff_fault.stage == self.depth - 1:
-            assignment[ff_fault.state_line] = ff_fault.value
-        point = tuple(
-            int(assignment[name]) & 1 for name in self.network.inputs
-        )
-        outputs = self._engine.pointwise.output_values(point, fault)
-        for next_line, present in self.feedback.items():
-            chain = self.chains[present]
-            d = outputs[self._out_pos[next_line]]
-            if (
-                ff_fault is not None
-                and ff_fault.state_line == present
-                and ff_fault.stage < self.depth - 1
-            ):
-                chain.clock_edge(d, 1)
-                chain.stages[ff_fault.stage].q = ff_fault.value
-            else:
-                chain.clock_edge(d, 1)
-            chain.clock_edge(d, 0)
-        return outputs
+    def _named(
+        self, inputs: Mapping[str, int], forcing: RowForcing
+    ) -> Dict[str, int]:
+        masks = {name: int(v) & 1 for name, v in inputs.items()}
+        return dict(zip(self.compiled.names, self.clock(masks, forcing)))
 
     def run(
         self,
@@ -174,10 +256,8 @@ class SequentialCircuit:
         """Simulate a whole input stream; returns per-period line values."""
         if reset:
             self.reset()
-        trace = []
-        for inputs in input_stream:
-            trace.append(self.step(inputs, fault=fault, ff_fault=ff_fault))
-        return trace
+        forcing = self.fault_forcing(fault, ff_fault)
+        return [self._named(inputs, forcing) for inputs in input_stream]
 
     def output_trace(
         self,
@@ -191,7 +271,7 @@ class SequentialCircuit:
         return [tuple(v[o] for o in self.external_outputs) for v in trace]
 
     def flip_flop_count(self) -> int:
-        return self.depth * len(self.chains)
+        return self.depth * len(self.stages)
 
     def gate_count(self) -> int:
         return self.network.gate_count(include_buffers=False)

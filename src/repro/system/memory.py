@@ -11,12 +11,16 @@ folded parities disagree, and the 1-out-of-2 code at the PALT breaks.
 Fault injection covers the memory's single-fault modes: one stuck data
 cell bit, one stuck data line (affects every access), and one stuck
 address line (the misaddressing fault the folding is there to catch).
+The memory is row-parallel, like the translators, so a code-conversion
+campaign keeps every faulty copy in one instance.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..seq.forcing import RowForcing
 
 
 def parity(bits: Sequence[int]) -> int:
@@ -48,7 +52,13 @@ class MemoryFault:
 
 
 class ParityMemory:
-    """Word-addressable storage of (data, parity) code words."""
+    """Word-addressable storage of (data, parity) code words.
+
+    Row-parallel (:mod:`repro.seq.forcing`): stored bits are row masks
+    and faults are forced through :attr:`forcing`, so a campaign keeps
+    one faulty memory per row in one instance.  :meth:`inject` arms one
+    fault in a one-row forcing — the scalar case.
+    """
 
     def __init__(
         self,
@@ -59,31 +69,63 @@ class ParityMemory:
         self.word_bits = word_bits
         self.address_bits = address_bits
         self.fold_address_parity = fold_address_parity
-        self._cells: Dict[int, List[int]] = {}
-        self.fault: Optional[MemoryFault] = None
+        #: physical address -> (rows that wrote it, per-bit row masks)
+        self._cells: Dict[int, Tuple[int, List[int]]] = {}
+        self.inject(None)
 
     # ------------------------------------------------------------------
-    def _effective_address(self, address: int) -> int:
-        if self.fault is not None and self.fault.kind == "address_line":
-            bit = 1 << self.fault.index
-            address = (address & ~bit) | (self.fault.value << self.fault.index)
-        return address & ((1 << self.address_bits) - 1)
+    def force(self, forcing: RowForcing, row: int, fault: MemoryFault) -> None:
+        """Add one memory fault to ``forcing`` in ``row``."""
+        if fault.kind == "cell":
+            cell = (fault.address or 0) & ((1 << self.address_bits) - 1)
+            site = ("mem", "cell", cell, fault.index)
+        else:
+            site = ("mem", fault.kind, fault.index)
+        forcing.stick(site, row, fault.value)
+
+    def _routes(self, address: int) -> Dict[int, int]:
+        """Physical cell -> the rows whose access to ``address`` lands
+        there through their stuck address lines."""
+        routes = {address & ((1 << self.address_bits) - 1): self.forcing.full}
+        for index in range(self.address_bits):
+            forced = self.forcing.sites.get(("mem", "address_line", index))
+            if forced is None:
+                continue
+            rows, ones = forced
+            bit = 1 << index
+            moved: Dict[int, int] = {}
+            for cell, sel in routes.items():
+                for target, part in (
+                    (cell | bit, sel & rows & ones),
+                    (cell & ~bit, sel & rows & ~ones),
+                    (cell, sel & ~rows),
+                ):
+                    if part:
+                        moved[target] = moved.get(target, 0) | part
+            routes = moved
+        return routes
 
     def _address_parity(self, address: int) -> int:
+        """The folded address parity as a row mask (same in every row)."""
         if not self.fold_address_parity:
             return 0
-        return parity(
-            [(address >> i) & 1 for i in range(self.address_bits)]
-        )
+        bits = [(address >> i) & 1 for i in range(self.address_bits)]
+        return self.forcing.full if parity(bits) else 0
 
     def store(self, address: int, data: Sequence[int], data_parity: int) -> None:
         """Store a word with its parity bit, folding the parity of the
         address *as presented by the requester* (a stuck address line
         inside the memory then routes the word, with the requester's
         address parity, to the wrong cell)."""
-        stored_parity = (int(data_parity) & 1) ^ self._address_parity(address)
-        cell = [int(b) & 1 for b in data] + [stored_parity]
-        self._cells[self._effective_address(address)] = cell
+        full = self.forcing.full
+        word = [int(b) & full for b in data]
+        word.append((int(data_parity) & full) ^ self._address_parity(address))
+        for cell, rows in self._routes(address).items():
+            written, bits = self._cells.get(cell, (0, word))
+            self._cells[cell] = (
+                written | rows,
+                [(old & ~rows) | (new & rows) for old, new in zip(bits, word)],
+            )
 
     def load(self, address: int) -> Tuple[List[int], int]:
         """Read ``(data bits, parity bit)`` with the address parity
@@ -94,21 +136,16 @@ class ParityMemory:
         physical cell index, so a healthy read of a fresh cell is a
         valid code word while a misaddressed read still trips the check.
         """
-        effective = self._effective_address(address)
-        default = [0] * self.word_bits + [self._address_parity(effective)]
-        cell = list(self._cells.get(effective, default))
-        if self.fault is not None:
-            if (
-                self.fault.kind == "cell"
-                and self._effective_address(self.fault.address or 0)
-                == self._effective_address(address)
-            ):
-                cell[self.fault.index] = self.fault.value
-            elif self.fault.kind == "data_line":
-                cell[self.fault.index] = self.fault.value
-        data = cell[: self.word_bits]
-        stored_parity = cell[self.word_bits]
-        return data, stored_parity ^ self._address_parity(address)
+        f = self.forcing
+        out = [0] * (self.word_bits + 1)
+        for cell, rows in self._routes(address).items():
+            default = [0] * self.word_bits + [self._address_parity(cell)]
+            written, bits = self._cells.get(cell, (0, default))
+            for i, (value, fresh) in enumerate(zip(bits, default)):
+                value = (value & written) | (fresh & ~written)
+                out[i] |= f.apply(("mem", "cell", cell, i), value) & rows
+        out = [f.apply(("mem", "data_line", i), v) for i, v in enumerate(out)]
+        return out[: self.word_bits], out[-1] ^ self._address_parity(address)
 
     def check_word(self, data: Sequence[int], parity_bit: int) -> bool:
         """Even-parity validity of a (data, parity) code word."""
@@ -116,10 +153,13 @@ class ParityMemory:
 
     def inject(self, fault: Optional[MemoryFault]) -> None:
         self.fault = fault
+        self.forcing = RowForcing()
+        if fault is not None:
+            self.force(self.forcing, 0, fault)
 
     def clear(self) -> None:
         self._cells.clear()
-        self.fault = None
+        self.inject(None)
 
 
 def single_memory_faults(

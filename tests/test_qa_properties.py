@@ -36,6 +36,7 @@ EXPECTED_PROPERTIES = {
     "atpg-detects",
     "atpg-drop-soundness",
     "backend-agreement",
+    "clocked-campaign-reference",
     "collapse-verdict",
     "sampled-determinism",
     "seq-transform-equivalence",
@@ -236,6 +237,20 @@ def test_pointwise_chaos_bug_caught():
         properties=["backend-agreement"],
         artifact_dir=None,
         chaos_bug="nor-as-or-pointwise",
+        shrink=False,
+    )
+    assert not report.ok
+
+
+def test_clocked_campaign_chaos_bug_caught():
+    """The packed clocked stepper evaluates through the bitmask seam, so
+    a NOT miscompiled as a buffer must split it from the naive stepper."""
+    report = fuzz(
+        seed=0,
+        budget=4,
+        properties=["clocked-campaign-reference"],
+        artifact_dir=None,
+        chaos_bug="not-as-buf",
         shrink=False,
     )
     assert not report.ok

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.seq.dff import DelayChain, DFlipFlop, Register
+from repro.logic.gates import GateKind
+from repro.logic.network import NetworkBuilder
+from repro.seq.dff import DFlipFlop, Register
 from repro.seq.encoding import (
     binary_encoding,
     gray_encoding,
@@ -50,31 +52,34 @@ class TestDFlipFlop:
         assert ff.output == 0
 
 
+def _delay_line(depth):
+    """A feedback chain of ``depth`` flip-flops closed round a buffer:
+    ``Y = d`` is fed back into the present-state line ``y``."""
+    builder = NetworkBuilder(["d", "y"], name="delay")
+    builder.add("Y", GateKind.BUF, ["d"])
+    return SequentialCircuit(builder.build(["Y"]), {"Y": "y"}, depth=depth)
+
+
 class TestDelayChain:
     def test_two_stage_delay_pre_edge_view(self):
         """The combinational block reads the chain *before* the clock
         edge (as SequentialCircuit.step does): the value seen in period t
         entered the chain in period t-2 — the Figure 4.2a timing."""
-        chain = DelayChain(2)
-        seen = []
-        for d in (1, 0, 1, 1, 0):
-            seen.append(chain.output)  # pre-edge read
-            chain.clock_edge(d, 1)
-            chain.clock_edge(d, 0)
+        circuit = _delay_line(2)
+        seen = [circuit.step({"d": d})["y"] for d in (1, 0, 1, 1, 0)]
         assert seen == [0, 0, 1, 0, 1]
 
     def test_two_stage_delay_post_edge_view(self):
-        chain = DelayChain(2)
+        circuit = _delay_line(2)
         outputs = []
         for d in (1, 0, 1, 1, 0):
-            chain.clock_edge(d, 1)
-            chain.clock_edge(d, 0)
-            outputs.append(chain.output)
+            circuit.step({"d": d})
+            outputs.append(circuit.present_state["y"])
         assert outputs == [0, 1, 0, 1, 1]
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            DelayChain(0)
+            _delay_line(0)
 
     def test_register(self):
         reg = Register(3)

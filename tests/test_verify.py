@@ -1,5 +1,9 @@
 """Tests for sequential fault campaigns (repro.scal.verify)."""
 
+import random
+
+import pytest
+
 from repro.scal.codeconv import to_code_conversion
 from repro.scal.dualff import to_dual_flipflop
 from repro.scal.verify import (
@@ -8,6 +12,7 @@ from repro.scal.verify import (
     random_vectors,
 )
 from repro.workloads.detectors import kohavi_0101
+from repro.workloads.randomlogic import random_machine
 
 
 class TestDualffCampaign:
@@ -66,3 +71,27 @@ class TestRandomVectors:
     def test_width_matches_machine(self, detector):
         vectors = random_vectors(detector, 5, 8)
         assert all(len(v) == detector.n_inputs for v in vectors)
+
+
+class TestVectorWidth:
+    """A stream whose vectors do not match the machine's input count is
+    rejected up front, naming the vector, by every clocked entry point."""
+
+    @pytest.mark.parametrize("vector", [(), (1, 1, 1)], ids=["short", "long"])
+    @pytest.mark.parametrize("form", ["dualff", "codeconv"])
+    @pytest.mark.parametrize("entry", ["run", "campaign"])
+    def test_wrong_width_rejected(self, form, entry, vector):
+        machine = random_machine(random.Random(3), 3)
+        assert machine.n_inputs == 1
+        if form == "dualff":
+            scal, campaign = to_dual_flipflop(machine), dualff_campaign
+        else:
+            scal, campaign = to_code_conversion(machine), codeconv_campaign
+        vectors = [(0,), vector, (1,)]
+        call = scal.run if entry == "run" else lambda v: campaign(scal, v)
+        with pytest.raises(ValueError) as info:
+            call(vectors)
+        message = str(info.value)
+        assert "vector 1" in message
+        assert f"width {len(vector)}" in message
+        assert "n_inputs=1" in message
