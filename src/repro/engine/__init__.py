@@ -63,7 +63,6 @@ from .compiled import (
     FaultPlan,
     Op,
     compile_network,
-    reflect_bits,
 )
 from .store import STORE, ArtifactStore, program_fingerprint
 from .fork import (
@@ -209,7 +208,6 @@ __all__ = [
     "compile_network",
     "engine_for",
     "program_fingerprint",
-    "reflect_bits",
     "run_atpg",
     "run_campaign",
     "run_generation_batch",

@@ -34,8 +34,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..logic.gates import evaluate as eval_gate
 from ..logic.gates import evaluate_mask
+from ..logic.truthtable import reverse_bits
 from .. import obs
-from .compiled import CompiledNetwork, FaultLike, reflect_bits
+from .compiled import CompiledNetwork, FaultLike
 
 #: Pointwise baseline caches stop growing beyond this many distinct
 #: input points (2**16 — larger spaces should sample explicit points).
@@ -70,6 +71,42 @@ def classify_status(detected: int, violations: int) -> str:
     if detected:
         return "detected"
     return "silent"
+
+
+def table_normals(
+    outs: Sequence[int], n: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Fault-free output tables and their alternation masks (bit ``p``
+    set iff the output differs at ``p`` and at its complement)."""
+    return tuple(outs), tuple(t ^ reverse_bits(t, n) for t in outs)
+
+
+def table_response(
+    normals: Tuple[Tuple[int, ...], Tuple[int, ...]],
+    faulty: Sequence[int],
+    n: int,
+) -> Tuple[int, int, int]:
+    """``(affected, detected, violations)`` pair-level masks of one fault
+    from its output tables and the :func:`table_normals` of the
+    fault-free ones, all big ints in truth-table order — the raw-integer
+    SCAL classification (Definition 2.4)."""
+    normal_out, normal_alt = normals
+    full = (1 << (1 << n)) - 1
+    wrong = 0
+    detected = 0
+    all_alternate = full
+    for t_normal, alt_normal, t_fault in zip(normal_out, normal_alt, faulty):
+        if t_fault == t_normal:
+            alternates = alt_normal
+        else:
+            alternates = t_fault ^ reverse_bits(t_fault, n)
+            wrong |= t_normal ^ t_fault
+        detected |= alternates ^ full  # nonalternating pairs
+        all_alternate &= alternates
+    # Close point sets under the X ↔ X̄ pairing (alternation masks
+    # are already pair-symmetric, so `detected` needs no closing).
+    affected = wrong | reverse_bits(wrong, n)
+    return affected, detected, affected & all_alternate
 
 
 def _evaluate_masks(
@@ -205,37 +242,17 @@ class BitmaskBackend:
     def normals(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Fault-free output masks and their alternation masks (cached)."""
         if self._normals is None:
-            n = self.compiled.n_inputs
-            outs = self.output_bits()
-            alts = tuple(bits ^ reflect_bits(bits, n) for bits in outs)
-            self._normals = (outs, alts)
+            self._normals = table_normals(
+                self.output_bits(), self.compiled.n_inputs
+            )
         return self._normals
 
     def response_triple(self, fault: FaultLike) -> Tuple[int, int, int]:
         """``(affected, detected, violations)`` pair-level masks for one
-        fault — the raw-integer SCAL classification."""
-        normal_out, normal_alt = self.normals()
-        values = self.line_bits(fault)
-        n = self.compiled.n_inputs
-        full = self.full
-        wrong = 0
-        detected = 0
-        all_alternate = full
-        for pos, idx in enumerate(self.compiled.out_idx):
-            t_fault = values[idx]
-            t_normal = normal_out[pos]
-            if t_fault == t_normal:
-                alternates = normal_alt[pos]
-            else:
-                alternates = t_fault ^ reflect_bits(t_fault, n)
-                wrong |= t_normal ^ t_fault
-            detected |= alternates ^ full  # nonalternating pairs
-            all_alternate &= alternates
-        # Close point sets under the X ↔ X̄ pairing (alternation masks
-        # are already pair-symmetric, so `detected` needs no closing).
-        affected = wrong | reflect_bits(wrong, n)
-        violations = affected & all_alternate
-        return affected, detected, violations
+        fault — :func:`table_response` over this backend's tables."""
+        return table_response(
+            self.normals(), self.output_bits(fault), self.compiled.n_inputs
+        )
 
     def sweep_statuses(self, faults: Iterable[FaultLike]) -> List[str]:
         """Classify every fault (``dangerous``/``detected``/``silent``)."""

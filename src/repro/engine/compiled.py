@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..logic.faults import Fault, MultipleFault, fault_overrides
 from ..logic.gates import GateKind
 from ..logic.network import Network
-from ..logic.truthtable import _complement_permutation
 
 FaultLike = Union[Fault, MultipleFault]
 
@@ -195,18 +194,3 @@ def compile_network(network: Network) -> CompiledNetwork:
         _compile_cache[network] = compiled
     return compiled
 
-
-def reflect_bits(bits: int, n: int) -> int:
-    """Permute a ``2**n``-bit truth-table mask by complementing indices.
-
-    The raw-integer form of :meth:`TruthTable.co_reflect` — the SCAL
-    ``X → X̄`` pairing — for engine paths that avoid table objects.
-    """
-    perm = _complement_permutation(n)
-    out = 0
-    m = bits
-    while m:
-        low = m & -m
-        out |= 1 << perm[low.bit_length() - 1]
-        m ^= low
-    return out

@@ -35,9 +35,12 @@ engines of identical programs.  Prepared per-block argument tuples are
 cached too, so steady-state sweeps (the synthesis-campaign fitness shape:
 the same universe swept millions of times) skip all set-up.
 
-Wide tables are blocked into L2-sized **mirror tiles** on the word axis
-(words ``[lo, lo+K)`` together with ``[W-lo-K, W-lo)`` — a set closed
-under the ``X ↔ X̄`` word reflection, so alternation stays local to the
+Tables are in the vectorized tier's pair-major point order, so the
+fused classification needs no reflection: alternation is the XOR of a
+tile's two aligned halves (or ``(v ^ (v >> h)) & low`` inside a table
+of one word or less).  Wide tables are blocked into L2-sized **tiles**
+on the word axis (words ``[lo, lo+K)`` of the lower half together with
+their partners ``[H+lo, H+lo+K)``, so alternation stays local to the
 tile) and tiles run on a shared :class:`ThreadPoolExecutor` (NumPy
 releases the GIL on large array ops).
 """
@@ -61,15 +64,13 @@ from .vectorized import (
     VectorizedBackend,
     _threshold_words,
     classify_status,
+    pair_tiles,
 )
 
 try:  # NumPy is required for this tier; selection happens upstream.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
     _np = None
-
-if HAVE_NUMPY:
-    from .vectorized import _REV8
 
 _REG = obs.REGISTRY
 _M_COMPILES = _REG.counter(
@@ -100,22 +101,10 @@ _M_WORDS = _REG.counter(
 #: sweep).
 DEFAULT_KERNEL_BLOCK_FAULTS = 16
 
-#: Words per mirror half-tile.  One tile is ``2 * tile_words`` words:
-#: a ``(16, 4096)``-word block row set stays within a typical L2 slice.
+#: Words of the lower half per tile.  One tile is ``2 * tile_words``
+#: words, those plus their upper-half partners: a ``(16, 4096)``-word
+#: block row set stays within a typical L2 slice.
 DEFAULT_TILE_WORDS = 2048
-
-_FULL64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _rev_contiguous(a):
-    """Full bit-string reversal of each row of a **contiguous** packed
-    array: reversing all ``64 * W`` bits at once is "reverse the byte
-    order, then bit-reverse each byte" — one fancy-indexed lookup
-    instead of the word-reverse + byteswap chain.  Codegen guarantees
-    contiguity: the kernel only reflects freshly computed ufunc
-    results."""
-    return _REV8[a.view(_np.uint8)[..., ::-1]].view(_np.uint64)
-
 
 class _Kernel:
     """One compiled signature: the exec'd function plus its arg spec."""
@@ -138,7 +127,7 @@ class _Kernel:
 class _PreparedBlock:
     """One fault block bound to its kernel: ready-to-call arg tuples."""
 
-    __slots__ = ("size", "const_status", "det_const", "kern", "slab_args")
+    __slots__ = ("size", "const_status", "det_const", "kern", "tile_args")
 
 
 class KernelBackend:
@@ -195,31 +184,20 @@ class KernelBackend:
         self._base: Optional[List] = None
         self._base_alt: Dict[int, object] = {}
         self._seed_cache: Dict[Tuple[int, ...], Tuple[bool, object]] = {}
-        self._slab_base: Dict[int, Dict[int, object]] = {}
+        self._tile_base: Dict[int, Dict[int, object]] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
-        # Mirror tiles: each slab's word set is closed under the
-        # reflection w -> W-1-w, so rev(slab) = bit-reverse + reverse
-        # the slab's word order.
-        if self.words <= 2 * self.tile_words:
-            self._slabs: Tuple[Tuple[Tuple[int, int], ...], ...] = (
-                ((0, self.words),),
-            )
-        else:
-            half = self.words // 2
-            k = 1 << (min(self.tile_words, half).bit_length() - 1)
-            self._slabs = tuple(
-                ((lo, lo + k), (self.words - lo - k, self.words - lo))
-                for lo in range(0, half, k)
-            )
-        if self.total_bits < 64:
-            shift = _np.uint64(64 - self.total_bits)
-
-            def rev(a, _s=shift):
-                return _rev_contiguous(a) >> _s
-
-        else:
-            rev = _rev_contiguous
-        self._rev = rev
+        # Tiles of a power-of-two word count divide the half evenly, so
+        # every tile has the same width.
+        self._tiles = pair_tiles(
+            self.words, 1 << (self.tile_words.bit_length() - 1)
+        )
+        # Gate literals span a whole tile, so every computed line does
+        # too and a tile's two halves can always be sliced apart.
+        width = len(self._tiles[0])
+        self._literals = (
+            _np.full(width, self.full_word, dtype=_np.uint64),
+            _np.zeros(width, dtype=_np.uint64),
+        )
 
     # ------------------------------------------------------------------
     # baseline material
@@ -230,16 +208,16 @@ class KernelBackend:
         return self._base
 
     def _base_alt_of(self, out: int):
-        """Baseline alternation mask of output line ``out`` (cached)."""
+        """Baseline alternation mask of output line ``out``, one bit per
+        pair (cached)."""
         cached = self._base_alt.get(out)
         if cached is None:
             base = self._baseline()
-            row = _np.ascontiguousarray(
-                _np.broadcast_to(
-                    _np.asarray(base[out], dtype=_np.uint64), (self.words,)
-                )
+            row = _np.broadcast_to(
+                _np.asarray(base[out], dtype=_np.uint64), (self.words,)
             )
-            cached = row ^ self._rev(row)
+            lo, hi = self.vec._halves(row)
+            cached = lo ^ hi
             self._base_alt[out] = cached
         return cached
 
@@ -255,7 +233,7 @@ class KernelBackend:
         cached = self._seed_cache.get(untouched)
         if cached is not None:
             return cached
-        full = self.full_word
+        full = self.vec.pair_full
         det_const = False
         alt_seed = None
         for out in untouched:
@@ -442,28 +420,35 @@ class KernelBackend:
             return kern
         kern.const_status = None
 
-        masked = self.total_bits < 64
-        inv = "~a & F" if masked else "~a"
+        # Each line's two aligned halves, whose XOR is its alternation:
+        # the two K-word halves of a tile, or the two S-bit halves of a
+        # one-word table (``L`` masks the lower one).
+        one_word = self.words == 1
+        if one_word:
+            lo, hi, inv = "({} & L)", "({} >> S)", "a ^ L"
+        else:
+            lo, hi, inv = "{}[..., :K]", "{}[..., K:]", "~a"
+
+        def alternation(v: str) -> str:
+            return f"{lo.format(v)} ^ {hi.format(v)}"
+
         first = touched[0]
         body.append(f"w = v{first} ^ {base_ref(first)}")
-        body.append(f"a = v{first} ^ R(v{first})")
+        body.append(f"a = {alternation(f'v{first}')}")
         body.append("alt = AS & a" if alt_seed is not None else "alt = a")
         if not det_const:
             body.append(f"det = {inv}")
         for o in touched[1:]:
             body.append(f"w = w | (v{o} ^ {base_ref(o)})")
-            body.append(f"a = v{o} ^ R(v{o})")
+            body.append(f"a = {alternation(f'v{o}')}")
             body.append("alt = alt & a")
             if not det_const:
                 body.append(f"det = det | ({inv})")
-        # Statuses only need "any violation per fault", and alternation
-        # masks are symmetric under the pair reflection (R(alt) == alt),
-        # so any((w | R(w)) & alt) == any(w & alt): the affected-set
-        # pair closure drops out of the fused classification entirely.
-        body.append("vio = w & alt")
+        # A pair is affected when either of its points is wrong.
+        body.append(f"vio = ({lo.format('w')} | {hi.format('w')}) & alt")
         body.append("return (" + ("None" if det_const else "det") + ", vio)")
 
-        args = ["F", "R"]
+        args = ["F", "ZW"] if one_word else ["F", "ZW", "K"]
         if alt_seed is not None:
             args.append("AS")
         args.extend(f"b{i}" for i in base_args)
@@ -476,7 +461,8 @@ class KernelBackend:
             + "".join(f"    {line}\n" for line in body)
         )
         globs = {
-            "ZW": _np.uint64(0),
+            "S": _np.uint64(self.vec.half_bits),
+            "L": self.vec.pair_full,
             "TH": _threshold_words,
             "_MAJ": GateKind.MAJ,
             "_MIN": GateKind.MIN,
@@ -491,31 +477,24 @@ class KernelBackend:
     # ------------------------------------------------------------------
     # block preparation + execution
     # ------------------------------------------------------------------
-    def _slab_baseline(self, slab_i: int) -> Dict[int, object]:
-        per = self._slab_base.get(slab_i)
-        if per is None:
-            per = {}
-            self._slab_base[slab_i] = per
-        return per
-
-    def _slab_slice(self, slab_i: int, arr):
-        """``arr`` restricted to slab ``slab_i`` (identity when the slab
-        covers the whole table)."""
-        ranges = self._slabs[slab_i]
-        if len(ranges) == 1 and ranges[0] == (0, self.words):
+    def _tile_slice(self, tile_i: int, arr, pairs: bool = False):
+        """``arr`` restricted to tile ``tile_i``: the tile's words of a
+        table row, or its lower-half words of a pair mask (``pairs``);
+        identity for a whole-table tile."""
+        if len(self._tiles) == 1:
             return arr
-        pieces = [arr[r0:r1] for r0, r1 in ranges]
-        return pieces[0] if len(pieces) == 1 else _np.concatenate(pieces)
+        widx = self._tiles[tile_i]
+        return arr[widx[: len(widx) >> 1]] if pairs else arr[widx]
 
-    def _slab_base_arg(self, slab_i: int, idx: int):
-        per = self._slab_baseline(slab_i)
+    def _tile_base_arg(self, tile_i: int, idx: int):
+        per = self._tile_base.setdefault(tile_i, {})
         arr = per.get(idx)
         if arr is None:
             base = self._baseline()
             row = _np.broadcast_to(
                 _np.asarray(base[idx], dtype=_np.uint64), (self.words,)
             )
-            arr = self._slab_slice(slab_i, row)
+            arr = self._tile_slice(tile_i, row)
             per[idx] = arr
         return arr
 
@@ -540,7 +519,7 @@ class KernelBackend:
         prep.kern = kern
         prep.const_status = kern.const_status
         prep.det_const = kern.det_const
-        prep.slab_args = None
+        prep.tile_args = None
         if kern.const_status is None:
             B = len(block)
             full = self.full_word
@@ -564,18 +543,22 @@ class KernelBackend:
                             pa[row, 0] = zero
                             po[row, 0] = full if value else zero
                 forcing.extend((pa, po))
-            slab_args = []
-            for slab_i in range(len(self._slabs)):
-                args: List = [full, self._rev]
+            tile_args = []
+            for tile_i, widx in enumerate(self._tiles):
+                args: List = list(self._literals)
+                if self.words > 1:
+                    args.append(len(widx) >> 1)  # K
                 if kern.alt_seed is not None:
-                    args.append(self._slab_slice(slab_i, kern.alt_seed))
+                    args.append(
+                        self._tile_slice(tile_i, kern.alt_seed, pairs=True)
+                    )
                 args.extend(
-                    self._slab_base_arg(slab_i, idx)
+                    self._tile_base_arg(tile_i, idx)
                     for idx in kern.base_args
                 )
                 args.extend(forcing)
-                slab_args.append(tuple(args))
-            prep.slab_args = slab_args
+                tile_args.append(tuple(args))
+            prep.tile_args = tile_args
         self._blocks[block] = prep
         while len(self._blocks) > self.max_cached_blocks:
             self._blocks.popitem(last=False)
@@ -585,28 +568,28 @@ class KernelBackend:
         """``(det_any, vio_any)`` per fault row; ``det_any`` is ``None``
         when detection is constant-true for the block (baseline seeds)."""
         fn = prep.kern.fn
-        n_slabs = len(prep.slab_args)
-        if n_slabs == 1:  # the common full-table tile: no reduce loop
-            det, vio = fn(*prep.slab_args[0])
+        n_tiles = len(prep.tile_args)
+        if n_tiles == 1:  # the common full-table tile: no reduce loop
+            det, vio = fn(*prep.tile_args[0])
             d = None if det is None else _np.any(det, axis=-1)
             return d, _np.any(vio, axis=-1)
         det_b = None if prep.det_const else _np.zeros(prep.size, dtype=bool)
         vio_b = _np.zeros(prep.size, dtype=bool)
 
-        def one(slab_i: int):
-            det, vio = fn(*prep.slab_args[slab_i])
+        def one(tile_i: int):
+            det, vio = fn(*prep.tile_args[tile_i])
             d = None if det is None else _np.any(det, axis=-1)
             return d, _np.any(vio, axis=-1)
 
         if self.threads > 1:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=min(self.threads, len(self._slabs)),
+                    max_workers=min(self.threads, n_tiles),
                     thread_name_prefix="repro-kernel",
                 )
-            results = list(self._pool.map(one, range(n_slabs)))
+            results = list(self._pool.map(one, range(n_tiles)))
         else:
-            results = [one(i) for i in range(n_slabs)]
+            results = [one(i) for i in range(n_tiles)]
         for d, v in results:
             if d is not None and det_b is not None:
                 det_b |= d
@@ -658,7 +641,7 @@ class KernelBackend:
         return {
             "kernels": len(self._kernels),
             "blocks": len(self._blocks),
-            "tiles": len(self._slabs),
+            "tiles": len(self._tiles),
         }
 
 

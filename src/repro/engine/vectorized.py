@@ -2,14 +2,10 @@
 
 The scalar backends pay Python interpreter overhead *per fault per op*:
 a campaign over F faults re-runs each fault's cone schedule one big-int
-operation at a time, and the SCAL pair classification spends most of its
-time in :func:`~repro.engine.compiled.reflect_bits` (a Python loop over
-set bits).  This module removes both costs with parallel-pattern,
-parallel-fault simulation (PPSFP):
+operation at a time.  This module removes that cost with
+parallel-pattern, parallel-fault simulation (PPSFP):
 
-* every line's ``2**n``-point truth table is packed into ``uint64``
-  words (bit ``p & 63`` of word ``p >> 6`` is input point ``p`` — the
-  repo-wide bit-order convention, just re-chunked), and
+* every line's ``2**n``-point table is packed into ``uint64`` words, and
 * a whole **block of faults** is simulated at once along a second axis:
   line values become ``(faults, words)`` arrays, one vectorized pass
   over the union of the block's cone-pruned op schedules replaces
@@ -21,14 +17,25 @@ pin overrides on the driving gate), pin overrides force rows of one
 operand copy.  Re-evaluating an op for rows whose fault does not reach
 it simply reproduces the baseline, so the union schedule is sound.
 
-The SCAL pair pairing ``X ↔ X̄`` is an index complement, i.e. a reversal
-of the whole table's bit order; on packed words that is "reverse the
-word order, bit-reverse each word", which vectorizes as a byte-table
-lookup — no per-bit Python loop.
+Points are packed in **pair-major** order, so the SCAL pairing
+``X ↔ X̄`` needs no reflection.  The lower half of the words holds the
+points whose top input is 0, in natural order; the upper half holds
+their complements, in the same order (its input patterns are the
+bitwise NOT of the lower half's).  Bit ``j`` of lower word ``w`` and
+bit ``j`` of upper word ``H + w`` are one pair: alternation is
+``lo ^ hi`` on aligned words and the affected pairs are
+``wrong_lo | wrong_hi``, so the pair masks are half-width.  A table of
+one word or less (``n ≤ 6``) keeps both halves in its one word, and
+alternation is ``(v ^ (v >> h)) & low``; ``n = 0`` is one point paired
+with itself, which never alternates.  The public raw masks
+(:meth:`VectorizedBackend.line_bits`, ``output_bits`` and
+``response_block``) are converted to truth-table order in one place,
+``_table_order``: the upper half reversed by
+:func:`~repro.logic.truthtable.reverse_bits`.
 
-For wide input spaces the word axis is processed in **mirror chunk
-pairs** (words ``[lo, lo+K)`` together with ``[W-lo-K, W-lo)``) so the
-alternation test stays local while memory is bounded by
+For wide input spaces the word axis is processed in **tiles**: words
+``[lo, lo+K)`` of the lower half together with ``[H+lo, H+lo+K)``, so
+the alternation test stays local while memory is bounded by
 ``faults × 2K × lines`` words instead of the full table.
 
 When NumPy is missing, the big-int
@@ -53,6 +60,7 @@ from .backends import (
 from .compiled import CompiledNetwork, FaultLike
 from .. import obs
 from ..logic.gates import GateKind
+from ..logic.truthtable import reverse_bits
 
 # Telemetry: block-backend work counters and the per-chunk span.  The
 # enabled check is hoisted (`_REG.enabled`) so disabled telemetry costs
@@ -88,9 +96,10 @@ VECTOR_MIN_FAULTS = 8
 #: Faults simulated per block (the PPSFP fault axis).
 DEFAULT_BLOCK_FAULTS = 64
 
-#: Word-axis chunk size for wide input spaces: tables wider than
-#: ``2 * DEFAULT_CHUNK_WORDS`` words are processed in mirror chunk
-#: pairs of this many words each (bounding live memory to roughly
+#: Word-axis chunk size for wide input spaces: tables whose half is
+#: wider than ``DEFAULT_CHUNK_WORDS`` words are processed in tiles of
+#: this many words of the half plus their partner words in the other
+#: half (bounding live memory to roughly
 #: ``block_faults * 2 * chunk_words * lines`` words).
 DEFAULT_CHUNK_WORDS = 256
 
@@ -122,13 +131,6 @@ _LOW_PATTERNS = (
     0xFFFF0000FFFF0000,
     0xFFFFFFFF00000000,
 )
-
-if HAVE_NUMPY:
-    #: Per-byte bit reversal table; combined with a byteswap this
-    #: reverses all 64 bits of a word.
-    _REV8 = _np.array(
-        [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=_np.uint8
-    )
 
 
 def select_backend(
@@ -193,8 +195,30 @@ def resolve_rung(engine, rung: str, exhaustive: bool = True) -> str:
     return rung
 
 
+def pair_tiles(words: int, k: int) -> List:
+    """Word indices of each tile of a pair-major table of ``words``
+    words: words ``[lo, lo+k)`` of the lower half followed by their
+    partners ``[H+lo, H+lo+k)``, the last tile clipped at the half.  A
+    table whose half fits in ``k`` words is one tile, the whole table."""
+    half = words >> 1
+    if half <= k:
+        return [_np.arange(words, dtype=_np.uint64)]
+    return [
+        _np.r_[lo : min(lo + k, half), half + lo : half + min(lo + k, half)]
+        .astype(_np.uint64)
+        for lo in range(0, half, k)
+    ]
+
+
 class VectorizedBackend:
-    """NumPy PPSFP executor over ``(faults, words)`` ``uint64`` arrays."""
+    """NumPy PPSFP executor over ``(faults, words)`` ``uint64`` arrays.
+
+    Internally every table is in pair-major point order (see the module
+    docstring), so the pair classification is aligned-word XOR; the
+    public masks (:meth:`line_bits`, :meth:`output_bits`,
+    :meth:`response_block`) are in truth-table order, byte-identical to
+    :class:`~repro.engine.backends.BitmaskBackend`'s.
+    """
 
     name = "vectorized"
 
@@ -215,42 +239,64 @@ class VectorizedBackend:
         self.full_word = _np.uint64(
             (1 << min(self.total_bits, 64)) - 1
         )
+        #: Words per half; 0 when both halves share one word (n <= 6).
+        self.half = self.words >> 1
+        self.half_bits = self.total_bits >> 1
+        #: The all-pairs mask of one pair word.
+        if self.half:
+            self.pair_full = _np.uint64(_FULL64)
+        elif self.n:
+            self.pair_full = _np.uint64((1 << self.half_bits) - 1)
+        else:  # one point, paired with itself
+            self.pair_full = _np.uint64(1)
         self.block_faults = max(1, block_faults)
         self.chunk_words = max(1, chunk_words)
-        #: Tables wider than two chunks are swept in mirror chunk pairs.
-        self.chunked = self.words > 2 * self.chunk_words
-        self._base: Optional[List] = None  # full-table baseline (unchunked)
+        self._tiles = pair_tiles(self.words, self.chunk_words)
+        #: Tables whose half is wider than one chunk are swept in tiles.
+        self.chunked = len(self._tiles) > 1
+        self._base: Optional[List] = None  # full-table baseline
 
     # ------------------------------------------------------------------
     # packed building blocks
     # ------------------------------------------------------------------
-    def _var_words(self, i: int, widx) -> "object":
-        """Packed words of input variable ``i`` over word indices ``widx``."""
+    def _var_words(self, i: int, widx, flip) -> "object":
+        """Packed pair-major words of input variable ``i`` over word
+        indices ``widx``: its truth-table pattern, XOR-ed with ``flip``
+        (the upper-half bits) for every input but the top one."""
         if i < 6:
-            return _np.full(
+            words = _np.full(
                 widx.shape,
                 _np.uint64(_LOW_PATTERNS[i]) & self.full_word,
                 dtype=_np.uint64,
             )
-        # Bit i of point p = 64*w + b (i >= 6) is bit i-6 of the word index.
-        bit = (widx >> _np.uint64(i - 6)) & _np.uint64(1)
-        return _np.where(bit != 0, _np.uint64(_FULL64), _np.uint64(0))
+        else:
+            # Bit i of point p = 64*w + b (i >= 6) is bit i-6 of the
+            # word index; for the top input that is "w is upper half".
+            bit = (widx >> _np.uint64(i - 6)) & _np.uint64(1)
+            words = _np.where(bit != 0, _np.uint64(_FULL64), _np.uint64(0))
+        return words ^ flip if i < self.n - 1 else words
 
-    def _baseline_words(self, w0: int, w1: int) -> List:
-        """Fault-free packed values of every line over words ``[w0, w1)``."""
+    def _baseline_words(self, widx) -> List:
+        """Fault-free packed values of every line over word indices
+        ``widx``."""
         comp = self.compiled
-        widx = _np.arange(w0, w1, dtype=_np.uint64)
+        if self.half:
+            flip = _np.where(
+                widx >= self.half, _np.uint64(_FULL64), _np.uint64(0)
+            )
+        else:
+            flip = self.full_word & ~self.pair_full
         values: List = [None] * len(comp.names)
         for i in range(comp.n_inputs):
-            values[i] = self._var_words(i, widx)
+            values[i] = self._var_words(i, widx, flip)
         for op in comp.ops:
             values[op.out] = _eval_words(
                 op.kind, [values[s] for s in op.srcs], self.full_word
             )
+        k = len(widx)
         if _REG.enabled:
             _M_OPS.inc(len(comp.ops), backend="vectorized")
-            _M_WORDS.inc(len(comp.ops) * (w1 - w0), backend="vectorized")
-        k = w1 - w0
+            _M_WORDS.inc(len(comp.ops) * k, backend="vectorized")
         return [
             _np.broadcast_to(_np.asarray(v, dtype=_np.uint64), (k,))
             for v in values
@@ -258,22 +304,40 @@ class VectorizedBackend:
 
     def _full_baseline(self) -> List:
         if self._base is None:
-            self._base = self._baseline_words(0, self.words)
+            self._base = self._baseline_words(
+                _np.arange(self.words, dtype=_np.uint64)
+            )
         return self._base
 
-    def _reflect_full(self, arr):
-        """The ``X ↔ X̄`` index complement of a full packed table:
-        reverse the word order and bit-reverse each word (for tables
-        narrower than one word, reverse just the low ``2**n`` bits)."""
-        if self.total_bits < 64:
-            return _bitrev64(arr) >> _np.uint64(64 - self.total_bits)
-        return _bitrev64(arr)[..., ::-1]
+    def _tile_baseline(self, widx) -> List:
+        if not self.chunked:
+            return self._full_baseline()
+        return self._baseline_words(widx)
+
+    def _halves(self, values):
+        """``(lower, upper)`` halves of pair-major packed values: bit
+        ``j`` of a lower word and of its aligned upper word are one
+        ``(X, X̄)`` pair."""
+        if not self.half:
+            shift = _np.uint64(self.half_bits)
+            return values & self.pair_full, values >> shift
+        k = values.shape[-1] >> 1
+        return values[..., :k], values[..., k:]
+
+    def _table_order(self, lo: int, hi: int) -> int:
+        """The one conversion out of pair-major order: a big-int table
+        in truth-table order from its lower and upper halves (the
+        upper half holds the complements of the lower half's points, so
+        its truth-table order is its reversal)."""
+        if self.n == 0:
+            return lo
+        return lo | (reverse_bits(hi, self.n - 1) << self.half_bits)
 
     # ------------------------------------------------------------------
     # fault-block evaluation
     # ------------------------------------------------------------------
-    def _block_outputs(self, plans, w0: int, w1: int, base, full=None):
-        """Faulty packed values over words ``[w0, w1)`` for a block.
+    def _block_outputs(self, plans, base, k: int, full=None):
+        """Faulty packed values over one ``k``-word tile for a block.
 
         Returns ``get(line) -> ndarray`` where rows are faults.  Lines
         untouched by every fault in the block resolve to the shared
@@ -289,7 +353,6 @@ class VectorizedBackend:
         """
         np = _np
         block = len(plans)
-        k = w1 - w0
         if full is None:
             full = self.full_word
         comp = self.compiled
@@ -354,31 +417,41 @@ class VectorizedBackend:
                 values[op.out] = result
         return get
 
-    def _block_masks(self, faults: Sequence[FaultLike]):
-        """Full-table ``(affected, detected, violations)`` arrays, shape
-        ``(len(faults), words)`` each.  Unchunked tables only."""
+    def _block_masks(self, plans, base, width: int):
+        """Pair-level ``(affected, detected, violations)`` arrays of one
+        fault block over one tile of ``width`` words, one bit per
+        ``(X, X̄)`` pair: shape ``(len(plans), width // 2)``, or
+        ``(len(plans), 1)`` for a one-word table."""
         np = _np
-        comp = self.compiled
-        plans = [comp.fault_plan(fault) for fault in faults]
-        base = self._full_baseline()
-        get = self._block_outputs(plans, 0, self.words, base)
+        get = self._block_outputs(plans, base, width)
         block = len(plans)
-        shape = (block, self.words)
-        full = self.full_word
+        shape = (block, width)
+        pairs = (block, width >> 1 if self.half else 1)
+        full = self.pair_full
         wrong = np.zeros(shape, dtype=np.uint64)
-        detected = np.zeros(shape, dtype=np.uint64)
-        all_alt = np.full(shape, full, dtype=np.uint64)
-        for pos, idx in enumerate(comp.out_idx):
+        detected = np.zeros(pairs, dtype=np.uint64)
+        all_alt = np.full(pairs, full, dtype=np.uint64)
+        for idx in self.compiled.out_idx:
             t_fault = np.broadcast_to(
                 np.asarray(get(idx), dtype=np.uint64), shape
             )
             wrong |= t_fault ^ base[idx]
-            alt = t_fault ^ self._reflect_full(t_fault)
-            detected |= ~alt & full
+            lo, hi = self._halves(t_fault)
+            alt = lo ^ hi
+            detected |= alt ^ full
             all_alt &= alt
-        affected = wrong | self._reflect_full(wrong)
-        violations = affected & all_alt
-        return affected, detected, violations
+        lo, hi = self._halves(wrong)
+        affected = lo | hi
+        return affected, detected, affected & all_alt
+
+    def _pair_masks(self, plans, block_faults: int):
+        """Yield ``(start, masks)``: the :meth:`_block_masks` of every
+        block of ``block_faults`` plans on every tile, tile by tile."""
+        for widx in self._tiles:
+            base = self._tile_baseline(widx)
+            for start in range(0, len(plans), block_faults):
+                block = plans[start : start + block_faults]
+                yield start, self._block_masks(block, base, len(widx))
 
     # ------------------------------------------------------------------
     # public API
@@ -388,26 +461,25 @@ class VectorizedBackend:
         fault — byte-identical to :meth:`BitmaskBackend.line_bits`."""
         comp = self.compiled
         plans = [comp.fault_plan(fault)] if fault is not None else []
-        pieces: List[List[bytes]] = [[] for _ in comp.names]
-        for w0, w1 in self._ranges():
-            base = (
-                self._full_baseline()
-                if not self.chunked
-                else self._baseline_words(w0, w1)
+        halves: List[Tuple[List, List]] = [([], []) for _ in comp.names]
+        for widx in self._tiles:
+            base = self._tile_baseline(widx)
+            width = len(widx)
+            get = (
+                self._block_outputs(plans, base, width)
+                if plans
+                else base.__getitem__
             )
-            if plans:
-                get = self._block_outputs(plans, w0, w1, base)
-            else:
-                def get(idx, _base=base):  # noqa: E731 - closure per range
-                    return _base[idx]
-            for idx in range(len(comp.names)):
-                arr = _np.asarray(get(idx), dtype=_np.uint64)
-                if arr.ndim == 2:  # single-fault block: one row
-                    arr = arr[0]
-                row = _np.broadcast_to(arr, (w1 - w0,))
-                pieces[idx].append(row.astype("<u8").tobytes())
+            for idx, (lows, highs) in enumerate(halves):
+                row = _np.broadcast_to(
+                    _np.asarray(get(idx), dtype=_np.uint64), (1, width)
+                )[0]
+                lo, hi = self._halves(row)
+                lows.append(lo)
+                highs.append(hi)
         return [
-            int.from_bytes(b"".join(parts), "little") for parts in pieces
+            self._table_order(_words_to_int(*lows), _words_to_int(*highs))
+            for lows, highs in halves
         ]
 
     def output_bits(self, fault: Optional[FaultLike] = None) -> Tuple[int, ...]:
@@ -417,23 +489,21 @@ class VectorizedBackend:
     def response_block(
         self, faults: Sequence[FaultLike]
     ) -> List[Tuple[int, int, int]]:
-        """``(affected, detected, violations)`` big-int masks per fault,
-        byte-identical to the scalar classification."""
+        """``(affected, detected, violations)`` big-int masks per fault
+        in truth-table order, byte-identical to the scalar
+        classification (meant for tests and spot checks; sweeps only
+        need :meth:`sweep_statuses`)."""
+        comp = self.compiled
+        plans = [comp.fault_plan(fault) for fault in faults]
+        rows: List[Tuple[List, List, List]] = [([], [], []) for _ in plans]
+        for start, masks in self._pair_masks(plans, self.block_faults):
+            for which, arr in enumerate(masks):
+                for offset, row in enumerate(arr):
+                    rows[start + offset][which].append(row)
         out: List[Tuple[int, int, int]] = []
-        for start in range(0, len(faults), self.block_faults):
-            block = faults[start : start + self.block_faults]
-            if self.chunked:
-                out.extend(self._response_block_chunked(block))
-                continue
-            affected, detected, violations = self._block_masks(block)
-            for row in range(len(block)):
-                out.append(
-                    (
-                        _words_to_int(affected[row]),
-                        _words_to_int(detected[row]),
-                        _words_to_int(violations[row]),
-                    )
-                )
+        for parts in rows:
+            pair_masks = [_words_to_int(*part) for part in parts]
+            out.append(tuple(self._table_order(m, m) for m in pair_masks))
         return out
 
     def sweep_statuses(
@@ -442,21 +512,20 @@ class VectorizedBackend:
         block_faults: Optional[int] = None,
     ) -> List[str]:
         """Classify every fault (``dangerous``/``detected``/``silent``)."""
-        universe = list(faults)
-        if self.chunked:
-            return self._sweep_statuses_chunked(universe)
+        np = _np
+        comp = self.compiled
+        plans = [comp.fault_plan(fault) for fault in faults]
+        has_det = np.zeros(len(plans), dtype=bool)
+        has_vio = np.zeros(len(plans), dtype=bool)
         block_size = block_faults or self.block_faults
-        statuses: List[str] = []
-        for start in range(0, len(universe), block_size):
-            block = universe[start : start + block_size]
-            _affected, detected, violations = self._block_masks(block)
-            has_det = _np.any(detected != 0, axis=1)
-            has_vio = _np.any(violations != 0, axis=1)
-            statuses.extend(
-                classify_status(bool(d), bool(v))
-                for d, v in zip(has_det, has_vio)
-            )
-        return statuses
+        for start, (_aff, det, vio) in self._pair_masks(plans, block_size):
+            stop = start + det.shape[0]
+            has_det[start:stop] |= np.any(det != 0, axis=1)
+            has_vio[start:stop] |= np.any(vio != 0, axis=1)
+        return [
+            classify_status(d, v)
+            for d, v in zip(has_det.tolist(), has_vio.tolist())
+        ]
 
     def pattern_bits(
         self,
@@ -501,7 +570,7 @@ class VectorizedBackend:
         for start in range(0, len(faults), self.block_faults):
             chunk = faults[start : start + self.block_faults]
             plans = [comp.fault_plan(fault) for fault in chunk]
-            get = self._block_outputs(plans, 0, n_words, base, full=full64)
+            get = self._block_outputs(plans, base, n_words, full=full64)
             # One bulk numpy->python conversion per output column beats
             # a per-(row, output) broadcast + int round trip — this is
             # the driver's hot loop (every target simulates candidates
@@ -526,104 +595,6 @@ class VectorizedBackend:
                         )
                     )
         return results
-
-    # ------------------------------------------------------------------
-    # chunked (wide-input) path: mirror chunk pairs bound memory
-    # ------------------------------------------------------------------
-    def _ranges(self) -> List[Tuple[int, int]]:
-        """Word ranges to evaluate: the full table, or successive chunks."""
-        if not self.chunked:
-            return [(0, self.words)]
-        k = self.chunk_words
-        return [(lo, lo + k) for lo in range(0, self.words, k)]
-
-    def _pair_masks(self, plans, lo: int):
-        """Pair-classification arrays for mirror chunks ``[lo, lo+K)``
-        and ``[W-lo-K, W-lo)``.  The complement of a word in one chunk
-        lands in the other, so alternation is local to the pair."""
-        np = _np
-        k = self.chunk_words
-        w = self.words
-        full = self.full_word
-        comp = self.compiled
-        base_a = self._baseline_words(lo, lo + k)
-        base_b = self._baseline_words(w - lo - k, w - lo)
-        get_a = self._block_outputs(plans, lo, lo + k, base_a)
-        get_b = self._block_outputs(plans, w - lo - k, w - lo, base_b)
-        shape = (len(plans), k)
-        wrong_a = np.zeros(shape, dtype=np.uint64)
-        wrong_b = np.zeros(shape, dtype=np.uint64)
-        det = np.zeros(shape, dtype=np.uint64)
-        det_b = np.zeros(shape, dtype=np.uint64)
-        alt_all_a = np.full(shape, full, dtype=np.uint64)
-        alt_all_b = np.full(shape, full, dtype=np.uint64)
-        for pos, idx in enumerate(comp.out_idx):
-            t_a = np.broadcast_to(np.asarray(get_a(idx), np.uint64), shape)
-            t_b = np.broadcast_to(np.asarray(get_b(idx), np.uint64), shape)
-            wrong_a |= t_a ^ base_a[idx]
-            wrong_b |= t_b ^ base_b[idx]
-            # Reflection of the table restricted to chunk A reads the
-            # mirror chunk B with words reversed and bits reversed.
-            alt_a = t_a ^ _bitrev64(t_b)[..., ::-1]
-            alt_b = t_b ^ _bitrev64(t_a)[..., ::-1]
-            det |= ~alt_a & full
-            det_b |= ~alt_b & full
-            alt_all_a &= alt_a
-            alt_all_b &= alt_b
-        aff_a = wrong_a | _bitrev64(wrong_b)[..., ::-1]
-        aff_b = wrong_b | _bitrev64(wrong_a)[..., ::-1]
-        vio_a = aff_a & alt_all_a
-        vio_b = aff_b & alt_all_b
-        return (aff_a, det, vio_a), (aff_b, det_b, vio_b)
-
-    def _sweep_statuses_chunked(self, universe: List[FaultLike]) -> List[str]:
-        np = _np
-        comp = self.compiled
-        total = len(universe)
-        has_det = np.zeros(total, dtype=bool)
-        has_vio = np.zeros(total, dtype=bool)
-        k = self.chunk_words
-        for lo in range(0, self.words // 2, k):
-            for start in range(0, total, self.block_faults):
-                block = universe[start : start + self.block_faults]
-                plans = [comp.fault_plan(fault) for fault in block]
-                masks_a, masks_b = self._pair_masks(plans, lo)
-                for _aff, det, vio in (masks_a, masks_b):
-                    has_det[start : start + len(block)] |= np.any(
-                        det != 0, axis=1
-                    )
-                    has_vio[start : start + len(block)] |= np.any(
-                        vio != 0, axis=1
-                    )
-        return [
-            classify_status(bool(d), bool(v))
-            for d, v in zip(has_det, has_vio)
-        ]
-
-    def _response_block_chunked(
-        self, block: Sequence[FaultLike]
-    ) -> List[Tuple[int, int, int]]:
-        """Full masks in chunked mode (assembled per chunk pair; meant
-        for tests and spot checks, not bulk sweeps)."""
-        comp = self.compiled
-        plans = [comp.fault_plan(fault) for fault in block]
-        k = self.chunk_words
-        parts: dict = {}
-        for lo in range(0, self.words // 2, k):
-            masks_a, masks_b = self._pair_masks(plans, lo)
-            parts[lo] = masks_a
-            parts[self.words - lo - k] = masks_b
-        out: List[Tuple[int, int, int]] = []
-        for row in range(len(block)):
-            triple: List[int] = []
-            for which in range(3):
-                chunks = [
-                    parts[lo][which][row].astype("<u8").tobytes()
-                    for lo in sorted(parts)
-                ]
-                triple.append(int.from_bytes(b"".join(chunks), "little"))
-            out.append(tuple(triple))
-        return out
 
 
 def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[str]:
@@ -708,16 +679,13 @@ def chunk_pattern_bits(
 # ----------------------------------------------------------------------
 # word-level primitives (NumPy path)
 # ----------------------------------------------------------------------
-def _bitrev64(arr):
-    """Element-wise 64-bit reversal: per-byte table + byteswap."""
-    a = _np.ascontiguousarray(arr, dtype=_np.uint64)
-    return _REV8[a.view(_np.uint8)].view(_np.uint64).byteswap()
-
-
-def _words_to_int(row) -> int:
-    """One packed row back to the repo's big-int truth-table form."""
+def _words_to_int(*rows) -> int:
+    """Packed rows, concatenated, back to a big int (first word lowest)."""
     return int.from_bytes(
-        _np.ascontiguousarray(row).astype("<u8").tobytes(), "little"
+        b"".join(
+            _np.ascontiguousarray(row).astype("<u8").tobytes() for row in rows
+        ),
+        "little",
     )
 
 

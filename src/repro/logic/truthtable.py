@@ -12,8 +12,10 @@ points at once.
 The one SCAL-specific operation is :meth:`TruthTable.co_reflect`: the
 thesis constantly pairs the value at ``X`` with the value at the
 complemented input ``X̄``.  At the bitmask level ``X̄`` is the index
-``i ^ (2**n - 1)``, so ``co_reflect`` permutes the bits of the table by
-complementing their indices.  With it, e.g. the self-dual test
+``i ^ (2**n - 1)``, i.e. ``2**n - 1 - i``, so ``co_reflect`` is a
+reversal of the table's bit order: :func:`reverse_bits`, the one
+reversal of a truth table in this repository (a byte-table translate,
+no per-bit loop).  With it, e.g. the self-dual test
 ``F(X̄) = ¬F(X)`` becomes ``tt.co_reflect() == ~tt``.
 """
 
@@ -23,20 +25,24 @@ import dataclasses
 import itertools
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-MAX_COMPLEMENT_CACHE_VARS = 16
+#: ``_BYTE_MIRROR[b]`` is byte ``b`` with its eight bits in reverse order.
+_BYTE_MIRROR = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-_reflect_cache: Dict[int, Tuple[int, ...]] = {}
 
+def reverse_bits(bits: int, n: int) -> int:
+    """Reverse the ``2**n`` bits of a truth table: bit ``i`` moves to bit
+    ``i ^ (2**n - 1)``, the SCAL ``X → X̄`` pairing.
 
-def _complement_permutation(n: int) -> Tuple[int, ...]:
-    """``perm[i] = i ^ (2**n - 1)`` with caching for small n."""
-    if n in _reflect_cache:
-        return _reflect_cache[n]
-    mask = (1 << n) - 1
-    perm = tuple(i ^ mask for i in range(1 << n))
-    if n <= MAX_COMPLEMENT_CACHE_VARS:
-        _reflect_cache[n] = perm
-    return perm
+    Little-endian bytes with each byte's bits mirrored, read back
+    big-endian, are the whole bit string reversed; tables narrower than
+    a byte (``n < 3``) take a plain loop.
+    """
+    if n < 3:
+        top = (1 << n) - 1
+        return sum(1 << (top - i) for i in range(top + 1) if bits >> i & 1)
+    return int.from_bytes(
+        bits.to_bytes(1 << (n - 3), "little").translate(_BYTE_MIRROR), "big"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,13 +174,7 @@ class TruthTable:
         chapter-3 equation that mentions ``F(X̄, ...)`` is, in bitmask
         form, a ``co_reflect`` of the corresponding first-period table.
         """
-        perm = _complement_permutation(self.n)
-        bits = 0
-        src = self.bits
-        for i in range(1 << self.n):
-            if (src >> i) & 1:
-                bits |= 1 << perm[i]
-        return TruthTable(self.n, bits, self.names)
+        return TruthTable(self.n, reverse_bits(self.bits, self.n), self.names)
 
     def dual(self) -> "TruthTable":
         """The dual function ``F^d(X) = ¬F(X̄)``."""

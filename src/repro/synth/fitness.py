@@ -7,7 +7,7 @@ real acceptance criteria, not a proxy):
 * **correctness** — Hamming distance between the candidate's exhaustive
   output tables and the spec's (Algorithm 3.1's functional half);
 * **self-duality** — the number of points where ``F(X̄) ≠ ¬F(X)``
-  (:func:`repro.engine.reflect_bits` over the same tables);
+  (:func:`repro.logic.truthtable.reverse_bits` over the same tables);
 * **coverage** — the collapsed stuck-at universe swept through
   :func:`repro.engine.vectorized.chunk_statuses` on the word-axis block
   backends; ``dangerous`` faults (wrong *and* still alternating) are
@@ -35,8 +35,10 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.collapse import collapse_stem_faults
-from ..engine import NetworkEngine, reflect_bits
+from ..engine import NetworkEngine
+from ..engine.backends import table_normals, table_response
 from ..engine.vectorized import chunk_statuses, classify_status, select_backend
+from ..logic.truthtable import reverse_bits
 from ..scal.costs import network_cost
 from .genome import Genome
 from .specs import SynthSpec
@@ -151,32 +153,18 @@ def _scalar_tables(engine: NetworkEngine, fault) -> Tuple[int, ...]:
 def _scalar_statuses(
     engine: NetworkEngine, universe: Sequence
 ) -> Tuple[Tuple[int, ...], List[str]]:
-    """Per-fault scalar classification replicating
-    :meth:`BitmaskBackend.response_triple` arithmetic exactly, so
-    statuses match the block backends bit for bit."""
+    """Per-fault scalar classification through the same
+    :func:`~repro.engine.backends.table_response` the bitmask backend
+    uses, so statuses match the block backends bit for bit."""
     n = engine.compiled.n_inputs
-    full = (1 << (1 << n)) - 1
-    normal = _scalar_tables(engine, None)
-    normal_alt = tuple(bits ^ reflect_bits(bits, n) for bits in normal)
+    normals = table_normals(_scalar_tables(engine, None), n)
     statuses: List[str] = []
     for fault in universe:
-        faulty = _scalar_tables(engine, fault)
-        wrong = 0
-        detected = 0
-        all_alternate = full
-        for pos, t_fault in enumerate(faulty):
-            t_normal = normal[pos]
-            if t_fault == t_normal:
-                alternates = normal_alt[pos]
-            else:
-                alternates = t_fault ^ reflect_bits(t_fault, n)
-                wrong |= t_normal ^ t_fault
-            detected |= alternates ^ full
-            all_alternate &= alternates
-        affected = wrong | reflect_bits(wrong, n)
-        violations = affected & all_alternate
+        _affected, detected, violations = table_response(
+            normals, _scalar_tables(engine, fault), n
+        )
         statuses.append(classify_status(detected, violations))
-    return normal, statuses
+    return normals[0], statuses
 
 
 def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
@@ -208,7 +196,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
             _popcount((b ^ t) & full) for b, t in zip(bits, spec_tables)
         )
         dual_defects = sum(
-            _popcount(~(b ^ reflect_bits(b, n)) & full) for b in bits
+            _popcount(~(b ^ reverse_bits(b, n)) & full) for b in bits
         )
         return FitnessRecord(
             ok=True,

@@ -18,11 +18,39 @@ from repro.engine import FaultSweep, engine_for, select_backend
 from repro.engine.vectorized import HAVE_NUMPY, VectorizedBackend
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import enumerate_single_faults, fault_overrides
+from repro.logic.gates import GateKind
 from repro.logic.gates import evaluate as eval_gate
+from repro.logic.network import Gate, Network
 from repro.workloads.benchcircuits import fig62_nand_network
 from repro.workloads.fig34 import fig34_network, fig37_fixed_network
+from repro.workloads.randomlogic import random_mixed_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "data")
+
+
+def const_buffer_network():
+    """No inputs: one point, paired with itself, so it never alternates."""
+    return Network(
+        [],
+        [Gate("one", GateKind.CONST1, ()), Gate("out", GateKind.BUF, ("one",))],
+        ["out"],
+    )
+
+
+def inverter_network():
+    """One input: a single ``(0, 1)`` pair."""
+    return Network(
+        ["a"],
+        [Gate("na", GateKind.NOT, ("a",)), Gate("out", GateKind.BUF, ("na",))],
+        ["out"],
+    )
+
+
+def mixed_network(n_inputs):
+    return random_mixed_network(
+        random.Random(0), n_inputs=n_inputs, n_gates=16, n_outputs=2
+    )
+
 
 #: label -> zero-argument builder of one seed circuit
 SEED_CIRCUITS = {
@@ -33,6 +61,16 @@ SEED_CIRCUITS = {
     "fig34_bench": lambda: load_bench(os.path.join(DATA_DIR, "fig34.bench")),
     "fig37_bench": lambda: load_bench(os.path.join(DATA_DIR, "fig37.bench")),
     "fig62_bench": lambda: load_bench(os.path.join(DATA_DIR, "fig62.bench")),
+}
+
+#: The block tiers' layout edges, added to the seed circuits in the
+#: cross-rung checks: 0 and 1 inputs, and the one-word (6 inputs) /
+#: two-word (7 inputs) table boundary.
+LAYOUT_EDGES = {
+    "const_buffer": const_buffer_network,
+    "inverter": inverter_network,
+    "mixed6": lambda: mixed_network(6),
+    "mixed7": lambda: mixed_network(7),
 }
 
 #: Networks at or below this input count are checked on every point;
@@ -73,6 +111,13 @@ def check_points(network):
 @pytest.fixture(params=sorted(SEED_CIRCUITS), scope="module")
 def circuit(request):
     return SEED_CIRCUITS[request.param]()
+
+
+@pytest.fixture(
+    params=sorted(SEED_CIRCUITS) + sorted(LAYOUT_EDGES), scope="module"
+)
+def rung_circuit(request):
+    return {**SEED_CIRCUITS, **LAYOUT_EDGES}[request.param]()
 
 
 class TestFaultFree:
@@ -132,18 +177,18 @@ class TestVectorizedEquivalence:
     scalar bitmask backend, fault-free and under every single fault."""
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_vectorized_line_bits_match_bitmask(self, circuit):
-        engine = engine_for(circuit)
+    def test_vectorized_line_bits_match_bitmask(self, rung_circuit):
+        engine = engine_for(rung_circuit)
         vec = VectorizedBackend(engine.compiled)
         assert vec.line_bits() == engine.bitmask.line_bits()
-        for fault in enumerate_single_faults(circuit):
+        for fault in enumerate_single_faults(rung_circuit):
             assert vec.line_bits(fault) == engine.bitmask.line_bits(
                 fault
             ), fault.describe()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_vectorized_response_blocks_match_scalar(self, circuit):
-        sweep = FaultSweep(circuit)
+    def test_vectorized_response_blocks_match_scalar(self, rung_circuit):
+        sweep = FaultSweep(rung_circuit)
         universe = sweep.single_fault_universe()
         vec = VectorizedBackend(sweep.compiled)
         triples = vec.response_block(universe)
@@ -155,8 +200,8 @@ class TestVectorizedEquivalence:
                 bits.violations,
             ), fault.describe()
 
-    def test_sweep_statuses_identical_across_backends(self, circuit):
-        sweep = FaultSweep(circuit)
+    def test_sweep_statuses_identical_across_backends(self, rung_circuit):
+        sweep = FaultSweep(rung_circuit)
         universe = sweep.single_fault_universe()
         reference = [(f, sweep.classify(f)) for f in universe]
         assert sweep.sweep(universe, backend="bitmask") == reference
@@ -166,24 +211,31 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
     def test_chunked_word_axis_matches_scalar(self, circuit):
-        """Tiny chunk_words forces the mirror-chunk-pair path even on
-        the seed circuits (the 9-input adder gets real multi-chunk
-        sweeps: 8 words at chunk size 1 and 2)."""
-        if len(circuit.inputs) < 7:
-            pytest.skip("needs a multi-word truth table to chunk")
+        """Tiny chunk_words forces the tiled path even on the seed
+        circuits (the 9-input adder's 4-word half gets real multi-tile
+        sweeps at chunk sizes 1 and 2, and a last tile clipped at the
+        half at chunk size 3)."""
+        if len(circuit.inputs) < 8:
+            pytest.skip("needs a half wider than one word to chunk")
         sweep = FaultSweep(circuit)
         universe = sweep.single_fault_universe()
         reference = [sweep.classify(f) for f in universe]
-        for chunk_words in (1, 2):
+        bitmask = sweep.engine.bitmask
+        for chunk_words in (1, 2, 3):
             vec = VectorizedBackend(sweep.compiled, chunk_words=chunk_words)
             assert vec.chunked
             assert vec.sweep_statuses(universe) == reference
-        triples = VectorizedBackend(
-            sweep.compiled, chunk_words=1
-        ).response_block(universe[:12])
-        for fault, triple in zip(universe[:12], triples):
-            bits = sweep.response_bits(fault)
-            assert triple == (bits.affected, bits.detected, bits.violations)
+            triples = vec.response_block(universe[:12])
+            for fault, triple in zip(universe[:12], triples):
+                bits = sweep.response_bits(fault)
+                assert triple == (
+                    bits.affected,
+                    bits.detected,
+                    bits.violations,
+                ), (chunk_words, fault.describe())
+            assert vec.line_bits(universe[0]) == bitmask.line_bits(
+                universe[0]
+            ), chunk_words
 
 
 class TestBackendSelection:

@@ -77,8 +77,8 @@ class TestKernelEquivalence:
             assert kern.sweep_statuses(universe) == reference, block_faults
 
     def test_tiled_word_axis_threads_1_and_n(self, mixed9):
-        """tile_words=1 forces real mirror-tile slabs (9 inputs = 8
-        words = 4 slabs); the threaded and serial paths must agree with
+        """tile_words=1 forces real tiles (9 inputs = 8 words, a 4-word
+        half = 4 tiles); the threaded and serial paths must agree with
         each other and with the scalar classifier."""
         eng = engine_for(mixed9)
         universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
@@ -90,7 +90,7 @@ class TestKernelEquivalence:
                 tile_words=1,
                 threads=threads,
             )
-            assert len(kern._slabs) == 4
+            assert len(kern._tiles) == 4
             assert kern.sweep_statuses(universe) == reference, threads
 
     def test_repeat_sweep_hits_prepared_blocks(self, mixed9):

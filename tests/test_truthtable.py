@@ -1,5 +1,7 @@
 """Unit and property tests for truth tables (repro.logic.truthtable)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,20 @@ class TestCoReflect:
         # f = x0 over 1 var: f(0)=0, f(1)=1; co_reflect swaps points.
         t = TruthTable.variable(0, 1)
         assert t.co_reflect().bits == 0b01
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_co_reflect_is_index_complement(self, n):
+        # The definition, bit i -> bit i ^ (2**n - 1), across the
+        # sub-byte loop (n < 3) and the byte path (n >= 3).
+        rnd = random.Random(n)
+        top = (1 << n) - 1
+        for _ in range(4):
+            bits = rnd.getrandbits(1 << n)
+            expected = 0
+            for i in range(1 << n):
+                if bits >> i & 1:
+                    expected |= 1 << (i ^ top)
+            assert TruthTable(n, bits).co_reflect().bits == expected
 
     @settings(max_examples=100)
     @given(tables)
