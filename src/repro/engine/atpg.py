@@ -168,14 +168,17 @@ def _candidate_patterns(
     the scalar generator's pattern exactly.
     """
     assigned = result.assignment or {}
-    free = [name for name in input_names if name not in assigned]
+    fixed = 0  # the decided inputs' bits
+    free: List[int] = []  # bit positions of the free inputs
+    for i, name in enumerate(input_names):
+        if name not in assigned:
+            free.append(i)
+        elif assigned[name]:
+            fixed |= 1 << i
 
-    def point(fill) -> int:
-        p = 0
-        for i, name in enumerate(input_names):
-            value = assigned.get(name)
-            if value is None:
-                value = fill(i, name)
+    def point(fills) -> int:
+        p = fixed
+        for i, value in zip(free, fills):
             if value:
                 p |= 1 << i
         return p
@@ -188,15 +191,14 @@ def _candidate_patterns(
             seen.add(p)
             candidates.append(p)
 
-    add(point(lambda i, name: 0))
-    add(point(lambda i, name: 1))
-    add(point(lambda i, name: i & 1))
+    add(fixed)
+    add(point([1] * len(free)))
+    add(point([i & 1 for i in free]))
     space = 1 << len(free)
     for _ in range(4 * budget):
         if len(candidates) >= budget or len(seen) >= space:
             break
-        fills = {name: rng.randrange(2) for name in free}
-        add(point(lambda i, name: fills[name]))
+        add(point([rng.randrange(2) for _ in free]))
     return candidates
 
 
@@ -211,13 +213,14 @@ def _detected_candidates(
     nonalternating-output test condition.
     """
     diff = 0
-    for pos in range(len(row)):
-        if pairs:
-            diff |= (base[pos] ^ (base[pos] >> 1)) & ~(row[pos] ^ (row[pos] >> 1))
-        else:
-            diff |= base[pos] ^ row[pos]
     if pairs:
+        for good, bad in zip(base, row):
+            diff |= (good ^ (good >> 1)) & ~(bad ^ (bad >> 1))
         return {j for j in range(n_candidates) if (diff >> (2 * j)) & 1}
+    for good, bad in zip(base, row):
+        diff |= good ^ bad
+    if not diff:
+        return set()
     return {j for j in range(n_candidates) if (diff >> j) & 1}
 
 
@@ -340,13 +343,14 @@ def run_atpg(
             # Best candidate: must detect the target (index 0 in
             # `remaining`), then maximal drop count; ties break to the
             # lowest candidate index (candidate 0 == the scalar test).
+            counts = [0] * len(cands)
+            for d in detects:
+                for j in d:
+                    counts[j] += 1
             best, best_count = None, -1
             for j in range(len(cands)):
-                if j not in detects[0]:
-                    continue
-                count = sum(1 for d in detects if j in d)
-                if count > best_count:
-                    best, best_count = j, count
+                if j in detects[0] and counts[j] > best_count:
+                    best, best_count = j, counts[j]
             if best is None:
                 # The simulated response contradicts PODEM's detection
                 # claim — never expected; classify conservatively rather

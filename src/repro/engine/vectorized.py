@@ -59,7 +59,7 @@ from .backends import (
 )
 from .compiled import CompiledNetwork, FaultLike
 from .. import obs
-from ..logic.gates import GateKind
+from ..logic.gates import GateKind, evaluate_mask
 from ..logic.truthtable import reverse_bits
 
 # Telemetry: block-backend work counters and the per-chunk span.  The
@@ -95,6 +95,12 @@ VECTOR_MIN_FAULTS = 8
 
 #: Faults simulated per block (the PPSFP fault axis).
 DEFAULT_BLOCK_FAULTS = 64
+
+#: Fault rows times pattern words per :meth:`VectorizedBackend.pattern_bits`
+#: block: pattern tables are a few words wide, so one block takes a
+#: whole candidate batch's fault list (8 KiB per line) instead of paying
+#: the per-block schedule again every 64 faults.
+PATTERN_BLOCK_WORDS = 1024
 
 #: Word-axis chunk size for wide input spaces: tables whose half is
 #: wider than ``DEFAULT_CHUNK_WORDS`` words are processed in tiles of
@@ -251,10 +257,21 @@ class VectorizedBackend:
             self.pair_full = _np.uint64(1)
         self.block_faults = max(1, block_faults)
         self.chunk_words = max(1, chunk_words)
-        self._tiles = pair_tiles(self.words, self.chunk_words)
+        self._tile_list: Optional[List] = None
         #: Tables whose half is wider than one chunk are swept in tiles.
-        self.chunked = len(self._tiles) > 1
+        self.chunked = (self.words >> 1) > self.chunk_words
         self._base: Optional[List] = None  # full-table baseline
+        #: ``(patterns, values, rows)`` of the last :meth:`pattern_bits`
+        #: list (see :meth:`_pattern_baseline`).
+        self._pattern_base: Optional[Tuple[Tuple[int, ...], List, List]] = None
+
+    @property
+    def _tiles(self) -> List:
+        """The truth table's word-index tiles (:func:`pair_tiles`), built
+        on first use: pattern simulation never needs them."""
+        if self._tile_list is None:
+            self._tile_list = pair_tiles(self.words, self.chunk_words)
+        return self._tile_list
 
     # ------------------------------------------------------------------
     # packed building blocks
@@ -351,71 +368,54 @@ class VectorizedBackend:
         (:meth:`pattern_bits`) pass all 64 bits — their word axis packs
         an explicit pattern list, not the ``2**n`` point space.
         """
-        np = _np
         block = len(plans)
         if full is None:
             full = self.full_word
-        comp = self.compiled
+        zero = _np.uint64(0)
         stem_rows: dict = {}
         pin_rows: dict = {}
         schedule: set = set()
         for row, plan in enumerate(plans):
-            for idx, forced in plan.stems:
-                stem_rows.setdefault(idx, []).append((row, forced))
+            for idx, value in plan.stems:
+                stem_rows.setdefault(idx, []).append((row, value))
             for pos, overrides in plan.pins.items():
-                for slot, forced in overrides:
-                    pin_rows.setdefault(pos, []).append((row, slot, forced))
+                slots = pin_rows.setdefault(pos, {})
+                for slot, value in overrides:
+                    slots.setdefault(slot, []).append((row, value))
             schedule.update(plan.ops)
-        values: dict = {}
 
-        def get(idx: int):
-            arr = values.get(idx)
-            return base[idx] if arr is None else arr
-
-        def force(idx: int, rows) -> None:
-            arr = values.get(idx)
-            if arr is None:
-                arr = base[idx]
-            arr = np.array(np.broadcast_to(arr, (block, k)))
-            for row, forced in rows:
-                arr[row, :] = full if forced else np.uint64(0)
-            values[idx] = arr
+        def forced(arr, rows):
+            arr = _row_copy(arr, block, k)
+            for row, value in rows:
+                arr[row, :] = full if value else zero
+            return arr
 
         if _REG.enabled:
             _M_OPS.inc(len(schedule), backend="vectorized")
             _M_WORDS.inc(len(schedule) * block * k, backend="vectorized")
             _M_BLOCK.observe(block)
 
-        # Stem-forced lines hold their forced rows from the start (and
-        # again after their driving op runs: forced values win, exactly
-        # as the scalar plans resolve stem-over-pin conflicts).
+        values = list(base)
+        ops = self.compiled.ops
+        n_in = self.compiled.n_inputs
+        # Stem-forced lines hold their forced rows from the start, unless
+        # their driving op is scheduled: it runs before any reader, and
+        # its result is forced (forced values win, exactly as the scalar
+        # plans resolve stem-over-pin conflicts).
         for idx, rows in stem_rows.items():
-            force(idx, rows)
+            if idx < n_in or idx - n_in not in schedule:
+                values[idx] = forced(values[idx], rows)
         for pos in sorted(schedule):
-            op = comp.ops[pos]
-            operands = [get(src) for src in op.srcs]
-            overrides = pin_rows.get(pos)
-            if overrides:
-                by_slot: dict = {}
-                for row, slot, forced in overrides:
-                    by_slot.setdefault(slot, []).append((row, forced))
-                for slot, rows in by_slot.items():
-                    forced_arr = np.array(
-                        np.broadcast_to(operands[slot], (block, k))
-                    )
-                    for row, forced in rows:
-                        forced_arr[row, :] = full if forced else np.uint64(0)
-                    operands[slot] = forced_arr
+            op = ops[pos]
+            operands = [values[src] for src in op.srcs]
+            slots = pin_rows.get(pos)
+            if slots:
+                for slot, rows in slots.items():
+                    operands[slot] = forced(operands[slot], rows)
             result = _eval_words(op.kind, operands, full)
             rows = stem_rows.get(op.out)
-            if rows:
-                force_src = np.array(np.broadcast_to(result, (block, k)))
-                for row, forced in rows:
-                    force_src[row, :] = full if forced else np.uint64(0)
-                values[op.out] = force_src
-            else:
-                values[op.out] = result
-        return get
+            values[op.out] = forced(result, rows) if rows else result
+        return values.__getitem__
 
     def _block_masks(self, plans, base, width: int):
         """Pair-level ``(affected, detected, violations)`` arrays of one
@@ -527,6 +527,33 @@ class VectorizedBackend:
             for d, v in zip(has_det.tolist(), has_vio.tolist())
         ]
 
+    def _pattern_baseline(self, patterns, n_words: int):
+        """Fault-free values of every line over a pattern list, as big
+        ints and as ``(n_words,)`` rows.  A handful of words is cheaper
+        to evaluate as one big int per line, converted to ``uint64``
+        rows in one step.  The last list's baseline is kept:
+        :func:`~repro.engine.atpg.run_atpg` asks for the baseline and
+        then the fault rows of the same candidate batch."""
+        key = tuple(patterns)
+        if self._pattern_base is not None and self._pattern_base[0] == key:
+            return self._pattern_base[1:]
+        comp = self.compiled
+        full = (1 << (64 * n_words)) - 1  # every bit of every word
+        values = pack_pattern_masks(patterns, comp.n_inputs)
+        values += [0] * len(comp.ops)
+        for op in comp.ops:
+            values[op.out] = evaluate_mask(
+                op.kind, [values[s] for s in op.srcs], full
+            )
+        raw = b"".join(v.to_bytes(n_words * 8, "little") for v in values)
+        table = _np.frombuffer(raw, dtype="<u8").astype(_np.uint64)
+        rows = list(table.reshape(len(values), n_words))
+        if _REG.enabled:
+            _M_OPS.inc(len(comp.ops), backend="vectorized")
+            _M_WORDS.inc(len(comp.ops) * n_words, backend="vectorized")
+        self._pattern_base = (key, values, rows)
+        return values, rows
+
     def pattern_bits(
         self,
         patterns: Sequence[int],
@@ -548,27 +575,13 @@ class VectorizedBackend:
         n_words = max(1, (n_patterns + 63) >> 6)
         valid = (1 << n_patterns) - 1 if n_patterns else 0
         full64 = np.uint64(_FULL64)
-        base: List = [None] * len(comp.names)
-        for i, mask in enumerate(pack_pattern_masks(patterns, comp.n_inputs)):
-            raw = mask.to_bytes(n_words * 8, "little")
-            base[i] = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
-        for op in comp.ops:
-            base[op.out] = _eval_words(
-                op.kind, [base[s] for s in op.srcs], full64
-            )
-        base = [
-            np.broadcast_to(np.asarray(v, dtype=np.uint64), (n_words,))
-            for v in base
-        ]
-        if _REG.enabled:
-            _M_OPS.inc(len(comp.ops), backend="vectorized")
-            _M_WORDS.inc(len(comp.ops) * n_words, backend="vectorized")
-
+        values, base = self._pattern_baseline(patterns, n_words)
         if faults is None:
-            return tuple(_words_to_int(base[idx]) & valid for idx in comp.out_idx)
+            return tuple(values[idx] & valid for idx in comp.out_idx)
         results: List[Tuple[int, ...]] = []
-        for start in range(0, len(faults), self.block_faults):
-            chunk = faults[start : start + self.block_faults]
+        block = max(self.block_faults, PATTERN_BLOCK_WORDS // n_words)
+        for start in range(0, len(faults), block):
+            chunk = faults[start : start + block]
             plans = [comp.fault_plan(fault) for fault in chunk]
             get = self._block_outputs(plans, base, n_words, full=full64)
             # One bulk numpy->python conversion per output column beats
@@ -581,12 +594,14 @@ class VectorizedBackend:
                 if arr.ndim == 1:
                     arr = np.broadcast_to(arr, (len(plans), n_words))
                 cols.append(arr)
-            if n_words == 1:
-                col_lists = [col[:, 0].tolist() for col in cols]
-                for row in range(len(plans)):
-                    results.append(
-                        tuple(cl[row] & valid for cl in col_lists)
-                    )
+            if not cols:
+                # No outputs: still one (empty) tuple per fault.
+                results.extend(() for _ in plans)
+            elif n_words == 1:
+                mask = np.uint64(valid)
+                results.extend(
+                    zip(*[(col[:, 0] & mask).tolist() for col in cols])
+                )
             else:
                 for row in range(len(plans)):
                     results.append(
@@ -679,6 +694,15 @@ def chunk_pattern_bits(
 # ----------------------------------------------------------------------
 # word-level primitives (NumPy path)
 # ----------------------------------------------------------------------
+def _row_copy(values, block: int, k: int):
+    """A writable ``(block, k)`` copy of ``values`` broadcast over the
+    fault rows (an order of magnitude cheaper than copying a
+    ``broadcast_to`` view)."""
+    out = _np.empty((block, k), dtype=_np.uint64)
+    out[...] = values
+    return out
+
+
 def _words_to_int(*rows) -> int:
     """Packed rows, concatenated, back to a big int (first word lowest)."""
     return int.from_bytes(
@@ -751,4 +775,9 @@ def _threshold_words(kind: GateKind, masks, full):
             else:
                 sel = sel & (~slice_mask & full)
         out = out | sel
+    # All-zero operands leave ``counter`` empty and ``out`` a scalar:
+    # give it the operands' broadcast shape (the fault-row axis).
+    shape = np.broadcast_shapes(*(np.shape(m) for m in masks))
+    if np.shape(out) != shape:
+        out = np.full(shape, out, dtype=np.uint64)
     return out

@@ -80,14 +80,23 @@ def random_mixed_network(
     name: str = "random_mixed",
 ) -> Network:
     """A random network over a mixed gate alphabet (XOR included, to
-    exercise the conditions that XORs defeat)."""
+    exercise the conditions that XORs defeat).  ``NOT`` and ``BUF``
+    read one line and ``MAJ`` an odd number, at least three (its arity
+    rule), so ``kinds`` holding ``MAJ`` needs ``n_inputs >= 3``."""
+    if GateKind.MAJ in kinds and n_inputs < 3:
+        raise ValueError(
+            f"MAJ gates read at least 3 lines; n_inputs={n_inputs} is too few"
+        )
     inputs = [f"x{i}" for i in range(n_inputs)]
     builder = NetworkBuilder(inputs, name=name)
     available = list(inputs)
     for g in range(n_gates):
         kind = rng.choice(list(kinds))
-        if kind is GateKind.NOT:
+        if kind in (GateKind.NOT, GateKind.BUF):
             sources = [rng.choice(available)]
+        elif kind is GateKind.MAJ:
+            extra = (max(min(max_fan_in, len(available)), 3) - 3) // 2
+            sources = rng.sample(available, 3 + 2 * rng.randint(0, extra))
         else:
             fan_in = rng.randint(2, min(max_fan_in, max(len(available), 2)))
             fan_in = min(fan_in, len(available))

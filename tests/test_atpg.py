@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,8 @@ from repro.logic.faults import PinStuckAt, StuckAt, enumerate_stem_faults
 from repro.logic.parse import parse_expression
 from repro.workloads.fig34 import fig34_network
 from repro.workloads.randomlogic import random_mixed_network
+
+pytestmark = pytest.mark.atpg
 
 
 class TestGenerateTest:
@@ -62,6 +65,16 @@ class TestGenerateTest:
         assert fig34.output_values(test) != outputs_with_fault(
             fig34, test, fault
         )
+
+    def test_unknown_fault_sites_raise(self, fig34):
+        podem = Podem(fig34)
+        for fault in (
+            StuckAt("nope", 0),
+            PinStuckAt("nope", 0, 0),
+            PinStuckAt(fig34.inputs[0], 0, 1),  # an input has no pins
+        ):
+            with pytest.raises(KeyError):
+                podem.generate_test_ex(fault)
 
 
 class TestAlternatingTests:

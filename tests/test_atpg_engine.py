@@ -25,6 +25,8 @@ from repro.engine.backends import bitmask_pattern_bits, pack_pattern_masks
 from repro.engine.vectorized import chunk_pattern_bits
 from repro.logic.benchfmt import load_bench, save_bench
 from repro.logic.faults import StuckAt
+from repro.logic.gates import GateKind
+from repro.logic.network import Gate, Network
 from repro.workloads.benchcircuits import fig62_nand_network
 from repro.workloads.fig34 import fig34_network, fig37_fixed_network
 from repro.workloads.randomlogic import (
@@ -111,6 +113,20 @@ class TestPatternSeam:
         rows = chunk_pattern_bits(eng, patterns, faults, backend)
         for fault, row in zip(faults, rows):
             assert tuple(row) == tuple(eng.bitmask.output_bits(fault))
+
+    def test_zero_output_net_gives_one_row_per_fault(self):
+        net = Network(
+            ["a", "b"], [Gate("g", GateKind.AND, ("a", "b"))], [],
+            name="no_outputs",
+        )
+        eng = engine_for(net)
+        faults = [StuckAt(line, v) for line in net.lines() for v in (0, 1)]
+        for backend in ("vectorized", "bitmask", "pointwise"):
+            assert tuple(
+                chunk_pattern_bits(eng, [0, 1, 3], None, backend)
+            ) == ()
+            rows = chunk_pattern_bits(eng, [0, 1, 3], faults, backend)
+            assert [tuple(row) for row in rows] == [()] * len(faults)
 
     def test_partial_unordered_patterns(self, fig34):
         eng = engine_for(fig34)

@@ -21,6 +21,39 @@ from repro.logic.network import NetworkBuilder
 from repro.workloads.randomlogic import random_mixed_network
 
 
+class TestRandomMixedKinds:
+    """``random_mixed_network`` honours each gate's arity rule."""
+
+    @pytest.mark.parametrize("max_fan_in", [3, 4, 5, 6])
+    def test_majority_fan_in_is_odd(self, max_fan_in):
+        kinds = (GateKind.MAJ, GateKind.AND, GateKind.BUF, GateKind.NOT)
+        for seed in range(20):
+            net = random_mixed_network(
+                random.Random(seed), 5, 12, kinds=kinds, max_fan_in=max_fan_in
+            )
+            fan_ins = {
+                len(gate.inputs)
+                for gate in net.gates
+                if gate.kind is GateKind.MAJ
+            }
+            assert all(k % 2 == 1 and 3 <= k <= max_fan_in for k in fan_ins)
+
+    def test_majority_wide_fan_in_is_drawn(self):
+        fan_ins = set()
+        for seed in range(20):
+            net = random_mixed_network(
+                random.Random(seed), 6, 10, kinds=(GateKind.MAJ,), max_fan_in=5
+            )
+            fan_ins |= {len(gate.inputs) for gate in net.gates}
+        assert fan_ins == {3, 5}
+
+    def test_majority_needs_three_inputs(self):
+        with pytest.raises(ValueError, match="MAJ"):
+            random_mixed_network(
+                random.Random(0), 2, 4, kinds=(GateKind.MAJ,)
+            )
+
+
 class TestLineTables:
     def test_tables_match_pointwise(self, rng):
         for _ in range(10):

@@ -20,8 +20,12 @@ from repro.engine import (
     select_backend,
 )
 from repro.engine.store import STORE
-from repro.engine.vectorized import HAVE_NUMPY, chunk_statuses
-from repro.logic.faults import StuckAt
+from repro.engine.vectorized import (
+    HAVE_NUMPY,
+    chunk_pattern_bits,
+    chunk_statuses,
+)
+from repro.logic.faults import PinStuckAt, StuckAt
 from repro.logic.gates import GateKind
 from repro.logic.network import Gate, Network
 from repro.workloads.fig34 import fig34_network
@@ -158,6 +162,51 @@ class TestKernelEquivalence:
         assert kern_z.sweep_statuses(
             [StuckAt("z", 1)]
         ) == scalar_statuses(eng, [StuckAt("z", 1)])
+
+
+class TestThresholdFaultRows:
+    """A stuck operand can leave every carry of the MAJ/MIN bit-sliced
+    counter all-zero; the packed result must keep the fault-row axis
+    instead of collapsing to one scalar word."""
+
+    @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
+    def test_three_input_threshold_on_kernel(self, kind):
+        net = Network(
+            ["x0", "x1", "x2"],
+            [Gate("m", kind, ("x0", "x1", "x2"))],
+            ["m"],
+            name=f"{kind.value}3",
+        )
+        universe = [
+            StuckAt(line, value) for line in net.lines() for value in (0, 1)
+        ] + [
+            PinStuckAt("m", pin, value) for pin in range(3) for value in (0, 1)
+        ]
+        eng = NetworkEngine(net)
+        reference = scalar_statuses(eng, universe)
+        kern = KernelBackend(
+            eng.compiled, vectorized=eng.vectorized, block_faults=1
+        )
+        assert kern.sweep_statuses(universe) == reference
+        sweep = FaultSweep(net, engine=NetworkEngine(net))
+        result = sweep.sweep(universe, backend="kernel")
+        assert [s for _, s in result] == reference
+        assert sweep.last_sweep_backend == "kernel"
+
+    @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
+    def test_pattern_rows_on_vectorized(self, kind):
+        """All-zero patterns zero every operand of every fault row."""
+        net = Network(
+            ["x0", "x1", "x2"],
+            [Gate("m", kind, ("x0", "x1", "x2"))],
+            ["m"],
+            name=f"{kind.value}3",
+        )
+        eng = NetworkEngine(net)
+        faults = [StuckAt("x0", 0), PinStuckAt("m", 1, 0)]
+        assert chunk_pattern_bits(
+            eng, [0, 0], faults, "vectorized"
+        ) == chunk_pattern_bits(eng, [0, 0], faults, "bitmask")
 
 
 class TestKernelCeilingAndSelection:
