@@ -52,10 +52,10 @@ from .supervisor import (
     CampaignReport,
     CancelToken,
     CheckpointError,
+    ChunkKind,
     Degradation,
     RetryEvent,
     run_campaign,
-    run_generation_batch,
     universe_fingerprint,
 )
 from .compiled import (
@@ -67,7 +67,6 @@ from .compiled import (
 from .store import STORE, ArtifactStore, program_fingerprint
 from .fork import (
     ChunkResult,
-    ChunkTask,
     ForkTransport,
     SubmitFailed,
     TransportError,
@@ -183,8 +182,8 @@ __all__ = [
     "CampaignReport",
     "CancelToken",
     "CheckpointError",
+    "ChunkKind",
     "ChunkResult",
-    "ChunkTask",
     "CompiledNetwork",
     "Degradation",
     "FaultPlan",
@@ -210,7 +209,6 @@ __all__ = [
     "program_fingerprint",
     "run_atpg",
     "run_campaign",
-    "run_generation_batch",
     "select_backend",
     "universe_fingerprint",
 ]

@@ -7,7 +7,7 @@ worker processes over duplex pipes, driven through a handful of
 calls::
 
     transport.start()
-    lane = transport.submit(task)      # place one chunk on a free lane
+    lane = transport.submit(key, items, rung, attempt)  # one chunk
     for result in transport.poll(t):   # completed / failed / died chunks
         ...
     transport.replace(lane)            # kill + respawn one lane
@@ -15,15 +15,14 @@ calls::
 
 Lanes are integer slots (0..lanes-1); every result names the lane it
 came from so the supervisor can enforce per-chunk deadlines and the
-worker-replacement cap.  Each worker builds its own engine from the
-inherited network and derives whatever baseline its block backend
-reads.
+worker-replacement cap.  Each worker replaces the host it inherits
+with what the chunk kind's ``worker_host`` builds from it (for fault
+chunks, an engine of its own).
 
 Workers run chunks through the supervisor module's ``chunk_statuses``
-seam (fault chunks and ``synth`` fitness chunks alike) and honour
-:data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`, both looked up late
-so the chaos suite's patches reach forked children (fork inherits the
-armed parent state).
+seam and honour :data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`,
+both looked up late so the chaos suite's patches reach forked children
+(fork inherits the armed parent state).
 """
 
 from __future__ import annotations
@@ -65,25 +64,13 @@ class SubmitFailed(TransportError):
 
 
 @dataclasses.dataclass
-class ChunkTask:
-    """One unit of work for a lane: classify ``faults`` on a resolved
-    block backend.  ``key`` is the supervisor's chunk identity (the
-    ``"start:stop"`` index range); lanes treat it as opaque."""
-
-    key: str
-    faults: List
-    backend: str
-    attempt: int = 0
-
-
-@dataclasses.dataclass
 class ChunkResult:
     """One message back from a lane.
 
-    ``kind`` is ``"ok"`` (``payload`` is the statuses list), ``"error"``
+    ``kind`` is ``"ok"`` (``payload`` is the payload list), ``"error"``
     (``payload`` is the reason text; the chunk is retryable), or
-    ``"died"`` (the lane is gone; ``key`` names the chunk it was
-    carrying, or ``None`` if it was idle).  ``events`` carries the
+    ``"died"`` (the lane is gone, with ``key`` ``None``: the supervisor
+    knows which chunk each lane carries).  ``events`` carries the
     worker's buffered flight-recorder events for the parent to merge.
     """
 
@@ -97,11 +84,12 @@ class ChunkResult:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _forked_worker(conn, network) -> None:
-    """One fork worker: build an engine, then serve chunk jobs on
-    ``conn`` until a ``None`` shutdown sentinel (or the parent
-    disappears).  Job messages are ``(key, faults, backend, attempt)``
-    tuples; replies are ``(kind, key, payload, events)``.
+def _forked_worker(conn, kind, host) -> None:
+    """One fork worker: build its host through ``kind.worker_host``,
+    then serve chunk jobs on ``conn`` until a ``None`` shutdown sentinel
+    (or the parent disappears).  Job messages are
+    ``(key, items, rung, attempt)`` tuples; replies are
+    ``(kind, key, payload, events)``.
 
     The child first drops the signal state it inherited: a parent
     running an asyncio loop (``repro serve``) has SIGTERM/SIGINT routed
@@ -118,10 +106,9 @@ def _forked_worker(conn, network) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
-    from . import NetworkEngine
     from . import supervisor as _sup
 
-    engine = NetworkEngine(network)
+    host = kind.worker_host(host)
     while True:
         try:
             job = conn.recv()
@@ -129,17 +116,17 @@ def _forked_worker(conn, network) -> None:
             break
         if job is None:
             break
-        key, faults, backend, attempt = job
+        key, items, rung, attempt = job
         hook = _sup.WORKER_CHUNK_HOOK
         try:
             with obs.span("worker.chunk", chunk=key, attempt=attempt):
                 if hook is not None:
                     hook(key, attempt)
-                statuses = _sup.chunk_statuses(engine, faults, backend)
+                payloads = _sup.chunk_statuses(kind, host, items, rung)
         except Exception as error:  # reported, retried by the supervisor
             reply = ("error", key, f"{type(error).__name__}: {error}")
         else:
-            reply = ("ok", key, statuses)
+            reply = ("ok", key, payloads)
         conn.send(reply + (obs.drain_child_events(),))
     conn.close()
 
@@ -172,14 +159,16 @@ def _stop_lane(lane: _Lane) -> None:
 
 
 class ForkTransport:
-    """Replaceable fork-worker lanes over duplex pipes."""
+    """Replaceable fork-worker lanes over duplex pipes, running chunks
+    of one :class:`~repro.engine.supervisor.ChunkKind` against
+    ``host``."""
 
-    def __init__(self, sweep, lanes: int) -> None:
-        self.sweep = sweep
+    def __init__(self, kind, host, lanes: int) -> None:
+        self.kind = kind
+        self.host = host
         self.lanes = max(lanes, 1)
         self._ctx = None
         self._lanes: List[_Lane] = []
-        self._tasks: List[Optional[ChunkTask]] = []
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -196,7 +185,6 @@ class ForkTransport:
         try:
             for _ in range(self.lanes):
                 self._lanes.append(self._spawn())
-                self._tasks.append(None)
         except TransportFailure:
             self.shutdown()
             raise
@@ -206,7 +194,7 @@ class ForkTransport:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
                 target=_forked_worker,
-                args=(child_conn, self.sweep.network),
+                args=(child_conn, self.kind, self.host),
                 daemon=True,
             )
             process.start()
@@ -219,7 +207,6 @@ class ForkTransport:
         """Tear down and respawn one lane; raises
         :class:`TransportFailure` when a replacement cannot be built."""
         _stop_lane(self._lanes[lane])
-        self._tasks[lane] = None
         self._lanes[lane] = self._spawn()
 
     def shutdown(self) -> None:
@@ -232,7 +219,6 @@ class ForkTransport:
         for entry in self._lanes:
             _stop_lane(entry)
         self._lanes = []
-        self._tasks = []
 
     # -- task flow -----------------------------------------------------
     @property
@@ -246,23 +232,21 @@ class ForkTransport:
     def lane_pid(self, lane: int) -> Optional[int]:
         return self._lanes[lane].process.pid
 
-    def submit(self, task: ChunkTask) -> int:
-        """Place ``task`` on a free lane; returns the lane id.  Raises
+    def submit(self, key: str, items: List, rung: str, attempt: int) -> int:
+        """Place one chunk on a free lane; returns the lane id.  ``key``
+        is the supervisor's chunk identity, opaque here.  Raises
         :class:`SubmitFailed` when the chosen lane is unreachable."""
         for index, entry in enumerate(self._lanes):
             if entry.busy or entry.dead:
                 continue
             try:
-                entry.conn.send(
-                    (task.key, task.faults, task.backend, task.attempt)
-                )
+                entry.conn.send((key, items, rung, attempt))
             except (OSError, ValueError) as error:
                 entry.dead = True
                 raise SubmitFailed(
                     index, f"worker unreachable at assignment: {error}"
                 )
             entry.busy = True
-            self._tasks[index] = task
             return index
         raise RuntimeError("no free lane")  # pragma: no cover - defended
 
@@ -297,14 +281,11 @@ class ForkTransport:
             return [self._death(index, entry)]
         kind, key, payload, events = message
         entry.busy = False
-        self._tasks[index] = None
         return [ChunkResult(kind, key, index, payload=payload, events=events)]
 
     def _death(self, index: int, entry: _Lane) -> ChunkResult:
         entry.dead = True
         entry.busy = False
-        task, self._tasks[index] = self._tasks[index], None
         return ChunkResult(
-            "died", task.key if task else None, index,
-            payload="worker died mid-chunk",
+            "died", None, index, payload="worker died mid-chunk"
         )

@@ -21,9 +21,13 @@ per-chunk supervision:
   (classification is per-fault deterministic, so chunking never
   changes results).
 
-This module owns *policy* only.  With ``processes > 1`` chunks fan out
-to forked workers over pipes (:class:`repro.engine.fork.ForkTransport`);
-otherwise they run in-process in a plain loop.  Every step down the
+This module owns *policy* only.  What a chunk *is* comes from a
+:class:`ChunkKind`: fault classification (:data:`FAULT_CHUNKS`, the
+default) or any other per-item work with deterministic payloads, such
+as scoring a population of candidate circuits.  With ``processes > 1``
+chunks fan out to forked workers over pipes
+(:class:`repro.engine.fork.ForkTransport`); otherwise they run
+in-process in a plain loop.  Every step down the
 **degradation ladder** —
 
     ``fork`` → ``serial`` → ``scalar``
@@ -31,9 +35,9 @@ otherwise they run in-process in a plain loop.  Every step down the
 — is recorded as a :class:`Degradation` in the :class:`CampaignReport`
 instead of being swallowed by a bare ``except``.
 
-Chaos hooks (:data:`WORKER_CHUNK_HOOK`, swapped by
-:mod:`repro.qa.chaos`) let the test suite SIGKILL a worker, hang a
-chunk, or break the block backend mid-campaign and assert the
+Chaos hooks (:data:`WORKER_CHUNK_HOOK` and :func:`chunk_statuses`,
+swapped by :mod:`repro.qa.chaos`) let the test suite SIGKILL a worker,
+hang a chunk, or break the block backend mid-campaign and assert the
 sweep still finishes with statuses identical to the serial path.
 """
 
@@ -43,18 +47,16 @@ import dataclasses
 import hashlib
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from .durable import CheckpointError, load_envelope, write_envelope
 from .fork import (
-    ChunkTask,
     ForkTransport,
     SubmitFailed,
     TransportFailure,
     TransportUnavailable,
 )
-from .vectorized import VECTOR_MIN_FAULTS, resolve_rung
 from .vectorized import chunk_statuses as _fault_chunk_statuses
 
 # Telemetry: campaign-level counters are incremented by the supervising
@@ -86,10 +88,6 @@ _M_CANCELLED = _REG.counter(
 )
 _M_WALL = _REG.histogram(
     "repro_campaign_wall_seconds", "End-to-end campaign wall time"
-)
-_M_CHUNK_FAULTS = _REG.counter(
-    "repro_campaign_chunk_faults_total",
-    "Faults classified through chunk_statuses, by backend",
 )
 
 #: Attempts on one chunk before it is split (multi-fault chunks) or
@@ -392,13 +390,77 @@ class CampaignCheckpoint:
 
 
 # ----------------------------------------------------------------------
+# chunk kinds
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class ChunkKind:
+    """One kind of chunk work for :func:`run_campaign`.
+
+    ``evaluate(host, items, rung)`` returns one payload per item, in
+    order; it is reached only through :func:`chunk_statuses`.  A fork
+    worker evaluates against ``worker_host(host)``, built from the host
+    it inherits.  ``span(n_items, rung, processes)`` opens the run's
+    span; ``reports`` makes a run emit ``campaign.report`` (or
+    ``campaign.cancelled``) and the wall, status and cancel metrics.
+    ``step_down`` maps a rung that fails in the parent to the serial
+    rung below it; a rung missing there re-raises.
+    """
+
+    evaluate: Callable[[object, Sequence, str], List]
+    worker_host: Callable[[object], object]
+    span: Callable[[int, str, int], object]
+    reports: bool = True
+    step_down: Mapping[str, str] = dataclasses.field(default_factory=dict)
+
+
+def _fault_worker_host(sweep):
+    """A sweep over the inherited network with an engine of its own, so
+    each worker derives whatever baseline its block backend reads."""
+    from . import NetworkEngine
+    from .campaign import FaultSweep
+
+    return FaultSweep(sweep.network, engine=NetworkEngine(sweep.network))
+
+
+#: Fault classification: the host is a ``FaultSweep``, a rung a resolved
+#: block backend, and a failing block rung steps down to ``bitmask``.
+FAULT_CHUNKS = ChunkKind(
+    evaluate=lambda sweep, faults, rung: _fault_chunk_statuses(
+        sweep.engine, faults, rung
+    ),
+    worker_host=_fault_worker_host,
+    span=lambda n_faults, rung, processes: obs.span(
+        "campaign.run", faults=n_faults, backend=rung, processes=processes
+    ),
+    step_down={"kernel": "bitmask", "vectorized": "bitmask"},
+)
+
+
+def chunk_statuses(kind: ChunkKind, host, items: Sequence, rung: str) -> List:
+    """Run one chunk of ``kind``: fork workers and the serial loop both
+    look this function up late here, so chaos patches of it reach every
+    rung."""
+    return kind.evaluate(host, items, rung)
+
+
+def _serial_tier(kind: ChunkKind, rung: str) -> str:
+    """``scalar`` for the bottom of the kind's step-down ladder,
+    ``serial`` for every other in-process rung."""
+    return "scalar" if rung in kind.step_down.values() else "serial"
+
+
+def _serial_rung(kind: ChunkKind, rung: str) -> str:
+    return f"{_serial_tier(kind, rung)}:{rung}"
+
+
+# ----------------------------------------------------------------------
 # chunk tasks
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class _Task:
     start: int
     stop: int
-    faults: List
+    items: List
     attempt: int = 0
 
     @property
@@ -442,52 +504,28 @@ def _build_tasks(
     return tasks
 
 
-#: The ladder's ``serial -> scalar`` step for a failing block rung.  A
-#: rung missing here (``bitmask`` itself, ``synth``) re-raises instead.
-_STEP_DOWN = {"kernel": "bitmask", "vectorized": "bitmask"}
-
-
-def chunk_statuses(engine, tasks: Sequence, backend: str) -> List:
-    """Run one chunk: fork workers and the serial loop both look this
-    function up late here, so chaos patches of it reach every rung.  Fault chunks go to
-    :func:`repro.engine.vectorized.chunk_statuses`; ``synth`` chunks
-    carry candidate tasks scored by
-    :func:`repro.synth.fitness.evaluate_chunk`, each compiling its own
-    engine (the host ``engine`` is ignored)."""
-    if backend != "synth":
-        return _fault_chunk_statuses(engine, tasks, backend)
-    from ..synth.fitness import evaluate_chunk
-
-    batch = list(tasks)
-    with obs.span("sweep.chunk", faults=len(batch), backend=backend):
-        payloads = evaluate_chunk(batch)
-    if _REG.enabled:
-        _M_CHUNK_FAULTS.inc(len(batch), backend=backend)
-    return payloads
-
-
 def _parent_serial_chunk(
-    sweep, faults, chosen, report
-) -> Tuple[List[str], str]:
-    """Classify one chunk in the parent; returns ``(statuses, rung)``.
+    kind: ChunkKind, host, items, rung: str, report
+) -> Tuple[List, str]:
+    """Run one chunk in the parent; returns ``(payloads, rung)``.
 
-    A block-backend failure steps down :data:`_STEP_DOWN` once (recorded
-    as a ``serial -> scalar`` degradation, never swallowed) and the
-    chunk runs on the lower rung, which the caller keeps for the rest
-    of its chunks; a rung with no lower step re-raises."""
+    A failing rung steps down the kind's ``step_down`` map once
+    (recorded as a ``serial -> scalar`` degradation, never swallowed)
+    and the chunk runs on the lower rung, which the caller keeps for
+    the rest of its chunks; a rung with no lower step re-raises."""
     try:
-        return chunk_statuses(sweep.engine, faults, chosen), chosen
+        return chunk_statuses(kind, host, items, rung), rung
     except Exception as error:
-        lower = _STEP_DOWN.get(chosen)
+        lower = kind.step_down.get(rung)
         if lower is None:
             raise
         report.degrade(
             "serial",
             "scalar",
-            f"{chosen} block backend failed: "
+            f"{rung} block backend failed: "
             f"{type(error).__name__}: {error}",
         )
-        return chunk_statuses(sweep.engine, faults, lower), lower
+        return chunk_statuses(kind, host, items, lower), lower
 
 
 # ----------------------------------------------------------------------
@@ -508,14 +546,13 @@ class _ForkSupervisor:
 
     Owns every piece of policy: retries, split-on-repeat-failure,
     per-chunk deadlines, lane replacement with a global cap,
-    parent-serial salvage of single poisoned faults, and
+    parent-serial salvage of single poisoned items, and
     flight-recorder merging.  The transport only moves tasks and
     results.
     """
 
     def __init__(
         self,
-        sweep,
         transport: ForkTransport,
         chosen: str,
         timeout: Optional[float],
@@ -523,7 +560,6 @@ class _ForkSupervisor:
         complete: Callable[[_Task, List[str]], None],
         cancel: Optional[CancelToken] = None,
     ) -> None:
-        self.sweep = sweep
         self.transport = transport
         self.chosen = chosen
         self.timeout = timeout
@@ -558,7 +594,7 @@ class _ForkSupervisor:
             task = self.pending.popleft()
             try:
                 lane = self.transport.submit(
-                    ChunkTask(task.key, task.faults, self.chosen, task.attempt)
+                    task.key, task.items, self.chosen, task.attempt
                 )
             except SubmitFailed as error:
                 # Worker died while idle: put the task back, replace it.
@@ -589,7 +625,7 @@ class _ForkSupervisor:
             return  # pragma: no cover - stale reply from a replaced lane
         del self.inflight[result.lane]
         task = entry.task
-        if result.kind == "ok" and len(result.payload) == len(task.faults):
+        if result.kind == "ok" and len(result.payload) == len(task.items):
             self.complete(task, list(result.payload))
         else:
             reason = (
@@ -632,23 +668,24 @@ class _ForkSupervisor:
         if task.attempt >= MAX_CHUNK_ATTEMPTS:
             if task.stop - task.start > 1:
                 # Re-chunk smaller: a repeatedly failing chunk is split
-                # so one poisoned fault cannot sink its neighbours.
+                # so one poisoned item cannot sink its neighbours.
                 mid = (task.start + task.stop) // 2
                 cut = mid - task.start
-                left = _Task(task.start, mid, task.faults[:cut])
-                right = _Task(mid, task.stop, task.faults[cut:])
+                left = _Task(task.start, mid, task.items[:cut])
+                right = _Task(mid, task.stop, task.items[cut:])
                 self.report.retry(task.key, task.attempt, reason, "split")
                 self.report.chunks_total += 1
                 self.pending.appendleft(right)
                 self.pending.appendleft(left)
             else:
-                # A single fault that keeps failing runs in the parent,
-                # stepping down the block ladder if it must.
+                # A single item that keeps failing runs in the parent,
+                # stepping down the kind's ladder if it must.
                 self.report.retry(
                     task.key, task.attempt, reason, "parent-serial"
                 )
                 statuses, _rung = _parent_serial_chunk(
-                    self.sweep, task.faults, self.chosen, self.report
+                    self.transport.kind, self.transport.host, task.items,
+                    self.chosen, self.report,
                 )
                 self.complete(task, statuses)
         else:
@@ -660,7 +697,7 @@ class _ForkSupervisor:
 # the campaign driver
 # ----------------------------------------------------------------------
 def run_campaign(
-    sweep,
+    host,
     universe: Sequence,
     chosen: str,
     processes: Optional[int] = None,
@@ -670,12 +707,17 @@ def run_campaign(
     chunk_faults: Optional[int] = None,
     abort_after_chunks: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
-) -> Tuple[List[str], CampaignReport]:
-    """Run one supervised campaign; returns ``(statuses, report)``.
+    kind: ChunkKind = FAULT_CHUNKS,
+) -> Tuple[List, CampaignReport]:
+    """Run one supervised campaign; returns ``(payloads, report)``.
 
-    ``chosen`` is a resolved block-backend name (``bitmask`` /
+    ``kind`` (default :data:`FAULT_CHUNKS`) says what a chunk is;
+    ``host`` is what its evaluate function reads (a ``FaultSweep`` for
+    fault chunks, whose payloads are statuses) and ``chosen`` names a
+    rung (for faults a resolved block backend: ``bitmask`` /
     ``vectorized`` / ``kernel``).  The campaign fans out to fork
     workers iff ``processes > 1``; otherwise it runs in-process.
+    ``chunk_faults``, when given, is the positive chunk size.
     ``abort_after_chunks`` is the interruption hook used by tests and
     drills: the campaign raises :class:`CampaignInterrupted` after that
     many newly simulated chunks, leaving the checkpoint resumable.
@@ -683,24 +725,22 @@ def run_campaign(
     poll interval (once per chunk in-process); when it fires the
     campaign raises
     :class:`CampaignCancelled` (after shutting its workers down and
-    recording a ``campaign.cancelled`` flight event), with every
-    completed chunk already checkpointed.
+    recording a ``campaign.cancelled`` flight event for a reporting
+    kind), with every completed chunk already checkpointed.
 
     One :class:`~repro.obs.Stopwatch` times the whole campaign;
     ``report.wall_seconds`` is assigned exactly once from it, and the
     flight's ``campaign.report`` event carries that same value, so the
     two records cannot disagree.
     """
+    if chunk_faults is not None and chunk_faults < 1:
+        raise ValueError(f"chunk_faults must be positive, got {chunk_faults}")
     watch = obs.Stopwatch()
-    with obs.span(
-        "campaign.run",
-        faults=len(universe),
-        backend=chosen,
-        processes=processes or 0,
-    ):
+    with kind.span(len(universe), chosen, processes or 0):
         try:
             statuses, report = _run_campaign(
-                sweep,
+                kind,
+                host,
                 universe,
                 chosen,
                 processes=processes,
@@ -712,31 +752,34 @@ def run_campaign(
                 cancel=cancel,
             )
         except CampaignCancelled as error:
-            kind = (
-                "deadline"
-                if str(error).startswith("deadline exceeded")
-                else "explicit"
-            )
-            _M_CANCELLED.inc(kind=kind)
-            obs.event(
-                "campaign.cancelled",
-                reason=str(error),
-                wall_seconds=watch.elapsed(),
-            )
+            if kind.reports:
+                reason_kind = (
+                    "deadline"
+                    if str(error).startswith("deadline exceeded")
+                    else "explicit"
+                )
+                _M_CANCELLED.inc(kind=reason_kind)
+                obs.event(
+                    "campaign.cancelled",
+                    reason=str(error),
+                    wall_seconds=watch.elapsed(),
+                )
             raise
     report.wall_seconds = watch.elapsed()
-    if _REG.enabled:
-        _M_WALL.observe(report.wall_seconds)
-        for status in VALID_STATUSES:
-            count = sum(1 for s in statuses if s == status)
-            if count:
-                _M_FAULTS.inc(count, status=status)
-    obs.event("campaign.report", **report.to_dict())
+    if kind.reports:
+        if _REG.enabled:
+            _M_WALL.observe(report.wall_seconds)
+            for status in VALID_STATUSES:
+                count = sum(1 for s in statuses if s == status)
+                if count:
+                    _M_FAULTS.inc(count, status=status)
+        obs.event("campaign.report", **report.to_dict())
     return statuses, report
 
 
 def _run_campaign(
-    sweep,
+    kind: ChunkKind,
+    host,
     universe: Sequence,
     chosen: str,
     processes: Optional[int] = None,
@@ -746,14 +789,16 @@ def _run_campaign(
     chunk_faults: Optional[int] = None,
     abort_after_chunks: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
-) -> Tuple[List[str], CampaignReport]:
+) -> Tuple[List, CampaignReport]:
     if cancel is not None:
         cancel.check()
     n = len(universe)
     lanes = max(processes or 1, 1)
     want_workers = lanes > 1
     report = CampaignReport(
-        requested=f"fork:{chosen}" if want_workers else _serial_rung(chosen),
+        requested=(
+            f"fork:{chosen}" if want_workers else _serial_rung(kind, chosen)
+        ),
         block_backend=chosen,
         faults=n,
         checkpoint_path=checkpoint,
@@ -765,7 +810,7 @@ def _run_campaign(
     store: Optional[CampaignCheckpoint] = None
     if checkpoint is not None:
         store = CampaignCheckpoint(
-            checkpoint, universe_fingerprint(universe, sweep.n), n
+            checkpoint, universe_fingerprint(universe, host.n), n
         )
         if resume:
             store.load()
@@ -798,7 +843,9 @@ def _run_campaign(
     n_remaining = sum(1 for s in statuses if s is None)
     if n_remaining == 0:
         # Everything came from the checkpoint (or the universe is empty).
-        report.backend = "resumed" if report.chunks_resumed else _serial_rung(chosen)
+        report.backend = (
+            "resumed" if report.chunks_resumed else _serial_rung(kind, chosen)
+        )
         return [s for s in statuses], report
 
     # Degenerate-fan-out guard: never spawn more lanes than chunks can
@@ -807,7 +854,7 @@ def _run_campaign(
     if want_workers and not use_workers:
         report.degrade(
             "fork",
-            "serial" if chosen != "bitmask" else "scalar",
+            _serial_tier(kind, chosen),
             f"{n_remaining} remaining faults cannot amortize {lanes} "
             f"fork workers (need >= {4 * lanes}); running in-process",
         )
@@ -820,7 +867,8 @@ def _run_campaign(
     served = False
     if use_workers:
         served = _run_fork_workers(
-            sweep,
+            kind,
+            host,
             chosen,
             min(lanes, max(len(tasks), 1)),
             timeout,
@@ -829,25 +877,16 @@ def _run_campaign(
             tasks,
             cancel,
         )
-        n_left = sum(1 for s in statuses if s is None)
-        if (
-            not served
-            and chosen == "bitmask"
-            and n_left >= VECTOR_MIN_FAULTS
-        ):
-            # Serve the bulk remainder on the serial block backend (when
-            # NumPy can build one) rather than the per-fault scalar loop.
-            chosen = resolve_rung(sweep.engine, "vectorized")
-            report.block_backend = chosen
 
     if served:
         report.backend = f"fork:{chosen}"
     else:
         chosen = _serial_fill(
-            sweep, universe, statuses, chosen, report, complete, chunk, cancel
+            kind, host, universe, statuses, chosen, report, complete, chunk,
+            cancel,
         )
         report.block_backend = chosen
-        report.backend = _serial_rung(chosen)
+        report.backend = _serial_rung(kind, chosen)
 
     missing = [i for i, s in enumerate(statuses) if s is None]
     if missing:  # pragma: no cover - defended invariant
@@ -857,12 +896,9 @@ def _run_campaign(
     return [s for s in statuses], report
 
 
-def _serial_rung(chosen: str) -> str:
-    return f"scalar:{chosen}" if chosen == "bitmask" else f"serial:{chosen}"
-
-
 def _run_fork_workers(
-    sweep,
+    kind: ChunkKind,
+    host,
     chosen: str,
     lanes: int,
     timeout: Optional[float],
@@ -874,7 +910,7 @@ def _run_fork_workers(
     """Serve ``tasks`` on fork workers; returns ``False`` (with the
     degradation recorded) when the remainder must be finished
     in-process."""
-    fabric = ForkTransport(sweep, lanes)
+    fabric = ForkTransport(kind, host, lanes)
     try:
         fabric.start()
     except TransportUnavailable as error:
@@ -885,7 +921,7 @@ def _run_fork_workers(
         )
         return False
     supervisor = _ForkSupervisor(
-        sweep, fabric, chosen, timeout, report, complete, cancel
+        fabric, chosen, timeout, report, complete, cancel
     )
     try:
         supervisor.run(tasks)
@@ -901,7 +937,8 @@ def _run_fork_workers(
 
 
 def _serial_fill(
-    sweep,
+    kind: ChunkKind,
+    host,
     universe: Sequence,
     statuses: List[Optional[str]],
     chosen: str,
@@ -910,9 +947,9 @@ def _serial_fill(
     chunk: int,
     cancel: Optional[CancelToken] = None,
 ) -> str:
-    """Classify every still-uncovered fault in-process, one chunk at a
-    time, stepping down to the scalar rung once on a block-backend
-    failure.  Returns the backend that finished the job."""
+    """Run every still-uncovered item in-process, one chunk at a time,
+    stepping down the kind's ladder once on a rung failure.  Returns
+    the rung that finished the job."""
     tasks = _build_tasks(universe, statuses, chunk)
     # _build_tasks was already counted for the worker attempt; only count
     # tasks that re-chunked differently after a partial salvage.
@@ -922,57 +959,7 @@ def _serial_fill(
         if cancel is not None:
             cancel.check()
         values, chosen = _parent_serial_chunk(
-            sweep, task.faults, chosen, report
+            kind, host, task.items, chosen, report
         )
         complete(task, values)
     return chosen
-
-
-# ----------------------------------------------------------------------
-# the generation-batch seam (synthesis campaigns)
-# ----------------------------------------------------------------------
-def run_generation_batch(
-    sweep,
-    tasks: Sequence,
-    processes: Optional[int] = None,
-    timeout: Optional[float] = None,
-    cancel: Optional[CancelToken] = None,
-    chunk_tasks: Optional[int] = None,
-) -> Tuple[List[str], CampaignReport]:
-    """Evaluate one generation of synthesis candidates as a supervised
-    campaign; returns ``(payloads, report)``.
-
-    ``tasks`` are candidate-evaluation dicts (see
-    :func:`repro.synth.fitness.evaluate_chunk`) and each returned payload
-    is the matching JSON-encoded fitness record, in order.  The batch
-    rides the exact same supervision machinery as fault campaigns — fork
-    workers iff ``processes > 1``, per-chunk timeouts, retries with
-    splitting, dead-worker replacement — under the reserved ``synth``
-    chunk backend, which never degrades to the scalar fault path.
-    ``sweep`` hosts the workers (its network seeds fork workers) but
-    takes no part in scoring: every candidate compiles its own engine
-    inside the worker.
-
-    Unlike :func:`run_campaign` this emits a ``synth.batch`` span rather
-    than a ``campaign.report`` flight event — a synthesis run makes one
-    call per generation, and the campaign-level story is told by the
-    ``synth.*`` events the driver emits instead.
-    """
-    watch = obs.Stopwatch()
-    batch = list(tasks)
-    with obs.span(
-        "synth.batch",
-        candidates=len(batch),
-        processes=processes or 0,
-    ):
-        payloads, report = _run_campaign(
-            sweep,
-            batch,
-            "synth",
-            processes=processes,
-            timeout=timeout,
-            chunk_faults=chunk_tasks,
-            cancel=cancel,
-        )
-    report.wall_seconds = watch.elapsed()
-    return payloads, report

@@ -77,7 +77,8 @@ _M_BLOCK = _REG.histogram(
     "Faults simulated per vectorized block",
     buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
 )
-_M_CHUNKS = _REG.counter(
+#: Items per supervised chunk, by rung (synthesis fitness chunks too).
+CHUNK_FAULTS = _REG.counter(
     "repro_campaign_chunk_faults_total",
     "Faults classified through chunk_statuses, by backend",
 )
@@ -630,7 +631,7 @@ def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[st
     with obs.span("sweep.chunk", faults=len(universe), backend=backend):
         statuses = getattr(engine, backend).sweep_statuses(universe)
     if _REG.enabled:
-        _M_CHUNKS.inc(len(universe), backend=backend)
+        CHUNK_FAULTS.inc(len(universe), backend=backend)
     return statuses
 
 

@@ -22,7 +22,7 @@ Three cooperating pieces:
 Instrumented seams: the engine backends (op/word counters, block
 sizes), :func:`repro.engine.vectorized.chunk_statuses` (the per-chunk
 ``sweep.chunk`` span every ladder rung classifies through; synthesis
-fitness chunks open it in :func:`repro.engine.supervisor.chunk_statuses`),
+fitness chunks open it in :func:`repro.synth.fitness.evaluate_chunk`),
 :mod:`repro.engine.supervisor` (chunk completions, retries, worker
 replacements, checkpoint writes, the campaign wall-clock
 stopwatch), :mod:`repro.engine.store` (artifact hits/misses/evictions),

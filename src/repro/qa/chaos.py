@@ -179,10 +179,12 @@ def sabotage_campaign(
     ``once_path`` (a path that does not exist yet) to make the failure
     one-shot across all forked workers, otherwise every chunk attempt
     fails and the sweep degrades to the serial rung.  The parent-side
-    kind ``block-backend-broken`` makes every non-``bitmask`` chunk
-    raise, forcing the ``serial -> scalar`` step (the scalar bitmask
-    rung stays honest; without NumPy it is the only rung, so there is
-    nothing to break).
+    kind ``block-backend-broken`` makes every chunk on a rung that has a
+    step down (a fault chunk's ``kernel`` or ``vectorized`` block
+    backend) raise, forcing the ``serial -> scalar`` step.  The scalar
+    bitmask rung stays honest (without NumPy it is the only rung, so
+    there is nothing to break), and so do chunk kinds with no ladder,
+    such as synthesis fitness.
     """
     if kind in WORKER_SABOTAGE:
         previous = _supervisor.WORKER_CHUNK_HOOK
@@ -196,10 +198,10 @@ def sabotage_campaign(
     elif kind == "block-backend-broken":
         original = _supervisor.chunk_statuses
 
-        def broken(engine, faults, backend):
-            if backend != "bitmask" and _fire_once(once_path):
+        def broken(chunk_kind, host, items, rung):
+            if rung in chunk_kind.step_down and _fire_once(once_path):
                 raise RuntimeError("chaos: block backend sabotaged")
-            return original(engine, faults, backend)
+            return original(chunk_kind, host, items, rung)
 
         _supervisor.chunk_statuses = broken
         try:
@@ -238,12 +240,12 @@ def release_service_hangs() -> None:
 def _service_chunk_statuses(kind: str, slow_s: float) -> Callable:
     original = _supervisor.chunk_statuses
 
-    def sabotaged(engine, faults, backend):
+    def sabotaged(chunk_kind, host, items, rung):
         if kind == "campaign-slow":
             time.sleep(slow_s)
         else:  # campaign-hangs
             _SERVICE_HANG.wait(3600)
-        return original(engine, faults, backend)
+        return original(chunk_kind, host, items, rung)
 
     return sabotaged
 

@@ -5,7 +5,7 @@ a population-based stochastic search (per Garvie & Husbands' TSC
 synthesis) evolving gate networks toward functional correctness,
 self-duality, and self-checking, with every generation's candidates
 charged as one supervised batch against the word-axis execution
-backends through the ``synth`` chunk seam.
+backends, a chunk kind of the campaign runtime of its own.
 
 Layers:
 
@@ -17,8 +17,8 @@ Layers:
   functions plus natively self-dual ones) and repair-mode spec
   derivation;
 * :mod:`repro.synth.fitness` — the batched and scalar evaluators with
-  byte-identical records, and the worker-facing
-  :func:`~repro.synth.fitness.evaluate_chunk`;
+  byte-identical records, and the
+  :data:`~repro.synth.fitness.SYNTH_CHUNKS` chunk kind;
 * :mod:`repro.synth.campaign` — the deterministic generational driver
   with checkpoint/resume, flight events, metrics, and the
   area-vs-coverage Pareto report.

@@ -4,8 +4,8 @@
 population by :class:`~repro.synth.fitness.FitnessRecord` score, keep an
 elite, breed the rest by tournament selection with seeded
 mutation/crossover, and charge every generation's *fresh* candidates as
-one supervised batch through
-:func:`repro.engine.run_generation_batch` — so synthesis inherits the
+one supervised batch: :func:`repro.engine.run_campaign` over
+:data:`~repro.synth.fitness.SYNTH_CHUNKS` — so synthesis inherits the
 whole execution fabric (fork fan-out iff ``processes > 1``, retries
 with splitting, dead-worker replacement) that fault campaigns already
 have.
@@ -32,16 +32,11 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..engine import (
-    CancelToken,
-    CheckpointError,
-    FaultSweep,
-    run_generation_batch,
-)
+from ..engine import CancelToken, CheckpointError, run_campaign
 from ..engine.durable import load_envelope, write_envelope
 from ..logic.network import Network
 from ..scal.costs import REYNOLDS_COST_FACTOR, network_cost
-from .fitness import FitnessRecord, make_task
+from .fitness import SYNTH_CHUNKS, SYNTH_RUNG, FitnessRecord, make_task
 from .genome import Genome
 from .operators import crossover, mutate, random_genome
 from .specs import SynthSpec, spec_from_network
@@ -240,7 +235,6 @@ class SynthCampaign:
         self.seed_population = (
             tuple(seed_population) if seed_population else None
         )
-        self.host_network = host_network
         if cost_reference is None:
             # Anchor the Pareto/cost reporting to the Table 4.1 cost
             # model: the two-level Yamamoto reference realization (or
@@ -303,11 +297,6 @@ class SynthCampaign:
         history: List[dict] = state["history"]
         pareto: List[dict] = state["pareto"]
         converged: bool = state["converged"]
-        sweep = FaultSweep(
-            self.host_network
-            if self.host_network is not None
-            else self.spec.reference_network()
-        )
         totals = {
             "batches": 0,
             "chunks": 0,
@@ -325,7 +314,7 @@ class SynthCampaign:
                 or evaluations + len(population) <= self.budget
             )
         ):
-            records, fresh = self._evaluate(sweep, population, totals)
+            records, fresh = self._evaluate(population, totals)
             evaluations += len(population)
             ranked = sorted(
                 zip(population, records),
@@ -567,7 +556,6 @@ class SynthCampaign:
     # ------------------------------------------------------------------
     def _evaluate(
         self,
-        sweep: FaultSweep,
         population: Sequence[Genome],
         totals: Dict[str, int],
     ) -> Tuple[List[FitnessRecord], int]:
@@ -582,12 +570,14 @@ class SynthCampaign:
                 tasks.append(make_task(genome, self.spec))
                 fresh_index.append(i)
         if tasks:
-            payloads, batch_report = run_generation_batch(
-                sweep,
+            payloads, batch_report = run_campaign(
+                None,
                 tasks,
+                SYNTH_RUNG,
                 processes=self.processes,
                 timeout=self.timeout,
                 cancel=self.cancel,
+                kind=SYNTH_CHUNKS,
             )
             for i, payload in zip(fresh_index, payloads):
                 record = FitnessRecord.from_json(payload)

@@ -20,12 +20,13 @@ The module exposes two evaluators with byte-identical records: the
 campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
-:func:`evaluate_chunk` is the worker-facing entry point: the
-``synth`` chunk backend in :func:`repro.engine.supervisor.chunk_statuses`
-hands it a chunk of task dicts and ships back one JSON record per task.
-Every per-candidate exception is captured *inside* the record (an
-invalid candidate is a normal low-fitness outcome, not a chunk failure
-for the supervisor to retry).
+:data:`SYNTH_CHUNKS` makes scoring a chunk kind of its own for
+:func:`repro.engine.run_campaign`: its evaluate function,
+:func:`evaluate_chunk`, takes a chunk of task dicts and ships back one
+JSON record per task.  Every per-candidate exception is captured
+*inside* the record (an invalid candidate is a normal low-fitness
+outcome, not a chunk failure for the supervisor to retry), so the kind
+has no rung to step down to.
 """
 
 from __future__ import annotations
@@ -34,10 +35,16 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..core.collapse import collapse_stem_faults
-from ..engine import NetworkEngine
+from ..engine import ChunkKind, NetworkEngine
 from ..engine.backends import table_normals, table_response
-from ..engine.vectorized import chunk_statuses, classify_status, select_backend
+from ..engine.vectorized import (
+    CHUNK_FAULTS,
+    chunk_statuses,
+    classify_status,
+    select_backend,
+)
 from ..logic.truthtable import reverse_bits
 from ..scal.costs import network_cost
 from .genome import Genome
@@ -219,7 +226,30 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         )
 
 
-def evaluate_chunk(tasks: Sequence[Dict[str, object]]) -> List[str]:
-    """The ``synth`` chunk-backend entry: one JSON record per task, in
-    order, with per-candidate failures folded into the records."""
-    return [evaluate_task(task).to_json() for task in tasks]
+#: The one rung of a fitness chunk: each candidate picks its own backend.
+SYNTH_RUNG = "synth"
+
+
+def evaluate_chunk(
+    _host, tasks: Sequence[Dict[str, object]], rung: str
+) -> List[str]:
+    """Score one chunk: one JSON record per task, in order, with
+    per-candidate failures folded into the records."""
+    with obs.span("sweep.chunk", faults=len(tasks), backend=rung):
+        payloads = [evaluate_task(task).to_json() for task in tasks]
+    if obs.REGISTRY.enabled:
+        CHUNK_FAULTS.inc(len(tasks), backend=rung)
+    return payloads
+
+
+#: Candidate scoring: each candidate compiles its own engine, so there is
+#: no host, and a batch (one per generation) emits a ``synth.batch`` span
+#: instead of ``campaign.report``; the ``synth.*`` events tell the story.
+SYNTH_CHUNKS = ChunkKind(
+    evaluate=evaluate_chunk,
+    worker_host=lambda _host: None,
+    span=lambda n_candidates, _rung, processes: obs.span(
+        "synth.batch", candidates=n_candidates, processes=processes
+    ),
+    reports=False,
+)

@@ -12,6 +12,7 @@ same way: interruption is deliberate, resumption must be exact.
 
 import json
 import os
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.qa.chaos import (
     sabotage_service,
 )
 from repro.workloads.fig34 import fig37_fixed_network
+from repro.workloads.randomlogic import random_mixed_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "data")
 
@@ -188,6 +190,14 @@ class TestDegenerateChunking:
         report = sweep.last_report
         assert report.faults == 0
         assert report.chunks_total == 0
+
+    @pytest.mark.parametrize("chunk_faults", [0, -1])
+    def test_non_positive_chunk_faults_rejected(self, chunk_faults):
+        network = random_mixed_network(random.Random(0), 6, 20)
+        sweep = fresh_sweep(network)
+        with pytest.raises(ValueError, match="chunk_faults"):
+            sweep.sweep(sweep.single_fault_universe(), chunk_faults=chunk_faults)
+        assert sweep.last_report is None
 
     def test_more_processes_than_faults(self):
         sweep = fresh_sweep(fig37_fixed_network())

@@ -25,6 +25,7 @@ from repro.engine.supervisor import CheckpointError
 from repro.logic.benchfmt import save_bench
 from repro.obs.recorder import MemoryRecorder
 from repro.obs.stats import render, summarize
+from repro.qa.chaos import sabotage_campaign
 from repro.qa.reference import reference_is_self_dual, reference_output_bits
 from repro.scal.costs import network_cost
 from repro.synth import (
@@ -272,10 +273,39 @@ class TestDeterminism:
                 "or2", 2, generations=12, checkpoint=ckpt, resume=True
             ).run()
 
-    def test_fork_transport_matches_inline(self):
+    @pytest.mark.parametrize(
+        "sabotage",
+        [
+            pytest.param(None, id="clean"),
+            pytest.param("worker-killed", id="sabotage-worker-killed"),
+            pytest.param("chunk-raises", id="sabotage-chunk-raises"),
+        ],
+    )
+    def test_fork_transport_matches_inline(self, sabotage, tmp_path):
+        """A one-shot worker failure in a generation batch recovers
+        through the same supervision as a fault campaign."""
         inline = _campaign("and2", 2).run()
-        forked = _campaign("and2", 2, processes=2).run()
+        if sabotage is None:
+            forked = _campaign("and2", 2, processes=2).run()
+        else:
+            with sabotage_campaign(
+                sabotage, once_path=str(tmp_path / "once")
+            ):
+                forked = _campaign("and2", 2, processes=2).run()
+            assert forked.retries >= 1
+            if sabotage == "worker-killed":
+                assert forked.workers_replaced >= 1
         assert _report_identity(forked) == _report_identity(inline)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_block_backend_sabotage_leaves_fitness_alone(self, processes):
+        """Fitness chunks have no rung to step down to, so the
+        block-backend sabotage must not reach them."""
+        straight = _campaign("and2", 2, processes=processes).run()
+        with sabotage_campaign("block-backend-broken"):
+            sabotaged = _campaign("and2", 2, processes=processes).run()
+        assert _report_identity(sabotaged) == _report_identity(straight)
+        assert sabotaged.degradations == straight.degradations
 
 
 # ----------------------------------------------------------------------
