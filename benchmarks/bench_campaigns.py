@@ -14,11 +14,11 @@ import time
 from collections import Counter
 
 from _harness import benchmark_elapsed, check_enabled, load_baseline, record
+from bench_rungs import MAX_AUTO_SLOWDOWN, time_rungs
 
 from repro import obs
 
 from repro.engine import FaultSweep
-from repro.engine.vectorized import HAVE_NUMPY
 from repro.logic.faults import enumerate_stem_faults
 from repro.workloads.randomlogic import random_mixed_network
 from repro.scal.codeconv import to_code_conversion
@@ -114,27 +114,27 @@ def test_campaigns(benchmark):
 
 
 # ----------------------------------------------------------------------
-# large random-logic fault sweep: scalar bitmask vs the fault-batched
-# vectorized backend on one universe, statuses byte-identical
+# large random-logic fault sweep: every sweep rung on one universe,
+# statuses byte-identical, and `auto` within MAX_AUTO_SLOWDOWN of the
+# fastest rung cold (the bench_rungs.py gate on a 12-input net)
 # ----------------------------------------------------------------------
 RANDLOGIC_SEED = 0xA17
 RANDLOGIC_INPUTS = 12
 RANDLOGIC_GATES = 240
 RANDLOGIC_OUTPUTS = 8
 
-#: The PR's floor: with NumPy installed the auto-selected backend must
-#: beat the scalar bitmask sweep by at least this factor.
-MIN_VECTOR_SPEEDUP = 3.0
 
-
-def randlogic_sweep_report():
-    rng = random.Random(RANDLOGIC_SEED)
-    net = random_mixed_network(
-        rng,
+def randlogic_network():
+    return random_mixed_network(
+        random.Random(RANDLOGIC_SEED),
         n_inputs=RANDLOGIC_INPUTS,
         n_gates=RANDLOGIC_GATES,
         n_outputs=RANDLOGIC_OUTPUTS,
     )
+
+
+def randlogic_sweep_report():
+    net = randlogic_network()
     sweep = FaultSweep(net)
     universe = sweep.single_fault_universe()
 
@@ -155,12 +155,19 @@ def randlogic_sweep_report():
             start = time.perf_counter()
             fast = sweep.sweep(universe, backend="auto")
             fast_seconds = min(fast_seconds, time.perf_counter() - start)
+
+        cold, cold_statuses, auto_rung = time_rungs(randlogic_network, universe)
     finally:
         obs.enable_metrics(was_enabled)
     fast_backend = sweep.last_sweep_backend
 
-    identical = fast == scalar
+    scalar_statuses = [status for _fault, status in scalar]
+    identical = fast == scalar and all(
+        got == scalar_statuses for got in cold_statuses.values()
+    )
     speedup = scalar_seconds / fast_seconds if fast_seconds > 0 else 0.0
+    fastest = min(cold["bitmask"], cold["vectorized"])
+    auto_ratio = cold["auto"] / fastest
     counts = Counter(status for _fault, status in scalar)
     lines = [
         "Large random-logic single-fault sweep "
@@ -171,9 +178,13 @@ def randlogic_sweep_report():
         f"  scalar bitmask sweep:    {scalar_seconds:8.4f} s",
         f"  auto ({fast_backend:>10s}) sweep: {fast_seconds:8.4f} s   "
         f"({speedup:.1f}x)",
+        f"  cold sweeps: auto ({auto_rung}) {cold['auto'] * 1e3:.1f} ms, "
+        f"bitmask {cold['bitmask'] * 1e3:.1f} ms, "
+        f"vectorized {cold['vectorized'] * 1e3:.1f} ms   "
+        f"(auto/fastest {auto_ratio:.2f}x, limit {MAX_AUTO_SLOWDOWN}x)",
         f"  statuses byte-identical across backends: {identical}",
     ]
-    ok = identical and (not HAVE_NUMPY or speedup >= MIN_VECTOR_SPEEDUP)
+    ok = identical and auto_ratio <= MAX_AUTO_SLOWDOWN
     metrics = {
         "randlogic_faults": len(universe),
         "randlogic_detected": counts["detected"],
@@ -183,6 +194,10 @@ def randlogic_sweep_report():
         "randlogic_scalar_seconds": scalar_seconds,
         "randlogic_fast_seconds": fast_seconds,
         "randlogic_speedup": speedup,
+        "randlogic_auto_rung": auto_rung,
+        "randlogic_cold_auto_seconds": cold["auto"],
+        "randlogic_cold_bitmask_seconds": cold["bitmask"],
+        "randlogic_cold_vectorized_seconds": cold["vectorized"],
     }
     return "\n".join(lines), ok, metrics
 
@@ -199,7 +214,10 @@ def test_randlogic_sweep(benchmark):
         metrics=metrics,
         elapsed=benchmark_elapsed(benchmark),
     )
-    assert ok, "statuses diverged or vectorized speedup below 3x"
+    assert ok, (
+        "statuses diverged, or auto is more than "
+        f"{MAX_AUTO_SLOWDOWN}x slower than the fastest rung cold:\n{text}"
+    )
     if baseline is not None:
         base_fast = (baseline.get("metrics") or {}).get(
             "randlogic_fast_seconds"
@@ -230,13 +248,7 @@ def supervised_sweep_report():
 
     from repro.qa.chaos import sabotage_campaign
 
-    rng = random.Random(RANDLOGIC_SEED)
-    net = random_mixed_network(
-        rng,
-        n_inputs=RANDLOGIC_INPUTS,
-        n_gates=RANDLOGIC_GATES,
-        n_outputs=RANDLOGIC_OUTPUTS,
-    )
+    net = randlogic_network()
     sweep = FaultSweep(net)
     universe = sweep.single_fault_universe()
 
@@ -307,13 +319,7 @@ def test_supervised_sweep(benchmark):
 # degradations, and the fork fan-out overhead on the record
 # ----------------------------------------------------------------------
 def transport_sweep_report():
-    rng = random.Random(RANDLOGIC_SEED)
-    net = random_mixed_network(
-        rng,
-        n_inputs=RANDLOGIC_INPUTS,
-        n_gates=RANDLOGIC_GATES,
-        n_outputs=RANDLOGIC_OUTPUTS,
-    )
+    net = randlogic_network()
     sweep = FaultSweep(net)
     universe = sweep.single_fault_universe()
 

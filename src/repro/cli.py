@@ -10,7 +10,7 @@ Point the thesis's machinery at any ``.bench`` netlist:
 * ``dot``       — Graphviz export with the failing lines highlighted;
 * ``faulttable``— a Figure 3.6-style fault table for chosen lines;
 * ``campaign``  — a bulk single-fault coverage sweep through the
-  backend-selection heuristic (bitmask / vectorized / kernel) under
+  backend-selection heuristic (bitmask / vectorized) under
   the supervised runtime (``--timeout``, ``--checkpoint``/``--resume``,
   ``--report``);
 * ``atpg``      — fault-dropping PODEM campaign: guided search per
@@ -532,9 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("netlist")
     p.add_argument("--backend", default="auto", choices=SWEEP_BACKENDS,
-                   help="sweep backend (default: auto heuristic; kernel "
-                   "= codegen'd specialized sweep kernels, degrades to "
-                   "vectorized/bitmask when unavailable)")
+                   help="sweep backend (default: auto heuristic; "
+                   "vectorized = NumPy fault blocks, degrades to bitmask "
+                   "without NumPy)")
     p.add_argument("--processes", type=int, default=None,
                    help="fan out across this many supervised fork-worker "
                    "lanes when > 1 (default: in-process)")

@@ -16,8 +16,8 @@ The Chapter-4 clocked campaigns (:mod:`repro.seq.simulator`) run the
 same op program row-parallel through the bitmask primitive, one fault
 per bit.
 
-The NumPy block backends (:attr:`NetworkEngine.vectorized`,
-:attr:`NetworkEngine.kernel`) batch whole fault blocks on top.
+The NumPy block backend (:attr:`NetworkEngine.vectorized`) batches
+whole fault blocks on top.
 
 All backends share the cached fault-free baseline (an immutable tuple —
 engines are shared across sweeps and across ``serve`` requests, so
@@ -75,7 +75,6 @@ from .fork import (
 )
 from .vectorized import (
     HAVE_NUMPY,
-    KERNEL_MAX_INPUTS,
     VectorizedBackend,
     select_backend,
 )
@@ -85,10 +84,10 @@ class NetworkEngine:
     """One network's compiled form plus its shared backends.
 
     The pointwise backend is always built; the exhaustive
-    :attr:`bitmask` backend and the NumPy block backends
-    (:attr:`vectorized`, :attr:`kernel`) are constructed lazily on
-    first use — so engines for small one-off queries pay nothing, and
-    engines for circuits beyond the
+    :attr:`bitmask` backend and the NumPy block backend
+    (:attr:`vectorized`) are constructed lazily on first use — so
+    engines for small one-off queries pay nothing, and engines for
+    circuits beyond the
     :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` exhaustive
     ceiling can still serve the pointwise/vectorized paths (touching
     ``.bitmask`` there raises ``ValueError`` instead of attempting the
@@ -100,7 +99,6 @@ class NetworkEngine:
         self.pointwise = PointwiseBackend(self.compiled)
         self._bitmask: Optional[BitmaskBackend] = None
         self._vectorized: Optional[VectorizedBackend] = None
-        self._kernel: Optional["KernelBackend"] = None
 
     @property
     def bitmask(self) -> BitmaskBackend:
@@ -120,20 +118,6 @@ class NetworkEngine:
         if self._vectorized is None and HAVE_NUMPY:
             self._vectorized = VectorizedBackend(self.compiled)
         return self._vectorized
-
-    @property
-    def kernel(self) -> Optional["KernelBackend"]:
-        """The codegen'd specialized-kernel tier, or ``None`` when NumPy
-        is absent or the circuit exceeds its full-table input ceiling
-        (:data:`~repro.engine.vectorized.KERNEL_MAX_INPUTS`)."""
-        if self._kernel is None and HAVE_NUMPY:
-            from .kernels import KernelBackend
-
-            if self.compiled.n_inputs <= KERNEL_MAX_INPUTS:
-                self._kernel = KernelBackend(
-                    self.compiled, vectorized=self.vectorized
-                )
-        return self._kernel
 
 
 _engine_cache: "weakref.WeakKeyDictionary[Network, NetworkEngine]" = (
@@ -165,10 +149,6 @@ def __getattr__(name: str):
         from . import atpg
 
         return getattr(atpg, name)
-    if name == "KernelBackend":
-        from .kernels import KernelBackend
-
-        return KernelBackend
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -190,8 +170,6 @@ __all__ = [
     "FaultSweep",
     "ForkTransport",
     "HAVE_NUMPY",
-    "KERNEL_MAX_INPUTS",
-    "KernelBackend",
     "NetworkEngine",
     "Op",
     "PointwiseBackend",

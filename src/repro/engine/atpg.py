@@ -67,11 +67,11 @@ _M_CANDIDATES = _REG.counter(
 
 #: Below this many targets, ``backend="auto"`` starts on the big-int
 #: bitmask rung: NumPy's fixed per-call overhead beats its fault-axis
-#: throughput on small universes.  Re-measured against the PR-8 engine
-#: (the kernel tier made baseline derivation and block set-up cheaper):
-#: the crossover on candidate-batch pattern simulation is now ~8-16
-#: targets at 10-14 inputs, so the old 48 cutoff kept mid-sized
-#: universes on the slow rung.
+#: throughput on small universes.  On candidate-batch pattern
+#: simulation the crossover is ~8-16 targets at 10-14 inputs (a cutoff
+#: of 48 kept mid-sized universes on the slower rung).  Pattern tables
+#: are a few words wide, so the exhaustive sweep grid of
+#: ``benchmarks/bench_rungs.py`` does not set this one.
 AUTO_BITMASK_MAX_FAULTS = 16
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .. import obs
 from ..logic.faults import enumerate_single_faults
 from ..logic.network import Network
 from .compiled import FaultLike
@@ -58,7 +57,7 @@ class ResponseBits:
 
 
 #: Backend names accepted by :meth:`FaultSweep.sweep`.
-SWEEP_BACKENDS = ("auto", "bitmask", "vectorized", "kernel")
+SWEEP_BACKENDS = ("auto", "bitmask", "vectorized")
 
 
 class FaultSweep:
@@ -146,12 +145,9 @@ class FaultSweep:
         """Classify every fault under the supervised campaign runtime.
 
         ``backend`` is ``auto`` (the :func:`select_backend` heuristic),
-        ``bitmask`` (big-int masks, pure Python), ``vectorized`` (NumPy
-        fault-batched; degrades to ``bitmask`` without NumPy), or
-        ``kernel`` (codegen'd specialized sweep kernels; degrades to
-        ``vectorized``/``bitmask`` when NumPy is absent or the circuit
-        exceeds the kernel input ceiling).  A sweep that resolves to
-        ``bitmask`` on a circuit beyond
+        ``bitmask`` (big-int masks, pure Python), or ``vectorized``
+        (NumPy fault-batched; degrades to ``bitmask`` without NumPy).
+        A sweep that resolves to ``bitmask`` on a circuit beyond
         :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` inputs raises
         ``ValueError`` before any chunk runs.  With ``processes > 1``
         the universe is fanned out across supervised fork-worker lanes
@@ -173,24 +169,18 @@ class FaultSweep:
         """
         universe = list(faults)
         chosen = self._resolve_backend(backend, len(universe))
-        with obs.span(
-            "campaign.sweep",
-            faults=len(universe),
-            requested=backend,
-            backend=chosen,
-        ):
-            statuses, report = run_campaign(
-                self,
-                universe,
-                chosen,
-                processes=processes,
-                timeout=timeout,
-                checkpoint=checkpoint,
-                resume=resume,
-                chunk_faults=chunk_faults,
-                abort_after_chunks=abort_after_chunks,
-                cancel=cancel,
-            )
+        statuses, report = run_campaign(
+            self,
+            universe,
+            chosen,
+            processes=processes,
+            timeout=timeout,
+            checkpoint=checkpoint,
+            resume=resume,
+            chunk_faults=chunk_faults,
+            abort_after_chunks=abort_after_chunks,
+            cancel=cancel,
+        )
         self.last_report = report
         self.last_sweep_backend = _legacy_backend_name(report)
         return list(zip(universe, statuses))

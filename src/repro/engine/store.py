@@ -16,10 +16,8 @@ object identity:
 
 Keys are tuples ``(kind, *fingerprints)``; kinds in use are
 ``"baseline"`` (program fp), ``"campaign"`` (program fp + universe fp +
-the request shape that affects the statuses), ``"network"`` (raw
-netlist text, used by the server to dedup parses), and ``"kernel"``
-(program fp + block-signature digest — the generated source of one
-specialized sweep kernel, shared across engines of identical programs).
+the request shape that affects the statuses), and ``"network"`` (raw
+netlist text, used by the server to dedup parses).
 
 The store is **opt-in** (``STORE.enabled`` defaults to ``False``): the
 chaos/fuzz suites intentionally sabotage engines and must observe the

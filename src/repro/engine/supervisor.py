@@ -210,12 +210,11 @@ class CampaignReport:
 
     ``backend`` is the ladder rung plus block backend that served the
     bulk of the campaign (e.g. ``"fork:vectorized"``,
-    ``"serial:kernel"``,
-    ``"scalar:bitmask"``, or ``"resumed"`` when every chunk came from
-    the checkpoint); ``block_backend`` is the final resolved
-    block-backend name alone.  ``degradations`` lists every ladder step
-    down with its reason — an empty list means the requested mode is
-    exactly what ran.
+    ``"serial:vectorized"``, ``"scalar:bitmask"``, or ``"resumed"``
+    when every chunk came from the checkpoint); ``block_backend`` is
+    the final resolved block-backend name alone.  ``degradations``
+    lists every ladder step down with its reason — an empty list means
+    the requested mode is exactly what ran.
     """
 
     requested: str
@@ -432,7 +431,7 @@ FAULT_CHUNKS = ChunkKind(
     span=lambda n_faults, rung, processes: obs.span(
         "campaign.run", faults=n_faults, backend=rung, processes=processes
     ),
-    step_down={"kernel": "bitmask", "vectorized": "bitmask"},
+    step_down={"vectorized": "bitmask"},
 )
 
 
@@ -715,8 +714,8 @@ def run_campaign(
     ``host`` is what its evaluate function reads (a ``FaultSweep`` for
     fault chunks, whose payloads are statuses) and ``chosen`` names a
     rung (for faults a resolved block backend: ``bitmask`` /
-    ``vectorized`` / ``kernel``).  The campaign fans out to fork
-    workers iff ``processes > 1``; otherwise it runs in-process.
+    ``vectorized``).  The campaign fans out to fork workers iff
+    ``processes > 1``; otherwise it runs in-process.
     ``chunk_faults``, when given, is the positive chunk size.
     ``abort_after_chunks`` is the interruption hook used by tests and
     drills: the campaign raises :class:`CampaignInterrupted` after that

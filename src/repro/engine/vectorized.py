@@ -91,8 +91,24 @@ except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
 HAVE_NUMPY = _np is not None
 
 #: Fault batches below this size cannot amortize block set-up; the
-#: scalar bitmask path wins.
+#: scalar bitmask path wins.  Not a row of the ``bench_rungs.py`` grid
+#: (every row sweeps a few hundred faults): it bounds the block rung
+#: from below on tiny universes, such as synthesis fitness chunks.
 VECTOR_MIN_FAULTS = 8
+
+#: Widest input space ``auto`` sweeps on ``vectorized``.  Grid rows 13
+#: and 14 of ``benchmarks/bench_rungs.py`` (cold, 120-gate 16-output
+#: nets): ``vectorized`` is the fastest rung up to 12 inputs and level
+#: with ``bitmask`` at 13 (about 15 ms each); ``bitmask`` wins from 14
+#: (about 20 vs 30 ms).
+AUTO_VECTOR_MAX_INPUTS = 13
+
+#: Widest input space ``auto`` sweeps on ``bitmask`` when NumPy is
+#: present.  Grid row 20 (a ``slow`` row): ``bitmask`` is still the
+#: fastest rung there (about 540 vs 700 ms); above it ``auto`` takes
+#: the chunked ``vectorized`` rung, whose word tiles keep memory bounded
+#: where the big-int rung holds a whole ``2**n``-bit table per line.
+AUTO_BITMASK_MAX_INPUTS = 20
 
 #: Faults simulated per block (the PPSFP fault axis).
 DEFAULT_BLOCK_FAULTS = 64
@@ -109,22 +125,6 @@ PATTERN_BLOCK_WORDS = 1024
 #: half (bounding live memory to roughly
 #: ``block_faults * 2 * chunk_words * lines`` words).
 DEFAULT_CHUNK_WORDS = 256
-
-#: Input counts beyond this make even one packed truth table heavy;
-#: the heuristic recommends sampling instead of exhaustion.
-EXHAUSTIVE_INPUT_LIMIT = 16
-
-#: Word counts of 128+ (``n_inputs > 12``) are where the codegen kernel
-#: tier beats the vectorized interpreter even cold, compile time
-#: included (see BENCH_kernels.json); below that it only wins once its
-#: per-signature kernels are warm, so auto keeps the vectorized rung.
-KERNEL_AUTO_MIN_INPUTS = 12
-
-#: Input counts beyond this would materialize full-table baselines too
-#: large for the kernel form (:class:`~repro.engine.kernels.KernelBackend`
-#: refuses them); auto routes wider circuits to the chunked vectorized
-#: path.
-KERNEL_MAX_INPUTS = 20
 
 _FULL64 = 0xFFFFFFFFFFFFFFFF
 
@@ -147,50 +147,44 @@ def select_backend(
 ) -> str:
     """Pick an execution backend from the campaign's shape.
 
-    ==================  =============  =========================================
+    ==================  =============  ==================================
     input space         fault count    backend
-    ==================  =============  =========================================
-    ``n ≤ 16``          ``< 8``        ``bitmask`` (big-int masks, per fault)
-    ``n ≤ 12``          ``≥ 8``        ``vectorized`` (NumPy) or ``bitmask``
-    ``12 < n ≤ 20``     ``≥ 8``        ``kernel`` (codegen) or ``bitmask``
-    ``n > 20``          any            ``vectorized`` (chunked) or ``bitmask``
-    ==================  =============  =========================================
+    ==================  =============  ==================================
+    any                 any            ``bitmask`` without NumPy
+    ``n ≤ 13``          ``< 8``        ``bitmask`` (big-int masks)
+    ``n ≤ 13``          ``≥ 8``        ``vectorized`` (NumPy blocks)
+    ``13 < n ≤ 20``     any            ``bitmask``
+    ``n > 20``          any            ``vectorized`` (chunked)
+    ==================  =============  ==================================
 
     ``bitmask`` is the pure-Python big-int path, the only choice without
-    NumPy.  The ``kernel`` rung only engages where its codegen cost wins
-    even on a cold one-shot sweep (``n_inputs > KERNEL_AUTO_MIN_INPUTS``);
-    narrower circuits still reach it explicitly via ``backend="kernel"``.
+    NumPy.  Every cut-off is a row of ``benchmarks/bench_rungs.py``'s
+    cold crossover grid (see the constants' comments).
     """
     if numpy_available is None:
         numpy_available = HAVE_NUMPY
-    if not numpy_available or (
-        n_inputs <= EXHAUSTIVE_INPUT_LIMIT and n_faults < VECTOR_MIN_FAULTS
+    if not numpy_available:
+        return "bitmask"
+    if n_inputs <= AUTO_BITMASK_MAX_INPUTS and (
+        n_faults < VECTOR_MIN_FAULTS or n_inputs > AUTO_VECTOR_MAX_INPUTS
     ):
         return "bitmask"
-    if KERNEL_AUTO_MIN_INPUTS < n_inputs <= KERNEL_MAX_INPUTS:
-        return "kernel"
     return "vectorized"
-
-
-#: The one rung table: where a request lands when the engine cannot
-#: build that rung (kernel needs NumPy and <= KERNEL_MAX_INPUTS inputs,
-#: vectorized needs NumPy; the big-int bitmask rung is always there).
-_UNAVAILABLE_STEP = {"kernel": "vectorized", "vectorized": "bitmask"}
 
 
 def resolve_rung(engine, rung: str, exhaustive: bool = True) -> str:
     """The rung that actually serves a request for ``rung`` on ``engine``.
 
-    A rung in :data:`_UNAVAILABLE_STEP` is available when the engine's
-    attribute of the same name is not ``None``; otherwise the request
-    steps down the table (callers validate names first).  For
-    ``exhaustive`` sweeps over the ``2**n`` truth table, landing on
-    ``bitmask`` beyond ``MAX_BITMASK_INPUTS`` inputs raises
+    ``vectorized`` needs NumPy: on an engine without it
+    (``engine.vectorized is None``) the request lands on the big-int
+    ``bitmask`` rung, which is always there (callers validate names
+    first).  For ``exhaustive`` sweeps over the ``2**n`` truth table,
+    landing on ``bitmask`` beyond ``MAX_BITMASK_INPUTS`` inputs raises
     ``ValueError`` before any chunk runs; pattern simulation packs only
     its patterns and passes ``exhaustive=False``.
     """
-    while rung in _UNAVAILABLE_STEP and getattr(engine, rung) is None:
-        rung = _UNAVAILABLE_STEP[rung]
+    if rung == "vectorized" and engine.vectorized is None:
+        rung = "bitmask"
     n = engine.compiled.n_inputs
     if exhaustive and rung == "bitmask" and n > MAX_BITMASK_INPUTS:
         raise ValueError(
@@ -614,8 +608,8 @@ class VectorizedBackend:
 
 
 def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[str]:
-    """Classify one chunk of faults on ``kernel`` / ``vectorized`` /
-    ``bitmask``, mapped through :func:`resolve_rung` to the rung this
+    """Classify one chunk of faults on ``vectorized`` / ``bitmask``,
+    mapped through :func:`resolve_rung` to the rung this
     :class:`~repro.engine.NetworkEngine` can serve.
 
     Fork workers and the serial loop both reach it through
@@ -623,7 +617,7 @@ def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[st
     rung of the degradation ladder classifies byte-identically.
     """
     universe = list(faults)
-    if backend not in ("kernel", "vectorized", "bitmask"):
+    if backend not in ("vectorized", "bitmask"):
         raise ValueError(f"unknown chunk backend {backend!r}")
     backend = resolve_rung(engine, backend)
     # Every rung classifies through this span: the flight's count of

@@ -180,11 +180,11 @@ def sabotage_campaign(
     one-shot across all forked workers, otherwise every chunk attempt
     fails and the sweep degrades to the serial rung.  The parent-side
     kind ``block-backend-broken`` makes every chunk on a rung that has a
-    step down (a fault chunk's ``kernel`` or ``vectorized`` block
-    backend) raise, forcing the ``serial -> scalar`` step.  The scalar
-    bitmask rung stays honest (without NumPy it is the only rung, so
-    there is nothing to break), and so do chunk kinds with no ladder,
-    such as synthesis fitness.
+    step down (a fault chunk's ``vectorized`` block backend) raise,
+    forcing the ``serial -> scalar`` step.  The scalar bitmask rung
+    stays honest (without NumPy it is the only rung, so there is
+    nothing to break), and so do chunk kinds with no ladder, such as
+    synthesis fitness.
     """
     if kind in WORKER_SABOTAGE:
         previous = _supervisor.WORKER_CHUNK_HOOK

@@ -11,8 +11,8 @@ around.  The registered invariants:
   points and explicit point lists) agree bit-for-bit with the naive
   reference interpreter, fault-free and under every single stem/pin
   fault (the differential anchor for the single-engine seam); the NumPy
-  block backends (vectorized and kernel, when installed) match the same
-  tables and produce byte-identical sweep statuses.
+  vectorized block backend (when installed) matches the same tables and
+  produces byte-identical sweep statuses.
 * ``alternation-self-dual`` — a synthesized self-dual network satisfies
   ``F(X̄) = ¬F(X)`` at every point (Definition 2.5 / Theorem 2.1), per
   the reference interpreter, and the engine's tables match it.
@@ -205,31 +205,12 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
                 "vectorized statuses diverge from scalar bitmask: "
                 f"{vec_statuses} != {scalar}"
             )
-        # The codegen kernel tier re-derives the classification a third
-        # way (specialized straight-line source, folded seeds, fused
-        # pair check) — exercise single-threaded and tiled/threaded
-        # variants, fresh each time so no kernel cache is trusted.
-        from ..engine.kernels import KernelBackend
-
-        for label, kwargs in (
-            ("kernel", {}),
-            ("kernel[tiled,threads=2]", {"tile_words": 1, "threads": 2}),
-        ):
-            kern = KernelBackend(
-                engine.compiled, vectorized=vectorized, **kwargs
-            )
-            kern_statuses = kern.sweep_statuses(faults)
-            if kern_statuses != scalar:
-                return (
-                    f"{label} statuses diverge from scalar bitmask: "
-                    f"{kern_statuses} != {scalar}"
-                )
     return None
 
 
 backend_agreement = register(
     "backend-agreement",
-    "bitmask/pointwise/vectorized/kernel backends match "
+    "bitmask/pointwise/vectorized backends match "
     "the naive interpreter bit-for-bit under every single fault, with "
     "identical sweep statuses",
 )((_gen_mixed, _check_backend_agreement))

@@ -38,13 +38,23 @@ class TestCampaign:
         import json
 
         stats = {}
-        for backend in ("bitmask", "vectorized", "kernel"):
+        for backend in ("bitmask", "vectorized"):
             assert main(
                 ["campaign", fig37_bench, "--json", "--backend", backend]
             ) == 0
             stats[backend] = json.loads(capsys.readouterr().out)
             del stats[backend]["backend"]
-        assert stats["bitmask"] == stats["vectorized"] == stats["kernel"]
+        assert stats["bitmask"] == stats["vectorized"]
+
+    def test_retired_kernel_backend_is_an_argparse_error(
+        self, fig37_bench, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", fig37_bench, "--backend", "kernel"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'kernel'" in err
+        assert "'vectorized'" in err
 
     def test_processes_flag(self, fig37_bench, capsys):
         assert main(["campaign", fig37_bench, "--processes", "2",

@@ -14,10 +14,20 @@ import random
 
 import pytest
 
-from repro.engine import FaultSweep, engine_for, select_backend
-from repro.engine.vectorized import HAVE_NUMPY, VectorizedBackend
+from repro.engine import FaultSweep, NetworkEngine, engine_for, select_backend
+from repro.engine.vectorized import (
+    HAVE_NUMPY,
+    VectorizedBackend,
+    chunk_pattern_bits,
+    chunk_statuses,
+)
 from repro.logic.benchfmt import load_bench
-from repro.logic.faults import enumerate_single_faults, fault_overrides
+from repro.logic.faults import (
+    PinStuckAt,
+    StuckAt,
+    enumerate_single_faults,
+    fault_overrides,
+)
 from repro.logic.gates import GateKind
 from repro.logic.gates import evaluate as eval_gate
 from repro.logic.network import Gate, Network
@@ -206,7 +216,6 @@ class TestVectorizedEquivalence:
         reference = [(f, sweep.classify(f)) for f in universe]
         assert sweep.sweep(universe, backend="bitmask") == reference
         assert sweep.sweep(universe, backend="vectorized") == reference
-        assert sweep.sweep(universe, backend="kernel") == reference
         assert sweep.sweep(universe, backend="auto") == reference
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
@@ -237,37 +246,160 @@ class TestVectorizedEquivalence:
                 universe[0]
             ), chunk_words
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
+    def test_random_mixed_all_block_sizes(self):
+        """Blocks of one fault, a prime count, a full word's worth and
+        the whole universe classify the same as the scalar path."""
+        net = random_mixed_network(
+            random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
+        )
+        eng = NetworkEngine(net)
+        universe = FaultSweep(net, engine=eng).single_fault_universe()
+        reference = eng.bitmask.sweep_statuses(universe)
+        for block_faults in (1, 7, 16, len(universe)):
+            vec = VectorizedBackend(eng.compiled, block_faults=block_faults)
+            assert vec.sweep_statuses(universe) == reference, block_faults
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
+    def test_dead_cone_fault_on_vectorized(self):
+        """A fault whose line reaches no output classifies on the block
+        rung exactly as on the scalar one."""
+        net = Network(
+            ["a", "b"],
+            [
+                Gate("dead", GateKind.AND, ("a", "b")),
+                Gate("out", GateKind.XOR, ("a", "b")),
+            ],
+            ["out"],
+        )
+        eng = NetworkEngine(net)
+        faults = [StuckAt("dead", 0), StuckAt("dead", 1)]
+        assert eng.vectorized.sweep_statuses(
+            faults
+        ) == eng.bitmask.sweep_statuses(faults)
+
+    def test_chunk_statuses_degrades_without_vectorized(self):
+        """A ``vectorized`` chunk lands on ``bitmask`` when the engine
+        cannot build the block rung (a worker without NumPy)."""
+
+        class NoVectorEngine(NetworkEngine):
+            @property
+            def vectorized(self):
+                return None
+
+        net = random_mixed_network(
+            random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
+        )
+        eng = NoVectorEngine(net)
+        universe = FaultSweep(net, engine=eng).single_fault_universe()
+        assert chunk_statuses(
+            eng, universe, "vectorized"
+        ) == eng.bitmask.sweep_statuses(universe)
+
 
 class TestBackendSelection:
+    """The table in ``select_backend``'s docstring, whose cut-offs are
+    rows of ``benchmarks/bench_rungs.py``'s cold crossover grid."""
+
     def test_small_batches_stay_scalar(self):
         assert select_backend(4, 3, numpy_available=True) == "bitmask"
         assert select_backend(4, 3, numpy_available=False) == "bitmask"
+        assert select_backend(13, 7, numpy_available=True) == "bitmask"
+        assert select_backend(20, 2, numpy_available=True) == "bitmask"
 
     def test_large_batches_vectorize(self):
         assert select_backend(4, 200, numpy_available=True) == "vectorized"
         assert select_backend(4, 200, numpy_available=False) == "bitmask"
+        assert select_backend(13, 8, numpy_available=True) == "vectorized"
 
     def test_wide_inputs_block_even_for_few_faults(self):
-        # Beyond the exhaustive limit the scalar bitmask rung never
-        # engages: 17-20 inputs land on the kernel tier, wider circuits
-        # on the chunked vectorized path.
-        assert select_backend(20, 2, numpy_available=True) == "kernel"
-        assert select_backend(20, 2, numpy_available=False) == "bitmask"
-        assert select_backend(24, 2, numpy_available=True) == "vectorized"
-        assert select_backend(24, 2, numpy_available=False) == "bitmask"
+        # Above 20 inputs the chunked vectorized rung takes every sweep
+        # NumPy can serve, whatever the fault count.
+        for n in (21, 24):
+            for faults in (1, 2, 200):
+                assert (
+                    select_backend(n, faults, numpy_available=True)
+                    == "vectorized"
+                )
+                assert (
+                    select_backend(n, faults, numpy_available=False)
+                    == "bitmask"
+                )
 
-    def test_kernel_rung_engages_above_cold_crossover(self):
-        # n > 12 is where codegen wins even cold (BENCH_kernels.json);
-        # at or below it auto stays vectorized and the kernel tier is
-        # explicit-only.
-        assert select_backend(12, 200, numpy_available=True) == "vectorized"
-        assert select_backend(13, 200, numpy_available=True) == "kernel"
-        assert select_backend(13, 200, numpy_available=False) == "bitmask"
+    def test_crossover_boundaries(self):
+        # 13/14: vectorized wins the grid up to 13 inputs, bitmask from
+        # 14; 20/21: bitmask up to 20, then the chunked vectorized rung.
+        for n_inputs, expected in (
+            (12, "vectorized"),
+            (13, "vectorized"),
+            (14, "bitmask"),
+            (20, "bitmask"),
+            (21, "vectorized"),
+        ):
+            assert (
+                select_backend(n_inputs, 200, numpy_available=True)
+                == expected
+            ), n_inputs
+            assert (
+                select_backend(n_inputs, 200, numpy_available=False)
+                == "bitmask"
+            ), n_inputs
+
+    def test_default_reads_numpy_availability(self, monkeypatch):
+        import repro.engine.vectorized
+
+        monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", True)
+        assert select_backend(13, 200) == "vectorized"
+        monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", False)
+        assert select_backend(13, 200) == "bitmask"
+        assert select_backend(21, 200) == "bitmask"
 
     def test_unknown_backend_name_rejected(self):
         sweep = FaultSweep(fig34_network())
         with pytest.raises(ValueError):
             sweep.sweep(sweep.single_fault_universe(), backend="gpu")
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
+class TestThresholdFaultRows:
+    """A stuck operand can leave every carry of the MAJ/MIN bit-sliced
+    counter all-zero; the packed result must keep the fault-row axis
+    instead of collapsing to one scalar word."""
+
+    @staticmethod
+    def _threshold3(kind):
+        return Network(
+            ["x0", "x1", "x2"],
+            [Gate("m", kind, ("x0", "x1", "x2"))],
+            ["m"],
+            name=f"{kind.value}3",
+        )
+
+    @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
+    def test_three_input_threshold_on_vectorized(self, kind):
+        net = self._threshold3(kind)
+        universe = [
+            StuckAt(line, value) for line in net.lines() for value in (0, 1)
+        ] + [
+            PinStuckAt("m", pin, value) for pin in range(3) for value in (0, 1)
+        ]
+        eng = NetworkEngine(net)
+        reference = eng.bitmask.sweep_statuses(universe)
+        vec = VectorizedBackend(eng.compiled, block_faults=1)
+        assert vec.sweep_statuses(universe) == reference
+        sweep = FaultSweep(net, engine=NetworkEngine(net))
+        result = sweep.sweep(universe, backend="vectorized")
+        assert [s for _, s in result] == reference
+        assert sweep.last_sweep_backend == "vectorized"
+
+    @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
+    def test_pattern_rows_on_vectorized(self, kind):
+        """All-zero patterns zero every operand of every fault row."""
+        eng = NetworkEngine(self._threshold3(kind))
+        faults = [StuckAt("x0", 0), PinStuckAt("m", 1, 0)]
+        assert chunk_pattern_bits(
+            eng, [0, 0], faults, "vectorized"
+        ) == chunk_pattern_bits(eng, [0, 0], faults, "bitmask")
 
 
 class TestWideInputGuard:

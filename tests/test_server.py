@@ -333,6 +333,21 @@ class TestRequestCanonicalization:
         assert "400" in status
         assert ", ".join(SWEEP_BACKENDS) in lines[0]["error"]
 
+    def test_retired_kernel_backend_is_http_400(self):
+        """The codegen ``kernel`` rung is gone: a request still naming it
+        is refused at admission with the accepted values, not run on
+        some other rung."""
+        async def scenario(server):
+            return await _post_campaign(
+                server.host, server.port,
+                {"netlist": BENCH, "backend": "kernel"},
+            )
+
+        status, lines = _run(_with_server(scenario))
+        assert "400" in status
+        error = lines[0]["error"]
+        assert error == "'backend' must be one of: auto, bitmask, vectorized"
+
     def test_fingerprint_ignores_key_order(self):
         one = canonical_request(
             {"netlist": BENCH, "backend": "auto", "collapse": True}

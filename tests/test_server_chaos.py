@@ -426,14 +426,14 @@ class TestJournal:
         _run(_with_server(first_life, state_dir=state))
         _run(_with_server(second_life, state_dir=state, recover=True))
 
-    def test_unreplayable_record_is_finished_not_replayed(self, tmp_path):
-        """An accepted record that no longer validates (here one written
-        with the retired ``transport`` field) is closed with an error
-        outcome on ``--recover``; it must not block startup or linger."""
+    @staticmethod
+    def _recover_stale_record(tmp_path, record):
+        """Journal one accepted ``record``, restart with ``--recover``,
+        and return the error its ``done`` record was closed with."""
         state = str(tmp_path / "state")
         journal = RequestJournal(state)
         journal.open()
-        journal.accepted("fp-old", {"netlist": BENCH_C, "transport": "inline"})
+        journal.accepted("fp-old", record)
         journal.close()
 
         async def recovered_life(server):
@@ -446,10 +446,29 @@ class TestJournal:
         (done,) = [r for r in journal.records() if r["op"] == "done"]
         assert done["fingerprint"] == "fp-old"
         assert done["outcome"]["ok"] is False
-        assert done["outcome"]["error"].startswith(
+        assert journal.load_pending() == {}
+        return done["outcome"]["error"]
+
+    def test_unreplayable_record_is_finished_not_replayed(self, tmp_path):
+        """An accepted record that no longer validates (here one written
+        with the retired ``transport`` field) is closed with an error
+        outcome on ``--recover``; it must not block startup or linger."""
+        error = self._recover_stale_record(
+            tmp_path, {"netlist": BENCH_C, "transport": "inline"}
+        )
+        assert error.startswith(
             "unreplayable record: unknown request field(s): transport"
         )
-        assert journal.load_pending() == {}
+
+    def test_retired_kernel_backend_record_is_not_replayed(self, tmp_path):
+        """A record accepted while ``backend: kernel`` was a sweep rung is
+        closed the same way: the rung is gone, so replaying it under
+        another backend would answer a request nobody made."""
+        error = self._recover_stale_record(
+            tmp_path, {"netlist": BENCH_C, "backend": "kernel"}
+        )
+        assert error.startswith("unreplayable record: 'backend' must be one of")
+        assert "kernel" not in error.split("one of:", 1)[1]
 
 
 def _spawn_server(extra_args, env, timeout=30.0):

@@ -106,21 +106,21 @@ class TestTransportChaos:
         assert report.backend.startswith("fork:")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the kernel tier needs NumPy")
-@pytest.mark.parametrize("backend", ("auto", "kernel"))
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorized rung needs NumPy")
+@pytest.mark.parametrize("backend", ("auto", "vectorized"))
 def test_fork_fanout_never_builds_bitmask_baseline(backend):
     """The parent of a forked block-backend campaign has no use for the
     exhaustive big-int baseline (workers derive whatever their backend
-    reads), so fanning out must not build it — whether the kernel rung
-    is picked by the heuristic or asked for."""
+    reads), so fanning out must not build it — whether the vectorized
+    rung is picked by the heuristic (13 inputs) or asked for."""
     network = random_mixed_network(
-        random.Random("fork-baseline"), 14, 120, n_outputs=16
+        random.Random("fork-baseline"), 13, 120, n_outputs=16
     )
     sweep = fresh_sweep(network)
     universe = sweep.single_fault_universe()
     sweep.sweep(universe, processes=2, backend=backend)
     assert sweep.engine._bitmask is None
-    assert sweep.last_report.backend == "fork:kernel"
+    assert sweep.last_report.backend == "fork:vectorized"
 
 
 class TestArtifactStore:
