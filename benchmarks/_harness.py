@@ -67,15 +67,6 @@ def _load_baseline(json_path):
         return None
 
 
-def load_baseline(name: str):
-    """The committed ``BENCH_<name>.json`` baseline, or ``None``.
-
-    Benches that gate on baseline numbers (e.g. the telemetry overhead
-    check) must call this *before* :func:`record`, which overwrites the
-    file with the fresh run."""
-    return _load_baseline(os.path.join(RESULTS_DIR, f"BENCH_{name}.json"))
-
-
 def _counter_total(telemetry, name: str):
     """Sum of one counter across label sets in an embedded telemetry
     snapshot; ``None`` when the snapshot or metric is absent."""

@@ -19,9 +19,14 @@ seed circuits, ripple adders, and the committed random-logic batch
   input count, so this independent cross-check runs on circuits up to
   ``SWEEP_MAX_INPUTS`` inputs (wider ones are covered by parity: a
   completed PODEM verdict is already exact);
-* speed: the dropping driver beats the scalar loop by at least
-  ``MIN_ATPG_SPEEDUP`` overall (NumPy runs only — the big-int bitmask
-  rung is a correctness rung, not a performance claim).
+* the no-dropping reference: ``run_atpg(drop=False)`` reports exactly
+  the scalar loop's verdict for every fault, aborts included;
+* speed: fault dropping beats ``run_atpg(drop=False)`` — the same
+  PODEM search over the same universe, one search per fault — by at
+  least ``MIN_ATPG_SPEEDUP`` overall (NumPy runs only — the big-int
+  bitmask rung is a correctness rung, not a performance claim).  Each
+  circuit's two modes run interleaved ``SPEED_ROUNDS`` times and each
+  keeps its fastest run, so a noisy neighbour slows both sides alike.
 
 The count metrics land in ``BENCH_atpg.json`` where ``--check`` compares
 them exactly; the ``*_seconds``/``*_speedup`` keys ride along as
@@ -35,7 +40,7 @@ import time
 from _harness import benchmark_elapsed, record
 
 from repro.core.atpg import Podem
-from repro.core.collapse import collapse_stem_faults
+from repro.core.collapse import sorted_stem_universe
 from repro.engine import engine_for
 from repro.engine.atpg import run_atpg
 from repro.engine.vectorized import HAVE_NUMPY
@@ -51,9 +56,14 @@ DATA_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, "examples", "data"
 )
 
-#: The acceptance bar: the dropping driver must beat per-fault scalar
-#: PODEM by at least this factor over the whole committed workload.
-MIN_ATPG_SPEEDUP = 5.0
+#: The acceptance bar: fault dropping must beat ``drop=False`` by at
+#: least this factor over the whole committed workload (it reads
+#: 11.5-11.7x on a shared 2-core x86 host with NumPy 2.4).
+MIN_ATPG_SPEEDUP = 8.0
+
+#: Interleaved timed runs per mode and circuit; each mode keeps its
+#: fastest.
+SPEED_ROUNDS = 3
 
 #: Widest circuit the exhaustive detectability cross-check sweeps
 #: (2^n points per line; 25-input circuits already cost ~40s).
@@ -160,13 +170,10 @@ def engine_atpg_report():
         "detectable_total": 0,
         "sweep_checked_circuits": 0,
     }
-    scalar_wall = engine_wall = 0.0
+    nodrop_wall = engine_wall = 0.0
     ok = True
     for label, network in _workload():
-        universe = sorted(
-            collapse_stem_faults(network), key=lambda f: (f.line, f.value)
-        )
-        start = time.perf_counter()
+        universe = sorted_stem_universe(network)
         podem = Podem(network)
         scalar = {}
         for fault in universe:
@@ -174,11 +181,21 @@ def engine_atpg_report():
             scalar[fault.describe()] = (
                 "detected" if result.status == "test" else result.status
             )
-        scalar_wall += time.perf_counter() - start
 
-        start = time.perf_counter()
-        report = run_atpg(network, faults=universe)
-        engine_wall += time.perf_counter() - start
+        fastest = {True: float("inf"), False: float("inf")}
+        for _round in range(SPEED_ROUNDS):
+            for drop in (True, False):
+                start = time.perf_counter()
+                run = run_atpg(network, faults=universe, drop=drop)
+                elapsed = time.perf_counter() - start
+                fastest[drop] = min(fastest[drop], elapsed)
+                if drop:
+                    report = run
+                else:
+                    reference = run
+        engine_wall += fastest[True]
+        nodrop_wall += fastest[False]
+        ok = ok and reference.classifications == scalar
 
         # Parity where scalar completed; scalar aborts must be rescued.
         rescued = 0
@@ -214,9 +231,9 @@ def engine_atpg_report():
             + (f"  [{rescued} scalar aborts rescued]" if rescued else "")
         )
 
-    speedup = scalar_wall / engine_wall if engine_wall else float("inf")
+    speedup = nodrop_wall / engine_wall if engine_wall else float("inf")
     lines = [
-        "Fault-dropping ATPG (run_atpg) vs per-fault scalar PODEM",
+        "Fault-dropping ATPG (run_atpg) vs drop=False, scalar PODEM parity",
         f"  workload: {totals['circuits']} circuits, "
         f"{totals['faults_total']} collapsed faults "
         f"({totals['detectable_total']} detectable on the "
@@ -224,12 +241,12 @@ def engine_atpg_report():
     ]
     lines.extend(rows)
     lines.append(
-        f"  scalar {scalar_wall:.3f}s  engine {engine_wall:.3f}s  "
+        f"  drop=False {nodrop_wall:.3f}s  dropping {engine_wall:.3f}s  "
         f"-> {speedup:.1f}x"
         + ("" if HAVE_NUMPY else "  (big-int bitmask, ungated)")
     )
     metrics = dict(totals)
-    metrics["scalar_seconds"] = round(scalar_wall, 4)
+    metrics["nodrop_seconds"] = round(nodrop_wall, 4)
     metrics["engine_seconds"] = round(engine_wall, 4)
     metrics["atpg_speedup"] = round(speedup, 2)
     return "\n".join(lines), metrics, ok, speedup
@@ -242,7 +259,7 @@ def test_atpg(benchmark):
     assert ok, text
     if HAVE_NUMPY:
         assert speedup >= MIN_ATPG_SPEEDUP, (
-            f"fault-dropping ATPG speedup {speedup:.2f}x fell below the "
-            f"{MIN_ATPG_SPEEDUP:.0f}x acceptance bar\n{text}"
+            f"fault-dropping ATPG speedup over drop=False {speedup:.2f}x "
+            f"fell below the {MIN_ATPG_SPEEDUP:.0f}x acceptance bar\n{text}"
         )
     record("atpg", text, metrics, benchmark_elapsed(benchmark))

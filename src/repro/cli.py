@@ -219,7 +219,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     import json
 
     from .engine import CheckpointError, FaultSweep
-    from .core.collapse import collapsed_single_faults
 
     if args.processes is not None and args.processes < 1:
         raise SystemExit(
@@ -234,10 +233,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise SystemExit("--resume requires --checkpoint PATH")
     network = _load(args.netlist)
     sweep = FaultSweep(network)
-    if args.no_collapse:
-        universe = sweep.single_fault_universe()
-    else:
-        universe = list(collapsed_single_faults(network))
+    universe = sweep.compiled.fault_universe(collapse=not args.no_collapse)
     try:
         with _telemetry(args):
             stats = sweep.coverage(

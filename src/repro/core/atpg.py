@@ -591,18 +591,13 @@ def structural_test_summary(
     choice (equivalent faults are equi-testable).  ``untested`` splits
     into ``redundant`` (proved untestable) and ``aborted`` (budget hit).
     """
-    from ..logic.faults import enumerate_stem_faults
-    from .collapse import collapse_stem_faults
+    from .collapse import sorted_stem_universe
 
     podem = Podem(network)
     if faults is not None:
         universe: List[Fault] = list(faults)
-    elif collapse:
-        universe = sorted(
-            collapse_stem_faults(network), key=lambda f: (f.line, f.value)
-        )
     else:
-        universe = list(enumerate_stem_faults(network))
+        universe = sorted_stem_universe(network, collapse)
     tested = redundant = aborted = 0
     for fault in universe:
         result = podem.generate_test_ex(fault)

@@ -16,47 +16,20 @@ The result is a representative fault set that preserves single-fault
 coverage, verified against truth tables in the test suite.  Collapsing
 matters doubly for SCAL: every fault the oracle or PODEM must process is
 two exhaustive network evaluations.
+
+The classes are computed once per network, on integer fault ids, by
+:class:`~repro.engine.compiled.CompiledNetwork`; the functions here are
+named views of that one computation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..logic.faults import Fault, PinStuckAt, StuckAt
-from ..logic.gates import GateKind
+from ..engine.compiled import PIN_EQUIVALENCES, compile_network
+from ..logic.faults import Fault, StuckAt
 from ..logic.network import Network
-
-#: For each collapsible kind: (controlling input value, forced output).
-_CONTROLLING = {
-    GateKind.AND: (0, 0),
-    GateKind.NAND: (0, 1),
-    GateKind.OR: (1, 1),
-    GateKind.NOR: (1, 0),
-}
-
-
-def _key(fault: Fault) -> Tuple:
-    if isinstance(fault, StuckAt):
-        return ("stem", fault.line, fault.value)
-    return ("pin", fault.gate, fault.pin_index, fault.value)
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: Dict[Tuple, Tuple] = {}
-
-    def find(self, x: Tuple) -> Tuple:
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: Tuple, b: Tuple) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,71 +46,21 @@ class CollapseReport:
         return len(self.representatives) / self.total if self.total else 1.0
 
 
-def equivalence_collapse(network: Network) -> Dict[Tuple, List[Fault]]:
-    """Group the stem+pin single-fault universe into equivalence classes.
+def equivalence_collapse(network: Network) -> Dict[Fault, List[Fault]]:
+    """The stem+pin single-fault universe's equivalence classes, keyed
+    by representative (the first stem member when the class has one).
 
     Rules: for a gate with controlling value c and forced output f —
     every input pin s-a-c ≡ the output stem s-a-f; NOT: pin s-a-v ≡
     stem s-a-v̄; BUF: pin s-a-v ≡ stem s-a-v.  Additionally a pin fault
     on the single branch of a non-fanout stem ≡ the stem fault.
     """
-    uf = _UnionFind()
-    faults: Dict[Tuple, Fault] = {}
-
-    def register(fault: Fault) -> Tuple:
-        key = _key(fault)
-        faults.setdefault(key, fault)
-        uf.find(key)
-        return key
-
-    for line in network.lines():
-        for value in (0, 1):
-            register(StuckAt(line, value))
-    for gate in network.gates:
-        for pin, src in enumerate(gate.inputs):
-            for value in (0, 1):
-                pkey = register(PinStuckAt(gate.name, pin, value))
-                # Non-fanout branch == stem.
-                if network.fanout_count(src) == 1 and src not in network.outputs:
-                    uf.union(pkey, _key(StuckAt(src, value)))
-        kind = gate.kind
-        if kind in _CONTROLLING:
-            c, f = _CONTROLLING[kind]
-            out_key = _key(StuckAt(gate.name, f))
-            for pin in range(len(gate.inputs)):
-                uf.union(_key(PinStuckAt(gate.name, pin, c)), out_key)
-        elif kind in (GateKind.NOT, GateKind.BUF):
-            invert = kind is GateKind.NOT
-            for value in (0, 1):
-                out_value = (1 - value) if invert else value
-                uf.union(
-                    _key(PinStuckAt(gate.name, 0, value)),
-                    _key(StuckAt(gate.name, out_value)),
-                )
-
-    classes: Dict[Tuple, List[Fault]] = {}
-    for key, fault in faults.items():
-        classes.setdefault(uf.find(key), []).append(fault)
-    return classes
-
-
-def _dominated_keys(network: Network) -> Set[Tuple]:
-    """Output stem faults dominated by an input pin fault.
-
-    For AND (controlling 0 / forced 0): the output s-a-1 is detected by
-    any test for any input s-a-1 (non-controlling), so with all pin
-    faults kept the output s-a-1 may be dropped; dually for the other
-    standard gates.  NOT/BUF outputs are already equivalent, not merely
-    dominated.
-    """
-    dropped: Set[Tuple] = set()
-    for gate in network.gates:
-        kind = gate.kind
-        if kind not in _CONTROLLING or len(gate.inputs) < 2:
-            continue
-        c, f = _CONTROLLING[kind]
-        dropped.add(_key(StuckAt(gate.name, 1 - f)))
-    return dropped
+    comp = compile_network(network)
+    fault = comp.fault
+    return {
+        fault(members[0]): [fault(fid) for fid in members]
+        for members in comp.fault_classes
+    }
 
 
 def collapse_stem_faults(
@@ -153,17 +76,9 @@ def collapse_stem_faults(
     ``include_inputs=False`` drops primary-input stems, matching
     :func:`repro.logic.faults.enumerate_stem_faults`.
     """
-    representatives: List[StuckAt] = []
-    for members in equivalence_collapse(network).values():
-        stems = [
-            m
-            for m in members
-            if isinstance(m, StuckAt)
-            and (include_inputs or not network.is_input(m.line))
-        ]
-        if stems:
-            representatives.append(stems[0])
-    return representatives
+    return compile_network(network).fault_universe(
+        include_inputs, include_pins=False, live_only=False
+    )
 
 
 def collapsed_single_faults(
@@ -174,36 +89,27 @@ def collapsed_single_faults(
     """Collapsed representatives of the live single stem+pin universe.
 
     The equivalence-only reduction of :func:`collapse_faults` (dominance
-    stays opt-in there), filtered to lines that reach some output — the
-    same liveness rule as ``ScalSimulator.single_fault_universe``.
+    stays opt-in there), without the faults on lines that reach no
+    output.  Equivalence classes never straddle live and dead lines, so
+    this is the collapsed form of
+    :meth:`repro.engine.FaultSweep.single_fault_universe`.
     """
-    if not include_pins:
-        reps: List[Fault] = list(
-            collapse_stem_faults(network, include_inputs=include_inputs)
-        )
-    else:
-        reps = []
-        for members in equivalence_collapse(network).values():
-            kept = [
-                m
-                for m in members
-                if isinstance(m, PinStuckAt)
-                or include_inputs
-                or not network.is_input(m.line)
-            ]
-            if not kept:
-                continue
-            stems = [m for m in kept if isinstance(m, StuckAt)]
-            reps.append(stems[0] if stems else kept[0])
-    live = set()
-    for out in network.outputs:
-        live |= network.cone(out)
-    kept_faults: List[Fault] = []
-    for fault in reps:
-        line = fault.line if isinstance(fault, StuckAt) else fault.gate
-        if line in live:
-            kept_faults.append(fault)
-    return kept_faults
+    comp = compile_network(network)
+    return comp.fault_universe(include_inputs, include_pins)
+
+
+def sorted_stem_universe(
+    network: Network, collapse: bool = True
+) -> List[StuckAt]:
+    """The stem universe of ATPG and synthesis, sorted by ``(line,
+    value)``: collapsed representatives, or every stem fault when
+    ``collapse`` is off.  The order is then independent of enumeration
+    order and representative choice (equivalent faults are
+    equi-testable)."""
+    faults = compile_network(network).fault_universe(
+        include_pins=False, collapse=collapse, live_only=False
+    )
+    return sorted(faults, key=lambda f: (f.line, f.value))
 
 
 def collapse_faults(
@@ -217,27 +123,29 @@ def collapse_faults(
     *detection* fault lists over **irredundant** networks (if an input
     s-a-noncontrolling fault is itself untestable, the dominated output
     fault would lose its cover), which is why it is opt-in.
+
+    Dominance: for an AND gate (controlling 0, forced 0) the output s-a-1
+    is detected by any test for any input s-a-1, so with all pin faults
+    kept the output s-a-1 may be dropped — and with it its whole class,
+    which shares one detection behaviour; dually for the other standard
+    gates.  NOT/BUF outputs are already equivalent, not merely dominated.
     """
-    classes = equivalence_collapse(network)
-    dominated = _dominated_keys(network) if use_dominance else set()
-    representatives: List[Fault] = []
-    dropped = 0
-    total = sum(len(members) for members in classes.values())
-    for root, members in classes.items():
-        keys = {_key(m) for m in members}
-        if use_dominance and any(k in dominated for k in keys):
-            # The whole class shares one detection behaviour; if any
-            # member is a dominated output fault, every test for the
-            # kept input faults of that gate detects the class.  (As in
-            # classical collapsing this presumes the kept input faults
-            # are testable, i.e. an irredundant network.)
-            dropped += 1
-            continue
-        stems = [m for m in members if isinstance(m, StuckAt)]
-        representatives.append(stems[0] if stems else members[0])
+    comp = compile_network(network)
+    dominated = set()
+    if use_dominance:
+        for op in comp.ops:
+            if len(op.srcs) >= 2:  # not NOT/BUF
+                for _pin, forced in PIN_EQUIVALENCES.get(op.kind, ()):
+                    dominated.add(2 * op.out + 1 - forced)
+    classes = comp.fault_classes
+    representatives = tuple(
+        comp.fault(members[0])
+        for members in classes
+        if dominated.isdisjoint(members)
+    )
     return CollapseReport(
-        representatives=tuple(representatives),
-        total=total,
+        representatives=representatives,
+        total=sum(len(members) for members in classes),
         equivalence_classes=len(classes),
-        dominated_dropped=dropped,
+        dominated_dropped=len(classes) - len(representatives),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..engine.compiled import compile_network
 from ..logic.evaluate import line_tables
 from ..logic.faults import Fault
 from ..logic.network import Network
@@ -143,14 +144,9 @@ def build_fault_dictionary(
     network: Network, collapse: bool = True
 ) -> FaultDictionary:
     """Dictionary over the (collapsed) single stem+pin fault universe."""
-    if collapse:
-        from .collapse import collapse_faults
-
-        faults = list(collapse_faults(network, use_dominance=False).representatives)
-    else:
-        from ..logic.faults import enumerate_single_faults
-
-        faults = enumerate_single_faults(network)
+    faults = compile_network(network).fault_universe(
+        collapse=collapse, live_only=False
+    )
     return FaultDictionary(network, faults)
 
 

@@ -19,7 +19,7 @@ import itertools
 import random
 from typing import Iterable, List, Optional, Sequence
 
-from ..engine import FaultSweep
+from ..engine import FaultSweep, compile_network
 from ..logic.faults import MultipleFault, StuckAt
 from ..logic.network import Network
 
@@ -67,10 +67,8 @@ def _classify(
 
 
 def _stems(network: Network) -> List[str]:
-    live = set()
-    for out in network.outputs:
-        live |= network.cone(out)
-    return [line for line in network.lines() if line in live]
+    comp = compile_network(network)
+    return [line for line, live in zip(comp.names, comp.live) if live]
 
 
 def double_faults(

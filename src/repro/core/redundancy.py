@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+from ..engine.compiled import compile_network
 from ..logic.evaluate import line_tables
 from ..logic.faults import StuckAt
 from ..logic.gates import GateKind
@@ -64,13 +65,11 @@ def redundant_lines(network: Network) -> List[str]:
     not lines of the network in the thesis's sense and are skipped;
     :func:`prune_dead_logic` removes dead gates outright.
     """
-    live = set()
-    for out in network.outputs:
-        live |= network.cone(out)
+    comp = compile_network(network)
     return [
         line
-        for line in network.lines()
-        if line in live and line_testability(network, line).redundant
+        for line, live in zip(comp.names, comp.live)
+        if live and line_testability(network, line).redundant
     ]
 
 
@@ -121,8 +120,6 @@ def apply_constant_replacements(network: Network) -> Network:
 
 def prune_dead_logic(network: Network) -> Network:
     """Drop gates outside every output cone (keeps all primary inputs)."""
-    live = set()
-    for out in network.outputs:
-        live |= network.cone(out)
-    gates = [g for g in network.gates if g.name in live]
+    comp = compile_network(network)
+    gates = [g for g in network.gates if comp.live[comp.index[g.name]]]
     return Network(network.inputs, gates, network.outputs, name=network.name)

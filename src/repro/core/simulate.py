@@ -271,10 +271,6 @@ def fault_coverage(
     sweep = FaultSweep(network)
     if faults is not None:
         universe: List[FaultLike] = list(faults)
-    elif collapse:
-        from .collapse import collapsed_single_faults
-
-        universe = list(collapsed_single_faults(network))
     else:
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.fault_universe(collapse=collapse)
     return sweep.coverage(universe, processes=processes, backend=backend)

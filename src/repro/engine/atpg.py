@@ -44,8 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..core.atpg import Podem, PodemResult
-from ..core.collapse import collapse_stem_faults
-from ..logic.faults import Fault, StuckAt
+from ..core.collapse import sorted_stem_universe
+from ..logic.faults import Fault
 from ..logic.network import Network
 from .supervisor import Degradation
 from .vectorized import ATPG_RUNGS, chunk_pattern_bits, resolve_rung
@@ -139,20 +139,6 @@ class AtpgReport:
         for d in self.degradations:
             lines.append(f"  degraded {d.frm} -> {d.to}: {d.reason}")
         return "\n".join(lines)
-
-
-def _default_universe(network: Network, collapse: bool) -> List[StuckAt]:
-    """The deterministic target list: collapsed stem representatives, or
-    every stem fault when collapsing is off."""
-    if collapse:
-        faults = collapse_stem_faults(network)
-    else:
-        faults = [
-            StuckAt(line, value)
-            for line in network.lines()
-            for value in (0, 1)
-        ]
-    return sorted(faults, key=lambda f: (f.line, f.value))
 
 
 def _candidate_patterns(
@@ -269,7 +255,7 @@ def run_atpg(
     universe = (
         list(faults)
         if faults is not None
-        else _default_universe(network, collapse)
+        else sorted_stem_universe(network, collapse)
     )
 
     wanted = backend

@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..logic.faults import enumerate_single_faults
 from ..logic.network import Network
 from .compiled import FaultLike
 from .supervisor import CampaignReport, CancelToken, run_campaign
@@ -105,20 +104,12 @@ class FaultSweep:
         self, include_inputs: bool = True, include_pins: bool = True
     ) -> List[FaultLike]:
         """All single faults on lines that can reach some output (dead
-        lines are not lines of the network in the thesis's sense)."""
-        live = set()
-        for out in self.network.outputs:
-            live |= self.network.cone(out)
-        kept: List[FaultLike] = []
-        for fault in enumerate_single_faults(
-            self.network,
-            include_inputs=include_inputs,
-            include_pins=include_pins,
-        ):
-            line = fault.line if hasattr(fault, "line") else fault.gate
-            if line in live:
-                kept.append(fault)
-        return kept
+        lines are not lines of the network in the thesis's sense), less
+        the pin faults folded into their stem by the non-fanout branch
+        rule: the uncollapsed campaign universe."""
+        return self.compiled.fault_universe(
+            include_inputs, include_pins, collapse=False
+        )
 
     def _resolve_backend(self, backend: str, n_faults: int) -> str:
         if backend not in SWEEP_BACKENDS:

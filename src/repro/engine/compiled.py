@@ -18,24 +18,44 @@ make incremental fault simulation cheap:
 * :meth:`cone_ops` — the transitive *output cone* of a line: exactly the
   ops whose value can change when that line changes.
 
-:meth:`fault_plan` turns any stem/pin single or multiple fault into a
-pre-resolved plan: forced line values, per-op pin overrides, and the
-minimal ascending op list to re-evaluate on top of a cached fault-free
-baseline.  The backends in :mod:`repro.engine.backends` execute these
-plans pointwise, word-parallel, or over sampled points.
+:meth:`resolve` maps a named stem/pin single or multiple fault onto
+indices, and :meth:`fault_plan` adds the minimal ascending op list to
+re-evaluate on top of a cached fault-free baseline.  The backends in
+:mod:`repro.engine.backends` execute these plans pointwise,
+word-parallel, or over sampled points.
+
+The single-fault universe lives here too, on integer *fault ids* (stem
+``line`` s-a-``v`` is ``2*line + v``; pin ``k``, counting ops then slots,
+is ``2*(len(names) + k) + v``), folded once per network into its
+structural equivalence classes (:attr:`fault_classes`, the thesis's
+"equivalent pairs of lines", Section 3.6 step 2).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import weakref
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
-from ..logic.faults import Fault, MultipleFault, fault_overrides
+from ..logic.faults import Fault, MultipleFault, PinStuckAt, StuckAt
+from ..logic.faults import fault_overrides
 from ..logic.gates import GateKind
 from ..logic.network import Network
 
 FaultLike = Union[Fault, MultipleFault]
+
+#: Gate-boundary equivalences: any input pin stuck at the first value is
+#: the output stuck at the second (the controlling value for AND/NAND/
+#: OR/NOR; either value through a NOT or BUF).
+PIN_EQUIVALENCES = {
+    GateKind.AND: ((0, 0),),
+    GateKind.NAND: ((0, 1),),
+    GateKind.OR: ((1, 1),),
+    GateKind.NOR: ((1, 0),),
+    GateKind.NOT: ((0, 1), (1, 0)),
+    GateKind.BUF: ((0, 0), (1, 1)),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,41 +142,41 @@ class CompiledNetwork:
         self._cones[line] = cone
         return cone
 
+    def resolve(
+        self, fault: FaultLike
+    ) -> Tuple[Dict[int, int], Dict[int, List[Tuple[int, int]]]]:
+        """``(stems, pins)``: forced values by line, ``(slot, value)`` pin
+        forces by op position.  Absent lines and out-of-range pin slots
+        are ignored (the legacy dict-lookup semantics), and a stem force
+        shadows the pin forces on the gate driving that stem."""
+        stem_names, pin_keys = fault_overrides(fault)
+        index = self.index
+        stems = {index[n]: v for n, v in stem_names.items() if n in index}
+        pins: Dict[int, List[Tuple[int, int]]] = {}
+        for (gate, slot), value in pin_keys.items():
+            line = index.get(gate, -1)
+            if line < self.n_inputs or line in stems:
+                continue
+            pos = line - self.n_inputs
+            if slot < len(self.ops[pos].srcs):
+                pins.setdefault(pos, []).append((slot, value))
+        return stems, pins
+
     def fault_plan(self, fault: FaultLike) -> FaultPlan:
         """Resolve a fault into forced values plus the minimal re-simulation
         schedule over the fault's output cone(s)."""
         plan = self._plans.get(fault)
         if plan is not None:
             return plan
-        stem_names, pin_keys = fault_overrides(fault)
-        # Faults naming lines absent from this network are ignored, matching
-        # the legacy evaluators' dict-lookup semantics.
-        stems: Dict[int, int] = {
-            self.index[name]: value
-            for name, value in stem_names.items()
-            if name in self.index
-        }
-        pins: Dict[int, List[Tuple[int, int]]] = {}
-        affected: set = set()
-        for (gate, pin), value in pin_keys.items():
-            idx = self.index.get(gate)
-            if idx is None or idx < self.n_inputs:
-                continue
-            pos = idx - self.n_inputs
-            if pin >= len(self.ops[pos].srcs):
-                continue
-            pins.setdefault(pos, []).append((pin, value))
-            affected.add(pos)
-            affected.update(self.cone_ops(idx))
+        stems, pins = self.resolve(fault)
+        affected: set = set(pins)
+        for pos in pins:
+            affected.update(self.cone_ops(self.ops[pos].out))
         for idx in stems:
             affected.update(self.cone_ops(idx))
-        # Ops whose output line is stem-forced never run: the forced value
-        # wins (and shadows any pin override on the same gate, exactly as
-        # the legacy evaluators resolved the conflict).
+        # Ops whose output line is stem-forced never run.
         ops = tuple(
-            pos
-            for pos in sorted(affected)
-            if self.ops[pos].out not in stems
+            pos for pos in sorted(affected) if self.ops[pos].out not in stems
         )
         plan = FaultPlan(
             stems=tuple(sorted(stems.items())),
@@ -165,6 +185,132 @@ class CompiledNetwork:
         )
         self._plans[fault] = plan
         return plan
+
+    # ------------------------------------------------------------------
+    # the single-fault universe, on fault ids
+    # ------------------------------------------------------------------
+    @functools.cached_property
+    def pin_sites(self) -> Tuple[Tuple[int, int, int], ...]:
+        """``(gate line, slot, source line)`` of every pin, in pin order."""
+        return tuple(
+            (op.out, slot, src)
+            for op in self.ops
+            for slot, src in enumerate(op.srcs)
+        )
+
+    @functools.cached_property
+    def branch_folds(self) -> Tuple[bool, ...]:
+        """Per line: it drives exactly one gate pin (counted from
+        ``ops[*].srcs``, so ``AND(a, a)`` gives ``a`` two) and is no
+        output, so that branch's faults are its stem's."""
+        pins = [0] * len(self.names)
+        for op in self.ops:
+            for src in op.srcs:
+                pins[src] += 1
+        outputs = set(self.out_idx)
+        return tuple(n == 1 and i not in outputs for i, n in enumerate(pins))
+
+    @functools.cached_property
+    def live(self) -> Tuple[bool, ...]:
+        """Per line: it reaches some output (dead lines are not lines of
+        the network in the thesis's sense)."""
+        live = [False] * len(self.names)
+        for idx in self.out_idx:
+            live[idx] = True
+        for op in reversed(self.ops):
+            if live[op.out]:
+                for src in op.srcs:
+                    live[src] = True
+        return tuple(live)
+
+    @functools.cached_property
+    def fault_classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """The stem+pin universe's equivalence classes as fault ids,
+        ordered by smallest id, members in id order: the
+        :data:`PIN_EQUIVALENCES` and the :attr:`branch_folds` pins."""
+        folds = self.branch_folds
+        parent = list(range(2 * (len(self.names) + len(self.pin_sites))))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        def union(a: int, b: int) -> None:
+            a, b = find(a), find(b)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+
+        pin = 2 * len(self.names)
+        for op in self.ops:
+            pairs = PIN_EQUIVALENCES.get(op.kind, ())
+            for src in op.srcs:
+                if folds[src]:
+                    union(pin, 2 * src)
+                    union(pin + 1, 2 * src + 1)
+                for pin_value, out_value in pairs:
+                    union(pin + pin_value, 2 * op.out + out_value)
+                pin += 2
+        classes: Dict[int, List[int]] = {}
+        for fid in range(len(parent)):
+            classes.setdefault(find(fid), []).append(fid)
+        return tuple(tuple(members) for members in classes.values())
+
+    def fault_site(self, fid: int) -> int:
+        """The line a fault sits on: its stem, or the gate its pin feeds."""
+        pin = fid - 2 * len(self.names)
+        return fid >> 1 if pin < 0 else self.pin_sites[pin >> 1][0]
+
+    def fault(self, fid: int) -> Fault:
+        """The named fault of one fault id."""
+        pin = fid - 2 * len(self.names)
+        if pin < 0:
+            return StuckAt(self.names[fid >> 1], fid & 1)
+        gate, slot, _src = self.pin_sites[pin >> 1]
+        return PinStuckAt(self.names[gate], slot, fid & 1)
+
+    def fault_universe(
+        self,
+        include_inputs: bool = True,
+        include_pins: bool = True,
+        collapse: bool = True,
+        live_only: bool = True,
+    ) -> List[Fault]:
+        """A single-fault list in id order: with ``collapse`` one
+        representative per class (its first member the ``include_*``
+        filters keep, so its first stem when it has one), else every kept
+        fault less the :attr:`branch_folds` pin faults.  ``live_only``
+        drops the faults on lines that reach no output."""
+        n_stems = 2 * len(self.names)
+        first_gate = 2 * self.n_inputs
+
+        def kept(fid: int) -> bool:
+            if fid < n_stems:
+                return include_inputs or fid >= first_gate
+            return include_pins
+
+        if collapse:
+            ids = [
+                next((fid for fid in members if kept(fid)), None)
+                for members in self.fault_classes
+            ]
+        else:
+            folds = self.branch_folds
+            ids = [fid for fid in range(n_stems) if kept(fid)]
+            if include_pins:
+                ids += [
+                    n_stems + 2 * k + value
+                    for k, (_gate, _slot, src) in enumerate(self.pin_sites)
+                    if not folds[src]
+                    for value in (0, 1)
+                ]
+        live = self.live
+        return [
+            self.fault(fid)
+            for fid in ids
+            if fid is not None
+            and (not live_only or live[self.fault_site(fid)])
+        ]
 
 
 _compile_cache: "weakref.WeakKeyDictionary[Network, CompiledNetwork]" = (

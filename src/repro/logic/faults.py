@@ -111,17 +111,19 @@ def enumerate_single_faults(
 
     With ``collapse=True`` a pin fault on the only branch of a non-fanout
     stem is dropped as equivalent to the stem fault (the thesis's
-    "equivalent pairs of lines", Section 3.6 step 2).
+    "equivalent pairs of lines", Section 3.6 step 2), by the compiled
+    form's pin counts
+    (:attr:`~repro.engine.compiled.CompiledNetwork.branch_folds`).
     """
+    if collapse:
+        from ..engine.compiled import compile_network  # engine imports us
+
+        return compile_network(network).fault_universe(
+            include_inputs, include_pins, collapse=False, live_only=False
+        )
     faults: List[Fault] = list(enumerate_stem_faults(network, include_inputs))
-    if not include_pins:
-        return faults
-    for pf in enumerate_pin_faults(network):
-        gate = network.gate(pf.gate)
-        stem = gate.inputs[pf.pin_index]
-        if collapse and network.fanout_count(stem) == 1 and stem not in network.outputs:
-            continue  # equivalent to the stem fault already enumerated
-        faults.append(pf)
+    if include_pins:
+        faults.extend(enumerate_pin_faults(network))
     return faults
 
 

@@ -80,6 +80,10 @@ class Network:
             raise NetworkError("duplicate output names")
         self._topo: Tuple[str, ...] = self._toposort()
         self._fanout: Dict[str, Tuple[str, ...]] = self._fanout_map()
+        self._pin_counts: Dict[str, int] = dict.fromkeys(self.lines(), 0)
+        for gate in self._gates.values():
+            for src in gate.inputs:
+                self._pin_counts[src] += 1
 
     # ------------------------------------------------------------------
     # structure
@@ -153,10 +157,7 @@ class Network:
     def fanout_count(self, line: str) -> int:
         """Number of gate *pins* the line drives (for the output lines of
         the network the external observation does not count as fanout)."""
-        count = 0
-        for dest in self._fanout.get(line, ()):
-            count += self._gates[dest].inputs.count(line)
-        return count
+        return self._pin_counts.get(line, 0)
 
     def cone(self, output: str) -> Set[str]:
         """The set of lines in the transitive fan-in cone of ``output``,
@@ -369,11 +370,9 @@ def expand_fanout_branches(network: Network, suffix: str = "_br") -> Network:
     the per-line Algorithm 3.1 analysis covers the full stem+pin fault
     universe.  Branch lines are named ``<stem><suffix><k>``.
     """
-    fan_pins: Dict[str, int] = {}
-    for gate in network.gates:
-        for src in gate.inputs:
-            fan_pins[src] = fan_pins.get(src, 0) + 1
-    needs_branches = {line for line, pins in fan_pins.items() if pins > 1}
+    needs_branches = {
+        line for line in network.lines() if network.fanout_count(line) > 1
+    }
     counters: Dict[str, int] = {}
     new_gates: List[Gate] = []
     branch_gates: List[Gate] = []

@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.analysis import analyze_network
 from ..core.atpg import Podem
-from ..core.collapse import collapse_stem_faults, equivalence_collapse
+from ..core.collapse import equivalence_collapse, sorted_stem_universe
 from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
 from ..engine.backends import bitmask_pattern_bits
@@ -678,11 +678,6 @@ def _gen_atpg_engine(rng: random.Random) -> Case:
     return Case(network=net)
 
 
-def _atpg_universe(net: Network):
-    """The driver's default target list, reproduced independently."""
-    return sorted(collapse_stem_faults(net), key=lambda f: (f.line, f.value))
-
-
 def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
     from ..engine.atpg import run_atpg
 
@@ -690,7 +685,7 @@ def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
     if net is None:
         return None
     n = len(net.inputs)
-    universe = _atpg_universe(net)
+    universe = sorted_stem_universe(net)
     engine = NetworkEngine(net)  # fresh — never trust another run's cache
     report = run_atpg(net, engine=engine)
     if report.detected + report.redundant + report.aborted != report.requested:
@@ -763,7 +758,7 @@ def _check_atpg_compaction(case: Case) -> Optional[str]:
     net = case.network
     if net is None:
         return None
-    universe = _atpg_universe(net)
+    universe = sorted_stem_universe(net)
     engine = NetworkEngine(net)
     compacted = run_atpg(net, engine=engine)
     full = run_atpg(net, engine=engine, drop=False, compact=False)

@@ -18,7 +18,8 @@ import dataclasses
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from ..logic.faults import Fault, enumerate_stem_faults
+from ..engine.compiled import compile_network
+from ..logic.faults import Fault
 from ..seq.forcing import RowForcing
 from ..seq.machine import StateTable
 from ..seq.simulator import FlipFlopFault
@@ -120,14 +121,8 @@ def _stem_universe(
     campaign verdict while skipping the duplicate clocked runs.  Pass
     ``collapse=False`` for the raw stem universe.
     """
-    if collapse:
-        from ..core.collapse import collapse_stem_faults
-
-        return list(
-            collapse_stem_faults(network, include_inputs=include_inputs)
-        )
-    return list(
-        enumerate_stem_faults(network, include_inputs=include_inputs)
+    return compile_network(network).fault_universe(
+        include_inputs, include_pins=False, collapse=collapse, live_only=False
     )
 
 

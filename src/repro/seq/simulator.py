@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from ..engine import backends
 from ..engine.compiled import CompiledNetwork, compile_network
-from ..logic.faults import Fault, MultipleFault, fault_overrides
+from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from .forcing import RowForcing
 
@@ -51,22 +51,14 @@ def force_fault(
 ) -> None:
     """Add one network stem/pin fault to ``forcing`` in ``row``.
 
-    Faults naming lines (or pin slots) absent from the network are
-    ignored, as :meth:`CompiledNetwork.fault_plan` ignores them.  A stem
-    force shadows a pin force on the gate driving that stem, because
-    :func:`evaluate_rows` forces a stem after its gate evaluates.
+    The fault is resolved by :meth:`CompiledNetwork.resolve`, the same
+    rules :meth:`CompiledNetwork.fault_plan` applies.
     """
-    stems, pins = fault_overrides(fault)
-    for name, value in stems.items():
-        line = compiled.index.get(name)
-        if line is not None:
-            forcing.stick_line(line, row, value)
-    for (gate, slot), value in pins.items():
-        line = compiled.index.get(gate)
-        if line is None or line < compiled.n_inputs:
-            continue
-        pos = line - compiled.n_inputs
-        if slot < len(compiled.ops[pos].srcs):
+    stems, pins = compiled.resolve(fault)
+    for line, value in stems.items():
+        forcing.stick_line(line, row, value)
+    for pos, overrides in pins.items():
+        for slot, value in overrides:
             forcing.stick_pin(pos, slot, row, value)
 
 

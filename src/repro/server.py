@@ -469,14 +469,10 @@ def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
     """Store key and run step of one fault campaign.  The key is pure
     content (program + universe fingerprints + universe shape), so a
     replay does not even need the supervised runtime."""
-    from .core.collapse import collapsed_single_faults
     from .engine import FaultSweep, universe_fingerprint
 
     sweep = FaultSweep(network)
-    if request["collapse"]:
-        universe = list(collapsed_single_faults(network))
-    else:
-        universe = sweep.single_fault_universe()
+    universe = sweep.compiled.fault_universe(collapse=request["collapse"])
     key = (
         "campaign",
         program_fingerprint(sweep.compiled),

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
-from ..core.collapse import collapse_stem_faults
+from ..core.collapse import sorted_stem_universe
 from ..engine import ChunkKind, NetworkEngine
 from ..engine.backends import table_normals, table_response
 from ..engine.vectorized import (
@@ -133,15 +133,6 @@ def make_task(
     }
 
 
-def _fault_universe(network) -> List:
-    """The candidate's collapsed stem universe in a canonical order
-    (collapse representatives are set-derived; sorting pins the order so
-    every rung and both evaluators agree record-for-record)."""
-    return sorted(
-        collapse_stem_faults(network), key=lambda f: (f.line, f.value)
-    )
-
-
 def _scalar_tables(engine: NetworkEngine, fault) -> Tuple[int, ...]:
     """Assemble exhaustive output tables one point at a time — the
     deliberately unbatched baseline."""
@@ -191,7 +182,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         n = genome.n_inputs
         points = 1 << n
         full = (1 << points) - 1
-        universe = _fault_universe(network)
+        universe = sorted_stem_universe(network)
         if mode == "scalar":
             bits, statuses = _scalar_statuses(engine, universe)
             backend = "scalar"
