@@ -528,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("netlist")
     p.add_argument("--backend", default="auto", choices=SWEEP_BACKENDS,
-                   help="sweep backend (default: auto heuristic; "
-                   "vectorized = NumPy fault blocks, degrades to bitmask "
-                   "without NumPy)")
+                   help="sweep backend (default: auto, bitmask up to 20 "
+                   "inputs; vectorized = NumPy fault blocks, degrades to "
+                   "bitmask without NumPy)")
     p.add_argument("--processes", type=int, default=None,
                    help="fan out across this many supervised fork-worker "
                    "lanes when > 1 (default: in-process)")

@@ -266,7 +266,7 @@ def fault_coverage(
     unchanged while the sweep shrinks.  Pass ``collapse=False`` for the
     raw universe; ``processes`` fans the sweep across fork workers;
     ``backend`` picks the sweep execution backend (``auto`` applies the
-    :func:`repro.engine.select_backend` heuristic).
+    :func:`repro.engine.select_backend` rule).
     """
     sweep = FaultSweep(network)
     if faults is not None:

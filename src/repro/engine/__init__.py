@@ -22,7 +22,9 @@ whole fault blocks on top.
 All backends share the cached fault-free baseline (an immutable tuple —
 engines are shared across sweeps and across ``serve`` requests, so
 in-place mutation must raise) and re-simulate only the injected fault's
-output cone; :mod:`repro.engine.campaign` batches that into multi-fault
+output cone (the bitmask classification needs even less: one flip
+simulation per fanout stem, then a few mask operations per single
+fault); :mod:`repro.engine.campaign` batches that into multi-fault
 sweep drivers with fan-out across supervised fork workers
 (:mod:`repro.engine.fork`) whenever ``processes > 1``, and the
 content-addressed :data:`repro.engine.store.STORE` lets identical

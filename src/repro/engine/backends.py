@@ -2,14 +2,33 @@
 
 Two backends share one :class:`~repro.engine.compiled.CompiledNetwork`
 and one discipline: compute the fault-free **baseline** once, cache it,
-and answer each faulty query by copying the baseline and re-evaluating
-only the ops in the fault's output cone (the
-:meth:`~repro.engine.compiled.CompiledNetwork.fault_plan` schedule).
+and answer each faulty query from the baseline plus as little extra
+simulation as the query needs.
 
 * :class:`BitmaskBackend` — word-parallel: every line is a ``2**n``-bit
   truth-table mask, one pass covers the whole input space.  This is the
   exhaustive-oracle backend (Definition 2.4, conditions A–E) and the
   block rung without NumPy (a big int already is a packed word array).
+  Its classification (:meth:`BitmaskBackend.response_triple`,
+  :meth:`~BitmaskBackend.sweep_statuses`) is a **stem-region** sweep:
+  critical-path tracing with exact stem simulation (Abramovici, Menon
+  & Miller, 1984).  A single stuck-at fault on line ``L`` changes
+  output ``O`` at point ``p`` exactly when ``L`` differs from its stuck
+  value at ``p`` and complementing ``L`` at ``p`` flips ``O``.  Every
+  line that drives exactly one pin and is no output belongs to its
+  reader's fanout-free region; one reverse pass gives each line its
+  region's **root** (a fanout stem or an output) and a **sensitization
+  mask** (the points where complementing the line complements the
+  root), and one flip simulation of each root's output cone gives its
+  output deltas, stored split into pair halves (point ``p`` of the
+  lower half beside its complement ``~p``), so the ``X ↔ X̄`` pairing
+  is an aligned AND.  A stem or pin fault then costs a few mask
+  operations and one half-width
+  :func:`~repro.logic.truthtable.reverse_bits`.  Explicit line
+  tables (:meth:`~BitmaskBackend.line_bits`), multiple faults and
+  absent lines take the fault's cone schedule instead (the
+  :meth:`~repro.engine.compiled.CompiledNetwork.fault_plan` path:
+  copy the baseline, re-evaluate only the fault's output cone).
   :func:`bitmask_pattern_bits` packs explicit pattern lists the same
   way, with no ``2**n`` table and so no input ceiling.
 * :class:`PointwiseBackend` — one input assignment (or an explicit list
@@ -30,7 +49,7 @@ callers that want them.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..logic.gates import evaluate as eval_gate
 from ..logic.gates import evaluate_mask
@@ -166,6 +185,16 @@ class BitmaskBackend:
         self._baseline_lock = threading.Lock()
         self._words_per_line = max(1, (1 << compiled.n_inputs) >> 6)
         self._normals: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+        # Stem-region state, derived like the baseline and as immutable
+        # tuples: ``(roots, sens)`` per line, and each root's flip
+        # response, filled on first use.
+        self._regions: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+        self._flips: Dict[int, Tuple] = {}
+        # Pair halves: point p < H of the lower half is paired with
+        # point ~p of the upper half; n = 0 pairs its point with itself.
+        n = compiled.n_inputs
+        self._half = (1 << (n - 1)) if n else 0
+        self._low = (1 << self._half) - 1 if n else 1
 
     def baseline(self) -> Tuple[int, ...]:
         """Fault-free masks for every line.
@@ -249,17 +278,200 @@ class BitmaskBackend:
 
     def response_triple(self, fault: FaultLike) -> Tuple[int, int, int]:
         """``(affected, detected, violations)`` pair-level masks for one
-        fault — :func:`table_response` over this backend's tables."""
+        fault, byte-identical to :func:`table_response` over this
+        backend's tables.  A fault that resolves to exactly one stem or
+        one pin takes the stem-region path; any other fault re-simulates
+        its cone schedule."""
+        site = self._single_site(fault)
+        if site is None:
+            return self._cone_response(fault)
+        pairs = self._flip_pairs(*site)
+        return tuple(self._join(mask, mask) for mask in pairs)
+
+    def _cone_response(self, fault: FaultLike) -> Tuple[int, int, int]:
         return table_response(
             self.normals(), self.output_bits(fault), self.compiled.n_inputs
         )
 
     def sweep_statuses(self, faults: Iterable[FaultLike]) -> List[str]:
-        """Classify every fault (``dangerous``/``detected``/``silent``)."""
-        return [
-            classify_status(det, vio)
-            for _aff, det, vio in (self.response_triple(f) for f in faults)
-        ]
+        """Classify every fault (``dangerous``/``detected``/``silent``);
+        the stem-region path classifies on its pair masks directly."""
+        statuses = []
+        for fault in faults:
+            site = self._single_site(fault)
+            _aff, det, vio = (
+                self._cone_response(fault)
+                if site is None
+                else self._flip_pairs(*site)
+            )
+            statuses.append(classify_status(det, vio))
+        return statuses
+
+    # ------------------------------------------------------------------
+    # stem regions (critical-path tracing with exact stem simulation)
+    # ------------------------------------------------------------------
+    def regions(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(roots, sens)``: per line, the root of its fanout-free region
+        and the points where complementing the line complements that
+        root (``full`` for a root itself).
+
+        One reverse pass over the ops: a line that drives exactly one pin
+        and is no output (:attr:`CompiledNetwork.branch_folds`) takes its
+        reader's root and ``sens(reader) & (reader(pin complemented) ^
+        reader)``.  Cached like :meth:`baseline`.
+        """
+        if self._regions is None:
+            baseline = self.baseline()
+            with self._baseline_lock:
+                if self._regions is None:
+                    self._regions = self._derive_regions(baseline)
+        return self._regions
+
+    def _derive_regions(self, baseline: Tuple[int, ...]):
+        comp = self.compiled
+        full = self.full
+        folds = comp.branch_folds
+        roots = list(range(len(comp.names)))
+        sens = [full] * len(comp.names)
+        folded = 0
+        for op in reversed(comp.ops):
+            gate = op.out
+            for slot, src in enumerate(op.srcs):
+                if folds[src]:
+                    roots[src] = roots[gate]
+                    sens[src] = sens[gate] & self._pin_delta(
+                        op, slot, baseline[src] ^ full, baseline
+                    )
+                    folded += 1
+        self._count_ops(folded)
+        return tuple(roots), tuple(sens)
+
+    def _pin_delta(self, op, slot: int, operand: int, baseline) -> int:
+        """Points where ``op``'s output changes when pin ``slot`` reads
+        ``operand`` instead of its baseline (one op evaluation)."""
+        operands = [baseline[s] for s in op.srcs]
+        operands[slot] = operand
+        return evaluate_mask(op.kind, operands, self.full) ^ baseline[op.out]
+
+    def _count_ops(self, ops: int) -> None:
+        if _REG.enabled:
+            _M_OPS.inc(ops, backend="bitmask")
+            _M_WORDS.inc(ops * self._words_per_line, backend="bitmask")
+
+    def _single_site(self, fault: FaultLike) -> Optional[Tuple[int, int]]:
+        """``(root, m)`` of a fault that resolves to exactly one stem or
+        one pin — ``m`` the points where it complements ``root`` — else
+        ``None``."""
+        comp = self.compiled
+        stems, pins = comp.resolve(fault)
+        if len(stems) + sum(len(forces) for forces in pins.values()) != 1:
+            return None
+        baseline = self.baseline()
+        roots, sens = self.regions()
+        if stems:
+            ((line, value),) = stems.items()
+            differs = baseline[line] ^ self.full if value else baseline[line]
+            return roots[line], sens[line] & differs
+        ((pos, ((slot, value),)),) = pins.items()
+        op = comp.ops[pos]
+        self._count_ops(1)
+        forced = self._pin_delta(
+            op, slot, self.full if value else 0, baseline
+        )
+        return roots[op.out], sens[op.out] & forced
+
+    def _halves(self, mask: int) -> Tuple[int, int]:
+        """``(lo, hi)`` of a truth-table mask: bit ``p`` of ``lo`` is
+        point ``p < H`` and bit ``p`` of ``hi`` its complement ``~p``,
+        so pair ``p`` is bit ``p`` of both."""
+        if not self._half:
+            return mask, mask
+        return mask & self._low, reverse_bits(
+            mask >> self._half, self.compiled.n_inputs - 1
+        )
+
+    def _join(self, lo: int, hi: int) -> int:
+        """The truth-table mask of :meth:`_halves` ``(lo, hi)``."""
+        if not self._half:
+            return lo
+        return lo | reverse_bits(hi, self.compiled.n_inputs - 1) << self._half
+
+    def _root_flip(self, root: int) -> Tuple:
+        """``(deltas, detected, all_alternate)`` of complementing ``root``
+        everywhere: ``deltas`` holds ``(k, lo, hi, alternates)`` of each
+        output ``k`` whose table changes — the :meth:`_halves` of its
+        delta and its pair alternation mask — and the other two fold the
+        outputs it leaves alone into pair masks.  One simulation of the
+        root's output cone, on first use."""
+        flip = self._flips.get(root)
+        if flip is not None:
+            return flip
+        comp = self.compiled
+        full = self.full
+        baseline = self.baseline()
+        values = list(baseline)
+        values[root] ^= full
+        ops = comp.ops
+        cone = comp.cone_ops(root)
+        for pos in cone:
+            op = ops[pos]
+            values[op.out] = evaluate_mask(
+                op.kind, [values[s] for s in op.srcs], full
+            )
+        self._count_ops(len(cone))
+        low = self._low
+        deltas = []
+        detected = 0
+        all_alternate = low
+        for k, (idx, alternates) in enumerate(
+            zip(comp.out_idx, self.normals()[1])
+        ):
+            alternates &= low  # pair-symmetric: its lower half is per pair
+            delta = values[idx] ^ baseline[idx]
+            if delta:
+                deltas.append((k, *self._halves(delta), alternates))
+            else:
+                detected |= alternates ^ low
+                all_alternate &= alternates
+        flip = (tuple(deltas), detected, all_alternate)
+        self._flips[root] = flip
+        return flip
+
+    def _flip_pairs(self, root: int, m: int) -> Tuple[int, int, int]:
+        """:func:`table_response` of outputs ``O ^ (D & m)`` as masks over
+        pairs: output ``k`` alternates on pair ``p`` unless exactly one
+        of its two points flips, ``alt ^ e_lo ^ e_hi`` with ``e = D & m``
+        split by :meth:`_halves` — one reversal, of ``m``, per fault."""
+        deltas, detected, all_alternate = self._root_flip(root)
+        if not deltas:
+            return 0, detected, 0
+        low = self._low
+        m_lo, m_hi = self._halves(m)
+        affected = 0
+        for _k, delta_lo, delta_hi, alternates in deltas:
+            wrong_lo = delta_lo & m_lo
+            wrong_hi = delta_hi & m_hi
+            affected |= wrong_lo | wrong_hi
+            alternates ^= wrong_lo ^ wrong_hi
+            detected |= alternates ^ low
+            all_alternate &= alternates
+        return affected, detected, affected & all_alternate
+
+    def region_output_bits(
+        self, fault: FaultLike
+    ) -> Optional[Tuple[int, ...]]:
+        """The output tables :meth:`response_triple` classifies for a
+        fault on the stem-region path, ``O ^ (D & m)``; ``None`` for a
+        fault that takes the cone path."""
+        site = self._single_site(fault)
+        if site is None:
+            return None
+        root, m = site
+        m_lo, m_hi = self._halves(m)
+        outputs = list(self.output_bits())
+        for k, delta_lo, delta_hi, _alt in self._root_flip(root)[0]:
+            outputs[k] ^= self._join(delta_lo & m_lo, delta_hi & m_hi)
+        return tuple(outputs)
 
 
 def pack_pattern_masks(

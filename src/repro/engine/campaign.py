@@ -3,8 +3,9 @@
 A fault campaign asks one question many times: "how does this network
 respond to fault *f*?".  :class:`FaultSweep` amortizes everything that is
 fault-independent — the compiled op program, the fault-free baseline
-masks, and the per-output alternation masks — so each fault costs only a
-cone-pruned re-simulation plus a handful of integer operations.
+masks, the per-output alternation masks and, on the big-int rung, the
+stem regions with one flip simulation per fanout stem — so each fault
+costs only a handful of integer operations.
 
 The SCAL pair-level classification lives here in raw-integer form (the
 :class:`~repro.core.simulate.ScalSimulator` wraps it back into
@@ -15,10 +16,10 @@ The SCAL pair-level classification lives here in raw-integer form (the
 * **violations** — pairs where some output is wrong yet every output
   alternates: the undetected fault-secure violation of Theorem 3.1.
 
-Bulk sweeps route through a backend-selection heuristic
-(:func:`~repro.engine.vectorized.select_backend`): small batches stay on
-the scalar big-int path, large ones go to the fault-batched NumPy
-backends (without NumPy every sweep runs on the big-int path, and
+Bulk sweeps route through a backend-selection rule
+(:func:`~repro.engine.vectorized.select_backend`): up to 20 inputs they
+run on the big-int stem-region path, wider ones on the chunked NumPy
+block backend (without NumPy every sweep runs on the big-int path, and
 :func:`~repro.engine.vectorized.resolve_rung` refuses exhaustive
 sweeps the big-int tables cannot hold).  Execution —
 serial or fanned out across supervised fork workers with per-chunk
@@ -111,14 +112,14 @@ class FaultSweep:
             include_inputs, include_pins, collapse=False
         )
 
-    def _resolve_backend(self, backend: str, n_faults: int) -> str:
+    def _resolve_backend(self, backend: str) -> str:
         if backend not in SWEEP_BACKENDS:
             raise ValueError(
                 f"unknown sweep backend {backend!r}; "
                 f"expected one of {SWEEP_BACKENDS}"
             )
         if backend == "auto":
-            backend = select_backend(self.n, n_faults)
+            backend = select_backend(self.n)
         return resolve_rung(self.engine, backend)
 
     def sweep(
@@ -135,7 +136,7 @@ class FaultSweep:
     ) -> List[Tuple[FaultLike, str]]:
         """Classify every fault under the supervised campaign runtime.
 
-        ``backend`` is ``auto`` (the :func:`select_backend` heuristic),
+        ``backend`` is ``auto`` (the :func:`select_backend` rule),
         ``bitmask`` (big-int masks, pure Python), or ``vectorized``
         (NumPy fault-batched; degrades to ``bitmask`` without NumPy).
         A sweep that resolves to ``bitmask`` on a circuit beyond
@@ -159,7 +160,7 @@ class FaultSweep:
         poll interval, with completed chunks already checkpointed.
         """
         universe = list(faults)
-        chosen = self._resolve_backend(backend, len(universe))
+        chosen = self._resolve_backend(backend)
         statuses, report = run_campaign(
             self,
             universe,

@@ -307,22 +307,34 @@ def universe_fingerprint(universe: Sequence, n_inputs: int) -> str:
     return digest.hexdigest()
 
 
-class CampaignCheckpoint:
-    """Completed chunk statuses, flushed to JSON after every chunk.
+def _is_status(payload) -> bool:
+    return payload in VALID_STATUSES
 
-    The artifact maps contiguous index ranges of the ordered fault
-    universe to their statuses; resuming fills those ranges and
-    re-chunks only the uncovered remainder, so chunk-size changes
-    between runs cannot corrupt a resume.
+
+class CampaignCheckpoint:
+    """Completed chunk payloads, flushed to JSON after every chunk.
+
+    The artifact maps contiguous index ranges of the ordered universe to
+    their payloads (statuses, for fault chunks); resuming fills those
+    ranges and re-chunks only the uncovered remainder, so chunk-size
+    changes between runs cannot corrupt a resume.  ``valid`` is the
+    chunk kind's check of one loaded payload.
     """
 
     VERSION = 1
 
-    def __init__(self, path: str, fingerprint: str, n_faults: int) -> None:
+    def __init__(
+        self,
+        path: str,
+        fingerprint: str,
+        n_faults: int,
+        valid: Callable[[object], bool] = _is_status,
+    ) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.n_faults = n_faults
-        self.ranges: Dict[Tuple[int, int], List[str]] = {}
+        self.valid = valid
+        self.ranges: Dict[Tuple[int, int], List] = {}
 
     def load(self) -> None:
         """Read and validate an existing artifact (for ``--resume``)."""
@@ -346,7 +358,7 @@ class CampaignCheckpoint:
                     f"of bounds for {self.n_faults} faults"
                 )
             if len(statuses) != stop - start or not all(
-                s in VALID_STATUSES for s in statuses
+                self.valid(s) for s in statuses
             ):
                 raise CheckpointError(
                     f"checkpoint {self.path!r} range {start}:{stop} holds "
@@ -402,12 +414,16 @@ class ChunkKind:
     span; ``reports`` makes a run emit ``campaign.report`` (or
     ``campaign.cancelled``) and the wall, status and cancel metrics.
     ``step_down`` maps a rung that fails in the parent to the serial
-    rung below it; a rung missing there re-raises.
+    rung below it; a rung missing there re-raises.  A checkpoint is
+    keyed by ``identity(host, items)`` (what a resumed run must match)
+    and accepts a loaded payload only if ``valid_payload`` does.
     """
 
     evaluate: Callable[[object, Sequence, str], List]
     worker_host: Callable[[object], object]
     span: Callable[[int, str, int], object]
+    identity: Callable[[object, Sequence], str]
+    valid_payload: Callable[[object], bool]
     reports: bool = True
     step_down: Mapping[str, str] = dataclasses.field(default_factory=dict)
 
@@ -431,6 +447,8 @@ FAULT_CHUNKS = ChunkKind(
     span=lambda n_faults, rung, processes: obs.span(
         "campaign.run", faults=n_faults, backend=rung, processes=processes
     ),
+    identity=lambda sweep, faults: universe_fingerprint(faults, sweep.n),
+    valid_payload=_is_status,
     step_down={"vectorized": "bitmask"},
 )
 
@@ -809,7 +827,7 @@ def _run_campaign(
     store: Optional[CampaignCheckpoint] = None
     if checkpoint is not None:
         store = CampaignCheckpoint(
-            checkpoint, universe_fingerprint(universe, host.n), n
+            checkpoint, kind.identity(host, universe), n, kind.valid_payload
         )
         if resume:
             store.load()

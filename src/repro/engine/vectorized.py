@@ -1,9 +1,9 @@
 """Vectorized fault-batched simulation: PPSFP over packed truth tables.
 
-The scalar backends pay Python interpreter overhead *per fault per op*:
-a campaign over F faults re-runs each fault's cone schedule one big-int
-operation at a time.  This module removes that cost with
-parallel-pattern, parallel-fault simulation (PPSFP):
+Re-running each fault's cone schedule one big-int operation at a time
+pays Python interpreter overhead *per fault per op*.  This module
+removes that cost with parallel-pattern, parallel-fault simulation
+(PPSFP):
 
 * every line's ``2**n``-point table is packed into ``uint64`` words, and
 * a whole **block of faults** is simulated at once along a second axis:
@@ -33,6 +33,11 @@ with itself, which never alternates.  The public raw masks
 ``_table_order``: the upper half reversed by
 :func:`~repro.logic.truthtable.reverse_bits`.
 
+The big-int rung sidesteps the per-fault cone instead (its stem-region
+sweep pays one flip simulation per fanout stem), which is why ``auto``
+keeps it up to 20 inputs; this module serves the wider spaces, where
+its word tiles bound memory.
+
 For wide input spaces the word axis is processed in **tiles**: words
 ``[lo, lo+K)`` of the lower half together with ``[H+lo, H+lo+K)``, so
 the alternation test stays local while memory is bounded by
@@ -43,8 +48,8 @@ When NumPy is missing, the big-int
 classification (a big int *is* a packed word array — CPython already
 stores it as 30-bit digits and runs mask ops in C).  Callers never
 branch on NumPy availability: :func:`select_backend` picks a rung from
-the campaign's shape and :func:`resolve_rung` maps it to the rung an
-engine can actually serve.
+the campaign's input width and :func:`resolve_rung` maps it to the rung
+an engine can actually serve.
 """
 
 from __future__ import annotations
@@ -90,24 +95,14 @@ except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
 
 HAVE_NUMPY = _np is not None
 
-#: Fault batches below this size cannot amortize block set-up; the
-#: scalar bitmask path wins.  Not a row of the ``bench_rungs.py`` grid
-#: (every row sweeps a few hundred faults): it bounds the block rung
-#: from below on tiny universes, such as synthesis fitness chunks.
-VECTOR_MIN_FAULTS = 8
-
-#: Widest input space ``auto`` sweeps on ``vectorized``.  Grid rows 13
-#: and 14 of ``benchmarks/bench_rungs.py`` (cold, 120-gate 16-output
-#: nets): ``vectorized`` is the fastest rung up to 12 inputs and level
-#: with ``bitmask`` at 13 (about 15 ms each); ``bitmask`` wins from 14
-#: (about 20 vs 30 ms).
-AUTO_VECTOR_MAX_INPUTS = 13
-
 #: Widest input space ``auto`` sweeps on ``bitmask`` when NumPy is
-#: present.  Grid row 20 (a ``slow`` row): ``bitmask`` is still the
-#: fastest rung there (about 540 vs 700 ms); above it ``auto`` takes
-#: the chunked ``vectorized`` rung, whose word tiles keep memory bounded
-#: where the big-int rung holds a whole ``2**n``-bit table per line.
+#: present.  The big-int rung classifies by stem regions (one flip
+#: simulation per fanout stem, see :mod:`repro.engine.backends`), which
+#: makes it the fastest cold rung on every row of
+#: ``benchmarks/bench_rungs.py``'s grid from 8 to 20 inputs; above 20
+#: ``auto`` takes the chunked ``vectorized`` rung, whose word tiles keep
+#: memory bounded where the big-int rung holds a whole ``2**n``-bit
+#: table per line.
 AUTO_BITMASK_MAX_INPUTS = 20
 
 #: Faults simulated per block (the PPSFP fault axis).
@@ -141,35 +136,29 @@ _LOW_PATTERNS = (
 
 
 def select_backend(
-    n_inputs: int,
-    n_faults: int,
-    numpy_available: Optional[bool] = None,
+    n_inputs: int, numpy_available: Optional[bool] = None
 ) -> str:
-    """Pick an execution backend from the campaign's shape.
+    """Pick an execution backend from the campaign's input width.
 
-    ==================  =============  ==================================
-    input space         fault count    backend
-    ==================  =============  ==================================
-    any                 any            ``bitmask`` without NumPy
-    ``n ≤ 13``          ``< 8``        ``bitmask`` (big-int masks)
-    ``n ≤ 13``          ``≥ 8``        ``vectorized`` (NumPy blocks)
-    ``13 < n ≤ 20``     any            ``bitmask``
-    ``n > 20``          any            ``vectorized`` (chunked)
-    ==================  =============  ==================================
+    ==================  ==================================
+    input space         backend
+    ==================  ==================================
+    any                 ``bitmask`` without NumPy
+    ``n ≤ 20``          ``bitmask`` (big-int stem regions)
+    ``n > 20``          ``vectorized`` (chunked NumPy)
+    ==================  ==================================
 
     ``bitmask`` is the pure-Python big-int path, the only choice without
-    NumPy.  Every cut-off is a row of ``benchmarks/bench_rungs.py``'s
-    cold crossover grid (see the constants' comments).
+    NumPy.  The cut-off is a row of ``benchmarks/bench_rungs.py``'s cold
+    crossover grid (see :data:`AUTO_BITMASK_MAX_INPUTS`); the fault
+    count does not enter: a stem-region sweep pays per fanout stem, not
+    per fault, so the block rung's batching never catches up below it.
     """
     if numpy_available is None:
         numpy_available = HAVE_NUMPY
-    if not numpy_available:
-        return "bitmask"
-    if n_inputs <= AUTO_BITMASK_MAX_INPUTS and (
-        n_faults < VECTOR_MIN_FAULTS or n_inputs > AUTO_VECTOR_MAX_INPUTS
-    ):
-        return "bitmask"
-    return "vectorized"
+    if numpy_available and n_inputs > AUTO_BITMASK_MAX_INPUTS:
+        return "vectorized"
+    return "bitmask"
 
 
 def resolve_rung(engine, rung: str, exhaustive: bool = True) -> str:

@@ -13,6 +13,12 @@ around.  The registered invariants:
   fault (the differential anchor for the single-engine seam); the NumPy
   vectorized block backend (when installed) matches the same tables and
   produces byte-identical sweep statuses.
+* ``stem-region-agreement`` — the bitmask backend's stem-region path
+  (one flip simulation per fanout stem) gives every single fault of the
+  uncollapsed universe, dead lines included, the output tables and
+  ``(affected, detected, violations)`` of its cone-plan re-simulation,
+  on every gate kind, duplicate pins, outputs that feed gates, and 0 to
+  7 or 20 inputs.
 * ``alternation-self-dual`` — a synthesized self-dual network satisfies
   ``F(X̄) = ¬F(X)`` at every point (Definition 2.5 / Theorem 2.1), per
   the reference interpreter, and the engine's tables match it.
@@ -69,10 +75,11 @@ from ..core.atpg import Podem
 from ..core.collapse import equivalence_collapse, sorted_stem_universe
 from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
-from ..engine.backends import bitmask_pattern_bits
+from ..engine.backends import bitmask_pattern_bits, table_response
 from ..engine.vectorized import HAVE_NUMPY, VectorizedBackend
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
-from ..logic.network import Network
+from ..logic.gates import GateKind
+from ..logic.network import Gate, Network
 from ..scal.alternating import AlternatingRun, AlternatingStep, RowTrace
 from ..scal.codeconv import to_code_conversion
 from ..scal.dualff import to_dual_flipflop
@@ -214,6 +221,88 @@ backend_agreement = register(
     "the naive interpreter bit-for-bit under every single fault, with "
     "identical sweep statuses",
 )((_gen_mixed, _check_backend_agreement))
+
+
+# ----------------------------------------------------------------------
+# stem-region-agreement
+# ----------------------------------------------------------------------
+#: Input widths of the stem-region cases: no inputs, one, the 64-bit
+#: word boundary (6/7) and the widest ``auto`` sweeps on ``bitmask``.
+STEM_REGION_WIDTHS = (0, 1, 2, 3, 4, 6, 7, 20)
+
+_REGION_KINDS = tuple(
+    kind for kind in GateKind if kind is not GateKind.INPUT
+)
+
+
+def random_region_network(
+    rng: random.Random, n_inputs: int, n_gates: int
+) -> Network:
+    """A small net over every gate kind whose pins are drawn with
+    replacement (so ``AND(a, a)`` occurs), with a random output set
+    that may hold gates read by other gates, inputs, and leave dead
+    lines behind."""
+    inputs = [f"x{i}" for i in range(n_inputs)]
+    lines = list(inputs)
+    gates = []
+    for g in range(n_gates):
+        kind = rng.choice(_REGION_KINDS)
+        if not lines or kind in (GateKind.CONST0, GateKind.CONST1):
+            kind = rng.choice((GateKind.CONST0, GateKind.CONST1))
+            arity = 0
+        elif kind in (GateKind.NOT, GateKind.BUF):
+            arity = 1
+        elif kind is GateKind.MAJ:
+            arity = rng.choice((3, 5))
+        else:
+            arity = rng.randint(1, 3)
+        srcs = tuple(rng.choice(lines) for _ in range(arity))
+        gates.append(Gate(f"g{g}", kind, srcs))
+        lines.append(f"g{g}")
+    outputs = rng.sample(lines, rng.randint(1, min(3, len(lines))))
+    return Network(inputs, gates, outputs, name="stem_region")
+
+
+def _gen_stem_region(rng: random.Random) -> Case:
+    n = rng.choice(STEM_REGION_WIDTHS)
+    return Case(network=random_region_network(rng, n, rng.randint(1, MAX_GATES)))
+
+
+def _check_stem_region(case: Case) -> Optional[str]:
+    net = case.network
+    if net is None:
+        return None
+    engine = NetworkEngine(net)
+    bitmask = engine.bitmask
+    n = len(net.inputs)
+    normals = bitmask.normals()
+    universe = engine.compiled.fault_universe(collapse=False, live_only=False)
+    for fault in universe:
+        label = fault.describe()
+        cone = bitmask.output_bits(fault)  # the fault_plan re-simulation
+        region = bitmask.region_output_bits(fault)
+        if region is None:
+            return f"single fault {label} missed the stem-region path"
+        if region != cone:
+            return (
+                f"stem-region tables disagree with the cone plan under "
+                f"{label}: {region} != {cone}"
+            )
+        want = table_response(normals, cone, n)
+        got = bitmask.response_triple(fault)
+        if got != want:
+            return (
+                f"stem-region response disagrees with the cone plan under "
+                f"{label}: {got} != {want}"
+            )
+    return None
+
+
+stem_region_agreement = register(
+    "stem-region-agreement",
+    "the bitmask stem-region path gives every single fault the output "
+    "tables and response masks of its cone-plan re-simulation",
+)((_gen_stem_region, _check_stem_region))
 
 
 # ----------------------------------------------------------------------

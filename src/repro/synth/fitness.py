@@ -1,4 +1,4 @@
-"""Candidate fitness: vectorized alternation sweeps + fault coverage.
+"""Candidate fitness: exhaustive alternation sweeps + fault coverage.
 
 A candidate's fitness has four graded components, each derived from the
 same machinery the verification paths use (so the search optimizes the
@@ -9,14 +9,16 @@ real acceptance criteria, not a proxy):
 * **self-duality** — the number of points where ``F(X̄) ≠ ¬F(X)``
   (:func:`repro.logic.truthtable.reverse_bits` over the same tables);
 * **coverage** — the collapsed stuck-at universe swept through
-  :func:`repro.engine.vectorized.chunk_statuses` on the word-axis block
-  backends; ``dangerous`` faults (wrong *and* still alternating) are
-  the self-checking violations the search minimizes;
+  :func:`repro.engine.vectorized.chunk_statuses` on the rung
+  :func:`~repro.engine.vectorized.select_backend` picks (the big-int
+  stem-region sweep at synthesis sizes); ``dangerous`` faults (wrong
+  *and* still alternating) are the self-checking violations the search
+  minimizes;
 * **area** — :func:`repro.scal.costs.network_cost` under the Table 4.1
   unit model, a small pressure toward the Pareto front's cheap end.
 
 The module exposes two evaluators with byte-identical records: the
-**batched** path (big-int tables + block-backend sweeps — what
+**batched** path (big-int tables + exhaustive rung sweeps — what
 campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
@@ -32,6 +34,7 @@ has no rung to step down to.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from typing import Dict, List, Sequence, Tuple
 
@@ -151,9 +154,9 @@ def _scalar_tables(engine: NetworkEngine, fault) -> Tuple[int, ...]:
 def _scalar_statuses(
     engine: NetworkEngine, universe: Sequence
 ) -> Tuple[Tuple[int, ...], List[str]]:
-    """Per-fault scalar classification through the same
-    :func:`~repro.engine.backends.table_response` the bitmask backend
-    uses, so statuses match the block backends bit for bit."""
+    """Per-fault scalar classification through
+    :func:`~repro.engine.backends.table_response`, the reference every
+    rung's classification is byte-identical to."""
     n = engine.compiled.n_inputs
     normals = table_normals(_scalar_tables(engine, None), n)
     statuses: List[str] = []
@@ -188,7 +191,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
             backend = "scalar"
         else:
             bits = engine.bitmask.output_bits(None)
-            backend = select_backend(n, len(universe))
+            backend = select_backend(n)
             statuses = chunk_statuses(engine, universe, backend)
         spec_hamming = sum(
             _popcount((b ^ t) & full) for b, t in zip(bits, spec_tables)
@@ -233,6 +236,27 @@ def evaluate_chunk(
     return payloads
 
 
+def tasks_fingerprint(_host, tasks: Sequence[Dict[str, object]]) -> str:
+    """Checkpoint identity of a batch: its ordered tasks, each in
+    canonical JSON (a record is a pure function of its task)."""
+    digest = hashlib.sha256(b"synth-tasks")
+    for task in tasks:
+        digest.update(b"\x00" + json.dumps(task, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def is_record_json(payload: object) -> bool:
+    """Whether a checkpointed payload is a :class:`FitnessRecord`'s
+    JSON."""
+    if not isinstance(payload, str):
+        return False
+    try:
+        FitnessRecord.from_json(payload)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 #: Candidate scoring: each candidate compiles its own engine, so there is
 #: no host, and a batch (one per generation) emits a ``synth.batch`` span
 #: instead of ``campaign.report``; the ``synth.*`` events tell the story.
@@ -242,5 +266,7 @@ SYNTH_CHUNKS = ChunkKind(
     span=lambda n_candidates, _rung, processes: obs.span(
         "synth.batch", candidates=n_candidates, processes=processes
     ),
+    identity=tasks_fingerprint,
+    valid_payload=is_record_json,
     reports=False,
 )

@@ -297,62 +297,199 @@ class TestVectorizedEquivalence:
         ) == eng.bitmask.sweep_statuses(universe)
 
 
+def shape_network(n_inputs):
+    """Every shape the stem-region sweep must get right, on ``n_inputs``
+    inputs: CONST, NOT, BUF, MAJ, MIN, XNOR, OR and NAND gates, the
+    duplicate pins of ``AND(a, a)``, an output (``mj``) that also feeds
+    gates, and a dead gate."""
+    inputs = [f"x{i}" for i in range(n_inputs)]
+    a = inputs[0] if inputs else "k1"
+    last = inputs[-1] if inputs else "k0"
+    gates = [
+        Gate("k1", GateKind.CONST1, ()),
+        Gate("k0", GateKind.CONST0, ()),
+        Gate("d", GateKind.AND, (a, a)),
+        Gate("nb", GateKind.NOT, (a,)),
+        Gate("bf", GateKind.BUF, ("d",)),
+        Gate("mj", GateKind.MAJ, ("bf", "nb", last)),
+        Gate("mn", GateKind.MIN, ("mj", "k1", a)),
+        Gate("xn", GateKind.XNOR, ("mj", "mn")),
+        Gate("y", GateKind.OR, ("xn", "bf")),
+        Gate("dead", GateKind.NAND, ("y", "k0")),
+    ]
+    return Network(inputs, gates, ["mj", "y"], name=f"shapes{n_inputs}")
+
+
+class TestStemRegion:
+    """The bitmask backend's stem-region classification (one flip
+    simulation per fanout stem) against its cone-plan path."""
+
+    @pytest.mark.parametrize("n_inputs", [0, 1, 6, 7, 20])
+    def test_edge_shapes_agree_with_cone_plans(self, n_inputs):
+        from repro.qa import Case
+        from repro.qa.properties import (
+            _check_stem_region,
+            random_region_network,
+        )
+
+        net = shape_network(n_inputs)
+        universe = NetworkEngine(net).compiled.fault_universe(
+            collapse=False, live_only=False
+        )
+        described = {fault.describe() for fault in universe}
+        assert {"dead s/0", "d.pin1 s/1", "mj s/1"} <= described
+        assert _check_stem_region(Case(network=net)) is None
+        for seed in range(2 if n_inputs == 20 else 6):
+            rng = random.Random(f"stem-region:{n_inputs}:{seed}")
+            case = Case(network=random_region_network(rng, n_inputs, 8))
+            assert _check_stem_region(case) is None, seed
+
+    def test_other_faults_keep_the_cone_path(self):
+        """A multiple fault, a stem on an absent line and an out-of-range
+        pin slot take the cone plan, with the reference interpreter's
+        tables."""
+        from repro.engine.backends import table_response
+        from repro.logic.faults import MultipleFault
+        from repro.qa.reference import reference_output_bits
+
+        net = shape_network(3)
+        bitmask = NetworkEngine(net).bitmask
+        for fault in (
+            MultipleFault((StuckAt("d", 1), PinStuckAt("y", 0, 0))),
+            StuckAt("absent", 1),
+            PinStuckAt("y", 7, 1),
+        ):
+            assert bitmask.region_output_bits(fault) is None
+            tables = reference_output_bits(net, fault)
+            assert bitmask.output_bits(fault) == tables
+            assert bitmask.response_triple(fault) == table_response(
+                bitmask.normals(), tables, 3
+            )
+
+    def test_threads_share_one_engine(self):
+        """``serve`` threads share one engine: concurrent first-use
+        derivation of the regions and root flips must give every thread
+        the serial statuses."""
+        import sys
+        import threading
+
+        net = random_mixed_network(
+            random.Random("stem-region-threads"), 9, 80, n_outputs=8
+        )
+        universe = NetworkEngine(net).compiled.fault_universe(collapse=False)
+        reference = NetworkEngine(net).bitmask.sweep_statuses(universe)
+        shared = NetworkEngine(net).bitmask
+        results = [None] * 6
+        start = threading.Barrier(len(results))
+
+        def work(slot):
+            start.wait(timeout=30)
+            results[slot] = shared.sweep_statuses(universe)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot,))
+                for slot in range(len(results))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [reference] * len(results)
+
+    def test_op_count(self):
+        """A collapsed bitmask sweep evaluates the baseline, one op per
+        sensitized pin (each folded line's reader and each pin fault's
+        gate) and the output cone of each root it flips — no cone per
+        fault.  On a 120-gate, 16-output net that is under a third of
+        the per-fault cone plans' ops."""
+        from repro import obs
+        from repro.logic.faults import PinStuckAt as Pin
+
+        net = random_mixed_network(
+            random.Random("stem-region-ops"), 10, 120, n_outputs=16
+        )
+        obs.enable_metrics(True)
+        engine = NetworkEngine(net)
+        comp = engine.compiled
+        universe = comp.fault_universe()
+        FaultSweep(net, engine=engine).sweep(universe, backend="bitmask")
+        roots, _sens = engine.bitmask.regions()
+        flipped = set()
+        pins = 0
+        for fault in universe:
+            if isinstance(fault, Pin):
+                pins += 1
+                flipped.add(roots[comp.index[fault.gate]])
+            else:
+                flipped.add(roots[comp.index[fault.line]])
+        expected = (
+            len(comp.ops)
+            + sum(comp.branch_folds)
+            + pins
+            + sum(len(comp.cone_ops(root)) for root in flipped)
+        )
+        assert obs.REGISTRY.total("repro_engine_ops_total") == expected
+        cone_plans = len(comp.ops) + sum(
+            len(comp.fault_plan(fault).ops) for fault in universe
+        )
+        assert 3 * expected <= cone_plans
+
+
 class TestBackendSelection:
-    """The table in ``select_backend``'s docstring, whose cut-offs are
-    rows of ``benchmarks/bench_rungs.py``'s cold crossover grid."""
+    """The table in ``select_backend``'s docstring, whose cut-off is a
+    row of ``benchmarks/bench_rungs.py``'s cold crossover grid."""
 
-    def test_small_batches_stay_scalar(self):
-        assert select_backend(4, 3, numpy_available=True) == "bitmask"
-        assert select_backend(4, 3, numpy_available=False) == "bitmask"
-        assert select_backend(13, 7, numpy_available=True) == "bitmask"
-        assert select_backend(20, 2, numpy_available=True) == "bitmask"
+    def test_fault_count_does_not_enter(self):
+        # The rule takes the input width alone: there is no fault-count
+        # argument left to pass.
+        import inspect
 
-    def test_large_batches_vectorize(self):
-        assert select_backend(4, 200, numpy_available=True) == "vectorized"
-        assert select_backend(4, 200, numpy_available=False) == "bitmask"
-        assert select_backend(13, 8, numpy_available=True) == "vectorized"
+        assert list(inspect.signature(select_backend).parameters) == [
+            "n_inputs",
+            "numpy_available",
+        ]
+        for n in (0, 1, 4, 6, 7, 13, 20):
+            assert select_backend(n, numpy_available=True) == "bitmask"
+            assert select_backend(n, numpy_available=False) == "bitmask"
 
     def test_wide_inputs_block_even_for_few_faults(self):
         # Above 20 inputs the chunked vectorized rung takes every sweep
         # NumPy can serve, whatever the fault count.
         for n in (21, 24):
-            for faults in (1, 2, 200):
-                assert (
-                    select_backend(n, faults, numpy_available=True)
-                    == "vectorized"
-                )
-                assert (
-                    select_backend(n, faults, numpy_available=False)
-                    == "bitmask"
-                )
+            assert select_backend(n, numpy_available=True) == "vectorized"
+            assert select_backend(n, numpy_available=False) == "bitmask"
 
     def test_crossover_boundaries(self):
-        # 13/14: vectorized wins the grid up to 13 inputs, bitmask from
-        # 14; 20/21: bitmask up to 20, then the chunked vectorized rung.
+        # 20/21: bitmask up to 20, then the chunked vectorized rung;
+        # without NumPy bitmask on both sides.
         for n_inputs, expected in (
-            (12, "vectorized"),
-            (13, "vectorized"),
+            (13, "bitmask"),
             (14, "bitmask"),
             (20, "bitmask"),
             (21, "vectorized"),
         ):
             assert (
-                select_backend(n_inputs, 200, numpy_available=True)
-                == expected
+                select_backend(n_inputs, numpy_available=True) == expected
             ), n_inputs
             assert (
-                select_backend(n_inputs, 200, numpy_available=False)
-                == "bitmask"
+                select_backend(n_inputs, numpy_available=False) == "bitmask"
             ), n_inputs
 
     def test_default_reads_numpy_availability(self, monkeypatch):
         import repro.engine.vectorized
 
         monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", True)
-        assert select_backend(13, 200) == "vectorized"
+        assert select_backend(20) == "bitmask"
+        assert select_backend(21) == "vectorized"
         monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", False)
-        assert select_backend(13, 200) == "bitmask"
-        assert select_backend(21, 200) == "bitmask"
+        assert select_backend(20) == "bitmask"
+        assert select_backend(21) == "bitmask"
 
     def test_unknown_backend_name_rejected(self):
         sweep = FaultSweep(fig34_network())
@@ -435,11 +572,7 @@ class TestWideInputGuard:
 
     def test_selection_never_picks_bitmask_wide(self):
         for n in (26, 30, 40):
-            for faults in (1, 4, 100):
-                assert (
-                    select_backend(n, faults, numpy_available=True)
-                    != "bitmask"
-                )
+            assert select_backend(n, numpy_available=True) != "bitmask"
 
     def test_wide_sweep_without_numpy_names_numpy(self, monkeypatch):
         """Without NumPy every sweep resolves to the big-int bitmask

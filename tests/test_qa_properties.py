@@ -40,6 +40,7 @@ EXPECTED_PROPERTIES = {
     "collapse-verdict",
     "sampled-determinism",
     "seq-transform-equivalence",
+    "stem-region-agreement",
     "synth-determinism",
     "synth-soundness",
 }

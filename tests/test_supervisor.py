@@ -247,6 +247,19 @@ class TestCheckpointResume:
         # Completed chunks were not re-simulated.
         assert report.chunks_completed == report.chunks_total - 2
 
+    def test_fault_checkpoint_identity_is_unchanged(self):
+        """Fault-chunk checkpoints are keyed by the chunk kind now; the
+        key is still ``universe_fingerprint``, so files written before
+        keep loading (digest recorded before the kind owned it)."""
+        from repro.engine.supervisor import FAULT_CHUNKS
+        from repro.workloads.fig34 import fig34_network
+
+        sweep = fresh_sweep(fig34_network())
+        universe = sweep.single_fault_universe()
+        assert FAULT_CHUNKS.identity(sweep, universe) == (
+            "86ce70a1ccf6e9bdcfae87f53580f59c8d598953222db93989c75ec6762c092f"
+        )
+
     def test_interrupted_fork_campaign_resumes_under_fork(
         self, adder, adder_reference, tmp_path
     ):

@@ -21,6 +21,7 @@ from repro import obs
 from repro.cli import main
 from repro.core.analysis import analyze_network
 from repro.core.simulate import ScalSimulator
+from repro.engine import CampaignInterrupted, run_campaign
 from repro.engine.supervisor import CheckpointError
 from repro.logic.benchfmt import save_bench
 from repro.obs.recorder import MemoryRecorder
@@ -43,6 +44,7 @@ from repro.synth import (
     repair_campaign,
     spec_from_network,
 )
+from repro.synth.fitness import SYNTH_CHUNKS, SYNTH_RUNG
 from repro.workloads.randomlogic import random_alternating_network
 
 #: The known-good micro-campaign shape: population 24 with the ternary
@@ -272,6 +274,60 @@ class TestDeterminism:
             _campaign(
                 "or2", 2, generations=12, checkpoint=ckpt, resume=True
             ).run()
+
+    @staticmethod
+    def _batch_tasks(n_tasks=10):
+        rng = random.Random("synth-batch-checkpoint")
+        spec = SPECS["maj3"]
+        return [
+            make_task(random_genome(rng, spec.n_inputs, 6), spec)
+            for _ in range(n_tasks)
+        ]
+
+    def test_batch_checkpoint_resumes_byte_identically(self, tmp_path):
+        """A generation batch run through ``run_campaign`` with a
+        checkpoint, stopped after one chunk and resumed, gives the
+        uninterrupted run's records byte for byte."""
+        tasks = self._batch_tasks()
+        straight, _ = run_campaign(None, tasks, SYNTH_RUNG, kind=SYNTH_CHUNKS)
+        ckpt = str(tmp_path / "batch.ckpt.json")
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                None, tasks, SYNTH_RUNG, kind=SYNTH_CHUNKS, checkpoint=ckpt,
+                chunk_faults=3, abort_after_chunks=1,
+            )
+        resumed, report = run_campaign(
+            None, tasks, SYNTH_RUNG, kind=SYNTH_CHUNKS, checkpoint=ckpt,
+            resume=True, chunk_faults=3,
+        )
+        assert resumed == straight
+        assert report.chunks_resumed == 1
+        assert report.chunks_completed == report.chunks_total - 1
+
+    def test_batch_checkpoint_refuses_other_tasks_and_bad_records(
+        self, tmp_path
+    ):
+        tasks = self._batch_tasks()
+        ckpt = str(tmp_path / "batch.ckpt.json")
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                None, tasks, SYNTH_RUNG, kind=SYNTH_CHUNKS, checkpoint=ckpt,
+                chunk_faults=3, abort_after_chunks=1,
+            )
+        with pytest.raises(CheckpointError):  # another batch's identity
+            run_campaign(
+                None, tasks[::-1], SYNTH_RUNG, kind=SYNTH_CHUNKS,
+                checkpoint=ckpt, resume=True,
+            )
+        payload = json.load(open(ckpt))
+        payload["ranges"][0]["statuses"][0] = "detected"
+        with open(ckpt, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(CheckpointError):  # a status is no record
+            run_campaign(
+                None, tasks, SYNTH_RUNG, kind=SYNTH_CHUNKS, checkpoint=ckpt,
+                resume=True,
+            )
 
     @pytest.mark.parametrize(
         "sabotage",

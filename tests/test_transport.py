@@ -21,6 +21,7 @@ from repro.engine import (
     STORE,
     ArtifactStore,
     program_fingerprint,
+    select_backend,
 )
 from repro.logic.benchfmt import load_bench, parse_bench
 from repro.qa.chaos import sabotage_campaign
@@ -109,10 +110,10 @@ class TestTransportChaos:
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorized rung needs NumPy")
 @pytest.mark.parametrize("backend", ("auto", "vectorized"))
 def test_fork_fanout_never_builds_bitmask_baseline(backend):
-    """The parent of a forked block-backend campaign has no use for the
-    exhaustive big-int baseline (workers derive whatever their backend
-    reads), so fanning out must not build it — whether the vectorized
-    rung is picked by the heuristic (13 inputs) or asked for."""
+    """The parent of a forked campaign has no use for the exhaustive
+    big-int baseline (workers derive whatever their rung reads), so
+    fanning out must not build it — whether the rung is the one ``auto``
+    picks (``bitmask`` at 13 inputs) or ``vectorized`` asked for."""
     network = random_mixed_network(
         random.Random("fork-baseline"), 13, 120, n_outputs=16
     )
@@ -120,7 +121,8 @@ def test_fork_fanout_never_builds_bitmask_baseline(backend):
     universe = sweep.single_fault_universe()
     sweep.sweep(universe, processes=2, backend=backend)
     assert sweep.engine._bitmask is None
-    assert sweep.last_report.backend == "fork:vectorized"
+    rung = select_backend(13) if backend == "auto" else backend
+    assert sweep.last_report.backend == f"fork:{rung}"
 
 
 class TestArtifactStore:
