@@ -53,7 +53,6 @@ from .core.report import fault_table, render_fault_table, undetected_faults
 from .core.simulate import ScalSimulator
 from .core.testgen import all_test_pairs, format_pair
 from .engine.campaign import SWEEP_BACKENDS
-from .engine.vectorized import ATPG_RUNGS
 from .logic.benchfmt import load_bench, save_bench
 from .logic.faults import StuckAt
 from .logic.render import annotate_with_analysis, render_dot, render_listing
@@ -293,7 +292,6 @@ def cmd_atpg(args: argparse.Namespace) -> int:
             compact=not args.no_compact,
             candidates=args.candidates,
             pairs=args.pairs,
-            backend=args.backend,
             target_timeout=args.timeout,
             max_backtracks=args.max_backtracks,
             seed=args.seed,
@@ -564,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-dropping PODEM campaign (compacted test sets)",
     )
     p.add_argument("netlist")
-    p.add_argument("--backend", default="auto",
-                   choices=("auto",) + ATPG_RUNGS,
-                   help="pattern-simulation rung (default: auto; failures "
-                   "degrade vectorized -> bitmask -> pointwise)")
     p.add_argument("--candidates", type=int, default=8,
                    help="PODEM completion candidates simulated per "
                    "target (default 8)")

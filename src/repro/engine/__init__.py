@@ -14,7 +14,9 @@ simulate many times through one of two interchangeable scalar backends:
 
 The Chapter-4 clocked campaigns (:mod:`repro.seq.simulator`) run the
 same op program row-parallel through the bitmask primitive, one fault
-per bit.
+per bit; the fault-dropping ATPG driver (:mod:`repro.engine.atpg`)
+simulates its candidate patterns the same way, one fault per slot of
+pattern bits.
 
 The NumPy block backend (:attr:`NetworkEngine.vectorized`) batches
 whole fault blocks on top.
@@ -140,9 +142,6 @@ def engine_for(network: Network) -> NetworkEngine:
     return engine
 
 
-from .vectorized import chunk_pattern_bits  # noqa: E402
-
-
 def __getattr__(name: str):
     # Lazy re-export: engine.atpg pulls in core.atpg, which imports the
     # logic package, which imports this package — resolving it at first
@@ -183,7 +182,6 @@ __all__ = [
     "TransportFailure",
     "TransportUnavailable",
     "VectorizedBackend",
-    "chunk_pattern_bits",
     "compile_network",
     "engine_for",
     "program_fingerprint",

@@ -1,8 +1,9 @@
-"""Fault-dropping ATPG campaigns: guided PODEM + block-simulation drops.
+"""Fault-dropping ATPG campaigns: guided PODEM + fault-parallel drops.
 
 The scalar :class:`~repro.core.atpg.Podem` answers one fault at a time;
-the block backends classify whole fault universes per pass.  This driver
-fuses them into the classic fault-dropping loop:
+fault-parallel pattern simulation checks a pattern against a whole
+fault universe per pass.  This driver fuses them into the classic
+fault-dropping loop:
 
 1. **Target** the first remaining collapsed fault with a budgeted PODEM
    search (guided by the SCOAP-weighted backtrace in ``core/atpg``).
@@ -11,8 +12,9 @@ fuses them into the classic fault-dropping loop:
    candidate space; each completion detects the target but drops a
    different slice of the rest of the universe.
 3. **Simulate** every candidate against the *entire remaining* fault
-   universe in one word-packed pass (:func:`chunk_pattern_bits`: the
-   candidates live on the pattern axis, the faults on the block axis).
+   universe in one fault-parallel pass (:func:`pattern_detections`:
+   bit ``f*P + p`` of every line is fault ``f`` under candidate
+   pattern ``p``).
 4. **Drop** everything the best candidate detects and keep that pattern;
    redundant/aborted targets are classified and removed directly.
 
@@ -21,13 +23,12 @@ patterns against the detected set and discards every pattern whose
 coverage is subsumed — conservation is machine-checked by the
 ``atpg-compaction-conservation`` QA property.
 
-Pattern simulation runs down a vectorized → bitmask → pointwise
-degradation ladder (each step recorded as a
-:class:`~repro.engine.supervisor.Degradation`, mirroring the campaign
-supervisor's serial→scalar rung), per-target deadlines reuse
-``generate_test_ex``'s monotonic-deadline seam, and the whole run is
-instrumented through :mod:`repro.obs` (``atpg.target`` / ``atpg.chunk``
-spans, drop counters, a closing ``atpg.report`` event).
+Pattern simulation is one big-int pass of the clocked campaigns'
+row-parallel evaluator (:func:`~repro.seq.simulator.evaluate_rows`),
+so it needs no NumPy and has no fallback rungs; per-target deadlines
+reuse ``generate_test_ex``'s monotonic-deadline seam, and the whole run
+is instrumented through :mod:`repro.obs` (``atpg.target`` /
+``atpg.chunk`` spans, drop counters, a closing ``atpg.report`` event).
 
 In ``pairs`` mode every candidate is an alternating pair ``(X, X̄)``
 simulated as two adjacent pattern bits; a fault is dropped only when the
@@ -47,8 +48,10 @@ from ..core.atpg import Podem, PodemResult
 from ..core.collapse import sorted_stem_universe
 from ..logic.faults import Fault
 from ..logic.network import Network
-from .supervisor import Degradation
-from .vectorized import ATPG_RUNGS, chunk_pattern_bits, resolve_rung
+from ..seq.forcing import RowForcing
+from ..seq.simulator import evaluate_rows, force_fault
+from .backends import pack_pattern_masks
+from .compiled import CompiledNetwork, FaultLike
 
 _REG = obs.REGISTRY
 _M_TARGETS = _REG.counter(
@@ -65,14 +68,10 @@ _M_CANDIDATES = _REG.counter(
     "repro_atpg_candidates_total", "Candidate completions simulated"
 )
 
-#: Below this many targets, ``backend="auto"`` starts on the big-int
-#: bitmask rung: NumPy's fixed per-call overhead beats its fault-axis
-#: throughput on small universes.  On candidate-batch pattern
-#: simulation the crossover is ~8-16 targets at 10-14 inputs (a cutoff
-#: of 48 kept mid-sized universes on the slower rung).  Pattern tables
-#: are a few words wide, so the exhaustive sweep grid of
-#: ``benchmarks/bench_rungs.py`` does not set this one.
-AUTO_BITMASK_MAX_FAULTS = 16
+#: Bits per line of one :func:`pattern_detections` block (fault slots
+#: times patterns): 1,024 64-bit words.  A candidate batch is a few
+#: patterns wide, so one block takes thousands of faults.
+BLOCK_BITS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +86,6 @@ class AtpgReport:
     """
 
     circuit: str
-    backend: str
     pairs: bool
     requested: int
     detected: int
@@ -102,11 +100,6 @@ class AtpgReport:
     patterns: Tuple[int, ...]
     classifications: Dict[str, str]
     detected_by: Dict[str, int]
-    degradations: Tuple[Degradation, ...] = ()
-    #: The resolved simulation rung ``backend="auto"`` chose to *start*
-    #: on (``"vectorized"`` / ``"bitmask"``); for explicit backends,
-    #: the requested rung after availability resolution.
-    auto_rung: str = ""
 
     def coverage(self) -> float:
         """Detected fraction of the requested fault universe."""
@@ -128,16 +121,8 @@ class AtpgReport:
             f"{self.targets} PODEM targets, {self.dropped} dropped "
             f"without a search, "
             f"{self.candidates_evaluated} candidates simulated",
-            f"  backend {self.backend}"
-            + (
-                f" (auto started on {self.auto_rung})"
-                if self.auto_rung and self.auto_rung != self.backend
-                else ""
-            )
-            + f", {self.wall_seconds:.3f}s",
+            f"  {self.wall_seconds:.3f}s wall",
         ]
-        for d in self.degradations:
-            lines.append(f"  degraded {d.frm} -> {d.to}: {d.reason}")
         return "\n".join(lines)
 
 
@@ -188,26 +173,72 @@ def _candidate_patterns(
     return candidates
 
 
-def _detected_candidates(
-    base: Sequence[int], row: Sequence[int], n_candidates: int, pairs: bool
-) -> set:
-    """Indices of the candidates whose response differs under the fault.
+def pattern_detections(
+    compiled: CompiledNetwork,
+    patterns: Sequence[int],
+    faults: Sequence[FaultLike],
+    pairs: bool = False,
+) -> List[int]:
+    """One detection mask per fault over an explicit pattern list.
 
-    Single-pattern mode: any output bit differs.  Pairs mode (candidate
-    ``j`` occupies pattern bits ``2j``/``2j+1``): the good pair
-    alternates while the faulty pair does not — Theorem 3.2's
-    nonalternating-output test condition.
+    ``patterns`` are point encodings (bit ``i`` = input ``i``).  Bit
+    ``j`` of a fault's mask is set when pattern ``j`` detects it: some
+    output differs from the good circuit's.  In ``pairs`` mode patterns
+    ``2j``/``2j+1`` are one pair and only even bits are set: bit ``2j``
+    when, on some output, the good pair alternates and the faulty pair
+    does not — Theorem 3.2's nonalternating-output test condition.
+
+    Fault-parallel on :func:`~repro.seq.simulator.evaluate_rows`: with
+    ``P`` patterns, bit ``f*P + p`` of every line is fault ``f`` under
+    pattern ``p``.  The input masks are the packed patterns times the
+    slot-replication constant, each fault forces its whole ``P``-bit
+    slot, and a block holds at most :data:`BLOCK_BITS` bits per line.
+    Faults resolve through :meth:`CompiledNetwork.resolve`, so multiple
+    faults and absent lines need no special case.
     """
-    diff = 0
-    if pairs:
-        for good, bad in zip(base, row):
-            diff |= (good ^ (good >> 1)) & ~(bad ^ (bad >> 1))
-        return {j for j in range(n_candidates) if (diff >> (2 * j)) & 1}
-    for good, bad in zip(base, row):
-        diff |= good ^ bad
-    if not diff:
+    n_pat = len(patterns)
+    with obs.span("atpg.chunk", patterns=n_pat, faults=len(faults)):
+        if not n_pat:
+            return [0] * len(faults)
+        slot = (1 << n_pat) - 1
+        inputs = pack_pattern_masks(patterns, compiled.n_inputs)
+        good = evaluate_rows(compiled, inputs, RowForcing(n_pat))
+        good = [good[i] for i in compiled.out_idx]
+        if pairs:  # the good pairs that alternate, on their even bits
+            good = [(g ^ (g >> 1)) & slot // 3 for g in good]
+        per_block = max(1, BLOCK_BITS // n_pat)
+        masks: List[int] = []
+        for start in range(0, len(faults), per_block):
+            block = faults[start : start + per_block]
+            width = n_pat * len(block)
+            replicate = ((1 << width) - 1) // slot  # bit f*P per slot f
+            forcing = RowForcing(width)
+            for f, fault in enumerate(block):
+                force_fault(forcing, slot << (f * n_pat), fault, compiled)
+            values = evaluate_rows(
+                compiled, [m * replicate for m in inputs], forcing
+            )
+            diff = 0
+            for idx, g in zip(compiled.out_idx, good):
+                bad = values[idx]
+                if pairs:
+                    diff |= g * replicate & ~(bad ^ (bad >> 1))
+                else:
+                    diff |= g * replicate ^ bad
+            masks.extend(
+                (diff >> (f * n_pat)) & slot for f in range(len(block))
+            )
+    return masks
+
+
+def _detected_candidates(mask: int, n_candidates: int, pairs: bool) -> set:
+    """Indices of the candidates a :func:`pattern_detections` mask
+    credits: candidate ``j`` is bit ``2j`` in pairs mode, else bit
+    ``j``."""
+    if not mask:
         return set()
-    return {j for j in range(n_candidates) if (diff >> j) & 1}
+    step = 2 if pairs else 1
+    return {j for j in range(n_candidates) if (mask >> (step * j)) & 1}
 
 
 def run_atpg(
@@ -219,7 +250,6 @@ def run_atpg(
     compact: bool = True,
     candidates: int = 8,
     pairs: bool = False,
-    backend: str = "auto",
     target_timeout: Optional[float] = None,
     max_backtracks: int = 2000,
     seed: int = 0,
@@ -228,56 +258,28 @@ def run_atpg(
     """Run the fault-dropping ATPG campaign and report classifications.
 
     ``faults`` overrides the target universe (default: collapsed stem
-    representatives, or all stem faults with ``collapse=False``).
+    representatives, or all stem faults with ``collapse=False``);
+    repeats are dropped, keeping first occurrences in order.
     ``drop=False`` disables fault dropping (every fault gets its own
     PODEM search and keeps the scalar zero-fill completion — the
     scalar-parity reference mode), ``compact=False`` keeps every
     generated pattern.  ``candidates`` bounds the completion
     batch per target; ``pairs`` generates alternating SCAL pairs.
-    ``backend`` picks the top simulation rung (``auto`` / ``vectorized``
-    / ``bitmask`` / ``pointwise``); failures degrade down the ladder.
     ``target_timeout`` is a per-target PODEM deadline in seconds.
     """
     from . import engine_for
 
-    if backend not in ("auto",) + ATPG_RUNGS:
-        raise ValueError(f"unknown atpg backend {backend!r}")
     if candidates < 1:
         raise ValueError("candidates must be >= 1")
-    eng = engine if engine is not None else engine_for(network)
+    compiled = (engine if engine is not None else engine_for(network)).compiled
 
-    degradations: List[Degradation] = []
-
-    def degrade(frm: str, to: str, reason: str) -> None:
-        degradations.append(Degradation(frm=frm, to=to, reason=reason))
-        obs.event("atpg.degradation", frm=frm, to=to, reason=reason)
-
+    # A repeated fault would be requested twice but classified once, and
+    # the counts would no longer tile the universe.
     universe = (
-        list(faults)
+        list(dict.fromkeys(faults))
         if faults is not None
         else sorted_stem_universe(network, collapse)
     )
-
-    wanted = backend
-    if backend == "auto":
-        big = len(universe) >= AUTO_BITMASK_MAX_FAULTS
-        wanted = "vectorized" if big else "bitmask"
-    start = resolve_rung(eng, wanted, exhaustive=False)
-    if backend != "auto" and start != backend:
-        degrade(backend, start, f"{backend} unavailable on this engine")
-    ladder = ATPG_RUNGS[ATPG_RUNGS.index(start):]
-    rung = [0]
-
-    def simulate(patterns, fault_list):
-        while True:
-            name = ladder[rung[0]]
-            try:
-                return chunk_pattern_bits(eng, patterns, fault_list, name)
-            except Exception as exc:  # degrade on any rung failure
-                if rung[0] + 1 >= len(ladder):
-                    raise
-                degrade(name, ladder[rung[0] + 1], f"{type(exc).__name__}: {exc}")
-                rung[0] += 1
 
     input_names = list(network.inputs)
     full_point = (1 << len(input_names)) - 1
@@ -319,12 +321,14 @@ def run_atpg(
                     sim_patterns.extend((c, c ^ full_point))
             else:
                 sim_patterns = cands
-            base = simulate(sim_patterns, None)
-            rows = simulate(sim_patterns, remaining if drop else remaining[:1])
+            masks = pattern_detections(
+                compiled, sim_patterns, remaining if drop else remaining[:1],
+                pairs,
+            )
             candidates_evaluated += len(cands)
             detects = [
-                _detected_candidates(base, row, len(cands), pairs)
-                for row in rows
+                _detected_candidates(mask, len(cands), pairs)
+                for mask in masks
             ]
             # Best candidate: must detect the target (index 0 in
             # `remaining`), then maximal drop count; ties break to the
@@ -340,7 +344,7 @@ def run_atpg(
             if best is None:
                 # The simulated response contradicts PODEM's detection
                 # claim — never expected; classify conservatively rather
-                # than drop a fault the block backend cannot confirm.
+                # than drop a fault pattern simulation cannot confirm.
                 obs.event("atpg.anomaly", fault=target.describe())
                 classifications[target] = "aborted"
                 remaining.pop(0)
@@ -372,11 +376,11 @@ def run_atpg(
                 sim_patterns.extend((p, p ^ full_point))
         else:
             sim_patterns = list(patterns)
-        base = simulate(sim_patterns, None)
-        rows = simulate(sim_patterns, detected_faults)
         cover = [
-            _detected_candidates(base, row, len(patterns), pairs)
-            for row in rows
+            _detected_candidates(mask, len(patterns), pairs)
+            for mask in pattern_detections(
+                compiled, sim_patterns, detected_faults, pairs
+            )
         ]
         if all(cover):
             kept = set(range(len(patterns)))
@@ -405,7 +409,6 @@ def run_atpg(
         _M_CANDIDATES.inc(candidates_evaluated)
     report = AtpgReport(
         circuit=network.name,
-        backend=ladder[rung[0]],
         pairs=pairs,
         requested=len(universe),
         detected=detected,
@@ -426,13 +429,10 @@ def run_atpg(
             for f in universe
             if f in pattern_of
         },
-        degradations=tuple(degradations),
-        auto_rung=start,
     )
     obs.event(
         "atpg.report",
         circuit=report.circuit,
-        backend=report.backend,
         faults=report.requested,
         detected=report.detected,
         redundant=report.redundant,

@@ -29,16 +29,17 @@ simulation as the query needs.
   absent lines take the fault's cone schedule instead (the
   :meth:`~repro.engine.compiled.CompiledNetwork.fault_plan` path:
   copy the baseline, re-evaluate only the fault's output cone).
-  :func:`bitmask_pattern_bits` packs explicit pattern lists the same
-  way, with no ``2**n`` table and so no input ceiling.
 * :class:`PointwiseBackend` — one input assignment (or an explicit list
   of points, for spaces too wide to enumerate) at a time, with a
   bounded per-point baseline cache, so a revisited point costs only a
   cone-sized update.
 
-Clocked sequential campaigns do not use either backend's fault plans:
-:func:`repro.seq.simulator.evaluate_rows` puts one fault per bit and
-calls :func:`evaluate_mask` through this module, so the bitmask chaos
+Clocked sequential campaigns and ATPG pattern simulation do not use
+either backend's fault plans: :func:`repro.seq.simulator.evaluate_rows`
+puts one fault per bit (or per slot of pattern bits, for
+:func:`repro.engine.atpg.pattern_detections`, over the explicit
+pattern list :func:`pack_pattern_masks` packs) and calls
+:func:`evaluate_mask` through this module, so the bitmask chaos
 sabotage of :mod:`repro.qa.chaos` reaches them too.
 
 Both backends return plain ``list``/``tuple`` values; the name-keyed
@@ -494,35 +495,6 @@ def pack_pattern_masks(
             p >>= 1
             i += 1
     return masks
-
-
-def bitmask_pattern_bits(
-    compiled: CompiledNetwork,
-    patterns: Sequence[int],
-    faults: Optional[Sequence[FaultLike]] = None,
-):
-    """Output masks over an explicit pattern list (pure-int path).
-
-    ``patterns`` is a sequence of point encodings (bit ``i`` = value of
-    input ``i``, the repo-wide convention); bit ``j`` of each returned
-    output mask is that output's value under pattern ``j``.  Returns the
-    fault-free tuple when ``faults`` is ``None``, else a list with one
-    tuple per fault.  Only the pattern list is packed, so there is no
-    input-count ceiling.
-    """
-    full = (1 << len(patterns)) - 1
-    words = max(1, (len(patterns) + 63) >> 6)
-    inputs = pack_pattern_masks(patterns, compiled.n_inputs)
-    base = _evaluate_masks(compiled, inputs, full, words)
-    out_idx = compiled.out_idx
-    if faults is None:
-        return tuple(base[i] for i in out_idx)
-    rows = []
-    for fault in faults:
-        plan = compiled.fault_plan(fault)
-        values = _inject_masks(compiled, base, plan, full, words)
-        rows.append(tuple(values[i] for i in out_idx))
-    return rows
 
 
 class PointwiseBackend:

@@ -50,21 +50,21 @@ stores it as 30-bit digits and runs mask ops in C).  Callers never
 branch on NumPy availability: :func:`select_backend` picks a rung from
 the campaign's input width and :func:`resolve_rung` maps it to the rung
 an engine can actually serve.
+
+This module serves exhaustive sweeps only.  ATPG's explicit pattern
+lists are a few words wide, too narrow to pay back NumPy's per-call
+overhead, so :func:`repro.engine.atpg.pattern_detections` simulates
+them on the big-int row evaluator instead.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .backends import (
-    MAX_BITMASK_INPUTS,
-    bitmask_pattern_bits,
-    classify_status,
-    pack_pattern_masks,
-)
+from .backends import MAX_BITMASK_INPUTS, classify_status
 from .compiled import CompiledNetwork, FaultLike
 from .. import obs
-from ..logic.gates import GateKind, evaluate_mask
+from ..logic.gates import GateKind
 from ..logic.truthtable import reverse_bits
 
 # Telemetry: block-backend work counters and the per-chunk span.  The
@@ -107,12 +107,6 @@ AUTO_BITMASK_MAX_INPUTS = 20
 
 #: Faults simulated per block (the PPSFP fault axis).
 DEFAULT_BLOCK_FAULTS = 64
-
-#: Fault rows times pattern words per :meth:`VectorizedBackend.pattern_bits`
-#: block: pattern tables are a few words wide, so one block takes a
-#: whole candidate batch's fault list (8 KiB per line) instead of paying
-#: the per-block schedule again every 64 faults.
-PATTERN_BLOCK_WORDS = 1024
 
 #: Word-axis chunk size for wide input spaces: tables whose half is
 #: wider than ``DEFAULT_CHUNK_WORDS`` words are processed in tiles of
@@ -161,21 +155,20 @@ def select_backend(
     return "bitmask"
 
 
-def resolve_rung(engine, rung: str, exhaustive: bool = True) -> str:
+def resolve_rung(engine, rung: str) -> str:
     """The rung that actually serves a request for ``rung`` on ``engine``.
 
     ``vectorized`` needs NumPy: on an engine without it
     (``engine.vectorized is None``) the request lands on the big-int
     ``bitmask`` rung, which is always there (callers validate names
-    first).  For ``exhaustive`` sweeps over the ``2**n`` truth table,
-    landing on ``bitmask`` beyond ``MAX_BITMASK_INPUTS`` inputs raises
-    ``ValueError`` before any chunk runs; pattern simulation packs only
-    its patterns and passes ``exhaustive=False``.
+    first).  Landing on ``bitmask`` beyond ``MAX_BITMASK_INPUTS`` inputs
+    raises ``ValueError`` before any chunk runs: the sweep is exhaustive
+    over the ``2**n`` truth table.
     """
     if rung == "vectorized" and engine.vectorized is None:
         rung = "bitmask"
     n = engine.compiled.n_inputs
-    if exhaustive and rung == "bitmask" and n > MAX_BITMASK_INPUTS:
+    if rung == "bitmask" and n > MAX_BITMASK_INPUTS:
         raise ValueError(
             f"exhaustive campaigns above {MAX_BITMASK_INPUTS} inputs need "
             f"NumPy: this circuit has {n} inputs, and the big-int bitmask "
@@ -241,21 +234,11 @@ class VectorizedBackend:
             self.pair_full = _np.uint64(1)
         self.block_faults = max(1, block_faults)
         self.chunk_words = max(1, chunk_words)
-        self._tile_list: Optional[List] = None
+        #: The truth table's word-index tiles (:func:`pair_tiles`).
+        self._tiles = pair_tiles(self.words, self.chunk_words)
         #: Tables whose half is wider than one chunk are swept in tiles.
         self.chunked = (self.words >> 1) > self.chunk_words
         self._base: Optional[List] = None  # full-table baseline
-        #: ``(patterns, values, rows)`` of the last :meth:`pattern_bits`
-        #: list (see :meth:`_pattern_baseline`).
-        self._pattern_base: Optional[Tuple[Tuple[int, ...], List, List]] = None
-
-    @property
-    def _tiles(self) -> List:
-        """The truth table's word-index tiles (:func:`pair_tiles`), built
-        on first use: pattern simulation never needs them."""
-        if self._tile_list is None:
-            self._tile_list = pair_tiles(self.words, self.chunk_words)
-        return self._tile_list
 
     # ------------------------------------------------------------------
     # packed building blocks
@@ -337,7 +320,7 @@ class VectorizedBackend:
     # ------------------------------------------------------------------
     # fault-block evaluation
     # ------------------------------------------------------------------
-    def _block_outputs(self, plans, base, k: int, full=None):
+    def _block_outputs(self, plans, base, k: int):
         """Faulty packed values over one ``k``-word tile for a block.
 
         Returns ``get(line) -> ndarray`` where rows are faults.  Lines
@@ -346,15 +329,9 @@ class VectorizedBackend:
         evaluated once, vectorized over the fault axis (re-evaluating an
         op for rows whose fault does not reach it reproduces the
         baseline, so the union schedule is exact).
-
-        ``full`` is the valid-bit word for forcing and complements; it
-        defaults to the truth-table word but pattern-space callers
-        (:meth:`pattern_bits`) pass all 64 bits — their word axis packs
-        an explicit pattern list, not the ``2**n`` point space.
         """
         block = len(plans)
-        if full is None:
-            full = self.full_word
+        full = self.full_word
         zero = _np.uint64(0)
         stem_rows: dict = {}
         pin_rows: dict = {}
@@ -511,91 +488,6 @@ class VectorizedBackend:
             for d, v in zip(has_det.tolist(), has_vio.tolist())
         ]
 
-    def _pattern_baseline(self, patterns, n_words: int):
-        """Fault-free values of every line over a pattern list, as big
-        ints and as ``(n_words,)`` rows.  A handful of words is cheaper
-        to evaluate as one big int per line, converted to ``uint64``
-        rows in one step.  The last list's baseline is kept:
-        :func:`~repro.engine.atpg.run_atpg` asks for the baseline and
-        then the fault rows of the same candidate batch."""
-        key = tuple(patterns)
-        if self._pattern_base is not None and self._pattern_base[0] == key:
-            return self._pattern_base[1:]
-        comp = self.compiled
-        full = (1 << (64 * n_words)) - 1  # every bit of every word
-        values = pack_pattern_masks(patterns, comp.n_inputs)
-        values += [0] * len(comp.ops)
-        for op in comp.ops:
-            values[op.out] = evaluate_mask(
-                op.kind, [values[s] for s in op.srcs], full
-            )
-        raw = b"".join(v.to_bytes(n_words * 8, "little") for v in values)
-        table = _np.frombuffer(raw, dtype="<u8").astype(_np.uint64)
-        rows = list(table.reshape(len(values), n_words))
-        if _REG.enabled:
-            _M_OPS.inc(len(comp.ops), backend="vectorized")
-            _M_WORDS.inc(len(comp.ops) * n_words, backend="vectorized")
-        self._pattern_base = (key, values, rows)
-        return values, rows
-
-    def pattern_bits(
-        self,
-        patterns: Sequence[int],
-        faults: Optional[Sequence[FaultLike]] = None,
-    ):
-        """Output masks over an explicit pattern list (NumPy path).
-
-        Same contract as :func:`~repro.engine.backends.bitmask_pattern_bits`,
-        but the pattern list is packed onto the ``uint64`` word axis and
-        whole fault blocks ride one :meth:`_block_outputs` pass — this
-        is the word axis the fault-dropping ATPG driver batches its
-        candidate patterns along.  Because the word axis holds patterns
-        (possibly more than ``2**n`` of them), forcing uses all 64 bits
-        per word, not the truth-table ``full_word``.
-        """
-        np = _np
-        comp = self.compiled
-        n_patterns = len(patterns)
-        n_words = max(1, (n_patterns + 63) >> 6)
-        valid = (1 << n_patterns) - 1 if n_patterns else 0
-        full64 = np.uint64(_FULL64)
-        values, base = self._pattern_baseline(patterns, n_words)
-        if faults is None:
-            return tuple(values[idx] & valid for idx in comp.out_idx)
-        results: List[Tuple[int, ...]] = []
-        block = max(self.block_faults, PATTERN_BLOCK_WORDS // n_words)
-        for start in range(0, len(faults), block):
-            chunk = faults[start : start + block]
-            plans = [comp.fault_plan(fault) for fault in chunk]
-            get = self._block_outputs(plans, base, n_words, full=full64)
-            # One bulk numpy->python conversion per output column beats
-            # a per-(row, output) broadcast + int round trip — this is
-            # the driver's hot loop (every target simulates candidates
-            # against the whole remaining universe).
-            cols = []
-            for idx in comp.out_idx:
-                arr = np.asarray(get(idx), dtype=np.uint64)
-                if arr.ndim == 1:
-                    arr = np.broadcast_to(arr, (len(plans), n_words))
-                cols.append(arr)
-            if not cols:
-                # No outputs: still one (empty) tuple per fault.
-                results.extend(() for _ in plans)
-            elif n_words == 1:
-                mask = np.uint64(valid)
-                results.extend(
-                    zip(*[(col[:, 0] & mask).tolist() for col in cols])
-                )
-            else:
-                for row in range(len(plans)):
-                    results.append(
-                        tuple(
-                            _words_to_int(col[row]) & valid for col in cols
-                        )
-                    )
-        return results
-
-
 def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[str]:
     """Classify one chunk of faults on ``vectorized`` / ``bitmask``,
     mapped through :func:`resolve_rung` to the rung this
@@ -616,63 +508,6 @@ def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[st
     if _REG.enabled:
         CHUNK_FAULTS.inc(len(universe), backend=backend)
     return statuses
-
-
-def _pointwise_pattern_bits(engine, patterns, faults):
-    """Scalar rung of :func:`chunk_pattern_bits`: one cone-pruned point
-    evaluation per (pattern, fault) through the pointwise backend."""
-    width = len(engine.compiled.out_idx)
-
-    def run(fault):
-        masks = [0] * width
-        vectors = engine.pointwise.output_vectors(patterns, fault)
-        for j, values in enumerate(vectors):
-            for pos, value in enumerate(values):
-                if value:
-                    masks[pos] |= 1 << j
-        return tuple(masks)
-
-    if faults is None:
-        return run(None)
-    return [run(fault) for fault in faults]
-
-
-#: Pattern-simulation rungs (the ATPG degradation ladder), fastest first.
-ATPG_RUNGS = ("vectorized", "bitmask", "pointwise")
-
-
-def chunk_pattern_bits(
-    engine,
-    patterns: Sequence[int],
-    faults: Optional[Sequence[FaultLike]],
-    backend: str,
-):
-    """Output masks over an explicit pattern list on a pattern rung.
-
-    The pattern-space analogue of :func:`chunk_statuses` — the single
-    chunk-level entry the fault-dropping ATPG driver (and its QA
-    properties) use, so every rung of its degradation ladder evaluates
-    patterns identically.  ``patterns`` is a list of point encodings;
-    ``faults`` is a fault sequence (one output-mask tuple per fault,
-    bit ``j`` = the output value under pattern ``j``) or ``None`` for
-    the fault-free baseline tuple.  ``backend`` is ``vectorized`` /
-    ``bitmask`` / ``pointwise``, mapped through :func:`resolve_rung`
-    (``vectorized`` serves on the big-int path when NumPy is absent).
-    """
-    if backend not in ATPG_RUNGS:
-        raise ValueError(f"unknown pattern backend {backend!r}")
-    backend = resolve_rung(engine, backend, exhaustive=False)
-    with obs.span(
-        "atpg.chunk",
-        patterns=len(patterns),
-        faults=0 if faults is None else len(faults),
-        backend=backend,
-    ):
-        if backend == "vectorized":
-            return engine.vectorized.pattern_bits(patterns, faults)
-        if backend == "bitmask":
-            return bitmask_pattern_bits(engine.compiled, patterns, faults)
-        return _pointwise_pattern_bits(engine, patterns, faults)
 
 
 # ----------------------------------------------------------------------

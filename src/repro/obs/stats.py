@@ -13,9 +13,8 @@ questions an operator actually asks after a campaign:
 * how did the QA properties fare (``qa.property`` spans: trials,
   counterexamples, pass rate);
 * how an ATPG campaign spent its time (``atpg.target`` PODEM spans,
-  ``atpg.chunk`` pattern-simulation spans per rung, the closing
-  ``atpg.report`` event with drop counts and faults/sec, and any
-  ``atpg.degradation`` ladder steps);
+  ``atpg.chunk`` pattern-simulation spans, and the closing
+  ``atpg.report`` event with drop counts and faults/sec);
 * how a synthesis search progressed (``synth.generation`` per-generation
   best/mean fitness trajectory, ``synth.improved`` best-so-far
   replacements, ``synth.batch`` generation-batch spans, and the closing
@@ -37,7 +36,7 @@ def summarize(events: Iterable[dict]) -> dict:
     chunk_spans_ok = 0
     chunk_spans_failed = 0
     qa: "OrderedDict[str, dict]" = OrderedDict()
-    atpg_chunks: "OrderedDict[str, dict]" = OrderedDict()
+    atpg_chunks = {"chunks": 0, "patterns": 0, "faults": 0, "wall": 0.0}
     atpg_targets = {"targets": 0, "wall": 0.0}
     atpg_reports: List[dict] = []
     synth_batches = {"batches": 0, "candidates": 0, "wall": 0.0}
@@ -84,15 +83,10 @@ def summarize(events: Iterable[dict]) -> dict:
             entry["counterexamples"] += int(attrs.get("counterexamples", 0))
             entry["wall"] += float(event.get("wall", 0.0))
         elif kind == "span" and name == "atpg.chunk":
-            backend = str(attrs.get("backend", "?"))
-            entry = atpg_chunks.setdefault(
-                backend,
-                {"chunks": 0, "patterns": 0, "faults": 0, "wall": 0.0},
-            )
-            entry["chunks"] += 1
-            entry["patterns"] += int(attrs.get("patterns", 0))
-            entry["faults"] += int(attrs.get("faults", 0))
-            entry["wall"] += float(event.get("wall", 0.0))
+            atpg_chunks["chunks"] += 1
+            atpg_chunks["patterns"] += int(attrs.get("patterns", 0))
+            atpg_chunks["faults"] += int(attrs.get("faults", 0))
+            atpg_chunks["wall"] += float(event.get("wall", 0.0))
         elif kind == "span" and name == "atpg.target":
             atpg_targets["targets"] += 1
             atpg_targets["wall"] += float(event.get("wall", 0.0))
@@ -108,10 +102,7 @@ def summarize(events: Iterable[dict]) -> dict:
             synth_improvements.append(attrs)
         elif kind == "event" and name == "synth.report":
             synth_reports.append(attrs)
-        elif kind == "event" and name in (
-            "campaign.degradation",
-            "atpg.degradation",
-        ):
+        elif kind == "event" and name == "campaign.degradation":
             degradations.append(attrs)
         elif kind == "event" and name == "campaign.retry":
             action = str(attrs.get("action", "?"))
@@ -177,7 +168,7 @@ def summarize(events: Iterable[dict]) -> dict:
         "synth_generations": synth_generations,
         "synth_improvements": synth_improvements,
         "atpg_targets": atpg_targets,
-        "atpg_chunks": dict(atpg_chunks),
+        "atpg_chunks": atpg_chunks,
         "chunk_spans": {"ok": chunk_spans_ok, "failed": chunk_spans_failed},
         "chunk_backends": dict(chunk_backends),
         "degradations": degradations,
@@ -215,8 +206,7 @@ def render(summary: dict) -> str:
     for report in summary.get("atpg_runs", ()):
         lines.append(
             f"atpg: {report.get('circuit', '?')}: "
-            f"{report.get('detected', 0)}/{report.get('faults', 0)} detected "
-            f"via {report.get('backend', '?')}, "
+            f"{report.get('detected', 0)}/{report.get('faults', 0)} detected, "
             f"{report.get('redundant', 0)} redundant, "
             f"{report.get('aborted', 0)} aborted, "
             f"{report.get('dropped', 0)} dropped, "
@@ -269,14 +259,13 @@ def render(summary: dict) -> str:
             f"atpg targets: {targets['targets']} PODEM searches, "
             f"{targets['wall']:.3f}s wall"
         )
-    if summary.get("atpg_chunks"):
-        lines.append("atpg pattern-simulation time:")
-        for backend, entry in summary["atpg_chunks"].items():
-            lines.append(
-                f"  {backend}: {entry['chunks']} chunks, "
-                f"{entry['patterns']} patterns x {entry['faults']} faults, "
-                f"{entry['wall']:.3f}s wall"
-            )
+    chunks = summary.get("atpg_chunks") or {}
+    if chunks.get("chunks"):
+        lines.append(
+            f"atpg pattern simulation: {chunks['chunks']} chunks, "
+            f"{chunks['patterns']} patterns x {chunks['faults']} faults, "
+            f"{chunks['wall']:.3f}s wall"
+        )
     spans = summary["chunk_spans"]
     if spans["ok"] or spans["failed"]:
         lines.append(

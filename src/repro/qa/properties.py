@@ -46,7 +46,7 @@ around.  The registered invariants:
   fork-worker paths; the supervised campaign report's chunk ledger must
   balance (completed + resumed = total) so no work is silently lost.
 * ``atpg-drop-soundness`` — every fault the fault-dropping ATPG driver
-  classifies as detected is confirmed detected by the block backend
+  classifies as detected is confirmed detected by pattern simulation
   (and the naive reference interpreter) for the single pattern the
   report credits it to; classification counts must tile the universe.
 * ``atpg-compaction-conservation`` — the compacted test set detects
@@ -75,7 +75,8 @@ from ..core.atpg import Podem
 from ..core.collapse import equivalence_collapse, sorted_stem_universe
 from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
-from ..engine.backends import bitmask_pattern_bits, table_response
+from ..engine.atpg import pattern_detections
+from ..engine.backends import table_response
 from ..engine.vectorized import HAVE_NUMPY, VectorizedBackend
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.gates import GateKind
@@ -794,20 +795,19 @@ def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
         if not 0 <= index < len(report.patterns):
             return f"fault {name} credits out-of-range pattern {index}"
         by_pattern.setdefault(index, []).append(name)
-    # One block-backend pass per credited pattern (not per fault).
+    # One pattern-simulation pass per credited pattern (not per fault).
     for index, names in sorted(by_pattern.items()):
         pattern = report.patterns[index]
-        base = bitmask_pattern_bits(engine.compiled, [pattern], None)
-        rows = bitmask_pattern_bits(
+        masks = pattern_detections(
             engine.compiled, [pattern], [by_name[name] for name in names]
         )
         point = point_tuple(n, pattern)
         reference_good = reference_outputs(net, point)
-        for name, row in zip(names, rows):
-            if not any((b ^ r) & 1 for b, r in zip(base, row)):
+        for name, mask in zip(names, masks):
+            if not mask:
                 return (
                     f"dropped fault {name} is not detected by its "
-                    f"credited pattern {pattern} per the block backend"
+                    f"credited pattern {pattern} per pattern simulation"
                 )
             if reference_outputs(net, point, by_name[name]) == (
                 reference_good
@@ -822,23 +822,17 @@ def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
 atpg_drop_soundness = register(
     "atpg-drop-soundness",
     "every fault the dropping ATPG driver marks detected is confirmed "
-    "by the block backend and the reference interpreter on the single "
+    "by pattern simulation and the reference interpreter on the single "
     "pattern credited in the report",
 )((_gen_atpg_engine, _check_atpg_drop_soundness))
 
 
 def _detected_set(engine: NetworkEngine, patterns, universe) -> frozenset:
     """Names of the universe faults some pattern in ``patterns`` detects."""
-    if not patterns:
-        return frozenset()
-    pats = list(patterns)
-    base = bitmask_pattern_bits(engine.compiled, pats, None)
-    rows = bitmask_pattern_bits(engine.compiled, pats, universe)
-    detected = set()
-    for fault, row in zip(universe, rows):
-        if any(b ^ r for b, r in zip(base, row)):
-            detected.add(fault.describe())
-    return frozenset(detected)
+    masks = pattern_detections(engine.compiled, list(patterns), universe)
+    return frozenset(
+        fault.describe() for fault, mask in zip(universe, masks) if mask
+    )
 
 
 def _check_atpg_compaction(case: Case) -> Optional[str]:

@@ -110,7 +110,8 @@ class CodeConversionMachine:
         """Add one fault of ``unit`` — ``comb`` (a network stem/pin
         fault), ``alpt``, ``palt`` or ``mem`` — to ``forcing`` in ``row``."""
         if unit == "comb":
-            force_fault(forcing, row, fault, compile_network(self.network))
+            compiled = compile_network(self.network)
+            force_fault(forcing, 1 << row, fault, compiled)
         else:
             units = {"alpt": self.alpt, "palt": self.palt, "mem": self.memory}
             units[unit].force(forcing, row, fault)

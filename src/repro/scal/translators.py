@@ -82,7 +82,7 @@ class ALPT:
         """Add one ALPT line fault to ``forcing`` in ``row``.  The clock
         sites ``g`` and ``h``/``j`` have no bit position."""
         index = 0 if fault.site in ("g", "h", "j") else fault.index
-        forcing.stick(("alpt", fault.site, index), row, fault.value)
+        forcing.stick(("alpt", fault.site, index), 1 << row, fault.value)
 
     def feed_pair(
         self,
@@ -149,7 +149,7 @@ class PALT:
     @staticmethod
     def force(forcing: RowForcing, row: int, fault: TranslatorFault) -> None:
         """Add one PALT line fault to ``forcing`` in ``row``."""
-        forcing.stick(("palt", fault.site, fault.index), row, fault.value)
+        forcing.stick(("palt", fault.site, fault.index), 1 << row, fault.value)
 
     def outputs_for_period(
         self, stored_data: Sequence[int], phase: int

@@ -7,6 +7,8 @@ A single stuck-at then becomes a forcing mask pair ``(rows, ones)`` on
 one *site*: the rows it forces and the values it forces them to,
 applied as ``v = (v & ~rows) | ones`` exactly where the single fault
 used to be applied.  A one-row forcing is the scalar single-fault case.
+Every ``stick`` takes a row *mask*, so one fault can own a whole slot
+of rows (ATPG puts one fault per slot of pattern bits).
 
 Sites are any hashable key.  The combinational network's stems and
 pins are kept in their own tables (indexed by compiled line and op
@@ -20,10 +22,9 @@ from typing import Dict, Hashable, Tuple
 Masks = Tuple[int, int]
 
 
-def _merge(table: Dict, key: Hashable, row: int, value: int) -> None:
-    rows, ones = table.get(key, (0, 0))
-    bit = 1 << row
-    table[key] = (rows | bit, (ones & ~bit) | (bit if value else 0))
+def _merge(table: Dict, key: Hashable, rows: int, value: int) -> None:
+    forced, ones = table.get(key, (0, 0))
+    table[key] = (forced | rows, (ones & ~rows) | (rows if value else 0))
 
 
 class RowForcing:
@@ -39,15 +40,15 @@ class RowForcing:
         #: any other site (flip-flop stage, translator line, memory bit)
         self.sites: Dict[Hashable, Masks] = {}
 
-    def stick(self, site: Hashable, row: int, value: int) -> None:
-        """Force ``site`` to ``value`` in ``row``."""
-        _merge(self.sites, site, row, value)
+    def stick(self, site: Hashable, rows: int, value: int) -> None:
+        """Force ``site`` to ``value`` in the row mask ``rows``."""
+        _merge(self.sites, site, rows, value)
 
-    def stick_line(self, line: int, row: int, value: int) -> None:
-        _merge(self.lines, line, row, value)
+    def stick_line(self, line: int, rows: int, value: int) -> None:
+        _merge(self.lines, line, rows, value)
 
-    def stick_pin(self, op: int, slot: int, row: int, value: int) -> None:
-        _merge(self.pins.setdefault(op, {}), slot, row, value)
+    def stick_pin(self, op: int, slot: int, rows: int, value: int) -> None:
+        _merge(self.pins.setdefault(op, {}), slot, rows, value)
 
     def apply(self, site: Hashable, value: int) -> int:
         """``value`` with the rows forced at ``site`` overridden."""

@@ -47,19 +47,20 @@ class FlipFlopFault:
 
 
 def force_fault(
-    forcing: RowForcing, row: int, fault: FaultLike, compiled: CompiledNetwork
+    forcing: RowForcing, rows: int, fault: FaultLike, compiled: CompiledNetwork
 ) -> None:
-    """Add one network stem/pin fault to ``forcing`` in ``row``.
+    """Add one network stem/pin fault to ``forcing`` in the row mask
+    ``rows``.
 
     The fault is resolved by :meth:`CompiledNetwork.resolve`, the same
     rules :meth:`CompiledNetwork.fault_plan` applies.
     """
     stems, pins = compiled.resolve(fault)
     for line, value in stems.items():
-        forcing.stick_line(line, row, value)
+        forcing.stick_line(line, rows, value)
     for pos, overrides in pins.items():
         for slot, value in overrides:
-            forcing.stick_pin(pos, slot, row, value)
+            forcing.stick_pin(pos, slot, rows, value)
 
 
 def evaluate_rows(
@@ -174,10 +175,10 @@ class SequentialCircuit:
         """Add a network or flip-flop fault to ``forcing`` in ``row``."""
         if isinstance(fault, FlipFlopFault):
             forcing.stick(
-                ("ff", fault.state_line, fault.stage), row, fault.value
+                ("ff", fault.state_line, fault.stage), 1 << row, fault.value
             )
         else:
-            force_fault(forcing, row, fault, self.compiled)
+            force_fault(forcing, 1 << row, fault, self.compiled)
 
     def fault_forcing(
         self,

@@ -81,7 +81,7 @@ class ParityMemory:
             site = ("mem", "cell", cell, fault.index)
         else:
             site = ("mem", fault.kind, fault.index)
-        forcing.stick(site, row, fault.value)
+        forcing.stick(site, 1 << row, fault.value)
 
     def _routes(self, address: int) -> Dict[int, int]:
         """Physical cell -> the rows whose access to ``address`` lands

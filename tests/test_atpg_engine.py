@@ -4,12 +4,13 @@ The driver's whole value is that dropping, candidate batching, and
 compaction are *accelerations*, never reclassifications: on every seed
 circuit and a fixed-seed random-logic batch its final classification
 map must be byte-identical to running the scalar ``Podem`` once per
-collapsed fault.  The suite also pins the pattern seam the driver rides
-(``chunk_pattern_bits`` across the vectorized / bitmask / pointwise
-rungs), the degradation ladder, determinism, compaction
+collapsed fault.  The suite also pins the pattern simulator the driver
+rides (``pattern_detections``, against truth tables and, in pairs
+mode, the reference interpreter), determinism, compaction
 conservation, and the ``python -m repro atpg`` entry point.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -20,13 +21,19 @@ from repro.cli import main
 from repro.core.atpg import Podem
 from repro.core.collapse import collapse_stem_faults
 from repro.engine import FaultSweep, NetworkEngine, engine_for
-from repro.engine.atpg import AtpgReport, run_atpg
-from repro.engine.backends import bitmask_pattern_bits, pack_pattern_masks
-from repro.engine.vectorized import chunk_pattern_bits
+from repro.engine.atpg import AtpgReport, pattern_detections, run_atpg
+from repro.engine.backends import pack_pattern_masks
+from repro.engine.vectorized import HAVE_NUMPY
 from repro.logic.benchfmt import load_bench, save_bench
-from repro.logic.faults import StuckAt
+from repro.logic.faults import (
+    MultipleFault,
+    PinStuckAt,
+    StuckAt,
+    enumerate_single_faults,
+)
 from repro.logic.gates import GateKind
 from repro.logic.network import Gate, Network
+from repro.qa.reference import point_tuple, reference_outputs
 from repro.workloads.benchcircuits import fig62_nand_network
 from repro.workloads.fig34 import fig34_network, fig37_fixed_network
 from repro.workloads.randomlogic import (
@@ -88,8 +95,72 @@ def random_batch(count=6):
 
 
 # ----------------------------------------------------------------------
-# the pattern-simulation seam
+# the pattern simulator
 # ----------------------------------------------------------------------
+def table_masks(tables, patterns, faults, pairs=False):
+    """Detection masks read off per-fault output truth tables.
+
+    ``tables(fault)`` is the output-table tuple under ``fault`` (``None``
+    for the good circuit).  Single mode: bit ``j`` when some output
+    differs at pattern ``j``.  Pairs mode: bit ``2j`` when, on some
+    output, the good pair ``(2j, 2j+1)`` alternates and the faulty one
+    does not.
+    """
+    good = tables(None)
+    masks = []
+    for fault in faults:
+        bad = tables(fault)
+        mask = 0
+        if pairs:
+            for j in range(0, len(patterns), 2):
+                x, y = patterns[j], patterns[j + 1]
+                if any(
+                    ((g >> x) ^ (g >> y)) & 1
+                    and not ((b >> x) ^ (b >> y)) & 1
+                    for g, b in zip(good, bad)
+                ):
+                    mask |= 1 << j
+        else:
+            for j, p in enumerate(patterns):
+                if any(((g ^ b) >> p) & 1 for g, b in zip(good, bad)):
+                    mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+def truth_table_masks(eng, patterns, faults, pairs=False):
+    return table_masks(eng.bitmask.output_bits, patterns, faults, pairs)
+
+
+def reference_pair_masks(net, patterns, faults):
+    """Pairs-mode detection masks from the reference interpreter, one
+    point at a time."""
+    n = len(net.inputs)
+    masks = []
+    for fault in faults:
+        mask = 0
+        for j in range(0, len(patterns), 2):
+            x, y = (point_tuple(n, p) for p in patterns[j : j + 2])
+            good = zip(reference_outputs(net, x), reference_outputs(net, y))
+            bad = zip(
+                reference_outputs(net, x, fault),
+                reference_outputs(net, y, fault),
+            )
+            if any(
+                g0 != g1 and b0 == b1
+                for (g0, g1), (b0, b1) in zip(good, bad)
+            ):
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+def alternating(patterns, n):
+    """``[X0, ~X0, X1, ~X1, ...]`` over ``n`` inputs."""
+    full = (1 << n) - 1
+    return [q for p in patterns for q in (p, p ^ full)]
+
+
 class TestPatternSeam:
     def test_pack_pattern_masks_bit_convention(self):
         # patterns 0b01, 0b10, 0b11 over two inputs: mask i's bit j is
@@ -101,18 +172,33 @@ class TestPatternSeam:
         "backend", ["vectorized", "bitmask", "pointwise"]
     )
     def test_rungs_match_truth_tables(self, backend, fig34):
-        eng = engine_for(fig34)
+        """Every pattern of the exhaustive space, every stem and pin
+        fault: the masks equal the ones read off each sweep rung's own
+        output tables."""
+        eng = NetworkEngine(fig34)
         n = len(fig34.inputs)
         patterns = list(range(1 << n))
-        faults = [
-            StuckAt(line, v) for line in fig34.lines() for v in (0, 1)
-        ]
-        expected_base = tuple(eng.bitmask.output_bits(None))
-        base = tuple(chunk_pattern_bits(eng, patterns, None, backend))
-        assert base == expected_base
-        rows = chunk_pattern_bits(eng, patterns, faults, backend)
-        for fault, row in zip(faults, rows):
-            assert tuple(row) == tuple(eng.bitmask.output_bits(fault))
+        if backend == "vectorized":
+            if not HAVE_NUMPY:
+                pytest.skip("the vectorized rung needs NumPy")
+            tables = eng.vectorized.output_bits
+        elif backend == "bitmask":
+            tables = eng.bitmask.output_bits
+        else:
+
+            def tables(fault):
+                vectors = eng.pointwise.output_vectors(patterns, fault)
+                return tuple(
+                    sum(v[k] << p for p, v in enumerate(vectors))
+                    for k in range(len(fig34.outputs))
+                )
+
+        faults = enumerate_single_faults(fig34, collapse=False)
+        for pairs in (False, True):
+            pats = alternating(patterns, n) if pairs else patterns
+            assert pattern_detections(
+                eng.compiled, pats, faults, pairs
+            ) == table_masks(tables, pats, faults, pairs), pairs
 
     def test_zero_output_net_gives_one_row_per_fault(self):
         net = Network(
@@ -121,53 +207,123 @@ class TestPatternSeam:
         )
         eng = engine_for(net)
         faults = [StuckAt(line, v) for line in net.lines() for v in (0, 1)]
-        for backend in ("vectorized", "bitmask", "pointwise"):
-            assert tuple(
-                chunk_pattern_bits(eng, [0, 1, 3], None, backend)
-            ) == ()
-            rows = chunk_pattern_bits(eng, [0, 1, 3], faults, backend)
-            assert [tuple(row) for row in rows] == [()] * len(faults)
+        for pairs in (False, True):
+            masks = pattern_detections(eng.compiled, [0, 3], faults, pairs)
+            assert masks == [0] * len(faults)
 
     def test_partial_unordered_patterns(self, fig34):
         eng = engine_for(fig34)
         n = len(fig34.inputs)
         rng = random.Random(5)
         patterns = [rng.randrange(1 << n) for _ in range(11)]
-        tables = tuple(eng.bitmask.output_bits(None))
-        for backend in ("vectorized", "bitmask", "pointwise"):
-            base = chunk_pattern_bits(eng, patterns, None, backend)
-            for pos, mask in enumerate(base):
-                for j, p in enumerate(patterns):
-                    assert (mask >> j) & 1 == (tables[pos] >> p) & 1
+        faults = enumerate_single_faults(fig34, collapse=False)
+        for pairs in (False, True):
+            pats = alternating(patterns, n) if pairs else patterns
+            assert pattern_detections(
+                eng.compiled, pats, faults, pairs
+            ) == truth_table_masks(eng, pats, faults, pairs)
 
     def test_multiword_pattern_lists(self):
-        # >64 patterns exercises the vectorized path's word chunking.
+        """More than 64 patterns, with repeats."""
         rng = random.Random(17)
         net = random_mixed_network(rng, 6, 20, n_outputs=2)
         eng = engine_for(net)
         patterns = [rng.randrange(1 << 6) for _ in range(150)]
-        faults = [StuckAt(line, 1) for line in list(net.lines())[:8]]
-        results = {
-            backend: (
-                tuple(chunk_pattern_bits(eng, patterns, None, backend)),
-                tuple(
-                    tuple(row)
-                    for row in chunk_pattern_bits(
-                        eng, patterns, faults, backend
-                    )
-                ),
-            )
-            for backend in ("vectorized", "bitmask", "pointwise")
-        }
-        assert (
-            results["vectorized"]
-            == results["bitmask"]
-            == results["pointwise"]
-        )
+        assert len(set(patterns)) < len(patterns)
+        faults = enumerate_single_faults(net, collapse=False)
+        for pairs in (False, True):
+            pats = alternating(patterns, 6) if pairs else patterns
+            assert pattern_detections(
+                eng.compiled, pats, faults, pairs
+            ) == truth_table_masks(eng, pats, faults, pairs)
 
-    def test_unknown_backend_rejected(self, fig34):
-        with pytest.raises(ValueError):
-            chunk_pattern_bits(engine_for(fig34), [0], None, "kernel")
+    @pytest.mark.parametrize("index", range(4))
+    def test_pairs_match_reference_interpreter(self, index):
+        rng = random.Random(f"pairs:{index}")
+        n = rng.randint(3, 6)
+        net = random_mixed_network(rng, n, rng.randint(8, 20), n_outputs=2)
+        patterns = alternating([rng.randrange(1 << n) for _ in range(6)], n)
+        faults = enumerate_single_faults(net, collapse=False)
+        masks = pattern_detections(
+            NetworkEngine(net).compiled, patterns, faults, pairs=True
+        )
+        assert masks == reference_pair_masks(net, patterns, faults)
+        assert any(masks)
+
+    def test_no_and_one_input_nets(self):
+        consts = Network(
+            [],
+            [Gate("z", GateKind.CONST0, ()), Gate("o", GateKind.CONST1, ())],
+            ["z", "o"],
+            name="consts",
+        )
+        inverter = Network(
+            ["a"], [Gate("na", GateKind.NOT, ("a",))], ["na", "a"],
+            name="inverter",
+        )
+        for net, patterns in ((consts, [0, 0, 0]), (inverter, [1, 0, 1])):
+            eng = NetworkEngine(net)
+            faults = enumerate_single_faults(net, collapse=False)
+            for pairs in (False, True):
+                pats = patterns[:2] if pairs else patterns
+                assert pattern_detections(
+                    eng.compiled, pats, faults, pairs
+                ) == truth_table_masks(eng, pats, faults, pairs)
+
+    def test_repeated_pin_reads(self):
+        """``AND(a, a)``: a fault on one pin forces only that operand."""
+        net = Network(
+            ["a", "b"],
+            [
+                Gate("g", GateKind.AND, ("a", "a")),
+                Gate("h", GateKind.OR, ("g", "b")),
+            ],
+            ["h"],
+            name="and_aa",
+        )
+        eng = NetworkEngine(net)
+        faults = [
+            PinStuckAt("g", pin, v) for pin in (0, 1) for v in (0, 1)
+        ] + [PinStuckAt("h", 1, 1)]
+        patterns = [0, 1, 2, 3]
+        masks = pattern_detections(eng.compiled, patterns, faults)
+        assert masks == truth_table_masks(eng, patterns, faults)
+        # g pin s/0 detected at a=1, b=0 (pattern 1); pin s/1 never
+        # (the other pin still reads a); h's b pin s/1 wherever a=b=0.
+        assert masks == [0b0010, 0, 0b0010, 0, 0b0001]
+
+    def test_multiple_faults_and_absent_lines(self, fig34):
+        eng = NetworkEngine(fig34)
+        lines = sorted(fig34.lines())
+        faults = [
+            MultipleFault((StuckAt(lines[0], 1), StuckAt(lines[3], 0))),
+            MultipleFault(
+                (StuckAt(lines[1], 0), PinStuckAt(fig34.gates[2].name, 0, 1))
+            ),
+            StuckAt("no_such_line", 1),
+            MultipleFault((StuckAt("no_such_line", 0), StuckAt(lines[2], 1))),
+        ]
+        patterns = list(range(1 << len(fig34.inputs)))
+        for pairs in (False, True):
+            pats = alternating(patterns, len(fig34.inputs)) if pairs else (
+                patterns
+            )
+            masks = pattern_detections(eng.compiled, pats, faults, pairs)
+            assert masks == truth_table_masks(eng, pats, faults, pairs)
+            assert masks[2] == 0
+
+    def test_universe_spans_several_fault_blocks(self):
+        """1,000 patterns leave room for 65 faults per block: the
+        universe takes three blocks, the last one short."""
+        rng = random.Random(29)
+        net = random_mixed_network(rng, 5, 24, n_outputs=2)
+        eng = engine_for(net)
+        faults = enumerate_single_faults(net, collapse=False)[:150]
+        assert len(faults) > 2 * 65
+        patterns = [rng.randrange(1 << 5) for _ in range(1000)]
+        assert pattern_detections(
+            eng.compiled, patterns, faults
+        ) == truth_table_masks(eng, patterns, faults)
 
 
 # ----------------------------------------------------------------------
@@ -175,11 +331,17 @@ class TestPatternSeam:
 # ----------------------------------------------------------------------
 class TestParity:
     @pytest.mark.parametrize("index", range(3))
-    @pytest.mark.parametrize("backend", ["auto", "bitmask"])
-    def test_seed_circuits(self, index, backend):
+    @pytest.mark.parametrize("engine", ["auto", "bitmask"])
+    def test_seed_circuits(self, index, engine):
+        """``auto`` lets ``run_atpg`` pick its engine; ``bitmask`` hands
+        it a fresh ``NetworkEngine`` and checks every verdict against
+        that engine's exhaustive bitmask output tables: each detected
+        fault's kept pattern detects it, and no input point detects a
+        redundant one."""
         net = seed_networks()[index]
         expected = scalar_classifications(net)
-        report = run_atpg(net, backend=backend)
+        eng = NetworkEngine(net) if engine == "bitmask" else None
+        report = run_atpg(net, engine=eng)
         assert report.classifications == expected
         assert report.requested == len(expected)
         detected = {
@@ -192,55 +354,57 @@ class TestParity:
             0 <= i < report.patterns_kept
             for i in report.detected_by.values()
         )
-
-    def test_seed_circuit_pointwise_rung(self):
-        net = seed_networks()[0]
-        report = run_atpg(net, backend="pointwise")
-        assert report.classifications == scalar_classifications(net)
-        assert report.backend == "pointwise"
+        if eng is None:
+            return
+        faults = collapse_stem_faults(net)
+        everywhere = list(range(1 << len(net.inputs)))
+        masks = truth_table_masks(eng, everywhere, faults)
+        for fault, mask in zip(faults, masks):
+            name = fault.describe()
+            if name in report.detected_by:
+                kept = report.patterns[report.detected_by[name]]
+                assert (mask >> kept) & 1, name
+            elif report.classifications[name] == "redundant":
+                assert mask == 0, name
 
     @pytest.mark.parametrize("index", range(6))
     def test_fixed_seed_random_batch(self, index):
         net = random_batch()[index]
-        expected = scalar_classifications(net)
-        for backend in ("auto", "bitmask"):
-            report = run_atpg(net, backend=backend)
-            assert report.classifications == expected, backend
+        report = run_atpg(net)
+        assert report.classifications == scalar_classifications(net)
 
     def test_packed_fallback_when_vectorized_absent(self, fig34):
-        """The no-NumPy shape: an engine whose vectorized backend is
-        None must resolve auto to the bitmask rung silently, and an
-        explicit vectorized request must degrade with a recorded
-        reason.  (The CI tests-no-numpy job runs this whole suite with
-        NumPy genuinely uninstalled.)"""
+        """The no-NumPy shape: pattern simulation is the packed big-int
+        path, so an engine without the vectorized backend yields the
+        same report.  (The CI tests-no-numpy job runs this whole suite
+        with NumPy genuinely uninstalled.)"""
         class NoNumpyEngine(NetworkEngine):
             @property
             def vectorized(self):
-                return None
+                raise AssertionError("ATPG touched the vectorized rung")
 
-        eng = NoNumpyEngine(fig34)
-        auto = run_atpg(fig34, engine=eng)
-        assert auto.backend == "bitmask"
-        assert auto.degradations == ()
-        explicit = run_atpg(fig34, engine=eng, backend="vectorized")
-        assert explicit.backend == "bitmask"
-        assert [(d.frm, d.to) for d in explicit.degradations] == [
-            ("vectorized", "bitmask")
-        ]
-        assert auto.classifications == scalar_classifications(fig34)
-        assert explicit.classifications == auto.classifications
+        packed = run_atpg(fig34, engine=NoNumpyEngine(fig34)).to_dict()
+        shared = run_atpg(fig34).to_dict()
+        for data in (packed, shared):
+            del data["wall_seconds"]
+        assert packed == shared
+        assert packed["classifications"] == scalar_classifications(fig34)
 
     def test_wide_net_stays_on_bitmask_rung(self):
-        """Pattern simulation packs only the pattern list, so the
-        25-input exhaustive ceiling must not push a 30-input run off
-        the big-int rung."""
+        """Pattern simulation packs only the pattern list onto big ints,
+        so the 25-input exhaustive ceiling must not stop a 30-input
+        run."""
         from .test_engine import TestWideInputGuard
 
         net = TestWideInputGuard()._wide_net()
         faults = FaultSweep(net).single_fault_universe()[:8]
-        report = run_atpg(net, faults=faults, backend="auto")
-        assert report.backend == "bitmask"
-        assert report.degradations == ()
+        report = run_atpg(net, faults=faults)
+        podem = Podem(net)
+        statuses = [podem.generate_test_ex(f).status for f in faults]
+        assert report.classifications == {
+            f.describe(): "detected" if status == "test" else status
+            for f, status in zip(faults, statuses)
+        }
 
 
 # ----------------------------------------------------------------------
@@ -269,18 +433,16 @@ class TestDriver:
         assert compacted.classifications == loose.classifications
         assert compacted.patterns_kept <= loose.patterns_kept
         # Every pattern the compacted report credits must really detect
-        # the fault it covers, per the block backend.
-        eng = engine_for(fig34)
+        # the fault it covers, per the reference interpreter.
+        n = len(fig34.inputs)
         universe = {
             f.describe(): f for f in collapse_stem_faults(fig34)
         }
         for name, index in compacted.detected_by.items():
-            pattern = compacted.patterns[index]
-            base = bitmask_pattern_bits(eng.compiled, [pattern], None)
-            row = bitmask_pattern_bits(
-                eng.compiled, [pattern], [universe[name]]
-            )[0]
-            assert any((b ^ r) & 1 for b, r in zip(base, row)), name
+            point = point_tuple(n, compacted.patterns[index])
+            assert reference_outputs(
+                fig34, point, universe[name]
+            ) != reference_outputs(fig34, point), name
 
     def test_pairs_mode_emits_alternating_pairs(self, fig37):
         report = run_atpg(fig37, pairs=True)
@@ -289,25 +451,12 @@ class TestDriver:
         # collapsed fault is pair-testable.
         assert report.detected == report.requested
         n = len(fig37.inputs)
-        full = (1 << n) - 1
-        eng = engine_for(fig37)
         universe = {
             f.describe(): f for f in collapse_stem_faults(fig37)
         }
         for name, index in report.detected_by.items():
-            x = report.patterns[index]
-            pair = [x, x ^ full]
-            base = bitmask_pattern_bits(eng.compiled, pair, None)
-            row = bitmask_pattern_bits(eng.compiled, pair, [universe[name]])[0]
-            good_alternates = any(
-                ((b & 1) ^ ((b >> 1) & 1)) for b in base
-            )
-            faulty_nonalternating = any(
-                ((b & 1) ^ ((b >> 1) & 1))
-                and ((r & 1) == ((r >> 1) & 1))
-                for b, r in zip(base, row)
-            )
-            assert good_alternates and faulty_nonalternating, name
+            pair = alternating([report.patterns[index]], n)
+            assert reference_pair_masks(fig37, pair, [universe[name]]) == [1]
 
     def test_candidate_budget_one_matches_scalar_patterns(self, fig34):
         """candidates=1 + no dropping is exactly the scalar generator:
@@ -342,6 +491,25 @@ class TestDriver:
         json.dumps(data)  # JSON-serializable end to end
         assert "patterns kept" in report.summary()
 
+    def test_repeated_faults_counted_once(self, fig34):
+        """A repeated fault is requested once, so the counts tile the
+        universe."""
+        fault = StuckAt(sorted(fig34.lines())[0], 0)
+        other = StuckAt(sorted(fig34.lines())[1], 1)
+        report = run_atpg(fig34, faults=[fault, other, fault, fault])
+        assert report.requested == 2
+        assert (
+            report.detected + report.redundant + report.aborted
+            == report.requested
+        )
+        assert list(report.classifications) == [
+            fault.describe(), other.describe()
+        ]
+        assert report == dataclasses.replace(
+            run_atpg(fig34, faults=[fault, other]),
+            wall_seconds=report.wall_seconds,
+        )
+
     def test_explicit_fault_universe(self, fig34):
         line = sorted(fig34.lines())[0]
         faults = [StuckAt(line, 0), StuckAt(line, 1)]
@@ -352,8 +520,6 @@ class TestDriver:
         }
 
     def test_invalid_arguments_rejected(self, fig34):
-        with pytest.raises(ValueError):
-            run_atpg(fig34, backend="kernel")
         with pytest.raises(ValueError):
             run_atpg(fig34, candidates=0)
 
@@ -390,13 +556,12 @@ class TestAtpgCli:
             main(
                 [
                     "atpg", fig34_bench, "--no-collapse", "--no-drop",
-                    "--no-compact", "--backend", "bitmask", "--json",
+                    "--no-compact", "--json",
                 ]
             )
             == 0
         )
         data = json.loads(capsys.readouterr().out)
-        assert data["backend"] == "bitmask"
         assert data["dropped"] == 0
         # raw (uncollapsed) stem universe is strictly larger
         assert data["requested"] > run_atpg(fig34_network()).requested

@@ -18,7 +18,6 @@ from repro.engine import FaultSweep, NetworkEngine, engine_for, select_backend
 from repro.engine.vectorized import (
     HAVE_NUMPY,
     VectorizedBackend,
-    chunk_pattern_bits,
     chunk_statuses,
 )
 from repro.logic.benchfmt import load_bench
@@ -530,13 +529,15 @@ class TestThresholdFaultRows:
         assert sweep.last_sweep_backend == "vectorized"
 
     @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
-    def test_pattern_rows_on_vectorized(self, kind):
-        """All-zero patterns zero every operand of every fault row."""
+    def test_all_zero_pattern_slots(self, kind):
+        """All-zero patterns zero every operand of every fault slot."""
+        from repro.engine.atpg import pattern_detections
+
         eng = NetworkEngine(self._threshold3(kind))
-        faults = [StuckAt("x0", 0), PinStuckAt("m", 1, 0)]
-        assert chunk_pattern_bits(
-            eng, [0, 0], faults, "vectorized"
-        ) == chunk_pattern_bits(eng, [0, 0], faults, "bitmask")
+        faults = [StuckAt("x0", 0), PinStuckAt("m", 1, 0), StuckAt("m", 1)]
+        # Only MAJ's m s/1 flips the output at the all-zero point.
+        expected = [0, 0, 0b11 if kind is GateKind.MAJ else 0]
+        assert pattern_detections(eng.compiled, [0, 0], faults) == expected
 
 
 class TestWideInputGuard:

@@ -30,7 +30,6 @@ import pytest
 
 from repro.core.atpg import Podem, structural_test_summary
 from repro.engine.atpg import run_atpg
-from repro.engine.vectorized import HAVE_NUMPY
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import enumerate_pin_faults, enumerate_stem_faults
 from repro.logic.gates import GateKind
@@ -230,17 +229,6 @@ def _load():
         return json.load(handle)
 
 
-def _rung_blind(fields):
-    """Without NumPy, ``run_atpg(backend="auto")`` starts on (and
-    reports) the big-int rung; every search and pattern field is the
-    same."""
-    if isinstance(fields, dict) and not HAVE_NUMPY:
-        fields = dict(fields)
-        for key in ("backend", "auto_rung"):
-            fields.pop(key, None)
-    return fields
-
-
 CASES = grid_cases()
 
 
@@ -248,7 +236,7 @@ CASES = grid_cases()
 def test_matches_golden(key, thunk):
     # Round-trip through JSON so tuples compare as the fixture's lists.
     got = json.loads(json.dumps(thunk()))
-    assert _rung_blind(got) == _rung_blind(_load()[key])
+    assert got == _load()[key]
 
 
 def test_golden_covers_grid():
