@@ -3,12 +3,11 @@
 Two claims land in ``BENCH_synth.json``:
 
 * **batched >= 5x scalar fitness throughput** — the generational search
-  charges every candidate to the word-axis backends through the
+  charges every candidate to the big-int stem-region sweep through the
   ``synth`` chunk seam; over a deterministic candidate pool the batched
   evaluator must produce records byte-identical (modulo the advisory
   ``backend`` field) to the pointwise scalar evaluator while being at
-  least ``MIN_SYNTH_SPEEDUP`` faster overall (NumPy runs only — the
-  big-int bitmask rung is a correctness rung, not a performance claim);
+  least ``MIN_SYNTH_SPEEDUP`` faster overall;
 * **fixed-seed search convergence** — the committed micro-campaign
   configurations (the same ones the tests and CI smoke drill) converge
   to perfect self-dual, self-checking winners in a pinned number of
@@ -23,7 +22,6 @@ import time
 
 from _harness import benchmark_elapsed, record
 
-from repro.engine.vectorized import HAVE_NUMPY
 from repro.synth import (
     SPECS,
     SynthCampaign,
@@ -107,7 +105,7 @@ def synth_report():
     ok = id_agreed == len(identity) and tp_agreed == len(throughput)
 
     lines = [
-        "Synthesis fitness: batched (word-axis) vs scalar evaluator",
+        "Synthesis fitness: batched (big-int) vs scalar evaluator",
         f"  identity pool: {len(identity)} candidates over "
         f"{len(SPECS)} builtin specs, records identical "
         f"{id_agreed}/{len(identity)} "
@@ -116,8 +114,7 @@ def synth_report():
         f"on a 32-point spec, records identical "
         f"{tp_agreed}/{len(throughput)}",
         f"  scalar {tp_scalar:.3f}s  batched {tp_batched:.3f}s  "
-        f"-> {speedup:.1f}x"
-        + ("" if HAVE_NUMPY else "  (big-int bitmask, ungated)"),
+        f"-> {speedup:.1f}x",
         "",
         "Fixed-seed micro-campaigns (population=24, max_gates=16):",
     ]
@@ -159,9 +156,8 @@ def test_synth(benchmark):
         synth_report, rounds=1, iterations=1
     )
     assert ok, text
-    if HAVE_NUMPY:
-        assert speedup >= MIN_SYNTH_SPEEDUP, (
-            f"batched fitness speedup {speedup:.2f}x fell below the "
-            f"{MIN_SYNTH_SPEEDUP:.0f}x acceptance bar\n{text}"
-        )
+    assert speedup >= MIN_SYNTH_SPEEDUP, (
+        f"batched fitness speedup {speedup:.2f}x fell below the "
+        f"{MIN_SYNTH_SPEEDUP:.0f}x acceptance bar\n{text}"
+    )
     record("synth", text, metrics, benchmark_elapsed(benchmark))

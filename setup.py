@@ -23,9 +23,6 @@ setup(
     packages=find_packages(where="src"),
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
-        # NumPy accelerates the fault-batched vectorized backend; the
-        # package runs fully (packed-word fallback) without it.
-        "fast": ["numpy"],
     },
     keywords=[
         "self-checking",

@@ -9,9 +9,9 @@ Point the thesis's machinery at any ``.bench`` netlist:
 * ``minority``  — convert a NAND/NOR netlist to minority modules;
 * ``dot``       — Graphviz export with the failing lines highlighted;
 * ``faulttable``— a Figure 3.6-style fault table for chosen lines;
-* ``campaign``  — a bulk single-fault coverage sweep through the
-  backend-selection heuristic (bitmask / vectorized) under
-  the supervised runtime (``--timeout``, ``--checkpoint``/``--resume``,
+* ``campaign``  — a bulk single-fault coverage sweep (the exhaustive
+  stem-region sweep, tiled over input pairs on wide nets) under the
+  supervised runtime (``--timeout``, ``--checkpoint``/``--resume``,
   ``--report``);
 * ``atpg``      — fault-dropping PODEM campaign: guided search per
   target, batched candidate completions simulated against the whole
@@ -25,7 +25,7 @@ Point the thesis's machinery at any ``.bench`` netlist:
 * ``fuzz``      — seeded differential/metamorphic fuzz campaign with
   counterexample shrinking (see ``repro.qa``);
 * ``stats``     — render a flight recorded with ``--trace-out``: time
-  per backend, degradations, retries, faults/sec, QA pass rates;
+  per rung, degradations, retries, faults/sec, QA pass rates;
 * ``serve``     — stdlib asyncio campaign service: queues requests on a
   bounded worker pool (shedding overload with 429), deduplicates
   identical campaigns by content fingerprint, streams NDJSON progress,
@@ -52,7 +52,6 @@ from .core.design import make_self_checking
 from .core.report import fault_table, render_fault_table, undetected_faults
 from .core.simulate import ScalSimulator
 from .core.testgen import all_test_pairs, format_pair
-from .engine.campaign import SWEEP_BACKENDS
 from .logic.benchfmt import load_bench, save_bench
 from .logic.faults import StuckAt
 from .logic.render import annotate_with_analysis, render_dot, render_listing
@@ -238,7 +237,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             stats = sweep.coverage(
                 universe,
                 processes=args.processes,
-                backend=args.backend,
                 timeout=args.timeout,
                 checkpoint=args.checkpoint,
                 resume=args.resume,
@@ -522,13 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="bulk single-fault coverage sweep (heuristic backend choice)",
+        help="bulk single-fault coverage sweep (exhaustive stem regions)",
     )
     p.add_argument("netlist")
-    p.add_argument("--backend", default="auto", choices=SWEEP_BACKENDS,
-                   help="sweep backend (default: auto, bitmask up to 20 "
-                   "inputs; vectorized = NumPy fault blocks, degrades to "
-                   "bitmask without NumPy)")
     p.add_argument("--processes", type=int, default=None,
                    help="fan out across this many supervised fork-worker "
                    "lanes when > 1 (default: in-process)")

@@ -251,7 +251,6 @@ def fault_coverage(
     faults: Optional[Sequence[FaultLike]] = None,
     collapse: bool = True,
     processes: Optional[int] = None,
-    backend: str = "auto",
 ) -> Dict[str, float]:
     """Coverage statistics for the merits discussion (Section 2.4).
 
@@ -264,13 +263,11 @@ def fault_coverage(
     equivalence class, :mod:`repro.core.collapse`) — equivalent faults
     have identical faulty functions, so per-class classification is
     unchanged while the sweep shrinks.  Pass ``collapse=False`` for the
-    raw universe; ``processes`` fans the sweep across fork workers;
-    ``backend`` picks the sweep execution backend (``auto`` applies the
-    :func:`repro.engine.select_backend` rule).
+    raw universe; ``processes`` fans the sweep across fork workers.
     """
     sweep = FaultSweep(network)
     if faults is not None:
         universe: List[FaultLike] = list(faults)
     else:
         universe = sweep.compiled.fault_universe(collapse=collapse)
-    return sweep.coverage(universe, processes=processes, backend=backend)
+    return sweep.coverage(universe, processes=processes)

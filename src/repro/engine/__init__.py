@@ -5,10 +5,11 @@ exhaustive Chapter-3 conditions, the Definition-2.4 SCAL oracle, PODEM's
 validation runs, and the Chapter-4 sequential campaigns all compile
 their :class:`~repro.logic.network.Network` once (into the flat,
 integer-indexed op program of :mod:`repro.engine.compiled`) and then
-simulate many times through one of two interchangeable scalar backends:
+simulate many times through one of two interchangeable backends:
 
-* **bitmask** — word-parallel big-int truth-table masks (exhaustive
-  sweeps, and the pure-Python block rung when NumPy is absent),
+* **bitmask** — word-parallel big-int truth-table masks: the one
+  exhaustive sweep, classifying by stem regions, per pair tile above
+  :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs,
 * **pointwise** — one assignment at a time with a baseline-point cache
   (explicit point lists for spaces too wide to enumerate).
 
@@ -16,12 +17,9 @@ The Chapter-4 clocked campaigns (:mod:`repro.seq.simulator`) run the
 same op program row-parallel through the bitmask primitive, one fault
 per bit; the fault-dropping ATPG driver (:mod:`repro.engine.atpg`)
 simulates its candidate patterns the same way, one fault per slot of
-pattern bits.
+pattern bits.  Nothing in the package needs NumPy.
 
-The NumPy block backend (:attr:`NetworkEngine.vectorized`) batches
-whole fault blocks on top.
-
-All backends share the cached fault-free baseline (an immutable tuple —
+Both backends share the cached fault-free baseline (an immutable tuple —
 engines are shared across sweeps and across ``serve`` requests, so
 in-place mutation must raise) and re-simulate only the injected fault's
 output cone (the bitmask classification needs even less: one flip
@@ -77,51 +75,31 @@ from .fork import (
     TransportFailure,
     TransportUnavailable,
 )
-from .vectorized import (
-    HAVE_NUMPY,
-    VectorizedBackend,
-    select_backend,
-)
 
 
 class NetworkEngine:
     """One network's compiled form plus its shared backends.
 
     The pointwise backend is always built; the exhaustive
-    :attr:`bitmask` backend and the NumPy block backend
-    (:attr:`vectorized`) are constructed lazily on first use — so
-    engines for small one-off queries pay nothing, and engines for
-    circuits beyond the
-    :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` exhaustive
-    ceiling can still serve the pointwise/vectorized paths (touching
-    ``.bitmask`` there raises ``ValueError`` instead of attempting the
-    2^n-bit allocation).
+    :attr:`bitmask` backend is constructed lazily on first use, so
+    engines for small one-off queries pay nothing.  Building it never
+    allocates a table: on circuits beyond the
+    :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` whole-table
+    ceiling its tiled sweep still runs, while its whole-table methods
+    raise ``ValueError`` instead of attempting the 2^n-bit allocation.
     """
 
     def __init__(self, network: Network) -> None:
         self.compiled = compile_network(network)
         self.pointwise = PointwiseBackend(self.compiled)
         self._bitmask: Optional[BitmaskBackend] = None
-        self._vectorized: Optional[VectorizedBackend] = None
 
     @property
     def bitmask(self) -> BitmaskBackend:
-        """The exhaustive big-int truth-table backend.
-
-        Raises ``ValueError`` for circuits wider than
-        :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` inputs (the
-        eager 2^n-bit mask would be an OOM attempt, not a slow path).
-        """
+        """The exhaustive big-int truth-table backend."""
         if self._bitmask is None:
             self._bitmask = BitmaskBackend(self.compiled)
         return self._bitmask
-
-    @property
-    def vectorized(self) -> Optional["VectorizedBackend"]:
-        """The NumPy PPSFP block backend, or ``None`` without NumPy."""
-        if self._vectorized is None and HAVE_NUMPY:
-            self._vectorized = VectorizedBackend(self.compiled)
-        return self._vectorized
 
 
 _engine_cache: "weakref.WeakKeyDictionary[Network, NetworkEngine]" = (
@@ -170,7 +148,6 @@ __all__ = [
     "FaultPlan",
     "FaultSweep",
     "ForkTransport",
-    "HAVE_NUMPY",
     "NetworkEngine",
     "Op",
     "PointwiseBackend",
@@ -181,12 +158,10 @@ __all__ = [
     "TransportError",
     "TransportFailure",
     "TransportUnavailable",
-    "VectorizedBackend",
     "compile_network",
     "engine_for",
     "program_fingerprint",
     "run_atpg",
     "run_campaign",
-    "select_backend",
     "universe_fingerprint",
 ]

@@ -6,10 +6,10 @@ and answer each faulty query from the baseline plus as little extra
 simulation as the query needs.
 
 * :class:`BitmaskBackend` — word-parallel: every line is a ``2**n``-bit
-  truth-table mask, one pass covers the whole input space.  This is the
-  exhaustive-oracle backend (Definition 2.4, conditions A–E) and the
-  block rung without NumPy (a big int already is a packed word array).
-  Its classification (:meth:`BitmaskBackend.response_triple`,
+  truth-table mask, one pass covers the whole input space (a big int
+  already is a packed word array).  This is the exhaustive-oracle
+  backend (Definition 2.4, conditions A–E) and the one exhaustive
+  sweep.  Its classification (:meth:`BitmaskBackend.response_triple`,
   :meth:`~BitmaskBackend.sweep_statuses`) is a **stem-region** sweep:
   critical-path tracing with exact stem simulation (Abramovici, Menon
   & Miller, 1984).  A single stuck-at fault on line ``L`` changes
@@ -28,11 +28,26 @@ simulation as the query needs.
   tables (:meth:`~BitmaskBackend.line_bits`), multiple faults and
   absent lines take the fault's cone schedule instead (the
   :meth:`~repro.engine.compiled.CompiledNetwork.fault_plan` path:
-  copy the baseline, re-evaluate only the fault's output cone).
+  copy the baseline, re-evaluate only the fault's output cone); with
+  ``cone=True`` a sweep takes it for every fault, which is the
+  reference the stem-region path is checked against.
 * :class:`PointwiseBackend` — one input assignment (or an explicit list
   of points, for spaces too wide to enumerate) at a time, with a
   bounded per-point baseline cache, so a revisited point costs only a
   cone-sized update.
+
+**Pair tiles.**  Definition 2.4 classifies a fault pair by pair, so any
+set of whole pairs can be classified alone, and a fault's status is the
+most severe over the sets.  Above :data:`UNTILED_MAX_INPUTS` inputs a
+sweep runs once per tile of :data:`TILE_PAIRS` pairs: lower-half points
+``[lo, lo+T)`` followed by their complements ``[2**n-lo-T, 2**n-lo)``,
+as one ``2T``-bit table.  Inside a tile the complement of bit ``j`` is
+bit ``2T-1-j``, the reversal of a ``(log2 T + 1)``-input table, so the
+pairing code runs unchanged at that width; only the input variables'
+masks differ (:meth:`BitmaskBackend._tiles`).  Each tile's baseline,
+regions and root flips are derived, used and dropped, which bounds a
+sweep's memory at any width.  At or below the cut a sweep is one tile,
+the whole table.
 
 Clocked sequential campaigns and ATPG pattern simulation do not use
 either backend's fault plans: :func:`repro.seq.simulator.evaluate_rows`
@@ -49,8 +64,9 @@ callers that want them.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic.gates import evaluate as eval_gate
 from ..logic.gates import evaluate_mask
@@ -62,13 +78,30 @@ from .compiled import CompiledNetwork, FaultLike
 #: input points (2**16 — larger spaces should sample explicit points).
 POINT_CACHE_LIMIT = 1 << 16
 
-#: Exhaustive big-int masks are ``2**n`` bits *per line*; beyond this
-#: many inputs even the all-ones ``full`` mask is a multi-gigabyte
-#: allocation, so :class:`BitmaskBackend` refuses with ``ValueError``
-#: instead of attempting the OOM.  Wider circuits use the pointwise /
-#: vectorized (chunked) paths, which never materialize ``2**n`` bits
-#: at once.
+#: Widest input space a sweep classifies as one whole table.  Above it
+#: the sweep runs per pair tile: every fault chunk re-derives each tile,
+#: which costs 1.5–1.8x the untiled sweep at 20 inputs, while from 21
+#: inputs up the whole table's memory doubles per input.
+UNTILED_MAX_INPUTS = 20
+
+#: Pairs per tile of a tiled sweep (a ``2**18``-bit, 32 KiB table per
+#: line).  At 22 inputs the sweep time is flat from ``2**17`` to
+#: ``2**19`` pairs while peak memory grows with the tile.
+TILE_PAIRS = 1 << 17
+
+#: Whole tables are ``2**n`` bits *per line*; beyond this many inputs
+#: even the all-ones ``full`` mask is a multi-gigabyte allocation, so
+#: the methods of :class:`BitmaskBackend` that build or read a whole
+#: table refuse with ``ValueError`` instead of attempting the OOM.
+#: :meth:`BitmaskBackend.sweep_statuses` tiles, so it runs at any width.
 MAX_BITMASK_INPUTS = 25
+
+#: Fault statuses in increasing severity: a tiled sweep keeps each
+#: fault's most severe tile status.
+SEVERITY = ("silent", "detected", "dangerous")
+
+#: Chunk rungs: the stem-region sweep, and every fault's cone plan.
+RUNGS = ("bitmask", "cone")
 
 # Telemetry: per-backend work counters.  Hot paths hoist the enabled
 # check (`_REG.enabled`) so a disabled registry costs one branch per
@@ -79,6 +112,11 @@ _M_OPS = _REG.counter(
 )
 _M_WORDS = _REG.counter(
     "repro_engine_words_total", "64-bit truth-table words simulated, by backend"
+)
+#: Items per supervised chunk, by rung (synthesis fitness chunks too).
+CHUNK_FAULTS = _REG.counter(
+    "repro_campaign_chunk_faults_total",
+    "Faults classified through chunk_statuses, by backend",
 )
 
 
@@ -129,6 +167,26 @@ def table_response(
     return affected, detected, affected & all_alternate
 
 
+def variable_masks(width: int, count: int) -> List[int]:
+    """Masks of inputs ``0 .. count-1`` over a ``2**width``-bit table:
+    bit ``p`` of mask ``i`` is bit ``i`` of point ``p``.
+
+    Mask doubling: start from one period (``2**i`` zeros then ``2**i``
+    ones) and double the covered span until it fills the table — O(n)
+    big-int ops instead of O(2**n) shifts.
+    """
+    total = 1 << width
+    masks = []
+    for i in range(count):
+        mask = ((1 << (1 << i)) - 1) << (1 << i)
+        span = 1 << (i + 1)
+        while span < total:
+            mask |= mask << span
+            span <<= 1
+        masks.append(mask)
+    return masks
+
+
 def _evaluate_masks(
     comp: CompiledNetwork, inputs: List[int], full: int, words: int
 ) -> List[int]:
@@ -170,21 +228,28 @@ def _inject_masks(
 
 
 class BitmaskBackend:
-    """Word-parallel evaluation: one integer mask per line."""
+    """Word-parallel evaluation: one integer mask per line.
 
-    def __init__(self, compiled: CompiledNetwork) -> None:
-        if compiled.n_inputs > MAX_BITMASK_INPUTS:
-            raise ValueError(
-                f"BitmaskBackend: {compiled.n_inputs} inputs exceeds the "
-                f"{MAX_BITMASK_INPUTS}-input exhaustive ceiling (a "
-                f"2**{compiled.n_inputs}-bit mask per line); use the "
-                "pointwise or vectorized backends for wide circuits"
-            )
+    ``tile``, ``(width, variables)``, makes a backend over one pair tile
+    of a tiled sweep instead of the whole table: a ``2**width``-bit
+    table whose input lines hold ``variables`` (see :meth:`_tiles`).
+    """
+
+    def __init__(
+        self,
+        compiled: CompiledNetwork,
+        tile: Optional[Tuple[int, List[int]]] = None,
+    ) -> None:
         self.compiled = compiled
-        self.full = (1 << (1 << compiled.n_inputs)) - 1
+        # The table's width: the reversal of a `width`-input table pairs
+        # its points (the whole table's, or one tile's).
+        width, self._variables = (
+            (compiled.n_inputs, None) if tile is None else tile
+        )
+        self._width = width
         self._baseline: Optional[Tuple[int, ...]] = None
         self._baseline_lock = threading.Lock()
-        self._words_per_line = max(1, (1 << compiled.n_inputs) >> 6)
+        self._words_per_line = max(1, (1 << width) >> 6)
         self._normals: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
         # Stem-region state, derived like the baseline and as immutable
         # tuples: ``(roots, sens)`` per line, and each root's flip
@@ -192,10 +257,29 @@ class BitmaskBackend:
         self._regions: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
         self._flips: Dict[int, Tuple] = {}
         # Pair halves: point p < H of the lower half is paired with
-        # point ~p of the upper half; n = 0 pairs its point with itself.
-        n = compiled.n_inputs
-        self._half = (1 << (n - 1)) if n else 0
-        self._low = (1 << self._half) - 1 if n else 1
+        # point ~p of the upper half; width 0 pairs its point with itself.
+        self._half = (1 << (width - 1)) if width else 0
+
+    @functools.cached_property
+    def full(self) -> int:
+        """The all-ones table mask.  A whole table wider than
+        :data:`MAX_BITMASK_INPUTS` inputs refuses with ``ValueError``
+        here, before anything is allocated."""
+        n = self.compiled.n_inputs
+        if self._variables is None and n > MAX_BITMASK_INPUTS:
+            raise ValueError(
+                f"BitmaskBackend: {n} inputs exceeds the "
+                f"{MAX_BITMASK_INPUTS}-input exhaustive ceiling for a "
+                f"whole table (a 2**{n}-bit mask per line); "
+                "sweep_statuses tiles and runs at any width, and the "
+                "pointwise backend serves explicit points"
+            )
+        return (1 << (1 << self._width)) - 1
+
+    @functools.cached_property
+    def _low(self) -> int:
+        """The lower half's mask, and the all-pairs mask of pair masks."""
+        return self.full >> self._half if self._half else 1
 
     def baseline(self) -> Tuple[int, ...]:
         """Fault-free masks for every line.
@@ -208,41 +292,31 @@ class BitmaskBackend:
         (:meth:`line_bits`); the lock makes first-derivation safe under
         the server's worker threads.  When the process-wide artifact
         store is enabled, identical compiled programs (by content
-        fingerprint) share one derivation.
+        fingerprint) share one whole-table derivation.
         """
         if self._baseline is None:
+            full = self.full  # refuses a whole table too wide to hold
             with self._baseline_lock:
                 if self._baseline is None:
-                    self._baseline = self._derive_baseline()
+                    self._baseline = self._derive_baseline(full)
         return self._baseline
 
-    def _derive_baseline(self) -> Tuple[int, ...]:
+    def _derive_baseline(self, full: int) -> Tuple[int, ...]:
+        comp = self.compiled
+        words = self._words_per_line
+        if self._variables is not None:  # a tile: used once, never stored
+            return tuple(_evaluate_masks(comp, self._variables, full, words))
         from .store import STORE, program_fingerprint
 
         fingerprint = None
         if STORE.enabled:
-            fingerprint = program_fingerprint(self.compiled)
+            fingerprint = program_fingerprint(comp)
             cached = STORE.get("baseline", fingerprint)
             if cached is not None:
                 return cached
-        n = self.compiled.n_inputs
-        total = 1 << n
-        variables: List[int] = []
-        for i in range(n):
-            # Variable mask: bit p of the table is bit i of point p.
-            # Mask doubling: start from one period (2**i zeros then
-            # 2**i ones) and double the covered span until it fills
-            # the table — O(n) big-int ops instead of O(2**n) shifts.
-            mask = ((1 << (1 << i)) - 1) << (1 << i)
-            span = 1 << (i + 1)
-            while span < total:
-                mask |= mask << span
-                span <<= 1
-            variables.append(mask)
+        n = comp.n_inputs
         frozen = tuple(
-            _evaluate_masks(
-                self.compiled, variables, self.full, self._words_per_line
-            )
+            _evaluate_masks(comp, variable_masks(n, n), full, words)
         )
         if fingerprint is not None:
             STORE.put("baseline", fingerprint, value=frozen)
@@ -272,9 +346,7 @@ class BitmaskBackend:
     def normals(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Fault-free output masks and their alternation masks (cached)."""
         if self._normals is None:
-            self._normals = table_normals(
-                self.output_bits(), self.compiled.n_inputs
-            )
+            self._normals = table_normals(self.output_bits(), self._width)
         return self._normals
 
     def response_triple(self, fault: FaultLike) -> Tuple[int, int, int]:
@@ -291,22 +363,74 @@ class BitmaskBackend:
 
     def _cone_response(self, fault: FaultLike) -> Tuple[int, int, int]:
         return table_response(
-            self.normals(), self.output_bits(fault), self.compiled.n_inputs
+            self.normals(), self.output_bits(fault), self._width
         )
 
-    def sweep_statuses(self, faults: Iterable[FaultLike]) -> List[str]:
-        """Classify every fault (``dangerous``/``detected``/``silent``);
-        the stem-region path classifies on its pair masks directly."""
+    def sweep_statuses(
+        self, faults: Iterable[FaultLike], cone: bool = False
+    ) -> List[str]:
+        """Classify every fault (``dangerous``/``detected``/``silent``).
+
+        The stem-region path classifies on its pair masks directly;
+        ``cone=True`` re-simulates every fault's cone plan instead (the
+        reference the stem-region path is checked against).  Above
+        :data:`UNTILED_MAX_INPUTS` inputs the sweep runs once per pair
+        tile and keeps each fault's most severe status (an OR of the
+        tiles' pair masks, so no mask crosses tiles).
+        """
+        faults = list(faults)
+        sites = (
+            [None] * len(faults) if cone else [self._site(f) for f in faults]
+        )
+        statuses: List[str] = []
+        for index, table in enumerate(self._tiles()):
+            got = table._classify(faults, sites)
+            statuses = got if not index else [
+                max(old, new, key=SEVERITY.index)
+                for old, new in zip(statuses, got)
+            ]
+        return statuses
+
+    def _classify(self, faults: List[FaultLike], sites: List) -> List[str]:
+        """One table's statuses: each fault on its :meth:`_site`'s stem
+        region, or on its cone plan where it has none."""
         statuses = []
-        for fault in faults:
-            site = self._single_site(fault)
+        for fault, site in zip(faults, sites):
             _aff, det, vio = (
                 self._cone_response(fault)
                 if site is None
-                else self._flip_pairs(*site)
+                else self._flip_pairs(*self._site_mask(site))
             )
             statuses.append(classify_status(det, vio))
         return statuses
+
+    def _tiles(self) -> Iterator["BitmaskBackend"]:
+        """The tables a sweep classifies on: this backend's own, or above
+        :data:`UNTILED_MAX_INPUTS` inputs a fresh backend per pair tile.
+
+        Tile ``lo`` of ``T`` pairs holds points ``[lo, lo+T)`` in bits
+        ``[0, T)`` and ``[2**n-lo-T, 2**n-lo)`` in bits ``[T, 2T)``.  Both
+        ranges start at a multiple of ``T``, so below bit ``log2 T``
+        every input repeats with its usual period over the ``2T`` bits,
+        and above it each input is constant on each range.
+        """
+        n = self.compiled.n_inputs
+        if self._variables is not None or n <= UNTILED_MAX_INPUTS:
+            yield self
+            return
+        pairs = min(TILE_PAIRS, 1 << (n - 1))
+        width = pairs.bit_length()
+        periodic = variable_masks(width, width - 1)
+        low = (1 << pairs) - 1
+        total = 1 << n
+        for lo in range(0, total >> 1, pairs):
+            top = total - lo - pairs
+            constant = [
+                (low if lo >> i & 1 else 0)
+                | (low << pairs if top >> i & 1 else 0)
+                for i in range(width - 1, n)
+            ]
+            yield BitmaskBackend(self.compiled, (width, periodic + constant))
 
     # ------------------------------------------------------------------
     # stem regions (critical-path tracing with exact stem simulation)
@@ -359,27 +483,41 @@ class BitmaskBackend:
             _M_OPS.inc(ops, backend="bitmask")
             _M_WORDS.inc(ops * self._words_per_line, backend="bitmask")
 
-    def _single_site(self, fault: FaultLike) -> Optional[Tuple[int, int]]:
-        """``(root, m)`` of a fault that resolves to exactly one stem or
-        one pin — ``m`` the points where it complements ``root`` — else
-        ``None``."""
-        comp = self.compiled
-        stems, pins = comp.resolve(fault)
+    def _site(
+        self, fault: FaultLike
+    ) -> Optional[Tuple[int, Optional[int], int]]:
+        """The one stem ``(line, None, value)`` or the one pin ``(op
+        position, slot, value)`` a fault resolves to, else ``None``.  It
+        reads no table, so a tiled sweep resolves each fault once."""
+        stems, pins = self.compiled.resolve(fault)
         if len(stems) + sum(len(forces) for forces in pins.values()) != 1:
             return None
-        baseline = self.baseline()
-        roots, sens = self.regions()
         if stems:
             ((line, value),) = stems.items()
-            differs = baseline[line] ^ self.full if value else baseline[line]
-            return roots[line], sens[line] & differs
+            return line, None, value
         ((pos, ((slot, value),)),) = pins.items()
-        op = comp.ops[pos]
+        return pos, slot, value
+
+    def _site_mask(self, site) -> Tuple[int, int]:
+        """``(root, m)`` of a :meth:`_site` on this table: ``m`` the
+        points where the fault complements ``root``."""
+        where, slot, value = site
+        baseline = self.baseline()
+        roots, sens = self.regions()
+        if slot is None:
+            differs = baseline[where] ^ self.full if value else baseline[where]
+            return roots[where], sens[where] & differs
+        op = self.compiled.ops[where]
         self._count_ops(1)
         forced = self._pin_delta(
             op, slot, self.full if value else 0, baseline
         )
         return roots[op.out], sens[op.out] & forced
+
+    def _single_site(self, fault: FaultLike) -> Optional[Tuple[int, int]]:
+        """:meth:`_site_mask` of a single-site fault, else ``None``."""
+        site = self._site(fault)
+        return None if site is None else self._site_mask(site)
 
     def _halves(self, mask: int) -> Tuple[int, int]:
         """``(lo, hi)`` of a truth-table mask: bit ``p`` of ``lo`` is
@@ -388,14 +526,14 @@ class BitmaskBackend:
         if not self._half:
             return mask, mask
         return mask & self._low, reverse_bits(
-            mask >> self._half, self.compiled.n_inputs - 1
+            mask >> self._half, self._width - 1
         )
 
     def _join(self, lo: int, hi: int) -> int:
         """The truth-table mask of :meth:`_halves` ``(lo, hi)``."""
         if not self._half:
             return lo
-        return lo | reverse_bits(hi, self.compiled.n_inputs - 1) << self._half
+        return lo | reverse_bits(hi, self._width - 1) << self._half
 
     def _root_flip(self, root: int) -> Tuple:
         """``(deltas, detected, all_alternate)`` of complementing ``root``
@@ -473,6 +611,31 @@ class BitmaskBackend:
         for k, delta_lo, delta_hi, _alt in self._root_flip(root)[0]:
             outputs[k] ^= self._join(delta_lo & m_lo, delta_hi & m_hi)
         return tuple(outputs)
+
+
+def chunk_statuses(
+    engine, faults: Sequence[FaultLike], rung: str
+) -> List[str]:
+    """Classify one chunk of faults on rung ``bitmask`` (the stem-region
+    sweep) or ``cone`` (every fault's cone plan) of a
+    :class:`~repro.engine.NetworkEngine`.
+
+    Fork workers and the serial loop both reach it through
+    :func:`repro.engine.supervisor.chunk_statuses`, which is why every
+    execution path classifies byte-identically.
+    """
+    if rung not in RUNGS:
+        raise ValueError(f"unknown chunk rung {rung!r}")
+    universe = list(faults)
+    # Every chunk classifies through this span: the flight's count of
+    # successful "sweep.chunk" spans equals the report's chunk ledger.
+    with obs.span("sweep.chunk", faults=len(universe), backend=rung):
+        statuses = engine.bitmask.sweep_statuses(
+            universe, cone=rung == "cone"
+        )
+    if _REG.enabled:
+        CHUNK_FAULTS.inc(len(universe), backend=rung)
+    return statuses
 
 
 def pack_pattern_masks(

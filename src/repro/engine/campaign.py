@@ -16,15 +16,13 @@ The SCAL pair-level classification lives here in raw-integer form (the
 * **violations** — pairs where some output is wrong yet every output
   alternates: the undetected fault-secure violation of Theorem 3.1.
 
-Bulk sweeps route through a backend-selection rule
-(:func:`~repro.engine.vectorized.select_backend`): up to 20 inputs they
-run on the big-int stem-region path, wider ones on the chunked NumPy
-block backend (without NumPy every sweep runs on the big-int path, and
-:func:`~repro.engine.vectorized.resolve_rung` refuses exhaustive
-sweeps the big-int tables cannot hold).  Execution —
+Bulk sweeps run the one exhaustive sweep,
+:meth:`~repro.engine.backends.BitmaskBackend.sweep_statuses`: the
+stem-region path, per pair tile above
+:data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs.  Execution —
 serial or fanned out across supervised fork workers with per-chunk
 timeouts, retries, checkpoint/resume, and the explicit
-fork → serial → scalar degradation ladder — is delegated to
+fork → serial degradation ladder — is delegated to
 :func:`repro.engine.supervisor.run_campaign`; every sweep leaves a
 structured :class:`~repro.engine.supervisor.CampaignReport` in
 :attr:`FaultSweep.last_report`.
@@ -38,7 +36,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..logic.network import Network
 from .compiled import FaultLike
 from .supervisor import CampaignReport, CancelToken, run_campaign
-from .vectorized import classify_status, resolve_rung, select_backend
+from .backends import classify_status
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,8 +54,12 @@ class ResponseBits:
         return classify_status(self.detected, self.violations)
 
 
-#: Backend names accepted by :meth:`FaultSweep.sweep`.
-SWEEP_BACKENDS = ("auto", "bitmask", "vectorized")
+#: Backend names accepted by :meth:`FaultSweep.sweep`, each mapped to
+#: the chunk rung it runs on: ``auto`` and ``bitmask`` are the
+#: stem-region sweep, and ``vectorized`` (the name of a retired NumPy
+#: rung, kept for callers that ask for an independent check) is every
+#: fault's cone plan over the same tiles.
+SWEEP_RUNGS = {"auto": "bitmask", "bitmask": "bitmask", "vectorized": "cone"}
 
 
 class FaultSweep:
@@ -77,7 +79,7 @@ class FaultSweep:
         self.engine = engine if engine is not None else engine_for(network)
         self.compiled = self.engine.compiled
         self.n = self.compiled.n_inputs
-        #: Name of the backend the most recent :meth:`sweep` ran on
+        #: Name of the rung the most recent :meth:`sweep` ran on
         #: (``"fork:<name>"`` when fanned out across workers).
         self.last_sweep_backend: Optional[str] = None
         #: Structured :class:`CampaignReport` of the most recent
@@ -87,8 +89,8 @@ class FaultSweep:
     @property
     def full(self) -> int:
         """The all-ones 2^n-bit input-space mask, built lazily: on a
-        >MAX_BITMASK_INPUTS circuit it raises the bitmask backend's
-        clear ``ValueError`` instead of allocating."""
+        circuit beyond the whole-table ceiling it raises the bitmask
+        backend's clear ``ValueError`` instead of allocating."""
         return self.engine.bitmask.full
 
     def response_bits(self, fault: FaultLike) -> ResponseBits:
@@ -113,14 +115,12 @@ class FaultSweep:
         )
 
     def _resolve_backend(self, backend: str) -> str:
-        if backend not in SWEEP_BACKENDS:
+        if backend not in SWEEP_RUNGS:
             raise ValueError(
                 f"unknown sweep backend {backend!r}; "
-                f"expected one of {SWEEP_BACKENDS}"
+                f"expected one of {tuple(SWEEP_RUNGS)}"
             )
-        if backend == "auto":
-            backend = select_backend(self.n)
-        return resolve_rung(self.engine, backend)
+        return SWEEP_RUNGS[backend]
 
     def sweep(
         self,
@@ -136,12 +136,12 @@ class FaultSweep:
     ) -> List[Tuple[FaultLike, str]]:
         """Classify every fault under the supervised campaign runtime.
 
-        ``backend`` is ``auto`` (the :func:`select_backend` rule),
-        ``bitmask`` (big-int masks, pure Python), or ``vectorized``
-        (NumPy fault-batched; degrades to ``bitmask`` without NumPy).
-        A sweep that resolves to ``bitmask`` on a circuit beyond
-        :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` inputs raises
-        ``ValueError`` before any chunk runs.  With ``processes > 1``
+        ``backend`` names the rung (:data:`SWEEP_RUNGS`): ``auto`` and
+        ``bitmask`` classify by stem regions, ``vectorized`` re-simulates
+        every fault's cone plan; the statuses are identical.  Width is a
+        question of time only: above
+        :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs the
+        sweep runs per pair tile.  With ``processes > 1``
         the universe is fanned out across supervised fork-worker lanes
         (:mod:`repro.engine.fork`): each chunk carries an optional
         per-chunk ``timeout`` (seconds), failed or hung chunks are
@@ -181,7 +181,6 @@ class FaultSweep:
         self,
         faults: Optional[Sequence[FaultLike]] = None,
         processes: Optional[int] = None,
-        backend: str = "auto",
         timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
@@ -194,7 +193,6 @@ class FaultSweep:
         for _fault, status in self.sweep(
             universe,
             processes=processes,
-            backend=backend,
             timeout=timeout,
             checkpoint=checkpoint,
             resume=resume,
@@ -211,8 +209,8 @@ class FaultSweep:
 
 def _legacy_backend_name(report: CampaignReport) -> str:
     """The :attr:`FaultSweep.last_sweep_backend` convention predating the
-    structured report: ``"fork:<block>"`` for fanned-out sweeps, the
-    plain block-backend name otherwise."""
+    structured report: ``"fork:<rung>"`` for fanned-out sweeps, the
+    plain chunk rung otherwise."""
     if report.backend.startswith("fork"):
         return f"fork:{report.block_backend}"
     return report.block_backend

@@ -27,18 +27,18 @@ default) or any other per-item work with deterministic payloads, such
 as scoring a population of candidate circuits.  With ``processes > 1``
 chunks fan out to forked workers over pipes
 (:class:`repro.engine.fork.ForkTransport`); otherwise they run
-in-process in a plain loop.  Every step down the
+in-process in a plain loop.  The one step down the
 **degradation ladder** —
 
-    ``fork`` → ``serial`` → ``scalar``
+    ``fork`` → ``serial``
 
 — is recorded as a :class:`Degradation` in the :class:`CampaignReport`
 instead of being swallowed by a bare ``except``.
 
 Chaos hooks (:data:`WORKER_CHUNK_HOOK` and :func:`chunk_statuses`,
 swapped by :mod:`repro.qa.chaos`) let the test suite SIGKILL a worker,
-hang a chunk, or break the block backend mid-campaign and assert the
-sweep still finishes with statuses identical to the serial path.
+hang a chunk, or make a chunk raise mid-campaign and assert the sweep
+still finishes with statuses identical to the serial path.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import dataclasses
 import hashlib
 import time
 from collections import deque
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from .durable import CheckpointError, load_envelope, write_envelope
@@ -57,7 +57,7 @@ from .fork import (
     TransportFailure,
     TransportUnavailable,
 )
-from .vectorized import chunk_statuses as _fault_chunk_statuses
+from .backends import chunk_statuses as _fault_chunk_statuses
 
 # Telemetry: campaign-level counters are incremented by the supervising
 # parent (workers keep their own process-local registries, which die
@@ -208,13 +208,12 @@ class RetryEvent:
 class CampaignReport:
     """Structured account of how a sweep actually ran.
 
-    ``backend`` is the ladder rung plus block backend that served the
-    bulk of the campaign (e.g. ``"fork:vectorized"``,
-    ``"serial:vectorized"``, ``"scalar:bitmask"``, or ``"resumed"``
-    when every chunk came from the checkpoint); ``block_backend`` is
-    the final resolved block-backend name alone.  ``degradations``
-    lists every ladder step down with its reason — an empty list means
-    the requested mode is exactly what ran.
+    ``backend`` is the ladder rung plus the chunk rung that served the
+    bulk of the campaign (e.g. ``"fork:bitmask"``, ``"serial:bitmask"``,
+    ``"serial:cone"``, or ``"resumed"`` when every chunk came from the
+    checkpoint); ``block_backend`` is the chunk rung alone.
+    ``degradations`` lists every ladder step down with its reason — an
+    empty list means the requested mode is exactly what ran.
     """
 
     requested: str
@@ -413,8 +412,7 @@ class ChunkKind:
     it inherits.  ``span(n_items, rung, processes)`` opens the run's
     span; ``reports`` makes a run emit ``campaign.report`` (or
     ``campaign.cancelled``) and the wall, status and cancel metrics.
-    ``step_down`` maps a rung that fails in the parent to the serial
-    rung below it; a rung missing there re-raises.  A checkpoint is
+    A checkpoint is
     keyed by ``identity(host, items)`` (what a resumed run must match)
     and accepts a loaded payload only if ``valid_payload`` does.
     """
@@ -425,20 +423,19 @@ class ChunkKind:
     identity: Callable[[object, Sequence], str]
     valid_payload: Callable[[object], bool]
     reports: bool = True
-    step_down: Mapping[str, str] = dataclasses.field(default_factory=dict)
 
 
 def _fault_worker_host(sweep):
     """A sweep over the inherited network with an engine of its own, so
-    each worker derives whatever baseline its block backend reads."""
+    each worker derives whatever tables its rung reads."""
     from . import NetworkEngine
     from .campaign import FaultSweep
 
     return FaultSweep(sweep.network, engine=NetworkEngine(sweep.network))
 
 
-#: Fault classification: the host is a ``FaultSweep``, a rung a resolved
-#: block backend, and a failing block rung steps down to ``bitmask``.
+#: Fault classification: the host is a ``FaultSweep`` and a rung one of
+#: :data:`repro.engine.backends.RUNGS`.
 FAULT_CHUNKS = ChunkKind(
     evaluate=lambda sweep, faults, rung: _fault_chunk_statuses(
         sweep.engine, faults, rung
@@ -449,25 +446,14 @@ FAULT_CHUNKS = ChunkKind(
     ),
     identity=lambda sweep, faults: universe_fingerprint(faults, sweep.n),
     valid_payload=_is_status,
-    step_down={"vectorized": "bitmask"},
 )
 
 
 def chunk_statuses(kind: ChunkKind, host, items: Sequence, rung: str) -> List:
     """Run one chunk of ``kind``: fork workers and the serial loop both
     look this function up late here, so chaos patches of it reach every
-    rung."""
+    execution path."""
     return kind.evaluate(host, items, rung)
-
-
-def _serial_tier(kind: ChunkKind, rung: str) -> str:
-    """``scalar`` for the bottom of the kind's step-down ladder,
-    ``serial`` for every other in-process rung."""
-    return "scalar" if rung in kind.step_down.values() else "serial"
-
-
-def _serial_rung(kind: ChunkKind, rung: str) -> str:
-    return f"{_serial_tier(kind, rung)}:{rung}"
 
 
 # ----------------------------------------------------------------------
@@ -519,30 +505,6 @@ def _build_tasks(
             stop = min(start + chunk, run_stop)
             tasks.append(_Task(start, stop, list(universe[start:stop])))
     return tasks
-
-
-def _parent_serial_chunk(
-    kind: ChunkKind, host, items, rung: str, report
-) -> Tuple[List, str]:
-    """Run one chunk in the parent; returns ``(payloads, rung)``.
-
-    A failing rung steps down the kind's ``step_down`` map once
-    (recorded as a ``serial -> scalar`` degradation, never swallowed)
-    and the chunk runs on the lower rung, which the caller keeps for
-    the rest of its chunks; a rung with no lower step re-raises."""
-    try:
-        return chunk_statuses(kind, host, items, rung), rung
-    except Exception as error:
-        lower = kind.step_down.get(rung)
-        if lower is None:
-            raise
-        report.degrade(
-            "serial",
-            "scalar",
-            f"{rung} block backend failed: "
-            f"{type(error).__name__}: {error}",
-        )
-        return chunk_statuses(kind, host, items, lower), lower
 
 
 # ----------------------------------------------------------------------
@@ -695,16 +657,14 @@ class _ForkSupervisor:
                 self.pending.appendleft(right)
                 self.pending.appendleft(left)
             else:
-                # A single item that keeps failing runs in the parent,
-                # stepping down the kind's ladder if it must.
+                # A single item that keeps failing runs in the parent.
                 self.report.retry(
                     task.key, task.attempt, reason, "parent-serial"
                 )
-                statuses, _rung = _parent_serial_chunk(
+                self.complete(task, chunk_statuses(
                     self.transport.kind, self.transport.host, task.items,
-                    self.chosen, self.report,
-                )
-                self.complete(task, statuses)
+                    self.chosen,
+                ))
         else:
             self.report.retry(task.key, task.attempt, reason, "retried")
             self.pending.append(task)
@@ -731,9 +691,8 @@ def run_campaign(
     ``kind`` (default :data:`FAULT_CHUNKS`) says what a chunk is;
     ``host`` is what its evaluate function reads (a ``FaultSweep`` for
     fault chunks, whose payloads are statuses) and ``chosen`` names a
-    rung (for faults a resolved block backend: ``bitmask`` /
-    ``vectorized``).  The campaign fans out to fork workers iff
-    ``processes > 1``; otherwise it runs in-process.
+    rung (for faults ``bitmask`` or ``cone``).  The campaign fans out to
+    fork workers iff ``processes > 1``; otherwise it runs in-process.
     ``chunk_faults``, when given, is the positive chunk size.
     ``abort_after_chunks`` is the interruption hook used by tests and
     drills: the campaign raises :class:`CampaignInterrupted` after that
@@ -813,9 +772,7 @@ def _run_campaign(
     lanes = max(processes or 1, 1)
     want_workers = lanes > 1
     report = CampaignReport(
-        requested=(
-            f"fork:{chosen}" if want_workers else _serial_rung(kind, chosen)
-        ),
+        requested=f"{'fork' if want_workers else 'serial'}:{chosen}",
         block_backend=chosen,
         faults=n,
         checkpoint_path=checkpoint,
@@ -861,7 +818,7 @@ def _run_campaign(
     if n_remaining == 0:
         # Everything came from the checkpoint (or the universe is empty).
         report.backend = (
-            "resumed" if report.chunks_resumed else _serial_rung(kind, chosen)
+            "resumed" if report.chunks_resumed else f"serial:{chosen}"
         )
         return [s for s in statuses], report
 
@@ -871,7 +828,7 @@ def _run_campaign(
     if want_workers and not use_workers:
         report.degrade(
             "fork",
-            _serial_tier(kind, chosen),
+            "serial",
             f"{n_remaining} remaining faults cannot amortize {lanes} "
             f"fork workers (need >= {4 * lanes}); running in-process",
         )
@@ -898,12 +855,11 @@ def _run_campaign(
     if served:
         report.backend = f"fork:{chosen}"
     else:
-        chosen = _serial_fill(
+        _serial_fill(
             kind, host, universe, statuses, chosen, report, complete, chunk,
             cancel,
         )
-        report.block_backend = chosen
-        report.backend = _serial_rung(kind, chosen)
+        report.backend = f"serial:{chosen}"
 
     missing = [i for i, s in enumerate(statuses) if s is None]
     if missing:  # pragma: no cover - defended invariant
@@ -934,7 +890,7 @@ def _run_fork_workers(
         report.degrade(
             "fork",
             "serial",
-            f"{error}; serving the batch on the serial block backend",
+            f"{error}; serving the batch in-process",
         )
         return False
     supervisor = _ForkSupervisor(
@@ -963,10 +919,8 @@ def _serial_fill(
     complete: Callable[[_Task, List[str]], None],
     chunk: int,
     cancel: Optional[CancelToken] = None,
-) -> str:
-    """Run every still-uncovered item in-process, one chunk at a time,
-    stepping down the kind's ladder once on a rung failure.  Returns
-    the rung that finished the job."""
+) -> None:
+    """Run every still-uncovered item in-process, one chunk at a time."""
     tasks = _build_tasks(universe, statuses, chunk)
     # _build_tasks was already counted for the worker attempt; only count
     # tasks that re-chunked differently after a partial salvage.
@@ -975,8 +929,4 @@ def _serial_fill(
     for task in tasks:
         if cancel is not None:
             cancel.check()
-        values, chosen = _parent_serial_chunk(
-            kind, host, task.items, chosen, report
-        )
-        complete(task, values)
-    return chosen
+        complete(task, chunk_statuses(kind, host, task.items, chosen))

@@ -19,9 +19,9 @@ Three cooperating pieces:
   flight through the chunk-result channel, so a single artifact holds
   the whole story.  ``python -m repro stats FLIGHT`` renders it.
 
-Instrumented seams: the engine backends (op/word counters, block
-sizes), :func:`repro.engine.vectorized.chunk_statuses` (the per-chunk
-``sweep.chunk`` span every ladder rung classifies through; synthesis
+Instrumented seams: the engine backends (op/word counters),
+:func:`repro.engine.backends.chunk_statuses` (the per-chunk
+``sweep.chunk`` span every execution path classifies through; synthesis
 fitness chunks open it in :func:`repro.synth.fitness.evaluate_chunk`),
 :mod:`repro.engine.supervisor` (chunk completions, retries, worker
 replacements, checkpoint writes, the campaign wall-clock

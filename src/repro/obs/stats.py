@@ -3,7 +3,7 @@
 Reads a flight-recorder JSONL artifact and aggregates it into the
 questions an operator actually asks after a campaign:
 
-* where did the time go, per block backend (``sweep.chunk`` spans,
+* where did the time go, per chunk rung (``sweep.chunk`` spans,
   including the ones merged back from fork workers);
 * did the runtime degrade down the ladder, retry, split chunks, or
   replace workers — and why;
@@ -272,7 +272,7 @@ def render(summary: dict) -> str:
             f"chunk spans: {spans['ok']} ok, {spans['failed']} failed"
         )
     if summary["chunk_backends"]:
-        lines.append("per-backend chunk time:")
+        lines.append("per-rung chunk time:")
         for backend, entry in summary["chunk_backends"].items():
             lines.append(
                 f"  {backend}: {entry['chunks']} chunks, "

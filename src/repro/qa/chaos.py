@@ -11,7 +11,7 @@ sabotaged baseline outlives the context.
 The second half of this module sabotages the *campaign runtime* the
 same way: :func:`sabotage_campaign` arms worker-level failures — a
 chunk that raises, a chunk that hangs, a worker SIGKILLed or exiting
-mid-sweep, the block backend broken — and the supervisor tests assert
+mid-sweep — and the supervisor tests assert
 the sweep still completes with statuses byte-identical to the serial
 path, the incident visible in the
 :class:`~repro.engine.supervisor.CampaignReport`.  Worker
@@ -165,7 +165,7 @@ WORKER_SABOTAGE: Dict[str, Callable[[], None]] = {
 
 
 def campaign_sabotage_names() -> list:
-    return sorted(WORKER_SABOTAGE) + ["block-backend-broken"]
+    return sorted(WORKER_SABOTAGE)
 
 
 @contextlib.contextmanager
@@ -178,41 +178,21 @@ def sabotage_campaign(
     :data:`~repro.engine.supervisor.WORKER_CHUNK_HOOK`; pass
     ``once_path`` (a path that does not exist yet) to make the failure
     one-shot across all forked workers, otherwise every chunk attempt
-    fails and the sweep degrades to the serial rung.  The parent-side
-    kind ``block-backend-broken`` makes every chunk on a rung that has a
-    step down (a fault chunk's ``vectorized`` block backend) raise,
-    forcing the ``serial -> scalar`` step.  The scalar bitmask rung
-    stays honest (without NumPy it is the only rung, so there is
-    nothing to break), and so do chunk kinds with no ladder, such as
-    synthesis fitness.
+    fails and the sweep degrades to the serial rung.
     """
-    if kind in WORKER_SABOTAGE:
-        previous = _supervisor.WORKER_CHUNK_HOOK
-        _supervisor.WORKER_CHUNK_HOOK = _worker_hook(
-            WORKER_SABOTAGE[kind], once_path
-        )
-        try:
-            yield
-        finally:
-            _supervisor.WORKER_CHUNK_HOOK = previous
-    elif kind == "block-backend-broken":
-        original = _supervisor.chunk_statuses
-
-        def broken(chunk_kind, host, items, rung):
-            if rung in chunk_kind.step_down and _fire_once(once_path):
-                raise RuntimeError("chaos: block backend sabotaged")
-            return original(chunk_kind, host, items, rung)
-
-        _supervisor.chunk_statuses = broken
-        try:
-            yield
-        finally:
-            _supervisor.chunk_statuses = original
-    else:
+    if kind not in WORKER_SABOTAGE:
         known = ", ".join(campaign_sabotage_names())
         raise KeyError(
             f"unknown campaign sabotage {kind!r}; known: {known}"
         )
+    previous = _supervisor.WORKER_CHUNK_HOOK
+    _supervisor.WORKER_CHUNK_HOOK = _worker_hook(
+        WORKER_SABOTAGE[kind], once_path
+    )
+    try:
+        yield
+    finally:
+        _supervisor.WORKER_CHUNK_HOOK = previous
 
 
 # ----------------------------------------------------------------------
@@ -269,10 +249,9 @@ def sabotage_service(kind: str, slow_s: float = 0.2) -> Iterator[None]:
       grace period gets the server out.
 
     The sabotage patches :func:`repro.engine.supervisor.chunk_statuses`
-    — the one function fork workers and the serial loop both call, and
-    the same seam ``block-backend-broken`` uses — so it bites fork
-    fan-out and the in-process serial path ``repro serve`` runs
-    requests on by default.
+    — the one function fork workers and the serial loop both call — so
+    it bites fork fan-out and the in-process serial path ``repro
+    serve`` runs requests on by default.
     """
     if kind not in SERVICE_SABOTAGE:
         known = ", ".join(SERVICE_SABOTAGE)

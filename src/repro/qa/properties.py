@@ -10,9 +10,8 @@ around.  The registered invariants:
 * ``backend-agreement`` — the bitmask and pointwise backends (single
   points and explicit point lists) agree bit-for-bit with the naive
   reference interpreter, fault-free and under every single stem/pin
-  fault (the differential anchor for the single-engine seam); the NumPy
-  vectorized block backend (when installed) matches the same tables and
-  produces byte-identical sweep statuses.
+  fault (the differential anchor for the single-engine seam), and the
+  stem-region sweep's statuses equal the cone-plan sweep's.
 * ``stem-region-agreement`` — the bitmask backend's stem-region path
   (one flip simulation per fanout stem) gives every single fault of the
   uncollapsed universe, dead lines included, the output tables and
@@ -77,7 +76,6 @@ from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
 from ..engine.atpg import pattern_detections
 from ..engine.backends import table_response
-from ..engine.vectorized import HAVE_NUMPY, VectorizedBackend
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.gates import GateKind
 from ..logic.network import Gate, Network
@@ -161,9 +159,6 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
     engine = NetworkEngine(net)  # fresh — never trust another run's cache
     universe = [None] + enumerate_single_faults(net, collapse=False)
     all_points = list(range(1 << n))
-    vectorized = (
-        VectorizedBackend(engine.compiled) if HAVE_NUMPY else None
-    )
     for fault in universe:
         label = fault.describe() if fault is not None else "fault-free"
         expected = reference_output_bits(net, fault)
@@ -173,13 +168,6 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
                 f"bitmask backend disagrees with reference under {label}: "
                 f"{got_mask} != {expected}"
             )
-        if vectorized is not None:
-            got_vec = vectorized.output_bits(fault)
-            if got_vec != expected:
-                return (
-                    f"vectorized backend disagrees with reference under "
-                    f"{label}: {got_vec} != {expected}"
-                )
         for index in all_points:
             point = point_tuple(n, index)
             want = reference_outputs(net, point, fault)
@@ -200,27 +188,28 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
                 f"{label}"
             )
     # Fault statuses must be byte-identical across the sweep backends
-    # (the vectorized classification is a re-derivation, not a reuse, of
-    # the scalar one — this is the differential check that keeps them
-    # locked together).
+    # (the cone-plan classification is a re-derivation, not a reuse, of
+    # the stem-region one — this is the differential check that keeps
+    # them locked together).
     sweep = FaultSweep(net, engine=engine)
     faults = [f for f in universe if f is not None]
-    scalar = [status for _f, status in sweep.sweep(faults, backend="bitmask")]
-    if vectorized is not None:
-        vec_statuses = vectorized.sweep_statuses(faults)
-        if vec_statuses != scalar:
-            return (
-                "vectorized statuses diverge from scalar bitmask: "
-                f"{vec_statuses} != {scalar}"
-            )
+    region, cone = (
+        [status for _f, status in sweep.sweep(faults, backend=backend)]
+        for backend in ("bitmask", "vectorized")
+    )
+    if cone != region:
+        return (
+            "cone-plan statuses diverge from the stem-region sweep: "
+            f"{cone} != {region}"
+        )
     return None
 
 
 backend_agreement = register(
     "backend-agreement",
-    "bitmask/pointwise/vectorized backends match "
-    "the naive interpreter bit-for-bit under every single fault, with "
-    "identical sweep statuses",
+    "bitmask/pointwise backends match the naive interpreter "
+    "bit-for-bit under every single fault, with identical stem-region "
+    "and cone-plan sweep statuses",
 )((_gen_mixed, _check_backend_agreement))
 
 

@@ -80,7 +80,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from . import obs
-from .engine.campaign import SWEEP_BACKENDS
 from .engine.durable import append_line, atomic_write, open_log
 from .engine.store import STORE, program_fingerprint, text_fingerprint
 from .engine.supervisor import (
@@ -95,7 +94,6 @@ from .obs.recorder import MemoryRecorder
 #: dedup two requests the client believes are different.
 REQUEST_DEFAULTS = {
     "kind": "campaign",
-    "backend": "auto",
     "processes": None,
     "timeout": None,
     "collapse": True,
@@ -186,10 +184,6 @@ def canonical_request(body: dict) -> dict:
     kind = request["kind"]
     if kind not in ("campaign", "synth"):
         raise RequestError("'kind' must be 'campaign' or 'synth'")
-    if request["backend"] not in SWEEP_BACKENDS:
-        raise RequestError(
-            f"'backend' must be one of: {', '.join(SWEEP_BACKENDS)}"
-        )
     has_netlist = isinstance(netlist, str) and bool(netlist.strip())
     if kind == "campaign":
         if not has_netlist:
@@ -484,7 +478,6 @@ def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
         pairs = sweep.sweep(
             universe,
             processes=request["processes"],
-            backend=request["backend"],
             timeout=request["timeout"],
             checkpoint=checkpoint,
             resume=resume,

@@ -9,17 +9,17 @@ real acceptance criteria, not a proxy):
 * **self-duality** — the number of points where ``F(X̄) ≠ ¬F(X)``
   (:func:`repro.logic.truthtable.reverse_bits` over the same tables);
 * **coverage** — the collapsed stuck-at universe swept through
-  :func:`repro.engine.vectorized.chunk_statuses` on the rung
-  :func:`~repro.engine.vectorized.select_backend` picks (the big-int
-  stem-region sweep at synthesis sizes); ``dangerous`` faults (wrong
+  :func:`repro.engine.backends.chunk_statuses` on the ``bitmask`` rung
+  (the big-int stem-region sweep), in the manner of an
+  exhaustive-fault-simulation fitness; ``dangerous`` faults (wrong
   *and* still alternating) are the self-checking violations the search
   minimizes;
 * **area** — :func:`repro.scal.costs.network_cost` under the Table 4.1
   unit model, a small pressure toward the Pareto front's cheap end.
 
 The module exposes two evaluators with byte-identical records: the
-**batched** path (big-int tables + exhaustive rung sweeps — what
-campaigns use) and the **scalar** path (per-point pointwise simulation
+**batched** path (big-int tables + the exhaustive stem-region sweep —
+what campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
 :data:`SYNTH_CHUNKS` makes scoring a chunk kind of its own for
@@ -27,8 +27,7 @@ per fault — the bench baseline that prices the batching).
 :func:`evaluate_chunk`, takes a chunk of task dicts and ships back one
 JSON record per task.  Every per-candidate exception is captured
 *inside* the record (an invalid candidate is a normal low-fitness
-outcome, not a chunk failure for the supervisor to retry), so the kind
-has no rung to step down to.
+outcome, not a chunk failure for the supervisor to retry).
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ from typing import Dict, List, Sequence, Tuple
 from .. import obs
 from ..core.collapse import sorted_stem_universe
 from ..engine import ChunkKind, NetworkEngine
-from ..engine.backends import table_normals, table_response
-from ..engine.vectorized import (
+from ..engine.backends import (
     CHUNK_FAULTS,
     chunk_statuses,
     classify_status,
-    select_backend,
+    table_normals,
+    table_response,
 )
 from ..logic.truthtable import reverse_bits
 from ..scal.costs import network_cost
@@ -191,7 +190,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
             backend = "scalar"
         else:
             bits = engine.bitmask.output_bits(None)
-            backend = select_backend(n)
+            backend = "bitmask"
             statuses = chunk_statuses(engine, universe, backend)
         spec_hamming = sum(
             _popcount((b ^ t) & full) for b, t in zip(bits, spec_tables)
@@ -220,7 +219,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         )
 
 
-#: The one rung of a fitness chunk: each candidate picks its own backend.
+#: The one rung of a fitness chunk: each candidate sweeps on its own.
 SYNTH_RUNG = "synth"
 
 

@@ -23,7 +23,6 @@ from repro.core.collapse import collapse_stem_faults
 from repro.engine import FaultSweep, NetworkEngine, engine_for
 from repro.engine.atpg import AtpgReport, pattern_detections, run_atpg
 from repro.engine.backends import pack_pattern_masks
-from repro.engine.vectorized import HAVE_NUMPY
 from repro.logic.benchfmt import load_bench, save_bench
 from repro.logic.faults import (
     MultipleFault,
@@ -169,7 +168,7 @@ class TestPatternSeam:
         assert masks == [0b101, 0b110]
 
     @pytest.mark.parametrize(
-        "backend", ["vectorized", "bitmask", "pointwise"]
+        "backend", ["stem-region", "bitmask", "pointwise"]
     )
     def test_rungs_match_truth_tables(self, backend, fig34):
         """Every pattern of the exhaustive space, every stem and pin
@@ -178,10 +177,13 @@ class TestPatternSeam:
         eng = NetworkEngine(fig34)
         n = len(fig34.inputs)
         patterns = list(range(1 << n))
-        if backend == "vectorized":
-            if not HAVE_NUMPY:
-                pytest.skip("the vectorized rung needs NumPy")
-            tables = eng.vectorized.output_bits
+        if backend == "stem-region":
+
+            def tables(fault):
+                if fault is None:
+                    return eng.bitmask.output_bits()
+                return eng.bitmask.region_output_bits(fault)
+
         elif backend == "bitmask":
             tables = eng.bitmask.output_bits
         else:
@@ -373,17 +375,13 @@ class TestParity:
         report = run_atpg(net)
         assert report.classifications == scalar_classifications(net)
 
-    def test_packed_fallback_when_vectorized_absent(self, fig34):
-        """The no-NumPy shape: pattern simulation is the packed big-int
-        path, so an engine without the vectorized backend yields the
-        same report.  (The CI tests-no-numpy job runs this whole suite
-        with NumPy genuinely uninstalled.)"""
-        class NoNumpyEngine(NetworkEngine):
-            @property
-            def vectorized(self):
-                raise AssertionError("ATPG touched the vectorized rung")
+    def test_packed_fallback_when_vectorized_absent(self, fig34, monkeypatch):
+        """Pattern simulation is the packed big-int path: with NumPy
+        unimportable a fresh engine yields the shared engine's report."""
+        import sys
 
-        packed = run_atpg(fig34, engine=NoNumpyEngine(fig34)).to_dict()
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        packed = run_atpg(fig34, engine=NetworkEngine(fig34)).to_dict()
         shared = run_atpg(fig34).to_dict()
         for data in (packed, shared):
             del data["wall_seconds"]

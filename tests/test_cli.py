@@ -35,26 +35,31 @@ class TestCampaign:
         assert "dangerous" in capsys.readouterr().out
 
     def test_json_output_and_backend_agreement(self, fig37_bench, capsys):
+        """Serial and fork-worker campaigns print the same JSON but for
+        the rung they name."""
         import json
 
         stats = {}
-        for backend in ("bitmask", "vectorized"):
+        for processes in ("1", "2"):
             assert main(
-                ["campaign", fig37_bench, "--json", "--backend", backend]
+                ["campaign", fig37_bench, "--json", "--no-collapse",
+                 "--processes", processes]
             ) == 0
-            stats[backend] = json.loads(capsys.readouterr().out)
-            del stats[backend]["backend"]
-        assert stats["bitmask"] == stats["vectorized"]
+            stats[processes] = json.loads(capsys.readouterr().out)
+        assert stats["1"].pop("backend") == "bitmask"
+        assert stats["2"].pop("backend") == "fork:bitmask"
+        assert stats["1"] == stats["2"]
 
     def test_retired_kernel_backend_is_an_argparse_error(
         self, fig37_bench, capsys
     ):
+        """There is one sweep, so there is no ``--backend`` to name a
+        retired rung with."""
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", fig37_bench, "--backend", "kernel"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'kernel'" in err
-        assert "'vectorized'" in err
+        assert "unrecognized arguments: --backend kernel" in err
 
     def test_processes_flag(self, fig37_bench, capsys):
         assert main(["campaign", fig37_bench, "--processes", "2",

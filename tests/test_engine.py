@@ -14,12 +14,8 @@ import random
 
 import pytest
 
-from repro.engine import FaultSweep, NetworkEngine, engine_for, select_backend
-from repro.engine.vectorized import (
-    HAVE_NUMPY,
-    VectorizedBackend,
-    chunk_statuses,
-)
+from repro.engine import FaultSweep, NetworkEngine, backends, engine_for
+from repro.engine.backends import chunk_statuses
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import (
     PinStuckAt,
@@ -181,33 +177,73 @@ class TestSingleFaultEquivalence:
                 assert sampled[pos] == expected_out, (fault.describe(), point)
 
 
+@pytest.fixture
+def tiles(monkeypatch):
+    """``tiles(pairs)`` tiles every sweep after it, at any width, into
+    tiles of ``pairs`` pairs (the untiled cut drops to 0 inputs)."""
+
+    def force(pairs):
+        monkeypatch.setattr(backends, "UNTILED_MAX_INPUTS", 0)
+        monkeypatch.setattr(backends, "TILE_PAIRS", pairs)
+
+    return force
+
+
+def tile_bits(table, n_inputs, lo, tile):
+    """Whole-table ``table`` at the points of ``tile``, the one starting
+    at lower-half point ``lo``, in the tile's bit order."""
+    pairs = tile._half
+    if not pairs:  # a width-0 table: its one point
+        return table
+    low = (1 << pairs) - 1
+    top = (1 << n_inputs) - lo - pairs
+    return (table >> lo) & low | ((table >> top) & low) << pairs
+
+
+def tile_widths(n_inputs):
+    """Two tile widths of an ``n_inputs`` table, several tiles each."""
+    half = (1 << n_inputs) >> 1
+    return sorted({max(1, half >> 3), max(1, half >> 1)})
+
+
 class TestVectorizedEquivalence:
-    """The fault-batched block backends must agree bit-for-bit with the
-    scalar bitmask backend, fault-free and under every single fault."""
+    """``backend="vectorized"`` names the independent check a sweep can
+    ask for: every fault's cone plan, over the same pair tiles as the
+    stem-region sweep.  Each tile must hold the whole table's bits at its
+    points, fault-free and under every single fault, and both paths
+    must classify alike at every tile width."""
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_vectorized_line_bits_match_bitmask(self, rung_circuit):
-        engine = engine_for(rung_circuit)
-        vec = VectorizedBackend(engine.compiled)
-        assert vec.line_bits() == engine.bitmask.line_bits()
-        for fault in enumerate_single_faults(rung_circuit):
-            assert vec.line_bits(fault) == engine.bitmask.line_bits(
-                fault
-            ), fault.describe()
+    def test_vectorized_line_bits_match_bitmask(self, rung_circuit, tiles):
+        n = len(rung_circuit.inputs)
+        whole = NetworkEngine(rung_circuit).bitmask
+        faults = [None] + enumerate_single_faults(rung_circuit)
+        for pairs in tile_widths(n):
+            tiles(pairs)
+            for k, tile in enumerate(whole._tiles()):
+                for fault in faults:
+                    assert tile.line_bits(fault) == [
+                        tile_bits(bits, n, k * pairs, tile)
+                        for bits in whole.line_bits(fault)
+                    ], (pairs, k, fault)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_vectorized_response_blocks_match_scalar(self, rung_circuit):
-        sweep = FaultSweep(rung_circuit)
-        universe = sweep.single_fault_universe()
-        vec = VectorizedBackend(sweep.compiled)
-        triples = vec.response_block(universe)
-        for fault, triple in zip(universe, triples):
-            bits = sweep.response_bits(fault)
-            assert triple == (
-                bits.affected,
-                bits.detected,
-                bits.violations,
-            ), fault.describe()
+    def test_vectorized_response_blocks_match_scalar(
+        self, rung_circuit, tiles
+    ):
+        """A tile's pair masks, on both paths, are the whole table's at
+        the tile's points."""
+        n = len(rung_circuit.inputs)
+        whole = NetworkEngine(rung_circuit).bitmask
+        universe = FaultSweep(rung_circuit).single_fault_universe()
+        for pairs in tile_widths(n):
+            tiles(pairs)
+            for k, tile in enumerate(whole._tiles()):
+                for fault in universe:
+                    want = tuple(
+                        tile_bits(mask, n, k * pairs, tile)
+                        for mask in whole.response_triple(fault)
+                    )
+                    assert tile.response_triple(fault) == want, fault
+                    assert tile._cone_response(fault) == want, fault
 
     def test_sweep_statuses_identical_across_backends(self, rung_circuit):
         sweep = FaultSweep(rung_circuit)
@@ -217,52 +253,38 @@ class TestVectorizedEquivalence:
         assert sweep.sweep(universe, backend="vectorized") == reference
         assert sweep.sweep(universe, backend="auto") == reference
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_chunked_word_axis_matches_scalar(self, circuit):
-        """Tiny chunk_words forces the tiled path even on the seed
-        circuits (the 9-input adder's 4-word half gets real multi-tile
-        sweeps at chunk sizes 1 and 2, and a last tile clipped at the
-        half at chunk size 3)."""
+    def test_chunked_word_axis_matches_scalar(self, circuit, tiles):
+        """Tiles of 1, 2 and 4 pairs on the seed circuits with a half
+        wider than one word (the 9-input adder: 256, 128 and 64 tiles),
+        on both paths."""
         if len(circuit.inputs) < 8:
-            pytest.skip("needs a half wider than one word to chunk")
+            pytest.skip("needs a half wider than one word to tile")
         sweep = FaultSweep(circuit)
         universe = sweep.single_fault_universe()
         reference = [sweep.classify(f) for f in universe]
-        bitmask = sweep.engine.bitmask
-        for chunk_words in (1, 2, 3):
-            vec = VectorizedBackend(sweep.compiled, chunk_words=chunk_words)
-            assert vec.chunked
-            assert vec.sweep_statuses(universe) == reference
-            triples = vec.response_block(universe[:12])
-            for fault, triple in zip(universe[:12], triples):
-                bits = sweep.response_bits(fault)
-                assert triple == (
-                    bits.affected,
-                    bits.detected,
-                    bits.violations,
-                ), (chunk_words, fault.describe())
-            assert vec.line_bits(universe[0]) == bitmask.line_bits(
-                universe[0]
-            ), chunk_words
+        for pairs in (1, 2, 4):
+            tiles(pairs)
+            bitmask = NetworkEngine(circuit).bitmask
+            assert bitmask.sweep_statuses(universe) == reference, pairs
+            assert bitmask.sweep_statuses(universe, cone=True) == reference
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_random_mixed_all_block_sizes(self):
-        """Blocks of one fault, a prime count, a full word's worth and
-        the whole universe classify the same as the scalar path."""
+    def test_random_mixed_all_block_sizes(self, tiles):
+        """Every tile width from one pair to the whole 256-pair half
+        classifies a 90-gate net as the untiled sweep does."""
         net = random_mixed_network(
             random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
         )
-        eng = NetworkEngine(net)
-        universe = FaultSweep(net, engine=eng).single_fault_universe()
-        reference = eng.bitmask.sweep_statuses(universe)
-        for block_faults in (1, 7, 16, len(universe)):
-            vec = VectorizedBackend(eng.compiled, block_faults=block_faults)
-            assert vec.sweep_statuses(universe) == reference, block_faults
+        universe = FaultSweep(net).single_fault_universe()
+        reference = NetworkEngine(net).bitmask.sweep_statuses(universe)
+        assert set(reference) == {"detected", "dangerous"}
+        for k in range(9):
+            tiles(1 << k)
+            statuses = NetworkEngine(net).bitmask.sweep_statuses(universe)
+            assert statuses == reference, 1 << k
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-    def test_dead_cone_fault_on_vectorized(self):
-        """A fault whose line reaches no output classifies on the block
-        rung exactly as on the scalar one."""
+    def test_dead_cone_fault_on_vectorized(self, tiles):
+        """A fault whose line reaches no output classifies on the cone
+        path exactly as on the stem-region one, tiled or not."""
         net = Network(
             ["a", "b"],
             [
@@ -271,29 +293,14 @@ class TestVectorizedEquivalence:
             ],
             ["out"],
         )
-        eng = NetworkEngine(net)
         faults = [StuckAt("dead", 0), StuckAt("dead", 1)]
-        assert eng.vectorized.sweep_statuses(
-            faults
-        ) == eng.bitmask.sweep_statuses(faults)
-
-    def test_chunk_statuses_degrades_without_vectorized(self):
-        """A ``vectorized`` chunk lands on ``bitmask`` when the engine
-        cannot build the block rung (a worker without NumPy)."""
-
-        class NoVectorEngine(NetworkEngine):
-            @property
-            def vectorized(self):
-                return None
-
-        net = random_mixed_network(
-            random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
-        )
-        eng = NoVectorEngine(net)
-        universe = FaultSweep(net, engine=eng).single_fault_universe()
-        assert chunk_statuses(
-            eng, universe, "vectorized"
-        ) == eng.bitmask.sweep_statuses(universe)
+        for pairs in (None, 1):
+            if pairs:
+                tiles(pairs)
+            eng = NetworkEngine(net)
+            region = eng.bitmask.sweep_statuses(faults)
+            assert eng.bitmask.sweep_statuses(faults, cone=True) == region
+            assert chunk_statuses(eng, faults, "cone") == region
 
 
 def shape_network(n_inputs):
@@ -439,56 +446,122 @@ class TestStemRegion:
         )
         assert 3 * expected <= cone_plans
 
+    @pytest.mark.parametrize("n_inputs", [1, 2, 6, 7])
+    @pytest.mark.parametrize("pairs", [1, 2, 4])
+    def test_tiled_sweeps_match_reference(self, n_inputs, pairs, tiles):
+        """Tiles of 1–4 pairs, on both paths, give the untiled sweep's
+        statuses and the reference interpreter's: constant outputs,
+        ``AND(a, a)``, several outputs, dead lines, and the cone-path
+        faults (a multiple fault, an absent line, an absent pin)."""
+        from repro.engine.backends import (
+            classify_status,
+            table_normals,
+            table_response,
+        )
+        from repro.logic.faults import MultipleFault
+        from repro.qa.properties import random_region_network
+        from repro.qa.reference import reference_output_bits
+
+        extra = [
+            MultipleFault((StuckAt("d", 1), PinStuckAt("y", 0, 0))),
+            StuckAt("absent", 1),
+            PinStuckAt("y", 7, 1),
+        ]
+        rng = random.Random(f"tiles:{n_inputs}:{pairs}")
+        cases = []
+        for net in (
+            shape_network(n_inputs),
+            random_region_network(rng, n_inputs, 8),
+            random_mixed_network(rng, n_inputs, 12, n_outputs=3),
+        ):
+            universe = NetworkEngine(net).compiled.fault_universe(
+                collapse=False, live_only=False
+            )
+            if net.name.startswith("shapes"):
+                universe += extra
+            normals = table_normals(reference_output_bits(net), n_inputs)
+            reference = [
+                classify_status(
+                    *table_response(
+                        normals, reference_output_bits(net, f), n_inputs
+                    )[1:]
+                )
+                for f in universe
+            ]
+            untiled = NetworkEngine(net).bitmask.sweep_statuses(universe)
+            assert untiled == reference
+            cases.append((net, universe, reference))
+        tiles(pairs)
+        for net, universe, reference in cases:
+            bitmask = NetworkEngine(net).bitmask
+            assert bitmask.sweep_statuses(universe) == reference
+            assert bitmask.sweep_statuses(universe, cone=True) == reference
+
+    def test_tiled_sweep_at_20_inputs(self, tiles):
+        """Eight tiles of a 20-input table, on both paths, against the
+        untiled sweep, with the cone-path faults among the singles."""
+        from repro.logic.faults import MultipleFault
+
+        net = shape_network(20)
+        universe = NetworkEngine(net).compiled.fault_universe(
+            collapse=False, live_only=False
+        ) + [
+            MultipleFault((StuckAt("d", 1), PinStuckAt("y", 0, 0))),
+            StuckAt("absent", 0),
+        ]
+        untiled = NetworkEngine(net).bitmask.sweep_statuses(universe)
+        assert {"detected", "silent"} <= set(untiled)
+        tiles(1 << 16)
+        bitmask = NetworkEngine(net).bitmask
+        assert len(list(bitmask._tiles())) == 8
+        assert bitmask.sweep_statuses(universe) == untiled
+        assert bitmask.sweep_statuses(universe, cone=True) == untiled
+
 
 class TestBackendSelection:
-    """The table in ``select_backend``'s docstring, whose cut-off is a
-    row of ``benchmarks/bench_rungs.py``'s cold crossover grid."""
+    """What a sweep runs on: the rung each backend name maps to, and
+    whether the table is tiled, which the input width alone decides."""
 
     def test_fault_count_does_not_enter(self):
-        # The rule takes the input width alone: there is no fault-count
-        # argument left to pass.
+        # The tile plan reads the backend alone: there is no fault
+        # argument to pass, and every backend name maps to a fixed rung.
         import inspect
 
-        assert list(inspect.signature(select_backend).parameters) == [
-            "n_inputs",
-            "numpy_available",
+        from repro.engine.backends import BitmaskBackend
+        from repro.engine.campaign import SWEEP_RUNGS
+
+        assert list(inspect.signature(BitmaskBackend._tiles).parameters) == [
+            "self"
         ]
-        for n in (0, 1, 4, 6, 7, 13, 20):
-            assert select_backend(n, numpy_available=True) == "bitmask"
-            assert select_backend(n, numpy_available=False) == "bitmask"
+        assert SWEEP_RUNGS == {
+            "auto": "bitmask", "bitmask": "bitmask", "vectorized": "cone"
+        }
 
     def test_wide_inputs_block_even_for_few_faults(self):
-        # Above 20 inputs the chunked vectorized rung takes every sweep
-        # NumPy can serve, whatever the fault count.
-        for n in (21, 24):
-            assert select_backend(n, numpy_available=True) == "vectorized"
-            assert select_backend(n, numpy_available=False) == "bitmask"
+        # Above 20 inputs every sweep tiles, even of one fault, never
+        # builds the whole table, and gives the whole table's statuses.
+        net = shape_network(21)
+        universe = NetworkEngine(net).compiled.fault_universe(
+            collapse=False, live_only=False
+        )
+        whole = FaultSweep(net, engine=NetworkEngine(net))
+        for faults in (universe[:1], universe):
+            sweep = FaultSweep(net, engine=NetworkEngine(net))
+            assert sweep.sweep(faults) == [
+                (fault, whole.classify(fault)) for fault in faults
+            ]
+            assert sweep.engine.bitmask._baseline is None
 
     def test_crossover_boundaries(self):
-        # 20/21: bitmask up to 20, then the chunked vectorized rung;
-        # without NumPy bitmask on both sides.
-        for n_inputs, expected in (
-            (13, "bitmask"),
-            (14, "bitmask"),
-            (20, "bitmask"),
-            (21, "vectorized"),
-        ):
-            assert (
-                select_backend(n_inputs, numpy_available=True) == expected
-            ), n_inputs
-            assert (
-                select_backend(n_inputs, numpy_available=False) == "bitmask"
-            ), n_inputs
-
-    def test_default_reads_numpy_availability(self, monkeypatch):
-        import repro.engine.vectorized
-
-        monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", True)
-        assert select_backend(20) == "bitmask"
-        assert select_backend(21) == "vectorized"
-        monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", False)
-        assert select_backend(20) == "bitmask"
-        assert select_backend(21) == "bitmask"
+        # 20/21: one whole table up to 20 inputs, then tiles of
+        # TILE_PAIRS pairs covering the lower half.
+        for n_inputs in (0, 1, 6, 7, 13, 14, 20):
+            bitmask = NetworkEngine(shape_network(n_inputs)).bitmask
+            assert list(bitmask._tiles()) == [bitmask], n_inputs
+        for n_inputs, count in ((21, 8), (22, 16)):
+            bitmask = NetworkEngine(shape_network(n_inputs)).bitmask
+            halves = [tile._half for tile in bitmask._tiles()]
+            assert halves == [backends.TILE_PAIRS] * count, n_inputs
 
     def test_unknown_backend_name_rejected(self):
         sweep = FaultSweep(fig34_network())
@@ -496,11 +569,10 @@ class TestBackendSelection:
             sweep.sweep(sweep.single_fault_universe(), backend="gpu")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
 class TestThresholdFaultRows:
     """A stuck operand can leave every carry of the MAJ/MIN bit-sliced
-    counter all-zero; the packed result must keep the fault-row axis
-    instead of collapsing to one scalar word."""
+    counter all-zero; the result must keep its width instead of
+    collapsing, on the cone path and in pattern slots."""
 
     @staticmethod
     def _threshold3(kind):
@@ -512,7 +584,7 @@ class TestThresholdFaultRows:
         )
 
     @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
-    def test_three_input_threshold_on_vectorized(self, kind):
+    def test_three_input_threshold_on_vectorized(self, kind, tiles):
         net = self._threshold3(kind)
         universe = [
             StuckAt(line, value) for line in net.lines() for value in (0, 1)
@@ -521,12 +593,14 @@ class TestThresholdFaultRows:
         ]
         eng = NetworkEngine(net)
         reference = eng.bitmask.sweep_statuses(universe)
-        vec = VectorizedBackend(eng.compiled, block_faults=1)
-        assert vec.sweep_statuses(universe) == reference
+        assert eng.bitmask.sweep_statuses(universe, cone=True) == reference
         sweep = FaultSweep(net, engine=NetworkEngine(net))
         result = sweep.sweep(universe, backend="vectorized")
         assert [s for _, s in result] == reference
-        assert sweep.last_sweep_backend == "vectorized"
+        assert sweep.last_sweep_backend == "cone"
+        tiles(1)
+        tiled = NetworkEngine(net).bitmask
+        assert tiled.sweep_statuses(universe, cone=True) == reference
 
     @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
     def test_all_zero_pattern_slots(self, kind):
@@ -541,10 +615,10 @@ class TestThresholdFaultRows:
 
 
 class TestWideInputGuard:
-    """Circuits beyond the 25-input exhaustive ceiling must get a clear
-    ``ValueError`` from the bitmask backend instead of an OOM attempt,
-    while the sampled/vectorized paths keep working (regression for the
-    eager 2^n-bit ``full`` mask allocation)."""
+    """Beyond the 25-input whole-table ceiling the bitmask backend's
+    whole-table methods refuse with a clear ``ValueError`` before any
+    allocation, instead of an OOM attempt, while its tiled sweep and the
+    pointwise backend keep working."""
 
     def _wide_net(self, n_inputs=30):
         from repro.workloads.randomlogic import random_mixed_network
@@ -557,13 +631,26 @@ class TestWideInputGuard:
         )
 
     def test_engine_builds_but_bitmask_raises(self):
-        net = self._wide_net()
-        engine = engine_for(net)  # must not allocate 2^30-bit masks
-        with pytest.raises(ValueError, match="exhaustive ceiling"):
-            engine.bitmask
-        # pointwise/sampled still serve
-        point = tuple([0, 1] * 15)
-        assert engine.pointwise.output_values(point) is not None
+        import tracemalloc
+
+        for n_inputs in (26, 30):
+            net = self._wide_net(n_inputs)
+            engine = engine_for(net)  # must not allocate 2^n-bit masks
+            fault = StuckAt(net.gates[0].name, 1)
+            tracemalloc.start()
+            try:
+                bitmask = engine.bitmask
+                with pytest.raises(ValueError, match="exhaustive ceiling"):
+                    bitmask.baseline()
+                with pytest.raises(ValueError, match="exhaustive ceiling"):
+                    FaultSweep(net).response_bits(fault)
+                _now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, n_inputs
+            # pointwise/sampled still serve
+            point = tuple([0, 1] * (n_inputs // 2))
+            assert engine.pointwise.output_values(point) is not None
 
     def test_fault_sweep_builds_lazily(self):
         net = self._wide_net()
@@ -572,25 +659,56 @@ class TestWideInputGuard:
             sweep.full
 
     def test_selection_never_picks_bitmask_wide(self):
+        # Wide sweeps never take a whole table: every tile is TILE_PAIRS
+        # pairs wide, and the first ones tile the lower half in order.
+        import itertools
+
         for n in (26, 30, 40):
-            assert select_backend(n, numpy_available=True) != "bitmask"
+            bitmask = NetworkEngine(self._wide_net(n)).bitmask
+            first = list(itertools.islice(bitmask._tiles(), 2))
+            assert [tile._half for tile in first] == [backends.TILE_PAIRS] * 2
+            # Input 17 is the lowest constant one: 0 then 1 on tile 0's
+            # two ranges, 1 then 0 on tile 1's; the top input is 0 on
+            # every lower range and 1 on every upper one.
+            low = (1 << backends.TILE_PAIRS) - 1
+            high = low << backends.TILE_PAIRS
+            assert [tile._variables[17] for tile in first] == [high, low]
+            assert [tile._variables[n - 1] for tile in first] == [high] * 2
 
-    def test_wide_sweep_without_numpy_names_numpy(self, monkeypatch):
-        """Without NumPy every sweep resolves to the big-int bitmask
-        rung, which cannot hold a 2^30-bit table per line: the sweep
-        must refuse up front, before any chunk or fork worker starts, and
-        say that NumPy is what such a campaign needs."""
-        import repro.engine
-        import repro.engine.vectorized
+    @pytest.mark.slow
+    def test_26_input_sweep_runs_without_numpy(self, monkeypatch):
+        """A 26-input exhaustive sweep (256 tiles) runs with NumPy
+        unimportable, and its statuses equal the tiled cone reference."""
+        import sys
 
-        monkeypatch.setattr(repro.engine, "HAVE_NUMPY", False)
-        monkeypatch.setattr(repro.engine.vectorized, "HAVE_NUMPY", False)
-        sweep = FaultSweep(self._wide_net())
-        universe = sweep.single_fault_universe()
-        for processes in (None, 2):
-            with pytest.raises(ValueError, match="above 25 inputs need NumPy"):
-                sweep.sweep(universe, processes=processes)
-        assert sweep.last_report is None
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        net = self._wide_net(26)
+        sweep = FaultSweep(net, engine=NetworkEngine(net))
+        universe = sweep.compiled.fault_universe()
+        statuses = [s for _f, s in sweep.sweep(universe)]
+        assert sweep.last_report.backend == "serial:bitmask"
+        cone = [s for _f, s in sweep.sweep(universe, backend="vectorized")]
+        assert sweep.last_report.backend == "serial:cone"
+        assert statuses == cone
+        assert "detected" in statuses
+
+
+def test_entry_points_import_without_numpy():
+    """Importing the package, its engine, CLI and server loads no NumPy:
+    the exhaustive sweep is pure Python at every width."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, repro, repro.engine, repro.cli, repro.server\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSweepDrivers:
@@ -608,8 +726,8 @@ class TestSweepDrivers:
         self, monkeypatch
     ):
         """Platforms without the fork start method must still serve
-        parallel requests — on the serial vectorized path, not by
-        silently degrading to per-fault scalar."""
+        parallel requests — on the serial path, with the step down
+        recorded."""
         import multiprocessing
 
         import repro.engine.campaign as campaign_mod
@@ -627,7 +745,7 @@ class TestSweepDrivers:
         reference = [(f, sweep.classify(f)) for f in universe]
         result = sweep.sweep(universe, processes=4)
         assert result == reference
-        assert sweep.last_sweep_backend in ("vectorized", "bitmask")
+        assert sweep.last_sweep_backend == "bitmask"
         # The fallback is recorded, not silent: the campaign report
         # names the ladder step and the reason.
         assert any(

@@ -305,7 +305,7 @@ class TestForkMerge:
         assert campaign["wall_seconds"] == report.wall_seconds
         assert campaign["faults_per_second"] > 0
         text = render(summary)
-        assert "per-backend chunk time" in text
+        assert "per-rung chunk time" in text
         assert f"{report.chunks_completed} simulated" in text
 
 

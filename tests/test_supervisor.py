@@ -2,9 +2,9 @@
 
 Every test here follows the chaos discipline of the fuzz harness: arm a
 failure (a chunk that raises or hangs, a worker that dies, shared memory
-denied, a broken block backend), run the sweep, and assert it still
-completes with per-fault statuses byte-identical to the undisturbed
-serial path — with the incident recorded in the
+denied), run the sweep, and assert it still completes with per-fault
+statuses byte-identical to the undisturbed serial path — with the
+incident recorded in the
 :class:`~repro.engine.supervisor.CampaignReport` rather than swallowed.
 Checkpoint/resume and the degenerate-chunking guards are covered the
 same way: interruption is deliberate, resumption must be exact.
@@ -21,7 +21,6 @@ from repro.engine import (
     CampaignInterrupted,
     CancelToken,
     CheckpointError,
-    HAVE_NUMPY,
     FaultSweep,
     universe_fingerprint,
 )
@@ -130,7 +129,7 @@ class TestChaosWorkerFailures:
         assert _statuses(result) == reference
         report = sweep.last_report
         assert any(d.to == "serial" for d in report.degradations)
-        assert sweep.last_sweep_backend in ("vectorized", "bitmask")
+        assert sweep.last_sweep_backend == "bitmask"
         assert report.chunks_completed + report.chunks_resumed == (
             report.chunks_total
         )
@@ -152,28 +151,6 @@ class TestChaosWorkerFailures:
         assert report.chunks_completed + report.chunks_resumed == (
             report.chunks_total
         )
-
-    @pytest.mark.skipif(
-        not HAVE_NUMPY,
-        reason="without NumPy there is no block rung above the scalar one",
-    )
-    def test_block_backend_broken_degrades_to_scalar(self, adder):
-        sweep = fresh_sweep(adder)
-        universe = sweep.single_fault_universe()[:24]
-        reference = [sweep.classify(f) for f in universe]
-        with sabotage_campaign("block-backend-broken"):
-            result = sweep.sweep(universe, backend="vectorized")
-        assert _statuses(result) == reference
-        report = sweep.last_report
-        # One step down for the whole remainder, not one per chunk.
-        steps = [
-            d for d in report.degradations
-            if d.frm == "serial" and d.to == "scalar"
-        ]
-        assert len(steps) == 1, report.degradations
-        assert report.chunks_completed == report.chunks_total
-        assert report.block_backend == "bitmask"
-        assert sweep.last_sweep_backend == "bitmask"
 
     def test_unknown_sabotage_rejected(self):
         with pytest.raises(KeyError):
@@ -409,7 +386,7 @@ class TestCampaignReport:
         sweep = fresh_sweep(adder)
         sweep.sweep(universe)
         report = sweep.last_report
-        assert report.backend.startswith(("serial:", "scalar:"))
+        assert report.backend == "serial:bitmask"
         assert report.faults == len(universe)
         assert report.chunks_completed == report.chunks_total > 0
         assert report.wall_seconds > 0

@@ -353,16 +353,6 @@ class TestDeterminism:
                 assert forked.workers_replaced >= 1
         assert _report_identity(forked) == _report_identity(inline)
 
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_block_backend_sabotage_leaves_fitness_alone(self, processes):
-        """Fitness chunks have no rung to step down to, so the
-        block-backend sabotage must not reach them."""
-        straight = _campaign("and2", 2, processes=processes).run()
-        with sabotage_campaign("block-backend-broken"):
-            sabotaged = _campaign("and2", 2, processes=processes).run()
-        assert _report_identity(sabotaged) == _report_identity(straight)
-        assert sabotaged.degradations == straight.degradations
-
 
 # ----------------------------------------------------------------------
 # repair mode

@@ -15,13 +15,11 @@ import random
 import pytest
 
 from repro.engine import (
-    HAVE_NUMPY,
     FaultSweep,
     NetworkEngine,
     STORE,
     ArtifactStore,
     program_fingerprint,
-    select_backend,
 )
 from repro.logic.benchfmt import load_bench, parse_bench
 from repro.qa.chaos import sabotage_campaign
@@ -70,14 +68,14 @@ class TestTransportParity:
         assert report.degradations == []
         if path == "inline":
             # processes=1 is the serial rung: in-process, no fan-out.
-            assert report.backend.startswith(("serial:", "scalar:"))
+            assert report.backend == "serial:bitmask"
         else:
             assert report.backend.startswith("fork:")
 
     @pytest.mark.parametrize("path", ("fork",))
     def test_scalar_block_backend_parity(self, adder, adder_reference, path):
-        """The worker rungs stay honest on the scalar bitmask backend
-        too, not just the fault-batched block backends."""
+        """Fork workers stay honest on the rung named outright, not just
+        on the one ``auto`` maps to."""
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         result = sweep.sweep(
@@ -107,13 +105,12 @@ class TestTransportChaos:
         assert report.backend.startswith("fork:")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorized rung needs NumPy")
 @pytest.mark.parametrize("backend", ("auto", "vectorized"))
 def test_fork_fanout_never_builds_bitmask_baseline(backend):
     """The parent of a forked campaign has no use for the exhaustive
     big-int baseline (workers derive whatever their rung reads), so
-    fanning out must not build it — whether the rung is the one ``auto``
-    picks (``bitmask`` at 13 inputs) or ``vectorized`` asked for."""
+    fanning out must not build it — whether the rung is the stem-region
+    sweep ``auto`` maps to or the cone plans ``vectorized`` asks for."""
     network = random_mixed_network(
         random.Random("fork-baseline"), 13, 120, n_outputs=16
     )
@@ -121,7 +118,7 @@ def test_fork_fanout_never_builds_bitmask_baseline(backend):
     universe = sweep.single_fault_universe()
     sweep.sweep(universe, processes=2, backend=backend)
     assert sweep.engine._bitmask is None
-    rung = select_backend(13) if backend == "auto" else backend
+    rung = "bitmask" if backend == "auto" else "cone"
     assert sweep.last_report.backend == f"fork:{rung}"
 
 
