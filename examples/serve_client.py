@@ -228,6 +228,7 @@ def run_local_demo():
         await server.start()
         ready.set()
         await stop
+        await server.close()
 
     def run_loop():
         asyncio.set_event_loop(loop)
@@ -242,6 +243,7 @@ def run_local_demo():
     finally:
         loop.call_soon_threadsafe(stop.set_result, None)
         thread.join(timeout=10)
+        loop.close()
         # The server flips process-global switches; an in-process demo
         # must hand them back the way it found them.
         STORE.enabled = False

@@ -26,9 +26,10 @@ output cone (the bitmask classification needs even less: one flip
 simulation per fanout stem, then a few mask operations per single
 fault); :mod:`repro.engine.campaign` batches that into multi-fault
 sweep drivers with fan-out across supervised fork workers
-(:mod:`repro.engine.fork`) whenever ``processes > 1``, and the
-content-addressed :data:`repro.engine.store.STORE` lets identical
-compiled programs share derived artifacts across requests.
+(:mod:`repro.engine.fork`) whenever ``processes > 1``, each run
+described by one :class:`~repro.engine.supervisor.ChunkKind`; the
+content-addressed :data:`repro.engine.store.STORE` lets ``repro
+serve`` replay finished campaigns across requests.
 
 Usage::
 

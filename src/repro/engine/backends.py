@@ -100,9 +100,6 @@ MAX_BITMASK_INPUTS = 25
 #: fault's most severe tile status.
 SEVERITY = ("silent", "detected", "dangerous")
 
-#: Chunk rungs: the stem-region sweep, and every fault's cone plan.
-RUNGS = ("bitmask", "cone")
-
 # Telemetry: per-backend work counters.  Hot paths hoist the enabled
 # check (`_REG.enabled`) so a disabled registry costs one branch per
 # query, not one call per op.
@@ -113,7 +110,8 @@ _M_OPS = _REG.counter(
 _M_WORDS = _REG.counter(
     "repro_engine_words_total", "64-bit truth-table words simulated, by backend"
 )
-#: Items per supervised chunk, by rung (synthesis fitness chunks too).
+#: Items per supervised chunk, by chunk kind (synthesis fitness chunks
+#: too).
 CHUNK_FAULTS = _REG.counter(
     "repro_campaign_chunk_faults_total",
     "Faults classified through chunk_statuses, by backend",
@@ -290,9 +288,7 @@ class BitmaskBackend:
         consumer must raise instead of silently corrupting every other
         sweep on the same network.  Faulty queries copy it
         (:meth:`line_bits`); the lock makes first-derivation safe under
-        the server's worker threads.  When the process-wide artifact
-        store is enabled, identical compiled programs (by content
-        fingerprint) share one whole-table derivation.
+        the server's worker threads.
         """
         if self._baseline is None:
             full = self.full  # refuses a whole table too wide to hold
@@ -303,24 +299,12 @@ class BitmaskBackend:
 
     def _derive_baseline(self, full: int) -> Tuple[int, ...]:
         comp = self.compiled
-        words = self._words_per_line
-        if self._variables is not None:  # a tile: used once, never stored
-            return tuple(_evaluate_masks(comp, self._variables, full, words))
-        from .store import STORE, program_fingerprint
-
-        fingerprint = None
-        if STORE.enabled:
-            fingerprint = program_fingerprint(comp)
-            cached = STORE.get("baseline", fingerprint)
-            if cached is not None:
-                return cached
-        n = comp.n_inputs
-        frozen = tuple(
-            _evaluate_masks(comp, variable_masks(n, n), full, words)
+        variables = self._variables
+        if variables is None:
+            variables = variable_masks(comp.n_inputs, comp.n_inputs)
+        return tuple(
+            _evaluate_masks(comp, variables, full, self._words_per_line)
         )
-        if fingerprint is not None:
-            STORE.put("baseline", fingerprint, value=frozen)
-        return frozen
 
     def line_bits(self, fault: Optional[FaultLike] = None) -> List[int]:
         """Masks for every line under ``fault`` (cone-pruned re-simulation
@@ -614,27 +598,24 @@ class BitmaskBackend:
 
 
 def chunk_statuses(
-    engine, faults: Sequence[FaultLike], rung: str
+    engine, faults: Sequence[FaultLike], cone: bool = False
 ) -> List[str]:
-    """Classify one chunk of faults on rung ``bitmask`` (the stem-region
-    sweep) or ``cone`` (every fault's cone plan) of a
-    :class:`~repro.engine.NetworkEngine`.
+    """Classify one chunk of faults by the stem-region sweep of a
+    :class:`~repro.engine.NetworkEngine` (``bitmask``), or with
+    ``cone=True`` by every fault's cone plan (``cone``).
 
     Fork workers and the serial loop both reach it through
     :func:`repro.engine.supervisor.chunk_statuses`, which is why every
     execution path classifies byte-identically.
     """
-    if rung not in RUNGS:
-        raise ValueError(f"unknown chunk rung {rung!r}")
     universe = list(faults)
+    backend = "cone" if cone else "bitmask"
     # Every chunk classifies through this span: the flight's count of
     # successful "sweep.chunk" spans equals the report's chunk ledger.
-    with obs.span("sweep.chunk", faults=len(universe), backend=rung):
-        statuses = engine.bitmask.sweep_statuses(
-            universe, cone=rung == "cone"
-        )
+    with obs.span("sweep.chunk", faults=len(universe), backend=backend):
+        statuses = engine.bitmask.sweep_statuses(universe, cone=cone)
     if _REG.enabled:
-        CHUNK_FAULTS.inc(len(universe), backend=rung)
+        CHUNK_FAULTS.inc(len(universe), backend=backend)
     return statuses
 
 

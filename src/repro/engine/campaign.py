@@ -33,10 +33,19 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..logic.network import Network
 from .compiled import FaultLike
-from .supervisor import CampaignReport, CancelToken, run_campaign
-from .backends import classify_status
+from .durable import CheckpointError
+from .supervisor import (
+    CampaignCheckpoint,
+    CampaignReport,
+    CancelToken,
+    ChunkKind,
+    run_campaign,
+    universe_fingerprint,
+)
+from .backends import chunk_statuses, classify_status
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,12 +63,48 @@ class ResponseBits:
         return classify_status(self.detected, self.violations)
 
 
+def _worker_sweep(sweep: "FaultSweep") -> "FaultSweep":
+    """A sweep over the inherited network with an engine of its own, so
+    each fork worker derives the tables its chunks read."""
+    from . import NetworkEngine  # local: engine/__init__ imports us
+
+    return FaultSweep(sweep.network, engine=NetworkEngine(sweep.network))
+
+
+#: Fault classification by stem regions: the host is a
+#: :class:`FaultSweep` and the payloads are statuses.
+FAULT_CHUNKS = ChunkKind(
+    name="bitmask",
+    evaluate=lambda sweep, faults: chunk_statuses(sweep.engine, faults),
+    worker_host=_worker_sweep,
+    span=lambda n_faults, processes: obs.span(
+        "campaign.run", faults=n_faults, backend="bitmask", processes=processes
+    ),
+)
+
+#: The same classification re-simulating every fault's cone plan: the
+#: reference the stem regions are checked against.
+CONE_CHUNKS = dataclasses.replace(
+    FAULT_CHUNKS,
+    name="cone",
+    evaluate=lambda sweep, faults: chunk_statuses(
+        sweep.engine, faults, cone=True
+    ),
+    span=lambda n_faults, processes: obs.span(
+        "campaign.run", faults=n_faults, backend="cone", processes=processes
+    ),
+)
+
 #: Backend names accepted by :meth:`FaultSweep.sweep`, each mapped to
-#: the chunk rung it runs on: ``auto`` and ``bitmask`` are the
-#: stem-region sweep, and ``vectorized`` (the name of a retired NumPy
-#: rung, kept for callers that ask for an independent check) is every
-#: fault's cone plan over the same tiles.
-SWEEP_RUNGS = {"auto": "bitmask", "bitmask": "bitmask", "vectorized": "cone"}
+#: the chunk kind it runs: ``auto`` and ``bitmask`` are the stem-region
+#: sweep, and ``vectorized`` (the name of a retired NumPy rung, kept for
+#: callers that ask for an independent check) is every fault's cone
+#: plan over the same tiles.
+SWEEP_RUNGS = {
+    "auto": FAULT_CHUNKS,
+    "bitmask": FAULT_CHUNKS,
+    "vectorized": CONE_CHUNKS,
+}
 
 
 class FaultSweep:
@@ -79,7 +124,7 @@ class FaultSweep:
         self.engine = engine if engine is not None else engine_for(network)
         self.compiled = self.engine.compiled
         self.n = self.compiled.n_inputs
-        #: Name of the rung the most recent :meth:`sweep` ran on
+        #: Name of the chunk kind the most recent :meth:`sweep` ran
         #: (``"fork:<name>"`` when fanned out across workers).
         self.last_sweep_backend: Optional[str] = None
         #: Structured :class:`CampaignReport` of the most recent
@@ -114,14 +159,6 @@ class FaultSweep:
             include_inputs, include_pins, collapse=False
         )
 
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in SWEEP_RUNGS:
-            raise ValueError(
-                f"unknown sweep backend {backend!r}; "
-                f"expected one of {tuple(SWEEP_RUNGS)}"
-            )
-        return SWEEP_RUNGS[backend]
-
     def sweep(
         self,
         faults: Iterable[FaultLike],
@@ -130,13 +167,12 @@ class FaultSweep:
         timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        chunk_faults: Optional[int] = None,
         abort_after_chunks: Optional[int] = None,
         cancel: Optional[CancelToken] = None,
     ) -> List[Tuple[FaultLike, str]]:
         """Classify every fault under the supervised campaign runtime.
 
-        ``backend`` names the rung (:data:`SWEEP_RUNGS`): ``auto`` and
+        ``backend`` names the chunk kind (:data:`SWEEP_RUNGS`): ``auto`` and
         ``bitmask`` classify by stem regions, ``vectorized`` re-simulates
         every fault's cone plan; the statuses are identical.  Width is a
         question of time only: above
@@ -146,10 +182,13 @@ class FaultSweep:
         (:mod:`repro.engine.fork`): each chunk carries an optional
         per-chunk ``timeout`` (seconds), failed or hung chunks are
         retried and re-chunked smaller on repeat failure, and dead
-        workers are replaced instead of aborting the sweep.  ``checkpoint`` names a
-        JSON artifact that records completed chunks after each one;
-        ``resume=True`` reloads it and re-simulates only the uncovered
-        remainder (statuses are byte-identical either way).  Every
+        workers are replaced instead of aborting the sweep.
+        ``checkpoint`` names a JSON artifact that records completed
+        chunks after each one; ``resume=True`` reloads it (keyed by
+        :func:`~repro.engine.supervisor.universe_fingerprint`, so the
+        backend that wrote it does not matter) and re-simulates only the
+        uncovered remainder (statuses are byte-identical either way).
+        Every
         fallback taken is recorded in :attr:`last_report`;
         ``abort_after_chunks`` is the deliberate-interruption hook used
         by tests and resume drills.  ``cancel`` threads a
@@ -159,17 +198,29 @@ class FaultSweep:
         :class:`~repro.engine.supervisor.CampaignCancelled` within one
         poll interval, with completed chunks already checkpointed.
         """
+        if backend not in SWEEP_RUNGS:
+            raise ValueError(
+                f"unknown sweep backend {backend!r}; "
+                f"expected one of {tuple(SWEEP_RUNGS)}"
+            )
+        if resume and checkpoint is None:
+            raise CheckpointError("resume requires a checkpoint path")
         universe = list(faults)
-        chosen = self._resolve_backend(backend)
+        ckpt = None
+        if checkpoint is not None:
+            ckpt = CampaignCheckpoint(
+                checkpoint, universe_fingerprint(universe, self.n),
+                len(universe),
+            )
+            if resume:
+                ckpt.load()
         statuses, report = run_campaign(
             self,
             universe,
-            chosen,
+            SWEEP_RUNGS[backend],
             processes=processes,
             timeout=timeout,
-            checkpoint=checkpoint,
-            resume=resume,
-            chunk_faults=chunk_faults,
+            checkpoint=ckpt,
             abort_after_chunks=abort_after_chunks,
             cancel=cancel,
         )
@@ -209,8 +260,8 @@ class FaultSweep:
 
 def _legacy_backend_name(report: CampaignReport) -> str:
     """The :attr:`FaultSweep.last_sweep_backend` convention predating the
-    structured report: ``"fork:<rung>"`` for fanned-out sweeps, the
-    plain chunk rung otherwise."""
+    structured report: ``"fork:<kind>"`` for fanned-out sweeps, the
+    plain chunk kind's name otherwise."""
     if report.backend.startswith("fork"):
         return f"fork:{report.block_backend}"
     return report.block_backend

@@ -7,7 +7,7 @@ worker processes over duplex pipes, driven through a handful of
 calls::
 
     transport.start()
-    lane = transport.submit(key, items, rung, attempt)  # one chunk
+    lane = transport.submit(key, items, attempt)  # one chunk
     for result in transport.poll(t):   # completed / failed / died chunks
         ...
     transport.replace(lane)            # kill + respawn one lane
@@ -88,7 +88,7 @@ def _forked_worker(conn, kind, host) -> None:
     """One fork worker: build its host through ``kind.worker_host``,
     then serve chunk jobs on ``conn`` until a ``None`` shutdown sentinel
     (or the parent disappears).  Job messages are
-    ``(key, items, rung, attempt)`` tuples; replies are
+    ``(key, items, attempt)`` tuples; replies are
     ``(kind, key, payload, events)``.
 
     The child first drops the signal state it inherited: a parent
@@ -116,13 +116,13 @@ def _forked_worker(conn, kind, host) -> None:
             break
         if job is None:
             break
-        key, items, rung, attempt = job
+        key, items, attempt = job
         hook = _sup.WORKER_CHUNK_HOOK
         try:
             with obs.span("worker.chunk", chunk=key, attempt=attempt):
                 if hook is not None:
                     hook(key, attempt)
-                payloads = _sup.chunk_statuses(kind, host, items, rung)
+                payloads = _sup.chunk_statuses(kind, host, items)
         except Exception as error:  # reported, retried by the supervisor
             reply = ("error", key, f"{type(error).__name__}: {error}")
         else:
@@ -232,7 +232,7 @@ class ForkTransport:
     def lane_pid(self, lane: int) -> Optional[int]:
         return self._lanes[lane].process.pid
 
-    def submit(self, key: str, items: List, rung: str, attempt: int) -> int:
+    def submit(self, key: str, items: List, attempt: int) -> int:
         """Place one chunk on a free lane; returns the lane id.  ``key``
         is the supervisor's chunk identity, opaque here.  Raises
         :class:`SubmitFailed` when the chosen lane is unreachable."""
@@ -240,7 +240,7 @@ class ForkTransport:
             if entry.busy or entry.dead:
                 continue
             try:
-                entry.conn.send((key, items, rung, attempt))
+                entry.conn.send((key, items, attempt))
             except (OSError, ValueError) as error:
                 entry.dead = True
                 raise SubmitFailed(

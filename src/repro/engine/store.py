@@ -2,9 +2,8 @@
 
 Repeated campaigns over the same netlist — the normal shape once
 ``repro serve`` queues requests from many clients — keep recomputing
-two expensive artifacts: the fault-free packed baseline and the full
-campaign status vector.  This store keys both by *content*, not by
-object identity:
+the full campaign result.  This store keys results (and parsed
+netlists) by *content*, not by object identity:
 
 * ``program_fingerprint(compiled)`` — sha256 over the compiled
   program's structure (input count, line names, op list, output
@@ -15,9 +14,13 @@ object identity:
   sha256 of the ordered fault universe.
 
 Keys are tuples ``(kind, *fingerprints)``; kinds in use are
-``"baseline"`` (program fp), ``"campaign"`` (program fp + universe fp +
-the request shape that affects the statuses), and ``"network"`` (raw
-netlist text, used by the server to dedup parses).
+``"campaign"`` (program fp + universe fp + the request shape that
+affects the statuses), ``"synth"`` (target fp + search knobs), and
+``"network"`` (raw netlist text, used by the server to dedup parses).
+Baselines are not stored: identical netlist text already shares one
+``Network`` through the ``"network"`` kind, and so one engine and one
+baseline through :func:`repro.engine.engine_for`, while caching every
+scored synthesis candidate's baseline would evict served results.
 
 The store is **opt-in** (``STORE.enabled`` defaults to ``False``): the
 chaos/fuzz suites intentionally sabotage engines and must observe the

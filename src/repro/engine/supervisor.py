@@ -22,9 +22,10 @@ per-chunk supervision:
   changes results).
 
 This module owns *policy* only.  What a chunk *is* comes from a
-:class:`ChunkKind`: fault classification (:data:`FAULT_CHUNKS`, the
-default) or any other per-item work with deterministic payloads, such
-as scoring a population of candidate circuits.  With ``processes > 1``
+:class:`ChunkKind`, the whole description of the work: fault
+classification (:data:`repro.engine.campaign.FAULT_CHUNKS`) or any
+other per-item work with deterministic payloads, such as scoring a
+population of candidate circuits.  With ``processes > 1``
 chunks fan out to forked workers over pipes
 (:class:`repro.engine.fork.ForkTransport`); otherwise they run
 in-process in a plain loop.  The one step down the
@@ -57,7 +58,6 @@ from .fork import (
     TransportFailure,
     TransportUnavailable,
 )
-from .backends import chunk_statuses as _fault_chunk_statuses
 
 # Telemetry: campaign-level counters are incremented by the supervising
 # parent (workers keep their own process-local registries, which die
@@ -208,10 +208,10 @@ class RetryEvent:
 class CampaignReport:
     """Structured account of how a sweep actually ran.
 
-    ``backend`` is the ladder rung plus the chunk rung that served the
-    bulk of the campaign (e.g. ``"fork:bitmask"``, ``"serial:bitmask"``,
-    ``"serial:cone"``, or ``"resumed"`` when every chunk came from the
-    checkpoint); ``block_backend`` is the chunk rung alone.
+    ``backend`` is the ladder rung plus the chunk kind's name (e.g.
+    ``"fork:bitmask"``, ``"serial:bitmask"``, ``"serial:cone"``, or
+    ``"resumed"`` when every chunk came from the checkpoint);
+    ``block_backend`` is the kind's name alone.
     ``degradations`` lists every ladder step down with its reason — an
     empty list means the requested mode is exactly what ran.
     """
@@ -306,33 +306,22 @@ def universe_fingerprint(universe: Sequence, n_inputs: int) -> str:
     return digest.hexdigest()
 
 
-def _is_status(payload) -> bool:
-    return payload in VALID_STATUSES
-
-
 class CampaignCheckpoint:
-    """Completed chunk payloads, flushed to JSON after every chunk.
+    """Completed fault statuses, flushed to JSON after every chunk.
 
     The artifact maps contiguous index ranges of the ordered universe to
-    their payloads (statuses, for fault chunks); resuming fills those
-    ranges and re-chunks only the uncovered remainder, so chunk-size
-    changes between runs cannot corrupt a resume.  ``valid`` is the
-    chunk kind's check of one loaded payload.
+    their statuses; resuming fills those ranges and re-chunks only the
+    uncovered remainder, so chunk-size changes between runs cannot
+    corrupt a resume.  ``fingerprint`` is the campaign's
+    :func:`universe_fingerprint`.
     """
 
     VERSION = 1
 
-    def __init__(
-        self,
-        path: str,
-        fingerprint: str,
-        n_faults: int,
-        valid: Callable[[object], bool] = _is_status,
-    ) -> None:
+    def __init__(self, path: str, fingerprint: str, n_faults: int) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.n_faults = n_faults
-        self.valid = valid
         self.ranges: Dict[Tuple[int, int], List] = {}
 
     def load(self) -> None:
@@ -357,7 +346,7 @@ class CampaignCheckpoint:
                     f"of bounds for {self.n_faults} faults"
                 )
             if len(statuses) != stop - start or not all(
-                self.valid(s) for s in statuses
+                s in VALID_STATUSES for s in statuses
             ):
                 raise CheckpointError(
                     f"checkpoint {self.path!r} range {start}:{stop} holds "
@@ -404,56 +393,30 @@ class CampaignCheckpoint:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class ChunkKind:
-    """One kind of chunk work for :func:`run_campaign`.
+    """The whole description of one kind of chunk work for
+    :func:`run_campaign`.
 
-    ``evaluate(host, items, rung)`` returns one payload per item, in
-    order; it is reached only through :func:`chunk_statuses`.  A fork
-    worker evaluates against ``worker_host(host)``, built from the host
-    it inherits.  ``span(n_items, rung, processes)`` opens the run's
+    ``name`` labels the work: reports read ``serial:<name>`` or
+    ``fork:<name>``.  ``evaluate(host, items)`` returns one payload per
+    item, in order; it is reached only through :func:`chunk_statuses`.
+    A fork worker evaluates against ``worker_host(host)``, built from
+    the host it inherits.  ``span(n_items, processes)`` opens the run's
     span; ``reports`` makes a run emit ``campaign.report`` (or
     ``campaign.cancelled``) and the wall, status and cancel metrics.
-    A checkpoint is
-    keyed by ``identity(host, items)`` (what a resumed run must match)
-    and accepts a loaded payload only if ``valid_payload`` does.
     """
 
-    evaluate: Callable[[object, Sequence, str], List]
+    name: str
+    evaluate: Callable[[object, Sequence], List]
     worker_host: Callable[[object], object]
-    span: Callable[[int, str, int], object]
-    identity: Callable[[object, Sequence], str]
-    valid_payload: Callable[[object], bool]
+    span: Callable[[int, int], object]
     reports: bool = True
 
 
-def _fault_worker_host(sweep):
-    """A sweep over the inherited network with an engine of its own, so
-    each worker derives whatever tables its rung reads."""
-    from . import NetworkEngine
-    from .campaign import FaultSweep
-
-    return FaultSweep(sweep.network, engine=NetworkEngine(sweep.network))
-
-
-#: Fault classification: the host is a ``FaultSweep`` and a rung one of
-#: :data:`repro.engine.backends.RUNGS`.
-FAULT_CHUNKS = ChunkKind(
-    evaluate=lambda sweep, faults, rung: _fault_chunk_statuses(
-        sweep.engine, faults, rung
-    ),
-    worker_host=_fault_worker_host,
-    span=lambda n_faults, rung, processes: obs.span(
-        "campaign.run", faults=n_faults, backend=rung, processes=processes
-    ),
-    identity=lambda sweep, faults: universe_fingerprint(faults, sweep.n),
-    valid_payload=_is_status,
-)
-
-
-def chunk_statuses(kind: ChunkKind, host, items: Sequence, rung: str) -> List:
+def chunk_statuses(kind: ChunkKind, host, items: Sequence) -> List:
     """Run one chunk of ``kind``: fork workers and the serial loop both
     look this function up late here, so chaos patches of it reach every
     execution path."""
-    return kind.evaluate(host, items, rung)
+    return kind.evaluate(host, items)
 
 
 # ----------------------------------------------------------------------
@@ -533,14 +496,12 @@ class _ForkSupervisor:
     def __init__(
         self,
         transport: ForkTransport,
-        chosen: str,
         timeout: Optional[float],
         report: CampaignReport,
         complete: Callable[[_Task, List[str]], None],
         cancel: Optional[CancelToken] = None,
     ) -> None:
         self.transport = transport
-        self.chosen = chosen
         self.timeout = timeout
         self.report = report
         self.complete = complete
@@ -572,9 +533,7 @@ class _ForkSupervisor:
         while self.pending and self.transport.free_lanes > 0:
             task = self.pending.popleft()
             try:
-                lane = self.transport.submit(
-                    task.key, task.items, self.chosen, task.attempt
-                )
+                lane = self.transport.submit(task.key, task.items, task.attempt)
             except SubmitFailed as error:
                 # Worker died while idle: put the task back, replace it.
                 self.pending.appendleft(task)
@@ -662,8 +621,7 @@ class _ForkSupervisor:
                     task.key, task.attempt, reason, "parent-serial"
                 )
                 self.complete(task, chunk_statuses(
-                    self.transport.kind, self.transport.host, task.items,
-                    self.chosen,
+                    self.transport.kind, self.transport.host, task.items
                 ))
         else:
             self.report.retry(task.key, task.attempt, reason, "retried")
@@ -676,24 +634,21 @@ class _ForkSupervisor:
 def run_campaign(
     host,
     universe: Sequence,
-    chosen: str,
+    kind: ChunkKind,
     processes: Optional[int] = None,
     timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    chunk_faults: Optional[int] = None,
+    checkpoint: Optional[CampaignCheckpoint] = None,
     abort_after_chunks: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
-    kind: ChunkKind = FAULT_CHUNKS,
 ) -> Tuple[List, CampaignReport]:
     """Run one supervised campaign; returns ``(payloads, report)``.
 
-    ``kind`` (default :data:`FAULT_CHUNKS`) says what a chunk is;
-    ``host`` is what its evaluate function reads (a ``FaultSweep`` for
-    fault chunks, whose payloads are statuses) and ``chosen`` names a
-    rung (for faults ``bitmask`` or ``cone``).  The campaign fans out to
-    fork workers iff ``processes > 1``; otherwise it runs in-process.
-    ``chunk_faults``, when given, is the positive chunk size.
+    ``kind`` says what a chunk is; ``host`` is what its evaluate
+    function reads (a ``FaultSweep`` for fault chunks, whose payloads
+    are statuses).  The campaign fans out to fork workers iff
+    ``processes > 1``; otherwise it runs in-process.  ``checkpoint``
+    records every completed chunk; the ranges it already holds (loaded
+    for a resume) are not run again.
     ``abort_after_chunks`` is the interruption hook used by tests and
     drills: the campaign raises :class:`CampaignInterrupted` after that
     many newly simulated chunks, leaving the checkpoint resumable.
@@ -709,23 +664,12 @@ def run_campaign(
     flight's ``campaign.report`` event carries that same value, so the
     two records cannot disagree.
     """
-    if chunk_faults is not None and chunk_faults < 1:
-        raise ValueError(f"chunk_faults must be positive, got {chunk_faults}")
     watch = obs.Stopwatch()
-    with kind.span(len(universe), chosen, processes or 0):
+    with kind.span(len(universe), processes or 0):
         try:
             statuses, report = _run_campaign(
-                kind,
-                host,
-                universe,
-                chosen,
-                processes=processes,
-                timeout=timeout,
-                checkpoint=checkpoint,
-                resume=resume,
-                chunk_faults=chunk_faults,
-                abort_after_chunks=abort_after_chunks,
-                cancel=cancel,
+                kind, host, universe, processes, timeout, checkpoint,
+                abort_after_chunks, cancel,
             )
         except CampaignCancelled as error:
             if kind.reports:
@@ -757,14 +701,11 @@ def _run_campaign(
     kind: ChunkKind,
     host,
     universe: Sequence,
-    chosen: str,
-    processes: Optional[int] = None,
-    timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    chunk_faults: Optional[int] = None,
-    abort_after_chunks: Optional[int] = None,
-    cancel: Optional[CancelToken] = None,
+    processes: Optional[int],
+    timeout: Optional[float],
+    checkpoint: Optional[CampaignCheckpoint],
+    abort_after_chunks: Optional[int],
+    cancel: Optional[CancelToken],
 ) -> Tuple[List, CampaignReport]:
     if cancel is not None:
         cancel.check()
@@ -772,24 +713,15 @@ def _run_campaign(
     lanes = max(processes or 1, 1)
     want_workers = lanes > 1
     report = CampaignReport(
-        requested=f"{'fork' if want_workers else 'serial'}:{chosen}",
-        block_backend=chosen,
+        requested=f"{'fork' if want_workers else 'serial'}:{kind.name}",
+        block_backend=kind.name,
         faults=n,
-        checkpoint_path=checkpoint,
+        checkpoint_path=checkpoint.path if checkpoint is not None else None,
     )
     statuses: List[Optional[str]] = [None] * n
-
-    if resume and checkpoint is None:
-        raise CheckpointError("resume requires a checkpoint path")
-    store: Optional[CampaignCheckpoint] = None
     if checkpoint is not None:
-        store = CampaignCheckpoint(
-            checkpoint, kind.identity(host, universe), n, kind.valid_payload
-        )
-        if resume:
-            store.load()
-            report.chunks_resumed = store.apply(statuses)
-            report.chunks_total += report.chunks_resumed
+        report.chunks_resumed = checkpoint.apply(statuses)
+        report.chunks_total += report.chunks_resumed
 
     abort_state = (
         {"remaining": abort_after_chunks}
@@ -803,22 +735,22 @@ def _run_campaign(
         if _REG.enabled:
             _M_CHUNKS_DONE.inc()
         obs.event("campaign.chunk", chunk=task.key, n=len(values))
-        if store is not None:
-            store.record(task.start, task.stop, values)
+        if checkpoint is not None:
+            checkpoint.record(task.start, task.stop, values)
         if abort_state is not None:
             abort_state["remaining"] -= 1
             if abort_state["remaining"] <= 0:
                 raise CampaignInterrupted(
                     f"campaign interrupted after "
                     f"{report.chunks_completed} chunks (checkpoint "
-                    f"{checkpoint!r} is resumable)"
+                    f"{report.checkpoint_path!r} is resumable)"
                 )
 
     n_remaining = sum(1 for s in statuses if s is None)
     if n_remaining == 0:
         # Everything came from the checkpoint (or the universe is empty).
         report.backend = (
-            "resumed" if report.chunks_resumed else f"serial:{chosen}"
+            "resumed" if report.chunks_resumed else f"serial:{kind.name}"
         )
         return [s for s in statuses], report
 
@@ -832,9 +764,7 @@ def _run_campaign(
             f"{n_remaining} remaining faults cannot amortize {lanes} "
             f"fork workers (need >= {4 * lanes}); running in-process",
         )
-    chunk = chunk_faults or default_chunk_faults(
-        n_remaining, lanes if use_workers else None
-    )
+    chunk = default_chunk_faults(n_remaining, lanes if use_workers else None)
     tasks = _build_tasks(universe, statuses, chunk)
     report.chunks_total += len(tasks)
 
@@ -843,7 +773,6 @@ def _run_campaign(
         served = _run_fork_workers(
             kind,
             host,
-            chosen,
             min(lanes, max(len(tasks), 1)),
             timeout,
             report,
@@ -853,13 +782,12 @@ def _run_campaign(
         )
 
     if served:
-        report.backend = f"fork:{chosen}"
+        report.backend = f"fork:{kind.name}"
     else:
         _serial_fill(
-            kind, host, universe, statuses, chosen, report, complete, chunk,
-            cancel,
+            kind, host, universe, statuses, report, complete, chunk, cancel
         )
-        report.backend = f"serial:{chosen}"
+        report.backend = f"serial:{kind.name}"
 
     missing = [i for i, s in enumerate(statuses) if s is None]
     if missing:  # pragma: no cover - defended invariant
@@ -872,7 +800,6 @@ def _run_campaign(
 def _run_fork_workers(
     kind: ChunkKind,
     host,
-    chosen: str,
     lanes: int,
     timeout: Optional[float],
     report: CampaignReport,
@@ -893,9 +820,7 @@ def _run_fork_workers(
             f"{error}; serving the batch in-process",
         )
         return False
-    supervisor = _ForkSupervisor(
-        fabric, chosen, timeout, report, complete, cancel
-    )
+    supervisor = _ForkSupervisor(fabric, timeout, report, complete, cancel)
     try:
         supervisor.run(tasks)
     except _SupervisionFailure as error:
@@ -914,7 +839,6 @@ def _serial_fill(
     host,
     universe: Sequence,
     statuses: List[Optional[str]],
-    chosen: str,
     report: CampaignReport,
     complete: Callable[[_Task, List[str]], None],
     chunk: int,
@@ -929,4 +853,4 @@ def _serial_fill(
     for task in tasks:
         if cancel is not None:
             cancel.check()
-        complete(task, chunk_statuses(kind, host, task.items, chosen))
+        complete(task, chunk_statuses(kind, host, task.items))

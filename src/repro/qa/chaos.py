@@ -220,12 +220,12 @@ def release_service_hangs() -> None:
 def _service_chunk_statuses(kind: str, slow_s: float) -> Callable:
     original = _supervisor.chunk_statuses
 
-    def sabotaged(chunk_kind, host, items, rung):
+    def sabotaged(chunk_kind, host, items):
         if kind == "campaign-slow":
             time.sleep(slow_s)
         else:  # campaign-hangs
             _SERVICE_HANG.wait(3600)
-        return original(chunk_kind, host, items, rung)
+        return original(chunk_kind, host, items)
 
     return sabotaged
 
@@ -249,7 +249,8 @@ def sabotage_service(kind: str, slow_s: float = 0.2) -> Iterator[None]:
       grace period gets the server out.
 
     The sabotage patches :func:`repro.engine.supervisor.chunk_statuses`
-    — the one function fork workers and the serial loop both call — so
+    (``(kind, host, items)``, whatever the chunk kind) — the one
+    function fork workers and the serial loop both call — so
     it bites fork fan-out and the in-process serial path ``repro
     serve`` runs requests on by default.
     """

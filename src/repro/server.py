@@ -77,7 +77,7 @@ import socket as socketlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import obs
 from .engine.durable import append_line, atomic_write, open_log
@@ -655,6 +655,9 @@ class CampaignServer:
         self.recovered = 0
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
+        # Live connection handlers: Python 3.11's ``wait_closed`` does
+        # not wait for them, so ``close`` cancels and awaits them itself.
+        self._connections: Set[asyncio.Task] = set()
         # A bounded pool: the recorder/metrics seams are process-global
         # but per-job recorders keep flights attributable, and each
         # campaign owns its own fork fan-out, so a small number of
@@ -725,11 +728,16 @@ class CampaignServer:
 
     async def close(self) -> None:
         """Immediate shutdown: drain with a zero wait (in-flight jobs
-        are cancelled, not awaited), then release the pool and journal."""
+        are cancelled, not awaited), stop listening, cancel every live
+        connection handler, then release the pool and journal."""
         await self.drain(timeout=0.0)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        handlers = list(self._connections)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
         self._executor.shutdown(wait=False)
         if self.journal is not None:
             self.journal.close()
@@ -883,6 +891,8 @@ class CampaignServer:
         return method, path, headers
 
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             try:
                 head = await asyncio.wait_for(
@@ -935,6 +945,7 @@ class CampaignServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to salvage
         finally:
+            self._connections.discard(task)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()

@@ -36,7 +36,7 @@ from ..engine import CancelToken, CheckpointError, run_campaign
 from ..engine.durable import load_envelope, write_envelope
 from ..logic.network import Network
 from ..scal.costs import REYNOLDS_COST_FACTOR, network_cost
-from .fitness import SYNTH_CHUNKS, SYNTH_RUNG, FitnessRecord, make_task
+from .fitness import SYNTH_CHUNKS, FitnessRecord, make_task
 from .genome import Genome
 from .operators import crossover, mutate, random_genome
 from .specs import SynthSpec, spec_from_network
@@ -573,11 +573,10 @@ class SynthCampaign:
             payloads, batch_report = run_campaign(
                 None,
                 tasks,
-                SYNTH_RUNG,
+                SYNTH_CHUNKS,
                 processes=self.processes,
                 timeout=self.timeout,
                 cancel=self.cancel,
-                kind=SYNTH_CHUNKS,
             )
             for i, payload in zip(fresh_index, payloads):
                 record = FitnessRecord.from_json(payload)

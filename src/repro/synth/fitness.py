@@ -9,8 +9,8 @@ real acceptance criteria, not a proxy):
 * **self-duality** — the number of points where ``F(X̄) ≠ ¬F(X)``
   (:func:`repro.logic.truthtable.reverse_bits` over the same tables);
 * **coverage** — the collapsed stuck-at universe swept through
-  :func:`repro.engine.backends.chunk_statuses` on the ``bitmask`` rung
-  (the big-int stem-region sweep), in the manner of an
+  :func:`repro.engine.backends.chunk_statuses` (the big-int
+  stem-region sweep, ``bitmask``), in the manner of an
   exhaustive-fault-simulation fitness; ``dangerous`` faults (wrong
   *and* still alternating) are the self-checking violations the search
   minimizes;
@@ -22,8 +22,8 @@ The module exposes two evaluators with byte-identical records: the
 what campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
-:data:`SYNTH_CHUNKS` makes scoring a chunk kind of its own for
-:func:`repro.engine.run_campaign`: its evaluate function,
+:data:`SYNTH_CHUNKS` (named ``synth``) makes scoring a chunk kind of
+its own for :func:`repro.engine.run_campaign`: its evaluate function,
 :func:`evaluate_chunk`, takes a chunk of task dicts and ships back one
 JSON record per task.  Every per-candidate exception is captured
 *inside* the record (an invalid candidate is a normal low-fitness
@@ -33,7 +33,6 @@ outcome, not a chunk failure for the supervisor to retry).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import Dict, List, Sequence, Tuple
 
@@ -191,7 +190,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         else:
             bits = engine.bitmask.output_bits(None)
             backend = "bitmask"
-            statuses = chunk_statuses(engine, universe, backend)
+            statuses = chunk_statuses(engine, universe)
         spec_hamming = sum(
             _popcount((b ^ t) & full) for b, t in zip(bits, spec_tables)
         )
@@ -219,53 +218,27 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         )
 
 
-#: The one rung of a fitness chunk: each candidate sweeps on its own.
-SYNTH_RUNG = "synth"
-
-
-def evaluate_chunk(
-    _host, tasks: Sequence[Dict[str, object]], rung: str
-) -> List[str]:
+def evaluate_chunk(_host, tasks: Sequence[Dict[str, object]]) -> List[str]:
     """Score one chunk: one JSON record per task, in order, with
     per-candidate failures folded into the records."""
-    with obs.span("sweep.chunk", faults=len(tasks), backend=rung):
+    with obs.span("sweep.chunk", faults=len(tasks), backend="synth"):
         payloads = [evaluate_task(task).to_json() for task in tasks]
     if obs.REGISTRY.enabled:
-        CHUNK_FAULTS.inc(len(tasks), backend=rung)
+        CHUNK_FAULTS.inc(len(tasks), backend="synth")
     return payloads
-
-
-def tasks_fingerprint(_host, tasks: Sequence[Dict[str, object]]) -> str:
-    """Checkpoint identity of a batch: its ordered tasks, each in
-    canonical JSON (a record is a pure function of its task)."""
-    digest = hashlib.sha256(b"synth-tasks")
-    for task in tasks:
-        digest.update(b"\x00" + json.dumps(task, sort_keys=True).encode())
-    return digest.hexdigest()
-
-
-def is_record_json(payload: object) -> bool:
-    """Whether a checkpointed payload is a :class:`FitnessRecord`'s
-    JSON."""
-    if not isinstance(payload, str):
-        return False
-    try:
-        FitnessRecord.from_json(payload)
-    except (TypeError, ValueError):
-        return False
-    return True
 
 
 #: Candidate scoring: each candidate compiles its own engine, so there is
 #: no host, and a batch (one per generation) emits a ``synth.batch`` span
 #: instead of ``campaign.report``; the ``synth.*`` events tell the story.
+#: The campaign checkpoints whole generations itself, so batches carry
+#: no checkpoint.
 SYNTH_CHUNKS = ChunkKind(
+    name="synth",
     evaluate=evaluate_chunk,
     worker_host=lambda _host: None,
-    span=lambda n_candidates, _rung, processes: obs.span(
+    span=lambda n_candidates, processes: obs.span(
         "synth.batch", candidates=n_candidates, processes=processes
     ),
-    identity=tasks_fingerprint,
-    valid_payload=is_record_json,
     reports=False,
 )

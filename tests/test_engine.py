@@ -300,7 +300,7 @@ class TestVectorizedEquivalence:
             eng = NetworkEngine(net)
             region = eng.bitmask.sweep_statuses(faults)
             assert eng.bitmask.sweep_statuses(faults, cone=True) == region
-            assert chunk_statuses(eng, faults, "cone") == region
+            assert chunk_statuses(eng, faults, cone=True) == region
 
 
 def shape_network(n_inputs):
@@ -524,7 +524,7 @@ class TestBackendSelection:
 
     def test_fault_count_does_not_enter(self):
         # The tile plan reads the backend alone: there is no fault
-        # argument to pass, and every backend name maps to a fixed rung.
+        # argument to pass, and every backend name maps to a fixed kind.
         import inspect
 
         from repro.engine.backends import BitmaskBackend
@@ -533,7 +533,7 @@ class TestBackendSelection:
         assert list(inspect.signature(BitmaskBackend._tiles).parameters) == [
             "self"
         ]
-        assert SWEEP_RUNGS == {
+        assert {name: kind.name for name, kind in SWEEP_RUNGS.items()} == {
             "auto": "bitmask", "bitmask": "bitmask", "vectorized": "cone"
         }
 

@@ -186,6 +186,30 @@ class TestHttpSurface:
         assert health["ok"] is True
         assert health["store"]["enabled"] is True
 
+    def test_close_cancels_idle_connections(self):
+        """A connection that never sends a request head does not
+        outlive the server: ``close()`` cancels and awaits its handler,
+        so no ``_handle_connection`` task is left pending."""
+
+        async def scenario():
+            server = CampaignServer(host="127.0.0.1", port=0)
+            await server.start()
+            _reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            await asyncio.sleep(0.05)  # the handler is now parked
+            await server.close()
+            pending = [
+                task
+                for task in asyncio.all_tasks()
+                if "_handle_connection" in repr(task.get_coro())
+                and not task.done()
+            ]
+            writer.close()
+            return pending
+
+        assert _run(scenario()) == []
+
     def test_unknown_route_is_404(self):
         async def scenario(server):
             return await _get(server.host, server.port, "/nope")
@@ -252,6 +276,34 @@ class TestSynthKind:
         replay = lines2[-1]
         assert replay["replayed"] is True
         assert replay["best_fingerprint"] == result["best_fingerprint"]
+
+    def test_synth_job_does_not_evict_a_served_campaign(self):
+        """Scoring a generation does not fill the store: a campaign
+        served before a synth job still replays after it.  (The maj3
+        job scores more candidates than the store's 64 entries.)"""
+
+        async def scenario(server):
+            body = {"netlist": BENCH}
+            _status, first = await _post_campaign(
+                server.host, server.port, body
+            )
+            _status, synth = await _post_campaign(
+                server.host,
+                server.port,
+                dict(self.SYNTH_BODY, spec="maj3", generations=6),
+            )
+            _status, again = await _post_campaign(
+                server.host, server.port, body
+            )
+            return first[-1], synth[-1], again[-1]
+
+        first, synth, again = _run(_with_server(scenario))
+        assert synth["evaluations"] > STORE.max_entries
+        assert first["replayed"] is False
+        assert again["replayed"] is True
+        assert again["store"]["hits"] >= 1
+        for key in ("faults", "detected", "silent", "dangerous"):
+            assert again[key] == first[key]
 
     def test_synth_validation(self):
         with pytest.raises(RequestError, match="exactly one of"):

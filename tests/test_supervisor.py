@@ -12,7 +12,6 @@ same way: interruption is deliberate, resumption must be exact.
 
 import json
 import os
-import random
 
 import pytest
 
@@ -24,7 +23,7 @@ from repro.engine import (
     FaultSweep,
     universe_fingerprint,
 )
-from repro.engine import durable
+from repro.engine import durable, supervisor
 from repro.logic.benchfmt import load_bench
 from repro.qa.chaos import (
     campaign_sabotage_names,
@@ -32,7 +31,6 @@ from repro.qa.chaos import (
     sabotage_service,
 )
 from repro.workloads.fig34 import fig37_fixed_network
-from repro.workloads.randomlogic import random_mixed_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "data")
 
@@ -135,15 +133,18 @@ class TestChaosWorkerFailures:
         )
 
     def test_poisoned_chunk_splits_then_runs_in_parent(
-        self, adder, adder_reference
+        self, adder, adder_reference, monkeypatch
     ):
         """A chunk that fails on every attempt is re-chunked smaller and
         its single faults finally classified in the parent."""
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         sub = universe[:8]
+        monkeypatch.setattr(
+            supervisor, "default_chunk_faults", lambda _n, _lanes: 8
+        )
         with sabotage_campaign("chunk-raises"):
-            result = sweep.sweep(sub, processes=2, chunk_faults=8)
+            result = sweep.sweep(sub, processes=2)
         assert _statuses(result) == reference[:8]
         report = sweep.last_report
         assert any(r.action == "split" for r in report.retries)
@@ -167,14 +168,6 @@ class TestDegenerateChunking:
         report = sweep.last_report
         assert report.faults == 0
         assert report.chunks_total == 0
-
-    @pytest.mark.parametrize("chunk_faults", [0, -1])
-    def test_non_positive_chunk_faults_rejected(self, chunk_faults):
-        network = random_mixed_network(random.Random(0), 6, 20)
-        sweep = fresh_sweep(network)
-        with pytest.raises(ValueError, match="chunk_faults"):
-            sweep.sweep(sweep.single_fault_universe(), chunk_faults=chunk_faults)
-        assert sweep.last_report is None
 
     def test_more_processes_than_faults(self):
         sweep = fresh_sweep(fig37_fixed_network())
@@ -225,17 +218,42 @@ class TestCheckpointResume:
         assert report.chunks_completed == report.chunks_total - 2
 
     def test_fault_checkpoint_identity_is_unchanged(self):
-        """Fault-chunk checkpoints are keyed by the chunk kind now; the
-        key is still ``universe_fingerprint``, so files written before
-        keep loading (digest recorded before the kind owned it)."""
-        from repro.engine.supervisor import FAULT_CHUNKS
+        """Fault checkpoints are keyed by ``universe_fingerprint``, so
+        files written by earlier versions keep loading (digest recorded
+        before the campaign code last changed)."""
         from repro.workloads.fig34 import fig34_network
 
         sweep = fresh_sweep(fig34_network())
         universe = sweep.single_fault_universe()
-        assert FAULT_CHUNKS.identity(sweep, universe) == (
+        assert universe_fingerprint(universe, sweep.n) == (
             "86ce70a1ccf6e9bdcfae87f53580f59c8d598953222db93989c75ec6762c092f"
         )
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("vectorized", "auto"), ("auto", "vectorized")],
+    )
+    def test_checkpoint_resumes_under_the_other_backend(
+        self, adder, adder_reference, tmp_path, first, second
+    ):
+        """The checkpoint identity ignores the chunk kind: a campaign
+        interrupted on one backend resumes on the other, byte for byte,
+        and the finished checkpoint holds the same statuses."""
+        universe, reference = adder_reference
+        ckpt = tmp_path / "campaign.json"
+        with pytest.raises(CampaignInterrupted):
+            fresh_sweep(adder).sweep(
+                universe, backend=first, checkpoint=str(ckpt),
+                abort_after_chunks=3,
+            )
+        resumed = fresh_sweep(adder)
+        result = resumed.sweep(
+            universe, backend=second, checkpoint=str(ckpt), resume=True
+        )
+        assert _statuses(result) == reference
+        assert resumed.last_report.chunks_resumed == 3
+        ranges = json.loads(ckpt.read_text())["ranges"]
+        assert [s for r in ranges for s in r["statuses"]] == reference
 
     def test_interrupted_fork_campaign_resumes_under_fork(
         self, adder, adder_reference, tmp_path
@@ -364,20 +382,23 @@ class TestCheckpointResume:
         assert again.last_report.chunks_resumed == 1
 
     def test_chunk_size_change_does_not_break_resume(
-        self, adder, adder_reference, tmp_path
+        self, adder, adder_reference, tmp_path, monkeypatch
     ):
         universe, reference = adder_reference
         ckpt = str(tmp_path / "campaign.json")
         sweep = fresh_sweep(adder)
-        with pytest.raises(CampaignInterrupted):
-            sweep.sweep(
-                universe, checkpoint=ckpt, chunk_faults=50, abort_after_chunks=2
-            )
-        resumed = fresh_sweep(adder)
-        result = resumed.sweep(
-            universe, checkpoint=ckpt, resume=True, chunk_faults=17
+        monkeypatch.setattr(
+            supervisor, "default_chunk_faults", lambda _n, _lanes: 50
         )
+        with pytest.raises(CampaignInterrupted):
+            sweep.sweep(universe, checkpoint=ckpt, abort_after_chunks=2)
+        monkeypatch.setattr(
+            supervisor, "default_chunk_faults", lambda _n, _lanes: 17
+        )
+        resumed = fresh_sweep(adder)
+        result = resumed.sweep(universe, checkpoint=ckpt, resume=True)
         assert _statuses(result) == reference
+        assert resumed.last_report.chunks_resumed == 2
 
 
 class TestCampaignReport:

@@ -17,7 +17,6 @@ import pytest
 from repro.engine import (
     FaultSweep,
     NetworkEngine,
-    STORE,
     ArtifactStore,
     program_fingerprint,
 )
@@ -156,20 +155,6 @@ class TestArtifactStore:
         assert program_fingerprint(other.compiled) != program_fingerprint(
             one.compiled
         )
-
-    def test_enabled_store_shares_baseline_derivation(self):
-        text = "INPUT(a)\nINPUT(b)\ng = AND(a, b)\nOUTPUT(g)\n"
-        one = NetworkEngine(parse_bench(text, name="one"))
-        two = NetworkEngine(parse_bench(text, name="two"))
-        previous = STORE.enabled
-        STORE.enabled = True
-        try:
-            first = one.bitmask.baseline()
-            second = two.bitmask.baseline()
-        finally:
-            STORE.enabled = previous
-            STORE.clear()
-        assert second is first  # same tuple object: one derivation
 
 
 class TestBaselineIsolation:
