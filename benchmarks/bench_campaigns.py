@@ -224,7 +224,7 @@ def randlogic_sweep_report():
         ]
     finally:
         obs.enable_metrics(was_enabled)
-    fast_backend = sweep.last_sweep_backend
+    fast_backend = sweep.last_report.block_backend
 
     scalar_statuses = [status for _fault, status in scalar]
     identical = fast == scalar and all(
@@ -293,9 +293,6 @@ def test_randlogic_sweep(benchmark):
 # in the CampaignReport
 # ----------------------------------------------------------------------
 def supervised_sweep_report():
-    import os
-    import tempfile
-
     from repro.qa.chaos import sabotage_campaign
 
     net = randlogic_network()
@@ -311,13 +308,10 @@ def supervised_sweep_report():
     forked_seconds = time.perf_counter() - start
     clean = sweep.last_report
 
-    with tempfile.TemporaryDirectory() as tmp:
-        start = time.perf_counter()
-        with sabotage_campaign(
-            "worker-killed", once_path=os.path.join(tmp, "once")
-        ):
-            sabotaged = sweep.sweep(universe, processes=2)
-        chaos_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    with sabotage_campaign("worker-killed", once=True):
+        sabotaged = sweep.sweep(universe, processes=2)
+    chaos_seconds = time.perf_counter() - start
     chaos = sweep.last_report
 
     forked_identical = forked == serial

@@ -243,10 +243,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
     except CheckpointError as error:
         raise SystemExit(str(error))
-    stats["backend"] = sweep.last_sweep_backend
     report = sweep.last_report
+    stats["backend"] = report.backend
     if args.json:
-        if args.report and report is not None:
+        if args.report:
             stats["report"] = report.to_dict()
         print(json.dumps(stats, sort_keys=True))
     else:
@@ -256,14 +256,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             f"{stats['silent']:.1%} silent, "
             f"{stats['dangerous']:.1%} dangerous"
         )
-        if report is not None:
-            if args.report:
-                print(report.summary())
-            else:
-                # Degradations are never silent: even without --report,
-                # every ladder step down is surfaced with its reason.
-                for deg in report.degradations:
-                    print(f"degraded {deg.frm} -> {deg.to}: {deg.reason}")
+        if args.report:
+            print(report.summary())
+        else:
+            # Degradations are never silent: even without --report,
+            # every ladder step down is surfaced with its reason.
+            for deg in report.degradations:
+                print(f"degraded {deg.frm} -> {deg.to}: {deg.reason}")
     return 0 if stats["dangerous"] == 0 else 1
 
 

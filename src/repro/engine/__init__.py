@@ -47,11 +47,10 @@ from typing import Optional
 
 from ..logic.network import Network
 from .backends import BitmaskBackend, PointwiseBackend
-from .campaign import FaultSweep, ResponseBits
+from .campaign import FaultSweep, ResponseBits, universe_fingerprint
 from .supervisor import (
     CampaignCancelled,
     CampaignCheckpoint,
-    CampaignInterrupted,
     CampaignReport,
     CancelToken,
     CheckpointError,
@@ -59,7 +58,6 @@ from .supervisor import (
     Degradation,
     RetryEvent,
     run_campaign,
-    universe_fingerprint,
 )
 from .compiled import (
     CompiledNetwork,
@@ -138,7 +136,6 @@ __all__ = [
     "BitmaskBackend",
     "CampaignCancelled",
     "CampaignCheckpoint",
-    "CampaignInterrupted",
     "CampaignReport",
     "CancelToken",
     "CheckpointError",

@@ -44,10 +44,12 @@ sweep runs once per tile of :data:`TILE_PAIRS` pairs: lower-half points
 as one ``2T``-bit table.  Inside a tile the complement of bit ``j`` is
 bit ``2T-1-j``, the reversal of a ``(log2 T + 1)``-input table, so the
 pairing code runs unchanged at that width; only the input variables'
-masks differ (:meth:`BitmaskBackend._tiles`).  Each tile's baseline,
+masks differ (:meth:`BitmaskBackend.tile`).  Each tile's baseline,
 regions and root flips are derived, used and dropped, which bounds a
 sweep's memory at any width.  At or below the cut a sweep is one tile,
-the whole table.
+the whole table.  A supervised sweep puts the tiles on its item axis
+(:class:`repro.engine.campaign.FaultItems`), so each process derives
+each tile once.
 
 Clocked sequential campaigns and ATPG pattern simulation do not use
 either backend's fault plans: :func:`repro.seq.simulator.evaluate_rows`
@@ -79,9 +81,10 @@ from .compiled import CompiledNetwork, FaultLike
 POINT_CACHE_LIMIT = 1 << 16
 
 #: Widest input space a sweep classifies as one whole table.  Above it
-#: the sweep runs per pair tile: every fault chunk re-derives each tile,
-#: which costs 1.5–1.8x the untiled sweep at 20 inputs, while from 21
-#: inputs up the whole table's memory doubles per input.
+#: the sweep runs per pair tile, each tile derived once per process.
+#: Tiles take about the whole table's time from 8 to 22 inputs
+#: (``benchmarks/bench_rungs.py``), while the whole table's memory
+#: doubles per input; 20 is the widest row where it is still small.
 UNTILED_MAX_INPUTS = 20
 
 #: Pairs per tile of a tiled sweep (a ``2**18``-bit, 32 KiB table per
@@ -100,6 +103,21 @@ MAX_BITMASK_INPUTS = 25
 #: fault's most severe tile status.
 SEVERITY = ("silent", "detected", "dangerous")
 
+
+def most_severe(old: Sequence[str], new: Sequence[str]) -> List[str]:
+    """Per fault, the more severe of two tiles' statuses."""
+    return [max(a, b, key=SEVERITY.index) for a, b in zip(old, new)]
+
+
+def tile_count(n_inputs: int) -> int:
+    """How many tables a sweep of ``n_inputs`` inputs classifies on: the
+    whole table up to :data:`UNTILED_MAX_INPUTS` inputs, else pair tiles
+    of :data:`TILE_PAIRS` pairs covering the lower half."""
+    if n_inputs <= UNTILED_MAX_INPUTS:
+        return 1
+    half = 1 << (n_inputs - 1)
+    return half // min(TILE_PAIRS, half)
+
 # Telemetry: per-backend work counters.  Hot paths hoist the enabled
 # check (`_REG.enabled`) so a disabled registry costs one branch per
 # query, not one call per op.
@@ -109,12 +127,6 @@ _M_OPS = _REG.counter(
 )
 _M_WORDS = _REG.counter(
     "repro_engine_words_total", "64-bit truth-table words simulated, by backend"
-)
-#: Items per supervised chunk, by chunk kind (synthesis fitness chunks
-#: too).
-CHUNK_FAULTS = _REG.counter(
-    "repro_campaign_chunk_faults_total",
-    "Faults classified through chunk_statuses, by backend",
 )
 
 
@@ -369,10 +381,7 @@ class BitmaskBackend:
         statuses: List[str] = []
         for index, table in enumerate(self._tiles()):
             got = table._classify(faults, sites)
-            statuses = got if not index else [
-                max(old, new, key=SEVERITY.index)
-                for old, new in zip(statuses, got)
-            ]
+            statuses = most_severe(statuses, got) if index else got
         return statuses
 
     def _classify(self, faults: List[FaultLike], sites: List) -> List[str]:
@@ -389,32 +398,38 @@ class BitmaskBackend:
         return statuses
 
     def _tiles(self) -> Iterator["BitmaskBackend"]:
-        """The tables a sweep classifies on: this backend's own, or above
-        :data:`UNTILED_MAX_INPUTS` inputs a fresh backend per pair tile.
+        """The tables a sweep classifies on, in order (:meth:`tile`)."""
+        count = 1 if self._variables is not None else tile_count(
+            self.compiled.n_inputs
+        )
+        return (self.tile(index) for index in range(count))
 
-        Tile ``lo`` of ``T`` pairs holds points ``[lo, lo+T)`` in bits
-        ``[0, T)`` and ``[2**n-lo-T, 2**n-lo)`` in bits ``[T, 2T)``.  Both
-        ranges start at a multiple of ``T``, so below bit ``log2 T``
-        every input repeats with its usual period over the ``2T`` bits,
-        and above it each input is constant on each range.
+    def tile(self, index: int) -> "BitmaskBackend":
+        """Table ``index`` of :func:`tile_count`: this backend itself when
+        it is untiled or already a tile, else a fresh backend over the
+        ``index``-th pair tile.
+
+        Tile ``lo = index*T`` of ``T`` pairs holds points ``[lo, lo+T)``
+        in bits ``[0, T)`` and ``[2**n-lo-T, 2**n-lo)`` in bits
+        ``[T, 2T)``.  Both ranges start at a multiple of ``T``, so below
+        bit ``log2 T`` every input repeats with its usual period over the
+        ``2T`` bits, and above it each input is constant on each range.
         """
         n = self.compiled.n_inputs
         if self._variables is not None or n <= UNTILED_MAX_INPUTS:
-            yield self
-            return
+            return self
         pairs = min(TILE_PAIRS, 1 << (n - 1))
         width = pairs.bit_length()
-        periodic = variable_masks(width, width - 1)
         low = (1 << pairs) - 1
-        total = 1 << n
-        for lo in range(0, total >> 1, pairs):
-            top = total - lo - pairs
-            constant = [
-                (low if lo >> i & 1 else 0)
-                | (low << pairs if top >> i & 1 else 0)
-                for i in range(width - 1, n)
-            ]
-            yield BitmaskBackend(self.compiled, (width, periodic + constant))
+        lo = index * pairs
+        top = (1 << n) - lo - pairs
+        constant = [
+            (low if lo >> i & 1 else 0) | (low << pairs if top >> i & 1 else 0)
+            for i in range(width - 1, n)
+        ]
+        return BitmaskBackend(
+            self.compiled, (width, variable_masks(width, width - 1) + constant)
+        )
 
     # ------------------------------------------------------------------
     # stem regions (critical-path tracing with exact stem simulation)
@@ -597,28 +612,6 @@ class BitmaskBackend:
         return tuple(outputs)
 
 
-def chunk_statuses(
-    engine, faults: Sequence[FaultLike], cone: bool = False
-) -> List[str]:
-    """Classify one chunk of faults by the stem-region sweep of a
-    :class:`~repro.engine.NetworkEngine` (``bitmask``), or with
-    ``cone=True`` by every fault's cone plan (``cone``).
-
-    Fork workers and the serial loop both reach it through
-    :func:`repro.engine.supervisor.chunk_statuses`, which is why every
-    execution path classifies byte-identically.
-    """
-    universe = list(faults)
-    backend = "cone" if cone else "bitmask"
-    # Every chunk classifies through this span: the flight's count of
-    # successful "sweep.chunk" spans equals the report's chunk ledger.
-    with obs.span("sweep.chunk", faults=len(universe), backend=backend):
-        statuses = engine.bitmask.sweep_statuses(universe, cone=cone)
-    if _REG.enabled:
-        CHUNK_FAULTS.inc(len(universe), backend=backend)
-    return statuses
-
-
 def pack_pattern_masks(
     patterns: Sequence[int], n_inputs: int
 ) -> List[int]:
@@ -644,11 +637,8 @@ def pack_pattern_masks(
 class PointwiseBackend:
     """One assignment at a time, with a per-point baseline cache."""
 
-    def __init__(
-        self, compiled: CompiledNetwork, cache_limit: int = POINT_CACHE_LIMIT
-    ) -> None:
+    def __init__(self, compiled: CompiledNetwork) -> None:
         self.compiled = compiled
-        self.cache_limit = cache_limit
         self._cache: dict = {}
 
     def baseline(self, point: Tuple[int, ...]) -> List[int]:
@@ -662,7 +652,7 @@ class PointwiseBackend:
                 values[op.out] = eval_gate(
                     op.kind, [values[s] for s in op.srcs]
                 )
-            if len(self._cache) < self.cache_limit:
+            if len(self._cache) < POINT_CACHE_LIMIT:
                 self._cache[point] = values
         return values
 

@@ -19,18 +19,27 @@ The SCAL pair-level classification lives here in raw-integer form (the
 Bulk sweeps run the one exhaustive sweep,
 :meth:`~repro.engine.backends.BitmaskBackend.sweep_statuses`: the
 stem-region path, per pair tile above
-:data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs.  Execution —
-serial or fanned out across supervised fork workers with per-chunk
-timeouts, retries, checkpoint/resume, and the explicit
-fork → serial degradation ladder — is delegated to
-:func:`repro.engine.supervisor.run_campaign`; every sweep leaves a
-structured :class:`~repro.engine.supervisor.CampaignReport` in
+:data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs.  A supervised
+sweep's items are :class:`FaultItems`: the faults themselves up to that
+cut, and tile-major ``(tile, fault)`` pairs above it, so consecutive
+chunks share a tile and each process derives each tile once; a fault's
+status is its most severe over the tiles.  Scheduling — serial or fanned
+out across supervised fork workers with per-chunk timeouts, retries,
+checkpoint/resume, cancellation and the explicit fork → serial
+degradation ladder — is delegated to
+:func:`repro.engine.supervisor.run_campaign`, which sees only index
+ranges.  Everything that knows what an item is stays here: the
+``campaign.run`` span, the ``campaign.report``/``campaign.cancelled``
+events, the wall-time and status metrics and the checkpoint identity
+(:func:`universe_fingerprint`).  Every sweep leaves a structured
+:class:`~repro.engine.supervisor.CampaignReport` in
 :attr:`FaultSweep.last_report`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -38,14 +47,33 @@ from ..logic.network import Network
 from .compiled import FaultLike
 from .durable import CheckpointError
 from .supervisor import (
+    VALID_STATUSES,
+    CampaignCancelled,
     CampaignCheckpoint,
     CampaignReport,
     CancelToken,
     ChunkKind,
     run_campaign,
-    universe_fingerprint,
 )
-from .backends import chunk_statuses, classify_status
+from .backends import classify_status, most_severe, tile_count
+
+_REG = obs.REGISTRY
+#: Items per supervised chunk, by chunk kind (synthesis fitness chunks
+#: too).
+CHUNK_FAULTS = _REG.counter(
+    "repro_campaign_chunk_faults_total",
+    "Faults classified through chunk_statuses, by backend",
+)
+_M_FAULTS = _REG.counter(
+    "repro_campaign_faults_total", "Faults classified by campaigns, by status"
+)
+_M_CANCELLED = _REG.counter(
+    "repro_campaign_cancelled_total",
+    "Campaigns cancelled cooperatively, by reason kind",
+)
+_M_WALL = _REG.histogram(
+    "repro_campaign_wall_seconds", "End-to-end campaign wall time"
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,23 +91,106 @@ class ResponseBits:
         return classify_status(self.detected, self.violations)
 
 
-def _worker_sweep(sweep: "FaultSweep") -> "FaultSweep":
-    """A sweep over the inherited network with an engine of its own, so
-    each fork worker derives the tables its chunks read."""
+def universe_fingerprint(universe: Sequence, n_inputs: int) -> str:
+    """Identity of a campaign: the ordered fault universe plus the
+    input width.  Statuses are backend-independent, so this is all a
+    checkpoint needs to match to be resumable."""
+    digest = hashlib.sha256()
+    digest.update(f"n_inputs={n_inputs}".encode())
+    for fault in universe:
+        describe = getattr(fault, "describe", None)
+        name = describe() if callable(describe) else repr(fault)
+        digest.update(b"\x00" + name.encode())
+    return digest.hexdigest()
+
+
+class FaultItems:
+    """The items of one supervised sweep, and the host its chunks read.
+
+    Item ``i`` is fault ``i % F`` on table ``i // F`` of
+    :func:`~repro.engine.backends.tile_count`: tile-major ``(tile,
+    fault)`` pairs, which up to
+    :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs (one
+    table) are just the faults.  Consecutive ranges share a tile and
+    the most recent tile is kept, so a process that evaluates its
+    ranges in order derives each tile once.  :meth:`merge` folds item
+    statuses back into one most severe status per fault.
+    """
+
+    def __init__(self, network: Network, engine, faults: Sequence) -> None:
+        self.network = network
+        self.engine = engine
+        self.faults = list(faults)
+        self.tiles = tile_count(engine.compiled.n_inputs)
+        self._tile: Tuple[int, object] = (-1, None)
+        self._sites: Optional[List] = None
+
+    def __len__(self) -> int:
+        return self.tiles * len(self.faults)
+
+    def statuses(self, start: int, stop: int, cone: bool = False) -> List[str]:
+        """Statuses of items ``start:stop``: by stem regions, or with
+        ``cone=True`` by every fault's cone plan (the reference the stem
+        regions are checked against).  Every chunk classifies through
+        this span, so the flight's count of successful ``sweep.chunk``
+        spans equals the report's chunk ledger."""
+        backend = "cone" if cone else "bitmask"
+        n_faults = len(self.faults)
+        statuses: List[str] = []
+        with obs.span("sweep.chunk", faults=stop - start, backend=backend):
+            for tile in range(start // n_faults, -(-stop // n_faults)):
+                lo = max(start - tile * n_faults, 0)
+                hi = min(stop - tile * n_faults, n_faults)
+                table = self._table(tile)
+                sites = [None] * (hi - lo) if cone else self._sites_of(
+                    table, lo, hi
+                )
+                statuses += table._classify(self.faults[lo:hi], sites)
+        if _REG.enabled:
+            CHUNK_FAULTS.inc(stop - start, backend=backend)
+        return statuses
+
+    def _table(self, tile: int):
+        if self._tile[0] != tile:
+            self._tile = (tile, self.engine.bitmask.tile(tile))
+        return self._tile[1]
+
+    def _sites_of(self, table, lo: int, hi: int) -> List:
+        """Faults ``lo:hi`` resolved to their stem-region sites: where
+        they are classified when there is one table, else once for every
+        tile."""
+        if self.tiles == 1:
+            return [table._site(fault) for fault in self.faults[lo:hi]]
+        if self._sites is None:
+            self._sites = [table._site(fault) for fault in self.faults]
+        return self._sites[lo:hi]
+
+    def merge(self, statuses: Sequence[str]) -> List[str]:
+        """Each fault's most severe status over the tiles."""
+        n_faults = len(self.faults)
+        merged = list(statuses[:n_faults])
+        for tile in range(1, self.tiles):
+            start = tile * n_faults
+            merged = most_severe(merged, statuses[start : start + n_faults])
+        return merged
+
+
+def _worker_items(items: FaultItems) -> FaultItems:
+    """The inherited items over an engine of the worker's own, so each
+    fork worker derives the tables its chunks read."""
     from . import NetworkEngine  # local: engine/__init__ imports us
 
-    return FaultSweep(sweep.network, engine=NetworkEngine(sweep.network))
+    return FaultItems(
+        items.network, NetworkEngine(items.network), items.faults
+    )
 
 
 #: Fault classification by stem regions: the host is a
-#: :class:`FaultSweep` and the payloads are statuses.
+#: :class:`FaultItems` and the payloads are statuses.
 FAULT_CHUNKS = ChunkKind(
     name="bitmask",
-    evaluate=lambda sweep, faults: chunk_statuses(sweep.engine, faults),
-    worker_host=_worker_sweep,
-    span=lambda n_faults, processes: obs.span(
-        "campaign.run", faults=n_faults, backend="bitmask", processes=processes
-    ),
+    evaluate=lambda items, start, stop: items.statuses(start, stop),
+    worker_host=_worker_items,
 )
 
 #: The same classification re-simulating every fault's cone plan: the
@@ -87,11 +198,8 @@ FAULT_CHUNKS = ChunkKind(
 CONE_CHUNKS = dataclasses.replace(
     FAULT_CHUNKS,
     name="cone",
-    evaluate=lambda sweep, faults: chunk_statuses(
-        sweep.engine, faults, cone=True
-    ),
-    span=lambda n_faults, processes: obs.span(
-        "campaign.run", faults=n_faults, backend="cone", processes=processes
+    evaluate=lambda items, start, stop: items.statuses(
+        start, stop, cone=True
     ),
 )
 
@@ -124,9 +232,6 @@ class FaultSweep:
         self.engine = engine if engine is not None else engine_for(network)
         self.compiled = self.engine.compiled
         self.n = self.compiled.n_inputs
-        #: Name of the chunk kind the most recent :meth:`sweep` ran
-        #: (``"fork:<name>"`` when fanned out across workers).
-        self.last_sweep_backend: Optional[str] = None
         #: Structured :class:`CampaignReport` of the most recent
         #: :meth:`sweep` — backend, degradations, retries, wall time.
         self.last_report: Optional[CampaignReport] = None
@@ -167,7 +272,6 @@ class FaultSweep:
         timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        abort_after_chunks: Optional[int] = None,
         cancel: Optional[CancelToken] = None,
     ) -> List[Tuple[FaultLike, str]]:
         """Classify every fault under the supervised campaign runtime.
@@ -177,26 +281,30 @@ class FaultSweep:
         every fault's cone plan; the statuses are identical.  Width is a
         question of time only: above
         :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs the
-        sweep runs per pair tile.  With ``processes > 1``
-        the universe is fanned out across supervised fork-worker lanes
+        sweep's items are tile-major ``(tile, fault)`` pairs
+        (:class:`FaultItems`).  With ``processes > 1``
+        the items are fanned out across supervised fork-worker lanes
         (:mod:`repro.engine.fork`): each chunk carries an optional
         per-chunk ``timeout`` (seconds), failed or hung chunks are
         retried and re-chunked smaller on repeat failure, and dead
         workers are replaced instead of aborting the sweep.
         ``checkpoint`` names a JSON artifact that records completed
         chunks after each one; ``resume=True`` reloads it (keyed by
-        :func:`~repro.engine.supervisor.universe_fingerprint`, so the
-        backend that wrote it does not matter) and re-simulates only the
+        :func:`universe_fingerprint` and the item count, so the backend
+        that wrote it does not matter) and re-simulates only the
         uncovered remainder (statuses are byte-identical either way).
-        Every
-        fallback taken is recorded in :attr:`last_report`;
-        ``abort_after_chunks`` is the deliberate-interruption hook used
-        by tests and resume drills.  ``cancel`` threads a
+        Every fallback taken is recorded in :attr:`last_report`.
+        ``cancel`` threads a
         :class:`~repro.engine.supervisor.CancelToken` into the
-        supervision loop: a fired token (explicit cancel or blown
-        deadline) raises
+        supervision loop, the one way a sweep stops early: a fired token
+        (explicit cancel or blown deadline) raises
         :class:`~repro.engine.supervisor.CampaignCancelled` within one
         poll interval, with completed chunks already checkpointed.
+
+        One :class:`~repro.obs.Stopwatch` times the whole campaign;
+        ``report.wall_seconds`` is assigned exactly once from it, and the
+        flight's ``campaign.report`` event carries that same value, so
+        the two records cannot disagree.
         """
         if backend not in SWEEP_RUNGS:
             raise ValueError(
@@ -205,27 +313,55 @@ class FaultSweep:
             )
         if resume and checkpoint is None:
             raise CheckpointError("resume requires a checkpoint path")
-        universe = list(faults)
+        kind = SWEEP_RUNGS[backend]
+        items = FaultItems(self.network, self.engine, faults)
+        universe = items.faults
         ckpt = None
         if checkpoint is not None:
             ckpt = CampaignCheckpoint(
-                checkpoint, universe_fingerprint(universe, self.n),
-                len(universe),
+                checkpoint, universe_fingerprint(universe, self.n), len(items)
             )
             if resume:
                 ckpt.load()
-        statuses, report = run_campaign(
-            self,
-            universe,
-            SWEEP_RUNGS[backend],
-            processes=processes,
-            timeout=timeout,
-            checkpoint=ckpt,
-            abort_after_chunks=abort_after_chunks,
-            cancel=cancel,
-        )
+        watch = obs.Stopwatch()
+        with obs.span(
+            "campaign.run", faults=len(universe), backend=kind.name,
+            processes=processes or 0,
+        ):
+            try:
+                statuses, report = run_campaign(
+                    items,
+                    len(items),
+                    kind,
+                    processes=processes,
+                    timeout=timeout,
+                    checkpoint=ckpt,
+                    cancel=cancel,
+                )
+            except CampaignCancelled as error:
+                reason_kind = (
+                    "deadline"
+                    if str(error).startswith("deadline exceeded")
+                    else "explicit"
+                )
+                _M_CANCELLED.inc(kind=reason_kind)
+                obs.event(
+                    "campaign.cancelled",
+                    reason=str(error),
+                    wall_seconds=watch.elapsed(),
+                )
+                raise
+        report.wall_seconds = watch.elapsed()
+        report.faults = len(universe)
+        statuses = items.merge(statuses)
+        if _REG.enabled:
+            _M_WALL.observe(report.wall_seconds)
+            for status in VALID_STATUSES:
+                count = statuses.count(status)
+                if count:
+                    _M_FAULTS.inc(count, status=status)
+        obs.event("campaign.report", **report.to_dict())
         self.last_report = report
-        self.last_sweep_backend = _legacy_backend_name(report)
         return list(zip(universe, statuses))
 
     def coverage(
@@ -256,12 +392,3 @@ class FaultSweep:
             "silent": counts["silent"] / total,
             "dangerous": counts["dangerous"] / total,
         }
-
-
-def _legacy_backend_name(report: CampaignReport) -> str:
-    """The :attr:`FaultSweep.last_sweep_backend` convention predating the
-    structured report: ``"fork:<kind>"`` for fanned-out sweeps, the
-    plain chunk kind's name otherwise."""
-    if report.backend.startswith("fork"):
-        return f"fork:{report.block_backend}"
-    return report.block_backend

@@ -7,7 +7,7 @@ worker processes over duplex pipes, driven through a handful of
 calls::
 
     transport.start()
-    lane = transport.submit(key, items, attempt)  # one chunk
+    lane = transport.submit(key, start, stop, attempt)  # one chunk
     for result in transport.poll(t):   # completed / failed / died chunks
         ...
     transport.replace(lane)            # kill + respawn one lane
@@ -17,7 +17,9 @@ Lanes are integer slots (0..lanes-1); every result names the lane it
 came from so the supervisor can enforce per-chunk deadlines and the
 worker-replacement cap.  Each worker replaces the host it inherits
 with what the chunk kind's ``worker_host`` builds from it (for fault
-chunks, an engine of its own).
+chunks, an engine of its own).  The host holds the items, so a job
+names only an index range: no item crosses the pipe, only the
+payloads come back.
 
 Workers run chunks through the supervisor module's ``chunk_statuses``
 seam and honour :data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`,
@@ -88,8 +90,8 @@ def _forked_worker(conn, kind, host) -> None:
     """One fork worker: build its host through ``kind.worker_host``,
     then serve chunk jobs on ``conn`` until a ``None`` shutdown sentinel
     (or the parent disappears).  Job messages are
-    ``(key, items, attempt)`` tuples; replies are
-    ``(kind, key, payload, events)``.
+    ``(key, start, stop, attempt)`` tuples naming a range of the host's
+    items; replies are ``(kind, key, payload, events)``.
 
     The child first drops the signal state it inherited: a parent
     running an asyncio loop (``repro serve``) has SIGTERM/SIGINT routed
@@ -116,13 +118,13 @@ def _forked_worker(conn, kind, host) -> None:
             break
         if job is None:
             break
-        key, items, attempt = job
+        key, start, stop, attempt = job
         hook = _sup.WORKER_CHUNK_HOOK
         try:
             with obs.span("worker.chunk", chunk=key, attempt=attempt):
                 if hook is not None:
                     hook(key, attempt)
-                payloads = _sup.chunk_statuses(kind, host, items)
+                payloads = _sup.chunk_statuses(kind, host, start, stop)
         except Exception as error:  # reported, retried by the supervisor
             reply = ("error", key, f"{type(error).__name__}: {error}")
         else:
@@ -232,15 +234,16 @@ class ForkTransport:
     def lane_pid(self, lane: int) -> Optional[int]:
         return self._lanes[lane].process.pid
 
-    def submit(self, key: str, items: List, attempt: int) -> int:
-        """Place one chunk on a free lane; returns the lane id.  ``key``
-        is the supervisor's chunk identity, opaque here.  Raises
-        :class:`SubmitFailed` when the chosen lane is unreachable."""
+    def submit(self, key: str, start: int, stop: int, attempt: int) -> int:
+        """Place items ``start:stop`` on a free lane; returns the lane
+        id.  ``key`` is the supervisor's chunk identity, opaque here.
+        Raises :class:`SubmitFailed` when the chosen lane is
+        unreachable."""
         for index, entry in enumerate(self._lanes):
             if entry.busy or entry.dead:
                 continue
             try:
-                entry.conn.send((key, items, attempt))
+                entry.conn.send((key, start, stop, attempt))
             except (OSError, ValueError) as error:
                 entry.dead = True
                 raise SubmitFailed(

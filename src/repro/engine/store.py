@@ -10,7 +10,7 @@ netlists) by *content*, not by object identity:
   indices).  Two separately constructed but identical netlists hash the
   same, so artifacts survive across ``Network`` instances, across
   fork workers, and across ``serve`` requests.
-* :func:`repro.engine.supervisor.universe_fingerprint` — the existing
+* :func:`repro.engine.campaign.universe_fingerprint` — the existing
   sha256 of the ordered fault universe.
 
 Keys are tuples ``(kind, *fingerprints)``; kinds in use are

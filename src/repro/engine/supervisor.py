@@ -1,51 +1,51 @@
-"""Supervised fault-campaign runtime: retries, timeouts, checkpoints.
+"""Supervised campaign runtime: retries, timeouts, checkpoints.
 
 :mod:`repro.engine.campaign` makes sweeps fast; this module makes them
-survive.  A long campaign over a large fault universe dies in boring
-ways — a worker segfaults or is OOM-killed, a chunk hangs on a
-pathological cone — and an all-or-nothing ``pool.map`` turns any of
-those into a lost campaign.  :func:`run_campaign` replaces it with
-per-chunk supervision:
+survive.  A long campaign dies in boring ways — a worker segfaults or
+is OOM-killed, a chunk hangs on a pathological cone — and an
+all-or-nothing ``pool.map`` turns any of those into a lost campaign.
+:func:`run_campaign` replaces it with per-chunk supervision over ``n``
+items:
 
-* the universe is split into **chunk tasks** (contiguous index ranges),
-  each with a configurable ``timeout``;
+* the items are split into **chunk tasks**, contiguous ``start:stop``
+  index ranges, each with a configurable ``timeout``;
 * a failed or hung chunk is re-queued and, on repeat failure,
-  **split in half** so a single poisoned fault cannot hold a whole
+  **split in half** so a single poisoned item cannot hold a whole
   chunk hostage;
-* a dead worker is **replaced** instead of killing the sweep, and a
+* a dead worker is **replaced** instead of killing the campaign, and a
   runtime that cannot keep workers alive salvages every completed
   chunk and finishes the remainder serially;
 * completed chunks are **checkpointed** to a JSON artifact (through
   :mod:`repro.engine.durable`) so an interrupted campaign can resume
-  without re-simulating them, with byte-identical statuses
-  (classification is per-fault deterministic, so chunking never
-  changes results).
+  without re-running them (payloads are per-item deterministic, so
+  chunking never changes results);
+* a :class:`CancelToken` is the one way a campaign stops early.
 
-This module owns *policy* only.  What a chunk *is* comes from a
-:class:`ChunkKind`, the whole description of the work: fault
-classification (:data:`repro.engine.campaign.FAULT_CHUNKS`) or any
-other per-item work with deterministic payloads, such as scoring a
-population of candidate circuits.  With ``processes > 1``
-chunks fan out to forked workers over pipes
-(:class:`repro.engine.fork.ForkTransport`); otherwise they run
-in-process in a plain loop.  The one step down the
+This module owns *scheduling* only: it hands out index ranges and
+never sees an item.  The host owns the items — a fault sweep's host
+holds its universe, a synthesis batch's host its task list — and a
+:class:`ChunkKind` says how one range of them is evaluated.  With
+``processes > 1`` chunks fan out to forked workers over pipes
+(:class:`repro.engine.fork.ForkTransport`), each inheriting the host;
+otherwise they run in-process in a plain loop.  The one step down the
 **degradation ladder** —
 
     ``fork`` → ``serial``
 
 — is recorded as a :class:`Degradation` in the :class:`CampaignReport`
-instead of being swallowed by a bare ``except``.
+instead of being swallowed by a bare ``except``.  What the items are,
+and what their payloads mean (statuses, fitness records), is the
+caller's business, and so are its spans, reports and metrics.
 
 Chaos hooks (:data:`WORKER_CHUNK_HOOK` and :func:`chunk_statuses`,
 swapped by :mod:`repro.qa.chaos`) let the test suite SIGKILL a worker,
-hang a chunk, or make a chunk raise mid-campaign and assert the sweep
-still finishes with statuses identical to the serial path.
+hang a chunk, or make a chunk raise mid-campaign and assert the
+campaign still finishes with payloads identical to the serial path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -79,19 +79,9 @@ _M_REPLACED = _REG.counter(
 _M_CHECKPOINTS = _REG.counter(
     "repro_campaign_checkpoint_writes_total", "Checkpoint chunk flushes"
 )
-_M_FAULTS = _REG.counter(
-    "repro_campaign_faults_total", "Faults classified by campaigns, by status"
-)
-_M_CANCELLED = _REG.counter(
-    "repro_campaign_cancelled_total",
-    "Campaigns cancelled cooperatively, by reason kind",
-)
-_M_WALL = _REG.histogram(
-    "repro_campaign_wall_seconds", "End-to-end campaign wall time"
-)
 
-#: Attempts on one chunk before it is split (multi-fault chunks) or
-#: escalated to the parent's serial path (single-fault chunks).
+#: Attempts on one chunk before it is split (multi-item chunks) or
+#: escalated to the parent's serial path (single-item chunks).
 MAX_CHUNK_ATTEMPTS = 3
 
 #: Worker replacements tolerated before the runtime concludes workers
@@ -107,24 +97,17 @@ POLL_SECONDS = 0.05
 VALID_STATUSES = frozenset({"dangerous", "detected", "silent"})
 
 #: Test/chaos seam: when set, every worker calls this with
-#: ``(chunk_key, attempt)`` before classifying the chunk.  Fork workers
+#: ``(chunk_key, attempt)`` before evaluating the chunk.  Fork workers
 #: inherit the value at spawn time, so arming it in the parent sabotages
 #: the children (see :func:`repro.qa.chaos.sabotage_campaign`).
 WORKER_CHUNK_HOOK: Optional[Callable[[str, int], None]] = None
 
 
-class CampaignInterrupted(RuntimeError):
-    """Raised when a campaign stops early on purpose (the
-    ``abort_after_chunks`` hook); the checkpoint holds every chunk
-    completed so far and ``--resume`` picks up from it."""
-
-
 class CampaignCancelled(RuntimeError):
     """Raised when a campaign's :class:`CancelToken` fires — an explicit
-    cancel (client gone, server draining) or a blown deadline.  Like
-    :class:`CampaignInterrupted`, every chunk completed before the
-    cancellation is already in the checkpoint, so a later run resumes
-    byte-identically."""
+    cancel (client gone, server draining) or a blown deadline.  Every
+    chunk completed before the cancellation is already in the
+    checkpoint, so a later run resumes byte-identically."""
 
 
 class CancelToken:
@@ -206,12 +189,14 @@ class RetryEvent:
 
 @dataclasses.dataclass
 class CampaignReport:
-    """Structured account of how a sweep actually ran.
+    """Structured account of how a campaign actually ran.
 
     ``backend`` is the ladder rung plus the chunk kind's name (e.g.
     ``"fork:bitmask"``, ``"serial:bitmask"``, ``"serial:cone"``, or
     ``"resumed"`` when every chunk came from the checkpoint);
-    ``block_backend`` is the kind's name alone.
+    ``block_backend`` is the kind's name alone.  Chunk counts and
+    retry ranges are over the campaign's items; ``faults`` is left to
+    the caller, which knows what an item is.
     ``degradations`` lists every ladder step down with its reason — an
     empty list means the requested mode is exactly what ran.
     """
@@ -290,30 +275,17 @@ class CampaignReport:
 # ----------------------------------------------------------------------
 # checkpoint artifact
 # ----------------------------------------------------------------------
-def describe_fault(fault) -> str:
-    describe = getattr(fault, "describe", None)
-    return describe() if callable(describe) else repr(fault)
-
-
-def universe_fingerprint(universe: Sequence, n_inputs: int) -> str:
-    """Identity of a campaign: the ordered fault universe plus the
-    input width.  Statuses are backend-independent, so this is all a
-    checkpoint needs to match to be resumable."""
-    digest = hashlib.sha256()
-    digest.update(f"n_inputs={n_inputs}".encode())
-    for fault in universe:
-        digest.update(b"\x00" + describe_fault(fault).encode())
-    return digest.hexdigest()
-
-
 class CampaignCheckpoint:
-    """Completed fault statuses, flushed to JSON after every chunk.
+    """Completed item statuses, flushed to JSON after every chunk.
 
-    The artifact maps contiguous index ranges of the ordered universe to
+    The artifact maps contiguous index ranges of the campaign's items to
     their statuses; resuming fills those ranges and re-chunks only the
     uncovered remainder, so chunk-size changes between runs cannot
-    corrupt a resume.  ``fingerprint`` is the campaign's
-    :func:`universe_fingerprint`.
+    corrupt a resume.  ``fingerprint`` is the caller's identity of the
+    campaign (for a fault sweep,
+    :func:`~repro.engine.campaign.universe_fingerprint`), and
+    ``n_faults`` its item count: a file written over a different item
+    axis is refused.
     """
 
     VERSION = 1
@@ -330,7 +302,7 @@ class CampaignCheckpoint:
         if payload.get("n_faults") != self.n_faults:
             raise CheckpointError(
                 f"checkpoint {self.path!r} covers {payload.get('n_faults')} "
-                f"faults, campaign has {self.n_faults}"
+                f"items, campaign has {self.n_faults}"
             )
         for entry in payload.get("ranges", []):
             try:
@@ -343,7 +315,7 @@ class CampaignCheckpoint:
             if not (0 <= start < stop <= self.n_faults):
                 raise CheckpointError(
                     f"checkpoint {self.path!r} range {start}:{stop} is out "
-                    f"of bounds for {self.n_faults} faults"
+                    f"of bounds for {self.n_faults} items"
                 )
             if len(statuses) != stop - start or not all(
                 s in VALID_STATUSES for s in statuses
@@ -393,30 +365,26 @@ class CampaignCheckpoint:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class ChunkKind:
-    """The whole description of one kind of chunk work for
-    :func:`run_campaign`.
+    """How :func:`run_campaign` evaluates one range of items.
 
     ``name`` labels the work: reports read ``serial:<name>`` or
-    ``fork:<name>``.  ``evaluate(host, items)`` returns one payload per
-    item, in order; it is reached only through :func:`chunk_statuses`.
-    A fork worker evaluates against ``worker_host(host)``, built from
-    the host it inherits.  ``span(n_items, processes)`` opens the run's
-    span; ``reports`` makes a run emit ``campaign.report`` (or
-    ``campaign.cancelled``) and the wall, status and cancel metrics.
+    ``fork:<name>``.  ``evaluate(host, start, stop)`` returns one
+    payload per item of ``range(start, stop)``, in order, reading the
+    items from ``host``; it is reached only through
+    :func:`chunk_statuses`.  A fork worker evaluates against
+    ``worker_host(host)``, built from the host it inherits.
     """
 
     name: str
-    evaluate: Callable[[object, Sequence], List]
+    evaluate: Callable[[object, int, int], List]
     worker_host: Callable[[object], object]
-    span: Callable[[int, int], object]
-    reports: bool = True
 
 
-def chunk_statuses(kind: ChunkKind, host, items: Sequence) -> List:
-    """Run one chunk of ``kind``: fork workers and the serial loop both
-    look this function up late here, so chaos patches of it reach every
-    execution path."""
-    return kind.evaluate(host, items)
+def chunk_statuses(kind: ChunkKind, host, start: int, stop: int) -> List:
+    """Run items ``start:stop`` of ``kind``: fork workers and the serial
+    loop both look this function up late here, so chaos patches of it
+    reach every execution path."""
+    return kind.evaluate(host, start, stop)
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +394,6 @@ def chunk_statuses(kind: ChunkKind, host, items: Sequence) -> List:
 class _Task:
     start: int
     stop: int
-    items: List
     attempt: int = 0
 
     @property
@@ -435,7 +402,7 @@ class _Task:
 
 
 def _uncovered_runs(statuses: List[Optional[str]]) -> List[Tuple[int, int]]:
-    """Maximal contiguous index ranges still lacking a status."""
+    """Maximal contiguous index ranges still lacking a payload."""
     runs: List[Tuple[int, int]] = []
     i, n = 0, len(statuses)
     while i < n:
@@ -457,17 +424,12 @@ def default_chunk_faults(n_remaining: int, processes: Optional[int]) -> int:
     return max(1, -(-n_remaining // max(4 * lanes, 8)))
 
 
-def _build_tasks(
-    universe: Sequence,
-    statuses: List[Optional[str]],
-    chunk: int,
-) -> List[_Task]:
-    tasks: List[_Task] = []
-    for run_start, run_stop in _uncovered_runs(statuses):
-        for start in range(run_start, run_stop, chunk):
-            stop = min(start + chunk, run_stop)
-            tasks.append(_Task(start, stop, list(universe[start:stop])))
-    return tasks
+def _build_tasks(statuses: List[Optional[str]], chunk: int) -> List[_Task]:
+    return [
+        _Task(start, min(start + chunk, run_stop))
+        for run_start, run_stop in _uncovered_runs(statuses)
+        for start in range(run_start, run_stop, chunk)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +495,9 @@ class _ForkSupervisor:
         while self.pending and self.transport.free_lanes > 0:
             task = self.pending.popleft()
             try:
-                lane = self.transport.submit(task.key, task.items, task.attempt)
+                lane = self.transport.submit(
+                    task.key, task.start, task.stop, task.attempt
+                )
             except SubmitFailed as error:
                 # Worker died while idle: put the task back, replace it.
                 self.pending.appendleft(task)
@@ -563,7 +527,8 @@ class _ForkSupervisor:
             return  # pragma: no cover - stale reply from a replaced lane
         del self.inflight[result.lane]
         task = entry.task
-        if result.kind == "ok" and len(result.payload) == len(task.items):
+        size = task.stop - task.start
+        if result.kind == "ok" and len(result.payload) == size:
             self.complete(task, list(result.payload))
         else:
             reason = (
@@ -608,20 +573,18 @@ class _ForkSupervisor:
                 # Re-chunk smaller: a repeatedly failing chunk is split
                 # so one poisoned item cannot sink its neighbours.
                 mid = (task.start + task.stop) // 2
-                cut = mid - task.start
-                left = _Task(task.start, mid, task.items[:cut])
-                right = _Task(mid, task.stop, task.items[cut:])
                 self.report.retry(task.key, task.attempt, reason, "split")
                 self.report.chunks_total += 1
-                self.pending.appendleft(right)
-                self.pending.appendleft(left)
+                self.pending.appendleft(_Task(mid, task.stop))
+                self.pending.appendleft(_Task(task.start, mid))
             else:
                 # A single item that keeps failing runs in the parent.
                 self.report.retry(
                     task.key, task.attempt, reason, "parent-serial"
                 )
                 self.complete(task, chunk_statuses(
-                    self.transport.kind, self.transport.host, task.items
+                    self.transport.kind, self.transport.host, task.start,
+                    task.stop,
                 ))
         else:
             self.report.retry(task.key, task.attempt, reason, "retried")
@@ -633,101 +596,40 @@ class _ForkSupervisor:
 # ----------------------------------------------------------------------
 def run_campaign(
     host,
-    universe: Sequence,
+    n: int,
     kind: ChunkKind,
     processes: Optional[int] = None,
     timeout: Optional[float] = None,
     checkpoint: Optional[CampaignCheckpoint] = None,
-    abort_after_chunks: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
 ) -> Tuple[List, CampaignReport]:
-    """Run one supervised campaign; returns ``(payloads, report)``.
+    """Run one supervised campaign over items ``0 .. n-1``; returns
+    ``(payloads, report)``.
 
-    ``kind`` says what a chunk is; ``host`` is what its evaluate
-    function reads (a ``FaultSweep`` for fault chunks, whose payloads
-    are statuses).  The campaign fans out to fork workers iff
-    ``processes > 1``; otherwise it runs in-process.  ``checkpoint``
-    records every completed chunk; the ranges it already holds (loaded
-    for a resume) are not run again.
-    ``abort_after_chunks`` is the interruption hook used by tests and
-    drills: the campaign raises :class:`CampaignInterrupted` after that
-    many newly simulated chunks, leaving the checkpoint resumable.
-    ``cancel`` is a :class:`CancelToken` checked once per supervision
-    poll interval (once per chunk in-process); when it fires the
-    campaign raises
-    :class:`CampaignCancelled` (after shutting its workers down and
-    recording a ``campaign.cancelled`` flight event for a reporting
-    kind), with every completed chunk already checkpointed.
-
-    One :class:`~repro.obs.Stopwatch` times the whole campaign;
-    ``report.wall_seconds`` is assigned exactly once from it, and the
-    flight's ``campaign.report`` event carries that same value, so the
-    two records cannot disagree.
+    ``host`` owns the items and ``kind`` says how a range of them is
+    evaluated; only ``start:stop`` ranges cross to the workers.  The
+    campaign fans out to fork workers iff ``processes > 1``; otherwise
+    it runs in-process.  ``checkpoint`` records every completed chunk;
+    the ranges it already holds (loaded for a resume) are not run
+    again.  ``cancel`` is a :class:`CancelToken` checked once per
+    supervision poll interval (once per chunk in-process); when it
+    fires the campaign shuts its workers down and raises
+    :class:`CampaignCancelled`, with every completed chunk already
+    checkpointed.  Spans, timing and item metrics are the caller's.
     """
-    watch = obs.Stopwatch()
-    with kind.span(len(universe), processes or 0):
-        try:
-            statuses, report = _run_campaign(
-                kind, host, universe, processes, timeout, checkpoint,
-                abort_after_chunks, cancel,
-            )
-        except CampaignCancelled as error:
-            if kind.reports:
-                reason_kind = (
-                    "deadline"
-                    if str(error).startswith("deadline exceeded")
-                    else "explicit"
-                )
-                _M_CANCELLED.inc(kind=reason_kind)
-                obs.event(
-                    "campaign.cancelled",
-                    reason=str(error),
-                    wall_seconds=watch.elapsed(),
-                )
-            raise
-    report.wall_seconds = watch.elapsed()
-    if kind.reports:
-        if _REG.enabled:
-            _M_WALL.observe(report.wall_seconds)
-            for status in VALID_STATUSES:
-                count = sum(1 for s in statuses if s == status)
-                if count:
-                    _M_FAULTS.inc(count, status=status)
-        obs.event("campaign.report", **report.to_dict())
-    return statuses, report
-
-
-def _run_campaign(
-    kind: ChunkKind,
-    host,
-    universe: Sequence,
-    processes: Optional[int],
-    timeout: Optional[float],
-    checkpoint: Optional[CampaignCheckpoint],
-    abort_after_chunks: Optional[int],
-    cancel: Optional[CancelToken],
-) -> Tuple[List, CampaignReport]:
     if cancel is not None:
         cancel.check()
-    n = len(universe)
     lanes = max(processes or 1, 1)
     want_workers = lanes > 1
     report = CampaignReport(
         requested=f"{'fork' if want_workers else 'serial'}:{kind.name}",
         block_backend=kind.name,
-        faults=n,
         checkpoint_path=checkpoint.path if checkpoint is not None else None,
     )
     statuses: List[Optional[str]] = [None] * n
     if checkpoint is not None:
         report.chunks_resumed = checkpoint.apply(statuses)
         report.chunks_total += report.chunks_resumed
-
-    abort_state = (
-        {"remaining": abort_after_chunks}
-        if abort_after_chunks is not None
-        else None
-    )
 
     def complete(task: _Task, values: List[str]) -> None:
         statuses[task.start : task.stop] = values
@@ -737,22 +639,14 @@ def _run_campaign(
         obs.event("campaign.chunk", chunk=task.key, n=len(values))
         if checkpoint is not None:
             checkpoint.record(task.start, task.stop, values)
-        if abort_state is not None:
-            abort_state["remaining"] -= 1
-            if abort_state["remaining"] <= 0:
-                raise CampaignInterrupted(
-                    f"campaign interrupted after "
-                    f"{report.chunks_completed} chunks (checkpoint "
-                    f"{report.checkpoint_path!r} is resumable)"
-                )
 
     n_remaining = sum(1 for s in statuses if s is None)
     if n_remaining == 0:
-        # Everything came from the checkpoint (or the universe is empty).
+        # Everything came from the checkpoint (or there are no items).
         report.backend = (
             "resumed" if report.chunks_resumed else f"serial:{kind.name}"
         )
-        return [s for s in statuses], report
+        return statuses, report
 
     # Degenerate-fan-out guard: never spawn more lanes than chunks can
     # amortize.
@@ -761,11 +655,11 @@ def _run_campaign(
         report.degrade(
             "fork",
             "serial",
-            f"{n_remaining} remaining faults cannot amortize {lanes} "
+            f"{n_remaining} remaining items cannot amortize {lanes} "
             f"fork workers (need >= {4 * lanes}); running in-process",
         )
     chunk = default_chunk_faults(n_remaining, lanes if use_workers else None)
-    tasks = _build_tasks(universe, statuses, chunk)
+    tasks = _build_tasks(statuses, chunk)
     report.chunks_total += len(tasks)
 
     served = False
@@ -784,17 +678,13 @@ def _run_campaign(
     if served:
         report.backend = f"fork:{kind.name}"
     else:
-        _serial_fill(
-            kind, host, universe, statuses, report, complete, chunk, cancel
-        )
+        _serial_fill(kind, host, statuses, report, complete, chunk, cancel)
         report.backend = f"serial:{kind.name}"
 
-    missing = [i for i, s in enumerate(statuses) if s is None]
+    missing = sum(1 for s in statuses if s is None)
     if missing:  # pragma: no cover - defended invariant
-        raise RuntimeError(
-            f"campaign finished with {len(missing)} unclassified faults"
-        )
-    return [s for s in statuses], report
+        raise RuntimeError(f"campaign finished with {missing} items unrun")
+    return statuses, report
 
 
 def _run_fork_workers(
@@ -837,7 +727,6 @@ def _run_fork_workers(
 def _serial_fill(
     kind: ChunkKind,
     host,
-    universe: Sequence,
     statuses: List[Optional[str]],
     report: CampaignReport,
     complete: Callable[[_Task, List[str]], None],
@@ -845,7 +734,7 @@ def _serial_fill(
     cancel: Optional[CancelToken] = None,
 ) -> None:
     """Run every still-uncovered item in-process, one chunk at a time."""
-    tasks = _build_tasks(universe, statuses, chunk)
+    tasks = _build_tasks(statuses, chunk)
     # _build_tasks was already counted for the worker attempt; only count
     # tasks that re-chunked differently after a partial salvage.
     already = report.chunks_completed + report.chunks_resumed
@@ -853,4 +742,4 @@ def _serial_fill(
     for task in tasks:
         if cancel is not None:
             cancel.check()
-        complete(task, chunk_statuses(kind, host, task.items))
+        complete(task, chunk_statuses(kind, host, task.start, task.stop))

@@ -20,15 +20,16 @@ Three cooperating pieces:
   the whole story.  ``python -m repro stats FLIGHT`` renders it.
 
 Instrumented seams: the engine backends (op/word counters),
-:func:`repro.engine.backends.chunk_statuses` (the per-chunk
+:meth:`repro.engine.campaign.FaultItems.statuses` (the per-chunk
 ``sweep.chunk`` span every execution path classifies through; synthesis
 fitness chunks open it in :func:`repro.synth.fitness.evaluate_chunk`),
 :mod:`repro.engine.supervisor` (chunk completions, retries, worker
-replacements, checkpoint writes, the campaign wall-clock
-stopwatch), :mod:`repro.engine.store` (artifact hits/misses/evictions),
-:mod:`repro.server` (request/job/subscriber counters behind
-``GET /metrics``),
-:class:`repro.engine.campaign.FaultSweep` (sweep-level spans), and
+replacements, checkpoint writes), :mod:`repro.engine.store` (artifact
+hits/misses/evictions), :mod:`repro.server` (request/job/subscriber
+counters behind ``GET /metrics``),
+:class:`repro.engine.campaign.FaultSweep` (the ``campaign.run`` span,
+the report and cancel events, the wall-clock stopwatch and the fault
+metrics), and
 :mod:`repro.qa.runner` (per-property spans and trial verdicts).
 """
 

@@ -16,9 +16,10 @@ the sweep still completes with statuses byte-identical to the serial
 path, the incident visible in the
 :class:`~repro.engine.supervisor.CampaignReport`.  Worker
 sabotages ride :data:`repro.engine.supervisor.WORKER_CHUNK_HOOK`,
-which fork children inherit from the parent at spawn time.  One-shot
-kinds coordinate across processes through an ``O_EXCL`` sentinel file
-so a replacement worker does not re-fire the failure forever.
+which fork children inherit from the parent at spawn time.  A one-shot
+sabotage fires only on the first attempt of the chunk that starts at
+item 0, so a retry or a replacement worker does not re-fire it, and
+two runs of the same campaign record the same report ledger.
 
 The third tier sabotages the *service*: :func:`sabotage_service` makes
 campaigns deterministically slow or hung (so deadlines, disconnect
@@ -37,7 +38,7 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from ..engine import backends
 from ..engine import supervisor as _supervisor
@@ -109,22 +110,9 @@ def inject(name: str) -> Iterator[None]:
 # ----------------------------------------------------------------------
 # campaign-runtime sabotage (worker-level failures)
 # ----------------------------------------------------------------------
-def _fire_once(once_path: Optional[str]) -> bool:
-    """Cross-process one-shot latch: only the first caller — parent or
-    any forked worker — wins the ``O_EXCL`` create and fires."""
-    if once_path is None:
-        return True
-    try:
-        fd = os.open(once_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    os.close(fd)
-    return True
-
-
-def _worker_hook(action: Callable[[], None], once_path: Optional[str]):
-    def hook(_chunk_key: str, _attempt: int) -> None:
-        if _fire_once(once_path):
+def _worker_hook(action: Callable[[], None], once: bool):
+    def hook(chunk_key: str, attempt: int) -> None:
+        if not once or (attempt == 0 and chunk_key.startswith("0:")):
             action()
 
     return hook
@@ -151,11 +139,11 @@ def _worker_exits() -> None:
 #: Worker-level sabotages delivered through WORKER_CHUNK_HOOK (fork
 #: children inherit the armed hook from the parent).
 WORKER_SABOTAGE: Dict[str, Callable[[], None]] = {
-    # The first chunk touched raises inside the worker: the supervisor
-    # must retry it and the sweep must still complete.
+    # The chunk raises inside the worker: the supervisor must retry it
+    # and the sweep must still complete.
     "chunk-raises": _chunk_raises,
-    # The first chunk hangs forever: the per-chunk timeout must fire,
-    # the worker be killed and replaced, the chunk retried elsewhere.
+    # The chunk hangs forever: the per-chunk timeout must fire, the
+    # worker be killed and replaced, the chunk retried elsewhere.
     "chunk-hangs": _chunk_hangs,
     # A worker is SIGKILLed mid-chunk: pipe EOF, replacement, retry.
     "worker-killed": _worker_killed,
@@ -169,16 +157,14 @@ def campaign_sabotage_names() -> list:
 
 
 @contextlib.contextmanager
-def sabotage_campaign(
-    kind: str, once_path: Optional[str] = None
-) -> Iterator[None]:
+def sabotage_campaign(kind: str, once: bool = False) -> Iterator[None]:
     """Arm one campaign-runtime failure for the duration of the context.
 
     Worker-level kinds (see :data:`WORKER_SABOTAGE`) install a
-    :data:`~repro.engine.supervisor.WORKER_CHUNK_HOOK`; pass
-    ``once_path`` (a path that does not exist yet) to make the failure
-    one-shot across all forked workers, otherwise every chunk attempt
-    fails and the sweep degrades to the serial rung.
+    :data:`~repro.engine.supervisor.WORKER_CHUNK_HOOK`; with ``once``
+    the failure fires only on the first attempt of each campaign's
+    chunk starting at item 0, otherwise every chunk attempt fails and
+    the sweep degrades to the serial rung.
     """
     if kind not in WORKER_SABOTAGE:
         known = ", ".join(campaign_sabotage_names())
@@ -186,9 +172,7 @@ def sabotage_campaign(
             f"unknown campaign sabotage {kind!r}; known: {known}"
         )
     previous = _supervisor.WORKER_CHUNK_HOOK
-    _supervisor.WORKER_CHUNK_HOOK = _worker_hook(
-        WORKER_SABOTAGE[kind], once_path
-    )
+    _supervisor.WORKER_CHUNK_HOOK = _worker_hook(WORKER_SABOTAGE[kind], once)
     try:
         yield
     finally:
@@ -220,12 +204,12 @@ def release_service_hangs() -> None:
 def _service_chunk_statuses(kind: str, slow_s: float) -> Callable:
     original = _supervisor.chunk_statuses
 
-    def sabotaged(chunk_kind, host, items):
+    def sabotaged(chunk_kind, host, start, stop):
         if kind == "campaign-slow":
             time.sleep(slow_s)
         else:  # campaign-hangs
             _SERVICE_HANG.wait(3600)
-        return original(chunk_kind, host, items)
+        return original(chunk_kind, host, start, stop)
 
     return sabotaged
 
@@ -249,7 +233,7 @@ def sabotage_service(kind: str, slow_s: float = 0.2) -> Iterator[None]:
       grace period gets the server out.
 
     The sabotage patches :func:`repro.engine.supervisor.chunk_statuses`
-    (``(kind, host, items)``, whatever the chunk kind) — the one
+    (``(kind, host, start, stop)``, whatever the chunk kind) — the one
     function fork workers and the serial loop both call — so
     it bites fork fan-out and the in-process serial path ``repro
     serve`` runs requests on by default.

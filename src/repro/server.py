@@ -490,7 +490,7 @@ def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
             "detected": statuses.count("detected") / total,
             "silent": statuses.count("silent") / total,
             "dangerous": statuses.count("dangerous") / total,
-            "backend": sweep.last_sweep_backend,
+            "backend": sweep.last_report.backend,
             "report": sweep.last_report.to_dict(),
             "statuses": statuses,
         }

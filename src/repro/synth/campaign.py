@@ -4,7 +4,8 @@
 population by :class:`~repro.synth.fitness.FitnessRecord` score, keep an
 elite, breed the rest by tournament selection with seeded
 mutation/crossover, and charge every generation's *fresh* candidates as
-one supervised batch: :func:`repro.engine.run_campaign` over
+one supervised batch in its own ``synth.batch`` span:
+:func:`repro.engine.run_campaign` over the batch's task list with
 :data:`~repro.synth.fitness.SYNTH_CHUNKS` — so synthesis inherits the
 whole execution fabric (fork fan-out iff ``processes > 1``, retries
 with splitting, dead-worker replacement) that fault campaigns already
@@ -570,14 +571,18 @@ class SynthCampaign:
                 tasks.append(make_task(genome, self.spec))
                 fresh_index.append(i)
         if tasks:
-            payloads, batch_report = run_campaign(
-                None,
-                tasks,
-                SYNTH_CHUNKS,
-                processes=self.processes,
-                timeout=self.timeout,
-                cancel=self.cancel,
-            )
+            with obs.span(
+                "synth.batch", candidates=len(tasks),
+                processes=self.processes or 0,
+            ):
+                payloads, batch_report = run_campaign(
+                    tasks,
+                    len(tasks),
+                    SYNTH_CHUNKS,
+                    processes=self.processes,
+                    timeout=self.timeout,
+                    cancel=self.cancel,
+                )
             for i, payload in zip(fresh_index, payloads):
                 record = FitnessRecord.from_json(payload)
                 records[i] = record

@@ -9,7 +9,7 @@ real acceptance criteria, not a proxy):
 * **self-duality** — the number of points where ``F(X̄) ≠ ¬F(X)``
   (:func:`repro.logic.truthtable.reverse_bits` over the same tables);
 * **coverage** — the collapsed stuck-at universe swept through
-  :func:`repro.engine.backends.chunk_statuses` (the big-int
+  :meth:`repro.engine.campaign.FaultItems.statuses` (the big-int
   stem-region sweep, ``bitmask``), in the manner of an
   exhaustive-fault-simulation fitness; ``dangerous`` faults (wrong
   *and* still alternating) are the self-checking violations the search
@@ -23,11 +23,13 @@ what campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
 :data:`SYNTH_CHUNKS` (named ``synth``) makes scoring a chunk kind of
-its own for :func:`repro.engine.run_campaign`: its evaluate function,
-:func:`evaluate_chunk`, takes a chunk of task dicts and ships back one
-JSON record per task.  Every per-candidate exception is captured
-*inside* the record (an invalid candidate is a normal low-fitness
-outcome, not a chunk failure for the supervisor to retry).
+its own for :func:`repro.engine.run_campaign`: the host is the batch's
+task list, and its evaluate function, :func:`evaluate_chunk`, scores
+one index range of it and ships back one JSON record per task (fork
+workers inherit the list, so no task crosses the pipe).  Every
+per-candidate exception is captured *inside* the record (an invalid
+candidate is a normal low-fitness outcome, not a chunk failure for the
+supervisor to retry).
 """
 
 from __future__ import annotations
@@ -39,13 +41,8 @@ from typing import Dict, List, Sequence, Tuple
 from .. import obs
 from ..core.collapse import sorted_stem_universe
 from ..engine import ChunkKind, NetworkEngine
-from ..engine.backends import (
-    CHUNK_FAULTS,
-    chunk_statuses,
-    classify_status,
-    table_normals,
-    table_response,
-)
+from ..engine.backends import classify_status, table_normals, table_response
+from ..engine.campaign import CHUNK_FAULTS, FaultItems
 from ..logic.truthtable import reverse_bits
 from ..scal.costs import network_cost
 from .genome import Genome
@@ -190,7 +187,9 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         else:
             bits = engine.bitmask.output_bits(None)
             backend = "bitmask"
-            statuses = chunk_statuses(engine, universe)
+            statuses = FaultItems(network, engine, universe).statuses(
+                0, len(universe)
+            )
         spec_hamming = sum(
             _popcount((b ^ t) & full) for b, t in zip(bits, spec_tables)
         )
@@ -218,27 +217,24 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         )
 
 
-def evaluate_chunk(_host, tasks: Sequence[Dict[str, object]]) -> List[str]:
-    """Score one chunk: one JSON record per task, in order, with
-    per-candidate failures folded into the records."""
-    with obs.span("sweep.chunk", faults=len(tasks), backend="synth"):
-        payloads = [evaluate_task(task).to_json() for task in tasks]
+def evaluate_chunk(
+    tasks: Sequence[Dict[str, object]], start: int, stop: int
+) -> List[str]:
+    """Score tasks ``start:stop``: one JSON record per task, in order,
+    with per-candidate failures folded into the records."""
+    with obs.span("sweep.chunk", faults=stop - start, backend="synth"):
+        payloads = [
+            evaluate_task(task).to_json() for task in tasks[start:stop]
+        ]
     if obs.REGISTRY.enabled:
-        CHUNK_FAULTS.inc(len(tasks), backend="synth")
+        CHUNK_FAULTS.inc(stop - start, backend="synth")
     return payloads
 
 
-#: Candidate scoring: each candidate compiles its own engine, so there is
-#: no host, and a batch (one per generation) emits a ``synth.batch`` span
-#: instead of ``campaign.report``; the ``synth.*`` events tell the story.
-#: The campaign checkpoints whole generations itself, so batches carry
-#: no checkpoint.
+#: Candidate scoring: the host is a batch's task list, which fork workers
+#: inherit as it is (each candidate compiles its own engine).  The
+#: campaign opens each batch's ``synth.batch`` span and checkpoints whole
+#: generations itself, so batches carry no checkpoint.
 SYNTH_CHUNKS = ChunkKind(
-    name="synth",
-    evaluate=evaluate_chunk,
-    worker_host=lambda _host: None,
-    span=lambda n_candidates, processes: obs.span(
-        "synth.batch", candidates=n_candidates, processes=processes
-    ),
-    reports=False,
+    name="synth", evaluate=evaluate_chunk, worker_host=lambda tasks: tasks
 )

@@ -46,7 +46,7 @@ class TestCampaign:
                  "--processes", processes]
             ) == 0
             stats[processes] = json.loads(capsys.readouterr().out)
-        assert stats["1"].pop("backend") == "bitmask"
+        assert stats["1"].pop("backend") == "serial:bitmask"
         assert stats["2"].pop("backend") == "fork:bitmask"
         assert stats["1"] == stats["2"]
 

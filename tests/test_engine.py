@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.engine import FaultSweep, NetworkEngine, backends, engine_for
-from repro.engine.backends import chunk_statuses
+from repro.engine.campaign import FaultItems
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import (
     PinStuckAt,
@@ -300,7 +300,9 @@ class TestVectorizedEquivalence:
             eng = NetworkEngine(net)
             region = eng.bitmask.sweep_statuses(faults)
             assert eng.bitmask.sweep_statuses(faults, cone=True) == region
-            assert chunk_statuses(eng, faults, cone=True) == region
+            items = FaultItems(net, eng, faults)
+            cone = items.statuses(0, len(items), cone=True)
+            assert items.merge(cone) == region
 
 
 def shape_network(n_inputs):
@@ -597,7 +599,7 @@ class TestThresholdFaultRows:
         sweep = FaultSweep(net, engine=NetworkEngine(net))
         result = sweep.sweep(universe, backend="vectorized")
         assert [s for _, s in result] == reference
-        assert sweep.last_sweep_backend == "cone"
+        assert sweep.last_report.backend == "serial:cone"
         tiles(1)
         tiled = NetworkEngine(net).bitmask
         assert tiled.sweep_statuses(universe, cone=True) == reference
@@ -720,7 +722,7 @@ class TestSweepDrivers:
         serial = sweep.sweep(universe)
         parallel = sweep.sweep(universe, processes=2)
         assert serial == parallel
-        assert sweep.last_sweep_backend.startswith("fork:")
+        assert sweep.last_report.backend.startswith("fork:")
 
     def test_fork_unavailable_falls_back_to_serial_block_backend(
         self, monkeypatch
@@ -745,7 +747,7 @@ class TestSweepDrivers:
         reference = [(f, sweep.classify(f)) for f in universe]
         result = sweep.sweep(universe, processes=4)
         assert result == reference
-        assert sweep.last_sweep_backend == "bitmask"
+        assert sweep.last_report.backend == "serial:bitmask"
         # The fallback is recorded, not silent: the campaign report
         # names the ladder step and the reason.
         assert any(
@@ -763,7 +765,7 @@ class TestSweepDrivers:
         assert report.chunks_completed + report.chunks_resumed == (
             report.chunks_total
         )
-        assert sweep.last_sweep_backend == report.block_backend
+        assert report.backend == f"serial:{report.block_backend}"
 
     def test_classification_matches_legacy_simulator(self, circuit):
         if len(circuit.inputs) > EXHAUSTIVE_LIMIT:

@@ -227,7 +227,7 @@ class TestForkMerge:
         with obs.recording(trace_path=path):
             if chaos is not None:
                 with sabotage_campaign(
-                    chaos, once_path=str(tmp_path / "once")
+                    chaos, once=True
                 ):
                     sweep.sweep(universe, processes=2)
             else:

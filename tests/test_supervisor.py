@@ -17,7 +17,6 @@ import pytest
 
 from repro.engine import (
     CampaignCancelled,
-    CampaignInterrupted,
     CancelToken,
     CheckpointError,
     FaultSweep,
@@ -58,17 +57,36 @@ def fresh_sweep(network):
     return FaultSweep(network, engine=NetworkEngine(network))
 
 
+def cancel_after(monkeypatch, chunks):
+    """A :class:`CancelToken` that fires once ``chunks`` chunks are
+    checkpointed, so the campaign stops at its next cancellation check:
+    before the next chunk in-process, at the next poll under fork (where
+    chunks already in flight may still land)."""
+    token = CancelToken()
+    record = supervisor.CampaignCheckpoint.record
+    recorded = []
+
+    def counting(self, start, stop, values):
+        record(self, start, stop, values)
+        recorded.append(start)
+        if len(recorded) >= chunks:
+            token.cancel(f"stopped after {chunks} chunks")
+
+    monkeypatch.setattr(supervisor.CampaignCheckpoint, "record", counting)
+    return token
+
+
 class TestChaosWorkerFailures:
     def test_worker_killed_mid_sweep(self, adder, adder_reference, tmp_path):
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         with sabotage_campaign(
-            "worker-killed", once_path=str(tmp_path / "once")
+            "worker-killed", once=True
         ):
             result = sweep.sweep(universe, processes=2)
         assert _statuses(result) == reference
         report = sweep.last_report
-        assert sweep.last_sweep_backend.startswith("fork:")
+        assert report.backend.startswith("fork:")
         assert report.workers_replaced >= 1
         assert any("worker died" in r.reason for r in report.retries)
         # Salvage: only the killed chunk was retried; every completed
@@ -79,7 +97,7 @@ class TestChaosWorkerFailures:
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         with sabotage_campaign(
-            "worker-exits", once_path=str(tmp_path / "once")
+            "worker-exits", once=True
         ):
             result = sweep.sweep(universe, processes=2)
         assert _statuses(result) == reference
@@ -90,7 +108,7 @@ class TestChaosWorkerFailures:
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         with sabotage_campaign(
-            "chunk-raises", once_path=str(tmp_path / "once")
+            "chunk-raises", once=True
         ):
             result = sweep.sweep(universe, processes=2)
         assert _statuses(result) == reference
@@ -106,7 +124,7 @@ class TestChaosWorkerFailures:
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         with sabotage_campaign(
-            "chunk-hangs", once_path=str(tmp_path / "once")
+            "chunk-hangs", once=True
         ):
             result = sweep.sweep(universe, processes=2, timeout=0.5)
         assert _statuses(result) == reference
@@ -127,7 +145,7 @@ class TestChaosWorkerFailures:
         assert _statuses(result) == reference
         report = sweep.last_report
         assert any(d.to == "serial" for d in report.degradations)
-        assert sweep.last_sweep_backend == "bitmask"
+        assert report.backend == "serial:bitmask"
         assert report.chunks_completed + report.chunks_resumed == (
             report.chunks_total
         )
@@ -152,6 +170,28 @@ class TestChaosWorkerFailures:
         assert report.chunks_completed + report.chunks_resumed == (
             report.chunks_total
         )
+
+    @pytest.mark.parametrize("chaos", ["worker-killed", "chunk-raises"])
+    def test_one_shot_sabotage_gives_one_ledger(
+        self, adder, adder_reference, chaos
+    ):
+        """A one-shot failure hits the first attempt of the chunk that
+        starts at item 0, so two runs record the same report."""
+        universe, reference = adder_reference
+        reports = []
+        for _run in range(2):
+            sweep = fresh_sweep(adder)
+            with sabotage_campaign(chaos, once=True):
+                assert _statuses(sweep.sweep(universe, processes=2)) == (
+                    reference
+                )
+            report = sweep.last_report.to_dict()
+            del report["wall_seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert [r["chunk"].split(":")[0] for r in reports[0]["retries"]] == [
+            "0"
+        ]
 
     def test_unknown_sabotage_rejected(self):
         with pytest.raises(KeyError):
@@ -180,7 +220,7 @@ class TestDegenerateChunking:
             "cannot amortize" in d.reason
             for d in sweep.last_report.degradations
         )
-        assert not sweep.last_sweep_backend.startswith("fork:")
+        assert not sweep.last_report.backend.startswith("fork:")
 
     def test_single_fault_universe(self):
         sweep = fresh_sweep(fig37_fixed_network())
@@ -194,19 +234,21 @@ class TestDegenerateChunking:
         sweep = fresh_sweep(adder)
         result = sweep.sweep(universe, processes=1)
         assert _statuses(result) == reference
-        assert not sweep.last_sweep_backend.startswith("fork:")
+        assert not sweep.last_report.backend.startswith("fork:")
         assert not sweep.last_report.degradations
 
 
 class TestCheckpointResume:
     def test_interrupt_then_resume_is_byte_identical(
-        self, adder, adder_reference, tmp_path
+        self, adder, adder_reference, tmp_path, monkeypatch
     ):
         universe, reference = adder_reference
         ckpt = str(tmp_path / "campaign.json")
         sweep = fresh_sweep(adder)
-        with pytest.raises(CampaignInterrupted):
-            sweep.sweep(universe, checkpoint=ckpt, abort_after_chunks=2)
+        with pytest.raises(CampaignCancelled):
+            sweep.sweep(
+                universe, checkpoint=ckpt, cancel=cancel_after(monkeypatch, 2)
+            )
         payload = json.load(open(ckpt))
         assert len(payload["ranges"]) == 2
         resumed = fresh_sweep(adder)
@@ -234,17 +276,17 @@ class TestCheckpointResume:
         [("vectorized", "auto"), ("auto", "vectorized")],
     )
     def test_checkpoint_resumes_under_the_other_backend(
-        self, adder, adder_reference, tmp_path, first, second
+        self, adder, adder_reference, tmp_path, monkeypatch, first, second
     ):
         """The checkpoint identity ignores the chunk kind: a campaign
         interrupted on one backend resumes on the other, byte for byte,
         and the finished checkpoint holds the same statuses."""
         universe, reference = adder_reference
         ckpt = tmp_path / "campaign.json"
-        with pytest.raises(CampaignInterrupted):
+        with pytest.raises(CampaignCancelled):
             fresh_sweep(adder).sweep(
                 universe, backend=first, checkpoint=str(ckpt),
-                abort_after_chunks=3,
+                cancel=cancel_after(monkeypatch, 3),
             )
         resumed = fresh_sweep(adder)
         result = resumed.sweep(
@@ -256,14 +298,15 @@ class TestCheckpointResume:
         assert [s for r in ranges for s in r["statuses"]] == reference
 
     def test_interrupted_fork_campaign_resumes_under_fork(
-        self, adder, adder_reference, tmp_path
+        self, adder, adder_reference, tmp_path, monkeypatch
     ):
         universe, reference = adder_reference
         ckpt = str(tmp_path / "campaign.json")
         sweep = fresh_sweep(adder)
-        with pytest.raises(CampaignInterrupted):
+        with pytest.raises(CampaignCancelled):
             sweep.sweep(
-                universe, processes=2, checkpoint=ckpt, abort_after_chunks=3
+                universe, processes=2, checkpoint=ckpt,
+                cancel=cancel_after(monkeypatch, 3),
             )
         resumed = fresh_sweep(adder)
         result = resumed.sweep(
@@ -301,14 +344,16 @@ class TestCheckpointResume:
                 resume=True,
             )
 
-    def test_foreign_checkpoint_rejected(self, adder, tmp_path):
+    def test_foreign_checkpoint_rejected(self, adder, tmp_path, monkeypatch):
         """A checkpoint from a different fault universe must be refused,
         not silently misapplied."""
         ckpt = str(tmp_path / "campaign.json")
         sweep = fresh_sweep(adder)
         universe = sweep.single_fault_universe()
-        with pytest.raises(CampaignInterrupted):
-            sweep.sweep(universe, checkpoint=ckpt, abort_after_chunks=1)
+        with pytest.raises(CampaignCancelled):
+            sweep.sweep(
+                universe, checkpoint=ckpt, cancel=cancel_after(monkeypatch, 1)
+            )
         other = fresh_sweep(fig37_fixed_network())
         with pytest.raises(CheckpointError, match="different campaign"):
             other.sweep(
@@ -390,8 +435,10 @@ class TestCheckpointResume:
         monkeypatch.setattr(
             supervisor, "default_chunk_faults", lambda _n, _lanes: 50
         )
-        with pytest.raises(CampaignInterrupted):
-            sweep.sweep(universe, checkpoint=ckpt, abort_after_chunks=2)
+        with pytest.raises(CampaignCancelled):
+            sweep.sweep(
+                universe, checkpoint=ckpt, cancel=cancel_after(monkeypatch, 2)
+            )
         monkeypatch.setattr(
             supervisor, "default_chunk_faults", lambda _n, _lanes: 17
         )
@@ -424,7 +471,7 @@ class TestCampaignReport:
         sweep.sweep(universe, processes=2)
         report = sweep.last_report
         assert report.backend.startswith("fork")
-        assert sweep.last_sweep_backend == f"fork:{report.block_backend}"
+        assert report.backend == f"fork:{report.block_backend}"
 
     def test_fingerprint_is_order_sensitive(self, adder):
         universe = fresh_sweep(adder).single_fault_universe()
@@ -491,3 +538,80 @@ class TestCancellation:
         # Cancellation lands between chunks: well before the ~0.8s the
         # sabotaged sweep would otherwise take.
         assert _time.monotonic() - started < 0.6
+
+
+class TestTileMajorSweep:
+    """Above ``UNTILED_MAX_INPUTS`` inputs a sweep's items are tile-major
+    ``(tile, fault)`` pairs: consecutive chunks share a tile, so each
+    process derives each tile once, and a fault's status is its most
+    severe over the tiles."""
+
+    @staticmethod
+    def _net(n_inputs, gates=12, outputs=3):
+        import random
+
+        from repro.workloads.randomlogic import random_mixed_network
+
+        return random_mixed_network(
+            random.Random(f"rungs:{n_inputs}:0"), n_inputs, gates,
+            n_outputs=outputs,
+        )
+
+    def test_each_tile_is_derived_once(self, monkeypatch):
+        """A serial sweep of a 21-input, 120-gate, 16-output net (the
+        ``bench_rungs`` grid shape) derives each tile's baseline once,
+        not once per fault chunk."""
+        from repro.core.collapse import collapsed_single_faults
+        from repro.engine import backends
+
+        net = self._net(21, gates=120, outputs=16)
+        derive = backends.BitmaskBackend._derive_baseline
+        derived = []
+
+        def counting(self, full):
+            derived.append(tuple(self._variables or ()))
+            return derive(self, full)
+
+        monkeypatch.setattr(
+            backends.BitmaskBackend, "_derive_baseline", counting
+        )
+        sweep = fresh_sweep(net)
+        universe = list(collapsed_single_faults(net))
+        sweep.sweep(universe)
+        assert backends.tile_count(21) == 8
+        assert len(derived) == len(set(derived)) == 8
+        assert sweep.last_report.chunks_completed == 8
+        assert sweep.last_report.faults == len(universe)
+
+    @pytest.mark.parametrize("n_inputs", [21, 22])
+    def test_statuses_equal_the_untiled_table(
+        self, n_inputs, tmp_path, monkeypatch
+    ):
+        from repro.engine import backends
+
+        net = self._net(n_inputs)
+        universe = fresh_sweep(net).single_fault_universe()
+        with monkeypatch.context() as whole:
+            whole.setattr(backends, "UNTILED_MAX_INPUTS", 64)
+            reference = _statuses(fresh_sweep(net).sweep(universe))
+        tiles = backends.tile_count(n_inputs)
+        assert tiles > 1
+        for processes in (None, 2):
+            sweep = fresh_sweep(net)
+            assert _statuses(sweep.sweep(universe, processes=processes)) == (
+                reference
+            )
+            report = sweep.last_report
+            assert report.faults == len(universe)
+            assert report.chunks_completed == report.chunks_total
+        ckpt = str(tmp_path / "tiled.json")
+        with pytest.raises(CampaignCancelled):
+            fresh_sweep(net).sweep(
+                universe, checkpoint=ckpt, cancel=cancel_after(monkeypatch, 3)
+            )
+        assert json.load(open(ckpt))["n_faults"] == tiles * len(universe)
+        resumed = fresh_sweep(net)
+        result = resumed.sweep(universe, checkpoint=ckpt, resume=True)
+        assert _statuses(result) == reference
+        assert resumed.last_report.chunks_resumed == 3
+        assert resumed.last_report.faults == len(universe)

@@ -289,7 +289,7 @@ class TestDeterminism:
             forked = _campaign("and2", 2, processes=2).run()
         else:
             with sabotage_campaign(
-                sabotage, once_path=str(tmp_path / "once")
+                sabotage, once=True
             ):
                 forked = _campaign("and2", 2, processes=2).run()
             assert forked.retries >= 1

@@ -94,7 +94,7 @@ class TestTransportChaos:
         universe, reference = adder_reference
         sweep = fresh_sweep(adder)
         with sabotage_campaign(
-            "worker-killed", once_path=str(tmp_path / "once")
+            "worker-killed", once=True
         ):
             result = sweep.sweep(universe, processes=PATHS[path])
         assert _statuses(result) == reference
