@@ -139,14 +139,12 @@ def grid_cell(n_inputs, column):
         digests.append(hashlib.sha256(" ".join(statuses).encode()).hexdigest())
         counts.update(statuses)
         faults += len(universe)
-    bitmask = NetworkEngine(grid_network(n_inputs, 0)).bitmask
-    tiles = len(list(bitmask._tiles()))
     return {
         "seconds": seconds,
         "digests": digests,
         "counts": dict(counts),
         "faults": faults,
-        "tiles": tiles,
+        "tiles": backends.tile_count(n_inputs),
         "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 

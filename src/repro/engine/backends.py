@@ -10,7 +10,7 @@ simulation as the query needs.
   already is a packed word array).  This is the exhaustive-oracle
   backend (Definition 2.4, conditions A–E) and the one exhaustive
   sweep.  Its classification (:meth:`BitmaskBackend.response_triple`,
-  :meth:`~BitmaskBackend.sweep_statuses`) is a **stem-region** sweep:
+  :meth:`~BitmaskBackend._classify`) is a **stem-region** sweep:
   critical-path tracing with exact stem simulation (Abramovici, Menon
   & Miller, 1984).  A single stuck-at fault on line ``L`` changes
   output ``O`` at point ``p`` exactly when ``L`` differs from its stuck
@@ -28,8 +28,8 @@ simulation as the query needs.
   tables (:meth:`~BitmaskBackend.line_bits`), multiple faults and
   absent lines take the fault's cone schedule instead (the
   :meth:`~repro.engine.compiled.CompiledNetwork.fault_plan` path:
-  copy the baseline, re-evaluate only the fault's output cone); with
-  ``cone=True`` a sweep takes it for every fault, which is the
+  copy the baseline, re-evaluate only the fault's output cone); a
+  ``cone=True`` sweep takes it for every fault, which is the
   reference the stem-region path is checked against.
 * :class:`PointwiseBackend` — one input assignment (or an explicit list
   of points, for spaces too wide to enumerate) at a time, with a
@@ -47,9 +47,9 @@ pairing code runs unchanged at that width; only the input variables'
 masks differ (:meth:`BitmaskBackend.tile`).  Each tile's baseline,
 regions and root flips are derived, used and dropped, which bounds a
 sweep's memory at any width.  At or below the cut a sweep is one tile,
-the whole table.  A supervised sweep puts the tiles on its item axis
-(:class:`repro.engine.campaign.FaultItems`), so each process derives
-each tile once.
+the whole table.  The one tile loop is
+:class:`repro.engine.campaign.FaultItems`, which puts the tiles on a
+sweep's item axis, so each process derives each tile once.
 
 Clocked sequential campaigns and ATPG pattern simulation do not use
 either backend's fault plans: :func:`repro.seq.simulator.evaluate_rows`
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..logic.gates import evaluate as eval_gate
 from ..logic.gates import evaluate_mask
@@ -96,7 +96,8 @@ TILE_PAIRS = 1 << 17
 #: even the all-ones ``full`` mask is a multi-gigabyte allocation, so
 #: the methods of :class:`BitmaskBackend` that build or read a whole
 #: table refuse with ``ValueError`` instead of attempting the OOM.
-#: :meth:`BitmaskBackend.sweep_statuses` tiles, so it runs at any width.
+#: A sweep (:class:`repro.engine.campaign.FaultItems`) tiles, so it runs
+#: at any width.
 MAX_BITMASK_INPUTS = 25
 
 #: Fault statuses in increasing severity: a tiled sweep keeps each
@@ -242,7 +243,7 @@ class BitmaskBackend:
 
     ``tile``, ``(width, variables)``, makes a backend over one pair tile
     of a tiled sweep instead of the whole table: a ``2**width``-bit
-    table whose input lines hold ``variables`` (see :meth:`_tiles`).
+    table whose input lines hold ``variables`` (see :meth:`tile`).
     """
 
     def __init__(
@@ -281,7 +282,7 @@ class BitmaskBackend:
                 f"BitmaskBackend: {n} inputs exceeds the "
                 f"{MAX_BITMASK_INPUTS}-input exhaustive ceiling for a "
                 f"whole table (a 2**{n}-bit mask per line); "
-                "sweep_statuses tiles and runs at any width, and the "
+                "a fault sweep tiles and runs at any width, and the "
                 "pointwise backend serves explicit points"
             )
         return (1 << (1 << self._width)) - 1
@@ -362,28 +363,6 @@ class BitmaskBackend:
             self.normals(), self.output_bits(fault), self._width
         )
 
-    def sweep_statuses(
-        self, faults: Iterable[FaultLike], cone: bool = False
-    ) -> List[str]:
-        """Classify every fault (``dangerous``/``detected``/``silent``).
-
-        The stem-region path classifies on its pair masks directly;
-        ``cone=True`` re-simulates every fault's cone plan instead (the
-        reference the stem-region path is checked against).  Above
-        :data:`UNTILED_MAX_INPUTS` inputs the sweep runs once per pair
-        tile and keeps each fault's most severe status (an OR of the
-        tiles' pair masks, so no mask crosses tiles).
-        """
-        faults = list(faults)
-        sites = (
-            [None] * len(faults) if cone else [self._site(f) for f in faults]
-        )
-        statuses: List[str] = []
-        for index, table in enumerate(self._tiles()):
-            got = table._classify(faults, sites)
-            statuses = most_severe(statuses, got) if index else got
-        return statuses
-
     def _classify(self, faults: List[FaultLike], sites: List) -> List[str]:
         """One table's statuses: each fault on its :meth:`_site`'s stem
         region, or on its cone plan where it has none."""
@@ -396,13 +375,6 @@ class BitmaskBackend:
             )
             statuses.append(classify_status(det, vio))
         return statuses
-
-    def _tiles(self) -> Iterator["BitmaskBackend"]:
-        """The tables a sweep classifies on, in order (:meth:`tile`)."""
-        count = 1 if self._variables is not None else tile_count(
-            self.compiled.n_inputs
-        )
-        return (self.tile(index) for index in range(count))
 
     def tile(self, index: int) -> "BitmaskBackend":
         """Table ``index`` of :func:`tile_count`: this backend itself when

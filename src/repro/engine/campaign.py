@@ -16,14 +16,14 @@ The SCAL pair-level classification lives here in raw-integer form (the
 * **violations** — pairs where some output is wrong yet every output
   alternates: the undetected fault-secure violation of Theorem 3.1.
 
-Bulk sweeps run the one exhaustive sweep,
-:meth:`~repro.engine.backends.BitmaskBackend.sweep_statuses`: the
-stem-region path, per pair tile above
-:data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs.  A supervised
-sweep's items are :class:`FaultItems`: the faults themselves up to that
-cut, and tile-major ``(tile, fault)`` pairs above it, so consecutive
-chunks share a tile and each process derives each tile once; a fault's
-status is its most severe over the tiles.  Scheduling — serial or fanned
+Every exhaustive sweep classifies through :class:`FaultItems`, the one
+tile loop: by the stem-region path of
+:class:`~repro.engine.backends.BitmaskBackend`, on the whole table up to
+:data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs and per pair
+tile above.  Its items are the faults themselves up to that cut, and
+tile-major ``(tile, fault)`` pairs above it, so consecutive chunks share
+a tile and each process derives each tile once; a fault's status is its
+most severe over the tiles.  Scheduling — serial or fanned
 out across supervised fork workers with per-chunk timeouts, retries,
 checkpoint/resume, cancellation and the explicit fork → serial
 degradation ladder — is delegated to
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..logic.network import Network
@@ -58,11 +58,13 @@ from .supervisor import (
 from .backends import classify_status, most_severe, tile_count
 
 _REG = obs.REGISTRY
-#: Items per supervised chunk, by chunk kind (synthesis fitness chunks
-#: too).
+#: Items classified by supervised chunks, by chunk kind: faults, or
+#: ``(tile, fault)`` pairs above the untiled cut, or synthesis
+#: candidates.
 CHUNK_FAULTS = _REG.counter(
     "repro_campaign_chunk_faults_total",
-    "Faults classified through chunk_statuses, by backend",
+    "Items classified by supervised chunks (faults, (tile, fault) pairs "
+    "or synthesis candidates), by backend",
 )
 _M_FAULTS = _REG.counter(
     "repro_campaign_faults_total", "Faults classified by campaigns, by status"
@@ -114,7 +116,8 @@ class FaultItems:
     table) are just the faults.  Consecutive ranges share a tile and
     the most recent tile is kept, so a process that evaluates its
     ranges in order derives each tile once.  :meth:`merge` folds item
-    statuses back into one most severe status per fault.
+    statuses back into one most severe status per fault, and
+    :meth:`all_statuses` classifies every item in one range and merges.
     """
 
     def __init__(self, network: Network, engine, faults: Sequence) -> None:
@@ -123,7 +126,7 @@ class FaultItems:
         self.faults = list(faults)
         self.tiles = tile_count(engine.compiled.n_inputs)
         self._tile: Tuple[int, object] = (-1, None)
-        self._sites: Optional[List] = None
+        self._sites: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return self.tiles * len(self.faults)
@@ -133,7 +136,8 @@ class FaultItems:
         ``cone=True`` by every fault's cone plan (the reference the stem
         regions are checked against).  Every chunk classifies through
         this span, so the flight's count of successful ``sweep.chunk``
-        spans equals the report's chunk ledger."""
+        spans equals the report's chunk ledger; its ``faults`` attribute
+        counts the chunk's items."""
         backend = "cone" if cone else "bitmask"
         n_faults = len(self.faults)
         statuses: List[str] = []
@@ -156,14 +160,13 @@ class FaultItems:
         return self._tile[1]
 
     def _sites_of(self, table, lo: int, hi: int) -> List:
-        """Faults ``lo:hi`` resolved to their stem-region sites: where
-        they are classified when there is one table, else once for every
-        tile."""
-        if self.tiles == 1:
-            return [table._site(fault) for fault in self.faults[lo:hi]]
-        if self._sites is None:
-            self._sites = [table._site(fault) for fault in self.faults]
-        return self._sites[lo:hi]
+        """Faults ``lo:hi`` resolved to their stem-region sites, each
+        once however many tiles read it (a site reads no table)."""
+        sites = self._sites
+        for index in range(lo, hi):
+            if index not in sites:
+                sites[index] = table._site(self.faults[index])
+        return [sites[index] for index in range(lo, hi)]
 
     def merge(self, statuses: Sequence[str]) -> List[str]:
         """Each fault's most severe status over the tiles."""
@@ -173,6 +176,11 @@ class FaultItems:
             start = tile * n_faults
             merged = most_severe(merged, statuses[start : start + n_faults])
         return merged
+
+    def all_statuses(self, cone: bool = False) -> List[str]:
+        """Every fault's status, unsupervised: all items as one range,
+        merged over the tiles."""
+        return self.merge(self.statuses(0, len(self), cone=cone))
 
 
 def _worker_items(items: FaultItems) -> FaultItems:

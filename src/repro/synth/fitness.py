@@ -9,7 +9,7 @@ real acceptance criteria, not a proxy):
 * **self-duality** — the number of points where ``F(X̄) ≠ ¬F(X)``
   (:func:`repro.logic.truthtable.reverse_bits` over the same tables);
 * **coverage** — the collapsed stuck-at universe swept through
-  :meth:`repro.engine.campaign.FaultItems.statuses` (the big-int
+  :meth:`repro.engine.campaign.FaultItems.all_statuses` (the big-int
   stem-region sweep, ``bitmask``), in the manner of an
   exhaustive-fault-simulation fitness; ``dangerous`` faults (wrong
   *and* still alternating) are the self-checking violations the search
@@ -187,9 +187,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         else:
             bits = engine.bitmask.output_bits(None)
             backend = "bitmask"
-            statuses = FaultItems(network, engine, universe).statuses(
-                0, len(universe)
-            )
+            statuses = FaultItems(network, engine, universe).all_statuses()
         spec_hamming = sum(
             _popcount((b ^ t) & full) for b, t in zip(bits, spec_tables)
         )

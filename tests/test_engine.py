@@ -200,6 +200,12 @@ def tile_bits(table, n_inputs, lo, tile):
     return (table >> lo) & low | ((table >> top) & low) << pairs
 
 
+def table_tiles(bitmask):
+    """Every table a sweep of ``bitmask``'s network classifies on."""
+    count = backends.tile_count(bitmask.compiled.n_inputs)
+    return [bitmask.tile(index) for index in range(count)]
+
+
 def tile_widths(n_inputs):
     """Two tile widths of an ``n_inputs`` table, several tiles each."""
     half = (1 << n_inputs) >> 1
@@ -219,7 +225,7 @@ class TestVectorizedEquivalence:
         faults = [None] + enumerate_single_faults(rung_circuit)
         for pairs in tile_widths(n):
             tiles(pairs)
-            for k, tile in enumerate(whole._tiles()):
+            for k, tile in enumerate(table_tiles(whole)):
                 for fault in faults:
                     assert tile.line_bits(fault) == [
                         tile_bits(bits, n, k * pairs, tile)
@@ -236,7 +242,7 @@ class TestVectorizedEquivalence:
         universe = FaultSweep(rung_circuit).single_fault_universe()
         for pairs in tile_widths(n):
             tiles(pairs)
-            for k, tile in enumerate(whole._tiles()):
+            for k, tile in enumerate(table_tiles(whole)):
                 for fault in universe:
                     want = tuple(
                         tile_bits(mask, n, k * pairs, tile)
@@ -264,9 +270,9 @@ class TestVectorizedEquivalence:
         reference = [sweep.classify(f) for f in universe]
         for pairs in (1, 2, 4):
             tiles(pairs)
-            bitmask = NetworkEngine(circuit).bitmask
-            assert bitmask.sweep_statuses(universe) == reference, pairs
-            assert bitmask.sweep_statuses(universe, cone=True) == reference
+            items = FaultItems(circuit, NetworkEngine(circuit), universe)
+            assert items.all_statuses() == reference, pairs
+            assert items.all_statuses(cone=True) == reference
 
     def test_random_mixed_all_block_sizes(self, tiles):
         """Every tile width from one pair to the whole 256-pair half
@@ -275,12 +281,36 @@ class TestVectorizedEquivalence:
             random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
         )
         universe = FaultSweep(net).single_fault_universe()
-        reference = NetworkEngine(net).bitmask.sweep_statuses(universe)
+        reference = FaultItems(net, NetworkEngine(net), universe).all_statuses()
         assert set(reference) == {"detected", "dangerous"}
         for k in range(9):
             tiles(1 << k)
-            statuses = NetworkEngine(net).bitmask.sweep_statuses(universe)
-            assert statuses == reference, 1 << k
+            items = FaultItems(net, NetworkEngine(net), universe)
+            assert items.all_statuses() == reference, 1 << k
+
+    def test_ragged_ranges_merge_to_the_whole_sweep(self, tiles):
+        """Item ranges that start and stop inside tiles, evaluated in
+        reverse (as a retried chunk may be), concatenate to the one-range
+        statuses, and merge to the untiled ones."""
+        net = random_mixed_network(
+            random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
+        )
+        universe = FaultSweep(net).single_fault_universe()
+        reference = FaultItems(net, NetworkEngine(net), universe).all_statuses()
+        for pairs in (1, 8, 64):
+            tiles(pairs)
+            whole = FaultItems(net, NetworkEngine(net), universe)
+            everything = whole.statuses(0, len(whole))
+            for step in (7, len(universe) - 1, len(universe) + 3):
+                items = FaultItems(net, NetworkEngine(net), universe)
+                starts = range(0, len(items), step)
+                ranges = [
+                    items.statuses(start, min(start + step, len(items)))
+                    for start in reversed(starts)
+                ]
+                got = [s for chunk in reversed(ranges) for s in chunk]
+                assert got == everything, (pairs, step)
+                assert items.merge(got) == reference, (pairs, step)
 
     def test_dead_cone_fault_on_vectorized(self, tiles):
         """A fault whose line reaches no output classifies on the cone
@@ -297,12 +327,9 @@ class TestVectorizedEquivalence:
         for pairs in (None, 1):
             if pairs:
                 tiles(pairs)
-            eng = NetworkEngine(net)
-            region = eng.bitmask.sweep_statuses(faults)
-            assert eng.bitmask.sweep_statuses(faults, cone=True) == region
-            items = FaultItems(net, eng, faults)
-            cone = items.statuses(0, len(items), cone=True)
-            assert items.merge(cone) == region
+            items = FaultItems(net, NetworkEngine(net), faults)
+            region = items.all_statuses()
+            assert items.all_statuses(cone=True) == region
 
 
 def shape_network(n_inputs):
@@ -385,14 +412,14 @@ class TestStemRegion:
             random.Random("stem-region-threads"), 9, 80, n_outputs=8
         )
         universe = NetworkEngine(net).compiled.fault_universe(collapse=False)
-        reference = NetworkEngine(net).bitmask.sweep_statuses(universe)
-        shared = NetworkEngine(net).bitmask
+        reference = FaultItems(net, NetworkEngine(net), universe).all_statuses()
+        shared = NetworkEngine(net)
         results = [None] * 6
         start = threading.Barrier(len(results))
 
         def work(slot):
             start.wait(timeout=30)
-            results[slot] = shared.sweep_statuses(universe)
+            results[slot] = FaultItems(net, shared, universe).all_statuses()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -490,14 +517,14 @@ class TestStemRegion:
                 )
                 for f in universe
             ]
-            untiled = NetworkEngine(net).bitmask.sweep_statuses(universe)
-            assert untiled == reference
+            untiled = FaultItems(net, NetworkEngine(net), universe)
+            assert untiled.all_statuses() == reference
             cases.append((net, universe, reference))
         tiles(pairs)
         for net, universe, reference in cases:
-            bitmask = NetworkEngine(net).bitmask
-            assert bitmask.sweep_statuses(universe) == reference
-            assert bitmask.sweep_statuses(universe, cone=True) == reference
+            items = FaultItems(net, NetworkEngine(net), universe)
+            assert items.all_statuses() == reference
+            assert items.all_statuses(cone=True) == reference
 
     def test_tiled_sweep_at_20_inputs(self, tiles):
         """Eight tiles of a 20-input table, on both paths, against the
@@ -511,13 +538,13 @@ class TestStemRegion:
             MultipleFault((StuckAt("d", 1), PinStuckAt("y", 0, 0))),
             StuckAt("absent", 0),
         ]
-        untiled = NetworkEngine(net).bitmask.sweep_statuses(universe)
+        untiled = FaultItems(net, NetworkEngine(net), universe).all_statuses()
         assert {"detected", "silent"} <= set(untiled)
         tiles(1 << 16)
-        bitmask = NetworkEngine(net).bitmask
-        assert len(list(bitmask._tiles())) == 8
-        assert bitmask.sweep_statuses(universe) == untiled
-        assert bitmask.sweep_statuses(universe, cone=True) == untiled
+        items = FaultItems(net, NetworkEngine(net), universe)
+        assert items.tiles == 8
+        assert items.all_statuses() == untiled
+        assert items.all_statuses(cone=True) == untiled
 
 
 class TestBackendSelection:
@@ -529,11 +556,10 @@ class TestBackendSelection:
         # argument to pass, and every backend name maps to a fixed kind.
         import inspect
 
-        from repro.engine.backends import BitmaskBackend
         from repro.engine.campaign import SWEEP_RUNGS
 
-        assert list(inspect.signature(BitmaskBackend._tiles).parameters) == [
-            "self"
+        assert list(inspect.signature(backends.tile_count).parameters) == [
+            "n_inputs"
         ]
         assert {name: kind.name for name, kind in SWEEP_RUNGS.items()} == {
             "auto": "bitmask", "bitmask": "bitmask", "vectorized": "cone"
@@ -559,10 +585,10 @@ class TestBackendSelection:
         # TILE_PAIRS pairs covering the lower half.
         for n_inputs in (0, 1, 6, 7, 13, 14, 20):
             bitmask = NetworkEngine(shape_network(n_inputs)).bitmask
-            assert list(bitmask._tiles()) == [bitmask], n_inputs
+            assert table_tiles(bitmask) == [bitmask], n_inputs
         for n_inputs, count in ((21, 8), (22, 16)):
             bitmask = NetworkEngine(shape_network(n_inputs)).bitmask
-            halves = [tile._half for tile in bitmask._tiles()]
+            halves = [tile._half for tile in table_tiles(bitmask)]
             assert halves == [backends.TILE_PAIRS] * count, n_inputs
 
     def test_unknown_backend_name_rejected(self):
@@ -593,16 +619,16 @@ class TestThresholdFaultRows:
         ] + [
             PinStuckAt("m", pin, value) for pin in range(3) for value in (0, 1)
         ]
-        eng = NetworkEngine(net)
-        reference = eng.bitmask.sweep_statuses(universe)
-        assert eng.bitmask.sweep_statuses(universe, cone=True) == reference
+        items = FaultItems(net, NetworkEngine(net), universe)
+        reference = items.all_statuses()
+        assert items.all_statuses(cone=True) == reference
         sweep = FaultSweep(net, engine=NetworkEngine(net))
         result = sweep.sweep(universe, backend="vectorized")
         assert [s for _, s in result] == reference
         assert sweep.last_report.backend == "serial:cone"
         tiles(1)
-        tiled = NetworkEngine(net).bitmask
-        assert tiled.sweep_statuses(universe, cone=True) == reference
+        tiled = FaultItems(net, NetworkEngine(net), universe)
+        assert tiled.all_statuses(cone=True) == reference
 
     @pytest.mark.parametrize("kind", [GateKind.MAJ, GateKind.MIN])
     def test_all_zero_pattern_slots(self, kind):
@@ -663,11 +689,9 @@ class TestWideInputGuard:
     def test_selection_never_picks_bitmask_wide(self):
         # Wide sweeps never take a whole table: every tile is TILE_PAIRS
         # pairs wide, and the first ones tile the lower half in order.
-        import itertools
-
         for n in (26, 30, 40):
             bitmask = NetworkEngine(self._wide_net(n)).bitmask
-            first = list(itertools.islice(bitmask._tiles(), 2))
+            first = [bitmask.tile(0), bitmask.tile(1)]
             assert [tile._half for tile in first] == [backends.TILE_PAIRS] * 2
             # Input 17 is the lowest constant one: 0 then 1 on tile 0's
             # two ranges, 1 then 0 on tile 1's; the top input is 0 on

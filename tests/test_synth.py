@@ -161,6 +161,25 @@ class TestFitness:
                     batched, backend=""
                 ) == dataclasses.replace(scalar, backend="")
 
+    def test_tiled_records_equal_untiled(self, monkeypatch):
+        """Coverage counts every pair tile: with every sweep tiled into
+        one-pair tiles, each record equals the untiled one."""
+        from repro.engine import backends
+
+        rng = random.Random(29)
+        cases = [
+            make_task(
+                random_genome(rng, spec.n_inputs, rng.randint(1, 8)), spec
+            )
+            for spec in SPECS.values()
+            for _ in range(10)
+        ]
+        untiled = [evaluate_task(task) for task in cases]
+        assert any(record.dangerous for record in untiled)
+        monkeypatch.setattr(backends, "UNTILED_MAX_INPUTS", 0)
+        monkeypatch.setattr(backends, "TILE_PAIRS", 1)
+        assert [evaluate_task(task) for task in cases] == untiled
+
     def test_majority_realization_of_dualized_and_is_perfect(self):
         # MAJ(x0, x1, phi) IS the Yamamoto-dualized AND2: functionally
         # exact, self-dual, and every collapsed fault detected (the
