@@ -6,7 +6,8 @@ against the exhaustive Theorem 3.2 classification on small networks
 bench.  ``atpg`` is the regression gate for the fault-dropping driver
 (:func:`repro.engine.atpg.run_atpg`): over the committed workload — the
 seed circuits, ripple adders, and the committed random-logic batch
-(``examples/data/array*.bench``, random iterative arrays) — it requires
+(``examples/data/array10.bench`` and ``array11.bench``, random
+iterative arrays) — it requires
 
 * classification parity: wherever scalar per-collapsed-fault
   ``Podem.generate_test_ex`` completes, the dropping driver's
@@ -20,7 +21,11 @@ seed circuits, ripple adders, and the committed random-logic batch
   ``SWEEP_MAX_INPUTS`` inputs (wider ones are covered by parity: a
   completed PODEM verdict is already exact);
 * the no-dropping reference: ``run_atpg(drop=False)`` reports exactly
-  the scalar loop's verdict for every fault, aborts included;
+  the scalar loop's verdict for every fault, aborts included, with one
+  exception: up to ``UNTILED_MAX_INPUTS`` inputs ``run_atpg`` proves a
+  target redundant from the exhaustive tables before any search, so a
+  redundant fault the scalar loop aborts on reads ``redundant`` there
+  (no circuit of this workload has one);
 * speed: fault dropping beats ``run_atpg(drop=False)`` — the same
   PODEM search over the same universe, one search per fault — by at
   least ``MIN_ATPG_SPEEDUP`` overall, with or without NumPy (pattern
@@ -57,7 +62,7 @@ DATA_DIR = os.path.join(
 
 #: The acceptance bar: fault dropping must beat ``drop=False`` by at
 #: least this factor over the whole committed workload (it reads
-#: 13.3-14.7x on a shared 2-core x86 host, with NumPy 2.4 and without).
+#: 12.4-12.7x on a shared 2-core x86 host).
 MIN_ATPG_SPEEDUP = 8.0
 
 #: Interleaved timed runs per mode and circuit; each mode keeps its
@@ -223,7 +228,7 @@ def engine_atpg_report():
         rows.append(
             f"  {label:8s} {report.requested:4d} faults  "
             f"{report.detected:4d} detected  {report.redundant:2d} "
-            f"redundant  {report.targets:3d} PODEM searches  "
+            f"redundant  {report.targets:3d} targets  "
             f"{report.patterns_kept:3d} patterns"
             + ("" if swept else "  [sweep skipped: "
                f"{len(network.inputs)} inputs]")

@@ -5,8 +5,14 @@ fault-parallel pattern simulation checks a pattern against a whole
 fault universe per pass.  This driver fuses them into the classic
 fault-dropping loop:
 
-1. **Target** the first remaining collapsed fault with a budgeted PODEM
-   search (guided by the SCOAP-weighted backtrace in ``core/atpg``).
+1. **Target** the first remaining collapsed fault.  Up to
+   :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs the
+   exhaustive tables answer first: a target whose faulty output tables
+   equal the fault-free ones changes no output at any input point, so
+   it is ``redundant`` without a search.  Every other target gets a
+   budgeted PODEM search (guided by the SCOAP-weighted backtrace in
+   ``core/atpg``); wider nets build no whole table and search every
+   target.
 2. **Complete** the returned partial assignment several ways — PODEM
    only decides the inputs the search needed, so the free inputs are a
    candidate space; each completion detects the target but drops a
@@ -16,7 +22,10 @@ fault-dropping loop:
    bit ``f*P + p`` of every line is fault ``f`` under candidate
    pattern ``p``).
 4. **Drop** everything the best candidate detects and keep that pattern;
-   redundant/aborted targets are classified and removed directly.
+   redundant targets (from the tables or from PODEM) and aborted ones
+   are classified and removed directly.  A target the tables prove
+   redundant never aborts, even where PODEM's backtrack budget or
+   deadline would have run out.
 
 A final reverse-greedy **compaction** pass re-simulates the kept
 patterns against the detected set and discards every pattern whose
@@ -27,8 +36,9 @@ Pattern simulation is one big-int pass of the clocked campaigns'
 row-parallel evaluator (:func:`~repro.seq.simulator.evaluate_rows`),
 so it needs no NumPy and has no fallback rungs; per-target deadlines
 reuse ``generate_test_ex``'s monotonic-deadline seam, and the whole run
-is instrumented through :mod:`repro.obs` (``atpg.target`` /
-``atpg.chunk`` spans, drop counters, a closing ``atpg.report`` event).
+is instrumented through :mod:`repro.obs` (``atpg.target`` spans whose
+``via`` says ``table`` or ``podem``, ``atpg.chunk`` spans, drop
+counters, a closing ``atpg.report`` event).
 
 In ``pairs`` mode every candidate is an alternating pair ``(X, X̄)``
 simulated as two adjacent pattern bits; a fault is dropped only when the
@@ -50,12 +60,13 @@ from ..logic.faults import Fault
 from ..logic.network import Network
 from ..seq.forcing import RowForcing
 from ..seq.simulator import evaluate_rows, force_fault
-from .backends import pack_pattern_masks
+from .backends import UNTILED_MAX_INPUTS, pack_pattern_masks
 from .compiled import CompiledNetwork, FaultLike
 
 _REG = obs.REGISTRY
 _M_TARGETS = _REG.counter(
-    "repro_atpg_targets_total", "PODEM targets attempted, by status"
+    "repro_atpg_targets_total",
+    "ATPG targets (table-proved or searched), by status",
 )
 _M_DROPPED = _REG.counter(
     "repro_atpg_dropped_total",
@@ -118,7 +129,7 @@ class AtpgReport:
             f"{self.redundant} redundant, {self.aborted} aborted",
             f"  {self.patterns_kept} {kind} kept "
             f"(of {self.patterns_generated} generated), "
-            f"{self.targets} PODEM targets, {self.dropped} dropped "
+            f"{self.targets} targets, {self.dropped} dropped "
             f"without a search, "
             f"{self.candidates_evaluated} candidates simulated",
             f"  {self.wall_seconds:.3f}s wall",
@@ -241,6 +252,17 @@ def _detected_candidates(mask: int, n_candidates: int, pairs: bool) -> set:
     return {j for j in range(n_candidates) if (mask >> (step * j)) & 1}
 
 
+def _table_redundant(tables, normal: Tuple[int, ...], fault: Fault) -> bool:
+    """Whether ``fault`` leaves every output table unchanged, so no
+    input point detects it (Theorem 3.4's observability condition).  A
+    fault whose site is not in the net resolves to no force at all and
+    is left to PODEM, which refuses it."""
+    plan = tables.compiled.fault_plan(fault)
+    return bool(plan.stems or plan.pins) and (
+        tables.output_bits(fault) == normal
+    )
+
+
 def run_atpg(
     network: Network,
     faults: Optional[Sequence[Fault]] = None,
@@ -260,9 +282,9 @@ def run_atpg(
     ``faults`` overrides the target universe (default: collapsed stem
     representatives, or all stem faults with ``collapse=False``);
     repeats are dropped, keeping first occurrences in order.
-    ``drop=False`` disables fault dropping (every fault gets its own
-    PODEM search and keeps the scalar zero-fill completion — the
-    scalar-parity reference mode), ``compact=False`` keeps every
+    ``drop=False`` disables fault dropping (every fault is its own
+    target and a testable one keeps the scalar zero-fill completion —
+    the scalar-parity reference mode), ``compact=False`` keeps every
     generated pattern.  ``candidates`` bounds the completion
     batch per target; ``pairs`` generates alternating SCAL pairs.
     ``target_timeout`` is a per-target PODEM deadline in seconds.
@@ -271,7 +293,8 @@ def run_atpg(
 
     if candidates < 1:
         raise ValueError("candidates must be >= 1")
-    compiled = (engine if engine is not None else engine_for(network)).compiled
+    engine = engine if engine is not None else engine_for(network)
+    compiled = engine.compiled
 
     # A repeated fault would be requested twice but classified once, and
     # the counts would no longer tile the universe.
@@ -287,6 +310,12 @@ def run_atpg(
     rng = random.Random(f"atpg:{seed}")
 
     t_start = time.monotonic()
+    # Up to the whole-table cut the exhaustive tables decide redundancy
+    # outright; wider nets build no whole table and leave it to PODEM.
+    tables = (
+        engine.bitmask if compiled.n_inputs <= UNTILED_MAX_INPUTS else None
+    )
+    normal = tables.output_bits() if tables is not None else None
     remaining = list(universe)
     classifications: Dict[Fault, str] = {}
     pattern_of: Dict[Fault, int] = {}
@@ -297,16 +326,25 @@ def run_atpg(
 
     while remaining:
         target = remaining[0]
-        deadline = (
-            time.monotonic() + target_timeout if target_timeout else None
-        )
-        with obs.span("atpg.target", fault=target.describe()):
-            result = podem.generate_test_ex(target, deadline)
+        with obs.span("atpg.target", fault=target.describe()) as span:
             targets += 1
+            if tables is not None and _table_redundant(
+                tables, normal, target
+            ):
+                status, via = "redundant", "table"
+            else:
+                deadline = (
+                    time.monotonic() + target_timeout
+                    if target_timeout
+                    else None
+                )
+                result = podem.generate_test_ex(target, deadline)
+                status, via = result.status, "podem"
+            span.set(status=status, via=via)
             if _REG.enabled:
-                _M_TARGETS.inc(1, status=result.status)
-            if result.status != "test":
-                classifications[target] = result.status
+                _M_TARGETS.inc(1, status=status)
+            if status != "test":
+                classifications[target] = status
                 remaining.pop(0)
                 continue
             cands = _candidate_patterns(result, input_names, candidates, rng)

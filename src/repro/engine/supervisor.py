@@ -116,10 +116,11 @@ class CancelToken:
 
     The token fires when :meth:`cancel` is called from any thread, or —
     with ``deadline_s`` set — once the deadline has elapsed.  The fork
-    supervision loop checks it once per poll interval and the serial
-    loop once per chunk, so a running campaign stops and frees its
-    worker lanes within roughly :data:`POLL_SECONDS` plus the cost of
-    the chunk currently in flight.
+    supervision loop checks it once per poll interval and before each
+    returned chunk it lands, and the serial loop once per chunk, so a
+    running campaign stops and frees its worker lanes within roughly
+    :data:`POLL_SECONDS` plus the cost of the chunk currently in
+    flight, and no chunk lands after the token fires.
     Reads and writes are simple attribute operations (atomic under the
     GIL); no lock is needed.
     """
@@ -484,12 +485,18 @@ class _ForkSupervisor:
     # -- supervision loop ----------------------------------------------
     def _loop(self) -> None:
         while self.pending or self.inflight:
-            if self.cancel is not None:
-                self.cancel.check()
+            self._check_cancel()
             self._assign()
             for result in self.transport.poll(POLL_SECONDS):
+                # A token fired while handling this poll's results (say,
+                # by a checkpoint record) lands no further chunk.
+                self._check_cancel()
                 self._handle(result)
             self._enforce_deadlines()
+
+    def _check_cancel(self) -> None:
+        if self.cancel is not None:
+            self.cancel.check()
 
     def _assign(self) -> None:
         while self.pending and self.transport.free_lanes > 0:
@@ -611,8 +618,8 @@ def run_campaign(
     campaign fans out to fork workers iff ``processes > 1``; otherwise
     it runs in-process.  ``checkpoint`` records every completed chunk;
     the ranges it already holds (loaded for a resume) are not run
-    again.  ``cancel`` is a :class:`CancelToken` checked once per
-    supervision poll interval (once per chunk in-process); when it
+    again.  ``cancel`` is a :class:`CancelToken` checked before each
+    chunk lands (and once per supervision poll interval); when it
     fires the campaign shuts its workers down and raises
     :class:`CampaignCancelled`, with every completed chunk already
     checkpointed.  Spans, timing and item metrics are the caller's.

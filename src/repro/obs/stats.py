@@ -12,8 +12,9 @@ questions an operator actually asks after a campaign:
   the :class:`~repro.engine.supervisor.CampaignReport` carries);
 * how did the QA properties fare (``qa.property`` spans: trials,
   counterexamples, pass rate);
-* how an ATPG campaign spent its time (``atpg.target`` PODEM spans,
-  ``atpg.chunk`` pattern-simulation spans, and the closing
+* how an ATPG campaign spent its time (``atpg.target`` spans, split
+  into targets the exhaustive tables proved redundant and PODEM
+  searches, ``atpg.chunk`` pattern-simulation spans, and the closing
   ``atpg.report`` event with drop counts and faults/sec);
 * how a synthesis search progressed (``synth.generation`` per-generation
   best/mean fitness trajectory, ``synth.improved`` best-so-far
@@ -37,7 +38,7 @@ def summarize(events: Iterable[dict]) -> dict:
     chunk_spans_failed = 0
     qa: "OrderedDict[str, dict]" = OrderedDict()
     atpg_chunks = {"chunks": 0, "patterns": 0, "faults": 0, "wall": 0.0}
-    atpg_targets = {"targets": 0, "wall": 0.0}
+    atpg_targets = {"targets": 0, "table": 0, "podem": 0, "wall": 0.0}
     atpg_reports: List[dict] = []
     synth_batches = {"batches": 0, "candidates": 0, "wall": 0.0}
     synth_generations: List[dict] = []
@@ -89,6 +90,9 @@ def summarize(events: Iterable[dict]) -> dict:
             atpg_chunks["wall"] += float(event.get("wall", 0.0))
         elif kind == "span" and name == "atpg.target":
             atpg_targets["targets"] += 1
+            # Older flights carry no ``via``: they searched every target.
+            via = "table" if attrs.get("via") == "table" else "podem"
+            atpg_targets[via] += 1
             atpg_targets["wall"] += float(event.get("wall", 0.0))
         elif kind == "event" and name == "atpg.report":
             atpg_reports.append(attrs)
@@ -256,7 +260,9 @@ def render(summary: dict) -> str:
     targets = summary.get("atpg_targets") or {}
     if targets.get("targets"):
         lines.append(
-            f"atpg targets: {targets['targets']} PODEM searches, "
+            f"atpg targets: {targets['targets']} "
+            f"({targets['table']} redundant by the tables, "
+            f"{targets['podem']} PODEM searches), "
             f"{targets['wall']:.3f}s wall"
         )
     chunks = summary.get("atpg_chunks") or {}

@@ -47,7 +47,9 @@ around.  The registered invariants:
 * ``atpg-drop-soundness`` — every fault the fault-dropping ATPG driver
   classifies as detected is confirmed detected by pattern simulation
   (and the naive reference interpreter) for the single pattern the
-  report credits it to; classification counts must tile the universe.
+  report credits it to, every fault it classifies as redundant leaves
+  the reference interpreter's output tables unchanged, and
+  classification counts must tile the universe.
 * ``atpg-compaction-conservation`` — the compacted test set detects
   exactly the faults the full per-fault (no-drop, no-compact) set
   detects, both by the reports' own claims and by re-simulating each
@@ -774,6 +776,17 @@ def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
             f"!= {report.requested}"
         )
     by_name = {fault.describe(): fault for fault in universe}
+    # A redundant verdict (from the tables or from PODEM) must leave the
+    # reference interpreter's whole output table as it is.
+    normal = reference_output_bits(net)
+    for name, status in report.classifications.items():
+        if status == "redundant" and (
+            reference_output_bits(net, by_name[name]) != normal
+        ):
+            return (
+                f"redundant fault {name} changes an output per the "
+                f"reference interpreter"
+            )
     by_pattern: Dict[int, List[str]] = {}
     for name, status in report.classifications.items():
         if status != "detected":
@@ -812,7 +825,8 @@ atpg_drop_soundness = register(
     "atpg-drop-soundness",
     "every fault the dropping ATPG driver marks detected is confirmed "
     "by pattern simulation and the reference interpreter on the single "
-    "pattern credited in the report",
+    "pattern credited in the report, and every fault it marks redundant "
+    "leaves the reference interpreter's output tables unchanged",
 )((_gen_atpg_engine, _check_atpg_drop_soundness))
 
 

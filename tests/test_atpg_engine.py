@@ -20,7 +20,7 @@ import pytest
 from repro.cli import main
 from repro.core.atpg import Podem
 from repro.core.collapse import collapse_stem_faults
-from repro.engine import FaultSweep, NetworkEngine, engine_for
+from repro.engine import FaultSweep, NetworkEngine, atpg, engine_for
 from repro.engine.atpg import AtpgReport, pattern_detections, run_atpg
 from repro.engine.backends import pack_pattern_masks
 from repro.logic.benchfmt import load_bench, save_bench
@@ -32,6 +32,7 @@ from repro.logic.faults import (
 )
 from repro.logic.gates import GateKind
 from repro.logic.network import Gate, Network
+from repro.modules.adder import ripple_adder_network
 from repro.qa.reference import point_tuple, reference_outputs
 from repro.workloads.benchcircuits import fig62_nand_network
 from repro.workloads.fig34 import fig34_network, fig37_fixed_network
@@ -523,6 +524,169 @@ class TestDriver:
 
 
 # ----------------------------------------------------------------------
+# redundancy from the exhaustive tables, before any search
+# ----------------------------------------------------------------------
+def count_searches(monkeypatch):
+    """Wrap ``Podem.generate_test_ex``; the list grows one per call."""
+    calls = []
+    search = Podem.generate_test_ex
+
+    def counting(self, fault, deadline=None):
+        calls.append(fault)
+        return search(self, fault, deadline)
+
+    monkeypatch.setattr(Podem, "generate_test_ex", counting)
+    return calls
+
+
+def searched_only(net, monkeypatch, **kwargs):
+    """``run_atpg`` with the table check off (the cut below every width),
+    so every target gets its PODEM search; ``to_dict`` minus wall time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(atpg, "UNTILED_MAX_INPUTS", -1)
+        data = run_atpg(net, engine=NetworkEngine(net), **kwargs).to_dict()
+    del data["wall_seconds"]
+    return data
+
+
+def edge_networks():
+    """No inputs; one input; outputs that are constant, by a constant
+    gate and by ``a AND NOT a``."""
+    consts = Network(
+        [],
+        [Gate("z", GateKind.CONST0, ()), Gate("o", GateKind.CONST1, ())],
+        ["z", "o"],
+        name="consts",
+    )
+    inverter = Network(
+        ["a"], [Gate("na", GateKind.NOT, ("a",))], ["na", "a"],
+        name="inverter",
+    )
+    constant = Network(
+        ["a", "b"],
+        [
+            Gate("na", GateKind.NOT, ("a",)),
+            Gate("k", GateKind.AND, ("a", "na")),
+            Gate("y", GateKind.OR, ("k", "b")),
+            Gate("one", GateKind.CONST1, ()),
+        ],
+        ["y", "k", "one"],
+        name="constant_outputs",
+    )
+    return [consts, inverter, constant]
+
+
+class TestTableRedundancy:
+    """Up to ``UNTILED_MAX_INPUTS`` inputs a target whose faulty output
+    tables equal the fault-free ones is ``redundant`` without a PODEM
+    search; the reports are otherwise those of searching every target."""
+
+    @pytest.fixture
+    def array6(self):
+        return load_bench(os.path.join(DATA_DIR, "array6.bench"))
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_redundant_targets_skip_the_search(
+        self, array6, monkeypatch, pairs
+    ):
+        searched = searched_only(array6, monkeypatch, pairs=pairs)
+        calls = count_searches(monkeypatch)
+        report = run_atpg(array6, engine=NetworkEngine(array6), pairs=pairs)
+        data = report.to_dict()
+        del data["wall_seconds"]
+        assert data == searched
+        assert report.redundant == 5
+        assert report.targets == (17 if pairs else 12)
+        assert len(calls) == report.targets - report.redundant
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_podem_abort_becomes_redundant(self, array6, pairs):
+        """The one allowed change: a redundant target PODEM aborts on
+        under a small backtrack budget is now proved by the tables."""
+        fault = StuckAt("g27", 1)
+        podem = Podem(array6, max_backtracks=3)
+        assert podem.generate_test_ex(fault).status == "aborted"
+        report = run_atpg(
+            array6, faults=[fault], max_backtracks=3, pairs=pairs
+        )
+        assert report.classifications == {"g27 s/1": "redundant"}
+        assert report.aborted == 0
+
+    def test_wide_net_builds_no_table(self):
+        """Above the cut every target is searched and no whole table is
+        derived."""
+        net = ripple_adder_network(10)
+        assert len(net.inputs) == 21
+        eng = NetworkEngine(net)
+        faults = collapse_stem_faults(net)[:12]
+        report = run_atpg(net, faults=faults, engine=eng)
+        assert eng.bitmask._baseline is None
+        podem = Podem(net)
+        statuses = [podem.generate_test_ex(f).status for f in faults]
+        assert report.classifications == {
+            f.describe(): "detected" if status == "test" else status
+            for f, status in zip(faults, statuses)
+        }
+
+    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("pairs", [False, True])
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_edge_nets_match_the_searches(
+        self, index, pairs, collapse, monkeypatch
+    ):
+        net = edge_networks()[index]
+        data = run_atpg(
+            net, engine=NetworkEngine(net), pairs=pairs, collapse=collapse
+        ).to_dict()
+        del data["wall_seconds"]
+        assert data == searched_only(
+            net, monkeypatch, pairs=pairs, collapse=collapse
+        )
+
+    def test_flight_splits_table_proofs_from_searches(
+        self, tmp_path, capsys
+    ):
+        from repro import obs
+        from repro.obs.stats import render, summarize
+
+        flight = str(tmp_path / "flight.jsonl")
+        metrics = str(tmp_path / "metrics.prom")
+        path = os.path.join(DATA_DIR, "array6.bench")
+        assert main(
+            ["atpg", path, "--trace-out", flight, "--metrics-out", metrics]
+        ) == 0
+        capsys.readouterr()
+        events = list(obs.read_flight(flight))
+        vias = [
+            (e["attrs"]["via"], e["attrs"]["status"])
+            for e in events
+            if e.get("name") == "atpg.target"
+        ]
+        assert len(vias) == 12
+        assert vias.count(("table", "redundant")) == 5
+        summary = summarize(events)
+        assert summary["atpg_targets"]["table"] == 5
+        assert summary["atpg_targets"]["podem"] == 7
+        assert "(5 redundant by the tables, 7 PODEM searches)" in render(
+            summary
+        )
+        samples = obs.parse_prometheus(open(metrics).read())
+        assert samples["repro_atpg_targets_total"][
+            (("status", "redundant"),)
+        ] == 5
+        # Older flights carry no ``via``: every target was a search.
+        for event in events:
+            event.get("attrs", {}).pop("via", None)
+        assert summarize(events)["atpg_targets"]["podem"] == 12
+
+    def test_absent_fault_site_still_refused(self, fig34):
+        """A fault on no line of the net changes no table; it still goes
+        to PODEM, which refuses it, instead of reading as redundant."""
+        with pytest.raises(KeyError):
+            run_atpg(fig34, faults=[StuckAt("no_such_line", 0)])
+
+
+# ----------------------------------------------------------------------
 # CLI entry point
 # ----------------------------------------------------------------------
 class TestAtpgCli:
@@ -580,11 +744,12 @@ class TestAtpgCli:
 
 
 class TestCommittedBatch:
-    """The committed random-logic batch (``examples/data/array*.bench``,
-    the BENCH_atpg workload) stays reproducible and fully covered."""
+    """The committed random-logic batch (``examples/data/array*.bench``:
+    array10 and array11 are the BENCH_atpg workload, array6 the
+    table-check net) stays reproducible and fully covered."""
 
     def test_batch_regenerates_from_pinned_seeds(self):
-        for stages, seed in ((10, 0), (11, 1)):
+        for stages, seed in ((6, 5), (10, 0), (11, 1)):
             net = random_array_network(
                 random.Random(f"array:{stages}:{seed}"),
                 stages,

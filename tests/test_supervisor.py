@@ -60,8 +60,7 @@ def fresh_sweep(network):
 def cancel_after(monkeypatch, chunks):
     """A :class:`CancelToken` that fires once ``chunks`` chunks are
     checkpointed, so the campaign stops at its next cancellation check:
-    before the next chunk in-process, at the next poll under fork (where
-    chunks already in flight may still land)."""
+    before the next chunk lands, in-process or under fork."""
     token = CancelToken()
     record = supervisor.CampaignCheckpoint.record
     recorded = []
@@ -300,20 +299,26 @@ class TestCheckpointResume:
     def test_interrupted_fork_campaign_resumes_under_fork(
         self, adder, adder_reference, tmp_path, monkeypatch
     ):
+        """A token fired by the third checkpoint record stops the fork
+        loop before any further returned chunk lands, whichever order
+        the workers finish in: exactly three ranges, every run, and the
+        resume completes them byte for byte."""
         universe, reference = adder_reference
-        ckpt = str(tmp_path / "campaign.json")
-        sweep = fresh_sweep(adder)
-        with pytest.raises(CampaignCancelled):
-            sweep.sweep(
-                universe, processes=2, checkpoint=ckpt,
-                cancel=cancel_after(monkeypatch, 3),
+        for run in range(5):
+            ckpt = str(tmp_path / f"campaign{run}.json")
+            with pytest.raises(CampaignCancelled):
+                fresh_sweep(adder).sweep(
+                    universe, processes=2, checkpoint=ckpt,
+                    cancel=cancel_after(monkeypatch, 3),
+                )
+            monkeypatch.undo()
+            assert len(json.load(open(ckpt))["ranges"]) == 3, run
+            resumed = fresh_sweep(adder)
+            result = resumed.sweep(
+                universe, processes=2, checkpoint=ckpt, resume=True
             )
-        resumed = fresh_sweep(adder)
-        result = resumed.sweep(
-            universe, processes=2, checkpoint=ckpt, resume=True
-        )
-        assert _statuses(result) == reference
-        assert resumed.last_report.chunks_resumed >= 3
+            assert _statuses(result) == reference
+            assert resumed.last_report.chunks_resumed == 3
 
     def test_fully_completed_checkpoint_short_circuits(
         self, adder, adder_reference, tmp_path
