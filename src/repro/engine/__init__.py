@@ -10,21 +10,23 @@ simulate many times through one of two interchangeable backends:
 * **bitmask** — word-parallel big-int truth-table masks: the one
   exhaustive sweep, classifying by stem regions, per pair tile above
   :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs,
-* **pointwise** — one assignment at a time with a baseline-point cache
-  (explicit point lists for spaces too wide to enumerate).
+* **pointwise** — explicit input points: one point is a one-row pass,
+  a point list one packed pass (for spaces too wide to enumerate).
 
-The Chapter-4 clocked campaigns (:mod:`repro.seq.simulator`) run the
-same op program row-parallel through the bitmask primitive, one fault
-per bit; the fault-dropping ATPG driver (:mod:`repro.engine.atpg`)
+Both run the op program through the one interpreter,
+:func:`~repro.engine.backends.run_ops`, with faults in the one forcing
+form, :class:`~repro.engine.compiled.RowForcing`.  The Chapter-4 clocked
+campaigns (:mod:`repro.seq.simulator`) run it row-parallel, one fault
+per row; the fault-dropping ATPG driver (:mod:`repro.engine.atpg`)
 simulates its candidate patterns the same way, one fault per slot of
 pattern bits.  Nothing in the package needs NumPy.
 
-Both backends share the cached fault-free baseline (an immutable tuple —
+The bitmask backend caches the fault-free baseline (an immutable tuple —
 engines are shared across sweeps and across ``serve`` requests, so
-in-place mutation must raise) and re-simulate only the injected fault's
-output cone (the bitmask classification needs even less: one flip
-simulation per fanout stem, then a few mask operations per single
-fault); :mod:`repro.engine.campaign` batches that into multi-fault
+in-place mutation must raise) and re-simulates only the injected fault's
+output cone (its classification needs even less: one flip simulation
+per fanout stem, then a few mask operations per single fault);
+:mod:`repro.engine.campaign` batches that into multi-fault
 sweep drivers with fan-out across supervised fork workers
 (:mod:`repro.engine.fork`) whenever ``processes > 1``, each run
 described by one :class:`~repro.engine.supervisor.ChunkKind`; the
@@ -37,7 +39,7 @@ Usage::
 
     eng = engine_for(network)          # compiled once, weakly cached
     bits = eng.bitmask.line_bits(StuckAt("g", 1))   # cone-pruned
-    vals = eng.pointwise.line_values((0, 1, 1))     # baseline-cached
+    vals = eng.pointwise.line_values((0, 1, 1))     # one one-row pass
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import weakref
 from typing import Optional
 
 from ..logic.network import Network
-from .backends import BitmaskBackend, PointwiseBackend
+from .backends import BitmaskBackend, PointQueries
 from .campaign import FaultSweep, ResponseBits, universe_fingerprint
 from .supervisor import (
     CampaignCancelled,
@@ -63,6 +65,7 @@ from .compiled import (
     CompiledNetwork,
     FaultPlan,
     Op,
+    RowForcing,
     compile_network,
 )
 from .store import STORE, ArtifactStore, program_fingerprint
@@ -79,7 +82,7 @@ from .fork import (
 class NetworkEngine:
     """One network's compiled form plus its shared backends.
 
-    The pointwise backend is always built; the exhaustive
+    The point queries are always there; the exhaustive
     :attr:`bitmask` backend is constructed lazily on first use, so
     engines for small one-off queries pay nothing.  Building it never
     allocates a table: on circuits beyond the
@@ -90,7 +93,7 @@ class NetworkEngine:
 
     def __init__(self, network: Network) -> None:
         self.compiled = compile_network(network)
-        self.pointwise = PointwiseBackend(self.compiled)
+        self.pointwise = PointQueries(self.compiled)
         self._bitmask: Optional[BitmaskBackend] = None
 
     @property
@@ -148,9 +151,10 @@ __all__ = [
     "ForkTransport",
     "NetworkEngine",
     "Op",
-    "PointwiseBackend",
+    "PointQueries",
     "ResponseBits",
     "RetryEvent",
+    "RowForcing",
     "STORE",
     "SubmitFailed",
     "TransportError",

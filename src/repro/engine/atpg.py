@@ -32,10 +32,10 @@ patterns against the detected set and discards every pattern whose
 coverage is subsumed — conservation is machine-checked by the
 ``atpg-compaction-conservation`` QA property.
 
-Pattern simulation is one big-int pass of the clocked campaigns'
-row-parallel evaluator (:func:`~repro.seq.simulator.evaluate_rows`),
-so it needs no NumPy and has no fallback rungs; per-target deadlines
-reuse ``generate_test_ex``'s monotonic-deadline seam, and the whole run
+Pattern simulation is one big-int pass of the engine's one
+interpreter (:func:`~repro.engine.backends.run_ops`), so it needs no
+NumPy and has no fallback rungs; per-target deadlines reuse
+``generate_test_ex``'s monotonic-deadline seam, and the whole run
 is instrumented through :mod:`repro.obs` (``atpg.target`` spans whose
 ``via`` says ``table`` or ``podem``, ``atpg.chunk`` spans, drop
 counters, a closing ``atpg.report`` event).
@@ -58,10 +58,8 @@ from ..core.atpg import Podem, PodemResult
 from ..core.collapse import sorted_stem_universe
 from ..logic.faults import Fault
 from ..logic.network import Network
-from ..seq.forcing import RowForcing
-from ..seq.simulator import evaluate_rows, force_fault
-from .backends import UNTILED_MAX_INPUTS, pack_pattern_masks
-from .compiled import CompiledNetwork, FaultLike
+from .backends import UNTILED_MAX_INPUTS, pack_pattern_masks, run_ops
+from .compiled import CompiledNetwork, FaultLike, RowForcing
 
 _REG = obs.REGISTRY
 _M_TARGETS = _REG.counter(
@@ -199,7 +197,7 @@ def pattern_detections(
     when, on some output, the good pair alternates and the faulty pair
     does not — Theorem 3.2's nonalternating-output test condition.
 
-    Fault-parallel on :func:`~repro.seq.simulator.evaluate_rows`: with
+    Fault-parallel on :func:`~repro.engine.backends.run_ops`: with
     ``P`` patterns, bit ``f*P + p`` of every line is fault ``f`` under
     pattern ``p``.  The input masks are the packed patterns times the
     slot-replication constant, each fault forces its whole ``P``-bit
@@ -213,7 +211,8 @@ def pattern_detections(
             return [0] * len(faults)
         slot = (1 << n_pat) - 1
         inputs = pack_pattern_masks(patterns, compiled.n_inputs)
-        good = evaluate_rows(compiled, inputs, RowForcing(n_pat))
+        blank = [0] * len(compiled.ops)
+        good = run_ops(compiled, inputs + blank, slot)
         good = [good[i] for i in compiled.out_idx]
         if pairs:  # the good pairs that alternate, on their even bits
             good = [(g ^ (g >> 1)) & slot // 3 for g in good]
@@ -225,9 +224,12 @@ def pattern_detections(
             replicate = ((1 << width) - 1) // slot  # bit f*P per slot f
             forcing = RowForcing(width)
             for f, fault in enumerate(block):
-                force_fault(forcing, slot << (f * n_pat), fault, compiled)
-            values = evaluate_rows(
-                compiled, [m * replicate for m in inputs], forcing
+                forcing.stick_fault(compiled, fault, slot << (f * n_pat))
+            values = run_ops(
+                compiled,
+                [m * replicate for m in inputs] + blank,
+                forcing.full,
+                forcing=forcing,
             )
             diff = 0
             for idx, g in zip(compiled.out_idx, good):
@@ -257,8 +259,8 @@ def _table_redundant(tables, normal: Tuple[int, ...], fault: Fault) -> bool:
     input point detects it (Theorem 3.4's observability condition).  A
     fault whose site is not in the net resolves to no force at all and
     is left to PODEM, which refuses it."""
-    plan = tables.compiled.fault_plan(fault)
-    return bool(plan.stems or plan.pins) and (
+    forcing = tables.compiled.fault_plan(fault).forcing
+    return bool(forcing.lines or forcing.pins) and (
         tables.output_bits(fault) == normal
     )
 

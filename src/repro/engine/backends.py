@@ -1,9 +1,10 @@
 """Interchangeable execution backends over a compiled netlist.
 
 Two backends share one :class:`~repro.engine.compiled.CompiledNetwork`
-and one discipline: compute the fault-free **baseline** once, cache it,
-and answer each faulty query from the baseline plus as little extra
-simulation as the query needs.
+and one interpreter, :func:`run_ops`.  The bitmask backend computes the
+fault-free **baseline** once, caches it, and answers each faulty query
+from the baseline plus as little extra simulation as the query needs;
+a point query is one pass of its own.
 
 * :class:`BitmaskBackend` — word-parallel: every line is a ``2**n``-bit
   truth-table mask, one pass covers the whole input space (a big int
@@ -31,10 +32,9 @@ simulation as the query needs.
   copy the baseline, re-evaluate only the fault's output cone); a
   ``cone=True`` sweep takes it for every fault, which is the
   reference the stem-region path is checked against.
-* :class:`PointwiseBackend` — one input assignment (or an explicit list
-  of points, for spaces too wide to enumerate) at a time, with a
-  bounded per-point baseline cache, so a revisited point costs only a
-  cone-sized update.
+* :class:`PointQueries` — explicit input points (for spaces too wide to
+  enumerate): one point is a one-row pass, a point list one packed pass
+  with a row per point.
 
 **Pair tiles.**  Definition 2.4 classifies a fault pair by pair, so any
 set of whole pairs can be classified alone, and a fault's status is the
@@ -51,15 +51,17 @@ the whole table.  The one tile loop is
 :class:`repro.engine.campaign.FaultItems`, which puts the tiles on a
 sweep's item axis, so each process derives each tile once.
 
-Clocked sequential campaigns and ATPG pattern simulation do not use
-either backend's fault plans: :func:`repro.seq.simulator.evaluate_rows`
-puts one fault per bit (or per slot of pattern bits, for
-:func:`repro.engine.atpg.pattern_detections`, over the explicit
-pattern list :func:`pack_pattern_masks` packs) and calls
-:func:`evaluate_mask` through this module, so the bitmask chaos
-sabotage of :mod:`repro.qa.chaos` reaches them too.
+**One interpreter.**  Every table above, the clocked sequential
+campaigns (:class:`repro.seq.simulator.SequentialCircuit`, one fault per
+row) and ATPG pattern simulation
+(:func:`repro.engine.atpg.pattern_detections`, one fault per slot of
+pattern bits over the explicit pattern list :func:`pack_pattern_masks`
+packs) run the op program through :func:`run_ops`, with faults in the
+one forcing form, :class:`~repro.engine.compiled.RowForcing`.  A fault
+plan is such a forcing over every row, so the bitmask chaos sabotage of
+:mod:`repro.qa.chaos` on :func:`evaluate_mask` reaches every caller.
 
-Both backends return plain ``list``/``tuple`` values; the name-keyed
+Both return plain ``list``/``tuple`` values; the name-keyed
 wrappers in :mod:`repro.logic.evaluate` re-attach line names for
 callers that want them.
 """
@@ -70,15 +72,10 @@ import functools
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..logic.gates import evaluate as eval_gate
 from ..logic.gates import evaluate_mask
 from ..logic.truthtable import reverse_bits
 from .. import obs
-from .compiled import CompiledNetwork, FaultLike
-
-#: Pointwise baseline caches stop growing beyond this many distinct
-#: input points (2**16 — larger spaces should sample explicit points).
-POINT_CACHE_LIMIT = 1 << 16
+from .compiled import CompiledNetwork, FaultLike, RowForcing
 
 #: Widest input space a sweep classifies as one whole table.  Above it
 #: the sweep runs per pair tile, each tile derived once per process.
@@ -198,43 +195,50 @@ def variable_masks(width: int, count: int) -> List[int]:
     return masks
 
 
-def _evaluate_masks(
-    comp: CompiledNetwork, inputs: List[int], full: int, words: int
+def run_ops(
+    comp: CompiledNetwork,
+    values: List[int],
+    full: int,
+    ops: Optional[Sequence[int]] = None,
+    forcing: Optional[RowForcing] = None,
 ) -> List[int]:
-    """Every line's mask from the input lines' masks: one pass over the
-    op program.  ``words`` (64-bit words per mask) sizes the telemetry."""
-    values = list(inputs) + [0] * len(comp.ops)
-    for op in comp.ops:
-        values[op.out] = evaluate_mask(
-            op.kind, [values[s] for s in op.srcs], full
-        )
-    if _REG.enabled:
-        _M_OPS.inc(len(comp.ops), backend="bitmask")
-        _M_WORDS.inc(len(comp.ops) * words, backend="bitmask")
-    return values
+    """The one op interpreter: run every op, or the ascending positions
+    ``ops`` (a cone, on a baseline copy), on ``values`` (every line's
+    mask; ``full`` is all ones) in place, and return it.
 
-
-def _inject_masks(
-    comp: CompiledNetwork, baseline, plan, full: int, words: int
-) -> List[int]:
-    """A fresh copy of ``baseline`` under one fault plan: the plan's
-    stems forced, only its cone ops re-evaluated."""
-    values = list(baseline)
-    for idx, forced in plan.stems:
-        values[idx] = full if forced else 0
-    pins = plan.pins
-    ops = comp.ops
-    for pos in plan.ops:
-        op = ops[pos]
+    ``forcing``'s line and pin masks override the values where its faults
+    sit, masked with ``full`` so a fault plan's every-row mask ``-1``
+    fits any width; one set test per op sends only the forced ops the
+    slow way.  It calls this module's :func:`evaluate_mask` at call time,
+    so a chaos patch of that name reaches every caller."""
+    program = comp.ops
+    if forcing is None:
+        lines, pins, slow = {}, {}, frozenset()
+    else:
+        lines, pins, slow = forcing.lines, forcing.pins, forcing.forced_ops
+        # A whole pass forces each gate line after its op; a cone may
+        # skip a forced line's op, so it forces every line first.
+        first = comp.n_inputs if ops is None else len(values)
+        for line, (rows, ones) in lines.items():
+            if line < first:
+                values[line] = (values[line] & ~rows | ones) & full
+    if ops is None:
+        ops = range(len(program))
+    for pos in ops:
+        op = program[pos]
         operands = [values[s] for s in op.srcs]
-        overrides = pins.get(pos)
-        if overrides:
-            for slot, forced in overrides:
-                operands[slot] = full if forced else 0
-        values[op.out] = evaluate_mask(op.kind, operands, full)
-    if _REG.enabled:
-        _M_OPS.inc(len(plan.ops), backend="bitmask")
-        _M_WORDS.inc(len(plan.ops) * words, backend="bitmask")
+        if pos in slow:
+            overrides = pins.get(pos)
+            if overrides:
+                for slot, (rows, ones) in overrides.items():
+                    operands[slot] = (operands[slot] & ~rows | ones) & full
+            value = evaluate_mask(op.kind, operands, full)
+            forced = lines.get(op.out)
+            if forced is not None:
+                value = (value & ~forced[0] | forced[1]) & full
+            values[op.out] = value
+        else:
+            values[op.out] = evaluate_mask(op.kind, operands, full)
     return values
 
 
@@ -315,9 +319,9 @@ class BitmaskBackend:
         variables = self._variables
         if variables is None:
             variables = variable_masks(comp.n_inputs, comp.n_inputs)
-        return tuple(
-            _evaluate_masks(comp, variables, full, self._words_per_line)
-        )
+        values = run_ops(comp, list(variables) + [0] * len(comp.ops), full)
+        self._count_ops(len(comp.ops))
+        return tuple(values)
 
     def line_bits(self, fault: Optional[FaultLike] = None) -> List[int]:
         """Masks for every line under ``fault`` (cone-pruned re-simulation
@@ -327,11 +331,12 @@ class BitmaskBackend:
         baseline = self.baseline()
         if fault is None:
             return list(baseline)
-        comp = self.compiled
-        return _inject_masks(
-            comp, baseline, comp.fault_plan(fault), self.full,
-            self._words_per_line,
+        plan = self.compiled.fault_plan(fault)
+        values = run_ops(
+            self.compiled, list(baseline), self.full, plan.ops, plan.forcing
         )
+        self._count_ops(len(plan.ops))
+        return values
 
     def output_bits(self, fault: Optional[FaultLike] = None) -> Tuple[int, ...]:
         values = self.line_bits(fault)
@@ -521,13 +526,8 @@ class BitmaskBackend:
         baseline = self.baseline()
         values = list(baseline)
         values[root] ^= full
-        ops = comp.ops
         cone = comp.cone_ops(root)
-        for pos in cone:
-            op = ops[pos]
-            values[op.out] = evaluate_mask(
-                op.kind, [values[s] for s in op.srcs], full
-            )
+        run_ops(comp, values, full, cone)
         self._count_ops(len(cone))
         low = self._low
         deltas = []
@@ -606,51 +606,28 @@ def pack_pattern_masks(
     return masks
 
 
-class PointwiseBackend:
-    """One assignment at a time, with a per-point baseline cache."""
+class PointQueries:
+    """Explicit input points on :func:`run_ops`, for spaces too wide to
+    enumerate: one point is a one-row pass, a point list one packed pass
+    with a row per point.  A fault rides its plan's every-row forcing."""
 
     def __init__(self, compiled: CompiledNetwork) -> None:
         self.compiled = compiled
-        self._cache: dict = {}
 
-    def baseline(self, point: Tuple[int, ...]) -> List[int]:
-        """Fault-free line values for one input tuple (cached; do not
-        mutate the returned list)."""
-        values = self._cache.get(point)
-        if values is None:
-            comp = self.compiled
-            values = list(point) + [0] * len(comp.ops)
-            for op in comp.ops:
-                values[op.out] = eval_gate(
-                    op.kind, [values[s] for s in op.srcs]
-                )
-            if len(self._cache) < POINT_CACHE_LIMIT:
-                self._cache[point] = values
-        return values
+    def _run(
+        self, inputs: List[int], full: int, fault: Optional[FaultLike]
+    ) -> List[int]:
+        comp = self.compiled
+        forcing = None if fault is None else comp.fault_plan(fault).forcing
+        values = inputs + [0] * len(comp.ops)
+        return run_ops(comp, values, full, forcing=forcing)
 
     def line_values(
         self, point: Tuple[int, ...], fault: Optional[FaultLike] = None
     ) -> List[int]:
-        """Line values under ``fault`` at one input point."""
-        baseline = self.baseline(point)
-        if fault is None:
-            return baseline
-        comp = self.compiled
-        plan = comp.fault_plan(fault)
-        values = baseline.copy()
-        for idx, forced in plan.stems:
-            values[idx] = forced
-        pins = plan.pins
-        ops = comp.ops
-        for pos in plan.ops:
-            op = ops[pos]
-            operands = [values[s] for s in op.srcs]
-            overrides = pins.get(pos)
-            if overrides:
-                for slot, forced in overrides:
-                    operands[slot] = forced
-            values[op.out] = eval_gate(op.kind, operands)
-        return values
+        """Line values under ``fault`` at one input point (a 0/1 tuple in
+        input order)."""
+        return self._run(list(point), 1, fault)
 
     def output_values(
         self, point: Tuple[int, ...], fault: Optional[FaultLike] = None
@@ -661,11 +638,15 @@ class PointwiseBackend:
     def point_tuple(self, point: int) -> Tuple[int, ...]:
         """Decode a truth-table index into the engine's input tuple
         (bit *i* of ``point`` is input *i* — the repo-wide convention)."""
-        n = self.compiled.n_inputs
-        return tuple((point >> i) & 1 for i in range(n))
+        return tuple((point >> i) & 1 for i in range(self.compiled.n_inputs))
 
     def output_vectors(
         self, points: Iterable[int], fault: Optional[FaultLike] = None
     ) -> List[Tuple[int, ...]]:
         """Output tuples at an explicit list of truth-table points."""
-        return [self.output_values(self.point_tuple(p), fault) for p in points]
+        points = list(points)
+        n = len(points)
+        masks = pack_pattern_masks(points, self.compiled.n_inputs)
+        values = self._run(masks, (1 << n) - 1, fault)
+        outputs = [values[i] for i in self.compiled.out_idx]
+        return [tuple(out >> j & 1 for out in outputs) for j in range(n)]

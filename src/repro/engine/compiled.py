@@ -19,10 +19,12 @@ make incremental fault simulation cheap:
   ops whose value can change when that line changes.
 
 :meth:`resolve` maps a named stem/pin single or multiple fault onto
-indices, and :meth:`fault_plan` adds the minimal ascending op list to
-re-evaluate on top of a cached fault-free baseline.  The backends in
-:mod:`repro.engine.backends` execute these plans pointwise,
-word-parallel, or over sampled points.
+indices.  :class:`RowForcing` is the one form a fault is forced in: mask
+pairs on lines and pins, per row of a row-parallel run.  A
+:meth:`fault_plan` is a forcing over every row plus the minimal
+ascending op list to re-evaluate on top of a cached fault-free baseline.
+:func:`repro.engine.backends.run_ops` is the one interpreter that runs
+the op program under a forcing, whole or over a cone.
 
 The single-fault universe lives here too, on integer *fault ids* (stem
 ``line`` s-a-``v`` is ``2*line + v``; pin ``k``, counting ops then slots,
@@ -36,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import weakref
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Hashable, List, Set, Tuple, Union
 
 from ..logic.faults import Fault, MultipleFault, PinStuckAt, StuckAt
 from ..logic.faults import fault_overrides
@@ -67,18 +69,87 @@ class Op:
     srcs: Tuple[int, ...]
 
 
+Masks = Tuple[int, int]
+
+
+def _merge(table: Dict, key: Hashable, rows: int, value: int) -> None:
+    forced, ones = table.get(key, (0, 0))
+    table[key] = (forced | rows, (ones & ~rows) | (rows if value else 0))
+
+
+class RowForcing:
+    """Stuck-at forcing masks over ``rows`` parallel rows.
+
+    Every line value, flip-flop stage, latch and memory bit is an integer
+    whose bit ``r`` is row ``r``'s value.  A stuck-at is a mask pair
+    ``(rows, ones)`` on one *site*, applied as ``v = (v & ~rows) | ones``
+    where the fault sits.  One row is the scalar single-fault case; a
+    clocked campaign puts one fault per row, ATPG one per slot of pattern
+    bits, and a :class:`FaultPlan` forces every row of any width with the
+    row mask ``-1`` (Python's infinite two's complement).  Network stems
+    and pins have their own tables, which
+    :func:`repro.engine.backends.run_ops` reads; any other site is a
+    hashable key in :attr:`sites`.
+    """
+
+    def __init__(self, rows: int = 1) -> None:
+        self.rows = rows
+        self.full = (1 << rows) - 1
+        #: compiled line index -> (rows, ones)
+        self.lines: Dict[int, Masks] = {}
+        #: op position -> {operand slot: (rows, ones)}
+        self.pins: Dict[int, Dict[int, Masks]] = {}
+        #: any other site (flip-flop stage, translator line, memory bit)
+        self.sites: Dict[Hashable, Masks] = {}
+        #: op positions that read a forced pin or drive a forced line
+        self.forced_ops: Set[int] = set()
+
+    def stick(self, site: Hashable, rows: int, value: int) -> None:
+        """Force ``site`` to ``value`` in the row mask ``rows``."""
+        _merge(self.sites, site, rows, value)
+
+    def stick_fault(
+        self, compiled: "CompiledNetwork", fault: "FaultLike", rows: int
+    ) -> None:
+        """Force a network stem/pin fault, as
+        :meth:`CompiledNetwork.resolve` resolves it, in ``rows``."""
+        stems, pins = compiled.resolve(fault)
+        for line, value in stems.items():
+            _merge(self.lines, line, rows, value)
+            if line >= compiled.n_inputs:
+                self.forced_ops.add(line - compiled.n_inputs)
+        for pos, overrides in pins.items():
+            self.forced_ops.add(pos)
+            slots = self.pins.setdefault(pos, {})
+            for slot, value in overrides:
+                _merge(slots, slot, rows, value)
+
+    def apply(self, site: Hashable, value: int) -> int:
+        """``value`` with the rows forced at ``site`` overridden."""
+        forced = self.sites.get(site)
+        if forced is None:
+            return value
+        rows, ones = forced
+        return (value & ~rows) | ones
+
+    def forced_rows(self, site: Hashable) -> int:
+        """The rows forced at ``site``, whatever their value (a stuck
+        latch clock holds the latch either way)."""
+        forced = self.sites.get(site)
+        return 0 if forced is None else forced[0]
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """A fault pre-resolved against one compiled network.
 
-    ``stems`` forces line values; ``pins`` maps an op position to the
-    ``(operand slot, value)`` overrides of that op; ``ops`` is the
-    ascending (hence topological) list of op positions whose value can
-    differ from the fault-free baseline and must be re-evaluated.
+    ``forcing`` forces the fault's stems and pins in every row (row mask
+    ``-1``); ``ops`` is the ascending (hence topological) list of op
+    positions whose value can differ from the fault-free baseline and
+    must be re-evaluated.
     """
 
-    stems: Tuple[Tuple[int, int], ...]
-    pins: Dict[int, Tuple[Tuple[int, int], ...]]
+    forcing: RowForcing
     ops: Tuple[int, ...]
 
 
@@ -163,14 +234,16 @@ class CompiledNetwork:
         return stems, pins
 
     def fault_plan(self, fault: FaultLike) -> FaultPlan:
-        """Resolve a fault into forced values plus the minimal re-simulation
-        schedule over the fault's output cone(s)."""
+        """Resolve a fault into its every-row forcing plus the minimal
+        re-simulation schedule over the fault's output cone(s)."""
         plan = self._plans.get(fault)
         if plan is not None:
             return plan
-        stems, pins = self.resolve(fault)
-        affected: set = set(pins)
-        for pos in pins:
+        forcing = RowForcing()
+        forcing.stick_fault(self, fault, -1)
+        stems = forcing.lines
+        affected: set = set(forcing.pins)
+        for pos in forcing.pins:
             affected.update(self.cone_ops(self.ops[pos].out))
         for idx in stems:
             affected.update(self.cone_ops(idx))
@@ -178,11 +251,7 @@ class CompiledNetwork:
         ops = tuple(
             pos for pos in sorted(affected) if self.ops[pos].out not in stems
         )
-        plan = FaultPlan(
-            stems=tuple(sorted(stems.items())),
-            pins={pos: tuple(overrides) for pos, overrides in pins.items()},
-            ops=ops,
-        )
+        plan = FaultPlan(forcing, ops)
         self._plans[fault] = plan
         return plan
 

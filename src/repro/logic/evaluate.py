@@ -14,8 +14,8 @@ randomized coverage experiments.
 
 These functions are thin name-keyed wrappers over the compiled engine
 (:mod:`repro.engine`): the network is compiled once into a flat op
-program, the fault-free baseline is cached, and each faulty query
-re-simulates only the fault's output cone.
+program; a table query re-simulates only the fault's output cone on the
+cached fault-free baseline, and a point query is one pass.
 """
 
 from __future__ import annotations

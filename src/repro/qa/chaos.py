@@ -1,12 +1,12 @@
 """Deliberate engine sabotage — proving the fuzz harness can see.
 
 A fuzzing subsystem that has never caught a bug is indistinguishable
-from one that cannot.  Each named bug here patches exactly one engine
-seam (one backend, one primitive) in a way the differential properties
-must catch, and the harness self-test drives the full pipeline —
-detect, shrink, emit artifact — against it.  The patches restore
-themselves on exit; fuzz trials build fresh backends per case, so no
-sabotaged baseline outlives the context.
+from one that cannot.  Each named bug here miscompiles one gate kind in
+the engine's one seam, the mask primitive of its one op interpreter, in
+a way the differential properties must catch, and the harness self-test
+drives the full pipeline — detect, shrink, emit artifact — against it.
+The patches restore themselves on exit; fuzz trials build fresh
+backends per case, so no sabotaged baseline outlives the context.
 
 The second half of this module sabotages the *campaign runtime* the
 same way: :func:`sabotage_campaign` arms worker-level failures — a
@@ -45,46 +45,15 @@ from ..engine import supervisor as _supervisor
 from ..logic.gates import GateKind
 
 
-def _make_mask_bug(swap_from: GateKind, swap_as: GateKind) -> Callable:
-    original = backends.evaluate_mask
-
-    def broken(kind, masks, full):
-        if kind is swap_from:
-            return original(swap_as, masks, full)
-        return original(kind, masks, full)
-
-    return broken
-
-
-def _make_point_bug(swap_from: GateKind, swap_as: GateKind) -> Callable:
-    original = backends.eval_gate
-
-    def broken(kind, values):
-        if kind is swap_from:
-            return original(swap_as, values)
-        return original(kind, values)
-
-    return broken
-
-
-#: name -> (backends attribute, factory producing the sabotaged function)
-BUGS: Dict[str, Callable[[], tuple]] = {
-    # The bitmask (exhaustive-oracle) backend miscompiles NAND into AND.
-    "nand-as-and": lambda: (
-        "evaluate_mask",
-        _make_mask_bug(GateKind.NAND, GateKind.AND),
-    ),
-    # The pointwise (explicit point list) backend miscompiles NOR into OR.
-    "nor-as-or-pointwise": lambda: (
-        "eval_gate",
-        _make_point_bug(GateKind.NOR, GateKind.OR),
-    ),
-    # The bitmask backend, and the row-parallel clocked stepper that
-    # shares its primitive, drop the inversion of NOT.
-    "not-as-buf": lambda: (
-        "evaluate_mask",
-        _make_mask_bug(GateKind.NOT, GateKind.BUF),
-    ),
+#: name -> (gate kind, the kind it is miscompiled into).  Every bug
+#: patches ``backends.evaluate_mask``, the primitive of the one op
+#: interpreter (``backends.run_ops``), so each reaches the bitmask
+#: tables, the point queries, ATPG pattern simulation and the clocked
+#: campaigns alike.
+BUGS: Dict[str, Tuple[GateKind, GateKind]] = {
+    "nand-as-and": (GateKind.NAND, GateKind.AND),
+    "nor-as-or": (GateKind.NOR, GateKind.OR),
+    "not-as-buf": (GateKind.NOT, GateKind.BUF),
 }
 
 
@@ -98,13 +67,17 @@ def inject(name: str) -> Iterator[None]:
     if name not in BUGS:
         known = ", ".join(bug_names())
         raise KeyError(f"unknown chaos bug {name!r}; known: {known}")
-    attr, broken = BUGS[name]()
-    original = getattr(backends, attr)
-    setattr(backends, attr, broken)
+    swap_from, swap_as = BUGS[name]
+    original = backends.evaluate_mask
+
+    def broken(kind, masks, full):
+        return original(swap_as if kind is swap_from else kind, masks, full)
+
+    backends.evaluate_mask = broken
     try:
         yield
     finally:
-        setattr(backends, attr, original)
+        backends.evaluate_mask = original
 
 
 # ----------------------------------------------------------------------

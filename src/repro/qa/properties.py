@@ -78,6 +78,7 @@ from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
 from ..engine.atpg import pattern_detections
 from ..engine.backends import table_response
+from ..engine.compiled import RowForcing
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.gates import GateKind
 from ..logic.network import Gate, Network
@@ -85,7 +86,6 @@ from ..scal.alternating import AlternatingRun, AlternatingStep, RowTrace
 from ..scal.codeconv import to_code_conversion
 from ..scal.dualff import to_dual_flipflop
 from ..scal.translators import TranslatorFault
-from ..seq.forcing import RowForcing
 from ..seq.simulator import FlipFlopFault
 from ..system.memory import single_memory_faults
 from ..workloads.randomlogic import (

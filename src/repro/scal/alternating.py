@@ -15,9 +15,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 PERIOD_CLOCK = "phi"
 
-#: A row-parallel clocked run (:mod:`repro.seq.forcing`): per logical
-#: step, the first- and second-period monitored row masks and the rows
-#: an extra checker flagged.
+#: A row-parallel clocked run (:class:`~repro.engine.compiled.RowForcing`):
+#: per logical step, the first- and second-period monitored row masks
+#: and the rows an extra checker flagged.
 RowTrace = List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]
 
 

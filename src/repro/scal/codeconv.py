@@ -13,8 +13,9 @@ Theorem 4.4 proves sufficient for the feedback to be self-checking.
 Single-fault injection reaches every part of the loop: the combinational
 network (stem/pin stuck-ats), ALPT lines, memory (cells, data lines,
 address lines), and PALT lines.  The loop is clocked row-parallel
-(:mod:`repro.seq.forcing`): a campaign runs every fault at once, one
-per row, and :meth:`CodeConversionMachine.run` is the one-row case.
+(:class:`~repro.engine.compiled.RowForcing`): a campaign runs every
+fault at once, one per row, and :meth:`CodeConversionMachine.run` is
+the one-row case.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..engine.compiled import compile_network
+from ..engine.backends import run_ops
+from ..engine.compiled import RowForcing, compile_network
 from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from ..seq.encoding import StateEncoding
-from ..seq.forcing import RowForcing
 from ..seq.machine import StateTable
-from ..seq.simulator import evaluate_rows, force_fault
 from ..system.memory import MemoryFault, ParityMemory, parity
 from .alternating import (
     PERIOD_CLOCK,
@@ -111,7 +111,7 @@ class CodeConversionMachine:
         fault), ``alpt``, ``palt`` or ``mem`` — to ``forcing`` in ``row``."""
         if unit == "comb":
             compiled = compile_network(self.network)
-            force_fault(forcing, 1 << row, fault, compiled)
+            forcing.stick_fault(compiled, fault, 1 << row)
         else:
             units = {"alpt": self.alpt, "palt": self.palt, "mem": self.memory}
             units[unit].force(forcing, row, fault)
@@ -189,14 +189,14 @@ class CodeConversionMachine:
                 pair = []
                 y_pair = []
                 for phase in (0, 1):
-                    point = [0] * compiled.n_inputs
+                    values = [0] * len(compiled.names)
                     for p, bit in zip(x_pos, vector):
-                        point[p] = full if (bit & 1) ^ phase else 0
-                    point[clock_pos] = full if phase else 0
+                        values[p] = full if (bit & 1) ^ phase else 0
+                    values[clock_pos] = full if phase else 0
                     present = palt.outputs_for_period(data, phase)
                     for p, value in zip(y_pos, present):
-                        point[p] = value
-                    values = evaluate_rows(compiled, point, forcing)
+                        values[p] = value
+                    run_ops(compiled, values, full, forcing=forcing)
                     pair.append(tuple(values[i] for i in monitored))
                     y_pair.append([values[i] for i in y_idx])
                 word, new_parity = alpt.feed_pair(

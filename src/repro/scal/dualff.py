@@ -22,12 +22,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..engine.compiled import RowForcing
 from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from ..logic.selfdual import self_dualize_table
 from ..logic.truthtable import TruthTable
 from ..seq.encoding import StateEncoding, binary_encoding
-from ..seq.forcing import RowForcing
 from ..seq.machine import StateTable
 from ..seq.simulator import FlipFlopFault, SequentialCircuit
 from ..seq.synthesis import machine_tables

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from ..seq.forcing import RowForcing
+from ..engine.compiled import RowForcing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,8 +60,9 @@ class TranslatorFault:
 class ALPT:
     """Alternating Logic to Parity Translator (Figure 4.4a).
 
-    Row-parallel (:mod:`repro.seq.forcing`): latches and line values are
-    row masks and every site is forced through :attr:`forcing`.
+    Row-parallel (:class:`~repro.engine.compiled.RowForcing`): latches
+    and line values are row masks and every site is forced through
+    :attr:`forcing`.
     :meth:`inject` arms one fault in a one-row forcing — the scalar case.
     """
 

@@ -4,9 +4,10 @@ The combinational oracle (:mod:`repro.core.simulate`) is exhaustive over
 inputs; sequential machines additionally carry state, so their campaigns
 drive a (seeded or supplied) input stream against every fault and
 classify the runs.  Every fault is one row of a row-parallel clocked
-run (:mod:`repro.seq.forcing`), so one pass over the compiled block
-per clock period advances the whole universe.  This is the API behind
-the Chapter 4 benches and the tool a user points at their own machine:
+run (:class:`~repro.engine.compiled.RowForcing`), so one pass over the
+compiled block per clock period advances the whole universe.  This is
+the API behind the Chapter 4 benches and the tool a user points at
+their own machine:
 
     campaign = dualff_campaign(to_dual_flipflop(machine), vectors)
     assert campaign.dangerous == 0
@@ -18,9 +19,8 @@ import dataclasses
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from ..engine.compiled import compile_network
+from ..engine.compiled import RowForcing, compile_network
 from ..logic.faults import Fault
-from ..seq.forcing import RowForcing
 from ..seq.machine import StateTable
 from ..seq.simulator import FlipFlopFault
 from ..system.memory import single_memory_faults

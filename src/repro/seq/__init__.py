@@ -18,7 +18,6 @@ from .stg import (
     render_stg_dot,
 )
 from .machine import StateTable, StateTableError, Transition, single_input_table
-from .forcing import RowForcing
 from .simulator import FlipFlopFault, SequentialCircuit
 from .synthesis import SynthesizedMachine, machine_tables, synthesize_machine
 
@@ -26,7 +25,6 @@ __all__ = [
     "DFlipFlop",
     "FlipFlopFault",
     "Register",
-    "RowForcing",
     "SequentialCircuit",
     "StateEncoding",
     "StateTable",

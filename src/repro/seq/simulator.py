@@ -7,11 +7,12 @@ present-state input line* realized with ``depth`` D flip-flops in
 series.  ``depth=1`` gives the standard machine; ``depth=2`` gives the
 dual flip-flop alternating machine of Figure 4.2a.
 
-Simulation is row-parallel (:mod:`repro.seq.forcing`): the circuit
-clocks many copies of itself at once, every line value and flip-flop
-stage a big int whose bit ``r`` is row ``r``.  One clock period is one
-pass over the compiled op program for every row, so a fault campaign
-puts one fault per row and clocks them all together.  The scalar API
+Simulation is row-parallel (:class:`~repro.engine.compiled.RowForcing`):
+the circuit clocks many copies of itself at once, every line value and
+flip-flop stage a big int whose bit ``r`` is row ``r``.  One clock period
+is one pass of :func:`repro.engine.backends.run_ops` over the compiled op
+program for every row, so a fault campaign puts one fault per row and
+clocks them all together.  The scalar API
 (:meth:`SequentialCircuit.step`, :meth:`~SequentialCircuit.run`) is the
 one-row case.
 
@@ -25,11 +26,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..engine import backends
-from ..engine.compiled import CompiledNetwork, compile_network
+from ..engine.backends import run_ops
+from ..engine.compiled import RowForcing, compile_network
 from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
-from .forcing import RowForcing
 
 FaultLike = Union[Fault, MultipleFault]
 
@@ -44,50 +44,6 @@ class FlipFlopFault:
 
     def describe(self) -> str:
         return f"ff[{self.state_line}#{self.stage}] s/{self.value}"
-
-
-def force_fault(
-    forcing: RowForcing, rows: int, fault: FaultLike, compiled: CompiledNetwork
-) -> None:
-    """Add one network stem/pin fault to ``forcing`` in the row mask
-    ``rows``.
-
-    The fault is resolved by :meth:`CompiledNetwork.resolve`, the same
-    rules :meth:`CompiledNetwork.fault_plan` applies.
-    """
-    stems, pins = compiled.resolve(fault)
-    for line, value in stems.items():
-        forcing.stick_line(line, rows, value)
-    for pos, overrides in pins.items():
-        for slot, value in overrides:
-            forcing.stick_pin(pos, slot, rows, value)
-
-
-def evaluate_rows(
-    compiled: CompiledNetwork, inputs: Sequence[int], forcing: RowForcing
-) -> List[int]:
-    """Every line's row mask from the input lines' row masks: one pass
-    over the op program with ``forcing``'s stems and pins applied."""
-    evaluate = backends.evaluate_mask  # looked up per call: chaos patches bite
-    full = forcing.full
-    lines = forcing.lines
-    pins = forcing.pins
-    values = list(inputs) + [0] * len(compiled.ops)
-    for line, (rows, ones) in lines.items():
-        if line < compiled.n_inputs:
-            values[line] = (values[line] & ~rows) | ones
-    for pos, op in enumerate(compiled.ops):
-        operands = [values[s] for s in op.srcs]
-        overrides = pins.get(pos)
-        if overrides:
-            for slot, (rows, ones) in overrides.items():
-                operands[slot] = (operands[slot] & ~rows) | ones
-        value = evaluate(op.kind, operands, full)
-        forced = lines.get(op.out)
-        if forced is not None:
-            value = (value & ~forced[0]) | forced[1]
-        values[op.out] = value
-    return values
 
 
 class SequentialCircuit:
@@ -178,7 +134,7 @@ class SequentialCircuit:
                 ("ff", fault.state_line, fault.stage), 1 << row, fault.value
             )
         else:
-            force_fault(forcing, 1 << row, fault, self.compiled)
+            forcing.stick_fault(self.compiled, fault, 1 << row)
 
     def fault_forcing(
         self,
@@ -211,7 +167,8 @@ class SequentialCircuit:
                 point.append(inputs[name])
             else:
                 point.append(forcing.apply(("ff", name, last), chain[-1]))
-        values = evaluate_rows(self.compiled, point, forcing)
+        point += [0] * len(self.compiled.ops)
+        values = run_ops(self.compiled, point, forcing.full, forcing=forcing)
         for present, chain in self.stages.items():
             chain[1:] = chain[:-1]
             chain[0] = values[self._next_line[present]]

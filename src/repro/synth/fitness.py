@@ -19,8 +19,9 @@ real acceptance criteria, not a proxy):
 
 The module exposes two evaluators with byte-identical records: the
 **batched** path (big-int tables + the exhaustive stem-region sweep —
-what campaigns use) and the **scalar** path (per-point pointwise simulation
-per fault — the bench baseline that prices the batching).
+what campaigns use) and the **scalar** path (one point at a time: a
+fault-free pass, then each fault's cone — the bench baseline that
+prices the batching).
 
 :data:`SYNTH_CHUNKS` (named ``synth``) makes scoring a chunk kind of
 its own for :func:`repro.engine.run_campaign`: the host is the batch's
@@ -41,7 +42,12 @@ from typing import Dict, List, Sequence, Tuple
 from .. import obs
 from ..core.collapse import sorted_stem_universe
 from ..engine import ChunkKind, NetworkEngine
-from ..engine.backends import classify_status, table_normals, table_response
+from ..engine.backends import (
+    classify_status,
+    run_ops,
+    table_normals,
+    table_response,
+)
 from ..engine.campaign import CHUNK_FAULTS, FaultItems
 from ..logic.truthtable import reverse_bits
 from ..scal.costs import network_cost
@@ -131,19 +137,26 @@ def make_task(
     }
 
 
-def _scalar_tables(engine: NetworkEngine, fault) -> Tuple[int, ...]:
-    """Assemble exhaustive output tables one point at a time — the
-    deliberately unbatched baseline."""
+def _scalar_tables(
+    engine: NetworkEngine, universe: Sequence
+) -> List[Tuple[int, ...]]:
+    """Exhaustive output tables of the fault-free net, then of each fault,
+    assembled one point at a time — the deliberately unbatched baseline:
+    per point one fault-free pass, then each fault's cone on a copy."""
     comp = engine.compiled
-    n = comp.n_inputs
-    outs = [0] * len(comp.out_idx)
-    for p in range(1 << n):
-        point = tuple((p >> i) & 1 for i in range(n))
-        values = engine.pointwise.output_values(point, fault)
-        for k, v in enumerate(values):
-            if v:
-                outs[k] |= 1 << p
-    return tuple(outs)
+    plans = [comp.fault_plan(fault) for fault in universe]
+    tables = [[0] * len(comp.out_idx) for _ in range(len(plans) + 1)]
+    for p in range(1 << comp.n_inputs):
+        base = engine.pointwise.line_values(engine.pointwise.point_tuple(p))
+        runs = [base] + [
+            run_ops(comp, list(base), 1, plan.ops, plan.forcing)
+            for plan in plans
+        ]
+        for outs, values in zip(tables, runs):
+            for k, idx in enumerate(comp.out_idx):
+                if values[idx]:
+                    outs[k] |= 1 << p
+    return [tuple(outs) for outs in tables]
 
 
 def _scalar_statuses(
@@ -153,13 +166,12 @@ def _scalar_statuses(
     :func:`~repro.engine.backends.table_response`, the reference every
     rung's classification is byte-identical to."""
     n = engine.compiled.n_inputs
-    normals = table_normals(_scalar_tables(engine, None), n)
-    statuses: List[str] = []
-    for fault in universe:
-        _affected, detected, violations = table_response(
-            normals, _scalar_tables(engine, fault), n
-        )
-        statuses.append(classify_status(detected, violations))
+    good, *faulty = _scalar_tables(engine, universe)
+    normals = table_normals(good, n)
+    statuses = [
+        classify_status(*table_response(normals, tables, n)[1:])
+        for tables in faulty
+    ]
     return normals[0], statuses
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..seq.forcing import RowForcing
+from ..engine.compiled import RowForcing
 
 
 def parity(bits: Sequence[int]) -> int:
@@ -54,10 +54,10 @@ class MemoryFault:
 class ParityMemory:
     """Word-addressable storage of (data, parity) code words.
 
-    Row-parallel (:mod:`repro.seq.forcing`): stored bits are row masks
-    and faults are forced through :attr:`forcing`, so a campaign keeps
-    one faulty memory per row in one instance.  :meth:`inject` arms one
-    fault in a one-row forcing — the scalar case.
+    Row-parallel (:class:`~repro.engine.compiled.RowForcing`): stored
+    bits are row masks and faults are forced through :attr:`forcing`,
+    so a campaign keeps one faulty memory per row in one instance.
+    :meth:`inject` arms one fault in a one-row forcing — the scalar case.
     """
 
     def __init__(

@@ -15,9 +15,11 @@ import random
 import pytest
 
 from repro.engine import FaultSweep, NetworkEngine, backends, engine_for
+from repro.engine.atpg import pattern_detections
 from repro.engine.campaign import FaultItems
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import (
+    MultipleFault,
     PinStuckAt,
     StuckAt,
     enumerate_single_faults,
@@ -26,6 +28,12 @@ from repro.logic.faults import (
 from repro.logic.gates import GateKind
 from repro.logic.gates import evaluate as eval_gate
 from repro.logic.network import Gate, Network
+from repro.qa.reference import (
+    point_tuple,
+    reference_line_values,
+    reference_outputs,
+)
+from repro.seq.simulator import SequentialCircuit
 from repro.workloads.benchcircuits import fig62_nand_network
 from repro.workloads.fig34 import fig34_network, fig37_fixed_network
 from repro.workloads.randomlogic import random_mixed_network
@@ -51,6 +59,19 @@ def inverter_network():
     )
 
 
+def constant_output_network():
+    """Several outputs, one of them constant."""
+    return Network(
+        ["a", "b"],
+        [
+            Gate("x", GateKind.XOR, ("a", "b")),
+            Gate("zero", GateKind.CONST0, ()),
+            Gate("n", GateKind.NAND, ("a", "x")),
+        ],
+        ["x", "zero", "n"],
+    )
+
+
 def mixed_network(n_inputs):
     return random_mixed_network(
         random.Random(0), n_inputs=n_inputs, n_gates=16, n_outputs=2
@@ -69,10 +90,11 @@ SEED_CIRCUITS = {
 }
 
 #: The block tiers' layout edges, added to the seed circuits in the
-#: cross-rung checks: 0 and 1 inputs, and the one-word (6 inputs) /
-#: two-word (7 inputs) table boundary.
+#: cross-rung checks: 0 and 1 inputs, a constant output beside others,
+#: and the one-word (6 inputs) / two-word (7 inputs) table boundary.
 LAYOUT_EDGES = {
     "const_buffer": const_buffer_network,
+    "constant_output": constant_output_network,
     "inverter": inverter_network,
     "mixed6": lambda: mixed_network(6),
     "mixed7": lambda: mixed_network(7),
@@ -175,6 +197,85 @@ class TestSingleFaultEquivalence:
                     )
                 expected_out = tuple(ref[o] for o in circuit.outputs)
                 assert sampled[pos] == expected_out, (fault.describe(), point)
+
+
+def edge_faults(network):
+    """Every single fault, a stem force shadowing a pin force on the same
+    gate, and a fault on a line the net does not have."""
+    faults = list(enumerate_single_faults(network))
+    gate = next((g for g in network.gates if g.inputs), None)
+    if gate is not None:
+        faults.append(
+            MultipleFault((StuckAt(gate.name, 1), PinStuckAt(gate.name, 0, 0)))
+        )
+    faults.append(StuckAt("absent", 1))
+    return faults
+
+
+class TestEdgeMatrix:
+    """The one interpreter's callers against :mod:`repro.qa.reference` on
+    the layout edges and seed circuits: packed point lists, ATPG pattern
+    simulation (single and pairs) and a one-row clocked step."""
+
+    def test_output_vectors_and_pattern_detections(self, rung_circuit):
+        net = rung_circuit
+        n = len(net.inputs)
+        engine = NetworkEngine(net)
+        points = check_points(net)[:16]  # keeps the wider nets quick
+        # Pattern 2j is points[j], pattern 2j+1 its complement.
+        mirrored = [q for p in points for q in (p, p ^ ((1 << n) - 1))]
+        faults = edge_faults(net)
+        single = pattern_detections(engine.compiled, points, faults)
+        pairs = pattern_detections(engine.compiled, mirrored, faults, True)
+
+        def outputs(fault):
+            return [
+                reference_outputs(net, point_tuple(n, p), fault)
+                for p in mirrored
+            ]
+
+        good = outputs(None)
+        for fault, got_single, got_pairs in zip(faults, single, pairs):
+            bad = outputs(fault)
+            label = fault.describe()
+            got = engine.pointwise.output_vectors(points, fault)
+            assert got == bad[::2], label
+            assert got_single == sum(
+                1 << j
+                for j, (g, b) in enumerate(zip(good[::2], bad[::2]))
+                if g != b
+            ), label
+            want_pairs = 0
+            for j in range(len(points)):
+                rails = zip(
+                    good[2 * j], good[2 * j + 1], bad[2 * j], bad[2 * j + 1]
+                )
+                if any(g0 != g1 and b0 == b1 for g0, g1, b0, b1 in rails):
+                    want_pairs |= 1 << (2 * j)
+            assert got_pairs == want_pairs, label
+
+    def test_one_row_clocked_step(self, rung_circuit):
+        """Output 0 fed back to input 0 through one flip-flop (where the
+        net has an input), stepped over a few points per fault."""
+        net = rung_circuit
+        n = len(net.inputs)
+        feedback = {}
+        if net.inputs and net.outputs[0] not in net.inputs:
+            feedback = {net.outputs[0]: net.inputs[0]}
+        for fault in [None] + edge_faults(net):
+            circuit = SequentialCircuit(net, feedback)
+            state = 0
+            for point in check_points(net)[:4]:
+                if feedback:
+                    point = point & ~1 | state
+                want = reference_line_values(net, point_tuple(n, point), fault)
+                inputs = {
+                    name: point >> i & 1
+                    for i, name in enumerate(net.inputs)
+                    if name in circuit.external_inputs
+                }
+                assert circuit.step(inputs, fault) == want, (fault, point)
+                state = want[net.outputs[0]] if feedback else 0
 
 
 @pytest.fixture

@@ -12,8 +12,11 @@ import json
 
 import pytest
 
+from repro.engine import NetworkEngine
+from repro.engine.atpg import pattern_detections
+from repro.logic.faults import StuckAt
 from repro.logic.gates import GateKind
-from repro.logic.network import NetworkBuilder
+from repro.logic.network import Gate, Network, NetworkBuilder
 from repro.qa import (
     PROPERTIES,
     Case,
@@ -28,6 +31,7 @@ from repro.qa import (
     trial_rng,
 )
 from repro.qa.chaos import bug_names, inject
+from repro.seq.simulator import SequentialCircuit
 
 EXPECTED_PROPERTIES = {
     "algorithm31-oracle-agreement",
@@ -237,10 +241,43 @@ def test_pointwise_chaos_bug_caught():
         budget=20,
         properties=["backend-agreement"],
         artifact_dir=None,
-        chaos_bug="nor-as-or-pointwise",
+        chaos_bug="nor-as-or",
         shrink=False,
     )
     assert not report.ok
+
+
+def test_every_chaos_bug_reaches_every_caller():
+    """Every bug patches the one interpreter's primitive, so each changes
+    the exhaustive tables, a point query, ATPG pattern simulation and a
+    one-row clocked step of the same net."""
+    net = Network(
+        ["a", "b", "y"],
+        [
+            Gate("n1", GateKind.NAND, ("a", "b")),
+            Gate("n2", GateKind.NOR, ("a", "b")),
+            Gate("n3", GateKind.NOT, ("y",)),
+        ],
+        ["n1", "n2", "n3"],
+    )
+    faults = [StuckAt(line, 0) for line in ("n1", "n2", "n3")]
+
+    def observe():
+        engine = NetworkEngine(net)
+        circuit = SequentialCircuit(net, {"n3": "y"})
+        return {
+            "bitmask": engine.bitmask.output_bits(),
+            "pointwise": engine.pointwise.output_values((0, 0, 0)),
+            "atpg": pattern_detections(engine.compiled, range(8), faults),
+            "step": circuit.step({"a": 0, "b": 0}),
+        }
+
+    healthy = observe()
+    for name in bug_names():
+        with inject(name):
+            broken = observe()
+        for caller, value in healthy.items():
+            assert broken[caller] != value, (name, caller)
 
 
 def test_clocked_campaign_chaos_bug_caught():
