@@ -1,4 +1,4 @@
-"""E-ATPG — engine-accelerated fault-dropping PODEM vs scalar PODEM.
+"""E-ATPG — the fault-dropping ATPG driver vs scalar PODEM.
 
 Two records.  ``atpg_podem`` validates the scalar structural route
 against the exhaustive Theorem 3.2 classification on small networks
@@ -26,12 +26,15 @@ iterative arrays) — it requires
   target redundant from the exhaustive tables before any search, so a
   redundant fault the scalar loop aborts on reads ``redundant`` there
   (no circuit of this workload has one);
-* speed: fault dropping beats ``run_atpg(drop=False)`` — the same
-  PODEM search over the same universe, one search per fault — by at
-  least ``MIN_ATPG_SPEEDUP`` overall, with or without NumPy (pattern
-  simulation is pure big-int Python either way).  Each circuit's two
-  modes run interleaved ``SPEED_ROUNDS`` times and each keeps its
-  fastest run, so a noisy neighbour slows both sides alike.
+* speed: fault dropping beats ``run_atpg(drop=False)`` — one PODEM
+  search per fault over the same universe — by at least
+  ``MIN_ATPG_SPEEDUP`` overall.  Up to ``UNTILED_MAX_INPUTS`` inputs
+  (the seed circuits, adder4 and adder8) the dropping run reads its
+  tests off the exhaustive tables and searches nothing; above it
+  (adder10/12, array10/11) it runs PODEM with candidate completions
+  and pattern simulation.  Each circuit's two modes run interleaved
+  ``SPEED_ROUNDS`` times and each keeps its fastest run, so a noisy
+  neighbour slows both sides alike.
 
 The count metrics land in ``BENCH_atpg.json`` where ``--check`` compares
 them exactly; the ``*_seconds``/``*_speedup`` keys ride along as

@@ -4,7 +4,7 @@ Point the thesis's machinery at any ``.bench`` netlist:
 
 * ``analyze``   — Algorithm 3.1 + the exhaustive oracle;
 * ``testgen``   — Theorem 3.2 alternating test pairs (truth-table route
-  for narrow networks, PODEM for wide ones);
+  for narrow networks, the ``pairs``-mode ATPG driver for wide ones);
 * ``repair``    — automatic self-checking repair (Figure 3.7 style);
 * ``minority``  — convert a NAND/NOR netlist to minority modules;
 * ``dot``       — Graphviz export with the failing lines highlighted;
@@ -13,9 +13,10 @@ Point the thesis's machinery at any ``.bench`` netlist:
   stem-region sweep, tiled over input pairs on wide nets) under the
   supervised runtime (``--timeout``, ``--checkpoint``/``--resume``,
   ``--report``);
-* ``atpg``      — fault-dropping PODEM campaign: guided search per
-  target, batched candidate completions simulated against the whole
-  remaining fault universe, reverse-greedy compaction
+* ``atpg``      — fault-dropping ATPG campaign: test sets read from the
+  exhaustive tables up to 20 inputs, above that a guided PODEM search
+  per target with batched candidate completions simulated against the
+  whole remaining fault universe; reverse-greedy compaction
   (``--no-collapse``/``--no-drop``/``--no-compact``/``--report``);
 * ``synth``     — population-based synthesis/repair campaign evolving a
   gate network toward self-duality + self-checking (``--spec NAME`` or
@@ -47,7 +48,6 @@ import sys
 from typing import List, Optional
 
 from .core.analysis import analyze_network, lines_needing_multi_output
-from .core.atpg import Podem
 from .core.design import make_self_checking
 from .core.report import fault_table, render_fault_table, undetected_faults
 from .core.simulate import ScalSimulator
@@ -143,17 +143,19 @@ def cmd_testgen(args: argparse.Namespace) -> int:
             else:
                 print(f"{line} s/{value}: UNTESTABLE")
         return 0
-    podem = Podem(network)
-    failures = 0
-    for line in network.lines():
-        for value in (0, 1):
-            pair = podem.generate_alternating_test(StuckAt(line, value))
-            if pair is None:
-                print(f"{line} s/{value}: no alternating test found")
-                failures += 1
-            else:
-                print(f"{line} s/{value}: pair anchored at {pair[0]:#x}")
-    return 0 if failures == 0 else 1
+    from .engine.atpg import run_atpg
+
+    faults = [StuckAt(line, v) for line in network.lines() for v in (0, 1)]
+    report = run_atpg(network, faults, pairs=True)
+    for fault in faults:
+        name = fault.describe()
+        index = report.detected_by.get(name)
+        if index is not None:
+            print(f"{name}: pair anchored at {report.patterns[index]:#x}")
+        else:
+            redundant = report.classifications[name] == "redundant"
+            print(f"{name}: {'UNTESTABLE' if redundant else 'no test found'}")
+    return 0 if report.aborted == 0 else 1
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None,
                    help="restrict to one output (truth-table route)")
     p.add_argument("--structural", action="store_true",
-                   help="force the PODEM route")
+                   help="force the pairs-mode ATPG route")
     p.set_defaults(func=cmd_testgen)
 
     p = sub.add_parser("repair", help="make the network self-checking")
@@ -552,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "atpg",
-        help="fault-dropping PODEM campaign (compacted test sets)",
+        help="fault-dropping ATPG campaign (compacted test sets)",
     )
     p.add_argument("netlist")
     p.add_argument("--candidates", type=int, default=8,

@@ -9,7 +9,7 @@
 * :mod:`repro.core.report` — Figure 3.6-style fault tables.
 """
 
-from .atpg import Podem, structural_test_summary
+from .atpg import Podem
 from .collapse import CollapseReport, collapse_faults, equivalence_collapse
 from .diagnosis import FaultDictionary, adaptive_probe, build_fault_dictionary, simulate_faulty_unit
 from .design import (
@@ -85,7 +85,6 @@ __all__ = [
     "Podem",
     "collapse_faults",
     "equivalence_collapse",
-    "structural_test_summary",
     "Condition",
     "RepairReport",
     "RepairStep",

@@ -41,15 +41,9 @@ whole-network scan would, so they pick what a whole-network scan picks.
 :meth:`Podem.generate_test_ex` distinguishes the three search outcomes
 (``test`` / ``redundant`` / ``aborted``) and accepts a wall-clock
 deadline, which is what the fault-dropping campaign driver in
-:mod:`repro.engine.atpg` builds on; :meth:`Podem.generate_test` keeps
-the legacy ``assignment | None`` surface.
-
-On top of the classic single-vector test, :func:`generate_alternating_test`
-produces SCAL test *pairs*: a vector X such that the fault flips the
-output at X but not at X̄ — then the pair (X, X̄) yields a nonalternating
-output, which is what the alternating checker can see.  (A vector that
-flips the output in *both* periods is precisely the incorrect
-alternation of Theorem 3.1 and useless as a test.)
+:mod:`repro.engine.atpg` builds on (in its ``pairs`` mode too, for SCAL
+test pairs); :meth:`Podem.generate_test` keeps the legacy
+``assignment | None`` surface.
 
 Validated against the exhaustive truth-table generator on every small
 network in the test suite.
@@ -542,75 +536,3 @@ class Podem:
         """A primary-input assignment detecting ``fault`` (single-vector
         sense), or ``None`` when the budgeted search finds no test."""
         return self.generate_test_ex(fault).test
-
-    def generate_alternating_test(
-        self, fault: Fault, attempts: int = 8
-    ) -> Optional[Tuple[int, int]]:
-        """A SCAL test pair (X, X̄): the fault flips the output at exactly
-        one of the two periods (→ nonalternating pair)."""
-        from ..logic.evaluate import outputs_with_fault
-
-        test = self.generate_test(fault)
-        if test is None:
-            return None
-        candidates = [test]
-        # Vary the free variables a little for more completion choices.
-        for k in range(attempts - 1):
-            flipped = dict(test)
-            names = list(self.network.inputs)
-            flipped[names[k % len(names)]] ^= 1
-            candidates.append(flipped)
-        for candidate in candidates:
-            point = sum(
-                (candidate[name] & 1) << i
-                for i, name in enumerate(self.network.inputs)
-            )
-            comp = {name: 1 - v for name, v in candidate.items()}
-            good_x = outputs_with_fault(self.network, candidate)
-            bad_x = outputs_with_fault(self.network, candidate, fault)
-            good_xb = outputs_with_fault(self.network, comp)
-            bad_xb = outputs_with_fault(self.network, comp, fault)
-            flips_x = good_x != bad_x
-            flips_xb = good_xb != bad_xb
-            if flips_x != flips_xb:  # exactly one period flips
-                full = (1 << len(self.network.inputs)) - 1
-                return (point, point ^ full)
-        return None
-
-
-def structural_test_summary(
-    network: Network,
-    faults: Optional[Sequence[Fault]] = None,
-    collapse: bool = False,
-) -> Dict[str, int]:
-    """Batch PODEM over a fault list; counts tested/untested faults.
-
-    With ``collapse=True`` the universe is one representative stem fault
-    per structural equivalence class, sorted by ``(line, value)`` — the
-    counts are then independent of enumeration order and representative
-    choice (equivalent faults are equi-testable).  ``untested`` splits
-    into ``redundant`` (proved untestable) and ``aborted`` (budget hit).
-    """
-    from .collapse import sorted_stem_universe
-
-    podem = Podem(network)
-    if faults is not None:
-        universe: List[Fault] = list(faults)
-    else:
-        universe = sorted_stem_universe(network, collapse)
-    tested = redundant = aborted = 0
-    for fault in universe:
-        result = podem.generate_test_ex(fault)
-        if result.status == "test":
-            tested += 1
-        elif result.status == "redundant":
-            redundant += 1
-        else:
-            aborted += 1
-    return {
-        "faults": len(universe),
-        "tested": tested,
-        "untested": redundant + aborted,
-        "redundant": redundant,
-        "aborted": aborted,
-    }

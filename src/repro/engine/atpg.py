@@ -1,49 +1,35 @@
-"""Fault-dropping ATPG campaigns: guided PODEM + fault-parallel drops.
+"""Fault-dropping ATPG campaigns: tests from the exhaustive tables, or
+guided PODEM plus fault-parallel drops.
 
-The scalar :class:`~repro.core.atpg.Podem` answers one fault at a time;
-fault-parallel pattern simulation checks a pattern against a whole
-fault universe per pass.  This driver fuses them into the classic
-fault-dropping loop:
+Up to :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs a fault's
+test set is a mask the engine reads off its tables
+(:meth:`~repro.engine.backends.BitmaskBackend.detection_mask`): the
+points where some output changes or, in ``pairs`` mode, the pairs
+``(X, X̄)`` on which some output alternates fault-free and not under the
+fault (Theorem 3.2, ``A ∨ B``).  A dropping run compacts on the masks
+alone: the first remaining fault is the **target**; its mask is
+**narrowed** by each remaining fault's mask whenever the two still share
+a point; the lowest point left is kept as a pattern (the pair's anchor
+``X``) and every fault it detects is **dropped**.  An empty mask proves
+the target ``redundant`` under the mode's test condition.
 
-1. **Target** the first remaining collapsed fault.  Up to
-   :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs the
-   exhaustive tables answer first: a target whose faulty output tables
-   equal the fault-free ones changes no output at any input point, so
-   it is ``redundant`` without a search.  Every other target gets a
-   budgeted PODEM search (guided by the SCOAP-weighted backtrace in
-   ``core/atpg``); wider nets build no whole table and search every
-   target.
-2. **Complete** the returned partial assignment several ways — PODEM
-   only decides the inputs the search needed, so the free inputs are a
-   candidate space; each completion detects the target but drops a
-   different slice of the rest of the universe.
-3. **Simulate** every candidate against the *entire remaining* fault
-   universe in one fault-parallel pass (:func:`pattern_detections`:
-   bit ``f*P + p`` of every line is fault ``f`` under candidate
-   pattern ``p``).
-4. **Drop** everything the best candidate detects and keep that pattern;
-   redundant targets (from the tables or from PODEM) and aborted ones
-   are classified and removed directly.  A target the tables prove
-   redundant never aborts, even where PODEM's backtrack budget or
-   deadline would have run out.
+Above the cut no whole table is built.  Each target gets a budgeted
+PODEM search (SCOAP-guided, ``core/atpg``); the returned partial
+assignment is **completed** several ways, and every candidate is
+**simulated** against the *entire remaining* universe in one
+fault-parallel pass of the engine's one interpreter
+(:func:`pattern_detections`: bit ``f*P + p`` of every line is fault
+``f`` under pattern ``p``); everything the best candidate detects is
+dropped.  ``drop=False`` is the one-search-per-fault reference at any
+width, except that up to the cut a target whose output tables equal the
+fault-free ones is ``redundant`` without a search.
 
-A final reverse-greedy **compaction** pass re-simulates the kept
-patterns against the detected set and discards every pattern whose
-coverage is subsumed — conservation is machine-checked by the
-``atpg-compaction-conservation`` QA property.
-
-Pattern simulation is one big-int pass of the engine's one
-interpreter (:func:`~repro.engine.backends.run_ops`), so it needs no
-NumPy and has no fallback rungs; per-target deadlines reuse
-``generate_test_ex``'s monotonic-deadline seam, and the whole run
-is instrumented through :mod:`repro.obs` (``atpg.target`` spans whose
-``via`` says ``table`` or ``podem``, ``atpg.chunk`` spans, drop
-counters, a closing ``atpg.report`` event).
-
-In ``pairs`` mode every candidate is an alternating pair ``(X, X̄)``
-simulated as two adjacent pattern bits; a fault is dropped only when the
-good pair alternates and the faulty pair does not — Theorem 3.2's test
-condition, so the kept schedule is directly a SCAL test sequence.
+Either way a reverse-greedy **compaction** pass discards every kept
+pattern whose coverage is subsumed (machine-checked by the
+``atpg-compaction-conservation`` QA property).  The run is instrumented
+through :mod:`repro.obs`: ``atpg.target`` spans whose ``via`` says
+``table`` or ``podem``, ``atpg.chunk`` spans around mask building and
+pattern simulation, drop counters and a closing ``atpg.report`` event.
 """
 
 from __future__ import annotations
@@ -68,7 +54,7 @@ _M_TARGETS = _REG.counter(
 )
 _M_DROPPED = _REG.counter(
     "repro_atpg_dropped_total",
-    "Faults dropped by pattern simulation without their own PODEM run",
+    "Faults detected without being a target themselves",
 )
 _M_PATTERNS = _REG.counter(
     "repro_atpg_patterns_total", "ATPG patterns, by stage (generated/kept)"
@@ -92,6 +78,11 @@ class AtpgReport:
     fault to the index (into ``patterns``) of the kept pattern that
     detects it.  In ``pairs`` mode each entry of ``patterns`` is the
     anchor ``X`` of an alternating pair ``(X, X̄)``.
+
+    ``redundant`` means no test under the mode's test condition, so in
+    ``pairs`` mode a fault can be detected singly yet have no detecting
+    pair.  ``aborted`` means a PODEM budget or deadline stop (or, in a
+    ``pairs`` search, a vector that forms no detecting pair).
     """
 
     circuit: str
@@ -128,7 +119,7 @@ class AtpgReport:
             f"  {self.patterns_kept} {kind} kept "
             f"(of {self.patterns_generated} generated), "
             f"{self.targets} targets, {self.dropped} dropped "
-            f"without a search, "
+            f"without being targeted, "
             f"{self.candidates_evaluated} candidates simulated",
             f"  {self.wall_seconds:.3f}s wall",
         ]
@@ -254,15 +245,122 @@ def _detected_candidates(mask: int, n_candidates: int, pairs: bool) -> set:
     return {j for j in range(n_candidates) if (mask >> (step * j)) & 1}
 
 
-def _table_redundant(tables, normal: Tuple[int, ...], fault: Fault) -> bool:
-    """Whether ``fault`` leaves every output table unchanged, so no
-    input point detects it (Theorem 3.4's observability condition).  A
-    fault whose site is not in the net resolves to no force at all and
-    is left to PODEM, which refuses it."""
-    forcing = tables.compiled.fault_plan(fault).forcing
-    return bool(forcing.lines or forcing.pins) and (
-        tables.output_bits(fault) == normal
-    )
+def _has_site(compiled: CompiledNetwork, fault: Fault) -> bool:
+    """Whether ``fault`` forces anything in the net (else it is refused)."""
+    forcing = compiled.fault_plan(fault).forcing
+    return bool(forcing.lines or forcing.pins)
+
+
+def _table_tests(tables, universe: List[Fault], pairs: bool):
+    """``(step, cover)`` over every fault's test set from the exhaustive
+    tables (:meth:`~repro.engine.backends.BitmaskBackend.detection_mask`).
+    ``step(remaining)`` returns ``(status, via, pattern or None, detected,
+    candidates simulated)``: it narrows the target's mask by each
+    remaining fault's whenever the two still share a point, and the
+    lowest point left detects all of them; an empty mask proves
+    redundancy."""
+    compiled = tables.compiled
+    with obs.span(
+        "atpg.chunk", patterns=1 << compiled.n_inputs, faults=len(universe)
+    ):
+        masks = [tables.detection_mask(fault, pairs) for fault in universe]
+
+    def step(remaining: List[int]):
+        test = masks[remaining[0]]
+        if not test:
+            if not _has_site(compiled, universe[remaining[0]]):
+                raise KeyError(universe[remaining[0]].describe())
+            return "redundant", "table", None, (), 0
+        for i in remaining:
+            shared = test & masks[i]
+            if shared:
+                test = shared
+        bit = test & -test
+        detected = [i for i in remaining if masks[i] & bit]
+        return "test", "table", bit.bit_length() - 1, detected, 0
+
+    def cover(patterns: List[int], detected: List[int]) -> List[set]:
+        bits = [1 << p for p in patterns]
+        return [
+            {j for j, bit in enumerate(bits) if masks[i] & bit}
+            for i in detected
+        ]
+
+    return step, cover
+
+
+def _search_tests(
+    network: Network, compiled: CompiledNetwork, universe: List[Fault],
+    tables, *, drop: bool, candidates: int, pairs: bool,
+    target_timeout: Optional[float], max_backtracks: int, seed: int,
+):
+    """``(step, cover)`` of the PODEM loop: a budgeted search per
+    target, its completions simulated against the remaining universe.
+    With ``tables`` (``drop=False`` up to the cut) a target whose output
+    tables equal the fault-free ones is redundant without a search."""
+    input_names = list(network.inputs)
+    full_point = (1 << len(input_names)) - 1
+    podem = Podem(network, max_backtracks=max_backtracks)
+    rng = random.Random(f"atpg:{seed}")
+    normal = tables.output_bits() if tables is not None else None
+
+    def simulate(points: Sequence[int], faults: List[int]) -> List[int]:
+        if pairs:
+            points = [q for p in points for q in (p, p ^ full_point)]
+        return pattern_detections(
+            compiled, points, [universe[i] for i in faults], pairs
+        )
+
+    def step(remaining: List[int]):
+        target = universe[remaining[0]]
+        if (
+            tables is not None
+            and _has_site(compiled, target)
+            and tables.output_bits(target) == normal
+        ):
+            return "redundant", "table", None, (), 0
+        deadline = (
+            time.monotonic() + target_timeout if target_timeout else None
+        )
+        result = podem.generate_test_ex(target, deadline)
+        if result.status != "test":
+            return result.status, "podem", None, (), 0
+        cands = _candidate_patterns(result, input_names, candidates, rng)
+        if not drop:
+            # Candidate completions only buy extra drops; without
+            # dropping, keep the zero-fill (scalar) completion and
+            # charge it against the target alone.
+            cands, remaining = cands[:1], remaining[:1]
+        detects = [
+            _detected_candidates(mask, len(cands), pairs)
+            for mask in simulate(cands, remaining)
+        ]
+        # Best candidate: must detect the target (index 0 in
+        # `remaining`), then maximal drop count; ties break to the
+        # lowest candidate index (candidate 0 == the scalar test).
+        counts = [0] * len(cands)
+        for d in detects:
+            for j in d:
+                counts[j] += 1
+        best, best_count = None, -1
+        for j in range(len(cands)):
+            if j in detects[0] and counts[j] > best_count:
+                best, best_count = j, counts[j]
+        if best is None:
+            # Simulation contradicts PODEM's claim (in pairs mode: its
+            # vector forms no detecting pair); classify conservatively.
+            obs.event("atpg.anomaly", fault=target.describe())
+            return "test", "podem", None, (), len(cands)
+        detected = [i for i, d in zip(remaining, detects) if best in d]
+        return "test", "podem", cands[best], detected, len(cands)
+
+    def cover(patterns: List[int], detected: List[int]) -> List[set]:
+        return [
+            _detected_candidates(mask, len(patterns), pairs)
+            for mask in simulate(patterns, detected)
+        ]
+
+    return step, cover
 
 
 def run_atpg(
@@ -285,11 +383,14 @@ def run_atpg(
     representatives, or all stem faults with ``collapse=False``);
     repeats are dropped, keeping first occurrences in order.
     ``drop=False`` disables fault dropping (every fault is its own
-    target and a testable one keeps the scalar zero-fill completion —
-    the scalar-parity reference mode), ``compact=False`` keeps every
-    generated pattern.  ``candidates`` bounds the completion
-    batch per target; ``pairs`` generates alternating SCAL pairs.
-    ``target_timeout`` is a per-target PODEM deadline in seconds.
+    PODEM target and a testable one keeps the scalar zero-fill
+    completion — the scalar-parity reference mode), ``compact=False``
+    keeps every generated pattern.  ``pairs`` generates alternating
+    SCAL pairs.  Up to :data:`~repro.engine.backends.UNTILED_MAX_INPUTS`
+    inputs a dropping run takes its tests from the exhaustive tables
+    and searches nothing; above it ``candidates`` bounds the completion
+    batch per target and ``target_timeout`` is a per-target PODEM
+    deadline in seconds.
     """
     from . import engine_for
 
@@ -306,147 +407,78 @@ def run_atpg(
         else sorted_stem_universe(network, collapse)
     )
 
-    input_names = list(network.inputs)
-    full_point = (1 << len(input_names)) - 1
-    podem = Podem(network, max_backtracks=max_backtracks)
-    rng = random.Random(f"atpg:{seed}")
-
     t_start = time.monotonic()
-    # Up to the whole-table cut the exhaustive tables decide redundancy
-    # outright; wider nets build no whole table and leave it to PODEM.
+    # Up to the whole-table cut the exhaustive tables hold every test
+    # set; wider nets build no whole table and leave it to PODEM.
     tables = (
         engine.bitmask if compiled.n_inputs <= UNTILED_MAX_INPUTS else None
     )
-    normal = tables.output_bits() if tables is not None else None
-    remaining = list(universe)
-    classifications: Dict[Fault, str] = {}
-    pattern_of: Dict[Fault, int] = {}
+    if drop and tables is not None:
+        step, cover = _table_tests(tables, universe, pairs)
+    else:
+        step, cover = _search_tests(
+            network, compiled, universe, tables,
+            drop=drop, candidates=candidates, pairs=pairs,
+            target_timeout=target_timeout, max_backtracks=max_backtracks,
+            seed=seed,
+        )
+    statuses: List[Optional[str]] = [None] * len(universe)
+    pattern_of: Dict[int, int] = {}
     patterns: List[int] = []
-    targets = 0
-    dropped = 0
     candidates_evaluated = 0
-
+    remaining = list(range(len(universe)))
     while remaining:
         target = remaining[0]
-        with obs.span("atpg.target", fault=target.describe()) as span:
-            targets += 1
-            if tables is not None and _table_redundant(
-                tables, normal, target
-            ):
-                status, via = "redundant", "table"
-            else:
-                deadline = (
-                    time.monotonic() + target_timeout
-                    if target_timeout
-                    else None
-                )
-                result = podem.generate_test_ex(target, deadline)
-                status, via = result.status, "podem"
+        fault = universe[target]
+        with obs.span("atpg.target", fault=fault.describe()) as span:
+            status, via, pattern, detected, n_cands = step(remaining)
             span.set(status=status, via=via)
-            if _REG.enabled:
-                _M_TARGETS.inc(1, status=status)
-            if status != "test":
-                classifications[target] = status
-                remaining.pop(0)
-                continue
-            cands = _candidate_patterns(result, input_names, candidates, rng)
-            if not drop:
-                # Candidate completions only buy extra drops; without
-                # dropping, keep the zero-fill (scalar) completion and
-                # charge it against the target alone.
-                cands = cands[:1]
-            if pairs:
-                sim_patterns: List[int] = []
-                for c in cands:
-                    sim_patterns.extend((c, c ^ full_point))
-            else:
-                sim_patterns = cands
-            masks = pattern_detections(
-                compiled, sim_patterns, remaining if drop else remaining[:1],
-                pairs,
-            )
-            candidates_evaluated += len(cands)
-            detects = [
-                _detected_candidates(mask, len(cands), pairs)
-                for mask in masks
-            ]
-            # Best candidate: must detect the target (index 0 in
-            # `remaining`), then maximal drop count; ties break to the
-            # lowest candidate index (candidate 0 == the scalar test).
-            counts = [0] * len(cands)
-            for d in detects:
-                for j in d:
-                    counts[j] += 1
-            best, best_count = None, -1
-            for j in range(len(cands)):
-                if j in detects[0] and counts[j] > best_count:
-                    best, best_count = j, counts[j]
-            if best is None:
-                # The simulated response contradicts PODEM's detection
-                # claim — never expected; classify conservatively rather
-                # than drop a fault pattern simulation cannot confirm.
-                obs.event("atpg.anomaly", fault=target.describe())
-                classifications[target] = "aborted"
-                remaining.pop(0)
-                continue
-            index = len(patterns)
-            patterns.append(cands[best])
-            to_drop = (
-                {fi for fi, d in enumerate(detects) if best in d}
-                if drop
-                else {0}
-            )
-            for fi in to_drop:
-                classifications[remaining[fi]] = "detected"
-                pattern_of[remaining[fi]] = index
-            dropped += len(to_drop) - 1
-            remaining = [
-                f for fi, f in enumerate(remaining) if fi not in to_drop
-            ]
-
+        if _REG.enabled:
+            _M_TARGETS.inc(1, status=status)
+        candidates_evaluated += n_cands
+        if pattern is None:  # a PODEM "test" here is an anomaly
+            statuses[target] = "aborted" if status == "test" else status
+            remaining.pop(0)
+            continue
+        for i in detected:
+            statuses[i] = "detected"
+            pattern_of[i] = len(patterns)
+        patterns.append(pattern)
+        remaining = [i for i in remaining if statuses[i] is None]
     patterns_generated = len(patterns)
 
-    detected_faults = [
-        f for f in universe if classifications.get(f) == "detected"
-    ]
-    if compact and len(patterns) > 1 and detected_faults:
-        if pairs:
-            sim_patterns = []
-            for p in patterns:
-                sim_patterns.extend((p, p ^ full_point))
-        else:
-            sim_patterns = list(patterns)
-        cover = [
-            _detected_candidates(mask, len(patterns), pairs)
-            for mask in pattern_detections(
-                compiled, sim_patterns, detected_faults, pairs
-            )
-        ]
-        if all(cover):
+    if compact and len(patterns) > 1 and pattern_of:
+        covered = sorted(pattern_of)
+        cover_sets = cover(patterns, covered)
+        if all(cover_sets):
             kept = set(range(len(patterns)))
             # Reverse-greedy: later patterns were generated for the
             # rarely-detected tail, so try discarding early, broadly
             # subsumed ones first.
             for j in range(len(patterns)):
-                if all(j not in c or len(c & kept) > 1 for c in cover):
+                if all(j not in c or len(c & kept) > 1 for c in cover_sets):
                     kept.discard(j)
             order = sorted(kept)
             remap = {old: new for new, old in enumerate(order)}
             patterns = [patterns[j] for j in order]
-            for fault, c in zip(detected_faults, cover):
-                pattern_of[fault] = remap[min(c & kept)]
+            for i, c in zip(covered, cover_sets):
+                pattern_of[i] = remap[min(c & kept)]
         else:
             obs.event("atpg.anomaly", reason="uncovered detected fault")
 
     wall = time.monotonic() - t_start
-    detected = sum(1 for s in classifications.values() if s == "detected")
-    redundant = sum(1 for s in classifications.values() if s == "redundant")
-    aborted = sum(1 for s in classifications.values() if s == "aborted")
+    detected = len(pattern_of)
+    redundant = statuses.count("redundant")
+    aborted = len(universe) - detected - redundant
+    # Each generated pattern is one target's; every other detected fault
+    # was dropped without being a target.
+    dropped = detected - patterns_generated
     if _REG.enabled:
         _M_DROPPED.inc(dropped)
         _M_PATTERNS.inc(patterns_generated, stage="generated")
         _M_PATTERNS.inc(len(patterns), stage="kept")
         _M_CANDIDATES.inc(candidates_evaluated)
+    names = [fault.describe() for fault in universe]
     report = AtpgReport(
         circuit=network.name,
         pairs=pairs,
@@ -455,20 +487,14 @@ def run_atpg(
         redundant=redundant,
         aborted=aborted,
         dropped=dropped,
-        targets=targets,
+        targets=patterns_generated + redundant + aborted,
         patterns_generated=patterns_generated,
         patterns_kept=len(patterns),
         candidates_evaluated=candidates_evaluated,
         wall_seconds=wall,
         patterns=tuple(patterns),
-        classifications={
-            f.describe(): classifications[f] for f in universe
-        },
-        detected_by={
-            f.describe(): pattern_of[f]
-            for f in universe
-            if f in pattern_of
-        },
+        classifications=dict(zip(names, statuses)),
+        detected_by={names[i]: pattern_of[i] for i in sorted(pattern_of)},
     )
     obs.event(
         "atpg.report",

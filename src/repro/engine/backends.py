@@ -31,7 +31,9 @@ a point query is one pass of its own.
   :meth:`~repro.engine.compiled.CompiledNetwork.fault_plan` path:
   copy the baseline, re-evaluate only the fault's output cone); a
   ``cone=True`` sweep takes it for every fault, which is the
-  reference the stem-region path is checked against.
+  reference the stem-region path is checked against.  ATPG reads each
+  fault's test set off the same root flips
+  (:meth:`~BitmaskBackend.detection_mask`).
 * :class:`PointQueries` — explicit input points (for spaces too wide to
   enumerate): one point is a one-row pass, a point list one packed pass
   with a row per point.
@@ -512,12 +514,13 @@ class BitmaskBackend:
         return lo | reverse_bits(hi, self._width - 1) << self._half
 
     def _root_flip(self, root: int) -> Tuple:
-        """``(deltas, detected, all_alternate)`` of complementing ``root``
-        everywhere: ``deltas`` holds ``(k, lo, hi, alternates)`` of each
-        output ``k`` whose table changes — the :meth:`_halves` of its
-        delta and its pair alternation mask — and the other two fold the
-        outputs it leaves alone into pair masks.  One simulation of the
-        root's output cone, on first use."""
+        """``(deltas, detected, all_alternate, changed)`` of complementing
+        ``root`` everywhere: ``deltas`` holds ``(k, lo, hi, alternates)``
+        of each output ``k`` whose table changes — the :meth:`_halves` of
+        its delta and its pair alternation mask — the next two fold the
+        outputs it leaves alone into pair masks, and ``changed`` is the
+        points where some output changes.  One simulation of the root's
+        output cone, on first use."""
         flip = self._flips.get(root)
         if flip is not None:
             return flip
@@ -531,7 +534,7 @@ class BitmaskBackend:
         self._count_ops(len(cone))
         low = self._low
         deltas = []
-        detected = 0
+        detected = changed = 0
         all_alternate = low
         for k, (idx, alternates) in enumerate(
             zip(comp.out_idx, self.normals()[1])
@@ -540,10 +543,11 @@ class BitmaskBackend:
             delta = values[idx] ^ baseline[idx]
             if delta:
                 deltas.append((k, *self._halves(delta), alternates))
+                changed |= delta
             else:
                 detected |= alternates ^ low
                 all_alternate &= alternates
-        flip = (tuple(deltas), detected, all_alternate)
+        flip = (tuple(deltas), detected, all_alternate, changed)
         self._flips[root] = flip
         return flip
 
@@ -552,7 +556,7 @@ class BitmaskBackend:
         pairs: output ``k`` alternates on pair ``p`` unless exactly one
         of its two points flips, ``alt ^ e_lo ^ e_hi`` with ``e = D & m``
         split by :meth:`_halves` — one reversal, of ``m``, per fault."""
-        deltas, detected, all_alternate = self._root_flip(root)
+        deltas, detected, all_alternate, _changed = self._root_flip(root)
         if not deltas:
             return 0, detected, 0
         low = self._low
@@ -566,6 +570,33 @@ class BitmaskBackend:
             detected |= alternates ^ low
             all_alternate &= alternates
         return affected, detected, affected & all_alternate
+
+    def detection_mask(self, fault: FaultLike, pairs: bool = False) -> int:
+        """A fault's test set: bit ``p`` for each point ``p`` where some
+        output changes or, in ``pairs`` mode, bit ``p < H`` for each pair
+        ``(p, ~p)`` on which some output alternates fault-free and not
+        under the fault (Theorem 3.2's nonalternating output).  A
+        single-site fault reads its root flip, ``(D & m)`` per output;
+        any other fault its cone plan's output tables."""
+        site = self._single_site(fault)
+        if site is None:
+            mask, outs = 0, self.output_bits(fault)
+            for good, alt, bad in zip(*self.normals(), outs):
+                if pairs:  # the good pairs that alternate, the bad don't
+                    bad ^= reverse_bits(bad, self._width)
+                    good, bad = alt, alt & bad
+                mask |= good ^ bad
+            return mask & self._low if pairs else mask
+        root, m = site
+        deltas, _detected, _all_alternate, changed = self._root_flip(root)
+        if not pairs:
+            return m & changed
+        # Pair p stops alternating where exactly one of its points flips.
+        m_lo, m_hi = self._halves(m)
+        mask = 0
+        for _k, delta_lo, delta_hi, alternates in deltas:
+            mask |= alternates & ((delta_lo & m_lo) ^ (delta_hi & m_hi))
+        return mask
 
     def region_output_bits(
         self, fault: FaultLike

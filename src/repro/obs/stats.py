@@ -261,7 +261,7 @@ def render(summary: dict) -> str:
     if targets.get("targets"):
         lines.append(
             f"atpg targets: {targets['targets']} "
-            f"({targets['table']} redundant by the tables, "
+            f"({targets['table']} decided by the tables, "
             f"{targets['podem']} PODEM searches), "
             f"{targets['wall']:.3f}s wall"
         )

@@ -26,8 +26,9 @@ around.  The registered invariants:
   faults the exhaustive Definition-2.4 oracle finds fault-insecure.
 * ``atpg-detects`` — PODEM is sound (every generated test detects its
   target fault per the reference interpreter) and, on these small
-  networks, complete (testable faults get tests); alternating pairs it
-  emits really produce a nonalternating output pair (Theorem 3.2).
+  networks, complete (testable faults get tests); on self-dual networks
+  the pair ``(X, X̄)`` the ``pairs``-mode driver credits each detected
+  fault really produces a nonalternating output pair (Theorem 3.2).
 * ``collapse-verdict`` — every structural equivalence class of faults is
   status-uniform under the sweep, so the ``collapse=True`` campaign
   default preserves verdicts.
@@ -49,7 +50,9 @@ around.  The registered invariants:
   (and the naive reference interpreter) for the single pattern the
   report credits it to, every fault it classifies as redundant leaves
   the reference interpreter's output tables unchanged, and
-  classification counts must tile the universe.
+  classification counts must tile the universe; in ``pairs`` mode each
+  detected fault's credited pair detects it and each redundant fault
+  has no detecting pair, per the reference interpreter.
 * ``atpg-compaction-conservation`` — the compacted test set detects
   exactly the faults the full per-fault (no-drop, no-compact) set
   detects, both by the reports' own claims and by re-simulating each
@@ -76,7 +79,7 @@ from ..core.atpg import Podem
 from ..core.collapse import equivalence_collapse, sorted_stem_universe
 from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
-from ..engine.atpg import pattern_detections
+from ..engine.atpg import pattern_detections, run_atpg
 from ..engine.backends import table_response
 from ..engine.compiled import RowForcing
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
@@ -420,21 +423,39 @@ def _check_atpg(case: Case) -> Optional[str]:
                 f"PODEM claims a test for the untestable fault "
                 f"{fault.describe()}"
             )
-        if not self_dual:
-            continue
-        pair = podem.generate_alternating_test(fault)
-        if pair is not None:
-            x, xbar = pair
-            if x ^ xbar != (1 << n) - 1:
-                return f"alternating pair {pair} is not an (X, X̄) pair"
-            bad_x = reference_outputs(net, point_tuple(n, x), fault)
-            bad_xb = reference_outputs(net, point_tuple(n, xbar), fault)
-            if all(b == 1 - a for a, b in zip(bad_x, bad_xb)):
-                return (
-                    f"alternating pair for {fault.describe()} still "
-                    f"alternates under the fault (undetectable by the "
-                    f"checker)"
-                )
+    if not self_dual:
+        return None
+    return _pair_verdicts_problem(net, list(enumerate_stem_faults(net)))
+
+
+def _pair_detects(net: Network, x: int, fault) -> bool:
+    """Whether the pair ``(X, X̄)`` detects ``fault`` per the reference
+    interpreter: some output alternates fault-free and not under the
+    fault (Theorem 3.2's test condition)."""
+    n = len(net.inputs)
+    points = (point_tuple(n, x), point_tuple(n, x ^ ((1 << n) - 1)))
+    good = [reference_outputs(net, p) for p in points]
+    bad = [reference_outputs(net, p, fault) for p in points]
+    return any(g0 != g1 and b0 == b1 for g0, g1, b0, b1 in zip(*good, *bad))
+
+
+def _pair_verdicts_problem(net: Network, faults, engine=None):
+    """A ``pairs``-mode run, checked on the reference interpreter: it
+    aborts nothing, each detected fault's credited pair detects it, and
+    each redundant fault has no detecting pair at all."""
+    report = run_atpg(net, faults, pairs=True, engine=engine)
+    if report.aborted:
+        return f"pairs-mode run aborted {report.aborted} faults"
+    for fault in faults:
+        name = fault.describe()
+        if report.classifications[name] == "detected":
+            x = report.patterns[report.detected_by[name]]
+            if not _pair_detects(net, x, fault):
+                return f"pair anchored at {x} does not detect {name}"
+        elif any(
+            _pair_detects(net, x, fault) for x in range(1 << len(net.inputs))
+        ):
+            return f"pair-redundant fault {name} has a detecting pair"
     return None
 
 
@@ -760,8 +781,6 @@ def _gen_atpg_engine(rng: random.Random) -> Case:
 
 
 def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
-    from ..engine.atpg import run_atpg
-
     net = case.network
     if net is None:
         return None
@@ -818,7 +837,7 @@ def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
                     f"dropped fault {name} is not detected by pattern "
                     f"{pattern} per the reference interpreter"
                 )
-    return None
+    return _pair_verdicts_problem(net, universe, engine)
 
 
 atpg_drop_soundness = register(
@@ -826,7 +845,9 @@ atpg_drop_soundness = register(
     "every fault the dropping ATPG driver marks detected is confirmed "
     "by pattern simulation and the reference interpreter on the single "
     "pattern credited in the report, and every fault it marks redundant "
-    "leaves the reference interpreter's output tables unchanged",
+    "leaves the reference interpreter's output tables unchanged; in "
+    "pairs mode the credited pairs detect and redundant faults have no "
+    "detecting pair",
 )((_gen_atpg_engine, _check_atpg_drop_soundness))
 
 
@@ -839,8 +860,6 @@ def _detected_set(engine: NetworkEngine, patterns, universe) -> frozenset:
 
 
 def _check_atpg_compaction(case: Case) -> Optional[str]:
-    from ..engine.atpg import run_atpg
-
     net = case.network
     if net is None:
         return None

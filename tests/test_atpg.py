@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.atpg import Podem, structural_test_summary
+from repro.core.atpg import Podem
+from repro.engine.atpg import run_atpg
 from repro.logic.evaluate import line_tables, outputs_with_fault
 from repro.logic.faults import PinStuckAt, StuckAt, enumerate_stem_faults
 from repro.logic.parse import parse_expression
@@ -19,9 +20,9 @@ pytestmark = pytest.mark.atpg
 class TestGenerateTest:
     def test_majority_all_faults_tested(self):
         net = parse_expression("a b | b c | a c", inputs=["a", "b", "c"])
-        summary = structural_test_summary(net)
-        assert summary["untested"] == 0
-        assert summary["tested"] == summary["faults"]
+        report = run_atpg(net, collapse=False, drop=False)
+        assert report.redundant == report.aborted == 0
+        assert report.detected == report.requested
 
     def test_redundant_fault_untestable(self):
         net = parse_expression("a b | a' c | b c", inputs=["a", "b", "c"])
@@ -77,31 +78,42 @@ class TestGenerateTest:
                 podem.generate_test_ex(fault)
 
 
+def pair_verdict(net, fault):
+    """``(status, anchor)`` of ``fault`` from the ``pairs``-mode driver;
+    the anchor ``X`` of its credited pair ``(X, X̄)``, else ``None``."""
+    report = run_atpg(net, [fault], pairs=True)
+    name = fault.describe()
+    index = report.detected_by.get(name)
+    anchor = None if index is None else report.patterns[index]
+    return report.classifications[name], anchor
+
+
 class TestAlternatingTests:
     def test_nab_pair_detects_by_nonalternation(self, fig34):
         from repro.core.simulate import ScalSimulator
 
-        podem = Podem(fig34)
-        pair = podem.generate_alternating_test(StuckAt("nab", 0))
-        assert pair is not None
+        status, anchor = pair_verdict(fig34, StuckAt("nab", 0))
+        assert status == "detected"
         resp = ScalSimulator(fig34).response(StuckAt("nab", 0))
-        assert resp.detected.value(pair[0]) == 1
+        assert resp.detected.value(anchor) == 1
 
     def test_or_ab_s0_has_no_alternating_test_on_f2_alone(self):
         """The line-20 pathology: every vector that flips F2 flips it in
         both periods when only F2 is observed, so no alternating test
-        exists for the single-output view."""
+        exists for the single-output view — a proof, not a give-up."""
         fig34 = fig34_network()
         f2_only = fig34.with_outputs(["F2"])
-        podem = Podem(f2_only)
-        assert podem.generate_alternating_test(StuckAt("or_ab", 0)) is None
+        assert pair_verdict(f2_only, StuckAt("or_ab", 0)) == (
+            "redundant", None
+        )
 
     def test_or_ab_s0_found_with_all_outputs(self, fig34):
         """With F3 observed too, the nab-style rescue applies — hmm, no:
         or_ab reaches only F2, so the pair stays undetectable; the
-        generator must agree with the oracle and return None."""
-        podem = Podem(fig34)
-        assert podem.generate_alternating_test(StuckAt("or_ab", 0)) is None
+        generator must agree with the oracle and prove it redundant."""
+        assert pair_verdict(fig34, StuckAt("or_ab", 0)) == (
+            "redundant", None
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -110,10 +122,16 @@ class TestAlternatingTests:
         from repro.workloads.randomlogic import random_alternating_network
 
         net = random_alternating_network(rnd, 3)
-        podem = Podem(net)
         sim = ScalSimulator(net)
-        for fault in enumerate_stem_faults(net, include_inputs=False):
-            pair = podem.generate_alternating_test(fault)
-            if pair is not None:
-                resp = sim.response(fault)
-                assert resp.detected.value(pair[0]) == 1, fault.describe()
+        faults = list(enumerate_stem_faults(net, include_inputs=False))
+        report = run_atpg(net, faults, pairs=True)
+        assert report.aborted == 0
+        for fault in faults:
+            resp = sim.response(fault)
+            index = report.detected_by.get(fault.describe())
+            # Detected exactly when the oracle has a detecting pair, and
+            # then on the credited one.
+            assert (index is not None) == (not resp.detected.is_zero())
+            if index is not None:
+                anchor = report.patterns[index]
+                assert resp.detected.value(anchor) == 1, fault.describe()

@@ -330,6 +330,44 @@ class TestPatternSeam:
 
 
 # ----------------------------------------------------------------------
+# the test sets the driver reads off the exhaustive tables
+# ----------------------------------------------------------------------
+class TestDetectionMasks:
+    """``BitmaskBackend.detection_mask`` against the reference
+    interpreter, point by point: every single fault (stem-region path),
+    multiple faults (cone path) and an absent line, in both modes."""
+
+    @pytest.mark.parametrize(
+        "index", range(len(seed_networks()) + len(random_batch()) + 3)
+    )
+    def test_masks_match_reference(self, index):
+        from repro.qa.reference import reference_output_bits
+
+        net = (seed_networks() + random_batch() + edge_networks())[index]
+        n = len(net.inputs)
+        lines = sorted(net.lines())
+        faults = list(enumerate_single_faults(net, collapse=False)) + [
+            MultipleFault((StuckAt(lines[0], 1), StuckAt(lines[-1], 0))),
+            StuckAt("no_such_line", 1),
+        ]
+        tables = NetworkEngine(net).bitmask
+        good = reference_output_bits(net)
+        anchors = range(1 << max(n - 1, 0))
+        for fault in faults:
+            single = 0
+            for g, b in zip(good, reference_output_bits(net, fault)):
+                single |= g ^ b
+            assert tables.detection_mask(fault) == single, fault
+            (pair_bits,) = reference_pair_masks(
+                net, alternating(anchors, n), [fault]
+            )
+            pairs = sum(
+                1 << x for x in anchors if pair_bits >> (2 * x) & 1
+            )
+            assert tables.detection_mask(fault, pairs=True) == pairs, fault
+
+
+# ----------------------------------------------------------------------
 # classification parity: driver == scalar PODEM per collapsed fault
 # ----------------------------------------------------------------------
 class TestParity:
@@ -477,9 +515,17 @@ class TestDriver:
             assert report.patterns[index] == point
 
     def test_target_timeout_classifies_aborted(self, fig34):
-        report = run_atpg(fig34, target_timeout=1e-12)
-        assert report.aborted == report.requested
+        """The deadline bounds PODEM searches, which run above the
+        whole-table cut; below it nothing is searched, so nothing
+        aborts."""
+        net = ripple_adder_network(10)
+        faults = collapse_stem_faults(net)[:6]
+        report = run_atpg(net, faults=faults, target_timeout=1e-12)
+        assert report.aborted == report.requested == 6
         assert report.patterns == ()
+        narrow = run_atpg(fig34, target_timeout=1e-12)
+        assert narrow.aborted == 0
+        assert narrow.classifications == run_atpg(fig34).classifications
 
     def test_report_shape_and_coverage(self, fig34):
         report = run_atpg(fig34)
@@ -549,6 +595,23 @@ def searched_only(net, monkeypatch, **kwargs):
     return data
 
 
+def assert_credits_detect(net, report):
+    """Every detected fault's credited pattern (or pair) detects it per
+    the reference interpreter."""
+    faults = {f.describe(): f for f in enumerate_single_faults(net)}
+    n = len(net.inputs)
+    for name, index in report.detected_by.items():
+        pattern = report.patterns[index]
+        if report.pairs:
+            pair = alternating([pattern], n)
+            assert reference_pair_masks(net, pair, [faults[name]]) == [1]
+        else:
+            point = point_tuple(n, pattern)
+            assert reference_outputs(
+                net, point, faults[name]
+            ) != reference_outputs(net, point), name
+
+
 def edge_networks():
     """No inputs; one input; outputs that are constant, by a constant
     gate and by ``a AND NOT a``."""
@@ -577,9 +640,10 @@ def edge_networks():
 
 
 class TestTableRedundancy:
-    """Up to ``UNTILED_MAX_INPUTS`` inputs a target whose faulty output
-    tables equal the fault-free ones is ``redundant`` without a PODEM
-    search; the reports are otherwise those of searching every target."""
+    """Up to ``UNTILED_MAX_INPUTS`` inputs a dropping run takes every
+    verdict and test from the exhaustive tables and searches nothing;
+    its single-mode verdicts are those of searching every target, and
+    in ``pairs`` mode a fault with no detecting pair is redundant."""
 
     @pytest.fixture
     def array6(self):
@@ -592,12 +656,32 @@ class TestTableRedundancy:
         searched = searched_only(array6, monkeypatch, pairs=pairs)
         calls = count_searches(monkeypatch)
         report = run_atpg(array6, engine=NetworkEngine(array6), pairs=pairs)
-        data = report.to_dict()
-        del data["wall_seconds"]
-        assert data == searched
-        assert report.redundant == 5
-        assert report.targets == (17 if pairs else 12)
-        assert len(calls) == report.targets - report.redundant
+        assert calls == []
+        assert report.aborted == 0
+        assert report.targets == report.patterns_generated + report.redundant
+        assert_credits_detect(array6, report)
+        if not pairs:
+            assert report.classifications == searched["classifications"]
+            assert report.redundant == 5
+            assert report.patterns_kept <= searched["patterns_kept"]
+            return
+        # The search reads 7 pair-untestable faults as aborted: 6 have no
+        # detecting pair at all, and a2 s/0 has 496.
+        aborted = sorted(
+            name
+            for name, status in searched["classifications"].items()
+            if status == "aborted"
+        )
+        assert len(aborted) == 7
+        for name, status in searched["classifications"].items():
+            expected = "redundant" if name in aborted else status
+            if name == "a2 s/0":
+                expected = "detected"
+            assert report.classifications[name] == expected, name
+        assert report.redundant == 11
+        fault = StuckAt("a2", 0)
+        mask = NetworkEngine(array6).bitmask.detection_mask(fault, True)
+        assert bin(mask).count("1") == 496
 
     @pytest.mark.parametrize("pairs", [False, True])
     def test_podem_abort_becomes_redundant(self, array6, pairs):
@@ -628,20 +712,45 @@ class TestTableRedundancy:
             for f, status in zip(faults, statuses)
         }
 
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_searches_start_above_the_cut(self, monkeypatch, pairs):
+        """A dropping run makes no PODEM call at 20 inputs and searches
+        every target at 21."""
+        for n_inputs in (20, 21):
+            net = random_mixed_network(
+                random.Random(n_inputs), n_inputs, 10, n_outputs=2
+            )
+            assert len(net.inputs) == n_inputs
+            calls = count_searches(monkeypatch)
+            report = run_atpg(net, pairs=pairs)
+            assert report.detected > 0
+            if n_inputs == 20:
+                assert calls == []
+            else:
+                assert len(calls) == report.targets
+
     @pytest.mark.parametrize("index", range(3))
     @pytest.mark.parametrize("pairs", [False, True])
     @pytest.mark.parametrize("collapse", [True, False])
     def test_edge_nets_match_the_searches(
         self, index, pairs, collapse, monkeypatch
     ):
+        """Every verdict a search completes is the tables' verdict, and
+        nothing aborts: in ``pairs`` mode the search's anomalies are
+        pair-redundant faults."""
         net = edge_networks()[index]
-        data = run_atpg(
+        report = run_atpg(
             net, engine=NetworkEngine(net), pairs=pairs, collapse=collapse
-        ).to_dict()
-        del data["wall_seconds"]
-        assert data == searched_only(
+        )
+        searched = searched_only(
             net, monkeypatch, pairs=pairs, collapse=collapse
         )
+        assert report.aborted == 0
+        for name, status in searched["classifications"].items():
+            assert report.classifications[name] == (
+                "redundant" if status == "aborted" else status
+            ), name
+        assert_credits_detect(net, report)
 
     def test_flight_splits_table_proofs_from_searches(
         self, tmp_path, capsys
@@ -662,12 +771,13 @@ class TestTableRedundancy:
             for e in events
             if e.get("name") == "atpg.target"
         ]
-        assert len(vias) == 12
+        assert len(vias) == 11
         assert vias.count(("table", "redundant")) == 5
+        assert vias.count(("table", "test")) == 6
         summary = summarize(events)
-        assert summary["atpg_targets"]["table"] == 5
-        assert summary["atpg_targets"]["podem"] == 7
-        assert "(5 redundant by the tables, 7 PODEM searches)" in render(
+        assert summary["atpg_targets"]["table"] == 11
+        assert summary["atpg_targets"]["podem"] == 0
+        assert "(11 decided by the tables, 0 PODEM searches)" in render(
             summary
         )
         samples = obs.parse_prometheus(open(metrics).read())
@@ -677,7 +787,24 @@ class TestTableRedundancy:
         # Older flights carry no ``via``: every target was a search.
         for event in events:
             event.get("attrs", {}).pop("via", None)
-        assert summarize(events)["atpg_targets"]["podem"] == 12
+        assert summarize(events)["atpg_targets"]["podem"] == 11
+
+    def test_tables_find_a_test_podem_misses(self):
+        """On the golden grid's ``mixed-5`` net PODEM exhausts its tree
+        for ``g1 s/0`` and calls it redundant, yet the fault changes
+        ``g14`` at ``x3=1, x0=x1=x4=0``; the tables detect it."""
+        from tests.test_podem_golden import grid_networks
+
+        net = grid_networks()["mixed-5"]
+        fault = StuckAt("g1", 0)
+        assert Podem(net).generate_test_ex(fault).status == "redundant"
+        point = (0, 0, 0, 1, 0)
+        assert reference_outputs(net, point, fault) != reference_outputs(
+            net, point
+        )
+        report = run_atpg(net)
+        assert report.classifications["g1 s/0"] == "detected"
+        assert_credits_detect(net, report)
 
     def test_absent_fault_site_still_refused(self, fig34):
         """A fault on no line of the net changes no table; it still goes

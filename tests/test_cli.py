@@ -148,9 +148,18 @@ class TestTestgen:
         code = main(["testgen", fig37_bench, "--structural"])
         out = capsys.readouterr().out
         assert "pair anchored" in out
-        # or_ab-free network: every fault should get a pair or be benign;
-        # exit code reflects whether any line lacked a pair.
-        assert code in (0, 1)
+        # or_ab-free network: every stem fault gets a detecting pair.
+        assert "UNTESTABLE" not in out and "no test" not in out
+        assert code == 0
+
+    def test_structural_route_proves_line_20(self, fig34_bench, capsys):
+        """Figure 3.4's or_ab s/0 has no detecting pair: a proof, so
+        the run still exits 0."""
+        assert main(["testgen", fig34_bench, "--structural"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "anchored" not in line] == [
+            "or_ab s/0: UNTESTABLE"
+        ]
 
 
 class TestRepair:

@@ -11,10 +11,11 @@ mixed-gate nets whose alphabet includes ``MAJ``, ``MIN``, ``XNOR``,
 input that is also an output, and gates that read one line twice.
 
 Edge rows add backtrack budgets of 0 and 3 (the aborted path), a
-deadline already in the past, ``generate_alternating_test`` and
-``structural_test_summary``.  The six arrays also pin
-``run_atpg(...).to_dict()`` (minus ``wall_seconds``) in the default,
-``pairs`` and ``drop=False`` modes.
+deadline already in the past, the alternating pair ``run_atpg(...,
+pairs=True)`` credits each fault of the three thesis figures, and the
+counts of one search per fault (``run_atpg(..., drop=False)``).  The
+six arrays also pin ``run_atpg(...).to_dict()`` (minus
+``wall_seconds``) in the default, ``pairs`` and ``drop=False`` modes.
 
 Regenerate (only when the search's decisions change on purpose) with::
 
@@ -28,7 +29,7 @@ import random
 
 import pytest
 
-from repro.core.atpg import Podem, structural_test_summary
+from repro.core.atpg import Podem
 from repro.engine.atpg import run_atpg
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import enumerate_pin_faults, enumerate_stem_faults
@@ -164,19 +165,33 @@ def search_rows(network, max_backtracks=2000, deadline=None):
 
 
 def alternating_rows(network):
-    podem = Podem(network)
+    """``[fault, [X, X̄] | None]``: the pair ``pairs`` mode credits."""
+    universe = _universe(network)
+    report = run_atpg(network, universe, pairs=True)
+    full = (1 << len(network.inputs)) - 1
     rows = []
-    for fault in _universe(network):
-        pair = podem.generate_alternating_test(fault)
-        rows.append([fault.describe(), None if pair is None else list(pair)])
+    for fault in universe:
+        index = report.detected_by.get(fault.describe())
+        x = None if index is None else report.patterns[index]
+        rows.append([fault.describe(), None if x is None else [x, x ^ full]])
     return rows
 
 
 def summary_rows(network):
-    return [
-        structural_test_summary(network, collapse=collapse)
-        for collapse in (False, True)
-    ]
+    """Counts of one PODEM search per stem fault, raw and collapsed."""
+    rows = []
+    for collapse in (False, True):
+        report = run_atpg(network, collapse=collapse, drop=False)
+        rows.append(
+            {
+                "faults": report.requested,
+                "tested": report.detected,
+                "untested": report.redundant + report.aborted,
+                "redundant": report.redundant,
+                "aborted": report.aborted,
+            }
+        )
+    return rows
 
 
 def report_fields(network, mode):

@@ -3,13 +3,27 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.simulate import ScalSimulator
+import random
+
+import pytest
+
+from repro.core.simulate import ScalSimulator, canonical_pairs
 from repro.core.testgen import all_test_pairs, format_pair, greedy_test_schedule
 from repro.core.testgen import test_plan as make_test_plan
+from repro.engine import NetworkEngine
+from repro.engine.atpg import run_atpg
 from repro.logic.faults import StuckAt
 from repro.logic.parse import parse_expression
-from repro.workloads.benchcircuits import fig32_xor_path_network, section32_example
-from repro.workloads.randomlogic import random_alternating_network
+from repro.workloads.benchcircuits import (
+    fig32_xor_path_network,
+    fig62_nand_network,
+    section32_example,
+)
+from repro.workloads.fig34 import fig34_network, fig37_fixed_network
+from repro.workloads.randomlogic import (
+    random_alternating_network,
+    random_array_network,
+)
 
 
 class TestPlanBasics:
@@ -109,14 +123,24 @@ class TestSchedules:
         assert len(schedule) <= 4  # at most all pairs of a 3-input space
 
 
+def structural_summary(network, collapse):
+    """One PODEM search per fault (``run_atpg(drop=False)``), counted."""
+    report = run_atpg(network, collapse=collapse, drop=False)
+    return {
+        "faults": report.requested,
+        "tested": report.detected,
+        "untested": report.redundant + report.aborted,
+        "redundant": report.redundant,
+        "aborted": report.aborted,
+    }
+
+
 class TestDeterministicSummaries:
     """Pinned collapse-aware counts and schedules (regression for the
     order-dependent selection the greedy pass used to make)."""
 
     def test_structural_summary_pinned_fig34(self, fig34):
-        from repro.core.atpg import structural_test_summary
-
-        assert structural_test_summary(fig34, collapse=True) == {
+        assert structural_summary(fig34, collapse=True) == {
             "faults": 30,
             "tested": 30,
             "untested": 0,
@@ -124,14 +148,12 @@ class TestDeterministicSummaries:
             "aborted": 0,
         }
         # The raw stem universe is strictly larger; counts still tile.
-        raw = structural_test_summary(fig34, collapse=False)
+        raw = structural_summary(fig34, collapse=False)
         assert raw["faults"] == 40
         assert raw["tested"] == 40
 
     def test_structural_summary_pinned_fig37(self, fig37):
-        from repro.core.atpg import structural_test_summary
-
-        summary = structural_test_summary(fig37, collapse=True)
+        summary = structural_summary(fig37, collapse=True)
         assert summary == {
             "faults": 30,
             "tested": 30,
@@ -192,3 +214,62 @@ class TestDeterministicSummaries:
 class TestFormatting:
     def test_format_pair(self):
         assert format_pair((0b011, 0b100), ("x1", "x2", "x3")) == "(110,001)"
+
+
+def pair_test_nets():
+    """The thesis's self-dual figures, and random iterative arrays whose
+    outputs alternate on some pairs only (``(stages, seed)`` as in
+    ``tests/test_podem_golden.py``)."""
+    nets = {
+        "fig34": fig34_network(),
+        "fig37": fig37_fixed_network(),
+        "fig62": fig62_nand_network(),
+    }
+    for stages, seed in ((3, 201), (4, 202), (5, 203)):
+        nets[f"array-{stages}"] = random_array_network(
+            random.Random(seed), stages
+        )
+    return nets
+
+
+class TestEnginePairMasks:
+    """Theorem 3.2's test points equal the engine's pair mask
+    (:meth:`BitmaskBackend.detection_mask` with ``pairs=True``, which the
+    ATPG driver compacts): the pairs where the fault flips the output in
+    exactly one period, ``A ⊕ B``, on which the fault-free output
+    alternates."""
+
+    @pytest.mark.parametrize("name", sorted(pair_test_nets()))
+    def test_thesis_pairs_equal_engine_mask(self, name):
+        net = pair_test_nets()[name]
+        n = len(net.inputs)
+        full = (1 << n) - 1
+        for output in net.outputs:
+            tables = NetworkEngine(net.with_outputs([output])).bitmask
+            alternates = tables.normals()[1][0]
+            plans = all_test_pairs(net, output=output)
+            for (line, value), thesis in plans.items():
+                mask = tables.detection_mask(StuckAt(line, value), pairs=True)
+                engine = [
+                    (x, x ^ full)
+                    for x in range(1 << max(n - 1, 0))
+                    if mask >> x & 1
+                ]
+                plan = make_test_plan(net, line, output)
+                flips = (plan.c ^ plan.d) if value else (plan.a ^ plan.b)
+                assert engine == [
+                    pair
+                    for pair in canonical_pairs(flips)
+                    if alternates >> pair[0] & 1
+                ], (output, line, value)
+                testable = (
+                    plan.sa1_testable if value else plan.sa0_testable
+                )
+                if testable:
+                    assert engine == [
+                        pair for pair in thesis if alternates >> pair[0] & 1
+                    ], (output, line, value)
+                else:
+                    assert thesis == []
+                if alternates == tables.full:  # a self-dual output
+                    assert engine == thesis, (output, line, value)
