@@ -324,7 +324,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     import json
 
     from .engine import CampaignCancelled, CheckpointError
-    from .synth import SPECS, SynthCampaign, SynthInterrupted, repair_campaign
+    from .synth import SPECS, SynthCampaign, repair_campaign
 
     if (args.spec is None) == (args.repair is None):
         raise SystemExit("exactly one of --spec NAME or --repair NETLIST")
@@ -353,7 +353,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        abort_after_generations=args.abort_after_generations,
     )
     try:
         if args.repair is not None:
@@ -371,8 +370,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         with _telemetry(args):
             report = campaign.run()
     except (CheckpointError, ValueError) as error:
-        raise SystemExit(str(error))
-    except SynthInterrupted as error:
         raise SystemExit(str(error))
     except CampaignCancelled as error:
         raise SystemExit(f"cancelled: {error}")
@@ -628,10 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="reload --checkpoint and continue the search "
                    "deterministically")
-    p.add_argument("--abort-after-generations", type=int, default=None,
-                   metavar="N",
-                   help="interrupt after N generations, leaving the "
-                   "checkpoint resumable (determinism drills)")
     p.add_argument("--report", action="store_true",
                    help="also print (or, with --json, embed) the "
                    "per-generation fitness trajectory")

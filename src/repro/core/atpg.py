@@ -10,11 +10,12 @@ value pair from {0, 1, X}, a *D* being (1, 0) and a *D̄* being (0, 1).
 the network's :class:`~repro.engine.compiled.CompiledNetwork` (primary
 inputs first, then gates in topological order).  One search's values
 live in two flat lists, ``good[i]`` and ``faulty[i]`` (``X`` = unknown),
-and the SCOAP measures are lists indexed the same way.  The fault is
-applied inside the one op evaluator: a stuck stem (gate output or
-primary input) keeps its forced faulty value, a stuck pin overrides one
-operand slot of its gate.  No name, dict key or ``Network`` lookup is
-left in the search loop.
+and the SCOAP measures are lists indexed the same way.  The target is
+its one fault id (:meth:`~repro.engine.compiled.CompiledNetwork.fault_ids`;
+a fault with no single site raises ``KeyError``), applied inside the one
+op evaluator: a stuck stem (gate output or primary input) keeps its
+forced faulty value, a stuck pin overrides one operand slot of its gate.
+No name, dict key or ``Network`` lookup is left in the search.
 
 **Event queue and undo trail.**  Injecting the fault into the all-X
 state is the first event.  A decision assigns one primary input and
@@ -56,8 +57,7 @@ import heapq
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine.compiled import compile_network
-from ..logic.faults import Fault, StuckAt
+from ..engine.compiled import FaultLike, compile_network
 from ..logic.gates import DOMINANT_VALUE, GateKind
 from ..logic.network import Network
 
@@ -99,17 +99,17 @@ def _eval3(kind: GateKind, values: Sequence[Value]) -> Value:
     if kind is GateKind.BUF:
         return values[0]
     if kind is GateKind.MAJ or kind is GateKind.MIN:
-        ones = values.count(1)
-        zeros = values.count(0)
+        # Both are monotone in the count of ones, so the output is known
+        # when the fewest and the most ones the X inputs allow agree.
+        # MIN is no 1 - MAJ at even arity: MIN(0, 1) = 0 is a NOR.
         n = len(values)
-        # Enough ones / zeros to decide regardless of the X inputs?
-        if 2 * ones > n:
-            out = 1
-        elif 2 * (n - zeros) < n:
-            out = 0
+        fewest = values.count(1)
+        most = n - values.count(0)
+        if kind is GateKind.MAJ:
+            at_fewest, at_most = 2 * fewest > n, 2 * most > n
         else:
-            return X
-        return out if kind is GateKind.MAJ else 1 - out
+            at_fewest, at_most = 2 * fewest < n, 2 * most < n
+        return int(at_fewest) if at_fewest == at_most else X
     if kind is GateKind.CONST0:
         return 0
     if kind is GateKind.CONST1:
@@ -140,8 +140,12 @@ class _Implication:
     in ascending op order, ``(line, old good, old faulty)`` trail
     entries."""
 
-    def __init__(self, podem: "Podem", fault: Fault) -> None:
+    def __init__(self, podem: "Podem", fault: FaultLike) -> None:
         comp = podem.compiled
+        ids = comp.fault_ids(fault)
+        if len(ids) != 1:  # PODEM targets one stem or one pin
+            raise KeyError(fault.describe())
+        (fid,) = ids
         self.ops = comp.ops
         self.readers = comp.readers
         self.good: List[Value] = list(podem._x_good)
@@ -149,18 +153,15 @@ class _Implication:
         self.trail: List[Tuple[int, Value, Value]] = []
         self.stem = self.pin_pos = -1
         self.pin_slot = 0
-        self.value = fault.value
-        if isinstance(fault, StuckAt):
-            self.stem = self.site = self.act = comp.index[fault.line]
-            self.faulty[self.stem] = fault.value
+        self.value = fid & 1
+        pin = fid - 2 * len(comp.names)
+        if pin < 0:
+            self.stem = self.site = self.act = fid >> 1
+            self.faulty[self.stem] = self.value
             events = list(self.readers[self.stem])
         else:
-            self.site = comp.index[fault.gate]
+            self.site, self.pin_slot, self.act = comp.pin_sites[pin >> 1]
             self.pin_pos = self.site - comp.n_inputs
-            if self.pin_pos < 0:  # a primary input has no pins
-                raise KeyError(fault.gate)
-            self.pin_slot = fault.pin_index
-            self.act = self.ops[self.pin_pos].srcs[self.pin_slot]
             events = [self.pin_pos]
         #: The ops a fault effect can reach, ascending: the D-frontier
         #: and the X-path live there.
@@ -455,7 +456,7 @@ class Podem:
     # search
     # ------------------------------------------------------------------
     def generate_test_ex(
-        self, fault: Fault, deadline: Optional[float] = None
+        self, fault: FaultLike, deadline: Optional[float] = None
     ) -> PodemResult:
         """Run the budgeted search and report *why* it stopped.
 
@@ -532,7 +533,7 @@ class Podem:
             imp.assign(pi, value)
             decisions.append((pi, value, False, mark))
 
-    def generate_test(self, fault: Fault) -> Optional[Dict[str, int]]:
+    def generate_test(self, fault: FaultLike) -> Optional[Dict[str, int]]:
         """A primary-input assignment detecting ``fault`` (single-vector
         sense), or ``None`` when the budgeted search finds no test."""
         return self.generate_test_ex(fault).test

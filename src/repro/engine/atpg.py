@@ -193,7 +193,7 @@ def pattern_detections(
     pattern ``p``.  The input masks are the packed patterns times the
     slot-replication constant, each fault forces its whole ``P``-bit
     slot, and a block holds at most :data:`BLOCK_BITS` bits per line.
-    Faults resolve through :meth:`CompiledNetwork.resolve`, so multiple
+    Faults resolve through :meth:`CompiledNetwork.fault_ids`, so multiple
     faults and absent lines need no special case.
     """
     n_pat = len(patterns)
@@ -215,7 +215,9 @@ def pattern_detections(
             replicate = ((1 << width) - 1) // slot  # bit f*P per slot f
             forcing = RowForcing(width)
             for f, fault in enumerate(block):
-                forcing.stick_fault(compiled, fault, slot << (f * n_pat))
+                forcing.stick_fault(
+                    compiled, compiled.fault_ids(fault), slot << (f * n_pat)
+                )
             values = run_ops(
                 compiled,
                 [m * replicate for m in inputs] + blank,
@@ -245,12 +247,6 @@ def _detected_candidates(mask: int, n_candidates: int, pairs: bool) -> set:
     return {j for j in range(n_candidates) if (mask >> (step * j)) & 1}
 
 
-def _has_site(compiled: CompiledNetwork, fault: Fault) -> bool:
-    """Whether ``fault`` forces anything in the net (else it is refused)."""
-    forcing = compiled.fault_plan(fault).forcing
-    return bool(forcing.lines or forcing.pins)
-
-
 def _table_tests(tables, universe: List[Fault], pairs: bool):
     """``(step, cover)`` over every fault's test set from the exhaustive
     tables (:meth:`~repro.engine.backends.BitmaskBackend.detection_mask`).
@@ -268,7 +264,7 @@ def _table_tests(tables, universe: List[Fault], pairs: bool):
     def step(remaining: List[int]):
         test = masks[remaining[0]]
         if not test:
-            if not _has_site(compiled, universe[remaining[0]]):
+            if not compiled.fault_ids(universe[remaining[0]]):
                 raise KeyError(universe[remaining[0]].describe())
             return "redundant", "table", None, (), 0
         for i in remaining:
@@ -315,7 +311,7 @@ def _search_tests(
         target = universe[remaining[0]]
         if (
             tables is not None
-            and _has_site(compiled, target)
+            and compiled.fault_ids(target)
             and tables.output_bits(target) == normal
         ):
             return "redundant", "table", None, (), 0

@@ -23,11 +23,12 @@ a point query is one pass of its own.
   root), and one flip simulation of each root's output cone gives its
   output deltas, stored split into pair halves (point ``p`` of the
   lower half beside its complement ``~p``), so the ``X ↔ X̄`` pairing
-  is an aligned AND.  A stem or pin fault then costs a few mask
+  is an aligned AND.  A fault of one fault id then costs a few mask
   operations and one half-width
   :func:`~repro.logic.truthtable.reverse_bits`.  Explicit line
-  tables (:meth:`~BitmaskBackend.line_bits`), multiple faults and
-  absent lines take the fault's cone schedule instead (the
+  tables (:meth:`~BitmaskBackend.line_bits`) and faults of any other
+  number of ids (multiple faults, absent lines) take the cone schedule
+  instead (the
   :meth:`~repro.engine.compiled.CompiledNetwork.fault_plan` path:
   copy the baseline, re-evaluate only the fault's output cone); a
   ``cone=True`` sweep takes it for every fault, which is the
@@ -63,7 +64,10 @@ one forcing form, :class:`~repro.engine.compiled.RowForcing`.  A fault
 plan is such a forcing over every row, so the bitmask chaos sabotage of
 :mod:`repro.qa.chaos` on :func:`evaluate_mask` reaches every caller.
 
-Both return plain ``list``/``tuple`` values; the name-keyed
+The public queries take named faults and resolve them to fault ids
+(:meth:`~repro.engine.compiled.CompiledNetwork.fault_ids`) at entry;
+everything below them works on ids.  Both return plain
+``list``/``tuple`` values; the name-keyed
 wrappers in :mod:`repro.logic.evaluate` re-attach line names for
 callers that want them.
 """
@@ -330,18 +334,24 @@ class BitmaskBackend:
         on top of the cached baseline).  Always returns a fresh list —
         the cached baseline itself stays immutable behind
         :meth:`baseline`."""
-        baseline = self.baseline()
         if fault is None:
-            return list(baseline)
-        plan = self.compiled.fault_plan(fault)
+            return list(self.baseline())
+        return self._plan_lines(self.compiled.fault_ids(fault))
+
+    def _plan_lines(self, ids: Tuple[int, ...]) -> List[int]:
+        """Every line's mask under fault ids ``ids``, by their cone plan."""
+        plan = self.compiled.fault_plan(ids)
         values = run_ops(
-            self.compiled, list(baseline), self.full, plan.ops, plan.forcing
+            self.compiled, list(self.baseline()), self.full, plan.ops,
+            plan.forcing,
         )
         self._count_ops(len(plan.ops))
         return values
 
     def output_bits(self, fault: Optional[FaultLike] = None) -> Tuple[int, ...]:
-        values = self.line_bits(fault)
+        return self._outputs(self.line_bits(fault))
+
+    def _outputs(self, values: Sequence[int]) -> Tuple[int, ...]:
         return tuple(values[i] for i in self.compiled.out_idx)
 
     # ------------------------------------------------------------------
@@ -356,29 +366,32 @@ class BitmaskBackend:
     def response_triple(self, fault: FaultLike) -> Tuple[int, int, int]:
         """``(affected, detected, violations)`` pair-level masks for one
         fault, byte-identical to :func:`table_response` over this
-        backend's tables.  A fault that resolves to exactly one stem or
-        one pin takes the stem-region path; any other fault re-simulates
-        its cone schedule."""
-        site = self._single_site(fault)
-        if site is None:
-            return self._cone_response(fault)
-        pairs = self._flip_pairs(*site)
+        backend's tables.  A fault of exactly one fault id takes the
+        stem-region path; any other fault re-simulates its cone
+        schedule."""
+        ids = self.compiled.fault_ids(fault)
+        if len(ids) != 1:
+            return self._cone_response(ids)
+        pairs = self._flip_pairs(*self._site_mask(ids[0]))
         return tuple(self._join(mask, mask) for mask in pairs)
 
-    def _cone_response(self, fault: FaultLike) -> Tuple[int, int, int]:
+    def _cone_response(self, ids: Tuple[int, ...]) -> Tuple[int, int, int]:
         return table_response(
-            self.normals(), self.output_bits(fault), self._width
+            self.normals(), self._outputs(self._plan_lines(ids)), self._width
         )
 
-    def _classify(self, faults: List[FaultLike], sites: List) -> List[str]:
-        """One table's statuses: each fault on its :meth:`_site`'s stem
-        region, or on its cone plan where it has none."""
+    def _classify(
+        self, faults: Sequence[Tuple[int, ...]], cone: bool = False
+    ) -> List[str]:
+        """One table's statuses of faults given by their fault ids: a
+        single id on its stem region, anything else (or everything, with
+        ``cone=True``) on its cone plan."""
         statuses = []
-        for fault, site in zip(faults, sites):
+        for ids in faults:
             _aff, det, vio = (
-                self._cone_response(fault)
-                if site is None
-                else self._flip_pairs(*self._site_mask(site))
+                self._cone_response(ids)
+                if cone or len(ids) != 1
+                else self._flip_pairs(*self._site_mask(ids[0]))
             )
             statuses.append(classify_status(det, vio))
         return statuses
@@ -461,41 +474,25 @@ class BitmaskBackend:
             _M_OPS.inc(ops, backend="bitmask")
             _M_WORDS.inc(ops * self._words_per_line, backend="bitmask")
 
-    def _site(
-        self, fault: FaultLike
-    ) -> Optional[Tuple[int, Optional[int], int]]:
-        """The one stem ``(line, None, value)`` or the one pin ``(op
-        position, slot, value)`` a fault resolves to, else ``None``.  It
-        reads no table, so a tiled sweep resolves each fault once."""
-        stems, pins = self.compiled.resolve(fault)
-        if len(stems) + sum(len(forces) for forces in pins.values()) != 1:
-            return None
-        if stems:
-            ((line, value),) = stems.items()
-            return line, None, value
-        ((pos, ((slot, value),)),) = pins.items()
-        return pos, slot, value
-
-    def _site_mask(self, site) -> Tuple[int, int]:
-        """``(root, m)`` of a :meth:`_site` on this table: ``m`` the
+    def _site_mask(self, fid: int) -> Tuple[int, int]:
+        """``(root, m)`` of fault id ``fid`` on this table: ``m`` the
         points where the fault complements ``root``."""
-        where, slot, value = site
+        comp = self.compiled
         baseline = self.baseline()
         roots, sens = self.regions()
-        if slot is None:
-            differs = baseline[where] ^ self.full if value else baseline[where]
-            return roots[where], sens[where] & differs
-        op = self.compiled.ops[where]
+        value = fid & 1
+        pin = fid - 2 * len(comp.names)
+        if pin < 0:
+            line = fid >> 1
+            differs = baseline[line] ^ self.full if value else baseline[line]
+            return roots[line], sens[line] & differs
+        gate, slot, _src = comp.pin_sites[pin >> 1]
         self._count_ops(1)
         forced = self._pin_delta(
-            op, slot, self.full if value else 0, baseline
+            comp.ops[gate - comp.n_inputs], slot, self.full if value else 0,
+            baseline,
         )
-        return roots[op.out], sens[op.out] & forced
-
-    def _single_site(self, fault: FaultLike) -> Optional[Tuple[int, int]]:
-        """:meth:`_site_mask` of a single-site fault, else ``None``."""
-        site = self._site(fault)
-        return None if site is None else self._site_mask(site)
+        return roots[gate], sens[gate] & forced
 
     def _halves(self, mask: int) -> Tuple[int, int]:
         """``(lo, hi)`` of a truth-table mask: bit ``p`` of ``lo`` is
@@ -576,18 +573,18 @@ class BitmaskBackend:
         output changes or, in ``pairs`` mode, bit ``p < H`` for each pair
         ``(p, ~p)`` on which some output alternates fault-free and not
         under the fault (Theorem 3.2's nonalternating output).  A
-        single-site fault reads its root flip, ``(D & m)`` per output;
+        single-id fault reads its root flip, ``(D & m)`` per output;
         any other fault its cone plan's output tables."""
-        site = self._single_site(fault)
-        if site is None:
-            mask, outs = 0, self.output_bits(fault)
+        ids = self.compiled.fault_ids(fault)
+        if len(ids) != 1:
+            mask, outs = 0, self._outputs(self._plan_lines(ids))
             for good, alt, bad in zip(*self.normals(), outs):
                 if pairs:  # the good pairs that alternate, the bad don't
                     bad ^= reverse_bits(bad, self._width)
                     good, bad = alt, alt & bad
                 mask |= good ^ bad
             return mask & self._low if pairs else mask
-        root, m = site
+        root, m = self._site_mask(ids[0])
         deltas, _detected, _all_alternate, changed = self._root_flip(root)
         if not pairs:
             return m & changed
@@ -604,10 +601,10 @@ class BitmaskBackend:
         """The output tables :meth:`response_triple` classifies for a
         fault on the stem-region path, ``O ^ (D & m)``; ``None`` for a
         fault that takes the cone path."""
-        site = self._single_site(fault)
-        if site is None:
+        ids = self.compiled.fault_ids(fault)
+        if len(ids) != 1:
             return None
-        root, m = site
+        root, m = self._site_mask(ids[0])
         m_lo, m_hi = self._halves(m)
         outputs = list(self.output_bits())
         for k, delta_lo, delta_hi, _alt in self._root_flip(root)[0]:
@@ -649,7 +646,8 @@ class PointQueries:
         self, inputs: List[int], full: int, fault: Optional[FaultLike]
     ) -> List[int]:
         comp = self.compiled
-        forcing = None if fault is None else comp.fault_plan(fault).forcing
+        ids = None if fault is None else comp.fault_ids(fault)
+        forcing = None if ids is None else comp.fault_plan(ids).forcing
         values = inputs + [0] * len(comp.ops)
         return run_ops(comp, values, full, forcing=forcing)
 

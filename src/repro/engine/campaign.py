@@ -20,7 +20,8 @@ Every exhaustive sweep classifies through :class:`FaultItems`, the one
 tile loop: by the stem-region path of
 :class:`~repro.engine.backends.BitmaskBackend`, on the whole table up to
 :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs and per pair
-tile above.  Its items are the faults themselves up to that cut, and
+tile above, on fault ids resolved once per sweep.  Its items are the
+faults themselves up to that cut, and
 tile-major ``(tile, fault)`` pairs above it, so consecutive chunks share
 a tile and each process derives each tile once; a fault's status is its
 most severe over the tiles.  Scheduling — serial or fanned
@@ -38,9 +39,10 @@ events, the wall-time and status metrics and the checkpoint identity
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..logic.network import Network
@@ -115,8 +117,9 @@ class FaultItems:
     :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs (one
     table) are just the faults.  Consecutive ranges share a tile and
     the most recent tile is kept, so a process that evaluates its
-    ranges in order derives each tile once.  :meth:`merge` folds item
-    statuses back into one most severe status per fault, and
+    ranges in order derives each tile once.  The faults become fault ids
+    once, here, and fork workers inherit the ids.  :meth:`merge` folds
+    item statuses back into one most severe status per fault, and
     :meth:`all_statuses` classifies every item in one range and merges.
     """
 
@@ -124,9 +127,9 @@ class FaultItems:
         self.network = network
         self.engine = engine
         self.faults = list(faults)
+        self.ids = [engine.compiled.fault_ids(fault) for fault in self.faults]
         self.tiles = tile_count(engine.compiled.n_inputs)
         self._tile: Tuple[int, object] = (-1, None)
-        self._sites: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return self.tiles * len(self.faults)
@@ -145,11 +148,9 @@ class FaultItems:
             for tile in range(start // n_faults, -(-stop // n_faults)):
                 lo = max(start - tile * n_faults, 0)
                 hi = min(stop - tile * n_faults, n_faults)
-                table = self._table(tile)
-                sites = [None] * (hi - lo) if cone else self._sites_of(
-                    table, lo, hi
+                statuses += self._table(tile)._classify(
+                    self.ids[lo:hi], cone
                 )
-                statuses += table._classify(self.faults[lo:hi], sites)
         if _REG.enabled:
             CHUNK_FAULTS.inc(stop - start, backend=backend)
         return statuses
@@ -158,15 +159,6 @@ class FaultItems:
         if self._tile[0] != tile:
             self._tile = (tile, self.engine.bitmask.tile(tile))
         return self._tile[1]
-
-    def _sites_of(self, table, lo: int, hi: int) -> List:
-        """Faults ``lo:hi`` resolved to their stem-region sites, each
-        once however many tiles read it (a site reads no table)."""
-        sites = self._sites
-        for index in range(lo, hi):
-            if index not in sites:
-                sites[index] = table._site(self.faults[index])
-        return [sites[index] for index in range(lo, hi)]
 
     def merge(self, statuses: Sequence[str]) -> List[str]:
         """Each fault's most severe status over the tiles."""
@@ -184,13 +176,15 @@ class FaultItems:
 
 
 def _worker_items(items: FaultItems) -> FaultItems:
-    """The inherited items over an engine of the worker's own, so each
-    fork worker derives the tables its chunks read."""
+    """The inherited items, fault ids included, over an engine of the
+    worker's own, so each fork worker derives the tables its chunks
+    read."""
     from . import NetworkEngine  # local: engine/__init__ imports us
 
-    return FaultItems(
-        items.network, NetworkEngine(items.network), items.faults
-    )
+    worker = copy.copy(items)
+    worker.engine = NetworkEngine(items.network)
+    worker._tile = (-1, None)
+    return worker
 
 
 #: Fault classification by stem regions: the host is a

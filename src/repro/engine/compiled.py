@@ -18,27 +18,29 @@ make incremental fault simulation cheap:
 * :meth:`cone_ops` — the transitive *output cone* of a line: exactly the
   ops whose value can change when that line changes.
 
-:meth:`resolve` maps a named stem/pin single or multiple fault onto
-indices.  :class:`RowForcing` is the one form a fault is forced in: mask
-pairs on lines and pins, per row of a row-parallel run.  A
+Faults are integer *fault ids*: stem ``line`` s-a-``v`` is
+``2*line + v``, and pin ``k``, counting ops then slots, is
+``2*(len(names) + k) + v``.  :meth:`CompiledNetwork.fault_ids` is the one
+place a named stem/pin single or multiple fault is read; everything past
+it takes ids.  :class:`RowForcing` is the one form a fault is forced in:
+mask pairs on lines and pins, per row of a row-parallel run.  A
 :meth:`fault_plan` is a forcing over every row plus the minimal
 ascending op list to re-evaluate on top of a cached fault-free baseline.
 :func:`repro.engine.backends.run_ops` is the one interpreter that runs
 the op program under a forcing, whole or over a cone.
 
-The single-fault universe lives here too, on integer *fault ids* (stem
-``line`` s-a-``v`` is ``2*line + v``; pin ``k``, counting ops then slots,
-is ``2*(len(names) + k) + v``), folded once per network into its
-structural equivalence classes (:attr:`fault_classes`, the thesis's
-"equivalent pairs of lines", Section 3.6 step 2).
+The single-fault universe lives here too, on fault ids, folded once per
+network into its structural equivalence classes (:attr:`fault_classes`,
+the thesis's "equivalent pairs of lines", Section 3.6 step 2).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import weakref
-from typing import Dict, Hashable, List, Set, Tuple, Union
+from typing import Dict, Hashable, List, Sequence, Set, Tuple, Union
 
 from ..logic.faults import Fault, MultipleFault, PinStuckAt, StuckAt
 from ..logic.faults import fault_overrides
@@ -109,20 +111,23 @@ class RowForcing:
         _merge(self.sites, site, rows, value)
 
     def stick_fault(
-        self, compiled: "CompiledNetwork", fault: "FaultLike", rows: int
+        self, compiled: "CompiledNetwork", ids: Sequence[int], rows: int
     ) -> None:
-        """Force a network stem/pin fault, as
-        :meth:`CompiledNetwork.resolve` resolves it, in ``rows``."""
-        stems, pins = compiled.resolve(fault)
-        for line, value in stems.items():
-            _merge(self.lines, line, rows, value)
-            if line >= compiled.n_inputs:
-                self.forced_ops.add(line - compiled.n_inputs)
-        for pos, overrides in pins.items():
-            self.forced_ops.add(pos)
-            slots = self.pins.setdefault(pos, {})
-            for slot, value in overrides:
-                _merge(slots, slot, rows, value)
+        """Force the network fault ids ``ids`` (one fault's
+        :meth:`CompiledNetwork.fault_ids`) in ``rows``."""
+        n_stems = 2 * len(compiled.names)
+        for fid in ids:
+            value = fid & 1
+            if fid < n_stems:
+                line = fid >> 1
+                _merge(self.lines, line, rows, value)
+                if line >= compiled.n_inputs:
+                    self.forced_ops.add(line - compiled.n_inputs)
+            else:
+                gate, slot, _src = compiled.pin_sites[(fid - n_stems) >> 1]
+                pos = gate - compiled.n_inputs
+                self.forced_ops.add(pos)
+                _merge(self.pins.setdefault(pos, {}), slot, rows, value)
 
     def apply(self, site: Hashable, value: int) -> int:
         """``value`` with the rows forced at ``site`` overridden."""
@@ -190,7 +195,7 @@ class CompiledNetwork:
             tuple(r) for r in readers
         )
         self._cones: Dict[int, Tuple[int, ...]] = {}
-        self._plans: Dict[FaultLike, FaultPlan] = {}
+        self._plans: Dict[Tuple[int, ...], FaultPlan] = {}
 
     # ------------------------------------------------------------------
     # structure
@@ -213,34 +218,37 @@ class CompiledNetwork:
         self._cones[line] = cone
         return cone
 
-    def resolve(
-        self, fault: FaultLike
-    ) -> Tuple[Dict[int, int], Dict[int, List[Tuple[int, int]]]]:
-        """``(stems, pins)``: forced values by line, ``(slot, value)`` pin
-        forces by op position.  Absent lines and out-of-range pin slots
-        are ignored (the legacy dict-lookup semantics), and a stem force
-        shadows the pin forces on the gate driving that stem."""
+    def fault_ids(self, fault: FaultLike) -> Tuple[int, ...]:
+        """The ascending fault ids of a named stem/pin single or multiple
+        fault: the one place a fault's names are read.  Absent lines, pins
+        of primary inputs and out-of-range slots are dropped (the legacy
+        dict-lookup semantics), a later part on the same site wins, and a
+        stem force shadows the pin forces on the gate driving that
+        stem."""
         stem_names, pin_keys = fault_overrides(fault)
         index = self.index
         stems = {index[n]: v for n, v in stem_names.items() if n in index}
-        pins: Dict[int, List[Tuple[int, int]]] = {}
+        ids = [2 * line + value for line, value in stems.items()]
+        first_pin = self.first_pin
+        pins_at = 2 * len(self.names)
         for (gate, slot), value in pin_keys.items():
             line = index.get(gate, -1)
             if line < self.n_inputs or line in stems:
                 continue
             pos = line - self.n_inputs
             if slot < len(self.ops[pos].srcs):
-                pins.setdefault(pos, []).append((slot, value))
-        return stems, pins
+                ids.append(pins_at + 2 * (first_pin[pos] + slot) + value)
+        return tuple(sorted(ids))
 
-    def fault_plan(self, fault: FaultLike) -> FaultPlan:
-        """Resolve a fault into its every-row forcing plus the minimal
-        re-simulation schedule over the fault's output cone(s)."""
-        plan = self._plans.get(fault)
+    def fault_plan(self, ids: Tuple[int, ...]) -> FaultPlan:
+        """The every-row forcing of one fault's :meth:`fault_ids` plus
+        the minimal re-simulation schedule over its output cone(s),
+        cached by the id tuple."""
+        plan = self._plans.get(ids)
         if plan is not None:
             return plan
         forcing = RowForcing()
-        forcing.stick_fault(self, fault, -1)
+        forcing.stick_fault(self, ids, -1)
         stems = forcing.lines
         affected: set = set(forcing.pins)
         for pos in forcing.pins:
@@ -252,7 +260,7 @@ class CompiledNetwork:
             pos for pos in sorted(affected) if self.ops[pos].out not in stems
         )
         plan = FaultPlan(forcing, ops)
-        self._plans[fault] = plan
+        self._plans[ids] = plan
         return plan
 
     # ------------------------------------------------------------------
@@ -266,6 +274,12 @@ class CompiledNetwork:
             for op in self.ops
             for slot, src in enumerate(op.srcs)
         )
+
+    @functools.cached_property
+    def first_pin(self) -> Tuple[int, ...]:
+        """Per op position: the pin number of its slot 0."""
+        sizes = (len(op.srcs) for op in self.ops[:-1])
+        return tuple(itertools.accumulate(sizes, initial=0))
 
     @functools.cached_property
     def branch_folds(self) -> Tuple[bool, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .gates import GateKind, check_arity, evaluate
+from .gates import GateKind, check_arity
 
 
 class NetworkError(ValueError):
@@ -203,23 +203,17 @@ class Network:
         """Evaluate every line for one input assignment.
 
         ``overrides`` maps line names to forced values — the stem stuck-at
-        fault model (Definition 2.1).  Pin (branch) faults are handled by
-        :func:`repro.logic.evaluate.evaluate_with_fault`, which needs
-        per-pin resolution.
+        fault model (Definition 2.1).  Pin (branch) faults go through
+        :func:`repro.logic.evaluate.evaluate_with_fault`, which this is a
+        stem-fault call of.
         """
-        values: Dict[str, int] = {}
-        overrides = overrides or {}
-        for name in self.inputs:
-            if name not in assignment:
-                raise NetworkError(f"missing value for input {name!r}")
-            values[name] = overrides.get(name, int(assignment[name]) & 1)
-        for name in self._topo:
-            gate = self._gates[name]
-            if name in overrides:
-                values[name] = overrides[name]
-                continue
-            values[name] = evaluate(gate.kind, [values[src] for src in gate.inputs])
-        return values
+        # Local imports: the engine imports this module.
+        from .evaluate import evaluate_with_fault
+        from .faults import MultipleFault, StuckAt
+
+        stems = (overrides or {}).items()
+        fault = MultipleFault(tuple(StuckAt(n, v) for n, v in stems))
+        return evaluate_with_fault(self, assignment, fault)
 
     def output_values(
         self,

@@ -29,6 +29,10 @@ around.  The registered invariants:
   networks, complete (testable faults get tests); on self-dual networks
   the pair ``(X, X̄)`` the ``pairs``-mode driver credits each detected
   fault really produces a nonalternating output pair (Theorem 3.2).
+* ``podem-table-agreement`` — ``atpg-detects``'s checker on networks
+  of MAJ, MIN (even arity included) and XNOR gates of up to 6 inputs:
+  PODEM's ``redundant`` means unchanged output tables, and its ``test``
+  detects.
 * ``collapse-verdict`` — every structural equivalence class of faults is
   status-uniform under the sweep, so the ``collapse=True`` campaign
   default preserves verdicts.
@@ -465,6 +469,32 @@ atpg_detects = register(
     "networks) and, on self-dual networks, alternating pairs yield "
     "nonalternating outputs",
 )((_gen_atpg, _check_atpg))
+
+
+#: The threshold gates, whose three-valued evaluation differs at even
+#: arity (an even MIN is no inverted MAJ), beside XNOR.
+_THRESHOLD_KINDS = (GateKind.MAJ, GateKind.MIN, GateKind.XNOR)
+
+
+def _gen_threshold(rng: random.Random) -> Case:
+    return Case(
+        network=random_mixed_network(
+            rng,
+            rng.randint(3, 6),
+            rng.randint(4, 10),
+            n_outputs=rng.randint(1, 2),
+            kinds=_THRESHOLD_KINDS,
+            max_fan_in=4,
+        )
+    )
+
+
+podem_table_agreement = register(
+    "podem-table-agreement",
+    "on MAJ/MIN/XNOR networks PODEM agrees with the output tables: a "
+    "fault it finds no test for leaves the reference tables unchanged, "
+    "and each test it returns detects its fault",
+)((_gen_threshold, _check_atpg))
 
 
 # ----------------------------------------------------------------------
@@ -931,7 +961,7 @@ def _micro_synth(
     seed: int,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    abort_after: Optional[int] = None,
+    generations: int = 4,
 ):
     """A deliberately tiny campaign — determinism and soundness do not
     need convergence, so trials stay cheap enough for the fuzz budget."""
@@ -941,11 +971,10 @@ def _micro_synth(
         SPECS[spec_name],
         seed=seed,
         population=8,
-        generations=4,
+        generations=generations,
         max_gates=8,
         checkpoint=checkpoint,
         resume=resume,
-        abort_after_generations=abort_after,
     )
 
 
@@ -970,8 +999,6 @@ def _check_synth_determinism(case: Case) -> Optional[str]:
     import os
     import tempfile
 
-    from ..synth import SynthInterrupted
-
     if case.seed is None:
         return None
     spec_name = _SYNTH_SPECS[case.seed % len(_SYNTH_SPECS)]
@@ -984,12 +1011,11 @@ def _check_synth_determinism(case: Case) -> Optional[str]:
         )
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "synth.ckpt.json")
-        try:
-            _micro_synth(
-                spec_name, case.seed, checkpoint=ckpt, abort_after=2
-            ).run()
-        except SynthInterrupted:
-            pass  # expected unless the search converged within 2 generations
+        # The first half stops at a 2-generation cap; the cap is no part
+        # of the checkpoint's identity, so the second half continues it.
+        _micro_synth(
+            spec_name, case.seed, checkpoint=ckpt, generations=2
+        ).run()
         resumed = _synth_identity(
             _micro_synth(spec_name, case.seed, checkpoint=ckpt, resume=True)
             .run()

@@ -111,7 +111,7 @@ class CodeConversionMachine:
         fault), ``alpt``, ``palt`` or ``mem`` — to ``forcing`` in ``row``."""
         if unit == "comb":
             compiled = compile_network(self.network)
-            forcing.stick_fault(compiled, fault, 1 << row)
+            forcing.stick_fault(compiled, compiled.fault_ids(fault), 1 << row)
         else:
             units = {"alpt": self.alpt, "palt": self.palt, "mem": self.memory}
             units[unit].force(forcing, row, fault)

@@ -134,7 +134,9 @@ class SequentialCircuit:
                 ("ff", fault.state_line, fault.stage), 1 << row, fault.value
             )
         else:
-            forcing.stick_fault(self.compiled, fault, 1 << row)
+            forcing.stick_fault(
+                self.compiled, self.compiled.fault_ids(fault), 1 << row
+            )
 
     def fault_forcing(
         self,

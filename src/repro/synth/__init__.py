@@ -26,7 +26,6 @@ Layers:
 
 from .campaign import (
     SynthCampaign,
-    SynthInterrupted,
     SynthReport,
     damage_network,
     repair_campaign,
@@ -42,7 +41,6 @@ __all__ = [
     "GenomeError",
     "SPECS",
     "SynthCampaign",
-    "SynthInterrupted",
     "SynthReport",
     "SynthSpec",
     "crossover",

@@ -17,7 +17,11 @@ one seeded :class:`random.Random`; candidate ranking breaks score ties
 on the canonical genome JSON; fitness memoization is a pure cache
 (re-evaluation is deterministic), so the per-generation checkpoint —
 population, RNG state, best-so-far, history, Pareto archive, all behind
-a config fingerprint — resumes to a byte-identical continuation.
+a config fingerprint — resumes to a byte-identical continuation.  The
+generation cap and the budget are no part of that fingerprint, so a run
+capped at 4 generations and resumed under a cap of 12 is the
+uninterrupted 12-generation run; a :class:`~repro.engine.CancelToken`
+is the one mid-run stop.
 
 Flight events: ``synth.generation`` per generation, ``synth.improved``
 when the best-so-far changes, one ``synth.report`` at the end; metrics
@@ -59,12 +63,6 @@ _M_BEST = _REG.gauge(
 _M_CHECKPOINTS = _REG.counter(
     "repro_synth_checkpoint_writes_total", "Synthesis checkpoint flushes"
 )
-
-
-class SynthInterrupted(RuntimeError):
-    """Raised when a campaign stops early on purpose (the
-    ``abort_after_generations`` drill hook); the checkpoint holds every
-    completed generation and ``--resume`` continues deterministically."""
 
 
 @dataclasses.dataclass
@@ -208,7 +206,6 @@ class SynthCampaign:
         timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        abort_after_generations: Optional[int] = None,
         cancel: Optional[CancelToken] = None,
     ) -> None:
         if population < 2:
@@ -250,7 +247,6 @@ class SynthCampaign:
         self.timeout = timeout
         self.checkpoint_path = checkpoint
         self.resume = resume
-        self.abort_after_generations = abort_after_generations
         self.cancel = cancel
         self._memo: Dict[str, FitnessRecord] = {}
 
@@ -305,8 +301,6 @@ class SynthCampaign:
             "degradations": 0,
             "workers_replaced": 0,
         }
-        completed_this_run = 0
-
         while (
             not converged
             and generation < self.generations
@@ -377,7 +371,6 @@ class SynthCampaign:
             if _REG.enabled:
                 _M_BEST.set(best[1].score)
             generation += 1
-            completed_this_run += 1
             converged = best[1].perfect
             if not converged:
                 population = self._breed(ranked, rng)
@@ -394,17 +387,6 @@ class SynthCampaign:
                         pareto,
                         converged,
                     )
-                )
-            if (
-                self.abort_after_generations is not None
-                and completed_this_run >= self.abort_after_generations
-                and not converged
-                and generation < self.generations
-            ):
-                raise SynthInterrupted(
-                    f"synthesis interrupted after {completed_this_run} "
-                    f"generations (checkpoint {self.checkpoint_path!r} is "
-                    f"resumable)"
                 )
 
         if best is None:

@@ -144,7 +144,7 @@ def _scalar_tables(
     assembled one point at a time — the deliberately unbatched baseline:
     per point one fault-free pass, then each fault's cone on a copy."""
     comp = engine.compiled
-    plans = [comp.fault_plan(fault) for fault in universe]
+    plans = [comp.fault_plan(comp.fault_ids(fault)) for fault in universe]
     tables = [[0] * len(comp.out_idx) for _ in range(len(plans) + 1)]
     for p in range(1 << comp.n_inputs):
         base = engine.pointwise.line_values(engine.pointwise.point_tuple(p))

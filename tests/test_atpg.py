@@ -1,20 +1,42 @@
 """Tests for the structural PODEM generator (repro.core.atpg)."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.atpg import Podem
+from repro.core.atpg import X, Podem, _eval3
 from repro.engine.atpg import run_atpg
-from repro.logic.evaluate import line_tables, outputs_with_fault
 from repro.logic.faults import PinStuckAt, StuckAt, enumerate_stem_faults
+from repro.logic.gates import GateArityError, GateKind, check_arity, evaluate
 from repro.logic.parse import parse_expression
+from repro.qa.reference import reference_output_bits, reference_outputs
 from repro.workloads.fig34 import fig34_network
 from repro.workloads.randomlogic import random_mixed_network
 
 pytestmark = pytest.mark.atpg
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind in GateKind if kind is not GateKind.INPUT]
+)
+def test_eval3_is_x_exactly_where_completions_disagree(kind):
+    """Every legal arity up to 5, every 0/1/X input vector: the
+    three-valued value is the 0/1 completions' common value, else X."""
+    for arity in range(6):
+        try:
+            check_arity(kind, arity)
+        except GateArityError:
+            continue
+        for values in itertools.product((0, 1, X), repeat=arity):
+            choices = [(0, 1) if v is X else (v,) for v in values]
+            outs = {
+                evaluate(kind, list(c)) for c in itertools.product(*choices)
+            }
+            want = outs.pop() if len(outs) == 1 else X
+            assert _eval3(kind, list(values)) == want, (kind, values)
 
 
 class TestGenerateTest:
@@ -26,8 +48,6 @@ class TestGenerateTest:
 
     def test_redundant_fault_untestable(self):
         net = parse_expression("a b | a' c | b c", inputs=["a", "b", "c"])
-        from repro.logic.gates import GateKind
-
         bc_line = next(
             g.name
             for g in net.gates
@@ -45,16 +65,14 @@ class TestGenerateTest:
         testable fault gets a test (completeness within budget)."""
         net = random_mixed_network(rnd, 4, rnd.randint(3, 8))
         podem = Podem(net)
-        normal = line_tables(net)
+        normal = reference_output_bits(net)
         for fault in enumerate_stem_faults(net):
-            faulty = line_tables(net, fault)
-            testable = any(
-                (normal[o] ^ faulty[o]).bits for o in net.outputs
-            )
+            testable = reference_output_bits(net, fault) != normal
             test = podem.generate_test(fault)
             if test is not None:
-                good = net.output_values(test)
-                bad = outputs_with_fault(net, test, fault)
+                point = tuple(test[name] for name in net.inputs)
+                good = reference_outputs(net, point)
+                bad = reference_outputs(net, point, fault)
                 assert good != bad, fault.describe()
             assert (test is not None) == testable, fault.describe()
 
@@ -63,8 +81,9 @@ class TestGenerateTest:
         fault = PinStuckAt("F3", 0, 1)  # the nab branch into F3
         test = podem.generate_test(fault)
         assert test is not None
-        assert fig34.output_values(test) != outputs_with_fault(
-            fig34, test, fault
+        point = tuple(test[name] for name in fig34.inputs)
+        assert reference_outputs(fig34, point) != reference_outputs(
+            fig34, point, fault
         )
 
     def test_unknown_fault_sites_raise(self, fig34):

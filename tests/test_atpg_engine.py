@@ -789,15 +789,21 @@ class TestTableRedundancy:
             event.get("attrs", {}).pop("via", None)
         assert summarize(events)["atpg_targets"]["podem"] == 11
 
-    def test_tables_find_a_test_podem_misses(self):
-        """On the golden grid's ``mixed-5`` net PODEM exhausts its tree
-        for ``g1 s/0`` and calls it redundant, yet the fault changes
-        ``g14`` at ``x3=1, x0=x1=x4=0``; the tables detect it."""
+    def test_tables_and_podem_both_find_the_even_min_test(self):
+        """On the golden grid's ``mixed-5`` net ``g1 s/0`` changes
+        ``g14`` at ``x3=1, x0=x1=x4=0``.  PODEM finds a detecting vector
+        only if it evaluates the net's even-arity MIN as a threshold, not
+        as ``1 - MAJ``; the tables detect it too."""
         from tests.test_podem_golden import grid_networks
 
         net = grid_networks()["mixed-5"]
         fault = StuckAt("g1", 0)
-        assert Podem(net).generate_test_ex(fault).status == "redundant"
+        result = Podem(net).generate_test_ex(fault)
+        assert result.status == "test"
+        vector = tuple(result.test[name] for name in net.inputs)
+        assert reference_outputs(net, vector, fault) != reference_outputs(
+            net, vector
+        )
         point = (0, 0, 0, 1, 0)
         assert reference_outputs(net, point, fault) != reference_outputs(
             net, point

@@ -2,16 +2,18 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.atpg import Podem
 from repro.core.collapse import (
     collapse_faults,
     collapse_stem_faults,
     collapsed_single_faults,
     equivalence_collapse,
 )
-from repro.engine import FaultSweep, compile_network
+from repro.engine import FaultSweep, NetworkEngine, compile_network
 from repro.logic.evaluate import line_tables
 from repro.logic.faults import (
     MultipleFault,
@@ -22,6 +24,7 @@ from repro.logic.faults import (
 from repro.logic.gates import GateKind
 from repro.logic.network import Gate, Network, NetworkBuilder
 from repro.logic.parse import parse_expression
+from repro.qa.reference import reference_output_bits
 from repro.workloads.randomlogic import random_mixed_network
 
 
@@ -247,7 +250,7 @@ class TestCompiledCollapse:
         assert second.single_fault_universe() == universe
         assert compile_network(net).fault_classes is classes
 
-    def test_resolve_ignores_absent_sites_and_shadows_pins(self):
+    def test_fault_ids_ignore_absent_sites_and_shadow_pins(self):
         net = Network(
             ["a", "b"], [Gate("g", GateKind.AND, ("a", "b"))], ["g"]
         )
@@ -261,6 +264,75 @@ class TestCompiledCollapse:
                 PinStuckAt("g", 1, 0),
             )
         )
-        assert comp.resolve(fault) == ({}, {0: [(1, 0)]})
+        # Three lines are stems 0..5; pin 1 of g is pin 1, so id 6 + 2.
+        assert comp.fault_ids(fault) == (8,)
         shadowed = MultipleFault((PinStuckAt("g", 1, 0), StuckAt("g", 1)))
-        assert comp.resolve(shadowed) == ({comp.index["g"]: 1}, {})
+        assert comp.fault_ids(shadowed) == (2 * comp.index["g"] + 1,)
+
+
+class TestFaultIdBoundary:
+    """``CompiledNetwork.fault_ids`` is the one place a fault's names are
+    read; everything past it sees integer ids."""
+
+    @staticmethod
+    def and_net():
+        return Network(
+            ["a", "b"],
+            [
+                Gate("g", GateKind.AND, ("a", "b")),
+                Gate("h", GateKind.NOT, ("g",)),
+            ],
+            ["h", "g"],
+        )
+
+    def test_each_rule_gives_its_exact_ids(self):
+        comp = compile_network(self.and_net())
+        # Lines a, b, g, h are stems 0..7; g's pins are 0 and 1 and h's
+        # pin is 2, so pin k s-a-v is id 8 + 2k + v.
+        cases = {
+            # a repeated site: the later part wins
+            MultipleFault((StuckAt("a", 0), StuckAt("a", 1))): (1,),
+            MultipleFault(
+                (PinStuckAt("g", 0, 1), PinStuckAt("g", 0, 0))
+            ): (8,),
+            # a stem shadows the pins of the gate that drives it
+            MultipleFault((PinStuckAt("g", 0, 1), StuckAt("g", 0))): (4,),
+            MultipleFault((StuckAt("g", 1), PinStuckAt("h", 0, 0))): (5, 12),
+            # an absent line, a pin of an input, an out-of-range slot
+            StuckAt("nope", 0): (),
+            PinStuckAt("a", 0, 1): (),
+            PinStuckAt("g", 2, 0): (),
+            PinStuckAt("h", 0, 1): (13,),
+            StuckAt("h", 0): (6,),
+        }
+        for fault, ids in cases.items():
+            assert comp.fault_ids(fault) == ids, fault
+        for fid in range(2 * (len(comp.names) + len(comp.pin_sites))):
+            assert comp.fault_ids(comp.fault(fid)) == (fid,)
+
+    def test_one_live_part_takes_the_stem_region_path(self):
+        net = self.and_net()
+        bitmask = NetworkEngine(net).bitmask
+        fault = MultipleFault((StuckAt("nope", 1), PinStuckAt("g", 1, 0)))
+        single = PinStuckAt("g", 1, 0)
+        assert bitmask.region_output_bits(fault) == reference_output_bits(
+            net, fault
+        )
+        assert bitmask.response_triple(fault) == bitmask.response_triple(
+            single
+        )
+        cone = FaultSweep(net, engine=NetworkEngine(net)).sweep(
+            [fault], backend="vectorized"
+        )
+        assert FaultSweep(net).sweep([fault]) == cone
+
+    def test_same_ids_share_one_fault_plan(self):
+        comp = compile_network(self.and_net())
+        single = comp.fault_plan(comp.fault_ids(StuckAt("g", 1)))
+        multiple = MultipleFault((StuckAt("g", 1),))
+        assert comp.fault_plan(comp.fault_ids(multiple)) is single
+
+    def test_podem_refuses_a_two_site_fault(self):
+        fault = MultipleFault((StuckAt("a", 1), StuckAt("b", 1)))
+        with pytest.raises(KeyError):
+            Podem(self.and_net()).generate_test_ex(fault)

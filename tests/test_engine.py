@@ -2,11 +2,11 @@
 
 Every backend — word-parallel bitmask, pointwise (single points and
 explicit point lists) — must agree
-bit-for-bit with a naive dict-walking reference evaluator on every seed
-circuit, fault-free and under exhaustive single-fault injection (stem
-and pin stuck-ats).  The reference below deliberately shares no code
-with the engine: it walks the named netlist gate by gate, resolving
-stem and pin overrides the way the legacy evaluators did.
+bit-for-bit with the naive dict-walking reference interpreter
+(:mod:`repro.qa.reference`) on every seed circuit, fault-free and under
+exhaustive single-fault injection (stem and pin stuck-ats).  The
+reference shares no code with the engine: it walks the named netlist
+gate by gate, resolving stem and pin overrides on its own.
 """
 
 import os
@@ -23,10 +23,8 @@ from repro.logic.faults import (
     PinStuckAt,
     StuckAt,
     enumerate_single_faults,
-    fault_overrides,
 )
 from repro.logic.gates import GateKind
-from repro.logic.gates import evaluate as eval_gate
 from repro.logic.network import Gate, Network
 from repro.qa.reference import (
     point_tuple,
@@ -106,27 +104,6 @@ EXHAUSTIVE_LIMIT = 6
 SAMPLE_POINTS = 48
 
 
-def reference_values(network, point, fault=None):
-    """Naive per-point evaluation: named dict walk, no engine code."""
-    if fault is None:
-        stems, pins = {}, {}
-    else:
-        stems, pins = fault_overrides(fault)
-    values = {}
-    for i, name in enumerate(network.inputs):
-        v = (point >> i) & 1
-        values[name] = stems.get(name, v)
-    for gate in network.gates:
-        operands = [values[src] for src in gate.inputs]
-        for slot in range(len(operands)):
-            override = pins.get((gate.name, slot))
-            if override is not None:
-                operands[slot] = override
-        v = eval_gate(gate.kind, operands)
-        values[gate.name] = stems.get(gate.name, v)
-    return values
-
-
 def check_points(network):
     n = len(network.inputs)
     if n <= EXHAUSTIVE_LIMIT:
@@ -153,8 +130,9 @@ class TestFaultFree:
         comp = engine.compiled
         bits = engine.bitmask.line_bits()
         points = check_points(circuit)
+        n = len(circuit.inputs)
         for point in points:
-            ref = reference_values(circuit, point)
+            ref = reference_line_values(circuit, point_tuple(n, point))
             # bitmask: bit `point` of each line mask
             for name, idx in comp.index.items():
                 assert (bits[idx] >> point) & 1 == ref[name], (name, point)
@@ -165,8 +143,7 @@ class TestFaultFree:
                 assert vals[idx] == ref[name], (name, point)
         # point lists: output vectors over the whole list at once
         expected = [
-            tuple(reference_values(circuit, p)[o] for o in circuit.outputs)
-            for p in points
+            reference_outputs(circuit, point_tuple(n, p)) for p in points
         ]
         assert engine.pointwise.output_vectors(points) == expected
 
@@ -176,11 +153,14 @@ class TestSingleFaultEquivalence:
         engine = engine_for(circuit)
         comp = engine.compiled
         points = check_points(circuit)
+        n = len(circuit.inputs)
         for fault in enumerate_single_faults(circuit):
             bits = engine.bitmask.line_bits(fault)
             sampled = engine.pointwise.output_vectors(points, fault)
             for pos, point in enumerate(points):
-                ref = reference_values(circuit, point, fault)
+                ref = reference_line_values(
+                    circuit, point_tuple(n, point), fault
+                )
                 for name, idx in comp.index.items():
                     assert (bits[idx] >> point) & 1 == ref[name], (
                         fault.describe(),
@@ -350,7 +330,8 @@ class TestVectorizedEquivalence:
                         for mask in whole.response_triple(fault)
                     )
                     assert tile.response_triple(fault) == want, fault
-                    assert tile._cone_response(fault) == want, fault
+                    ids = tile.compiled.fault_ids(fault)
+                    assert tile._cone_response(ids) == want, fault
 
     def test_sweep_statuses_identical_across_backends(self, rung_circuit):
         sweep = FaultSweep(rung_circuit)
@@ -572,7 +553,8 @@ class TestStemRegion:
         )
         assert obs.REGISTRY.total("repro_engine_ops_total") == expected
         cone_plans = len(comp.ops) + sum(
-            len(comp.fault_plan(fault).ops) for fault in universe
+            len(comp.fault_plan(comp.fault_ids(fault)).ops)
+            for fault in universe
         )
         assert 3 * expected <= cone_plans
 

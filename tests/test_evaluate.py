@@ -18,6 +18,7 @@ from repro.logic.evaluate import (
 from repro.logic.faults import PinStuckAt, StuckAt
 from repro.logic.gates import GateKind
 from repro.logic.network import NetworkBuilder
+from repro.qa.reference import point_tuple, reference_line_values
 from repro.workloads.randomlogic import random_mixed_network
 
 
@@ -60,8 +61,7 @@ class TestLineTables:
             net = random_mixed_network(rng, 3, 6, n_outputs=2)
             tables = line_tables(net)
             for point in range(8):
-                assign = net.assignment_from_index(point)
-                values = net.evaluate(assign)
+                values = reference_line_values(net, point_tuple(3, point))
                 for line, table in tables.items():
                     assert table.value(point) == values[line], line
 

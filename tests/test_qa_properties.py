@@ -42,6 +42,7 @@ EXPECTED_PROPERTIES = {
     "backend-agreement",
     "clocked-campaign-reference",
     "collapse-verdict",
+    "podem-table-agreement",
     "sampled-determinism",
     "seq-transform-equivalence",
     "stem-region-agreement",

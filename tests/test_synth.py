@@ -33,7 +33,6 @@ from repro.synth import (
     Genome,
     GenomeError,
     SynthCampaign,
-    SynthInterrupted,
     crossover,
     damage_network,
     evaluate_task,
@@ -251,14 +250,10 @@ class TestDeterminism:
     def test_interrupt_then_resume_is_byte_identical(self, tmp_path):
         straight = _campaign("or2", 2, generations=12).run()
         ckpt = os.path.join(tmp_path, "synth.ckpt.json")
-        with pytest.raises(SynthInterrupted):
-            _campaign(
-                "or2",
-                2,
-                generations=12,
-                checkpoint=ckpt,
-                abort_after_generations=4,
-            ).run()
+        # The interrupted half stops at a 4-generation cap, which the
+        # checkpoint's identity leaves out.
+        capped = _campaign("or2", 2, generations=4, checkpoint=ckpt).run()
+        assert not capped.converged and capped.generations_run == 4
         resumed = _campaign(
             "or2", 2, generations=12, checkpoint=ckpt, resume=True
         ).run()
@@ -267,14 +262,7 @@ class TestDeterminism:
 
     def test_checkpoint_fingerprint_mismatch_raises(self, tmp_path):
         ckpt = os.path.join(tmp_path, "synth.ckpt.json")
-        with pytest.raises(SynthInterrupted):
-            _campaign(
-                "or2",
-                2,
-                generations=12,
-                checkpoint=ckpt,
-                abort_after_generations=2,
-            ).run()
+        _campaign("or2", 2, generations=2, checkpoint=ckpt).run()
         with pytest.raises(CheckpointError):
             _campaign(  # different seed => different config fingerprint
                 "or2", 3, generations=12, checkpoint=ckpt, resume=True
@@ -444,6 +432,10 @@ class TestCli:
             main(["synth", "--spec", "and2", "--population", "1"])
         with pytest.raises(SystemExit):
             main(["synth", "--spec", "and2", "--resume"])
+        # The generation cap is the drill's stop: no knob of its own.
+        with pytest.raises(SystemExit) as unknown:
+            main(["synth", "--spec", "and2", "--abort-after-generations", "4"])
+        assert unknown.value.code == 2
 
 
 # ----------------------------------------------------------------------
