@@ -85,7 +85,7 @@ def campaigns_report():
     for fault in enumerate_stem_faults(dff.circuit.network, include_inputs=False):
         for window in ((4, 4), (9, 9), (8, 11)):
             transient_total += 1
-            run = dff.run(vectors, fault=fault, fault_window=window)
+            run = dff.run(vectors, [fault], fault_window=window)
             if dff.decoded_outputs(run) != reference and not run.detected:
                 transient_bad += 1
     lines = [

@@ -10,6 +10,8 @@ without a code violation.
 
 from _harness import record
 
+from repro.checkers.tworail import code_valid
+from repro.engine.compiled import RowForcing
 from repro.scal.translators import ALPT, PALT, TranslatorFault
 from repro.system.memory import parity
 
@@ -33,11 +35,13 @@ def translators_report():
     for site, index in _alpt_sites():
         for value in (0, 1):
             alpt = ALPT(WIDTH)
-            alpt.inject(TranslatorFault(site, index, value))
+            forcing = RowForcing()
+            alpt.force(forcing, 0, TranslatorFault(site, index, value))
             detected = wrong_undetected = 0
             for word in range(1 << WIDTH):
                 bits = [(word >> i) & 1 for i in range(WIDTH)]
-                data, par = alpt.feed_pair(bits, [1 - b for b in bits])
+                comp = [1 - b for b in bits]
+                data, par = alpt.feed_pair(forcing, bits, comp)
                 bad_code = parity(data) != par
                 wrong = data != bits or par != parity(bits)
                 if bad_code:
@@ -56,15 +60,16 @@ def translators_report():
     for site, index in _palt_sites():
         for value in (0, 1):
             palt = PALT(WIDTH)
-            palt.inject(TranslatorFault(site, index, value))
+            forcing = RowForcing()
+            palt.force(forcing, 0, TranslatorFault(site, index, value))
             exposed = wrong_undetected = 0
             for word in range(1 << WIDTH):
                 stored = [(word >> i) & 1 for i in range(WIDTH)]
-                code = palt.code_output(stored, parity(stored))
-                first = palt.outputs_for_period(stored, 0)
-                second = palt.outputs_for_period(stored, 1)
+                code = palt.code_output(forcing, stored, parity(stored))
+                first = palt.outputs_for_period(forcing, stored, 0)
+                second = palt.outputs_for_period(forcing, stored, 1)
                 alternates = all(b == 1 - a for a, b in zip(first, second))
-                detected = (not PALT.code_valid(code)) or not alternates
+                detected = (not code_valid(code)) or not alternates
                 wrong = first != stored
                 if detected:
                     exposed += 1

@@ -12,10 +12,8 @@ import random
 
 from _harness import record
 
-from repro.logic.faults import enumerate_stem_faults
 from repro.scal.codeconv import to_code_conversion
-from repro.scal.translators import TranslatorFault
-from repro.system.memory import single_memory_faults
+from repro.scal.verify import codeconv_campaign
 from repro.workloads.detectors import kohavi_0101
 
 
@@ -27,47 +25,19 @@ def codeconv_report():
     reference = machine.run(vectors)
     healthy = cc.run(vectors)
     equivalent = cc.decoded_outputs(healthy) == reference and not healthy.detected
-
-    width = cc.encoding.width
-    campaigns = []
-    total = detected = silent = dangerous = 0
-
-    def classify(label, run):
-        nonlocal total, detected, silent, dangerous
-        total += 1
-        wrong = cc.decoded_outputs(run) != reference
-        if run.detected:
-            detected += 1
-        elif wrong:
-            dangerous += 1
-            campaigns.append(f"  DANGEROUS: {label}")
-        else:
-            silent += 1
-
-    for fault in enumerate_stem_faults(cc.network, include_inputs=False):
-        classify(f"comb {fault.describe()}", cc.run(vectors, comb_fault=fault))
-    sites = [(s, k) for s in "abcde" for k in range(width)]
-    for site, k in sites + [("f", 0), ("i", 0), ("h", 0), ("g", 0)]:
-        for v in (0, 1):
-            tf = TranslatorFault(site, k, v)
-            classify(f"alpt {tf.describe()}", cc.run(vectors, alpt_fault=tf))
-    for site, k in sites + [("f", 0), ("g", 0), ("h", 0)]:
-        for v in (0, 1):
-            tf = TranslatorFault(site, k, v)
-            classify(f"palt {tf.describe()}", cc.run(vectors, palt_fault=tf))
-    for mf in single_memory_faults(width, cc.memory.address_bits):
-        classify(f"mem {mf.describe()}", cc.run(vectors, memory_fault=mf))
-
+    # Every stem, translator line class and memory fault, uncollapsed.
+    result = codeconv_campaign(cc, vectors, collapse=False)
     lines = [
         "Figure 4.5 - code-conversion sequential machine (0101 detector)",
         f"storage: {cc.flip_flop_count()} bits (n+1) vs 2n = "
-        f"{2 * width} for dual flip-flops",
+        f"{2 * cc.encoding.width} for dual flip-flops",
         f"functional equivalence over {len(vectors)} steps: {equivalent}",
-        f"single-fault campaign: {total} faults -> detected {detected}, "
-        f"silent(harmless) {silent}, DANGEROUS {dangerous}",
-        *campaigns,
+        f"single-fault campaign: {result.total} faults -> detected "
+        f"{result.detected}, silent(harmless) {result.silent}, "
+        f"DANGEROUS {result.dangerous}",
+        *(f"  DANGEROUS: {label}" for label in result.dangerous_faults),
     ]
-    return "\n".join(lines), equivalent and dangerous == 0
+    return "\n".join(lines), equivalent and result.dangerous == 0
 
 
 def test_fig4_5_codeconv(benchmark):

@@ -63,14 +63,15 @@ def main() -> None:
 
     # Inject a fault into the dual-FF machine's combinational block.
     print("\n--- injecting Z0 stuck-at-1 into the dual flip-flop machine ---")
-    bad = reynolds.run(vectors, fault=StuckAt("Z0", 1))
+    bad = reynolds.run(vectors, [StuckAt("Z0", 1)])
     print(f"detected: {bad.detected} at logical step {bad.first_detection}")
 
     # Inject a stored-state bit fault into the translator machine.
     print("--- injecting a memory data-line fault into the translator machine ---")
     from repro.system.memory import MemoryFault
 
-    bad_t = translator.run(vectors, memory_fault=MemoryFault("data_line", 0, 1))
+    stuck_line = ("mem", MemoryFault("data_line", 0, 1))
+    bad_t = translator.run(vectors, [stuck_line])
     print(f"detected: {bad_t.detected} at logical step {bad_t.first_detection}")
 
     # Table 4.1 — paper vs measured.

@@ -324,7 +324,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     import json
 
     from .engine import CampaignCancelled, CheckpointError
-    from .synth import SPECS, SynthCampaign, repair_campaign
+    from .synth import MIN_POPULATION, SPECS, SynthCampaign, repair_campaign
 
     if (args.spec is None) == (args.repair is None):
         raise SystemExit("exactly one of --spec NAME or --repair NETLIST")
@@ -337,8 +337,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     if args.resume and args.checkpoint is None:
         raise SystemExit("--resume requires --checkpoint PATH")
-    if args.population < 2:
-        raise SystemExit(f"--population must be >= 2, got {args.population}")
+    if args.population < MIN_POPULATION:
+        raise SystemExit(
+            f"--population must be >= {MIN_POPULATION}, got {args.population}"
+        )
     if args.generations < 1:
         raise SystemExit(
             f"--generations must be >= 1, got {args.generations}"

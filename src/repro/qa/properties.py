@@ -89,7 +89,7 @@ from ..engine.compiled import RowForcing
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.gates import GateKind
 from ..logic.network import Gate, Network
-from ..scal.alternating import AlternatingRun, AlternatingStep, RowTrace
+from ..scal.alternating import RowTrace, one_row_run
 from ..scal.codeconv import to_code_conversion
 from ..scal.dualff import to_dual_flipflop
 from ..scal.translators import TranslatorFault
@@ -687,26 +687,13 @@ def _check_clocked_campaign(case: Case) -> Optional[str]:
         )
     ]
     forcing = RowForcing(len(universe))
-    for row, (unit, fault) in enumerate(universe):
-        codeconv.force(forcing, row, unit, fault)
+    for row, fault in enumerate(universe):
+        codeconv.force(forcing, row, fault)
     packed = codeconv.clock_rows(vectors, forcing)
     stopped = codeconv.stopped_rows(forcing)
-    keyword = {
-        "comb": "comb_fault",
-        "alpt": "alpt_fault",
-        "palt": "palt_fault",
-        "mem": "memory_fault",
-    }
     for row, (unit, fault) in enumerate(universe):
-        single = codeconv.run(vectors, **{keyword[unit]: fault})
-        if stopped >> row & 1:
-            got = AlternatingRun((), (True,))
-        else:
-            steps = _row_trace(packed, row)
-            got = AlternatingRun(
-                tuple(AlternatingStep(a, b) for a, b, _ in steps),
-                tuple(bool(flag) for _, _, flag in steps),
-            )
+        single = codeconv.run(vectors, [(unit, fault)])
+        got = one_row_run(_row_trace(packed, row), stopped >> row & 1)
         if got != single:
             return (
                 f"code-conversion row {unit} {fault.describe()} differs "

@@ -6,9 +6,6 @@ from .alternating import (
     PERIOD_CLOCK,
     AlternatingRun,
     AlternatingStep,
-    alternating_pair,
-    alternating_stream,
-    pair_periods,
 )
 from .codeconv import CodeConversionMachine, to_code_conversion
 from .costs import (
@@ -50,14 +47,11 @@ __all__ = [
     "REYNOLDS_COST_FACTOR",
     "THESIS_TABLE_4_1",
     "TranslatorFault",
-    "alternating_pair",
-    "alternating_stream",
     "codeconv_campaign",
     "cost_factor",
     "dualff_campaign",
     "kohavi_general",
     "measured_cost",
-    "pair_periods",
     "render_cost_table",
     "reynolds_general",
     "self_dual_machine_network",

@@ -1,17 +1,16 @@
-"""Alternating-operation helpers: drive streams, check alternation.
+"""Alternating-operation helpers: logical steps and the alternation check.
 
 Alternating logic applies each input vector twice — true in the first
 period (φ=0), complemented in the second (φ=1) — and a healthy SCAL
 network answers with complementary values (Definition 2.5).  These
-helpers build such streams, split period traces back into logical steps,
-and perform the checker's job in software: flag every output pair that
-fails to alternate.
+helpers hold a clocked run as logical steps and perform the checker's
+job in software: flag every output pair that fails to alternate.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 PERIOD_CLOCK = "phi"
 
@@ -19,29 +18,6 @@ PERIOD_CLOCK = "phi"
 #: per logical step, the first- and second-period monitored row masks
 #: and the rows an extra checker flagged.
 RowTrace = List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]
-
-
-def alternating_pair(
-    vector: Mapping[str, int], clock_name: str = PERIOD_CLOCK
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """The two period assignments for one logical input vector."""
-    first = dict(vector)
-    first[clock_name] = 0
-    second = {name: 1 - (int(v) & 1) for name, v in vector.items()}
-    second[clock_name] = 1
-    return first, second
-
-
-def alternating_stream(
-    vectors: Iterable[Mapping[str, int]], clock_name: str = PERIOD_CLOCK
-) -> List[Dict[str, int]]:
-    """Interleave true/complemented assignments with the period clock."""
-    stream: List[Dict[str, int]] = []
-    for vector in vectors:
-        first, second = alternating_pair(vector, clock_name)
-        stream.append(first)
-        stream.append(second)
-    return stream
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,11 +35,6 @@ class AlternatingStep:
     def decoded(self) -> Tuple[int, ...]:
         """The logical (first-period) output values."""
         return self.first
-
-    def nonalternating_positions(self) -> Tuple[int, ...]:
-        return tuple(
-            i for i, (a, b) in enumerate(zip(self.first, self.second)) if a == b
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,6 +64,24 @@ class AlternatingRun:
         return [step.decoded for step in self.steps]
 
 
+def one_row_run(
+    trace: RowTrace, stopped: int = 0, checker: bool = True
+) -> AlternatingRun:
+    """The :class:`AlternatingRun` of a one-row clocked trace.
+
+    ``checker`` reports the extra checker's flag per step (a machine
+    whose only checkers are the alternation monitors passes False).  A
+    ``stopped`` run (the common clock stuck) produces no steps and one
+    raised flag: shutdown is a noncode state, reported as a detection.
+    """
+    if stopped:
+        return AlternatingRun((), (True,))
+    steps = tuple(AlternatingStep(first, second) for first, second, _ in trace)
+    if not checker:
+        return AlternatingRun(steps)
+    return AlternatingRun(steps, tuple(bool(flag) for _, _, flag in trace))
+
+
 def check_vectors(
     vectors: Iterable[Sequence[int]], n_inputs: int
 ) -> List[Tuple[int, ...]]:
@@ -106,13 +95,3 @@ def check_vectors(
                 f"the machine has n_inputs={n_inputs}"
             )
     return stream
-
-
-def pair_periods(trace: Sequence[Tuple[int, ...]]) -> AlternatingRun:
-    """Group a per-period output trace into alternating steps."""
-    if len(trace) % 2:
-        raise ValueError("alternating traces have an even number of periods")
-    steps = tuple(
-        AlternatingStep(trace[i], trace[i + 1]) for i in range(0, len(trace), 2)
-    )
-    return AlternatingRun(steps)

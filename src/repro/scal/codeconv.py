@@ -10,37 +10,41 @@ Checkers monitor (1) alternation of the external Z outputs and of the
 fed-back Y outputs, and (2) the PALT's 1-out-of-2 code — the combination
 Theorem 4.4 proves sufficient for the feedback to be self-checking.
 
-Single-fault injection reaches every part of the loop: the combinational
-network (stem/pin stuck-ats), ALPT lines, memory (cells, data lines,
-address lines), and PALT lines.  The loop is clocked row-parallel
-(:class:`~repro.engine.compiled.RowForcing`): a campaign runs every
-fault at once, one per row, and :meth:`CodeConversionMachine.run` is
-the one-row case.
+A fault is a ``(unit, fault)`` pair and reaches every part of the loop:
+the combinational network (``comb``: stem/pin stuck-ats), ALPT lines
+(``alpt``), memory (``mem``: cells, data lines, address lines), and PALT
+lines (``palt``).  The loop is clocked row-parallel
+(:class:`~repro.engine.compiled.RowForcing`) and the units hold no fault
+state: :meth:`CodeConversionMachine.clock_rows` passes one forcing down
+to all of them, so a campaign runs every fault at once, one per row, and
+:meth:`CodeConversionMachine.run` is the one-row case.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.backends import run_ops
 from ..engine.compiled import RowForcing, compile_network
-from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from ..seq.encoding import StateEncoding
 from ..seq.machine import StateTable
-from ..system.memory import MemoryFault, ParityMemory, parity
+from ..system.memory import ParityMemory, parity
 from .alternating import (
     PERIOD_CLOCK,
     AlternatingRun,
-    AlternatingStep,
     RowTrace,
     check_vectors,
+    one_row_run,
 )
 from .dualff import self_dual_machine_network
-from .translators import ALPT, PALT, TranslatorFault
+from .translators import ALPT, PALT
 
-FaultLike = Union[Fault, MultipleFault]
+#: ``(unit, fault)``: a network stem/pin fault under ``comb``, a
+#: :class:`~repro.scal.translators.TranslatorFault` under ``alpt`` or
+#: ``palt``, a :class:`~repro.system.memory.MemoryFault` under ``mem``.
+UnitFault = Tuple[str, object]
 
 
 @dataclasses.dataclass
@@ -87,14 +91,12 @@ class CodeConversionMachine:
         free, in each of ``rows`` rows."""
         idle = RowForcing(rows)
         self.memory.clear()
-        for unit in (self.alpt, self.palt, self.memory):
-            unit.forcing = idle
         code = self.encoding.code(self.machine.initial_state)
         word = [idle.full if bit else 0 for bit in code]
         par = idle.full if parity(code) ^ self._address_parity() else 0
         self.alpt.data_latches = list(word)
         self.alpt.parity_latch = par
-        self.memory.store(self.state_address, word, par)
+        self.memory.store(idle, self.state_address, word, par)
 
     def _address_parity(self) -> int:
         return parity(
@@ -104,51 +106,35 @@ class CodeConversionMachine:
             ]
         )
 
-    def force(
-        self, forcing: RowForcing, row: int, unit: str, fault: object
-    ) -> None:
-        """Add one fault of ``unit`` — ``comb`` (a network stem/pin
-        fault), ``alpt``, ``palt`` or ``mem`` — to ``forcing`` in ``row``."""
+    def force(self, forcing: RowForcing, row: int, fault: UnitFault) -> None:
+        """Add one ``(unit, fault)`` to ``forcing`` in ``row``."""
+        unit, part = fault
         if unit == "comb":
             compiled = compile_network(self.network)
-            forcing.stick_fault(compiled, compiled.fault_ids(fault), 1 << row)
+            forcing.stick_fault(compiled, compiled.fault_ids(part), 1 << row)
         else:
             units = {"alpt": self.alpt, "palt": self.palt, "mem": self.memory}
-            units[unit].force(forcing, row, fault)
+            units[unit].force(forcing, row, part)
 
     def run(
         self,
         vectors: Sequence[Tuple[int, ...]],
-        comb_fault: Optional[FaultLike] = None,
-        alpt_fault: Optional[TranslatorFault] = None,
-        palt_fault: Optional[TranslatorFault] = None,
-        memory_fault: Optional[MemoryFault] = None,
+        faults: Iterable[UnitFault] = (),
     ) -> AlternatingRun:
-        """Drive logical input vectors through the full loop.
+        """Drive logical input vectors through the full loop under
+        ``faults``, all in one machine.
 
         Returns one step per vector monitoring (Z..., Y...) alternation;
         ``checker_flags[t]`` is True when the PALT's 1-out-of-2 code was
-        a noncode word at step *t*.
+        a noncode word at step *t*.  A stopped common clock (Theorem 4.1
+        case 5: all clock fanout is from one node, so the whole system
+        stops) is a run with no steps and one raised flag.
         """
         forcing = RowForcing()
-        for unit, fault in (
-            ("comb", comb_fault),
-            ("alpt", alpt_fault),
-            ("palt", palt_fault),
-            ("mem", memory_fault),
-        ):
-            if fault is not None:
-                self.force(forcing, 0, unit, fault)
+        for fault in faults:
+            self.force(forcing, 0, fault)
         trace = self.clock_rows(vectors, forcing)
-        if self.stopped_rows(forcing):
-            # Common-clock failure (Theorem 4.1 case 5): all clock fanout
-            # is from one node, so the whole system stops.  Shutdown is
-            # regarded as a noncode state — reported as a detection.
-            return AlternatingRun((), (True,))
-        return AlternatingRun(
-            tuple(AlternatingStep(first, second) for first, second, _ in trace),
-            tuple(bool(flag) for _, _, flag in trace),
-        )
+        return one_row_run(trace, self.stopped_rows(forcing))
 
     @staticmethod
     def stopped_rows(forcing: RowForcing) -> int:
@@ -178,35 +164,31 @@ class CodeConversionMachine:
         y_idx = [pos[name] for name in self.state_output_names]
         addr_par = self._address_parity()
         alpt, palt, memory = self.alpt, self.palt, self.memory
-        for unit in (alpt, palt, memory):
-            unit.forcing = forcing
         trace = []
-        try:
-            for vector in vectors:
-                data, stored_parity = memory.load(self.state_address)
-                g_line, h_line = palt.code_output(data, stored_parity, addr_par)
-                noncode = full & ~(g_line ^ h_line)
-                pair = []
-                y_pair = []
-                for phase in (0, 1):
-                    values = [0] * len(compiled.names)
-                    for p, bit in zip(x_pos, vector):
-                        values[p] = full if (bit & 1) ^ phase else 0
-                    values[clock_pos] = full if phase else 0
-                    present = palt.outputs_for_period(data, phase)
-                    for p, value in zip(y_pos, present):
-                        values[p] = value
-                    run_ops(compiled, values, full, forcing=forcing)
-                    pair.append(tuple(values[i] for i in monitored))
-                    y_pair.append([values[i] for i in y_idx])
-                word, new_parity = alpt.feed_pair(
-                    y_pair[0], y_pair[1], address_parity=addr_par
-                )
-                memory.store(self.state_address, word, new_parity)
-                trace.append((pair[0], pair[1], noncode))
-        finally:
-            for unit in (alpt, palt, memory):
-                unit.inject(None)
+        for vector in vectors:
+            data, stored_parity = memory.load(forcing, self.state_address)
+            g_line, h_line = palt.code_output(
+                forcing, data, stored_parity, addr_par
+            )
+            noncode = full & ~(g_line ^ h_line)
+            pair = []
+            y_pair = []
+            for phase in (0, 1):
+                values = [0] * len(compiled.names)
+                for p, bit in zip(x_pos, vector):
+                    values[p] = full if (bit & 1) ^ phase else 0
+                values[clock_pos] = full if phase else 0
+                present = palt.outputs_for_period(forcing, data, phase)
+                for p, value in zip(y_pos, present):
+                    values[p] = value
+                run_ops(compiled, values, full, forcing=forcing)
+                pair.append(tuple(values[i] for i in monitored))
+                y_pair.append([values[i] for i in y_idx])
+            word, new_parity = alpt.feed_pair(
+                forcing, y_pair[0], y_pair[1], address_parity=addr_par
+            )
+            memory.store(forcing, self.state_address, word, new_parity)
+            trace.append((pair[0], pair[1], noncode))
         return trace
 
     def decoded_outputs(self, run: AlternatingRun) -> List[Tuple[int, ...]]:

@@ -20,26 +20,23 @@ the Y outputs"), which is what :meth:`DualFlipFlopMachine.run` reports.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.compiled import RowForcing
-from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from ..logic.selfdual import self_dualize_table
 from ..logic.truthtable import TruthTable
 from ..seq.encoding import StateEncoding, binary_encoding
 from ..seq.machine import StateTable
-from ..seq.simulator import FlipFlopFault, SequentialCircuit
+from ..seq.simulator import CircuitFault, SequentialCircuit
 from ..seq.synthesis import machine_tables
 from .alternating import (
     PERIOD_CLOCK,
     AlternatingRun,
-    AlternatingStep,
     RowTrace,
     check_vectors,
+    one_row_run,
 )
-
-FaultLike = Union[Fault, MultipleFault]
 
 
 def self_dual_machine_network(
@@ -103,29 +100,38 @@ class DualFlipFlopMachine:
     def gate_count(self) -> int:
         return self.circuit.gate_count()
 
+    def force(
+        self, forcing: RowForcing, row: int, fault: CircuitFault
+    ) -> None:
+        """Add a network or flip-flop fault to ``forcing`` in ``row``."""
+        self.circuit.force(forcing, row, fault)
+
+    @staticmethod
+    def stopped_rows(forcing: RowForcing) -> int:
+        """No row stops: this form has no common-clock fault site."""
+        return 0
+
     def run(
         self,
         vectors: Sequence[Tuple[int, ...]],
-        fault: Optional[FaultLike] = None,
-        ff_fault: Optional[FlipFlopFault] = None,
+        faults: Iterable[CircuitFault] = (),
         fault_window: Optional[Tuple[int, int]] = None,
     ) -> AlternatingRun:
-        """Drive logical input vectors in alternating mode.
+        """Drive logical input vectors in alternating mode under
+        ``faults`` (network and flip-flop faults, all in one machine).
 
         Each vector occupies two clock periods; the run reports, per
         step, the (Z..., Y...) pair values and the alternation verdict —
         monitoring Z *and* Y as the thesis requires.
 
-        ``fault_window=(first, last)`` makes the fault *transient*
-        (Definition 2.1 covers both): it is active only during clock
+        ``fault_window=(first, last)`` makes the faults *transient*
+        (Definition 2.1 covers both): they are active only during clock
         periods ``first..last`` inclusive (period = 2·step + phase).
         ``None`` means permanent.
         """
-        forcing = self.circuit.fault_forcing(fault, ff_fault)
+        forcing = self.circuit.one_row(faults)
         trace = self.clock_rows(vectors, forcing, fault_window=fault_window)
-        return AlternatingRun(
-            tuple(AlternatingStep(first, second) for first, second, _ in trace)
-        )
+        return one_row_run(trace, checker=False)
 
     def clock_rows(
         self,

@@ -71,10 +71,11 @@ def _single_step(
     machine: DualFlipFlopMachine,
     state: str,
     vector: Tuple[int, ...],
-    fault: Optional[Fault],
+    faults: Sequence[Fault],
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """One logical step from ``state``; returns the (Z…Y…) period pair."""
-    forcing = machine.circuit.fault_forcing(fault)
+    """One logical step from ``state`` under ``faults``; returns the
+    (Z…Y…) period pair."""
+    forcing = machine.circuit.one_row(faults)
     ((first, second, _flags),) = machine.clock_rows([vector], forcing, state)
     return first, second
 
@@ -107,7 +108,7 @@ def verify_inductively(
                 expected_first, expected_second = _expected_pair(
                     machine, state, vector
                 )
-                first, second = _single_step(machine, state, vector, fault)
+                first, second = _single_step(machine, state, vector, [fault])
                 correct = first == expected_first and second == expected_second
                 alternates = all(
                     b == 1 - a for a, b in zip(first, second)

@@ -18,15 +18,17 @@
 Both are register-transfer-level models with *named internal fault
 sites* matching the line classes the proofs of Theorems 4.1 and 4.3 walk
 through (letters a–j as printed in Figures 4.4a/4.4b), so the theorems
-can be checked by exhaustive injection.  Both are row-parallel: a
-code-conversion campaign clocks every fault at once, one per row, and
-the single-fault API is the one-row case.
+can be checked by exhaustive injection.  Both are row-parallel and hold
+no fault state: every method takes the caller's
+:class:`~repro.engine.compiled.RowForcing`, so a code-conversion
+campaign clocks every fault at once, one per row, and a one-row forcing
+is the scalar case.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 from ..engine.compiled import RowForcing
 
@@ -57,36 +59,38 @@ class TranslatorFault:
         return f"{self.site}[{self.index}] s/{self.value}"
 
 
+#: The per-bit line classes of both translators; every other site is a
+#: single line, whatever the fault's index.
+PER_BIT_SITES = frozenset("abcde")
+
+
+def _site(unit: str, fault: TranslatorFault) -> Hashable:
+    """The forcing key of ``fault`` in ``unit`` (``alpt``/``palt``)."""
+    index = fault.index if fault.site in PER_BIT_SITES else 0
+    return (unit, fault.site, index)
+
+
 class ALPT:
     """Alternating Logic to Parity Translator (Figure 4.4a).
 
-    Row-parallel (:class:`~repro.engine.compiled.RowForcing`): latches
-    and line values are row masks and every site is forced through
-    :attr:`forcing`.
-    :meth:`inject` arms one fault in a one-row forcing — the scalar case.
+    Row-parallel: latches and line values are row masks, and every site
+    is forced through the caller's
+    :class:`~repro.engine.compiled.RowForcing`.
     """
 
     def __init__(self, width: int) -> None:
         self.width = width
         self.data_latches: List[int] = [0] * width
         self.parity_latch: int = 0
-        self.inject(None)
-
-    def inject(self, fault: Optional[TranslatorFault]) -> None:
-        self.fault = fault
-        self.forcing = RowForcing()
-        if fault is not None:
-            self.force(self.forcing, 0, fault)
 
     @staticmethod
     def force(forcing: RowForcing, row: int, fault: TranslatorFault) -> None:
-        """Add one ALPT line fault to ``forcing`` in ``row``.  The clock
-        sites ``g`` and ``h``/``j`` have no bit position."""
-        index = 0 if fault.site in ("g", "h", "j") else fault.index
-        forcing.stick(("alpt", fault.site, index), 1 << row, fault.value)
+        """Add one ALPT line fault to ``forcing`` in ``row``."""
+        forcing.stick(_site("alpt", fault), 1 << row, fault.value)
 
     def feed_pair(
         self,
+        forcing: RowForcing,
         true_values: Sequence[int],
         comp_values: Sequence[int],
         address_parity: int = 0,
@@ -99,7 +103,7 @@ class ALPT:
         """
         if len(true_values) != self.width or len(comp_values) != self.width:
             raise ValueError("value width mismatch")
-        f = self.forcing
+        f = forcing
         full = f.full
         # A stuck common clock (g) holds every latch.
         stopped = f.forced_rows(("alpt", "g", 0))
@@ -135,31 +139,24 @@ class ALPT:
 
 class PALT:
     """Parity to Alternating Logic Translator (Figure 4.4b), row-parallel
-    like :class:`ALPT`."""
+    like :class:`ALPT`.  It has no state of its own."""
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self.inject(None)
-
-    def inject(self, fault: Optional[TranslatorFault]) -> None:
-        self.fault = fault
-        self.forcing = RowForcing()
-        if fault is not None:
-            self.force(self.forcing, 0, fault)
 
     @staticmethod
     def force(forcing: RowForcing, row: int, fault: TranslatorFault) -> None:
         """Add one PALT line fault to ``forcing`` in ``row``."""
-        forcing.stick(("palt", fault.site, fault.index), 1 << row, fault.value)
+        forcing.stick(_site("palt", fault), 1 << row, fault.value)
 
     def outputs_for_period(
-        self, stored_data: Sequence[int], phase: int
+        self, forcing: RowForcing, stored_data: Sequence[int], phase: int
     ) -> List[int]:
         """The alternating data outputs ``y_k = t_k ⊕ φ`` for one period
         (``phase`` is one bit, the same in every row)."""
         if len(stored_data) != self.width:
             raise ValueError("stored word width mismatch")
-        f = self.forcing
+        f = forcing
         clock = f.full if int(phase) & 1 else 0
         outs = []
         for k in range(self.width):
@@ -170,6 +167,7 @@ class PALT:
 
     def code_output(
         self,
+        forcing: RowForcing,
         stored_data: Sequence[int],
         stored_parity: int,
         address_parity: int = 0,
@@ -180,9 +178,9 @@ class PALT:
         Valid operation gives complementary values; equal values are a
         noncode word — the checker input Theorem 4.3 requires.
         """
-        f = self.forcing
+        f = forcing
         computed = 0
-        for k, value in enumerate(self.outputs_for_period(stored_data, 0)):
+        for k, value in enumerate(self.outputs_for_period(f, stored_data, 0)):
             computed ^= f.apply(("palt", "e", k), value)
         if int(address_parity) & 1:
             computed ^= f.full
@@ -190,8 +188,3 @@ class PALT:
         g_line = f.apply(("palt", "g", 0), int(stored_parity) & f.full)
         h_line = f.apply(("palt", "h", 0), complement)
         return g_line, h_line
-
-    @staticmethod
-    def code_valid(code: Tuple[int, int]) -> bool:
-        """1-out-of-2 validity: exactly one of the two rails is 1."""
-        return code[0] != code[1]

@@ -3,11 +3,12 @@
 The combinational oracle (:mod:`repro.core.simulate`) is exhaustive over
 inputs; sequential machines additionally carry state, so their campaigns
 drive a (seeded or supplied) input stream against every fault and
-classify the runs.  Every fault is one row of a row-parallel clocked
-run (:class:`~repro.engine.compiled.RowForcing`), so one pass over the
-compiled block per clock period advances the whole universe.  This is
-the API behind the Chapter 4 benches and the tool a user points at
-their own machine:
+classify the runs.  :func:`dualff_campaign` and :func:`codeconv_campaign`
+build the fault universe; one shared loop puts every fault in its own row
+of a row-parallel clocked run (:class:`~repro.engine.compiled.RowForcing`,
+added by the machine's ``force``), so one pass over the compiled block
+per clock period advances the whole universe.  This is the API behind
+the Chapter 4 benches and the tool a user points at their own machine:
 
     campaign = dualff_campaign(to_dual_flipflop(machine), vectors)
     assert campaign.dangerous == 0
@@ -17,17 +18,18 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..engine.compiled import RowForcing, compile_network
 from ..logic.faults import Fault
 from ..seq.machine import StateTable
 from ..seq.simulator import FlipFlopFault
 from ..system.memory import single_memory_faults
-from .alternating import RowTrace
 from .codeconv import CodeConversionMachine
 from .dualff import DualFlipFlopMachine
 from .translators import TranslatorFault
+
+ClockedMachine = Union[DualFlipFlopMachine, CodeConversionMachine]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,23 +62,29 @@ class CampaignResult:
 
 
 def _campaign(
-    machine_name: str,
+    machine: ClockedMachine,
+    name: str,
+    universe: Sequence[object],
     labels: Sequence[str],
-    trace: RowTrace,
-    reference: List[Tuple[int, ...]],
-    n_z: int,
-    full: int,
-    stopped: int = 0,
+    vectors: Sequence[Tuple[int, ...]],
 ) -> CampaignResult:
-    """Classify every row of a clocked trace (row ``r`` is ``labels[r]``).
+    """Clock ``universe`` one fault per row (row ``r`` is ``labels[r]``)
+    and classify every row.
 
     A row is detected at the first step where a monitored output fails
     to alternate or the checker mask flags it; that step is its
-    latency.  ``stopped`` rows are detected with no latency.  An
-    undetected row whose decoded Z ever differs from ``reference`` is
-    dangerous.
+    latency.  Rows the machine stops (a stuck common clock) are
+    detected with no latency.  An undetected row whose decoded Z ever
+    differs from the state table's run is dangerous.
     """
-    detected = stopped
+    forcing = RowForcing(len(universe))
+    for row, fault in enumerate(universe):
+        machine.force(forcing, row, fault)
+    trace = machine.clock_rows(vectors, forcing)
+    reference = machine.machine.run(list(vectors))
+    n_z = len(machine.output_names)
+    full = forcing.full
+    detected = machine.stopped_rows(forcing)
     wrong = 0
     latency_sum = latency_count = 0
     for step, ((first, second, flags), expected) in enumerate(
@@ -99,7 +107,7 @@ def _campaign(
     )
     n_detected = detected.bit_count()
     return CampaignResult(
-        machine_name=machine_name,
+        machine_name=name,
         total=len(labels),
         detected=n_detected,
         silent=len(labels) - n_detected - len(bad_labels),
@@ -146,18 +154,8 @@ def dualff_campaign(
             for stage in range(circuit.depth)
             for value in (0, 1)
         ]
-    forcing = RowForcing(len(universe))
-    for row, fault in enumerate(universe):
-        circuit.force(forcing, row, fault)
-    trace = machine.clock_rows(vectors, forcing)
-    return _campaign(
-        circuit.name,
-        [fault.describe() for fault in universe],
-        trace,
-        machine.machine.run(list(vectors)),
-        len(machine.output_names),
-        forcing.full,
-    )
+    labels = [fault.describe() for fault in universe]
+    return _campaign(machine, circuit.name, universe, labels, vectors)
 
 
 def codeconv_campaign(
@@ -188,19 +186,9 @@ def codeconv_campaign(
         ("mem", fault)
         for fault in single_memory_faults(width, machine.memory.address_bits)
     ]
-    forcing = RowForcing(len(universe))
-    for row, (unit, fault) in enumerate(universe):
-        machine.force(forcing, row, unit, fault)
-    trace = machine.clock_rows(vectors, forcing)
-    return _campaign(
-        f"{machine.machine.name}_codeconv",
-        [f"{unit} {fault.describe()}" for unit, fault in universe],
-        trace,
-        machine.machine.run(list(vectors)),
-        len(machine.output_names),
-        forcing.full,
-        stopped=machine.stopped_rows(forcing),
-    )
+    labels = [f"{unit} {fault.describe()}" for unit, fault in universe]
+    name = f"{machine.machine.name}_codeconv"
+    return _campaign(machine, name, universe, labels, vectors)
 
 
 def random_vectors(

@@ -14,11 +14,12 @@ is one pass of :func:`repro.engine.backends.run_ops` over the compiled op
 program for every row, so a fault campaign puts one fault per row and
 clocks them all together.  The scalar API
 (:meth:`SequentialCircuit.step`, :meth:`~SequentialCircuit.run`) is the
-one-row case.
+one-row case: its fault list, each added by
+:meth:`~SequentialCircuit.force`, all sits in row 0.
 
-Faults can be injected persistently into the combinational network (any
-stem/pin stuck-at) or onto a flip-flop stage output — the fault lives
-for the whole simulated run, matching the permanent single-fault model.
+A fault is a combinational network stem/pin stuck-at or a stuck
+flip-flop stage output; it lives for the whole simulated run, matching
+the permanent fault model.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ class FlipFlopFault:
 
     def describe(self) -> str:
         return f"ff[{self.state_line}#{self.stage}] s/{self.value}"
+
+
+#: A fault a :class:`SequentialCircuit` can carry.
+CircuitFault = Union[FaultLike, FlipFlopFault]
 
 
 class SequentialCircuit:
@@ -123,10 +128,7 @@ class SequentialCircuit:
         return {line: chain[-1] for line, chain in self.stages.items()}
 
     def force(
-        self,
-        forcing: RowForcing,
-        row: int,
-        fault: Union[FaultLike, FlipFlopFault],
+        self, forcing: RowForcing, row: int, fault: CircuitFault
     ) -> None:
         """Add a network or flip-flop fault to ``forcing`` in ``row``."""
         if isinstance(fault, FlipFlopFault):
@@ -138,16 +140,11 @@ class SequentialCircuit:
                 self.compiled, self.compiled.fault_ids(fault), 1 << row
             )
 
-    def fault_forcing(
-        self,
-        fault: Optional[FaultLike] = None,
-        ff_fault: Optional[FlipFlopFault] = None,
-    ) -> RowForcing:
-        """The one-row forcing of a network and/or flip-flop fault."""
+    def one_row(self, faults: Iterable[CircuitFault]) -> RowForcing:
+        """The one-row forcing of ``faults``, all together in row 0."""
         forcing = RowForcing()
-        for part in (fault, ff_fault):
-            if part is not None:
-                self.force(forcing, 0, part)
+        for fault in faults:
+            self.force(forcing, 0, fault)
         return forcing
 
     def clock(
@@ -181,16 +178,15 @@ class SequentialCircuit:
     def step(
         self,
         inputs: Mapping[str, int],
-        fault: Optional[FaultLike] = None,
-        ff_fault: Optional[FlipFlopFault] = None,
+        faults: Iterable[CircuitFault] = (),
     ) -> Dict[str, int]:
-        """One clock period of a one-row circuit: evaluate, then latch on
-        the rising edge.
+        """One clock period of a one-row circuit under ``faults``:
+        evaluate, then latch on the rising edge.
 
         Returns the values of all network lines for this period (external
         outputs included), as seen *before* the edge.
         """
-        return self._named(inputs, self.fault_forcing(fault, ff_fault))
+        return self._named(inputs, self.one_row(faults))
 
     def _named(
         self, inputs: Mapping[str, int], forcing: RowForcing
@@ -201,25 +197,24 @@ class SequentialCircuit:
     def run(
         self,
         input_stream: Iterable[Mapping[str, int]],
-        fault: Optional[FaultLike] = None,
-        ff_fault: Optional[FlipFlopFault] = None,
+        faults: Iterable[CircuitFault] = (),
         reset: bool = True,
     ) -> List[Dict[str, int]]:
-        """Simulate a whole input stream; returns per-period line values."""
+        """Simulate a whole input stream under ``faults``; returns
+        per-period line values."""
         if reset:
             self.reset()
-        forcing = self.fault_forcing(fault, ff_fault)
+        forcing = self.one_row(faults)
         return [self._named(inputs, forcing) for inputs in input_stream]
 
     def output_trace(
         self,
         input_stream: Iterable[Mapping[str, int]],
-        fault: Optional[FaultLike] = None,
-        ff_fault: Optional[FlipFlopFault] = None,
+        faults: Iterable[CircuitFault] = (),
         reset: bool = True,
     ) -> List[Tuple[int, ...]]:
         """External-output tuples per period."""
-        trace = self.run(input_stream, fault=fault, ff_fault=ff_fault, reset=reset)
+        trace = self.run(input_stream, faults, reset)
         return [tuple(v[o] for o in self.external_outputs) for v in trace]
 
     def flip_flop_count(self) -> int:

@@ -209,9 +209,11 @@ def canonical_request(body: dict) -> dict:
                     f"unknown spec {request['spec']!r}; known: "
                     f"{', '.join(sorted(SPECS))}"
                 )
+        from .synth import MIN_POPULATION
+
         for key, floor in (
             ("seed", 0),
-            ("population", 2),
+            ("population", MIN_POPULATION),
             ("generations", 1),
             ("max_gates", 1),
             ("damage", 1),

@@ -25,6 +25,7 @@ Layers:
 """
 
 from .campaign import (
+    MIN_POPULATION,
     SynthCampaign,
     SynthReport,
     damage_network,
@@ -39,6 +40,7 @@ __all__ = [
     "FitnessRecord",
     "Genome",
     "GenomeError",
+    "MIN_POPULATION",
     "SPECS",
     "SynthCampaign",
     "SynthReport",

@@ -179,6 +179,16 @@ def _pareto_insert(front: List[dict], entry: dict) -> List[dict]:
     return kept
 
 
+#: Genomes carried unchanged into the next generation.
+ELITE = 2
+#: Contenders drawn per tournament selection.
+TOURNAMENT = 3
+#: Chance a child is bred by crossover rather than mutation alone.
+CROSSOVER_RATE = 0.4
+#: The smallest population that breeds: the elite plus one child.
+MIN_POPULATION = ELITE + 1
+
+
 class SynthCampaign:
     """One population-based synthesis or repair search (module docstring
     has the determinism contract)."""
@@ -194,13 +204,8 @@ class SynthCampaign:
         generations: int = 40,
         budget: Optional[int] = None,
         max_gates: int = 24,
-        elite: int = 2,
-        tournament: int = 3,
-        crossover_rate: float = 0.4,
-        init_gates: Optional[int] = None,
         mode: str = "synth",
         seed_population: Optional[Sequence[Genome]] = None,
-        host_network: Optional[Network] = None,
         cost_reference: Optional[float] = None,
         processes: Optional[int] = None,
         timeout: Optional[float] = None,
@@ -208,10 +213,8 @@ class SynthCampaign:
         resume: bool = False,
         cancel: Optional[CancelToken] = None,
     ) -> None:
-        if population < 2:
-            raise ValueError("population must be at least 2")
-        if not 0 < elite < population:
-            raise ValueError("elite must be in (0, population)")
+        if population < MIN_POPULATION:
+            raise ValueError(f"population must be at least {MIN_POPULATION}")
         if resume and checkpoint is None:
             raise CheckpointError("resume requires a checkpoint path")
         if budget is not None and budget < population:
@@ -225,23 +228,16 @@ class SynthCampaign:
         self.generations = generations
         self.budget = budget
         self.max_gates = max_gates
-        self.elite = elite
-        self.tournament = tournament
-        self.crossover_rate = crossover_rate
-        self.init_gates = init_gates
         self.mode = mode
         self.seed_population = (
             tuple(seed_population) if seed_population else None
         )
         if cost_reference is None:
             # Anchor the Pareto/cost reporting to the Table 4.1 cost
-            # model: the two-level Yamamoto reference realization (or
-            # the repair host) is the denominator of cost_factor.
-            cost_reference = network_cost(
-                host_network
-                if host_network is not None
-                else spec.reference_network()
-            )
+            # model: the two-level Yamamoto reference realization (a
+            # repair campaign passes its host's) is the denominator of
+            # cost_factor.
+            cost_reference = network_cost(spec.reference_network())
         self.cost_reference = cost_reference
         self.processes = processes
         self.timeout = timeout
@@ -264,10 +260,12 @@ class SynthCampaign:
                 "seed": self.seed,
                 "population": self.population_size,
                 "max_gates": self.max_gates,
-                "elite": self.elite,
-                "tournament": self.tournament,
-                "crossover_rate": self.crossover_rate,
-                "init_gates": self.init_gates,
+                "elite": ELITE,
+                "tournament": TOURNAMENT,
+                "crossover_rate": CROSSOVER_RATE,
+                # Initial genomes draw their gate count at random; the
+                # key keeps the digest of earlier checkpoints.
+                "init_gates": None,
                 "mode": self.mode,
                 "seeded": [
                     g.fingerprint() for g in (self.seed_population or ())
@@ -482,9 +480,7 @@ class SynthCampaign:
                 random_genome(
                     rng,
                     n,
-                    self.init_gates
-                    if self.init_gates is not None
-                    else rng.randint(3, max(4, self.max_gates // 3)),
+                    rng.randint(3, max(4, self.max_gates // 3)),
                     n_outputs,
                 )
                 for _ in range(self.population_size)
@@ -587,16 +583,16 @@ class SynthCampaign:
         ranked: List[Tuple[Genome, FitnessRecord]],
         rng: random.Random,
     ) -> List[Genome]:
-        next_population = [genome for genome, _ in ranked[: self.elite]]
+        next_population = [genome for genome, _ in ranked[:ELITE]]
 
         def pick() -> Genome:
             contenders = [
-                rng.randrange(len(ranked)) for _ in range(self.tournament)
+                rng.randrange(len(ranked)) for _ in range(TOURNAMENT)
             ]
             return ranked[min(contenders)][0]
 
         while len(next_population) < self.population_size:
-            if rng.random() < self.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 child = crossover(pick(), pick(), rng)
                 child = mutate(child, rng, self.max_gates)
             else:
@@ -649,6 +645,5 @@ def repair_campaign(
         seed=seed,
         mode="repair",
         seed_population=[damaged],
-        host_network=network,
         **kwargs,
     )

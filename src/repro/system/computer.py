@@ -65,9 +65,9 @@ class ScalComputer:
         memory_fault: Optional[MemoryFault] = None,
         max_steps: int = 1000,
     ) -> CpuResult:
-        cpu = ScalCpu(self.width, self.memory_addr_bits, fault=cpu_fault)
-        if memory_fault is not None:
-            cpu.memory.inject(memory_fault)
+        cpu = ScalCpu(
+            self.width, self.memory_addr_bits, cpu_fault, memory_fault
+        )
         return cpu.run(program, data=data, max_steps=max_steps)
 
     def cpu_fault_universe(self) -> List[CpuFault]:
@@ -111,9 +111,7 @@ class ScalComputer:
             universe.append((mf.describe(), None, mf))
 
         for label, cf, mf in universe:
-            cpu = ScalCpu(self.width, self.memory_addr_bits, fault=cf)
-            if mf is not None:
-                cpu.memory.inject(mf)
+            cpu = ScalCpu(self.width, self.memory_addr_bits, cf, mf)
             result = cpu.run(program, data=data, max_steps=max_steps)
             # Output data leaves through the Figure 7.3 encoding buffer:
             # read each observed word back through the (still faulty)
@@ -122,7 +120,7 @@ class ScalComputer:
             detected_now = result.detected
             wrong = result.acc != golden_acc
             for addr in observed:
-                bits, parity_bit = cpu.memory.load(addr)
+                bits, parity_bit = cpu.memory.load(cpu.memory_forcing, addr)
                 if not cpu.memory.check_word(bits, parity_bit):
                     detected_now = True
                     break

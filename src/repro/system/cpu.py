@@ -34,6 +34,7 @@ import dataclasses
 import enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..engine.compiled import RowForcing
 from ..modules.adder import add_words
 from ..modules.shifter import shift_word
 from .memory import MemoryFault, ParityMemory, parity
@@ -116,12 +117,17 @@ class ScalCpu:
         width: int = 8,
         memory_addr_bits: int = 5,
         fault: Optional[CpuFault] = None,
+        memory_fault: Optional[MemoryFault] = None,
     ) -> None:
         self.width = width
         self.memory = ParityMemory(
             width, memory_addr_bits, fold_address_parity=True
         )
         self.fault = fault
+        #: The one-row forcing every memory access goes through.
+        self.memory_forcing = RowForcing()
+        if memory_fault is not None:
+            self.memory.force(self.memory_forcing, 0, memory_fault)
         # Alternating accumulator: a true bank and a complement bank.
         self.acc_true: List[int] = [0] * width
         self.acc_comp: List[int] = [1] * width
@@ -180,7 +186,7 @@ class ScalCpu:
 
     def _read_memory(self, addr: int) -> Tuple[List[int], bool]:
         """Parity-word read; returns (bits, code_ok)."""
-        data, parity_bit = self.memory.load(addr)
+        data, parity_bit = self.memory.load(self.memory_forcing, addr)
         if self.fault is not None and self.fault.kind == "bus_bit":
             data = list(data)
             data[self.fault.index] = self.fault.value
@@ -188,7 +194,7 @@ class ScalCpu:
         return data, code_ok
 
     def _write_memory(self, addr: int, bits: Sequence[int]) -> None:
-        self.memory.store(addr, list(bits), parity(bits))
+        self.memory.store(self.memory_forcing, addr, list(bits), parity(bits))
 
     def _acc_read(self, phase: int) -> List[int]:
         bank = self.acc_comp if phase else self.acc_true
@@ -241,7 +247,9 @@ class ScalCpu:
                 steps=steps,
                 acc=bits_to_word(self.acc_true),
                 memory_words={
-                    addr: bits_to_word(self.memory.load(addr)[0])
+                    addr: bits_to_word(
+                        self.memory.load(self.memory_forcing, addr)[0]
+                    )
                     for addr in sorted(self.memory._cells)
                 },
                 trace=trace,

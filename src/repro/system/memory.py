@@ -11,7 +11,9 @@ folded parities disagree, and the 1-out-of-2 code at the PALT breaks.
 Fault injection covers the memory's single-fault modes: one stuck data
 cell bit, one stuck data line (affects every access), and one stuck
 address line (the misaddressing fault the folding is there to catch).
-The memory is row-parallel, like the translators, so a code-conversion
+The memory is row-parallel, like the translators, and holds no fault
+state: :meth:`ParityMemory.store` and :meth:`~ParityMemory.load` take the
+caller's :class:`~repro.engine.compiled.RowForcing`, so a code-conversion
 campaign keeps every faulty copy in one instance.
 """
 
@@ -55,9 +57,9 @@ class ParityMemory:
     """Word-addressable storage of (data, parity) code words.
 
     Row-parallel (:class:`~repro.engine.compiled.RowForcing`): stored
-    bits are row masks and faults are forced through :attr:`forcing`,
-    so a campaign keeps one faulty memory per row in one instance.
-    :meth:`inject` arms one fault in a one-row forcing — the scalar case.
+    bits are row masks and faults are forced through the caller's
+    forcing, so a campaign keeps one faulty memory per row in one
+    instance and a one-row forcing is the scalar case.
     """
 
     def __init__(
@@ -71,7 +73,6 @@ class ParityMemory:
         self.fold_address_parity = fold_address_parity
         #: physical address -> (rows that wrote it, per-bit row masks)
         self._cells: Dict[int, Tuple[int, List[int]]] = {}
-        self.inject(None)
 
     # ------------------------------------------------------------------
     def force(self, forcing: RowForcing, row: int, fault: MemoryFault) -> None:
@@ -83,12 +84,12 @@ class ParityMemory:
             site = ("mem", fault.kind, fault.index)
         forcing.stick(site, 1 << row, fault.value)
 
-    def _routes(self, address: int) -> Dict[int, int]:
+    def _routes(self, forcing: RowForcing, address: int) -> Dict[int, int]:
         """Physical cell -> the rows whose access to ``address`` lands
         there through their stuck address lines."""
-        routes = {address & ((1 << self.address_bits) - 1): self.forcing.full}
+        routes = {address & ((1 << self.address_bits) - 1): forcing.full}
         for index in range(self.address_bits):
-            forced = self.forcing.sites.get(("mem", "address_line", index))
+            forced = forcing.sites.get(("mem", "address_line", index))
             if forced is None:
                 continue
             rows, ones = forced
@@ -105,29 +106,36 @@ class ParityMemory:
             routes = moved
         return routes
 
-    def _address_parity(self, address: int) -> int:
+    def _address_parity(self, full: int, address: int) -> int:
         """The folded address parity as a row mask (same in every row)."""
         if not self.fold_address_parity:
             return 0
         bits = [(address >> i) & 1 for i in range(self.address_bits)]
-        return self.forcing.full if parity(bits) else 0
+        return full if parity(bits) else 0
 
-    def store(self, address: int, data: Sequence[int], data_parity: int) -> None:
+    def store(
+        self,
+        forcing: RowForcing,
+        address: int,
+        data: Sequence[int],
+        data_parity: int,
+    ) -> None:
         """Store a word with its parity bit, folding the parity of the
         address *as presented by the requester* (a stuck address line
         inside the memory then routes the word, with the requester's
         address parity, to the wrong cell)."""
-        full = self.forcing.full
+        full = forcing.full
         word = [int(b) & full for b in data]
-        word.append((int(data_parity) & full) ^ self._address_parity(address))
-        for cell, rows in self._routes(address).items():
+        fold = self._address_parity(full, address)
+        word.append((int(data_parity) & full) ^ fold)
+        for cell, rows in self._routes(forcing, address).items():
             written, bits = self._cells.get(cell, (0, word))
             self._cells[cell] = (
                 written | rows,
                 [(old & ~rows) | (new & rows) for old, new in zip(bits, word)],
             )
 
-    def load(self, address: int) -> Tuple[List[int], int]:
+    def load(self, forcing: RowForcing, address: int) -> Tuple[List[int], int]:
         """Read ``(data bits, parity bit)`` with the address parity
         unfolded against the address the requester presents.
 
@@ -136,30 +144,25 @@ class ParityMemory:
         physical cell index, so a healthy read of a fresh cell is a
         valid code word while a misaddressed read still trips the check.
         """
-        f = self.forcing
+        f = forcing
         out = [0] * (self.word_bits + 1)
-        for cell, rows in self._routes(address).items():
-            default = [0] * self.word_bits + [self._address_parity(cell)]
+        for cell, rows in self._routes(f, address).items():
+            fresh_parity = self._address_parity(f.full, cell)
+            default = [0] * self.word_bits + [fresh_parity]
             written, bits = self._cells.get(cell, (0, default))
             for i, (value, fresh) in enumerate(zip(bits, default)):
                 value = (value & written) | (fresh & ~written)
                 out[i] |= f.apply(("mem", "cell", cell, i), value) & rows
         out = [f.apply(("mem", "data_line", i), v) for i, v in enumerate(out)]
-        return out[: self.word_bits], out[-1] ^ self._address_parity(address)
+        fold = self._address_parity(f.full, address)
+        return out[: self.word_bits], out[-1] ^ fold
 
     def check_word(self, data: Sequence[int], parity_bit: int) -> bool:
         """Even-parity validity of a (data, parity) code word."""
         return parity(list(data) + [int(parity_bit) & 1]) == 0
 
-    def inject(self, fault: Optional[MemoryFault]) -> None:
-        self.fault = fault
-        self.forcing = RowForcing()
-        if fault is not None:
-            self.force(self.forcing, 0, fault)
-
     def clear(self) -> None:
         self._cells.clear()
-        self.inject(None)
 
 
 def single_memory_faults(

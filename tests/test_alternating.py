@@ -1,30 +1,6 @@
 """Tests for alternating-operation helpers (repro.scal.alternating)."""
 
-import pytest
-
-from repro.scal.alternating import (
-    AlternatingRun,
-    AlternatingStep,
-    alternating_pair,
-    alternating_stream,
-    pair_periods,
-)
-
-
-class TestStreams:
-    def test_alternating_pair(self):
-        first, second = alternating_pair({"a": 1, "b": 0})
-        assert first == {"a": 1, "b": 0, "phi": 0}
-        assert second == {"a": 0, "b": 1, "phi": 1}
-
-    def test_stream_interleaves(self):
-        stream = alternating_stream([{"a": 1}, {"a": 0}])
-        assert [s["phi"] for s in stream] == [0, 1, 0, 1]
-        assert [s["a"] for s in stream] == [1, 0, 0, 1]
-
-    def test_custom_clock_name(self):
-        first, _second = alternating_pair({"a": 1}, clock_name="clk")
-        assert "clk" in first
+from repro.scal.alternating import AlternatingRun, AlternatingStep, one_row_run
 
 
 class TestSteps:
@@ -34,7 +10,6 @@ class TestSteps:
         assert good.decoded == (1, 0)
         bad = AlternatingStep((1, 0), (1, 1))
         assert not bad.alternates
-        assert bad.nonalternating_positions() == (0,)
 
     def test_run_detection(self):
         run = AlternatingRun(
@@ -58,13 +33,21 @@ class TestSteps:
         assert run.decoded_outputs() == [(1,)]
 
 
-class TestPairing:
-    def test_pair_periods(self):
-        run = pair_periods([(1,), (0,), (0,), (0,)])
-        assert len(run.steps) == 2
-        assert run.steps[0].alternates
-        assert not run.steps[1].alternates
+class TestOneRowRun:
+    TRACE = [((1, 0), (0, 1), 0), ((1, 1), (0, 1), 1)]
 
-    def test_odd_trace_rejected(self):
-        with pytest.raises(ValueError):
-            pair_periods([(1,)])
+    def test_steps_and_checker_flags(self):
+        run = one_row_run(self.TRACE)
+        assert run.steps == (
+            AlternatingStep((1, 0), (0, 1)),
+            AlternatingStep((1, 1), (0, 1)),
+        )
+        assert run.checker_flags == (False, True)
+
+    def test_without_a_checker(self):
+        assert one_row_run(self.TRACE, checker=False).checker_flags == ()
+
+    def test_stopped_run_is_one_raised_flag(self):
+        run = one_row_run(self.TRACE, stopped=1)
+        assert run == AlternatingRun((), (True,))
+        assert run.detected

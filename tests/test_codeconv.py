@@ -65,7 +65,7 @@ class TestFaultDetection:
         vectors = random_input_vectors(rng, 1, 40)
         reference = detector.run(vectors)
         runs = (
-            (f.describe(), cc.run(vectors, comb_fault=f))
+            (f.describe(), cc.run(vectors, [("comb", f)]))
             for f in enumerate_stem_faults(cc.network, include_inputs=False)
         )
         self._sweep(cc, reference, vectors, runs)
@@ -77,10 +77,12 @@ class TestFaultDetection:
         reference = detector.run(vectors)
         sites = [(s, k) for s in "abcde" for k in range(width)]
         sites += [("f", 0), ("i", 0), ("h", 0), ("g", 0)]
+        faults = [
+            ("alpt", TranslatorFault(s, k, v)) for s, k in sites for v in (0, 1)
+        ]
         runs = (
-            (f"alpt {s}[{k}] s/{v}", cc.run(vectors, alpt_fault=TranslatorFault(s, k, v)))
-            for s, k in sites
-            for v in (0, 1)
+            (f"{u} {f.describe()}", cc.run(vectors, [(u, f)]))
+            for u, f in faults
         )
         self._sweep(cc, reference, vectors, runs)
 
@@ -91,10 +93,12 @@ class TestFaultDetection:
         reference = detector.run(vectors)
         sites = [(s, k) for s in "abcde" for k in range(width)]
         sites += [("f", 0), ("g", 0), ("h", 0)]
+        faults = [
+            ("palt", TranslatorFault(s, k, v)) for s, k in sites for v in (0, 1)
+        ]
         runs = (
-            (f"palt {s}[{k}] s/{v}", cc.run(vectors, palt_fault=TranslatorFault(s, k, v)))
-            for s, k in sites
-            for v in (0, 1)
+            (f"{u} {f.describe()}", cc.run(vectors, [(u, f)]))
+            for u, f in faults
         )
         self._sweep(cc, reference, vectors, runs)
 
@@ -103,7 +107,7 @@ class TestFaultDetection:
         vectors = random_input_vectors(rng, 1, 40)
         reference = detector.run(vectors)
         runs = (
-            (mf.describe(), cc.run(vectors, memory_fault=mf))
+            (mf.describe(), cc.run(vectors, [("mem", mf)]))
             for mf in single_memory_faults(
                 cc.encoding.width, cc.memory.address_bits
             )
@@ -117,7 +121,7 @@ class TestFaultDetection:
         vectors = [(0,), (1,), (0,), (1,), (1,), (0,)]
         run = cc.run(
             vectors,
-            memory_fault=MemoryFault("data_line", 0, 1),
+            [("mem", MemoryFault("data_line", 0, 1))],
         )
         # Either the code checker fired or the run stayed correct.
         if cc.decoded_outputs(run) != detector.run(vectors):

@@ -68,6 +68,6 @@ class TestFaultInjectionEndToEnd:
         for fault in enumerate_stem_faults(
             reynolds.circuit.network, include_inputs=False
         ):
-            run = reynolds.run(vectors, fault=fault)
+            run = reynolds.run(vectors, [fault])
             if reynolds.decoded_outputs(run) != reference:
                 assert run.detected, fault.describe()

@@ -78,7 +78,7 @@ class TestFaultDetection:
         for fault in enumerate_stem_faults(
             dm.circuit.network, include_inputs=False
         ):
-            run = dm.run(vectors, fault=fault)
+            run = dm.run(vectors, [fault])
             decoded = dm.decoded_outputs(run)
             if decoded != reference:
                 assert run.detected, fault.describe()
@@ -89,7 +89,7 @@ class TestFaultDetection:
         from repro.logic.faults import StuckAt
 
         for value in (0, 1):
-            run = dm.run(vectors, fault=StuckAt("x0", value))
+            run = dm.run(vectors, [StuckAt("x0", value)])
             assert run.detected  # a stuck input stops alternating
 
     def test_flip_flop_fault_detected_or_harmless(self, detector, rng):
@@ -100,7 +100,7 @@ class TestFaultDetection:
             for stage in (0, 1):
                 for value in (0, 1):
                     ff = FlipFlopFault(state_line, stage, value)
-                    run = dm.run(vectors, ff_fault=ff)
+                    run = dm.run(vectors, [ff])
                     if dm.decoded_outputs(run) != reference:
                         assert run.detected, ff.describe()
 
@@ -111,5 +111,5 @@ class TestFaultDetection:
 
         dm = to_dual_flipflop(detector)
         vectors = random_input_vectors(rng, 1, 30)
-        run = dm.run(vectors, fault=StuckAt("phi", 0))
+        run = dm.run(vectors, [StuckAt("phi", 0)])
         assert run.detected

@@ -254,7 +254,8 @@ class TestEdgeMatrix:
                     for i, name in enumerate(net.inputs)
                     if name in circuit.external_inputs
                 }
-                assert circuit.step(inputs, fault) == want, (fault, point)
+                faults = [fault] if fault is not None else []
+                assert circuit.step(inputs, faults) == want, (fault, point)
                 state = want[net.outputs[0]] if feedback else 0
 
 

@@ -21,13 +21,13 @@ class TestSingleStep:
         for state in detector.states:
             for vector in detector.input_vectors():
                 expected = _expected_pair(machine, state, vector)
-                got = _single_step(machine, state, vector, None)
+                got = _single_step(machine, state, vector, [])
                 assert got == expected, (state, vector)
 
     def test_faulty_step_differs_or_alternates_detectably(self, detector):
         machine = to_dual_flipflop(detector)
         fault = StuckAt("Z0", 1)
-        first, second = _single_step(machine, "S3", (1,), fault)
+        first, second = _single_step(machine, "S3", (1,), [fault])
         # Z0 stuck at 1 in both periods: nonalternating.
         assert first[0] == second[0] == 1
 

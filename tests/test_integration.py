@@ -83,7 +83,7 @@ class TestDesignFlowSequential:
             assert code_valid(checker.feed_pair(step.first, step.second))
         # Now a faulty run: the checker must reject some step.
         fault = StuckAt("Z0", 1)
-        bad_run = dff.run(vectors, fault=fault)
+        bad_run = dff.run(vectors, [fault])
         rejected = [
             not code_valid(checker.feed_pair(step.first, step.second))
             for step in bad_run.steps

@@ -217,7 +217,7 @@ class TestSequentialCircuit:
         ]
         healthy = synth.circuit.output_trace(stream)
         fault = FlipFlopFault("y0", 0, 1)
-        faulty = synth.circuit.output_trace(stream, ff_fault=fault)
+        faulty = synth.circuit.output_trace(stream, [fault])
         assert healthy != faulty  # the stuck state bit corrupts outputs
 
     def test_reset_restores_initial_state(self, detector):

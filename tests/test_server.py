@@ -21,6 +21,7 @@ from repro.server import (
     canonical_request,
     request_fingerprint,
 )
+from repro.synth import MIN_POPULATION
 
 BENCH = """
 INPUT(a)
@@ -318,6 +319,13 @@ class TestSynthKind:
             canonical_request(
                 {"kind": "synth", "spec": "and2", "population": 1}
             )
+        # The floor is the campaign's: the elite plus one child.
+        body = {"kind": "synth", "spec": "and2"}
+        floor = f"'population' must be an integer >= {MIN_POPULATION}"
+        with pytest.raises(RequestError, match=floor):
+            canonical_request(dict(body, population=MIN_POPULATION - 1))
+        request = canonical_request(dict(body, population=MIN_POPULATION))
+        assert request["population"] == MIN_POPULATION
         with pytest.raises(RequestError, match="'kind' must be"):
             canonical_request({"kind": "weird", "netlist": BENCH})
         # Synth knobs on a plain campaign body are a client bug, not a

@@ -29,6 +29,7 @@ from repro.qa.chaos import sabotage_campaign
 from repro.qa.reference import reference_is_self_dual, reference_output_bits
 from repro.scal.costs import network_cost
 from repro.synth import (
+    MIN_POPULATION,
     SPECS,
     Genome,
     GenomeError,
@@ -436,6 +437,20 @@ class TestCli:
         with pytest.raises(SystemExit) as unknown:
             main(["synth", "--spec", "and2", "--abort-after-generations", "4"])
         assert unknown.value.code == 2
+
+    def test_population_floor_is_the_campaigns(self, capsys):
+        """The CLI refuses exactly the populations the campaign cannot
+        breed (below the elite plus one child) with its own message."""
+        floor = str(MIN_POPULATION)
+        below = str(MIN_POPULATION - 1)
+        with pytest.raises(SystemExit, match=f"population must be >= {floor}"):
+            main(["synth", "--spec", "and2", "--population", below])
+        with pytest.raises(ValueError, match="population must be at least"):
+            _campaign("and2", 2, population=MIN_POPULATION - 1)
+        args = ["--population", floor, "--generations", "1", "--json"]
+        assert main(["synth", "--spec", "and2", *args]) in (0, 1)
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["evaluations"] == MIN_POPULATION
 
 
 # ----------------------------------------------------------------------

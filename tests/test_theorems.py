@@ -131,13 +131,15 @@ class TestChapter4:
     def test_theorem_4_1_alpt(self):
         """Covered exhaustively in tests/test_translators.py; assert the
         headline here for the index."""
+        from repro.engine.compiled import RowForcing
         from repro.scal.translators import ALPT
         from repro.system.memory import parity
 
         alpt = ALPT(4)
         for word in range(16):
             bits = [(word >> i) & 1 for i in range(4)]
-            data, par = alpt.feed_pair(bits, [1 - b for b in bits])
+            comp = [1 - b for b in bits]
+            data, par = alpt.feed_pair(RowForcing(), bits, comp)
             assert data == bits and par == parity(bits)
 
     def test_theorem_4_4_feedback_self_checking(self, detector):

@@ -29,16 +29,16 @@ class TestTransientWindows:
     def test_no_window_equals_permanent(self, machine_and_vectors):
         machine, dff, vectors = machine_and_vectors
         fault = StuckAt("Z0", 1)
-        permanent = dff.run(vectors, fault=fault)
+        permanent = dff.run(vectors, [fault])
         windowed = dff.run(
-            vectors, fault=fault, fault_window=(0, 2 * len(vectors))
+            vectors, [fault], fault_window=(0, 2 * len(vectors))
         )
         assert permanent.detected == windowed.detected
 
     def test_fault_before_window_is_absent(self, machine_and_vectors):
         machine, dff, vectors = machine_and_vectors
         fault = StuckAt("Z0", 1)
-        run = dff.run(vectors, fault=fault, fault_window=(10_000, 10_001))
+        run = dff.run(vectors, [fault], fault_window=(10_000, 10_001))
         assert not run.detected
         assert dff.decoded_outputs(run) == machine.run(vectors)
 
@@ -55,7 +55,7 @@ class TestTransientWindows:
         ):
             for period in (4, 5, 11):
                 run = dff.run(
-                    vectors, fault=fault, fault_window=(period, period)
+                    vectors, [fault], fault_window=(period, period)
                 )
                 if dff.decoded_outputs(run) != reference:
                     assert run.detected, (fault.describe(), period)
@@ -69,7 +69,7 @@ class TestTransientWindows:
         for fault in enumerate_stem_faults(
             dff.circuit.network, include_inputs=False
         ):
-            run = dff.run(vectors, fault=fault, fault_window=(8, 9))
+            run = dff.run(vectors, [fault], fault_window=(8, 9))
             if dff.decoded_outputs(run) != reference:
                 assert run.detected, fault.describe()
 
@@ -83,6 +83,6 @@ class TestTransientWindows:
         reference = machine.run(vectors)
         fault = StuckAt("Y0", 1)
         for start in range(0, 20, 3):
-            run = dff.run(vectors, fault=fault, fault_window=(start, start))
+            run = dff.run(vectors, [fault], fault_window=(start, start))
             if dff.decoded_outputs(run) != reference:
                 assert run.detected

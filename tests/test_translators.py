@@ -4,8 +4,19 @@ import itertools
 
 import pytest
 
+from repro.checkers.tworail import code_valid
+from repro.engine.compiled import RowForcing
 from repro.scal.translators import ALPT, PALT, TranslatorFault
 from repro.system.memory import parity
+
+HEALTHY = RowForcing()
+
+
+def one_row(unit, fault):
+    """The one-row forcing of one translator fault."""
+    forcing = RowForcing()
+    unit.force(forcing, 0, fault)
+    return forcing
 
 
 def pairs_for(width, words):
@@ -22,7 +33,7 @@ class TestAlptHealthy:
         for word in range(1 << width):
             bits = [(word >> i) & 1 for i in range(width)]
             comp = [1 - b for b in bits]
-            data, par = alpt.feed_pair(bits, comp)
+            data, par = alpt.feed_pair(HEALTHY, bits, comp)
             assert data == bits
             assert par == parity(bits)
 
@@ -30,8 +41,8 @@ class TestAlptHealthy:
         alpt = ALPT(4)
         bits = [1, 0, 1, 0]
         comp = [0, 1, 0, 1]
-        _data, p0 = alpt.feed_pair(bits, comp, address_parity=0)
-        _data, p1 = alpt.feed_pair(bits, comp, address_parity=1)
+        _data, p0 = alpt.feed_pair(HEALTHY, bits, comp, address_parity=0)
+        _data, p1 = alpt.feed_pair(HEALTHY, bits, comp, address_parity=1)
         assert p1 == 1 - p0
 
     def test_odd_width_parity_normalized(self):
@@ -39,7 +50,7 @@ class TestAlptHealthy:
         the true-period parity (the Section 4.3 odd-word remark)."""
         alpt = ALPT(3)
         bits = [1, 0, 0]
-        data, par = alpt.feed_pair(bits, [0, 1, 1])
+        data, par = alpt.feed_pair(HEALTHY, bits, [0, 1, 1])
         assert data == bits
         assert par == parity(bits)
 
@@ -52,10 +63,10 @@ class TestAlptFaults:
 
     def run_with_fault(self, fault, words):
         alpt = ALPT(self.WIDTH)
-        alpt.inject(fault)
+        forcing = one_row(alpt, fault)
         outcomes = []
         for bits, comp in pairs_for(self.WIDTH, words):
-            data, par = alpt.feed_pair(bits, comp)
+            data, par = alpt.feed_pair(forcing, bits, comp)
             code_ok = parity(data) == par
             correct = data == bits and par == parity(bits)
             outcomes.append((code_ok, correct))
@@ -91,11 +102,69 @@ class TestAlptFaults:
         output, correct or incorrect, will be generated'."""
         alpt = ALPT(self.WIDTH)
         bits = [1, 1, 0, 0]
-        alpt.feed_pair(bits, [1 - b for b in bits])
-        alpt.inject(TranslatorFault("g", 0, 0))
+        alpt.feed_pair(HEALTHY, bits, [1 - b for b in bits])
+        stopped = one_row(alpt, TranslatorFault("g", 0, 0))
         new_bits = [0, 1, 1, 0]
-        data, par = alpt.feed_pair(new_bits, [1 - b for b in new_bits])
+        new_comp = [1 - b for b in new_bits]
+        data, par = alpt.feed_pair(stopped, new_bits, new_comp)
         assert data == bits  # previous word retained
+
+
+class TestSingleLineSites:
+    """A single-line site ignores the fault's index, as
+    :class:`TranslatorFault` documents: ``f[2] s/1`` is ``f[0] s/1``."""
+
+    WIDTH = 4
+
+    def alpt_words(self, forcing):
+        alpt = ALPT(self.WIDTH)
+        return [
+            alpt.feed_pair(forcing, bits, comp)
+            for bits, comp in pairs_for(self.WIDTH, range(16))
+        ]
+
+    def palt_codes(self, forcing):
+        palt = PALT(self.WIDTH)
+        codes = []
+        for word in range(16):
+            stored = [(word >> i) & 1 for i in range(self.WIDTH)]
+            codes.append(palt.code_output(forcing, stored, parity(stored)))
+        return codes
+
+    @pytest.mark.parametrize("site", "fghij")
+    @pytest.mark.parametrize("value", (0, 1))
+    def test_alpt_index_ignored(self, site, value):
+        alpt = ALPT(self.WIDTH)
+        at = {
+            k: self.alpt_words(one_row(alpt, TranslatorFault(site, k, value)))
+            for k in (0, 2)
+        }
+        assert at[2] == at[0]
+
+    @pytest.mark.parametrize("site", "fgh")
+    @pytest.mark.parametrize("value", (0, 1))
+    def test_palt_index_ignored(self, site, value):
+        palt = PALT(self.WIDTH)
+        at = {
+            k: self.palt_codes(one_row(palt, TranslatorFault(site, k, value)))
+            for k in (0, 2)
+        }
+        assert at[2] == at[0]
+
+    def test_stuck_parity_lines_force_the_parity_bit(self):
+        alpt = ALPT(self.WIDTH)
+        for site in "fi":
+            forcing = one_row(alpt, TranslatorFault(site, 2, 1))
+            # Word 0 has parity 0; the stuck line reads 1.
+            assert alpt.feed_pair(forcing, [0] * 4, [1] * 4)[1] == 1
+
+    def test_stuck_code_lines_break_the_code(self):
+        palt = PALT(self.WIDTH)
+        stored = [1, 0, 0, 0]  # parity 1: the healthy code is (1, 0)
+        assert palt.code_output(HEALTHY, stored, 1) == (1, 0)
+        for site, value, code in (("g", 0, (0, 0)), ("f", 1, (1, 1))):
+            forcing = one_row(palt, TranslatorFault(site, 2, value))
+            assert palt.code_output(forcing, stored, 1) == code
 
 
 class TestPaltHealthy:
@@ -104,29 +173,29 @@ class TestPaltHealthy:
         palt = PALT(width)
         for word in range(1 << width):
             stored = [(word >> i) & 1 for i in range(width)]
-            first = palt.outputs_for_period(stored, 0)
-            second = palt.outputs_for_period(stored, 1)
+            first = palt.outputs_for_period(HEALTHY, stored, 0)
+            second = palt.outputs_for_period(HEALTHY, stored, 1)
             assert first == stored
             assert second == [1 - b for b in stored]
 
     def test_code_output_valid(self):
         palt = PALT(4)
         stored = [1, 0, 1, 1]
-        code = palt.code_output(stored, parity(stored))
-        assert PALT.code_valid(code)
+        code = palt.code_output(HEALTHY, stored, parity(stored))
+        assert code_valid(code)
 
     def test_code_output_detects_bad_parity(self):
         palt = PALT(4)
         stored = [1, 0, 1, 1]
-        code = palt.code_output(stored, 1 - parity(stored))
-        assert not PALT.code_valid(code)
+        code = palt.code_output(HEALTHY, stored, 1 - parity(stored))
+        assert not code_valid(code)
 
     def test_address_parity_symmetric(self):
         palt = PALT(4)
         stored = [1, 1, 0, 0]
         stored_par = parity(stored) ^ 1  # written with address parity 1
-        code = palt.code_output(stored, stored_par, address_parity=1)
-        assert PALT.code_valid(code)
+        code = palt.code_output(HEALTHY, stored, stored_par, 1)
+        assert code_valid(code)
 
 
 class TestPaltFaults:
@@ -138,17 +207,17 @@ class TestPaltFaults:
 
     def exercise(self, fault):
         palt = PALT(self.WIDTH)
-        palt.inject(fault)
+        forcing = one_row(palt, fault)
         any_exposed = False
         for word in range(1 << self.WIDTH):
             stored = [(word >> i) & 1 for i in range(self.WIDTH)]
-            code = palt.code_output(stored, parity(stored))
-            first = palt.outputs_for_period(stored, 0)
-            second = palt.outputs_for_period(stored, 1)
+            code = palt.code_output(forcing, stored, parity(stored))
+            first = palt.outputs_for_period(forcing, stored, 0)
+            second = palt.outputs_for_period(forcing, stored, 1)
             alternates = all(b == 1 - a for a, b in zip(first, second))
             wrong = first != stored
-            detected = (not PALT.code_valid(code)) or (not alternates)
-            if wrong or not alternates or not PALT.code_valid(code):
+            detected = (not code_valid(code)) or (not alternates)
+            if wrong or not alternates or not code_valid(code):
                 any_exposed = True
             # Fault-secure: wrong data must come with a detection.
             if wrong:
@@ -177,7 +246,7 @@ class TestRoundTrip:
         for word in range(1 << width):
             bits = [(word >> i) & 1 for i in range(width)]
             comp = [1 - b for b in bits]
-            data, par = alpt.feed_pair(bits, comp)
-            assert PALT.code_valid(palt.code_output(data, par))
-            assert palt.outputs_for_period(data, 0) == bits
-            assert palt.outputs_for_period(data, 1) == comp
+            data, par = alpt.feed_pair(HEALTHY, bits, comp)
+            assert code_valid(palt.code_output(HEALTHY, data, par))
+            assert palt.outputs_for_period(HEALTHY, data, 0) == bits
+            assert palt.outputs_for_period(HEALTHY, data, 1) == comp
