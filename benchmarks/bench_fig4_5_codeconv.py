@@ -3,9 +3,10 @@
 Paper claim: the self-dual block + ALPT + parity memory + PALT loop is a
 self-checking sequential machine storing only n+1 bits.  Regenerated:
 functional equivalence with the symbolic machine on a long input stream,
-and a full single-fault campaign across all four units (combinational
-stems, ALPT lines, PALT lines, memory cells/lines/address lines) with
-zero undetected wrong outputs.
+and a full single-fault campaign over the whole loop (every stem of the
+gate-level loop network, the block's and the translators' lettered
+lines alike; the ALPT latch outputs; memory cells/lines/address lines)
+with zero undetected wrong outputs.
 """
 
 import random
@@ -25,7 +26,7 @@ def codeconv_report():
     reference = machine.run(vectors)
     healthy = cc.run(vectors)
     equivalent = cc.decoded_outputs(healthy) == reference and not healthy.detected
-    # Every stem, translator line class and memory fault, uncollapsed.
+    # Every loop stem, latch output and memory fault, uncollapsed.
     result = codeconv_campaign(cc, vectors, collapse=False)
     lines = [
         "Figure 4.5 - code-conversion sequential machine (0101 detector)",

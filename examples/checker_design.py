@@ -60,7 +60,8 @@ def main() -> None:
     print("\n--- Algorithm 5.1 derived from a real netlist (Figure 3.4) ---")
     spec = spec_from_network(fig34_network())
     net_plan = partition(spec)
-    print(f"sharing groups: {[tuple(g) for g in spec.sharing_groups]}")
+    groups = sorted(tuple(sorted(g)) for g in spec.sharing_groups)
+    print(f"sharing groups: {groups}")
     print(f"can alternate incorrectly: {sorted(spec.incorrectly_alternating)}")
     print(f"plan: XOR {net_plan.xor_checked}, dual-rail "
           f"{net_plan.dual_rail_checked}")

@@ -70,7 +70,7 @@ def main() -> None:
     print("--- injecting a memory data-line fault into the translator machine ---")
     from repro.system.memory import MemoryFault
 
-    stuck_line = ("mem", MemoryFault("data_line", 0, 1))
+    stuck_line = MemoryFault("data_line", 0, 1)
     bad_t = translator.run(vectors, [stuck_line])
     print(f"detected: {bad_t.detected} at logical step {bad_t.first_detection}")
 

@@ -78,7 +78,7 @@ import functools
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..logic.gates import evaluate_mask
+from ..logic.gates import GateKind, evaluate_mask
 from ..logic.truthtable import reverse_bits
 from .. import obs
 from .compiled import CompiledNetwork, FaultLike, RowForcing
@@ -214,14 +214,14 @@ def run_ops(
 
     ``forcing``'s line and pin masks override the values where its faults
     sit, masked with ``full`` so a fault plan's every-row mask ``-1``
-    fits any width; one set test per op sends only the forced ops the
-    slow way.  It calls this module's :func:`evaluate_mask` at call time,
+    fits any width.  A buffer copies its operand; every other kind goes
+    through this module's :func:`evaluate_mask`, looked up at call time,
     so a chaos patch of that name reaches every caller."""
     program = comp.ops
     if forcing is None:
-        lines, pins, slow = {}, {}, frozenset()
+        lines, pins = {}, {}
     else:
-        lines, pins, slow = forcing.lines, forcing.pins, forcing.forced_ops
+        lines, pins = forcing.lines, forcing.pins
         # A whole pass forces each gate line after its op; a cone may
         # skip a forced line's op, so it forces every line first.
         first = comp.n_inputs if ops is None else len(values)
@@ -230,21 +230,24 @@ def run_ops(
                 values[line] = (values[line] & ~rows | ones) & full
     if ops is None:
         ops = range(len(program))
+    buf = GateKind.BUF
     for pos in ops:
         op = program[pos]
-        operands = [values[s] for s in op.srcs]
-        if pos in slow:
-            overrides = pins.get(pos)
-            if overrides:
-                for slot, (rows, ones) in overrides.items():
-                    operands[slot] = (operands[slot] & ~rows | ones) & full
-            value = evaluate_mask(op.kind, operands, full)
-            forced = lines.get(op.out)
-            if forced is not None:
-                value = (value & ~forced[0] | forced[1]) & full
-            values[op.out] = value
+        kind = op.kind
+        if pins and pos in pins:
+            operands = [values[s] for s in op.srcs]
+            for slot, (rows, ones) in pins[pos].items():
+                operands[slot] = (operands[slot] & ~rows | ones) & full
+            value = evaluate_mask(kind, operands, full)
+        elif kind is buf:
+            value = values[op.srcs[0]]
         else:
-            values[op.out] = evaluate_mask(op.kind, operands, full)
+            value = evaluate_mask(kind, [values[s] for s in op.srcs], full)
+        out = op.out
+        if out in lines:
+            rows, ones = lines[out]
+            value = (value & ~rows | ones) & full
+        values[out] = value
     return values
 
 

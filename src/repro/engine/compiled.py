@@ -36,11 +36,12 @@ the thesis's "equivalent pairs of lines", Section 3.6 step 2).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
 import weakref
-from typing import Dict, Hashable, List, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Sequence, Tuple, Union
 
 from ..logic.faults import Fault, MultipleFault, PinStuckAt, StuckAt
 from ..logic.faults import fault_overrides
@@ -101,10 +102,8 @@ class RowForcing:
         self.lines: Dict[int, Masks] = {}
         #: op position -> {operand slot: (rows, ones)}
         self.pins: Dict[int, Dict[int, Masks]] = {}
-        #: any other site (flip-flop stage, translator line, memory bit)
+        #: any other site (flip-flop stage, latch, memory bit)
         self.sites: Dict[Hashable, Masks] = {}
-        #: op positions that read a forced pin or drive a forced line
-        self.forced_ops: Set[int] = set()
 
     def stick(self, site: Hashable, rows: int, value: int) -> None:
         """Force ``site`` to ``value`` in the row mask ``rows``."""
@@ -119,14 +118,10 @@ class RowForcing:
         for fid in ids:
             value = fid & 1
             if fid < n_stems:
-                line = fid >> 1
-                _merge(self.lines, line, rows, value)
-                if line >= compiled.n_inputs:
-                    self.forced_ops.add(line - compiled.n_inputs)
+                _merge(self.lines, fid >> 1, rows, value)
             else:
                 gate, slot, _src = compiled.pin_sites[(fid - n_stems) >> 1]
                 pos = gate - compiled.n_inputs
-                self.forced_ops.add(pos)
                 _merge(self.pins.setdefault(pos, {}), slot, rows, value)
 
     def apply(self, site: Hashable, value: int) -> int:
@@ -136,12 +131,6 @@ class RowForcing:
             return value
         rows, ones = forced
         return (value & ~rows) | ones
-
-    def forced_rows(self, site: Hashable) -> int:
-        """The rows forced at ``site``, whatever their value (a stuck
-        latch clock holds the latch either way)."""
-        forced = self.sites.get(site)
-        return 0 if forced is None else forced[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,6 +214,9 @@ class CompiledNetwork:
         dict-lookup semantics), a later part on the same site wins, and a
         stem force shadows the pin forces on the gate driving that
         stem."""
+        if type(fault) is StuckAt:
+            line = self.index.get(fault.line)
+            return () if line is None else (2 * line + fault.value,)
         stem_names, pin_keys = fault_overrides(fault)
         index = self.index
         stems = {index[n]: v for n, v in stem_names.items() if n in index}
@@ -312,31 +304,39 @@ class CompiledNetwork:
         ordered by smallest id, members in id order: the
         :data:`PIN_EQUIVALENCES` and the :attr:`branch_folds` pins."""
         folds = self.branch_folds
-        parent = list(range(2 * (len(self.names) + len(self.pin_sites))))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        def union(a: int, b: int) -> None:
-            a, b = find(a), find(b)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-        pin = 2 * len(self.names)
+        n_stems = 2 * len(self.names)
+        # Union-find with every parent below its child, so each class's
+        # root is its smallest id.  A pin fault joins at most two stem
+        # faults (its source's, when the branch folds, and its gate's
+        # output's), so pins point at a stem and only stems are merged.
+        parent = list(range(n_stems + 2 * len(self.pin_sites)))
+        pin = n_stems
         for op in self.ops:
             pairs = PIN_EQUIVALENCES.get(op.kind, ())
+            out = 2 * op.out
             for src in op.srcs:
-                if folds[src]:
-                    union(pin, 2 * src)
-                    union(pin + 1, 2 * src + 1)
-                for pin_value, out_value in pairs:
-                    union(pin + pin_value, 2 * op.out + out_value)
+                for value in (0, 1):
+                    a = 2 * src + value if folds[src] else None
+                    for pin_value, out_value in pairs:
+                        if pin_value != value:
+                            continue
+                        b = out + out_value
+                        if a is None:
+                            a = b
+                            continue
+                        while parent[a] != a:
+                            parent[a] = a = parent[parent[a]]
+                        while parent[b] != b:
+                            parent[b] = b = parent[parent[b]]
+                        a, b = min(a, b), max(a, b)
+                        parent[b] = a
+                    if a is not None:
+                        parent[pin + value] = a
                 pin += 2
         classes: Dict[int, List[int]] = {}
-        for fid in range(len(parent)):
-            classes.setdefault(find(fid), []).append(fid)
+        for fid, up in enumerate(parent):
+            parent[fid] = root = parent[up]
+            classes.setdefault(root, []).append(fid)
         return tuple(tuple(members) for members in classes.values())
 
     def fault_site(self, fid: int) -> int:
@@ -365,21 +365,19 @@ class CompiledNetwork:
         fault less the :attr:`branch_folds` pin faults.  ``live_only``
         drops the faults on lines that reach no output."""
         n_stems = 2 * len(self.names)
-        first_gate = 2 * self.n_inputs
-
-        def kept(fid: int) -> bool:
-            if fid < n_stems:
-                return include_inputs or fid >= first_gate
-            return include_pins
-
+        first = 0 if include_inputs else 2 * self.n_inputs
+        last = None if include_pins else n_stems
         if collapse:
-            ids = [
-                next((fid for fid in members if kept(fid)), None)
-                for members in self.fault_classes
-            ]
+            # Members ascend: the first one at or past ``first``, unless
+            # it is a pin and pins are left out.
+            ids = []
+            for members in self.fault_classes:
+                k = bisect.bisect_left(members, first)
+                if k < len(members) and (last is None or members[k] < last):
+                    ids.append(members[k])
         else:
             folds = self.branch_folds
-            ids = [fid for fid in range(n_stems) if kept(fid)]
+            ids = list(range(first, n_stems))
             if include_pins:
                 ids += [
                     n_stems + 2 * k + value
@@ -391,8 +389,7 @@ class CompiledNetwork:
         return [
             self.fault(fid)
             for fid in ids
-            if fid is not None
-            and (not live_only or live[self.fault_site(fid)])
+            if not live_only or live[self.fault_site(fid)]
         ]
 
 

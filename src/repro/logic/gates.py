@@ -169,14 +169,7 @@ def evaluate_mask(kind: GateKind, masks: Sequence[int], full: int) -> int:
     exhaustive condition-E evaluation (Corollary 3.1) and the SCAL fault
     oracle: one pass over the netlist evaluates all ``2**n`` inputs.
     """
-    if kind is GateKind.CONST0:
-        return 0
-    if kind is GateKind.CONST1:
-        return full
-    if kind is GateKind.BUF:
-        return masks[0]
-    if kind is GateKind.NOT:
-        return ~masks[0] & full
+    # Commonest kinds first: this runs once per gate per evaluation.
     if kind is GateKind.AND:
         out = full
         for m in masks:
@@ -186,6 +179,13 @@ def evaluate_mask(kind: GateKind, masks: Sequence[int], full: int) -> int:
         out = 0
         for m in masks:
             out |= m
+        return out
+    if kind is GateKind.NOT:
+        return ~masks[0] & full
+    if kind is GateKind.XOR:
+        out = 0
+        for m in masks:
+            out ^= m
         return out
     if kind is GateKind.NAND:
         out = full
@@ -197,16 +197,17 @@ def evaluate_mask(kind: GateKind, masks: Sequence[int], full: int) -> int:
         for m in masks:
             out |= m
         return ~out & full
-    if kind is GateKind.XOR:
-        out = 0
-        for m in masks:
-            out ^= m
-        return out
     if kind is GateKind.XNOR:
         out = 0
         for m in masks:
             out ^= m
         return ~out & full
+    if kind is GateKind.BUF:
+        return masks[0]
+    if kind is GateKind.CONST0:
+        return 0
+    if kind is GateKind.CONST1:
+        return full
     if kind in (GateKind.MAJ, GateKind.MIN):
         return _threshold_mask(kind, masks, full)
     raise ValueError(f"gate kind {kind} has no mask evaluation")

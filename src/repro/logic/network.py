@@ -89,38 +89,32 @@ class Network:
     # structure
     # ------------------------------------------------------------------
     def _toposort(self) -> Tuple[str, ...]:
+        """Gate lines in depth-first post-order: each gate after its
+        inputs, visited in input order, roots in definition order."""
         order: List[str] = []
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-        for name in self.inputs:
-            state[name] = 1
-
-        def visit(root: str) -> None:
-            stack: List[Tuple[str, int]] = [(root, 0)]
+        gates = self._gates
+        done: Set[str] = set(self.inputs)
+        for root in gates:
+            if root in done:
+                continue
+            path = {root}
+            stack = [(root, iter(gates[root].inputs))]
             while stack:
-                node, idx = stack.pop()
-                if state.get(node) == 1:
-                    continue
-                gate = self._gates[node]
-                if idx == 0:
-                    if state.get(node) == 0:
-                        raise NetworkError(f"combinational cycle through {node!r}")
-                    state[node] = 0
-                if idx < len(gate.inputs):
-                    stack.append((node, idx + 1))
-                    child = gate.inputs[idx]
-                    if state.get(child) != 1:
-                        if state.get(child) == 0:
+                node, pending = stack[-1]
+                for child in pending:
+                    if child not in done:
+                        if child in path:
                             raise NetworkError(
                                 f"combinational cycle through {child!r}"
                             )
-                        stack.append((child, 0))
+                        path.add(child)
+                        stack.append((child, iter(gates[child].inputs)))
+                        break
                 else:
-                    state[node] = 1
+                    stack.pop()
+                    path.discard(node)
+                    done.add(node)
                     order.append(node)
-
-        for name in self._gates:
-            if state.get(name) != 1:
-                visit(name)
         return tuple(order)
 
     def _fanout_map(self) -> Dict[str, Tuple[str, ...]]:

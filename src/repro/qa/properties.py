@@ -41,10 +41,10 @@ around.  The registered invariants:
   run and alternate cleanly when fault-free.
 * ``clocked-campaign-reference`` — the row-parallel clocked stepper
   agrees with independent steppers: every dual flip-flop row (stem, pin
-  and flip-flop faults) has the first-detection step and decoded-wrong
-  verdict of a naive per-fault stepper on the reference interpreter,
-  and every code-conversion row (network, translator and memory
-  faults) equals that fault's one-row run.
+  and flip-flop faults) and every code-conversion row (loop network
+  stems, translator lines included; ALPT latch outputs; memory faults)
+  has the first-detection step and decoded-wrong verdict of a naive
+  per-fault stepper on the reference interpreter.
 * ``sampled-determinism`` — one seed yields one sample set and one set
   of verdicts, across fresh backends and across the sweep's serial vs
   fork-worker paths; the supervised campaign report's chunk ledger must
@@ -89,12 +89,11 @@ from ..engine.compiled import RowForcing
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.gates import GateKind
 from ..logic.network import Gate, Network
-from ..scal.alternating import RowTrace, one_row_run
+from ..scal.alternating import RowTrace
 from ..scal.codeconv import to_code_conversion
 from ..scal.dualff import to_dual_flipflop
-from ..scal.translators import TranslatorFault
 from ..seq.simulator import FlipFlopFault
-from ..system.memory import single_memory_faults
+from ..system.memory import MemoryFault, parity, single_memory_faults
 from ..workloads.randomlogic import (
     random_alternating_network,
     random_input_vectors,
@@ -599,43 +598,124 @@ def _row_verdict(trace: RowTrace, reference, n_z: int) -> Tuple:
     return first_detection, wrong
 
 
+def _naive_period(machine, network, vector, phase, fault, lines) -> Dict:
+    """One clock period on the reference interpreter: ``vector`` true
+    in period 0 and complemented in period 1, the period clock at
+    ``phase``, the other inputs from ``lines``; every output by name."""
+    values = {name: bit ^ phase for name, bit in zip(machine.input_names, vector)}
+    values[machine.clock_name] = phase
+    values.update(lines)
+    point = [values[name] for name in network.inputs]
+    return dict(zip(network.outputs, reference_outputs(network, point, fault)))
+
+
 def _naive_dualff(dualff, vectors, fault) -> RowTrace:
     """The dual flip-flop machine stepped by hand: the reference
     interpreter per period and a plain two-stage shift per chain."""
-    network = dualff.circuit.network
     ff = fault if isinstance(fault, FlipFlopFault) else None
     stem = None if ff is not None else fault
     code = dualff.encoding.code(dualff.machine.initial_state)
     chains = {f"y{i}": [1 - bit, bit] for i, bit in enumerate(code)}
     next_line = {p: n for n, p in dualff.circuit.feedback.items()}
-    outputs = list(network.outputs)
-    monitored = [
-        outputs.index(name)
-        for name in dualff.output_names + dualff.state_output_names
-    ]
+    monitored = dualff.output_names + dualff.state_output_names
     trace: RowTrace = []
     for vector in vectors:
         pair = []
         for phase in (0, 1):
-            values = {
-                name: bit ^ phase
-                for name, bit in zip(dualff.input_names, vector)
+            present = {
+                line: ff.value
+                if ff is not None and (ff.state_line, ff.stage) == (line, 1)
+                else chain[1]
+                for line, chain in chains.items()
             }
-            values[dualff.clock_name] = phase
-            for line, chain in chains.items():
-                stuck = ff is not None and (ff.state_line, ff.stage) == (line, 1)
-                values[line] = ff.value if stuck else chain[1]
-            out = reference_outputs(
-                network, [values[name] for name in network.inputs], stem
+            out = _naive_period(
+                dualff, dualff.circuit.network, vector, phase, stem, present
             )
-            pair.append(tuple(out[i] for i in monitored))
+            pair.append(tuple(out[name] for name in monitored))
             for line, chain in chains.items():
                 chain[1] = chain[0]
-                chain[0] = out[outputs.index(next_line[line])]
+                chain[0] = out[next_line[line]]
                 if ff is not None and (ff.state_line, ff.stage) == (line, 0):
                     chain[0] = ff.value
         trace.append((pair[0], pair[1], 0))
     return trace
+
+
+def _naive_codeconv(codeconv, vectors, fault) -> Optional[RowTrace]:
+    """The code-conversion machine stepped by hand: the reference
+    interpreter over the loop network per period, the ALPT latches as
+    plain bits, and a dict of memory words at physical addresses.  A
+    stuck clock (the period clock or the ALPT's common clock stem)
+    stops the machine: ``None``."""
+    width = codeconv.encoding.width
+    ff = fault if isinstance(fault, FlipFlopFault) else None
+    mem = fault if isinstance(fault, MemoryFault) else None
+    stem = None if ff or mem else fault
+    if stem is not None and stem.line in ("alpt_g", codeconv.clock_name):
+        return None
+    address = 0
+    if mem is not None and mem.kind == "address_line":
+        address = mem.value << mem.index
+    code = list(codeconv.encoding.code(codeconv.machine.initial_state))
+    state = code + [parity(code)]
+    cells = {0: list(state)}  # the initial word, written fault free
+    monitored = codeconv.output_names + codeconv.state_output_names
+    trace: RowTrace = []
+    for vector in vectors:
+        word = list(cells.get(address, [0] * (width + 1)))
+        if mem is not None and (
+            mem.kind == "data_line"
+            or mem.kind == "cell" and (mem.address or 0) == address
+        ):
+            word[mem.index] = mem.value
+        stored = dict(zip([f"t{k}" for k in range(width)] + ["tp"], word))
+        first, second = (
+            _naive_period(codeconv, codeconv.loop, vector, phase, stem, stored)
+            for phase in (0, 1)
+        )
+        # Data latch k takes line b from the first period, the parity
+        # latch line f from the second, where its clock took both values.
+        loads = [(f"alpt_b{k}", f"alpt_d{k}", first) for k in range(width)]
+        loads.append(("alpt_f", "alpt_j", second))
+        for k, (d_line, clock, period) in enumerate(loads):
+            if first[clock] != second[clock]:
+                state[k] = period[d_line]
+        cells[address] = [
+            ff.value if ff is not None and ff.state_line == name else bit
+            for name, bit in zip(codeconv.latch_names, state)
+        ]
+        trace.append(
+            (
+                tuple(first[name] for name in monitored),
+                tuple(second[name] for name in monitored),
+                int(first["palt_g"] == first["palt_h"]),
+            )
+        )
+    return trace
+
+
+def _packed_vs_naive(scal, universe, vectors, reference, naive) -> Optional[str]:
+    """The first row of ``scal``'s row-parallel run of ``universe`` whose
+    (first detection, wrong) verdict differs from the ``naive`` stepper's
+    (``None``: the machine stopped)."""
+    forcing = RowForcing(len(universe))
+    for row, fault in enumerate(universe):
+        scal.force(forcing, row, fault)
+    packed = scal.clock_rows(vectors, forcing)
+    stopped = scal.stopped_rows(forcing)
+    n_z = len(scal.output_names)
+    for row, fault in enumerate(universe):
+        trace = naive(scal, vectors, fault)
+        want = None if trace is None else _row_verdict(trace, reference, n_z)
+        got = None if stopped >> row & 1 else _row_verdict(
+            _row_trace(packed, row), reference, n_z
+        )
+        if got != want:
+            return (
+                f"row {fault.describe()}: packed run gives (first detection, "
+                f"wrong) = {got}, naive stepper {want} (None: stopped)"
+            )
+    return None
 
 
 def _check_clocked_campaign(case: Case) -> Optional[str]:
@@ -643,7 +723,6 @@ def _check_clocked_campaign(case: Case) -> Optional[str]:
         return None
     machine, vectors = case.machine, list(case.vectors)
     reference = machine.run(vectors)
-    n_z = machine.n_outputs
     dualff = to_dual_flipflop(machine)
     circuit = dualff.circuit
     universe: List = enumerate_single_faults(circuit.network, collapse=False)
@@ -653,60 +732,31 @@ def _check_clocked_campaign(case: Case) -> Optional[str]:
         for stage in range(circuit.depth)
         for value in (0, 1)
     ]
-    forcing = RowForcing(len(universe))
-    for row, fault in enumerate(universe):
-        circuit.force(forcing, row, fault)
-    packed = dualff.clock_rows(vectors, forcing)
-    for row, fault in enumerate(universe):
-        got = _row_verdict(_row_trace(packed, row), reference, n_z)
-        want = _row_verdict(_naive_dualff(dualff, vectors, fault), reference, n_z)
-        if got != want:
-            return (
-                f"dual flip-flop row {fault.describe()}: packed run gives "
-                f"(first detection, wrong) = {got}, naive stepper {want}"
-            )
+    bad = _packed_vs_naive(dualff, universe, vectors, reference, _naive_dualff)
+    if bad:
+        return f"dual flip-flop {bad}"
     codeconv = to_code_conversion(machine)
-    width = codeconv.encoding.width
-    universe = [
-        ("comb", fault)
-        for fault in enumerate_stem_faults(codeconv.network, include_inputs=True)
+    universe = list(enumerate_stem_faults(codeconv.loop, include_inputs=True))
+    universe += [
+        FlipFlopFault(latch, 0, value)
+        for latch in codeconv.latch_names
+        for value in (0, 1)
     ]
-    for unit, sites in (("alpt", "abcdefghij"), ("palt", "abcdefgh")):
-        universe += [
-            (unit, TranslatorFault(site, k, value))
-            for site in sites
-            for k in range(width)
-            for value in (0, 1)
-        ]
     # Cells at addresses 0 (the state word) and 1 (where a stuck
     # address line reroutes it).
-    universe += [
-        ("mem", fault)
-        for fault in single_memory_faults(
-            width, codeconv.memory.address_bits, (0, 1)
-        )
-    ]
-    forcing = RowForcing(len(universe))
-    for row, fault in enumerate(universe):
-        codeconv.force(forcing, row, fault)
-    packed = codeconv.clock_rows(vectors, forcing)
-    stopped = codeconv.stopped_rows(forcing)
-    for row, (unit, fault) in enumerate(universe):
-        single = codeconv.run(vectors, [(unit, fault)])
-        got = one_row_run(_row_trace(packed, row), stopped >> row & 1)
-        if got != single:
-            return (
-                f"code-conversion row {unit} {fault.describe()} differs "
-                "from its one-row run"
-            )
-    return None
+    universe += single_memory_faults(
+        codeconv.encoding.width, codeconv.memory.address_bits, (0, 1)
+    )
+    bad = _packed_vs_naive(
+        codeconv, universe, vectors, reference, _naive_codeconv
+    )
+    return f"code-conversion {bad}" if bad else None
 
 
 clocked_campaign = register(
     "clocked-campaign-reference",
-    "row-parallel clocked campaigns match a naive per-fault stepper on the "
-    "reference interpreter (dual flip-flop) and each fault's one-row run "
-    "(code conversion)",
+    "row-parallel clocked campaigns match naive per-fault steppers on the "
+    "reference interpreter (dual flip-flop and code conversion)",
 )((_gen_machine, _check_clocked_campaign))
 
 

@@ -1,13 +1,14 @@
 """SCAL sequential design techniques (Chapter 4): alternating operation,
-the dual flip-flop transform, the ALPT/PALT translators, the complete
-code-conversion system, and the Table 4.1 cost model."""
+the dual flip-flop transform, the gate-level ALPT/PALT translators, the
+complete code-conversion system (one loop network of PALT, self-dual
+block and ALPT), and the Table 4.1 cost model."""
 
 from .alternating import (
     PERIOD_CLOCK,
     AlternatingRun,
     AlternatingStep,
 )
-from .codeconv import CodeConversionMachine, to_code_conversion
+from .codeconv import CodeConversionMachine, loop_network, to_code_conversion
 from .costs import (
     REYNOLDS_COST_FACTOR,
     THESIS_TABLE_4_1,
@@ -25,7 +26,7 @@ from .dualff import (
     to_dual_flipflop,
 )
 from .induction import InductiveVerdict, verify_inductively
-from .translators import ALPT, PALT, TranslatorFault
+from .translators import alpt_network, palt_network
 from .verify import (
     CampaignResult,
     codeconv_campaign,
@@ -34,7 +35,6 @@ from .verify import (
 )
 
 __all__ = [
-    "ALPT",
     "AlternatingRun",
     "CampaignResult",
     "InductiveVerdict",
@@ -42,17 +42,18 @@ __all__ = [
     "CodeConversionMachine",
     "CostReport",
     "DualFlipFlopMachine",
-    "PALT",
     "PERIOD_CLOCK",
     "REYNOLDS_COST_FACTOR",
     "THESIS_TABLE_4_1",
-    "TranslatorFault",
+    "alpt_network",
     "codeconv_campaign",
     "cost_factor",
     "dualff_campaign",
     "kohavi_general",
+    "loop_network",
     "measured_cost",
     "render_cost_table",
+    "palt_network",
     "reynolds_general",
     "self_dual_machine_network",
     "to_code_conversion",

@@ -6,8 +6,9 @@ drive a (seeded or supplied) input stream against every fault and
 classify the runs.  :func:`dualff_campaign` and :func:`codeconv_campaign`
 build the fault universe; one shared loop puts every fault in its own row
 of a row-parallel clocked run (:class:`~repro.engine.compiled.RowForcing`,
-added by the machine's ``force``), so one pass over the compiled block
-per clock period advances the whole universe.  This is the API behind
+added by the machine's ``force``), so one pass over the machine's
+compiled network (the dual flip-flop block, or the code-conversion
+loop) per clock period advances the whole universe.  This is the API behind
 the Chapter 4 benches and the tool a user points at their own machine:
 
     campaign = dualff_campaign(to_dual_flipflop(machine), vectors)
@@ -27,7 +28,6 @@ from ..seq.simulator import FlipFlopFault
 from ..system.memory import single_memory_faults
 from .codeconv import CodeConversionMachine
 from .dualff import DualFlipFlopMachine
-from .translators import TranslatorFault
 
 ClockedMachine = Union[DualFlipFlopMachine, CodeConversionMachine]
 
@@ -164,29 +164,20 @@ def codeconv_campaign(
     include_inputs: bool = False,
     collapse: bool = True,
 ) -> CampaignResult:
-    """Single-fault campaign over a code-conversion machine: every
-    combinational stem fault (collapsed unless ``collapse=False``),
-    every translator line class, every memory fault."""
-    width = machine.encoding.width
-    universe: List[Tuple[str, object]] = [
-        ("comb", fault)
-        for fault in _stem_universe(machine.network, include_inputs, collapse)
-    ]
-    alpt_sites = [(s, k) for s in "abcde" for k in range(width)]
-    alpt_sites += [("f", 0), ("i", 0), ("h", 0), ("g", 0)]
-    palt_sites = [(s, k) for s in "abcde" for k in range(width)]
-    palt_sites += [("f", 0), ("g", 0), ("h", 0)]
-    for unit, sites in (("alpt", alpt_sites), ("palt", palt_sites)):
-        universe += [
-            (unit, TranslatorFault(site, k, value))
-            for site, k in sites
-            for value in (0, 1)
-        ]
+    """Single-fault campaign over a code-conversion machine: every stem
+    fault of the loop network, translator lines included (collapsed
+    unless ``collapse=False``), every ALPT latch output stuck, and every
+    memory fault."""
+    universe: List = _stem_universe(machine.loop, include_inputs, collapse)
     universe += [
-        ("mem", fault)
-        for fault in single_memory_faults(width, machine.memory.address_bits)
+        FlipFlopFault(latch, 0, value)
+        for latch in machine.latch_names
+        for value in (0, 1)
     ]
-    labels = [f"{unit} {fault.describe()}" for unit, fault in universe]
+    universe += single_memory_faults(
+        machine.encoding.width, machine.memory.address_bits
+    )
+    labels = [fault.describe() for fault in universe]
     name = f"{machine.machine.name}_codeconv"
     return _campaign(machine, name, universe, labels, vectors)
 

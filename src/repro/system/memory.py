@@ -11,7 +11,7 @@ folded parities disagree, and the 1-out-of-2 code at the PALT breaks.
 Fault injection covers the memory's single-fault modes: one stuck data
 cell bit, one stuck data line (affects every access), and one stuck
 address line (the misaddressing fault the folding is there to catch).
-The memory is row-parallel, like the translators, and holds no fault
+The memory is row-parallel, like the loop it serves, and holds no fault
 state: :meth:`ParityMemory.store` and :meth:`~ParityMemory.load` take the
 caller's :class:`~repro.engine.compiled.RowForcing`, so a code-conversion
 campaign keeps every faulty copy in one instance.
@@ -76,9 +76,18 @@ class ParityMemory:
 
     # ------------------------------------------------------------------
     def force(self, forcing: RowForcing, row: int, fault: MemoryFault) -> None:
-        """Add one memory fault to ``forcing`` in ``row``."""
+        """Add one memory fault to ``forcing`` in ``row``.
+
+        ``ValueError`` for a fault on a line or cell this memory does not
+        have: it would force a site nothing reads and vanish."""
+        lines = {"cell": self.word_bits + 1, "address_line": self.address_bits}
+        lines["data_line"] = self.word_bits + 1
+        cell = fault.address or 0
+        if not 0 <= fault.index < lines.get(fault.kind, 0) or not (
+            0 <= cell < 1 << self.address_bits
+        ):
+            raise ValueError(f"{fault.describe()}: no such site in this memory")
         if fault.kind == "cell":
-            cell = (fault.address or 0) & ((1 << self.address_bits) - 1)
             site = ("mem", "cell", cell, fault.index)
         else:
             site = ("mem", fault.kind, fault.index)

@@ -154,7 +154,7 @@ def test_golden_covers_grid():
     totals = {case["total"] for case in cases}
     assert min(totals) < 64 < max(totals)
     zero = golden["seq0101"]["codeconv-L0-c1-i0"]
-    assert zero["detected"] == 2  # ALPT g s/0 and g s/1 only
+    assert zero["detected"] == 2  # the common clock: alpt_g s/0 and s/1 only
     assert zero["mean_detection_latency"] is None
     assert max(len(case["dangerous_faults"]) for case in cases) > 1
 

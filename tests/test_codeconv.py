@@ -1,11 +1,13 @@
 """Tests for the code-conversion SCAL machine (Figure 4.5, Theorem 4.4)."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.faults import enumerate_stem_faults
+from repro.logic.faults import StuckAt, enumerate_stem_faults
 from repro.scal.codeconv import to_code_conversion
-from repro.scal.translators import TranslatorFault
+from repro.seq.simulator import FlipFlopFault
 from repro.system.memory import MemoryFault, single_memory_faults
 from repro.workloads.randomlogic import random_input_vectors, random_machine
 
@@ -60,59 +62,62 @@ class TestFaultDetection:
                 undetected_wrong.append(label)
         assert not undetected_wrong
 
-    def test_combinational_faults(self, detector, rng):
+    def _loop_sweep(self, detector, rng, faults):
         cc = to_code_conversion(detector)
         vectors = random_input_vectors(rng, 1, 40)
         reference = detector.run(vectors)
-        runs = (
-            (f.describe(), cc.run(vectors, [("comb", f)]))
-            for f in enumerate_stem_faults(cc.network, include_inputs=False)
-        )
+        runs = ((f.describe(), cc.run(vectors, [f])) for f in faults(cc))
         self._sweep(cc, reference, vectors, runs)
+
+    def test_combinational_faults(self, detector, rng):
+        """Every stem of the self-dual block, as a line of the loop."""
+        self._loop_sweep(
+            detector,
+            rng,
+            lambda cc: enumerate_stem_faults(cc.network, include_inputs=False),
+        )
 
     def test_alpt_faults(self, detector, rng):
-        cc = to_code_conversion(detector)
-        width = cc.encoding.width
-        vectors = random_input_vectors(rng, 1, 40)
-        reference = detector.run(vectors)
-        sites = [(s, k) for s in "abcde" for k in range(width)]
-        sites += [("f", 0), ("i", 0), ("h", 0), ("g", 0)]
-        faults = [
-            ("alpt", TranslatorFault(s, k, v)) for s, k in sites for v in (0, 1)
-        ]
-        runs = (
-            (f"{u} {f.describe()}", cc.run(vectors, [(u, f)]))
-            for u, f in faults
-        )
-        self._sweep(cc, reference, vectors, runs)
+        """Every ALPT line (the common clock stops the machine) and
+        every latch output."""
+
+        def faults(cc):
+            lines = [g.name for g in cc.loop.gates if g.name.startswith("alpt_")]
+            return [StuckAt(line, v) for line in lines for v in (0, 1)] + [
+                FlipFlopFault(latch, 0, v)
+                for latch in cc.latch_names
+                for v in (0, 1)
+            ]
+
+        self._loop_sweep(detector, rng, faults)
 
     def test_palt_faults(self, detector, rng):
+        """Every PALT line, the XOR outputs ``y*`` included."""
+
+        def faults(cc):
+            width = cc.encoding.width
+            lines = [g.name for g in cc.loop.gates if g.name.startswith("palt_")]
+            lines += [f"y{k}" for k in range(width)]
+            return [StuckAt(line, v) for line in lines for v in (0, 1)]
+
+        self._loop_sweep(detector, rng, faults)
+
+    def test_stuck_clock_stops_the_machine(self, detector):
+        """The ALPT's common clock stem or the period clock stuck: the
+        whole system stops, a run with no steps and a raised flag."""
         cc = to_code_conversion(detector)
-        width = cc.encoding.width
-        vectors = random_input_vectors(rng, 1, 40)
-        reference = detector.run(vectors)
-        sites = [(s, k) for s in "abcde" for k in range(width)]
-        sites += [("f", 0), ("g", 0), ("h", 0)]
-        faults = [
-            ("palt", TranslatorFault(s, k, v)) for s, k in sites for v in (0, 1)
-        ]
-        runs = (
-            (f"{u} {f.describe()}", cc.run(vectors, [(u, f)]))
-            for u, f in faults
-        )
-        self._sweep(cc, reference, vectors, runs)
+        for line, value in itertools.product(("alpt_g", "phi"), (0, 1)):
+            run = cc.run([(0,), (1,)], [StuckAt(line, value)])
+            assert run.steps == () and run.checker_flags == (True,)
 
     def test_memory_faults(self, detector, rng):
-        cc = to_code_conversion(detector)
-        vectors = random_input_vectors(rng, 1, 40)
-        reference = detector.run(vectors)
-        runs = (
-            (mf.describe(), cc.run(vectors, [("mem", mf)]))
-            for mf in single_memory_faults(
+        self._loop_sweep(
+            detector,
+            rng,
+            lambda cc: single_memory_faults(
                 cc.encoding.width, cc.memory.address_bits
-            )
+            ),
         )
-        self._sweep(cc, reference, vectors, runs)
 
     def test_memory_cell_fault_detected_by_code(self, detector):
         """A flipped stored state bit breaks the word's parity: the PALT
@@ -121,7 +126,7 @@ class TestFaultDetection:
         vectors = [(0,), (1,), (0,), (1,), (1,), (0,)]
         run = cc.run(
             vectors,
-            [("mem", MemoryFault("data_line", 0, 1))],
+            [MemoryFault("data_line", 0, 1)],
         )
         # Either the code checker fired or the run stayed correct.
         if cc.decoded_outputs(run) != detector.run(vectors):

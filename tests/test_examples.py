@@ -2,6 +2,7 @@
 
 import os
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -25,6 +26,26 @@ def test_example_runs(script, capsys):
     assert out.strip(), f"{script} produced no output"
     lowered = out.lower()
     assert "traceback" not in lowered
+
+
+def test_checker_design_output_is_deterministic():
+    """The example's output does not follow the string hash seed (its
+    sharing groups are frozensets)."""
+    src = os.path.join(os.path.dirname(EXAMPLES_DIR), "src")
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.add(
+            subprocess.run(
+                [sys.executable, os.path.join(EXAMPLES_DIR, "checker_design.py")],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+        )
+    assert len(outputs) == 1
 
 
 def test_all_examples_present():

@@ -1,5 +1,7 @@
 """Tests for the parity memory (repro.system.memory)."""
 
+import pytest
+
 from repro.engine.compiled import RowForcing
 from repro.system.memory import (
     MemoryFault,
@@ -100,6 +102,38 @@ class TestFaults:
         data, par = mem.load(faulty, 2)
         assert data == word
         assert mem.check_word(data, par)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            MemoryFault("data_line", 4, 1),  # bit 3 is the parity bit
+            MemoryFault("data_line", -1, 1),
+            MemoryFault("cell", 5, 0, address=0),
+            MemoryFault("cell", 0, 0, address=8),
+            MemoryFault("cell", 0, 0, address=-1),
+            MemoryFault("address_line", 3, 1),
+            MemoryFault("word_line", 0, 1),
+        ],
+        ids=lambda fault: fault.describe(),
+    )
+    def test_out_of_range_fault_rejected(self, fault):
+        """A fault on a site the memory does not have would force a key
+        nothing reads and count as a silent fault; it is refused."""
+        mem = ParityMemory(3, address_bits=3)
+        with pytest.raises(ValueError, match="no such site"):
+            one_row(mem, fault)
+
+    def test_last_sites_accepted(self):
+        mem = ParityMemory(3, address_bits=3)
+        mem.store(HEALTHY, 7, [0, 0, 0], 0)  # stored parity bit: the fold, 1
+        for fault in (
+            MemoryFault("data_line", 3, 0),
+            MemoryFault("cell", 3, 0, address=7),
+        ):
+            assert mem.load(one_row(mem, fault), 7) == ([0, 0, 0], 1)
+        # Address line 2 stuck at 0 sends the read of 7 to cell 3.
+        faulty = one_row(mem, MemoryFault("address_line", 2, 0))
+        assert not mem.check_word(*mem.load(faulty, 7))
 
     def test_fault_universe_size(self):
         faults = single_memory_faults(4, 3, addresses=(0,))

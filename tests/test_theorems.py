@@ -130,17 +130,26 @@ class TestChapter3:
 class TestChapter4:
     def test_theorem_4_1_alpt(self):
         """Covered exhaustively in tests/test_translators.py; assert the
-        headline here for the index."""
-        from repro.engine.compiled import RowForcing
-        from repro.scal.translators import ALPT
+        headline here for the index: the data latches' D lines carry the
+        true word in the first period, the parity latch's its parity in
+        the second."""
+        from repro.logic.evaluate import evaluate_with_fault
+        from repro.scal.translators import alpt_network
         from repro.system.memory import parity
 
-        alpt = ALPT(4)
+        alpt = alpt_network(4)
         for word in range(16):
             bits = [(word >> i) & 1 for i in range(4)]
-            comp = [1 - b for b in bits]
-            data, par = alpt.feed_pair(RowForcing(), bits, comp)
-            assert data == bits and par == parity(bits)
+            first, second = (
+                evaluate_with_fault(
+                    alpt,
+                    {**{f"Y{k}": b ^ phase for k, b in enumerate(bits)},
+                     "phi": phase},
+                )
+                for phase in (0, 1)
+            )
+            assert [first[f"alpt_b{k}"] for k in range(4)] == bits
+            assert second["alpt_f"] == parity(bits)
 
     def test_theorem_4_4_feedback_self_checking(self, detector):
         from repro.scal.codeconv import to_code_conversion

@@ -1,252 +1,280 @@
-"""Tests for the ALPT and PALT translators (Theorems 4.1 and 4.3)."""
+"""Tests for the gate-level ALPT and PALT translators (Theorems 4.1, 4.3).
+
+Every translator stem and every ALPT latch output is stuck, one at a
+time, over every input word at widths 1-4 (odd and even), each
+translator stepped on its own by pointwise evaluation.
+"""
 
 import itertools
 
 import pytest
 
-from repro.checkers.tworail import code_valid
-from repro.engine.compiled import RowForcing
-from repro.scal.translators import ALPT, PALT, TranslatorFault
+from repro.logic.evaluate import evaluate_with_fault
+from repro.logic.faults import StuckAt, enumerate_stem_faults
+from repro.scal.codeconv import to_code_conversion
+from repro.scal.translators import (
+    CODE_LINES,
+    COMMON_CLOCK,
+    alpt_latches,
+    alpt_network,
+    palt_network,
+)
+from repro.seq.simulator import FlipFlopFault
 from repro.system.memory import parity
+from repro.workloads.detectors import kohavi_0101
 
-HEALTHY = RowForcing()
-
-
-def one_row(unit, fault):
-    """The one-row forcing of one translator fault."""
-    forcing = RowForcing()
-    unit.force(forcing, 0, fault)
-    return forcing
+WIDTHS = (1, 2, 3, 4)
 
 
-def pairs_for(width, words):
-    """(true, complement) value pairs for a list of words."""
-    for word in words:
-        bits = [(word >> i) & 1 for i in range(width)]
-        yield bits, [1 - b for b in bits]
+def words(width):
+    return [list(bits) for bits in itertools.product((0, 1), repeat=width)]
+
+
+def alpt_step(width, previous, bits, fault=None):
+    """The (data, parity) word the ALPT holds after the alternating pair
+    ``bits``/complement, from latches holding the code word ``previous``:
+    each latch loads where its clock line took both values, and a
+    :class:`FlipFlopFault` sticks a latch output."""
+    stem = None if isinstance(fault, FlipFlopFault) else fault
+    periods = [
+        evaluate_with_fault(
+            alpt_network(width),
+            {**{f"Y{k}": b ^ phase for k, b in enumerate(bits)}, "phi": phase},
+            stem,
+        )
+        for phase in (0, 1)
+    ]
+    state = previous + [parity(previous)]
+    for k, (latch, d_line, clock, period) in enumerate(alpt_latches(width)):
+        if periods[0][clock] != periods[1][clock]:
+            state[k] = periods[period][d_line]
+        if stem is None and fault is not None and fault.state_line == latch:
+            state[k] = fault.value
+    return state[:-1], state[-1]
+
+
+def palt_periods(width, stored, stored_parity, fault=None):
+    """PALT line values in both periods of one step."""
+    inputs = {f"t{k}": b for k, b in enumerate(stored)}
+    inputs["tp"] = stored_parity
+    return [
+        evaluate_with_fault(palt_network(width), {**inputs, "phi": phase}, fault)
+        for phase in (0, 1)
+    ]
+
+
+def alpt_faults(width):
+    """Every ALPT stem but the common clock, and every latch output."""
+    stems = [
+        f
+        for f in enumerate_stem_faults(alpt_network(width), include_inputs=False)
+        if f.line != COMMON_CLOCK
+    ]
+    latches = [
+        FlipFlopFault(latch, 0, value)
+        for latch, *_rest in alpt_latches(width)
+        for value in (0, 1)
+    ]
+    return stems + latches
+
+
+class TestStructure:
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_one_gate_per_lettered_line(self, width):
+        """ALPT a, b, d, e per bit and f, g, h, j; PALT a, b (= y), c,
+        d, e per bit and f, g, h; the latch outputs c and i are state."""
+        alpt = {g.name for g in alpt_network(width).gates}
+        palt = {g.name for g in palt_network(width).gates}
+        bits = range(width)
+        assert alpt == {f"alpt_{s}{k}" for s in "abde" for k in bits} | {
+            "alpt_f", COMMON_CLOCK, "alpt_h", "alpt_j"
+        }
+        assert palt == {f"palt_{s}{k}" for s in "acde" for k in bits} | {
+            f"y{k}" for k in bits
+        } | {"palt_f", *CODE_LINES}
+
+    def test_loop_network_composes_the_block(self):
+        """The PALT feeds the block's ``y*``, and the loop adds no line
+        the figures do not letter."""
+        cc = to_code_conversion(kohavi_0101())
+        loop, block, width = cc.loop, cc.network, cc.encoding.width
+        assert loop.inputs == ("x0", "phi", "t0", "t1", "tp")
+        assert loop.outputs[:3] == block.outputs
+        assert set(loop.outputs[3:]) == {
+            line for latch in alpt_latches(width) for line in latch[1:3]
+        } | set(CODE_LINES)
+        assert loop.gate_count() == block.gate_count() + 9 * width + 7
+        for k in range(width):
+            assert loop.gate(f"y{k}").inputs == (f"palt_a{k}", f"palt_d{k}")
+
+    def test_unknown_latch_fault_rejected(self):
+        cc = to_code_conversion(kohavi_0101())
+        for fault in (FlipFlopFault("alpt_c2", 0, 1), FlipFlopFault("alpt_i", 1, 1)):
+            with pytest.raises(ValueError, match="no ALPT latch"):
+                cc.run([(0,)], [fault])
 
 
 class TestAlptHealthy:
-    @pytest.mark.parametrize("width", [2, 3, 4, 6])
+    @pytest.mark.parametrize("width", WIDTHS + (6,))
     def test_data_and_parity(self, width):
-        alpt = ALPT(width)
-        for word in range(1 << width):
-            bits = [(word >> i) & 1 for i in range(width)]
-            comp = [1 - b for b in bits]
-            data, par = alpt.feed_pair(HEALTHY, bits, comp)
-            assert data == bits
-            assert par == parity(bits)
-
-    def test_address_parity_folding(self):
-        alpt = ALPT(4)
-        bits = [1, 0, 1, 0]
-        comp = [0, 1, 0, 1]
-        _data, p0 = alpt.feed_pair(HEALTHY, bits, comp, address_parity=0)
-        _data, p1 = alpt.feed_pair(HEALTHY, bits, comp, address_parity=1)
-        assert p1 == 1 - p0
+        previous = [0] * width
+        for bits in words(width):
+            assert alpt_step(width, previous, bits) == (bits, parity(bits))
+            previous = bits
 
     def test_odd_width_parity_normalized(self):
-        """For odd widths parity(Ȳ) = ¬parity(Y); the φ fold restores
-        the true-period parity (the Section 4.3 odd-word remark)."""
-        alpt = ALPT(3)
-        bits = [1, 0, 0]
-        data, par = alpt.feed_pair(HEALTHY, bits, [0, 1, 1])
-        assert data == bits
-        assert par == parity(bits)
+        """For odd widths parity(Ȳ) = ¬parity(Y); the parity tree's
+        clock input restores the true-period parity (the Section 4.3
+        odd-word remark)."""
+        assert alpt_network(3).gate("alpt_f").inputs[-1] == COMMON_CLOCK
+        assert alpt_step(3, [0, 0, 0], [1, 0, 0]) == ([1, 0, 0], 1)
 
 
 class TestAlptFaults:
-    """Theorem 4.1: with the output parity checked, every internal line
-    fault is eventually detected and no undetected wrong word escapes."""
-
-    WIDTH = 4
-
-    def run_with_fault(self, fault, words):
-        alpt = ALPT(self.WIDTH)
-        forcing = one_row(alpt, fault)
-        outcomes = []
-        for bits, comp in pairs_for(self.WIDTH, words):
-            data, par = alpt.feed_pair(forcing, bits, comp)
-            code_ok = parity(data) == par
-            correct = data == bits and par == parity(bits)
-            outcomes.append((code_ok, correct))
-        return outcomes
-
-    def all_fault_sites(self):
-        sites = []
-        for k in range(self.WIDTH):
-            for site in ("a", "b", "c", "d", "e"):
-                sites.append((site, k))
-        sites += [("f", 0), ("i", 0), ("h", 0), ("j", 0)]
-        return sites
+    """Theorem 4.1: with the output parity checked, every single fault
+    gives the correct word or a noncode one, and some word exposes it."""
 
     def test_every_fault_secure_and_testable(self):
-        words = list(range(16))
-        for site, index in self.all_fault_sites():
-            for value in (0, 1):
-                fault = TranslatorFault(site, index, value)
-                outcomes = self.run_with_fault(fault, words)
-                # Fault-secure: a wrong word always has bad parity.
-                for code_ok, correct in outcomes:
-                    if not correct:
-                        assert not code_ok, (site, index, value)
-                # Self-testing: some word exposes the fault.
-                assert any(not code_ok for code_ok, _ in outcomes), (
-                    site,
-                    index,
-                    value,
-                )
+        for width in WIDTHS:
+            for fault in alpt_faults(width):
+                exposed = False
+                for previous, bits in itertools.product(words(width), repeat=2):
+                    data, par = alpt_step(width, previous, bits, fault)
+                    noncode = parity(data) != par
+                    exposed |= noncode
+                    assert noncode or (data, par) == (bits, parity(bits)), (
+                        fault.describe(),
+                        previous,
+                        bits,
+                    )
+                assert exposed, (width, fault.describe())
 
     def test_common_clock_failure_freezes_output(self):
         """Line g stuck: nothing latches — 'the system will stop and no
         output, correct or incorrect, will be generated'."""
-        alpt = ALPT(self.WIDTH)
-        bits = [1, 1, 0, 0]
-        alpt.feed_pair(HEALTHY, bits, [1 - b for b in bits])
-        stopped = one_row(alpt, TranslatorFault("g", 0, 0))
-        new_bits = [0, 1, 1, 0]
-        new_comp = [1 - b for b in new_bits]
-        data, par = alpt.feed_pair(stopped, new_bits, new_comp)
-        assert data == bits  # previous word retained
+        for width, value in itertools.product(WIDTHS, (0, 1)):
+            fault = StuckAt(COMMON_CLOCK, value)
+            for previous, bits in itertools.product(words(width), repeat=2):
+                assert alpt_step(width, previous, bits, fault) == (
+                    previous,
+                    parity(previous),
+                )
+
+    @pytest.mark.parametrize("line", ["alpt_d0", "alpt_h", "alpt_j"])
+    @pytest.mark.parametrize("value", (0, 1))
+    def test_stuck_clock_holds_its_latch(self, line, value):
+        """Edge-triggered latches: a clock line stuck at either value
+        never rises, so its latch keeps the previous value."""
+        held = 0 if line == "alpt_d0" else 2
+        data, par = alpt_step(2, [1, 0], [0, 0], StuckAt(line, value))
+        assert data + [par] == [1 if k == held else 0 for k in range(3)]
 
 
 class TestSingleLineSites:
-    """A single-line site ignores the fault's index, as
-    :class:`TranslatorFault` documents: ``f[2] s/1`` is ``f[0] s/1``."""
+    """The single-line sites (ALPT f, g, h, i, j; PALT f, g, h) are one
+    line for the whole word: a fault on a per-bit copy names no line of
+    the machine and is refused, where it once forced a key nothing read
+    and vanished."""
 
     WIDTH = 4
-
-    def alpt_words(self, forcing):
-        alpt = ALPT(self.WIDTH)
-        return [
-            alpt.feed_pair(forcing, bits, comp)
-            for bits, comp in pairs_for(self.WIDTH, range(16))
-        ]
-
-    def palt_codes(self, forcing):
-        palt = PALT(self.WIDTH)
-        codes = []
-        for word in range(16):
-            stored = [(word >> i) & 1 for i in range(self.WIDTH)]
-            codes.append(palt.code_output(forcing, stored, parity(stored)))
-        return codes
 
     @pytest.mark.parametrize("site", "fghij")
     @pytest.mark.parametrize("value", (0, 1))
     def test_alpt_index_ignored(self, site, value):
-        alpt = ALPT(self.WIDTH)
-        at = {
-            k: self.alpt_words(one_row(alpt, TranslatorFault(site, k, value)))
-            for k in (0, 2)
-        }
-        assert at[2] == at[0]
+        cc = to_code_conversion(kohavi_0101())
+        line, copy = f"alpt_{site}", f"alpt_{site}2"
+        if site == "i":
+            line, copy = FlipFlopFault(line, 0, value), FlipFlopFault(copy, 0, value)
+        else:
+            line, copy = StuckAt(line, value), StuckAt(copy, value)
+        cc.run([(0,)], [line])
+        with pytest.raises(ValueError, match="no "):
+            cc.run([(0,)], [copy])
 
     @pytest.mark.parametrize("site", "fgh")
     @pytest.mark.parametrize("value", (0, 1))
     def test_palt_index_ignored(self, site, value):
-        palt = PALT(self.WIDTH)
-        at = {
-            k: self.palt_codes(one_row(palt, TranslatorFault(site, k, value)))
-            for k in (0, 2)
-        }
-        assert at[2] == at[0]
+        cc = to_code_conversion(kohavi_0101())
+        cc.run([(0,)], [StuckAt(f"palt_{site}", value)])
+        with pytest.raises(ValueError, match="no loop network line"):
+            cc.run([(0,)], [StuckAt(f"palt_{site}2", value)])
 
     def test_stuck_parity_lines_force_the_parity_bit(self):
-        alpt = ALPT(self.WIDTH)
-        for site in "fi":
-            forcing = one_row(alpt, TranslatorFault(site, 2, 1))
-            # Word 0 has parity 0; the stuck line reads 1.
-            assert alpt.feed_pair(forcing, [0] * 4, [1] * 4)[1] == 1
+        # Word 0 has parity 0; the stuck line reads 1.
+        for fault in (StuckAt("alpt_f", 1), FlipFlopFault("alpt_i", 0, 1)):
+            zero = [0] * self.WIDTH
+            assert alpt_step(self.WIDTH, zero, zero, fault)[1] == 1
 
     def test_stuck_code_lines_break_the_code(self):
-        palt = PALT(self.WIDTH)
         stored = [1, 0, 0, 0]  # parity 1: the healthy code is (1, 0)
-        assert palt.code_output(HEALTHY, stored, 1) == (1, 0)
-        for site, value, code in (("g", 0, (0, 0)), ("f", 1, (1, 1))):
-            forcing = one_row(palt, TranslatorFault(site, 2, value))
-            assert palt.code_output(forcing, stored, 1) == code
+        for fault, code in ((None, (1, 0)), (StuckAt("palt_g", 0), (0, 0)),
+                            (StuckAt("palt_f", 1), (1, 1))):
+            first, _ = palt_periods(self.WIDTH, stored, 1, fault)
+            assert tuple(first[line] for line in CODE_LINES) == code
 
 
 class TestPaltHealthy:
-    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize("width", WIDTHS)
     def test_outputs_alternate(self, width):
-        palt = PALT(width)
-        for word in range(1 << width):
-            stored = [(word >> i) & 1 for i in range(width)]
-            first = palt.outputs_for_period(HEALTHY, stored, 0)
-            second = palt.outputs_for_period(HEALTHY, stored, 1)
-            assert first == stored
-            assert second == [1 - b for b in stored]
+        for stored in words(width):
+            first, second = palt_periods(width, stored, parity(stored))
+            assert [first[f"y{k}"] for k in range(width)] == stored
+            assert [second[f"y{k}"] for k in range(width)] == [
+                1 - b for b in stored
+            ]
 
     def test_code_output_valid(self):
-        palt = PALT(4)
-        stored = [1, 0, 1, 1]
-        code = palt.code_output(HEALTHY, stored, parity(stored))
-        assert code_valid(code)
+        for width in WIDTHS:
+            for stored in words(width):
+                first, _ = palt_periods(width, stored, parity(stored))
+                assert first["palt_g"] != first["palt_h"]
 
     def test_code_output_detects_bad_parity(self):
-        palt = PALT(4)
-        stored = [1, 0, 1, 1]
-        code = palt.code_output(HEALTHY, stored, 1 - parity(stored))
-        assert not code_valid(code)
-
-    def test_address_parity_symmetric(self):
-        palt = PALT(4)
-        stored = [1, 1, 0, 0]
-        stored_par = parity(stored) ^ 1  # written with address parity 1
-        code = palt.code_output(HEALTHY, stored, stored_par, 1)
-        assert code_valid(code)
+        for width in WIDTHS:
+            for stored in words(width):
+                first, _ = palt_periods(width, stored, 1 - parity(stored))
+                assert first["palt_g"] == first["palt_h"]
 
 
 class TestPaltFaults:
     """Theorem 4.3: with the 1-out-of-2 code checked (and downstream
-    alternation monitoring for the data outputs), the PALT is
-    self-checking."""
-
-    WIDTH = 4
-
-    def exercise(self, fault):
-        palt = PALT(self.WIDTH)
-        forcing = one_row(palt, fault)
-        any_exposed = False
-        for word in range(1 << self.WIDTH):
-            stored = [(word >> i) & 1 for i in range(self.WIDTH)]
-            code = palt.code_output(forcing, stored, parity(stored))
-            first = palt.outputs_for_period(forcing, stored, 0)
-            second = palt.outputs_for_period(forcing, stored, 1)
-            alternates = all(b == 1 - a for a, b in zip(first, second))
-            wrong = first != stored
-            detected = (not code_valid(code)) or (not alternates)
-            if wrong or not alternates or not code_valid(code):
-                any_exposed = True
-            # Fault-secure: wrong data must come with a detection.
-            if wrong:
-                assert detected, fault
-        return any_exposed
+    alternation monitoring for the data outputs), every single fault
+    gives the correct pair or a detected one, and some word exposes it."""
 
     def test_every_fault_exposed(self):
-        sites = [(s, k) for s in ("a", "b", "c", "d", "e") for k in range(self.WIDTH)]
-        sites += [("f", 0), ("g", 0), ("h", 0)]
-        for site, index in sites:
-            for value in (0, 1):
-                assert self.exercise(TranslatorFault(site, index, value)), (
-                    site,
-                    index,
-                    value,
-                )
+        for width in WIDTHS:
+            palt = palt_network(width)
+            for fault in enumerate_stem_faults(palt, include_inputs=False):
+                exposed = False
+                for stored in words(width):
+                    first, second = palt_periods(
+                        width, stored, parity(stored), fault
+                    )
+                    ys = [(first[f"y{k}"], second[f"y{k}"]) for k in range(width)]
+                    detected = first["palt_g"] == first["palt_h"] or any(
+                        a == b for a, b in ys
+                    )
+                    exposed |= detected
+                    assert detected or [a for a, _ in ys] == stored, (
+                        fault.describe(),
+                        stored,
+                    )
+                assert exposed, (width, fault.describe())
 
 
 class TestRoundTrip:
     """ALPT -> (memory word) -> PALT reproduces the alternating pair —
     the Theorem 4.4 feedback loop at translator level."""
 
-    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    @pytest.mark.parametrize("width", WIDTHS + (5,))
     def test_roundtrip(self, width):
-        alpt, palt = ALPT(width), PALT(width)
-        for word in range(1 << width):
-            bits = [(word >> i) & 1 for i in range(width)]
-            comp = [1 - b for b in bits]
-            data, par = alpt.feed_pair(HEALTHY, bits, comp)
-            assert code_valid(palt.code_output(HEALTHY, data, par))
-            assert palt.outputs_for_period(HEALTHY, data, 0) == bits
-            assert palt.outputs_for_period(HEALTHY, data, 1) == comp
+        previous = [0] * width
+        for bits in words(width):
+            data, par = alpt_step(width, previous, bits)
+            first, second = palt_periods(width, data, par)
+            assert first["palt_g"] != first["palt_h"]
+            assert [first[f"y{k}"] for k in range(width)] == bits
+            assert [second[f"y{k}"] for k in range(width)] == [
+                1 - b for b in bits
+            ]
+            previous = bits
