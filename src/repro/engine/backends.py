@@ -55,11 +55,10 @@ the whole table.  The one tile loop is
 sweep's item axis, so each process derives each tile once.
 
 **One interpreter.**  Every table above, the clocked sequential
-campaigns (:class:`repro.seq.simulator.SequentialCircuit`, one fault per
-row) and ATPG pattern simulation
-(:func:`repro.engine.atpg.pattern_detections`, one fault per slot of
-pattern bits over the explicit pattern list :func:`pack_pattern_masks`
-packs) run the op program through :func:`run_ops`, with faults in the
+campaigns (:class:`repro.seq.simulator.Stepper`, one fault per row) and
+ATPG pattern simulation (:func:`repro.engine.atpg.pattern_detections`,
+one fault per slot of pattern bits over the explicit pattern list
+:func:`pack_pattern_masks` packs) run the op program through :func:`run_ops`, with faults in the
 one forcing form, :class:`~repro.engine.compiled.RowForcing`.  A fault
 plan is such a forcing over every row, so the bitmask chaos sabotage of
 :mod:`repro.qa.chaos` on :func:`evaluate_mask` reaches every caller.

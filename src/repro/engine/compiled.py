@@ -359,7 +359,22 @@ class CompiledNetwork:
         collapse: bool = True,
         live_only: bool = True,
     ) -> List[Fault]:
-        """A single-fault list in id order: with ``collapse`` one
+        """The named faults of :meth:`universe_ids`."""
+        return [
+            self.fault(fid)
+            for fid in self.universe_ids(
+                include_inputs, include_pins, collapse, live_only
+            )
+        ]
+
+    def universe_ids(
+        self,
+        include_inputs: bool = True,
+        include_pins: bool = True,
+        collapse: bool = True,
+        live_only: bool = True,
+    ) -> List[int]:
+        """A single-fault id list in id order: with ``collapse`` one
         representative per class (its first member the ``include_*``
         filters keep, so its first stem when it has one), else every kept
         fault less the :attr:`branch_folds` pin faults.  ``live_only``
@@ -385,12 +400,10 @@ class CompiledNetwork:
                     if not folds[src]
                     for value in (0, 1)
                 ]
+        if not live_only:
+            return ids
         live = self.live
-        return [
-            self.fault(fid)
-            for fid in ids
-            if not live_only or live[self.fault_site(fid)]
-        ]
+        return [fid for fid in ids if live[self.fault_site(fid)]]
 
 
 _compile_cache: "weakref.WeakKeyDictionary[Network, CompiledNetwork]" = (

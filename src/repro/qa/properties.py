@@ -728,7 +728,7 @@ def _check_clocked_campaign(case: Case) -> Optional[str]:
     universe: List = enumerate_single_faults(circuit.network, collapse=False)
     universe += [
         FlipFlopFault(line, stage, value)
-        for line in circuit.stages
+        for line in circuit.feedback.values()
         for stage in range(circuit.depth)
         for value in (0, 1)
     ]

@@ -47,18 +47,15 @@ class AlternatingRun:
     @property
     def detected(self) -> bool:
         """Any nonalternating step or raised checker flag."""
-        if any(not step.alternates for step in self.steps):
-            return True
-        return any(self.checker_flags)
+        return self.first_detection is not None
 
     @property
     def first_detection(self) -> Optional[int]:
-        for i, step in enumerate(self.steps):
-            if not step.alternates:
-                return i
-            if i < len(self.checker_flags) and self.checker_flags[i]:
-                return i
-        return None
+        """The first step with a nonalternating pair or a raised flag (a
+        stopped run's one flag is step 0); ``None`` if there is none."""
+        bad = [i for i, step in enumerate(self.steps) if not step.alternates]
+        bad += [i for i, flag in enumerate(self.checker_flags) if flag]
+        return min(bad, default=None)
 
     def decoded_outputs(self) -> List[Tuple[int, ...]]:
         return [step.decoded for step in self.steps]
@@ -72,7 +69,9 @@ def one_row_run(
     ``checker`` reports the extra checker's flag per step (a machine
     whose only checkers are the alternation monitors passes False).  A
     ``stopped`` run (the common clock stuck) produces no steps and one
-    raised flag: shutdown is a noncode state, reported as a detection.
+    raised flag: shutdown is a noncode state, reported as a detection at
+    step 0 (:attr:`AlternatingRun.first_detection`).  A campaign counts
+    such rows detected but leaves them out of its mean latency.
     """
     if stopped:
         return AlternatingRun((), (True,))
@@ -95,3 +94,72 @@ def check_vectors(
                 f"the machine has n_inputs={n_inputs}"
             )
     return stream
+
+
+def alternating_periods(
+    vectors: Sequence[Tuple[int, ...]], full: int
+) -> List[List[int]]:
+    """The input row masks (the inputs in order, then the period clock)
+    of each vector's two periods: true with the clock at 0, then
+    complemented with the clock at 1."""
+    return [
+        [full if (bit & 1) ^ phase else 0 for bit in vector]
+        + [full if phase else 0]
+        for vector in vectors
+        for phase in (0, 1)
+    ]
+
+
+class AlternatingMachine:
+    """What both SCAL realizations of a state table share: line names,
+    the :class:`~repro.seq.simulator.Stepper`'s one ``force``, the one-row
+    ``run`` and the decoded outputs.  A subclass sets ``machine``,
+    ``encoding``, ``stepper`` and ``clock_rows``."""
+
+    #: Whether the form has a checker besides the alternation monitors.
+    checker = True
+
+    @property
+    def input_names(self) -> Tuple[str, ...]:
+        return tuple(f"x{i}" for i in range(self.machine.n_inputs))
+
+    @property
+    def output_names(self) -> Tuple[str, ...]:
+        return tuple(f"Z{i}" for i in range(self.machine.n_outputs))
+
+    @property
+    def state_output_names(self) -> Tuple[str, ...]:
+        return tuple(f"Y{i}" for i in range(self.encoding.width))
+
+    def force(self, forcing, row: int, fault) -> None:
+        """Add a network, flip-flop/latch or memory fault to ``forcing``
+        in ``row``; ``ValueError`` for one on a line, state element or
+        memory site the machine does not have."""
+        self.stepper.force(forcing, row, fault)
+
+    def stopped_rows(self, forcing) -> int:
+        """The rows a stuck clock stops (none unless the form says so)."""
+        return 0
+
+    def run(
+        self, vectors: Sequence[Tuple[int, ...]], faults=(), **clocking
+    ) -> AlternatingRun:
+        """Drive logical input vectors under ``faults``, all in one
+        machine (``clocking`` goes to ``clock_rows``): per vector the
+        (Z..., Y...) pair — Z *and* Y monitored, as the thesis requires —
+        and the extra checker's flag.  A stopped machine is a run with no
+        steps and one raised flag."""
+        forcing = self.stepper.one_row(faults)
+        trace = self.clock_rows(vectors, forcing, **clocking)
+        return one_row_run(trace, self.stopped_rows(forcing), self.checker)
+
+    def monitored_pairs(self, periods: List[List[int]]) -> List[Tuple[int, ...]]:
+        """Each period's (Z..., Y...) row masks."""
+        index = self.stepper.compiled.index
+        lines = [index[n] for n in self.output_names + self.state_output_names]
+        return [tuple(values[i] for i in lines) for values in periods]
+
+    def decoded_outputs(self, run: AlternatingRun) -> List[Tuple[int, ...]]:
+        """Logical Z values (first-period, Z positions only)."""
+        n_z = len(self.output_names)
+        return [step.first[:n_z] for step in run.steps]

@@ -20,22 +20,29 @@ the Y outputs"), which is what :meth:`DualFlipFlopMachine.run` reports.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import weakref
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..engine.compiled import RowForcing
 from ..logic.network import Network
 from ..logic.selfdual import self_dualize_table
-from ..logic.truthtable import TruthTable
 from ..seq.encoding import StateEncoding, binary_encoding
 from ..seq.machine import StateTable
-from ..seq.simulator import CircuitFault, SequentialCircuit
+from ..seq.simulator import SequentialCircuit, State
 from ..seq.synthesis import machine_tables
 from .alternating import (
     PERIOD_CLOCK,
-    AlternatingRun,
+    AlternatingMachine,
     RowTrace,
+    alternating_periods,
     check_vectors,
-    one_row_run,
+)
+
+#: Blocks per machine *object* (identity, not content), then per (codes,
+#: style, share_products, clock): both SCAL forms of one machine share a
+#: block, and an equal but fresh machine synthesizes again.
+_blocks: "weakref.WeakKeyDictionary[StateTable, Dict[tuple, Network]]" = (
+    weakref.WeakKeyDictionary()
 )
 
 
@@ -54,45 +61,42 @@ def self_dual_machine_network(
     be fully specified in both periods, so unused codes are completed
     with 0 before dualization (their behaviour is never exercised by a
     healthy machine, and under faults any value is as good as any other).
+    Synthesized once per machine object and settings.
     """
     from ..logic.synthesis import multi_output_sop
 
     enc = encoding if encoding is not None else binary_encoding(machine.states)
-    tables, _dont_care, names = machine_tables(machine, enc)
-    sd_tables: Dict[str, TruthTable] = {}
-    for out_name, table in tables.items():
-        sd_tables[out_name] = self_dualize_table(table, clock_name)
-    sd_names = tuple(names) + (clock_name,)
-    network = multi_output_sop(
-        sd_tables,
-        sd_names,
-        style=style,
-        network_name=f"{machine.name}_sd_comb",
-        share_products=share_products,
-    )
-    return network, enc
+    key = (tuple(enc.codes.items()), enc.width, style, share_products, clock_name)
+    memo = _blocks.setdefault(machine, {})
+    if key not in memo:
+        tables, _dont_care, names = machine_tables(machine, enc)
+        block = multi_output_sop(
+            {
+                out_name: self_dualize_table(table, clock_name)
+                for out_name, table in tables.items()
+            },
+            tuple(names) + (clock_name,),
+            style=style,
+            network_name=f"{machine.name}_sd_comb",
+            share_products=share_products,
+        )
+        memo.setdefault(key, block)  # racing threads share the first
+    return memo[key], enc
 
 
 @dataclasses.dataclass
-class DualFlipFlopMachine:
+class DualFlipFlopMachine(AlternatingMachine):
     """A machine in Reynolds' dual flip-flop SCAL form (Figure 4.2a)."""
 
     machine: StateTable
     circuit: SequentialCircuit
     encoding: StateEncoding
     clock_name: str = PERIOD_CLOCK
+    checker = False
 
     @property
-    def input_names(self) -> Tuple[str, ...]:
-        return tuple(f"x{i}" for i in range(self.machine.n_inputs))
-
-    @property
-    def output_names(self) -> Tuple[str, ...]:
-        return tuple(f"Z{i}" for i in range(self.machine.n_outputs))
-
-    @property
-    def state_output_names(self) -> Tuple[str, ...]:
-        return tuple(f"Y{i}" for i in range(self.encoding.width))
+    def stepper(self) -> SequentialCircuit:
+        return self.circuit
 
     def flip_flop_count(self) -> int:
         return self.circuit.flip_flop_count()
@@ -100,38 +104,18 @@ class DualFlipFlopMachine:
     def gate_count(self) -> int:
         return self.circuit.gate_count()
 
-    def force(
-        self, forcing: RowForcing, row: int, fault: CircuitFault
-    ) -> None:
-        """Add a network or flip-flop fault to ``forcing`` in ``row``."""
-        self.circuit.force(forcing, row, fault)
-
-    @staticmethod
-    def stopped_rows(forcing: RowForcing) -> int:
-        """No row stops: this form has no common-clock fault site."""
-        return 0
-
-    def run(
-        self,
-        vectors: Sequence[Tuple[int, ...]],
-        faults: Iterable[CircuitFault] = (),
-        fault_window: Optional[Tuple[int, int]] = None,
-    ) -> AlternatingRun:
-        """Drive logical input vectors in alternating mode under
-        ``faults`` (network and flip-flop faults, all in one machine).
-
-        Each vector occupies two clock periods; the run reports, per
-        step, the (Z..., Y...) pair values and the alternation verdict —
-        monitoring Z *and* Y as the thesis requires.
-
-        ``fault_window=(first, last)`` makes the faults *transient*
-        (Definition 2.1 covers both): they are active only during clock
-        periods ``first..last`` inclusive (period = 2·step + phase).
-        ``None`` means permanent.
-        """
-        forcing = self.circuit.one_row(faults)
-        trace = self.clock_rows(vectors, forcing, fault_window=fault_window)
-        return one_row_run(trace, checker=False)
+    def start(self, state: Optional[str], full: int) -> State:
+        """The run state at ``state`` (default: the initial state) in
+        every row: each two-stage chain holds ``(ȳ, y)``, so the block
+        sees the true code in period 0 and its complement in period 1."""
+        code = self.encoding.code(
+            self.machine.initial_state if state is None else state
+        )
+        bits = {f"y{i}": bit for i, bit in enumerate(code)}
+        return tuple(
+            full if bits[line] ^ (stage == 0) else 0
+            for _ff, line, stage in (e.site for e in self.circuit.elements)
+        ), ()
 
     def clock_rows(
         self,
@@ -141,54 +125,35 @@ class DualFlipFlopMachine:
         fault_window: Optional[Tuple[int, int]] = None,
     ) -> RowTrace:
         """Clock every row of ``forcing`` through ``vectors`` from
-        ``state`` (default: the initial state), chains seeded with the
-        alternating pair.
+        ``state`` (default: the initial state).
 
         Returns per step the first- and second-period (Z..., Y...) row
         masks and a checker mask, always 0: this form's only checkers
-        are the alternation monitors.  A ``fault_window`` switches the
-        forcing off in every period outside it.
+        are the alternation monitors.  ``fault_window=(first, last)``
+        makes the faults *transient* (Definition 2.1 covers both): they
+        are active only during clock periods ``first..last`` inclusive
+        (period = 2·step + phase); the periods outside it run under an
+        idle forcing, the state carried across.
         """
         vectors = check_vectors(vectors, self.machine.n_inputs)
-        circuit = self.circuit
-        circuit.reset(rows=forcing.rows)
-        # Seed the two-stage chains with (ȳ, y): the block must see the
-        # true code in period 0 and its complement in period 1.
-        code = self.encoding.code(
-            state if state is not None else self.machine.initial_state
-        )
-        circuit.set_stages(
-            {f"y{i}": (1 - bit, bit) for i, bit in enumerate(code)}
-        )
-        full = forcing.full
-        idle = RowForcing(forcing.rows)
-        index = circuit.compiled.index
-        monitored = [
-            index[name] for name in self.output_names + self.state_output_names
-        ]
-        trace = []
-        period = 0
-        for vector in vectors:
-            pair = []
-            for phase in (0, 1):
-                active = fault_window is None or (
-                    fault_window[0] <= period <= fault_window[1]
-                )
-                inputs = {
-                    name: full if (bit & 1) ^ phase else 0
-                    for name, bit in zip(self.input_names, vector)
-                }
-                inputs[self.clock_name] = full if phase else 0
-                values = circuit.clock(inputs, forcing if active else idle)
-                pair.append(tuple(values[i] for i in monitored))
-                period += 1
-            trace.append((pair[0], pair[1], 0))
-        return trace
-
-    def decoded_outputs(self, run: AlternatingRun) -> List[Tuple[int, ...]]:
-        """Logical Z values (first-period, Z positions only)."""
-        n_z = len(self.output_names)
-        return [step.first[:n_z] for step in run.steps]
+        periods = alternating_periods(vectors, forcing.full)
+        run = self.start(state, forcing.full)
+        segments = [(periods, forcing)]
+        if fault_window is not None:
+            first = max(fault_window[0], 0)
+            last = max(fault_window[1] + 1, first)
+            idle = RowForcing(forcing.rows)
+            segments = [
+                (periods[:first], idle),
+                (periods[first:last], forcing),
+                (periods[last:], idle),
+            ]
+        values = []
+        for chunk, active in segments:
+            trace, run = self.circuit.clock_rows(chunk, active, run)
+            values += trace
+        pairs = self.monitored_pairs(values)
+        return [(a, b, 0) for a, b in zip(pairs[::2], pairs[1::2])]
 
 
 def to_dual_flipflop(
@@ -202,13 +167,7 @@ def to_dual_flipflop(
         machine, encoding, style=style, share_products=share_products
     )
     feedback = {f"Y{i}": f"y{i}" for i in range(enc.width)}
-    code = enc.code(machine.initial_state)
-    initial = {f"y{i}": bit for i, bit in enumerate(code)}
     circuit = SequentialCircuit(
-        network,
-        feedback,
-        depth=2,
-        initial_state=initial,
-        name=f"{machine.name}_dualff",
+        network, feedback, depth=2, name=f"{machine.name}_dualff"
     )
     return DualFlipFlopMachine(machine, circuit, enc)

@@ -29,20 +29,6 @@ from .dualff import DualFlipFlopMachine
 
 
 @dataclasses.dataclass(frozen=True)
-class StepOutcome:
-    """Classification of one (fault, state, input) step."""
-
-    state: str
-    vector: Tuple[int, ...]
-    correct: bool
-    detected: bool
-
-    @property
-    def silent_wrong(self) -> bool:
-        return not self.correct and not self.detected
-
-
-@dataclasses.dataclass(frozen=True)
 class InductiveVerdict:
     """Exhaustive verdict for one machine over a fault universe."""
 
@@ -74,8 +60,9 @@ def _single_step(
     faults: Sequence[Fault],
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """One logical step from ``state`` under ``faults``; returns the
-    (Z…Y…) period pair."""
-    forcing = machine.circuit.one_row(faults)
+    (Z…Y…) period pair.  The stepper starts from ``state``'s chain
+    contents; the machine object is not touched."""
+    forcing = machine.stepper.one_row(faults)
     ((first, second, _flags),) = machine.clock_rows([vector], forcing, state)
     return first, second
 

@@ -4,12 +4,14 @@ The combinational oracle (:mod:`repro.core.simulate`) is exhaustive over
 inputs; sequential machines additionally carry state, so their campaigns
 drive a (seeded or supplied) input stream against every fault and
 classify the runs.  :func:`dualff_campaign` and :func:`codeconv_campaign`
-build the fault universe; one shared loop puts every fault in its own row
-of a row-parallel clocked run (:class:`~repro.engine.compiled.RowForcing`,
-added by the machine's ``force``), so one pass over the machine's
-compiled network (the dual flip-flop block, or the code-conversion
-loop) per clock period advances the whole universe.  This is the API behind
-the Chapter 4 benches and the tool a user points at their own machine:
+build the fault universe: the network's fault ids, then the state
+element and memory faults.  One shared loop puts every fault in its own
+row of a row-parallel clocked run (:class:`~repro.engine.compiled.RowForcing`),
+so one pass over the machine's compiled network (the dual flip-flop
+block, or the code-conversion loop) per clock period advances the whole
+universe, on the :class:`~repro.seq.simulator.Stepper` both forms share.
+This is the API behind the Chapter 4 benches and the tool a user points
+at their own machine:
 
     campaign = dualff_campaign(to_dual_flipflop(machine), vectors)
     assert campaign.dangerous == 0
@@ -21,8 +23,7 @@ import dataclasses
 import random
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..engine.compiled import RowForcing, compile_network
-from ..logic.faults import Fault
+from ..engine.compiled import RowForcing
 from ..seq.machine import StateTable
 from ..seq.simulator import FlipFlopFault
 from ..system.memory import single_memory_faults
@@ -64,21 +65,30 @@ class CampaignResult:
 def _campaign(
     machine: ClockedMachine,
     name: str,
-    universe: Sequence[object],
-    labels: Sequence[str],
+    faults: Sequence[object],
     vectors: Sequence[Tuple[int, ...]],
+    include_inputs: bool,
+    collapse: bool,
 ) -> CampaignResult:
-    """Clock ``universe`` one fault per row (row ``r`` is ``labels[r]``)
-    and classify every row.
+    """Clock one fault per row — the network's stem fault ids (one per
+    structural equivalence class unless ``collapse=False``: equivalent
+    faults give the same verdict), then ``faults`` — and classify them.
 
     A row is detected at the first step where a monitored output fails
     to alternate or the checker mask flags it; that step is its
     latency.  Rows the machine stops (a stuck common clock) are
     detected with no latency.  An undetected row whose decoded Z ever
-    differs from the state table's run is dangerous.
+    differs from the state table's run is dangerous; only those rows
+    are named.
     """
-    forcing = RowForcing(len(universe))
-    for row, fault in enumerate(universe):
+    compiled = machine.stepper.compiled
+    ids = compiled.universe_ids(
+        include_inputs, include_pins=False, collapse=collapse, live_only=False
+    )
+    forcing = RowForcing(len(ids) + len(faults))
+    for row, fid in enumerate(ids):
+        forcing.stick_fault(compiled, (fid,), 1 << row)
+    for row, fault in enumerate(faults, len(ids)):
         machine.force(forcing, row, fault)
     trace = machine.clock_rows(vectors, forcing)
     reference = machine.machine.run(list(vectors))
@@ -103,34 +113,22 @@ def _campaign(
             wrong |= value ^ (full if bit else 0)
     dangerous = wrong & ~detected
     bad_labels = tuple(
-        label for row, label in enumerate(labels) if dangerous >> row & 1
+        (compiled.fault(ids[row]) if row < len(ids) else faults[row - len(ids)])
+        .describe()
+        for row in range(forcing.rows)
+        if dangerous >> row & 1
     )
     n_detected = detected.bit_count()
     return CampaignResult(
         machine_name=name,
-        total=len(labels),
+        total=forcing.rows,
         detected=n_detected,
-        silent=len(labels) - n_detected - len(bad_labels),
+        silent=forcing.rows - n_detected - len(bad_labels),
         dangerous=len(bad_labels),
         dangerous_faults=bad_labels,
         mean_detection_latency=(
             latency_sum / latency_count if latency_count else None
         ),
-    )
-
-
-def _stem_universe(
-    network, include_inputs: bool, collapse: bool
-) -> List[Fault]:
-    """Combinational stem faults for a campaign, collapsed by default.
-
-    Structurally equivalent faults have identical faulty functions at
-    every evaluation, so one representative per class preserves the
-    campaign verdict while skipping the duplicate clocked runs.  Pass
-    ``collapse=False`` for the raw stem universe.
-    """
-    return compile_network(network).fault_universe(
-        include_inputs, include_pins=False, collapse=collapse, live_only=False
     )
 
 
@@ -145,17 +143,14 @@ def dualff_campaign(
     combinational stem fault (collapsed to equivalence-class
     representatives unless ``collapse=False``) plus (optionally) every
     flip-flop stage output stuck."""
-    circuit = machine.circuit
-    universe: List = _stem_universe(circuit.network, include_inputs, collapse)
-    if include_flip_flops:
-        universe += [
-            FlipFlopFault(state_line, stage, value)
-            for state_line in circuit.stages
-            for stage in range(circuit.depth)
-            for value in (0, 1)
-        ]
-    labels = [fault.describe() for fault in universe]
-    return _campaign(machine, circuit.name, universe, labels, vectors)
+    faults = [
+        FlipFlopFault(line, stage, value)
+        for _ff, line, stage in (e.site for e in machine.stepper.elements)
+        for value in (0, 1)
+        if include_flip_flops
+    ]
+    name = machine.circuit.name
+    return _campaign(machine, name, faults, vectors, include_inputs, collapse)
 
 
 def codeconv_campaign(
@@ -168,18 +163,16 @@ def codeconv_campaign(
     fault of the loop network, translator lines included (collapsed
     unless ``collapse=False``), every ALPT latch output stuck, and every
     memory fault."""
-    universe: List = _stem_universe(machine.loop, include_inputs, collapse)
-    universe += [
+    faults: List = [
         FlipFlopFault(latch, 0, value)
         for latch in machine.latch_names
         for value in (0, 1)
     ]
-    universe += single_memory_faults(
+    faults += single_memory_faults(
         machine.encoding.width, machine.memory.address_bits
     )
-    labels = [fault.describe() for fault in universe]
     name = f"{machine.machine.name}_codeconv"
-    return _campaign(machine, name, universe, labels, vectors)
+    return _campaign(machine, name, faults, vectors, include_inputs, collapse)
 
 
 def random_vectors(

@@ -3,9 +3,10 @@
 Positive-edge-triggered D flip-flops, as fixed by the thesis's Section
 4.3 convention ("Positive edge-triggered D-type flip-flops will be used,
 so that data are latched on the 0 to 1 transition of their inputs").
-The behavioural model also supports stuck-at faults on the data input,
-the output, and the clock pin — the fault classes Theorem 4.1's proof
-walks through for the translator latches.
+The scalar model (stuck data, output and clock pins) backs
+:class:`Register` and the dual flip-flop cells of
+:mod:`repro.modules.shifter` and :mod:`repro.modules.status`; the clocked
+SCAL machines use :class:`repro.seq.simulator.Element` instead.
 """
 
 from __future__ import annotations

@@ -102,11 +102,8 @@ def synthesize_machine(
     enc = encoding if encoding is not None else binary_encoding(machine.states)
     tables, dont_care, names = machine_tables(machine, enc)
     # Fill don't-cares greedily through QM by passing them per output.
-    filled = {}
-    for out_name, table in tables.items():
-        filled[out_name] = table
     network = _sop_with_dont_cares(
-        filled, dont_care, names, style=style, share_products=share_products,
+        tables, dont_care, names, style=style, share_products=share_products,
         network_name=f"{machine.name}_comb",
     )
     feedback = {f"Y{i}": f"y{i}" for i in range(enc.width)}

@@ -12,9 +12,13 @@ Fault injection covers the memory's single-fault modes: one stuck data
 cell bit, one stuck data line (affects every access), and one stuck
 address line (the misaddressing fault the folding is there to catch).
 The memory is row-parallel, like the loop it serves, and holds no fault
-state: :meth:`ParityMemory.store` and :meth:`~ParityMemory.load` take the
-caller's :class:`~repro.engine.compiled.RowForcing`, so a code-conversion
-campaign keeps every faulty copy in one instance.
+state: every access takes the caller's
+:class:`~repro.engine.compiled.RowForcing`.  A clocked loop
+(:class:`~repro.seq.simulator.Stepper`) keeps its one word itself, as
+row masks: :meth:`ParityMemory.read_masks` resolves a forcing's routing
+once per run and :meth:`~ParityMemory.gather` gives the word each row
+starts from.  :meth:`~ParityMemory.store` and :meth:`~ParityMemory.load`
+keep addressed cells on the instance, for the CPU.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ class ParityMemory:
         self.word_bits = word_bits
         self.address_bits = address_bits
         self.fold_address_parity = fold_address_parity
-        #: physical address -> (rows that wrote it, per-bit row masks)
-        self._cells: Dict[int, Tuple[int, List[int]]] = {}
+        #: physical cell -> its stored per-bit row masks, parity bit
+        #: last, for :meth:`store` and :meth:`load`
+        self._cells: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
     def force(self, forcing: RowForcing, row: int, fault: MemoryFault) -> None:
@@ -93,15 +98,14 @@ class ParityMemory:
             site = ("mem", fault.kind, fault.index)
         forcing.stick(site, 1 << row, fault.value)
 
-    def _routes(self, forcing: RowForcing, address: int) -> Dict[int, int]:
+    def routes(self, forcing: RowForcing, address: int) -> Dict[int, int]:
         """Physical cell -> the rows whose access to ``address`` lands
         there through their stuck address lines."""
         routes = {address & ((1 << self.address_bits) - 1): forcing.full}
         for index in range(self.address_bits):
-            forced = forcing.sites.get(("mem", "address_line", index))
-            if forced is None:
+            rows, ones = forcing.sites.get(("mem", "address_line", index), (0, 0))
+            if not rows:
                 continue
-            rows, ones = forced
             bit = 1 << index
             moved: Dict[int, int] = {}
             for cell, sel in routes.items():
@@ -115,12 +119,45 @@ class ParityMemory:
             routes = moved
         return routes
 
-    def _address_parity(self, full: int, address: int) -> int:
+    def fold(self, full: int, address: int) -> int:
         """The folded address parity as a row mask (same in every row)."""
         if not self.fold_address_parity:
             return 0
         bits = [(address >> i) & 1 for i in range(self.address_bits)]
         return full if parity(bits) else 0
+
+    def gather(
+        self, cells: Dict[int, List[int]], forcing: RowForcing, address: int
+    ) -> List[int]:
+        """The stored word each row's access to ``address`` finds among
+        ``cells`` (physical cell -> stored bits).  An unwritten cell holds
+        zeros written *pre-fault* with correct addressing, its parity bit
+        the fold of its own index: a misaddressed read trips the check."""
+        word = [0] * (self.word_bits + 1)
+        for cell, rows in self.routes(forcing, address).items():
+            fresh = [0] * self.word_bits + [self.fold(forcing.full, cell)]
+            bits = cells.get(cell) or fresh
+            word = [w | (b & rows) for w, b in zip(word, bits)]
+        return word
+
+    def read_masks(
+        self, forcing: RowForcing, address: int
+    ) -> List[Tuple[int, int]]:
+        """Per stored bit, the ``(rows, ones)`` a read of ``address``
+        forces on the word each row finds: the stuck bits of the cell it
+        lands in, then the stuck data lines.  A clocked run resolves the
+        routing once, here."""
+        routes = self.routes(forcing, address)
+        masks = []
+        for i in range(self.word_bits + 1):
+            rows = ones = 0
+            for cell, sel in routes.items():
+                forced, value = forcing.sites.get(("mem", "cell", cell, i), (0, 0))
+                rows |= forced & sel
+                ones |= value & sel
+            forced, value = forcing.sites.get(("mem", "data_line", i), (0, 0))
+            masks.append((rows | forced, (ones & ~forced) | value))
+        return masks
 
     def store(
         self,
@@ -135,43 +172,22 @@ class ParityMemory:
         address parity, to the wrong cell)."""
         full = forcing.full
         word = [int(b) & full for b in data]
-        fold = self._address_parity(full, address)
-        word.append((int(data_parity) & full) ^ fold)
-        for cell, rows in self._routes(forcing, address).items():
-            written, bits = self._cells.get(cell, (0, word))
-            self._cells[cell] = (
-                written | rows,
-                [(old & ~rows) | (new & rows) for old, new in zip(bits, word)],
-            )
+        word.append((int(data_parity) & full) ^ self.fold(full, address))
+        for cell, rows in self.routes(forcing, address).items():
+            old = self.gather(self._cells, RowForcing(forcing.rows), cell)
+            self._cells[cell] = [o & ~rows | n & rows for o, n in zip(old, word)]
 
     def load(self, forcing: RowForcing, address: int) -> Tuple[List[int], int]:
         """Read ``(data bits, parity bit)`` with the address parity
-        unfolded against the address the requester presents.
-
-        Unwritten cells read as zero words initialized *pre-fault* with
-        correct addressing: their stored parity carries the fold of the
-        physical cell index, so a healthy read of a fresh cell is a
-        valid code word while a misaddressed read still trips the check.
-        """
-        f = forcing
-        out = [0] * (self.word_bits + 1)
-        for cell, rows in self._routes(f, address).items():
-            fresh_parity = self._address_parity(f.full, cell)
-            default = [0] * self.word_bits + [fresh_parity]
-            written, bits = self._cells.get(cell, (0, default))
-            for i, (value, fresh) in enumerate(zip(bits, default)):
-                value = (value & written) | (fresh & ~written)
-                out[i] |= f.apply(("mem", "cell", cell, i), value) & rows
-        out = [f.apply(("mem", "data_line", i), v) for i, v in enumerate(out)]
-        fold = self._address_parity(f.full, address)
-        return out[: self.word_bits], out[-1] ^ fold
+        unfolded against the address the requester presents."""
+        word = self.gather(self._cells, forcing, address)
+        masks = self.read_masks(forcing, address)
+        out = [w & ~rows | ones for w, (rows, ones) in zip(word, masks)]
+        return out[: self.word_bits], out[-1] ^ self.fold(forcing.full, address)
 
     def check_word(self, data: Sequence[int], parity_bit: int) -> bool:
         """Even-parity validity of a (data, parity) code word."""
         return parity(list(data) + [int(parity_bit) & 1]) == 0
-
-    def clear(self) -> None:
-        self._cells.clear()
 
 
 def single_memory_faults(

@@ -51,3 +51,8 @@ class TestOneRowRun:
         run = one_row_run(self.TRACE, stopped=1)
         assert run == AlternatingRun((), (True,))
         assert run.detected
+
+    def test_stopped_run_is_detected_at_step_0(self):
+        """A stopped run is detected, so it has a first detection: step
+        0, the latency the campaigns leave out of their mean."""
+        assert one_row_run(self.TRACE, stopped=1).first_detection == 0

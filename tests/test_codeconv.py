@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,18 @@ from repro.workloads.randomlogic import random_input_vectors, random_machine
 
 
 class TestFunctional:
+    def test_fault_on_a_missing_site_rejected(self, detector):
+        """The same refusal as the dual flip-flop form: a fault on a
+        line, latch or memory site the machine lacks raises."""
+        cc = to_code_conversion(detector)
+        for fault, match in (
+            (StuckAt("Z9", 1), "no loop network line"),
+            (FlipFlopFault("alpt_c9", 0, 1), "no ALPT latch"),
+            (MemoryFault("data_line", 9, 1), "no such site"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                cc.run([(0,)], [fault])
+
     def test_equivalence(self, detector, rng):
         cc = to_code_conversion(detector)
         vectors = random_input_vectors(rng, 1, 60)

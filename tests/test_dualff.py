@@ -1,14 +1,21 @@
 """Tests for Reynolds' dual flip-flop SCAL machines (repro.scal.dualff)."""
 
+import gc
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.evaluate import line_tables
 from repro.logic.faults import enumerate_stem_faults
+from repro.scal import dualff
+from repro.scal.codeconv import to_code_conversion
 from repro.scal.dualff import (
     self_dual_machine_network,
     to_dual_flipflop,
 )
+from repro.seq.encoding import gray_encoding
 from repro.seq.simulator import FlipFlopFault
 from repro.workloads.detectors import kohavi_0101
 from repro.workloads.randomlogic import random_input_vectors, random_machine
@@ -104,6 +111,18 @@ class TestFaultDetection:
                     if dm.decoded_outputs(run) != reference:
                         assert run.detected, ff.describe()
 
+    def test_fault_on_a_missing_site_rejected(self, detector):
+        """A fault naming no line or flip-flop of the machine would
+        force nothing and read as silent; it is refused, as in the
+        code-conversion form."""
+        from repro.logic.faults import StuckAt
+
+        dm = to_dual_flipflop(detector)
+        with pytest.raises(ValueError, match="no network line"):
+            dm.run([(0,)], [StuckAt("Z9", 1)])
+        with pytest.raises(ValueError, match="no flip-flop"):
+            dm.run([(0,)], [FlipFlopFault("y0", 2, 1)])
+
     def test_stuck_clock_input_detected(self, detector, rng):
         """The period clock stuck is a stem fault on phi: the block stops
         alternating and every pair with differing Z values flags it."""
@@ -113,3 +132,39 @@ class TestFaultDetection:
         vectors = random_input_vectors(rng, 1, 30)
         run = dm.run(vectors, [StuckAt("phi", 0)])
         assert run.detected
+
+
+class TestBlockMemo:
+    """One self-dual block per machine object and settings."""
+
+    def test_both_forms_share_one_block(self, detector):
+        assert to_dual_flipflop(detector).circuit.network is (
+            to_code_conversion(detector).network
+        )
+
+    def test_other_encoding_or_style_gets_its_own_block(self, detector):
+        block = to_dual_flipflop(detector).circuit.network
+        gray = gray_encoding(detector.states)
+        assert to_dual_flipflop(detector, gray).circuit.network is not block
+        nand = to_dual_flipflop(detector, style="nand-nand").circuit.network
+        assert nand is not block
+        assert to_code_conversion(detector, style="nand-nand").network is nand
+
+    def test_equal_fresh_machine_synthesizes_again(self):
+        first = random_machine(random.Random(5), 4)
+        again = random_machine(random.Random(5), 4)
+        block = self_dual_machine_network(first)[0]
+        fresh = self_dual_machine_network(again)[0]
+        assert fresh is not block
+        assert [g.name for g in fresh.gates] == [g.name for g in block.gates]
+
+    def test_entry_released_with_the_machine(self):
+        gc.collect()
+        before = len(dualff._blocks)
+        machine = random_machine(random.Random(6), 3)
+        to_dual_flipflop(machine)
+        to_code_conversion(machine)
+        assert len(dualff._blocks) == before + 1
+        del machine
+        gc.collect()
+        assert len(dualff._blocks) == before

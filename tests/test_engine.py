@@ -236,27 +236,33 @@ class TestEdgeMatrix:
 
     def test_one_row_clocked_step(self, rung_circuit):
         """Output 0 fed back to input 0 through one flip-flop (where the
-        net has an input), stepped over a few points per fault."""
+        net has an input), run over a few points per fault; the fault on
+        a line the net lacks is refused, not dropped."""
         net = rung_circuit
         n = len(net.inputs)
         feedback = {}
         if net.inputs and net.outputs[0] not in net.inputs:
             feedback = {net.outputs[0]: net.inputs[0]}
-        for fault in [None] + edge_faults(net):
-            circuit = SequentialCircuit(net, feedback)
+        circuit = SequentialCircuit(net, feedback)
+        *faults, absent = edge_faults(net)
+        with pytest.raises(ValueError, match="no network line"):
+            circuit.run([], [absent])
+        for fault in [None] + faults:
             state = 0
+            stream, wants = [], []
             for point in check_points(net)[:4]:
                 if feedback:
                     point = point & ~1 | state
                 want = reference_line_values(net, point_tuple(n, point), fault)
-                inputs = {
+                stream.append({
                     name: point >> i & 1
                     for i, name in enumerate(net.inputs)
                     if name in circuit.external_inputs
-                }
-                faults = [fault] if fault is not None else []
-                assert circuit.step(inputs, faults) == want, (fault, point)
+                })
+                wants.append(want)
                 state = want[net.outputs[0]] if feedback else 0
+            faults = [fault] if fault is not None else []
+            assert circuit.run(stream, faults) == wants, fault
 
 
 @pytest.fixture

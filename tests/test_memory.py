@@ -145,9 +145,3 @@ class TestFaults:
     def test_describe(self):
         assert "address_line" in MemoryFault("address_line", 2, 1).describe()
         assert "cell[7]" in MemoryFault("cell", 0, 1, address=7).describe()
-
-    def test_clear(self):
-        mem = ParityMemory(2)
-        mem.store(HEALTHY, 0, [1, 1], 0)
-        mem.clear()
-        assert mem.load(HEALTHY, 0)[0] == [0, 0]

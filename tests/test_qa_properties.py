@@ -270,7 +270,7 @@ def test_every_chaos_bug_reaches_every_caller():
             "bitmask": engine.bitmask.output_bits(),
             "pointwise": engine.pointwise.output_values((0, 0, 0)),
             "atpg": pattern_detections(engine.compiled, range(8), faults),
-            "step": circuit.step({"a": 0, "b": 0}),
+            "step": circuit.run([{"a": 0, "b": 0}]),
         }
 
     healthy = observe()

@@ -63,19 +63,35 @@ def _delay_line(depth):
 class TestDelayChain:
     def test_two_stage_delay_pre_edge_view(self):
         """The combinational block reads the chain *before* the clock
-        edge (as SequentialCircuit.step does): the value seen in period t
+        edge (as SequentialCircuit.run does): the value seen in period t
         entered the chain in period t-2 — the Figure 4.2a timing."""
         circuit = _delay_line(2)
-        seen = [circuit.step({"d": d})["y"] for d in (1, 0, 1, 1, 0)]
+        seen = [v["y"] for v in circuit.run({"d": d} for d in (1, 0, 1, 1, 0))]
         assert seen == [0, 0, 1, 0, 1]
 
     def test_two_stage_delay_post_edge_view(self):
+        """The present state after each edge: the final state of the
+        run up to it, whose last stage drives ``y``."""
         circuit = _delay_line(2)
+        stream = [[d] for d in (1, 0, 1, 1, 0)]
         outputs = []
-        for d in (1, 0, 1, 1, 0):
-            circuit.step({"d": d})
-            outputs.append(circuit.present_state["y"])
+        for t in range(len(stream)):
+            _trace, (stages, _word) = circuit.clock_rows(
+                stream[: t + 1], circuit.one_row([])
+            )
+            outputs.append(stages[-1])
         assert outputs == [0, 1, 0, 1, 1]
+
+    def test_runs_share_no_state(self):
+        """A run starts from the initial state or the state passed in,
+        never from where another run stopped."""
+        circuit = _delay_line(2)
+        forcing = circuit.one_row([])
+        first, final = circuit.clock_rows([[1], [1]], forcing)
+        assert final == ((1, 1), ())
+        assert circuit.clock_rows([[0]], forcing)[0] == [[0, 0, 0]]
+        resumed, _final = circuit.clock_rows([[0]], forcing, final)
+        assert resumed[0][1] == 1  # y: the last stage of the passed state
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -220,14 +236,12 @@ class TestSequentialCircuit:
         faulty = synth.circuit.output_trace(stream, [fault])
         assert healthy != faulty  # the stuck state bit corrupts outputs
 
-    def test_reset_restores_initial_state(self, detector):
+    def test_every_run_starts_from_initial_state(self, detector):
         synth = synthesize_machine(detector)
-        synth.run_symbols([(0,), (1,)])
-        synth.circuit.reset()
-        assert synth.circuit.present_state == {
-            "y0": 0,
-            "y1": 0,
-        }
+        stream = [(0,), (1,), (0,), (1,)]
+        assert synth.run_symbols(stream) == synth.run_symbols(stream)
+        _trace, final = synth.circuit.clock_rows([], synth.circuit.one_row([]))
+        assert final == ((0, 0), ())
 
     def test_counts(self, detector):
         synth = synthesize_machine(detector)

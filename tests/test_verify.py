@@ -1,6 +1,8 @@
 """Tests for sequential fault campaigns (repro.scal.verify)."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -95,3 +97,38 @@ class TestVectorWidth:
         assert "vector 1" in message
         assert f"width {len(vector)}" in message
         assert "n_inputs=1" in message
+
+
+def test_one_machine_clocked_from_several_threads_at_once():
+    """The stepper keeps a run in locals: four threads clocking the same
+    two machine objects at once get the serial results."""
+    machine = random_machine(random.Random(11), 6)
+    vectors = random_vectors(machine, 30, seed=4)
+    dff, cc = to_dual_flipflop(machine), to_code_conversion(machine)
+
+    def both():
+        return dualff_campaign(dff, vectors), codeconv_campaign(cc, vectors)
+
+    serial = both()
+    results, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(4):
+                results.append(both())
+        except Exception as error:  # pragma: no cover - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert results == [serial] * 16
