@@ -18,7 +18,8 @@ object and a new ``NetworkEngine`` per timed sweep, so compile,
 baselines, stem regions and root flips are all inside the time, as
 they are for a user's fresh netlist.  Each cell runs in a fresh child
 interpreter (``python bench_rungs.py --row N --column C``), so nothing
-that ran earlier can warm it, and its peak RSS is the column's own.  A
+that ran earlier can warm it, and its peak RSS (``VmHWM``, which a
+child does not inherit from the pytest parent) is the column's own.  A
 net's time is its fastest of ``REPEATS`` runs, and a cell is the
 median over the row's nets.
 
@@ -103,6 +104,21 @@ def grid_network(n_inputs, index):
     )
 
 
+def peak_rss_mb():
+    """This process's peak RSS in MiB: ``VmHWM`` from
+    ``/proc/self/status``.  On Linux ``ru_maxrss`` keeps the parent's
+    peak across ``fork`` + ``exec``, so it is read only where there is
+    no ``/proc``."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def cold_sweep(make, universe, processes=None):
     """One cold sweep of ``universe`` on a fresh network from ``make``:
     ``(seconds, statuses)``."""
@@ -145,7 +161,7 @@ def grid_cell(n_inputs, column):
         "counts": dict(counts),
         "faults": faults,
         "tiles": backends.tile_count(n_inputs),
-        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_mb": peak_rss_mb(),
     }
 
 

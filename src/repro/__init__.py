@@ -35,38 +35,30 @@ True
 True
 """
 
-from . import checkers, core, engine, logic, modules, scal, seq, system, workloads
-from .core import ScalSimulator, analyze_network, is_scal_network
-from .logic import (
-    GateKind,
-    Network,
-    NetworkBuilder,
-    StuckAt,
-    TruthTable,
-    parse_expression,
-    parse_expressions,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GateKind",
-    "Network",
-    "NetworkBuilder",
-    "ScalSimulator",
-    "StuckAt",
-    "TruthTable",
-    "analyze_network",
-    "checkers",
-    "core",
-    "engine",
-    "is_scal_network",
-    "logic",
-    "modules",
-    "parse_expression",
-    "parse_expressions",
-    "scal",
-    "seq",
-    "system",
-    "workloads",
-]
+_EXPORTS = {
+    "GateKind": "logic.gates",
+    "Network": "logic.network",
+    "NetworkBuilder": "logic.network",
+    "ScalSimulator": "core.simulate",
+    "StuckAt": "logic.faults",
+    "TruthTable": "logic.truthtable",
+    "analyze_network": "core.analysis",
+    "checkers": None,
+    "core": None,
+    "engine": None,
+    "is_scal_network": "core.simulate",
+    "logic": None,
+    "modules": None,
+    "parse_expression": "logic.parse",
+    "parse_expressions": "logic.parse",
+    "scal": None,
+    "seq": None,
+    "system": None,
+    "workloads": None,
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

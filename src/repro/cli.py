@@ -47,19 +47,12 @@ import contextlib
 import sys
 from typing import List, Optional
 
-from .core.analysis import analyze_network, lines_needing_multi_output
-from .core.design import make_self_checking
-from .core.report import fault_table, render_fault_table, undetected_faults
-from .core.simulate import ScalSimulator
-from .core.testgen import all_test_pairs, format_pair
-from .logic.benchfmt import load_bench, save_bench
-from .logic.faults import StuckAt
-from .logic.render import annotate_with_analysis, render_dot, render_listing
-
 TRUTH_TABLE_LIMIT = 12  # inputs beyond this use the structural route
 
 
 def _load(path: str):
+    from .logic.benchfmt import load_bench
+
     try:
         return load_bench(path)
     except OSError as error:
@@ -105,6 +98,10 @@ def _telemetry(args: argparse.Namespace):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .core.analysis import analyze_network, lines_needing_multi_output
+    from .core.simulate import ScalSimulator
+    from .logic.render import annotate_with_analysis, render_listing
+
     network = _load(args.netlist)
     if len(network.inputs) > TRUTH_TABLE_LIMIT:
         print(
@@ -131,6 +128,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_testgen(args: argparse.Namespace) -> int:
+    from .core.testgen import all_test_pairs, format_pair
+
     network = _load(args.netlist)
     if len(network.inputs) <= TRUTH_TABLE_LIMIT and not args.structural:
         plans = all_test_pairs(network, output=args.output)
@@ -144,6 +143,7 @@ def cmd_testgen(args: argparse.Namespace) -> int:
                 print(f"{line} s/{value}: UNTESTABLE")
         return 0
     from .engine.atpg import run_atpg
+    from .logic.faults import StuckAt
 
     faults = [StuckAt(line, v) for line in network.lines() for v in (0, 1)]
     report = run_atpg(network, faults, pairs=True)
@@ -159,6 +159,9 @@ def cmd_testgen(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
+    from .core.design import make_self_checking
+    from .logic.benchfmt import save_bench
+
     network = _load(args.netlist)
     report = make_self_checking(network)
     print(report.summary())
@@ -169,6 +172,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 
 def cmd_minority(args: argparse.Namespace) -> int:
+    from .logic.benchfmt import save_bench
     from .modules.minority import conversion_report, to_minority_network
 
     network = _load(args.netlist)
@@ -185,6 +189,9 @@ def cmd_minority(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
+    from .core.analysis import analyze_network
+    from .logic.render import render_dot
+
     network = _load(args.netlist)
     highlight: List[str] = []
     if len(network.inputs) <= TRUTH_TABLE_LIMIT:
@@ -200,6 +207,9 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_faulttable(args: argparse.Namespace) -> int:
+    from .core.report import fault_table, render_fault_table, undetected_faults
+    from .logic.faults import StuckAt
+
     network = _load(args.netlist)
     faults = []
     for spec in args.faults:
@@ -218,7 +228,8 @@ def cmd_faulttable(args: argparse.Namespace) -> int:
 def cmd_campaign(args: argparse.Namespace) -> int:
     import json
 
-    from .engine import CheckpointError, FaultSweep
+    from .engine.campaign import FaultSweep
+    from .engine.durable import CheckpointError
 
     if args.processes is not None and args.processes < 1:
         raise SystemExit(
@@ -323,8 +334,11 @@ def cmd_atpg(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     import json
 
-    from .engine import CampaignCancelled, CheckpointError
-    from .synth import MIN_POPULATION, SPECS, SynthCampaign, repair_campaign
+    from .engine.durable import CheckpointError
+    from .engine.supervisor import CampaignCancelled
+    from .logic.benchfmt import save_bench
+    from .synth.campaign import MIN_POPULATION, SynthCampaign, repair_campaign
+    from .synth.specs import SPECS
 
     if (args.spec is None) == (args.repair is None):
         raise SystemExit("exactly one of --spec NAME or --repair NETLIST")
@@ -392,7 +406,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                     f"pareto={row['pareto']}"
                 )
     if args.out and report.best_record.perfect:
-        from .synth import Genome
+        from .synth.genome import Genome
 
         winner = Genome.from_json(report.best_genome).to_network(
             campaign.spec.input_names, name=f"synth_{report.spec}"
@@ -403,11 +417,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from .qa import fuzz, property_names
     from .qa.chaos import bug_names
+    from .qa.properties import PROPERTIES, property_names
+    from .qa.runner import fuzz
 
     if args.list:
-        from .qa import PROPERTIES
 
         for name in property_names():
             print(f"{name}: {PROPERTIES[name].description}")

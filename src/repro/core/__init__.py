@@ -9,125 +9,63 @@
 * :mod:`repro.core.report` — Figure 3.6-style fault tables.
 """
 
-from .atpg import Podem
-from .collapse import CollapseReport, collapse_faults, equivalence_collapse
-from .diagnosis import FaultDictionary, adaptive_probe, build_fault_dictionary, simulate_faulty_unit
-from .design import (
-    RepairReport,
-    RepairStep,
-    design_scal_network,
-    duplicate_gate_for_branches,
-    make_self_checking,
-)
-from .multifault import (
-    ClassCoverage,
-    coverage_by_class,
-    double_faults,
-    random_multiple_faults,
-    render_coverage,
-    unidirectional_faults,
-)
-from .analysis import (
-    LineVerdict,
-    NetworkAnalysis,
-    analyze_network,
-    lines_needing_multi_output,
-)
-from .conditions import (
-    Condition,
-    ConditionEResult,
-    condition_a,
-    condition_b,
-    condition_c,
-    condition_d,
-    condition_e,
-    corollary_3_1_formula,
-    corollary_3_2,
-)
-from .redundancy import (
-    apply_constant_replacements,
-    constant_replacements,
-    is_irredundant,
-    line_testability,
-    redundant_lines,
-)
-from .report import (
-    FaultTableRow,
-    fault_table,
-    input_pairs,
-    pair_label,
-    render_fault_table,
-    undetected_faults,
-)
-from .simulate import (
-    FaultResponse,
-    ScalSimulator,
-    ScalVerdict,
-    canonical_pairs,
-    fault_coverage,
-    is_scal_network,
-)
-from .testgen import (
-    StuckAtTestPlan,
-    all_test_pairs,
-    format_pair,
-    greedy_test_schedule,
-    test_plan,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClassCoverage",
-    "CollapseReport",
-    "FaultDictionary",
-    "adaptive_probe",
-    "build_fault_dictionary",
-    "simulate_faulty_unit",
-    "Podem",
-    "collapse_faults",
-    "equivalence_collapse",
-    "Condition",
-    "RepairReport",
-    "RepairStep",
-    "ConditionEResult",
-    "FaultResponse",
-    "FaultTableRow",
-    "LineVerdict",
-    "NetworkAnalysis",
-    "ScalSimulator",
-    "ScalVerdict",
-    "StuckAtTestPlan",
-    "all_test_pairs",
-    "analyze_network",
-    "apply_constant_replacements",
-    "canonical_pairs",
-    "coverage_by_class",
-    "design_scal_network",
-    "double_faults",
-    "duplicate_gate_for_branches",
-    "make_self_checking",
-    "random_multiple_faults",
-    "render_coverage",
-    "unidirectional_faults",
-    "condition_a",
-    "condition_b",
-    "condition_c",
-    "condition_d",
-    "condition_e",
-    "constant_replacements",
-    "corollary_3_1_formula",
-    "corollary_3_2",
-    "fault_coverage",
-    "fault_table",
-    "format_pair",
-    "greedy_test_schedule",
-    "input_pairs",
-    "is_irredundant",
-    "is_scal_network",
-    "line_testability",
-    "lines_needing_multi_output",
-    "pair_label",
-    "redundant_lines",
-    "render_fault_table",
-    "test_plan",
-    "undetected_faults",
-]
+_EXPORTS = {
+    "ClassCoverage": "multifault",
+    "CollapseReport": "collapse",
+    "FaultDictionary": "diagnosis",
+    "adaptive_probe": "diagnosis",
+    "build_fault_dictionary": "diagnosis",
+    "simulate_faulty_unit": "diagnosis",
+    "Podem": "atpg",
+    "collapse_faults": "collapse",
+    "equivalence_collapse": "collapse",
+    "Condition": "conditions",
+    "RepairReport": "design",
+    "RepairStep": "design",
+    "ConditionEResult": "conditions",
+    "FaultResponse": "simulate",
+    "FaultTableRow": "report",
+    "LineVerdict": "analysis",
+    "NetworkAnalysis": "analysis",
+    "ScalSimulator": "simulate",
+    "ScalVerdict": "simulate",
+    "StuckAtTestPlan": "testgen",
+    "all_test_pairs": "testgen",
+    "analyze_network": "analysis",
+    "apply_constant_replacements": "redundancy",
+    "canonical_pairs": "simulate",
+    "coverage_by_class": "multifault",
+    "design_scal_network": "design",
+    "double_faults": "multifault",
+    "duplicate_gate_for_branches": "design",
+    "make_self_checking": "design",
+    "random_multiple_faults": "multifault",
+    "render_coverage": "multifault",
+    "unidirectional_faults": "multifault",
+    "condition_a": "conditions",
+    "condition_b": "conditions",
+    "condition_c": "conditions",
+    "condition_d": "conditions",
+    "condition_e": "conditions",
+    "constant_replacements": "redundancy",
+    "corollary_3_1_formula": "conditions",
+    "corollary_3_2": "conditions",
+    "fault_coverage": "simulate",
+    "fault_table": "report",
+    "format_pair": "testgen",
+    "greedy_test_schedule": "testgen",
+    "input_pairs": "report",
+    "is_irredundant": "redundancy",
+    "is_scal_network": "simulate",
+    "line_testability": "redundancy",
+    "lines_needing_multi_output": "analysis",
+    "pair_label": "report",
+    "redundant_lines": "redundancy",
+    "render_fault_table": "report",
+    "test_plan": "testgen",
+    "undetected_faults": "report",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

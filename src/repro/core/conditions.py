@@ -29,7 +29,7 @@ import dataclasses
 import enum
 from typing import Dict, Optional, Tuple
 
-from ..engine import engine_for
+from ..engine.backends import engine_for
 from ..logic.evaluate import line_tables
 from ..logic.faults import StuckAt
 from ..logic.gates import DOMINANT_VALUE

@@ -19,7 +19,8 @@ import itertools
 import random
 from typing import Iterable, List, Optional, Sequence
 
-from ..engine import FaultSweep, compile_network
+from ..engine.campaign import FaultSweep
+from ..engine.compiled import compile_network
 from ..logic.faults import MultipleFault, StuckAt
 from ..logic.network import Network
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..engine import FaultSweep
+from ..engine.campaign import FaultSweep
 from ..logic.evaluate import line_tables
 from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network

@@ -42,128 +42,41 @@ Usage::
     vals = eng.pointwise.line_values((0, 1, 1))     # one one-row pass
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-import weakref
-from typing import Optional
-
-from ..logic.network import Network
-from .backends import BitmaskBackend, PointQueries
-from .campaign import FaultSweep, ResponseBits, universe_fingerprint
-from .supervisor import (
-    CampaignCancelled,
-    CampaignCheckpoint,
-    CampaignReport,
-    CancelToken,
-    CheckpointError,
-    ChunkKind,
-    Degradation,
-    RetryEvent,
-    run_campaign,
-)
-from .compiled import (
-    CompiledNetwork,
-    FaultPlan,
-    Op,
-    RowForcing,
-    compile_network,
-)
-from .store import STORE, ArtifactStore, program_fingerprint
-from .fork import (
-    ChunkResult,
-    ForkTransport,
-    SubmitFailed,
-    TransportError,
-    TransportFailure,
-    TransportUnavailable,
-)
-
-
-class NetworkEngine:
-    """One network's compiled form plus its shared backends.
-
-    The point queries are always there; the exhaustive
-    :attr:`bitmask` backend is constructed lazily on first use, so
-    engines for small one-off queries pay nothing.  Building it never
-    allocates a table: on circuits beyond the
-    :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` whole-table
-    ceiling its tiled sweep still runs, while its whole-table methods
-    raise ``ValueError`` instead of attempting the 2^n-bit allocation.
-    """
-
-    def __init__(self, network: Network) -> None:
-        self.compiled = compile_network(network)
-        self.pointwise = PointQueries(self.compiled)
-        self._bitmask: Optional[BitmaskBackend] = None
-
-    @property
-    def bitmask(self) -> BitmaskBackend:
-        """The exhaustive big-int truth-table backend."""
-        if self._bitmask is None:
-            self._bitmask = BitmaskBackend(self.compiled)
-        return self._bitmask
-
-
-_engine_cache: "weakref.WeakKeyDictionary[Network, NetworkEngine]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def engine_for(network: Network) -> NetworkEngine:
-    """The shared engine of ``network`` (compile once, simulate many).
-
-    Cached weakly per network instance — networks are immutable, so every
-    caller sharing a network also shares its baselines and fault plans.
-    """
-    engine = _engine_cache.get(network)
-    if engine is None:
-        engine = NetworkEngine(network)
-        _engine_cache[network] = engine
-    return engine
-
-
-def __getattr__(name: str):
-    # Lazy re-export: engine.atpg pulls in core.atpg, which imports the
-    # logic package, which imports this package — resolving it at first
-    # attribute access instead of import time keeps the cycle open.
-    if name in ("AtpgReport", "run_atpg"):
-        from . import atpg
-
-        return getattr(atpg, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ArtifactStore",
-    "AtpgReport",
-    "BitmaskBackend",
-    "CampaignCancelled",
-    "CampaignCheckpoint",
-    "CampaignReport",
-    "CancelToken",
-    "CheckpointError",
-    "ChunkKind",
-    "ChunkResult",
-    "CompiledNetwork",
-    "Degradation",
-    "FaultPlan",
-    "FaultSweep",
-    "ForkTransport",
-    "NetworkEngine",
-    "Op",
-    "PointQueries",
-    "ResponseBits",
-    "RetryEvent",
-    "RowForcing",
-    "STORE",
-    "SubmitFailed",
-    "TransportError",
-    "TransportFailure",
-    "TransportUnavailable",
-    "compile_network",
-    "engine_for",
-    "program_fingerprint",
-    "run_atpg",
-    "run_campaign",
-    "universe_fingerprint",
-]
+_EXPORTS = {
+    "ArtifactStore": "store",
+    "AtpgReport": "atpg",
+    "BitmaskBackend": "backends",
+    "CampaignCancelled": "supervisor",
+    "CampaignCheckpoint": "supervisor",
+    "CampaignReport": "supervisor",
+    "CancelToken": "supervisor",
+    "CheckpointError": "durable",
+    "ChunkKind": "supervisor",
+    "ChunkResult": "fork",
+    "CompiledNetwork": "compiled",
+    "Degradation": "supervisor",
+    "FaultPlan": "compiled",
+    "FaultSweep": "campaign",
+    "ForkTransport": "fork",
+    "NetworkEngine": "backends",
+    "Op": "compiled",
+    "PointQueries": "backends",
+    "ResponseBits": "campaign",
+    "RetryEvent": "supervisor",
+    "RowForcing": "compiled",
+    "STORE": "store",
+    "SubmitFailed": "fork",
+    "TransportError": "fork",
+    "TransportFailure": "fork",
+    "TransportUnavailable": "fork",
+    "compile_network": "compiled",
+    "engine_for": "backends",
+    "program_fingerprint": "store",
+    "run_atpg": "atpg",
+    "run_campaign": "supervisor",
+    "universe_fingerprint": "campaign",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

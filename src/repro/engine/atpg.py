@@ -44,7 +44,7 @@ from ..core.atpg import Podem, PodemResult
 from ..core.collapse import sorted_stem_universe
 from ..logic.faults import Fault
 from ..logic.network import Network
-from .backends import UNTILED_MAX_INPUTS, pack_pattern_masks, run_ops
+from .backends import UNTILED_MAX_INPUTS, engine_for, pack_pattern_masks, run_ops
 from .compiled import CompiledNetwork, FaultLike, RowForcing
 
 _REG = obs.REGISTRY
@@ -388,8 +388,6 @@ def run_atpg(
     batch per target and ``target_timeout`` is a per-target PODEM
     deadline in seconds.
     """
-    from . import engine_for
-
     if candidates < 1:
         raise ValueError("candidates must be >= 1")
     engine = engine if engine is not None else engine_for(network)

@@ -39,6 +39,9 @@ a point query is one pass of its own.
   enumerate): one point is a one-row pass, a point list one packed pass
   with a row per point.
 
+A :class:`NetworkEngine` holds one network's compiled form and both
+backends; :func:`engine_for` shares one per network instance.
+
 **Pair tiles.**  Definition 2.4 classifies a fault pair by pair, so any
 set of whole pairs can be classified alone, and a fault's status is the
 most severe over the sets.  Above :data:`UNTILED_MAX_INPUTS` inputs a
@@ -75,12 +78,14 @@ from __future__ import annotations
 
 import functools
 import threading
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..logic.gates import GateKind, evaluate_mask
+from ..logic.network import Network
 from ..logic.truthtable import reverse_bits
 from .. import obs
-from .compiled import CompiledNetwork, FaultLike, RowForcing
+from .compiled import CompiledNetwork, FaultLike, RowForcing, compile_network
 
 #: Widest input space a sweep classifies as one whole table.  Above it
 #: the sweep runs per pair tile, each tile derived once per process.
@@ -681,3 +686,46 @@ class PointQueries:
         values = self._run(masks, (1 << n) - 1, fault)
         outputs = [values[i] for i in self.compiled.out_idx]
         return [tuple(out >> j & 1 for out in outputs) for j in range(n)]
+
+
+class NetworkEngine:
+    """One network's compiled form plus its shared backends.
+
+    The point queries are always there; the exhaustive
+    :attr:`bitmask` backend is constructed lazily on first use, so
+    engines for small one-off queries pay nothing.  Building it never
+    allocates a table: on circuits beyond the
+    :data:`MAX_BITMASK_INPUTS` whole-table ceiling its tiled sweep
+    still runs, while its whole-table methods raise ``ValueError``
+    instead of attempting the 2^n-bit allocation.
+    """
+
+    def __init__(self, network: Network) -> None:
+        self.compiled = compile_network(network)
+        self.pointwise = PointQueries(self.compiled)
+        self._bitmask: Optional[BitmaskBackend] = None
+
+    @property
+    def bitmask(self) -> BitmaskBackend:
+        """The exhaustive big-int truth-table backend."""
+        if self._bitmask is None:
+            self._bitmask = BitmaskBackend(self.compiled)
+        return self._bitmask
+
+
+_engine_cache: "weakref.WeakKeyDictionary[Network, NetworkEngine]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def engine_for(network: Network) -> NetworkEngine:
+    """The shared engine of ``network`` (compile once, simulate many).
+
+    Cached weakly per network instance — networks are immutable, so every
+    caller sharing a network also shares its baselines and fault plans.
+    """
+    engine = _engine_cache.get(network)
+    if engine is None:
+        engine = NetworkEngine(network)
+        _engine_cache[network] = engine
+    return engine

@@ -57,7 +57,13 @@ from .supervisor import (
     ChunkKind,
     run_campaign,
 )
-from .backends import classify_status, most_severe, tile_count
+from .backends import (
+    NetworkEngine,
+    classify_status,
+    engine_for,
+    most_severe,
+    tile_count,
+)
 
 _REG = obs.REGISTRY
 #: Items classified by supervised chunks, by chunk kind: faults, or
@@ -179,8 +185,6 @@ def _worker_items(items: FaultItems) -> FaultItems:
     """The inherited items, fault ids included, over an engine of the
     worker's own, so each fork worker derives the tables its chunks
     read."""
-    from . import NetworkEngine  # local: engine/__init__ imports us
-
     worker = copy.copy(items)
     worker.engine = NetworkEngine(items.network)
     worker._tile = (-1, None)
@@ -228,8 +232,6 @@ class FaultSweep:
     """
 
     def __init__(self, network: Network, engine=None) -> None:
-        from . import engine_for  # local: engine/__init__ imports us
-
         self.network = network
         self.engine = engine if engine is not None else engine_for(network)
         self.compiled = self.engine.compiled

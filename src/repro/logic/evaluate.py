@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..engine import engine_for
+from ..engine.backends import engine_for
 from .faults import Fault, MultipleFault
 from .network import Network, NetworkError
 from .truthtable import TruthTable

@@ -1,68 +1,38 @@
 """SCAL building-block modules (Chapters 2, 6, 7): minority modules, the
 self-dual adder, shift register, and status storage."""
 
-from .catalog import (
-    CatalogEntry,
-    biased_majority_table,
-    closest_self_dual,
-    compose_self_dual,
-    majority_table,
-    minority_table,
-    self_dual_count,
-    self_dual_fraction,
-    standard_catalog,
-    xor_table,
-)
-from .adder import (
-    add_words,
-    alternating_add,
-    full_adder_network,
-    ripple_adder_network,
-)
-from .minority import (
-    ConversionReport,
-    conversion_report,
-    majority,
-    majority_from_minority,
-    minimal_minority_realization,
-    minority,
-    nand_via_minority,
-    nor_via_minority,
-    to_minority_network,
-    verify_theorem_6_2,
-    verify_theorem_6_3,
-)
-from .shifter import AlternatingShiftRegister, shift_word
-from .status import AlternatingStatusBit, AlternatingStatusRegister
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AlternatingShiftRegister",
-    "AlternatingStatusBit",
-    "AlternatingStatusRegister",
-    "CatalogEntry",
-    "ConversionReport",
-    "biased_majority_table",
-    "closest_self_dual",
-    "compose_self_dual",
-    "majority_table",
-    "minority_table",
-    "self_dual_count",
-    "self_dual_fraction",
-    "standard_catalog",
-    "xor_table",
-    "add_words",
-    "alternating_add",
-    "conversion_report",
-    "full_adder_network",
-    "majority",
-    "majority_from_minority",
-    "minimal_minority_realization",
-    "minority",
-    "nand_via_minority",
-    "nor_via_minority",
-    "ripple_adder_network",
-    "shift_word",
-    "to_minority_network",
-    "verify_theorem_6_2",
-    "verify_theorem_6_3",
-]
+_EXPORTS = {
+    "AlternatingShiftRegister": "shifter",
+    "AlternatingStatusBit": "status",
+    "AlternatingStatusRegister": "status",
+    "CatalogEntry": "catalog",
+    "ConversionReport": "minority",
+    "biased_majority_table": "catalog",
+    "closest_self_dual": "catalog",
+    "compose_self_dual": "catalog",
+    "majority_table": "catalog",
+    "minority_table": "catalog",
+    "self_dual_count": "catalog",
+    "self_dual_fraction": "catalog",
+    "standard_catalog": "catalog",
+    "xor_table": "catalog",
+    "add_words": "adder",
+    "alternating_add": "adder",
+    "conversion_report": "minority",
+    "full_adder_network": "adder",
+    "majority": "minority",
+    "majority_from_minority": "minority",
+    "minimal_minority_realization": "minority",
+    "minority": "minority",
+    "nand_via_minority": "minority",
+    "nor_via_minority": "minority",
+    "ripple_adder_network": "adder",
+    "shift_word": "shifter",
+    "to_minority_network": "minority",
+    "verify_theorem_6_2": "minority",
+    "verify_theorem_6_3": "minority",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

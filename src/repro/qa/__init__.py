@@ -16,35 +16,26 @@ hand-written examples:
 * :mod:`repro.qa.chaos` — named engine sabotage for harness self-tests.
 """
 
-from .cases import (
-    Case,
-    Counterexample,
-    case_from_json,
-    case_to_json,
-    network_from_json,
-    network_to_json,
-    pytest_snippet,
-)
-from .properties import PROPERTIES, Property, property_names, resolve, trial_rng
-from .runner import FuzzReport, PropertyReport, fuzz, run_property
-from .shrink import shrink_case
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Case",
-    "Counterexample",
-    "FuzzReport",
-    "PROPERTIES",
-    "Property",
-    "PropertyReport",
-    "case_from_json",
-    "case_to_json",
-    "fuzz",
-    "network_from_json",
-    "network_to_json",
-    "property_names",
-    "pytest_snippet",
-    "resolve",
-    "run_property",
-    "shrink_case",
-    "trial_rng",
-]
+_EXPORTS = {
+    "Case": "cases",
+    "Counterexample": "cases",
+    "FuzzReport": "runner",
+    "PROPERTIES": "properties",
+    "Property": "properties",
+    "PropertyReport": "runner",
+    "case_from_json": "cases",
+    "case_to_json": "cases",
+    "fuzz": "runner",
+    "network_from_json": "cases",
+    "network_to_json": "cases",
+    "property_names": "properties",
+    "pytest_snippet": "cases",
+    "resolve": "properties",
+    "run_property": "runner",
+    "shrink_case": "shrink",
+    "trial_rng": "properties",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -82,9 +82,9 @@ from ..core.analysis import analyze_network
 from ..core.atpg import Podem
 from ..core.collapse import equivalence_collapse, sorted_stem_universe
 from ..core.simulate import ScalSimulator
-from ..engine import FaultSweep, NetworkEngine
 from ..engine.atpg import pattern_detections, run_atpg
-from ..engine.backends import table_response
+from ..engine.backends import NetworkEngine, table_response
+from ..engine.campaign import FaultSweep
 from ..engine.compiled import RowForcing
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.gates import GateKind
@@ -1002,7 +1002,8 @@ def _micro_synth(
 ):
     """A deliberately tiny campaign — determinism and soundness do not
     need convergence, so trials stay cheap enough for the fuzz budget."""
-    from ..synth import SPECS, SynthCampaign
+    from ..synth.campaign import SynthCampaign
+    from ..synth.specs import SPECS
 
     return SynthCampaign(
         SPECS[spec_name],
@@ -1074,8 +1075,9 @@ synth_determinism = register(
 
 
 def _check_synth_soundness(case: Case) -> Optional[str]:
-    from ..synth import SPECS, Genome
     from ..synth.fitness import evaluate_task, make_task
+    from ..synth.genome import Genome
+    from ..synth.specs import SPECS
 
     if case.seed is None:
         return None

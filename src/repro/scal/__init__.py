@@ -3,62 +3,35 @@ the dual flip-flop transform, the gate-level ALPT/PALT translators, the
 complete code-conversion system (one loop network of PALT, self-dual
 block and ALPT), and the Table 4.1 cost model."""
 
-from .alternating import (
-    PERIOD_CLOCK,
-    AlternatingRun,
-    AlternatingStep,
-)
-from .codeconv import CodeConversionMachine, loop_network, to_code_conversion
-from .costs import (
-    REYNOLDS_COST_FACTOR,
-    THESIS_TABLE_4_1,
-    CostReport,
-    cost_factor,
-    kohavi_general,
-    measured_cost,
-    render_cost_table,
-    reynolds_general,
-    translator_general,
-)
-from .dualff import (
-    DualFlipFlopMachine,
-    self_dual_machine_network,
-    to_dual_flipflop,
-)
-from .induction import InductiveVerdict, verify_inductively
-from .translators import alpt_network, palt_network
-from .verify import (
-    CampaignResult,
-    codeconv_campaign,
-    dualff_campaign,
-    random_vectors,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AlternatingRun",
-    "CampaignResult",
-    "InductiveVerdict",
-    "AlternatingStep",
-    "CodeConversionMachine",
-    "CostReport",
-    "DualFlipFlopMachine",
-    "PERIOD_CLOCK",
-    "REYNOLDS_COST_FACTOR",
-    "THESIS_TABLE_4_1",
-    "alpt_network",
-    "codeconv_campaign",
-    "cost_factor",
-    "dualff_campaign",
-    "kohavi_general",
-    "loop_network",
-    "measured_cost",
-    "render_cost_table",
-    "palt_network",
-    "reynolds_general",
-    "self_dual_machine_network",
-    "to_code_conversion",
-    "to_dual_flipflop",
-    "random_vectors",
-    "verify_inductively",
-    "translator_general",
-]
+_EXPORTS = {
+    "AlternatingRun": "alternating",
+    "CampaignResult": "verify",
+    "InductiveVerdict": "induction",
+    "AlternatingStep": "alternating",
+    "CodeConversionMachine": "codeconv",
+    "CostReport": "costs",
+    "DualFlipFlopMachine": "dualff",
+    "PERIOD_CLOCK": "alternating",
+    "REYNOLDS_COST_FACTOR": "costs",
+    "THESIS_TABLE_4_1": "costs",
+    "alpt_network": "translators",
+    "codeconv_campaign": "verify",
+    "cost_factor": "costs",
+    "dualff_campaign": "verify",
+    "kohavi_general": "costs",
+    "loop_network": "codeconv",
+    "measured_cost": "costs",
+    "render_cost_table": "costs",
+    "palt_network": "translators",
+    "reynolds_general": "costs",
+    "self_dual_machine_network": "dualff",
+    "to_code_conversion": "codeconv",
+    "to_dual_flipflop": "dualff",
+    "random_vectors": "verify",
+    "verify_inductively": "induction",
+    "translator_general": "costs",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

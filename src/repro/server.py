@@ -202,14 +202,14 @@ def canonical_request(body: dict) -> dict:
                 "(from-scratch) or 'netlist' (repair mode)"
             )
         if request["spec"] is not None:
-            from .synth import SPECS
+            from .synth.specs import SPECS
 
             if request["spec"] not in SPECS:
                 raise RequestError(
                     f"unknown spec {request['spec']!r}; known: "
                     f"{', '.join(sorted(SPECS))}"
                 )
-        from .synth import MIN_POPULATION
+        from .synth.campaign import MIN_POPULATION
 
         for key, floor in (
             ("seed", 0),
@@ -465,7 +465,7 @@ def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
     """Store key and run step of one fault campaign.  The key is pure
     content (program + universe fingerprints + universe shape), so a
     replay does not even need the supervised runtime."""
-    from .engine import FaultSweep, universe_fingerprint
+    from .engine.campaign import FaultSweep, universe_fingerprint
 
     sweep = FaultSweep(network)
     universe = sweep.compiled.fault_universe(collapse=request["collapse"])
@@ -504,7 +504,8 @@ def _synth_job(request: dict, network, cancel: Optional[CancelToken]):
     """Store key and run step of one synthesis/repair campaign, keyed
     by the target identity (spec fingerprint, or the netlist text
     fingerprint in repair mode) plus the search knobs."""
-    from .synth import SPECS, SynthCampaign, repair_campaign
+    from .synth.campaign import SynthCampaign, repair_campaign
+    from .synth.specs import SPECS
 
     if network is None:
         spec = SPECS[request["spec"]]

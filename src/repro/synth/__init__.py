@@ -24,34 +24,26 @@ Layers:
   area-vs-coverage Pareto report.
 """
 
-from .campaign import (
-    MIN_POPULATION,
-    SynthCampaign,
-    SynthReport,
-    damage_network,
-    repair_campaign,
-)
-from .fitness import FitnessRecord, evaluate_chunk, evaluate_task, make_task
-from .genome import Genome, GenomeError
-from .operators import crossover, mutate, random_genome
-from .specs import SPECS, SynthSpec, spec_from_network
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FitnessRecord",
-    "Genome",
-    "GenomeError",
-    "MIN_POPULATION",
-    "SPECS",
-    "SynthCampaign",
-    "SynthReport",
-    "SynthSpec",
-    "crossover",
-    "damage_network",
-    "evaluate_chunk",
-    "evaluate_task",
-    "make_task",
-    "mutate",
-    "random_genome",
-    "repair_campaign",
-    "spec_from_network",
-]
+_EXPORTS = {
+    "FitnessRecord": "fitness",
+    "Genome": "genome",
+    "GenomeError": "genome",
+    "MIN_POPULATION": "campaign",
+    "SPECS": "specs",
+    "SynthCampaign": "campaign",
+    "SynthReport": "campaign",
+    "SynthSpec": "specs",
+    "crossover": "operators",
+    "damage_network": "campaign",
+    "evaluate_chunk": "fitness",
+    "evaluate_task": "fitness",
+    "make_task": "fitness",
+    "mutate": "operators",
+    "random_genome": "operators",
+    "repair_campaign": "campaign",
+    "spec_from_network": "specs",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -37,7 +37,8 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..engine import CancelToken, CheckpointError, run_campaign
+from ..engine.durable import CheckpointError
+from ..engine.supervisor import CancelToken, run_campaign
 from ..engine.durable import load_envelope, write_envelope
 from ..logic.network import Network
 from ..scal.costs import REYNOLDS_COST_FACTOR, network_cost

@@ -41,14 +41,15 @@ from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
 from ..core.collapse import sorted_stem_universe
-from ..engine import ChunkKind, NetworkEngine
 from ..engine.backends import (
+    NetworkEngine,
     classify_status,
     run_ops,
     table_normals,
     table_response,
 )
 from ..engine.campaign import CHUNK_FAULTS, FaultItems
+from ..engine.supervisor import ChunkKind
 from ..logic.truthtable import reverse_bits
 from ..scal.costs import network_cost
 from .genome import Genome

@@ -21,7 +21,7 @@ import hashlib
 import json
 from typing import Dict, Tuple
 
-from ..engine import engine_for
+from ..engine.backends import engine_for
 from ..logic.network import Network
 from ..logic.selfdual import PERIOD_CLOCK, self_dualize_table
 from ..logic.synthesis import sop_network

@@ -1,73 +1,37 @@
 """Workloads: the thesis's worked examples and random populations."""
 
-from .benchcircuits import (
-    fig32_xor_path_network,
-    fig62_nand_network,
-    minority3_table,
-    section32_example,
-)
-from .detectors import (
-    THESIS_COSTS,
-    kohavi_0101,
-    kohavi_circuit,
-    pattern_positions,
-    reference_outputs,
-    reynolds_0101,
-    translator_0101,
-)
-from .fig34 import (
-    FIG36_PAIR_LABELS,
-    THESIS_LINE_MAP,
-    expected_output_functions,
-    fig34_network,
-    fig37_fixed_network,
-)
-from .machines import (
-    debouncer,
-    machine_suite,
-    modulo_counter,
-    parity_checker,
-    serial_adder,
-    traffic_light,
-)
-from .randomlogic import (
-    random_alternating_network,
-    random_input_vectors,
-    random_machine,
-    random_mixed_network,
-    random_nand_network,
-    random_self_dual_table,
-    random_truth_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FIG36_PAIR_LABELS",
-    "THESIS_COSTS",
-    "THESIS_LINE_MAP",
-    "expected_output_functions",
-    "fig32_xor_path_network",
-    "fig34_network",
-    "fig37_fixed_network",
-    "fig62_nand_network",
-    "kohavi_0101",
-    "kohavi_circuit",
-    "machine_suite",
-    "modulo_counter",
-    "parity_checker",
-    "debouncer",
-    "minority3_table",
-    "serial_adder",
-    "traffic_light",
-    "pattern_positions",
-    "random_alternating_network",
-    "random_input_vectors",
-    "random_machine",
-    "random_mixed_network",
-    "random_nand_network",
-    "random_self_dual_table",
-    "random_truth_table",
-    "reference_outputs",
-    "reynolds_0101",
-    "section32_example",
-    "translator_0101",
-]
+_EXPORTS = {
+    "FIG36_PAIR_LABELS": "fig34",
+    "THESIS_COSTS": "detectors",
+    "THESIS_LINE_MAP": "fig34",
+    "expected_output_functions": "fig34",
+    "fig32_xor_path_network": "benchcircuits",
+    "fig34_network": "fig34",
+    "fig37_fixed_network": "fig34",
+    "fig62_nand_network": "benchcircuits",
+    "kohavi_0101": "detectors",
+    "kohavi_circuit": "detectors",
+    "machine_suite": "machines",
+    "modulo_counter": "machines",
+    "parity_checker": "machines",
+    "debouncer": "machines",
+    "minority3_table": "benchcircuits",
+    "serial_adder": "machines",
+    "traffic_light": "machines",
+    "pattern_positions": "detectors",
+    "random_alternating_network": "randomlogic",
+    "random_input_vectors": "randomlogic",
+    "random_machine": "randomlogic",
+    "random_mixed_network": "randomlogic",
+    "random_nand_network": "randomlogic",
+    "random_self_dual_table": "randomlogic",
+    "random_truth_table": "randomlogic",
+    "reference_outputs": "detectors",
+    "reynolds_0101": "detectors",
+    "section32_example": "benchcircuits",
+    "translator_0101": "detectors",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
