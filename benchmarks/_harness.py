@@ -12,8 +12,10 @@ without parsing report text.
 
 **Regression gate**: running the benches with ``--check`` (or with the
 ``BENCH_CHECK`` environment variable set) compares each fresh run
-against the *committed* ``BENCH_<name>.json`` baseline before
-overwriting it:
+against the *committed* ``BENCH_<name>.json`` baseline and writes the
+fresh ``.txt``/``.json`` under the git-ignored ``results/fresh/``
+instead, so the baselines stay as committed and a second check run
+compares against the commit again, not against the first run:
 
 * non-timing metrics must be exactly equal (a changed fault count or
   coverage fraction is a correctness regression, not noise);
@@ -22,9 +24,9 @@ overwriting it:
 * timing-flavored metrics — keys ending in ``_seconds`` or
   ``_speedup`` — are informational and never compared exactly.
 
-A missing baseline is not a failure (new benches bootstrap their own);
-the fresh JSON is always written, so a failing check still leaves the
-new numbers on disk for inspection.
+A missing baseline is not a failure (a new bench's first plain run
+records its own); the fresh JSON is always written, so a failing check
+still leaves the new numbers on disk for inspection.
 
 When the telemetry registry (:data:`repro.obs.REGISTRY`) is enabled —
 the bench conftest enables it per test — each ``BENCH_<name>.json``
@@ -38,6 +40,8 @@ import json
 import os
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: Where ``--check`` runs write their artifacts (git-ignored).
+FRESH_DIR = os.path.join(RESULTS_DIR, "fresh")
 
 #: Wall-time regression threshold for ``--check`` runs.
 DEFAULT_CHECK_FACTOR = 1.6
@@ -121,13 +125,16 @@ def record(name: str, text: str, metrics=None, elapsed=None) -> str:
 
     Writes ``<name>.txt`` plus the machine-readable ``BENCH_<name>.json``
     (``metrics`` is a flat dict of scalars, ``elapsed`` the mean wall
-    time of one report run in seconds).  Under ``--check`` /
-    ``BENCH_CHECK`` the previous JSON is treated as the committed
-    baseline and a :class:`BenchRegression` is raised on any metric
-    change or wall-time blow-up — after the new artifacts are written.
+    time of one report run in seconds) to :data:`RESULTS_DIR`.  Under
+    ``--check`` / ``BENCH_CHECK`` they go to :data:`FRESH_DIR`, the
+    committed JSON in :data:`RESULTS_DIR` is the baseline, and a
+    :class:`BenchRegression` is raised on any metric change or
+    wall-time blow-up — after the new artifacts are written.
     """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    checking = check_enabled()
+    out_dir = FRESH_DIR if checking else RESULTS_DIR
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{name}.txt")
     with open(path, "w") as handle:
         handle.write(text.rstrip() + "\n")
     payload = {
@@ -141,9 +148,13 @@ def record(name: str, text: str, metrics=None, elapsed=None) -> str:
         obs = None
     if obs is not None and obs.metrics_enabled():
         payload["telemetry"] = obs.REGISTRY.to_json()
-    json_path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
-    baseline = _load_baseline(json_path) if check_enabled() else None
-    with open(json_path, "w") as handle:
+    json_name = f"BENCH_{name}.json"
+    baseline = (
+        _load_baseline(os.path.join(RESULTS_DIR, json_name))
+        if checking
+        else None
+    )
+    with open(os.path.join(out_dir, json_name), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"\n===== {name} =====")

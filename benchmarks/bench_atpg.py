@@ -48,9 +48,8 @@ import time
 from _harness import benchmark_elapsed, record
 
 from repro.core.atpg import Podem
-from repro.core.collapse import sorted_stem_universe
-from repro.engine import engine_for
-from repro.engine.atpg import run_atpg
+from repro.engine import compile_network, engine_for
+from repro.engine.atpg import atpg_targets, run_atpg
 from repro.logic.benchfmt import load_bench
 from repro.logic.evaluate import line_tables, outputs_with_fault
 from repro.logic.faults import StuckAt, enumerate_stem_faults
@@ -180,7 +179,8 @@ def engine_atpg_report():
     nodrop_wall = engine_wall = 0.0
     ok = True
     for label, network in _workload():
-        universe = sorted_stem_universe(network)
+        compiled = compile_network(network)
+        universe = list(map(compiled.fault, atpg_targets(compiled)))
         podem = Podem(network)
         scalar = {}
         for fault in universe:

@@ -203,7 +203,7 @@ def time_obs_ab(sweep, universe):
 def randlogic_sweep_report():
     net = randlogic_network()
     sweep = FaultSweep(net)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
 
     # Telemetry stays disabled inside the measured region: the warm
     # sweep doubles as the disabled-overhead A/B (the instrumented seams
@@ -297,7 +297,7 @@ def supervised_sweep_report():
 
     net = randlogic_network()
     sweep = FaultSweep(net)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
 
     start = time.perf_counter()
     serial = sweep.sweep(universe)
@@ -365,7 +365,7 @@ def test_supervised_sweep(benchmark):
 def transport_sweep_report():
     net = randlogic_network()
     sweep = FaultSweep(net)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
 
     start = time.perf_counter()
     serial = sweep.sweep(universe)

@@ -12,7 +12,8 @@ import random
 
 from _harness import benchmark_elapsed, record
 
-from repro.core.simulate import ScalSimulator, fault_coverage
+from repro.core.simulate import fault_coverage
+from repro.engine.compiled import compile_network
 from repro.workloads.fig34 import fig34_network
 from repro.workloads.randomlogic import random_alternating_network
 
@@ -25,10 +26,10 @@ def coverage_report():
     networks = 12
     for _ in range(networks):
         net = random_alternating_network(rnd, 3)
-        sim = ScalSimulator(net)
-        stem = fault_coverage(
-            net, sim.single_fault_universe(include_pins=False)
+        stems = compile_network(net).universe_ids(
+            include_pins=False, collapse=False
         )
+        stem = fault_coverage(net, stems)
         both = fault_coverage(net)
         stem_rows.append(stem)
         pin_rows.append(both)

@@ -1,7 +1,8 @@
 """Bench-local pytest hooks: the ``--check`` regression-gate flag.
 
 ``pytest benchmarks/... --check`` compares every bench's fresh
-``BENCH_<name>.json`` against the committed baseline in
+``BENCH_<name>.json`` (written to the git-ignored
+``benchmarks/results/fresh/``) against the committed baseline in
 ``benchmarks/results/`` (see ``_harness.record``): non-timing metrics
 must match exactly and wall time may not exceed the baseline by more
 than ``BENCH_CHECK_FACTOR`` (default 1.6x).  Implemented by exporting

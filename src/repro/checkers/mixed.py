@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
-from ..logic.faults import enumerate_single_faults
 from ..logic.network import Network
 from .tworail import CELL_GATES
 from .xorchk import xor_checker_gate_cost
@@ -153,6 +152,7 @@ def spec_from_network(network: Network) -> CheckerSpec:
     pair under some single (stem or pin) stuck-at fault — computed by
     exhaustive SCAL fault simulation.
     """
+    from ..engine.compiled import compile_network
     from ..logic.evaluate import line_tables
 
     cones = {out: network.cone(out) for out in network.outputs}
@@ -169,7 +169,10 @@ def spec_from_network(network: Network) -> CheckerSpec:
                 groups.append(frozenset({a, b}))
     bad: Set[str] = set()
     normal = line_tables(network)
-    for fault in enumerate_single_faults(network):
+    universe = compile_network(network).universe_ids(
+        collapse=False, live_only=False
+    )
+    for fault in universe:
         faulty = line_tables(network, fault)
         for out in network.outputs:
             if out in bad:

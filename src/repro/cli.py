@@ -47,8 +47,6 @@ import contextlib
 import sys
 from typing import List, Optional
 
-TRUTH_TABLE_LIMIT = 12  # inputs beyond this use the structural route
-
 
 def _load(path: str):
     from .logic.benchfmt import load_bench
@@ -100,13 +98,14 @@ def _telemetry(args: argparse.Namespace):
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .core.analysis import analyze_network, lines_needing_multi_output
     from .core.simulate import ScalSimulator
+    from .engine.backends import UNTILED_MAX_INPUTS
     from .logic.render import annotate_with_analysis, render_listing
 
     network = _load(args.netlist)
-    if len(network.inputs) > TRUTH_TABLE_LIMIT:
+    if len(network.inputs) > UNTILED_MAX_INPUTS:
         print(
             f"{len(network.inputs)} inputs exceed the exhaustive limit "
-            f"({TRUTH_TABLE_LIMIT}); run testgen for structural checks"
+            f"({UNTILED_MAX_INPUTS}); run testgen for structural checks"
         )
         return 2
     analysis = analyze_network(network)
@@ -129,9 +128,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_testgen(args: argparse.Namespace) -> int:
     from .core.testgen import all_test_pairs, format_pair
+    from .engine.backends import UNTILED_MAX_INPUTS
 
     network = _load(args.netlist)
-    if len(network.inputs) <= TRUTH_TABLE_LIMIT and not args.structural:
+    if len(network.inputs) <= UNTILED_MAX_INPUTS and not args.structural:
         plans = all_test_pairs(network, output=args.output)
         names = network.inputs
         for (line, value), tests in sorted(plans.items()):
@@ -143,12 +143,15 @@ def cmd_testgen(args: argparse.Namespace) -> int:
                 print(f"{line} s/{value}: UNTESTABLE")
         return 0
     from .engine.atpg import run_atpg
-    from .logic.faults import StuckAt
+    from .engine.compiled import compile_network
 
-    faults = [StuckAt(line, v) for line in network.lines() for v in (0, 1)]
+    compiled = compile_network(network)
+    faults = compiled.universe_ids(
+        include_pins=False, collapse=False, live_only=False
+    )
     report = run_atpg(network, faults, pairs=True)
-    for fault in faults:
-        name = fault.describe()
+    for fid in faults:
+        name = compiled.fault(fid).describe()
         index = report.detected_by.get(name)
         if index is not None:
             print(f"{name}: pair anchored at {report.patterns[index]:#x}")
@@ -190,11 +193,12 @@ def cmd_minority(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     from .core.analysis import analyze_network
+    from .engine.backends import UNTILED_MAX_INPUTS
     from .logic.render import render_dot
 
     network = _load(args.netlist)
     highlight: List[str] = []
-    if len(network.inputs) <= TRUTH_TABLE_LIMIT:
+    if len(network.inputs) <= UNTILED_MAX_INPUTS:
         highlight = list(analyze_network(network).failing_lines())
     dot = render_dot(network, highlight=highlight)
     if args.out:
@@ -244,7 +248,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise SystemExit("--resume requires --checkpoint PATH")
     network = _load(args.netlist)
     sweep = FaultSweep(network)
-    universe = sweep.compiled.fault_universe(collapse=not args.no_collapse)
+    universe = sweep.compiled.universe_ids(collapse=not args.no_collapse)
     try:
         with _telemetry(args):
             stats = sweep.coverage(

@@ -20,7 +20,6 @@ _EXPORTS = {
     "simulate_faulty_unit": "diagnosis",
     "Podem": "atpg",
     "collapse_faults": "collapse",
-    "equivalence_collapse": "collapse",
     "Condition": "conditions",
     "RepairReport": "design",
     "RepairStep": "design",

@@ -17,18 +17,19 @@ coverage, verified against truth tables in the test suite.  Collapsing
 matters doubly for SCAL: every fault the oracle or PODEM must process is
 two exhaustive network evaluations.
 
-The classes are computed once per network, on integer fault ids, by
-:class:`~repro.engine.compiled.CompiledNetwork`; the functions here are
-named views of that one computation.
+The equivalence classes are computed once per network, on integer fault
+ids, by :attr:`~repro.engine.compiled.CompiledNetwork.fault_classes`, and
+:meth:`~repro.engine.compiled.CompiledNetwork.universe_ids` is the one
+single-fault universe; the functions here are named views of it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..engine.compiled import PIN_EQUIVALENCES, compile_network
-from ..logic.faults import Fault, StuckAt
+from ..logic.faults import Fault
 from ..logic.network import Network
 
 
@@ -46,70 +47,17 @@ class CollapseReport:
         return len(self.representatives) / self.total if self.total else 1.0
 
 
-def equivalence_collapse(network: Network) -> Dict[Fault, List[Fault]]:
-    """The stem+pin single-fault universe's equivalence classes, keyed
-    by representative (the first stem member when the class has one).
-
-    Rules: for a gate with controlling value c and forced output f —
-    every input pin s-a-c ≡ the output stem s-a-f; NOT: pin s-a-v ≡
-    stem s-a-v̄; BUF: pin s-a-v ≡ stem s-a-v.  Additionally a pin fault
-    on the single branch of a non-fanout stem ≡ the stem fault.
-    """
-    comp = compile_network(network)
-    fault = comp.fault
-    return {
-        fault(members[0]): [fault(fid) for fid in members]
-        for members in comp.fault_classes
-    }
-
-
-def collapse_stem_faults(
-    network: Network, include_inputs: bool = True
-) -> List[StuckAt]:
-    """One representative stem fault per equivalence class of the stem
-    universe — the default fault list for sequential campaigns.
-
-    Equivalent faults produce identical faulty functions at every
-    evaluation (the gate-boundary identities above hold pointwise), so
-    replacing a class by one member preserves campaign verdicts — for
-    clocked runs too — while skipping the duplicate simulations.
-    ``include_inputs=False`` drops primary-input stems, matching
-    :func:`repro.logic.faults.enumerate_stem_faults`.
-    """
-    return compile_network(network).fault_universe(
-        include_inputs, include_pins=False, live_only=False
-    )
-
-
 def collapsed_single_faults(
     network: Network,
     include_inputs: bool = True,
     include_pins: bool = True,
 ) -> List[Fault]:
-    """Collapsed representatives of the live single stem+pin universe.
-
-    The equivalence-only reduction of :func:`collapse_faults` (dominance
-    stays opt-in there), without the faults on lines that reach no
-    output.  Equivalence classes never straddle live and dead lines, so
-    this is the collapsed form of
-    :meth:`repro.engine.FaultSweep.single_fault_universe`.
-    """
+    """The named faults of the default ``universe_ids``: collapsed
+    representatives of the live single stem+pin universe, the named
+    form ``perfbench`` sweeps."""
     comp = compile_network(network)
-    return comp.fault_universe(include_inputs, include_pins)
-
-
-def sorted_stem_universe(
-    network: Network, collapse: bool = True
-) -> List[StuckAt]:
-    """The stem universe of ATPG and synthesis, sorted by ``(line,
-    value)``: collapsed representatives, or every stem fault when
-    ``collapse`` is off.  The order is then independent of enumeration
-    order and representative choice (equivalent faults are
-    equi-testable)."""
-    faults = compile_network(network).fault_universe(
-        include_pins=False, collapse=collapse, live_only=False
-    )
-    return sorted(faults, key=lambda f: (f.line, f.value))
+    ids = comp.universe_ids(include_inputs, include_pins)
+    return list(map(comp.fault, ids))
 
 
 def collapse_faults(

@@ -13,8 +13,9 @@ dictionary-based locator:
   remaining candidates (a greedy half-split), so a technician applies
   few probes.
 
-Works on any combinational network, with the collapsed fault list from
-:mod:`repro.core.collapse` as the natural candidate universe.
+Works on any combinational network, with the collapsed fault list of
+:meth:`~repro.engine.compiled.CompiledNetwork.universe_ids` as the
+natural candidate universe.
 """
 
 from __future__ import annotations
@@ -144,10 +145,9 @@ def build_fault_dictionary(
     network: Network, collapse: bool = True
 ) -> FaultDictionary:
     """Dictionary over the (collapsed) single stem+pin fault universe."""
-    faults = compile_network(network).fault_universe(
-        collapse=collapse, live_only=False
-    )
-    return FaultDictionary(network, faults)
+    comp = compile_network(network)
+    ids = comp.universe_ids(collapse=collapse, live_only=False)
+    return FaultDictionary(network, list(map(comp.fault, ids)))
 
 
 def simulate_faulty_unit(network: Network, fault: Fault):

@@ -20,7 +20,7 @@ import random
 from typing import Iterable, List, Optional, Sequence
 
 from ..engine.campaign import FaultSweep
-from ..engine.compiled import compile_network
+from ..engine.compiled import FaultLike, compile_network
 from ..logic.faults import MultipleFault, StuckAt
 from ..logic.network import Network
 
@@ -52,7 +52,7 @@ class ClassCoverage:
 
 
 def _classify(
-    sweep: FaultSweep, faults: Iterable[MultipleFault], label: str
+    sweep: FaultSweep, faults: Iterable[FaultLike], label: str
 ) -> ClassCoverage:
     total = detected = silent = dangerous = 0
     for fault in faults:
@@ -142,11 +142,7 @@ def coverage_by_class(
     multiple fault classes — the Section 2.4 quantification."""
     rng = random.Random(seed)
     sweep = FaultSweep(network)
-    singles = [
-        MultipleFault((StuckAt(line, value),))
-        for line in _stems(network)
-        for value in (0, 1)
-    ]
+    singles = sweep.compiled.universe_ids(include_pins=False, collapse=False)
     rows = [
         _classify(sweep, singles, "single (Def 2.1)"),
         _classify(

@@ -23,12 +23,11 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..engine.campaign import FaultSweep
+from ..engine.compiled import FaultLike
 from ..logic.evaluate import line_tables
 from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from ..logic.truthtable import TruthTable
-
-FaultLike = Union[Fault, MultipleFault]
 
 
 def _pair_close(table: TruthTable) -> TruthTable:
@@ -52,7 +51,7 @@ class FaultResponse:
       output alternates (the undetected-error case).
     """
 
-    fault: FaultLike
+    fault: Union[Fault, MultipleFault]
     affected: TruthTable
     detected: TruthTable
     violations: TruthTable
@@ -111,7 +110,11 @@ class ScalSimulator:
         self._normal_out = {out: self.normal[out] for out in network.outputs}
 
     def response(self, fault: FaultLike) -> FaultResponse:
+        """The fault's pair-level response; a fault id's carries its
+        name."""
         bits = self._sweep.response_bits(fault)
+        if type(fault) is int:
+            fault = self._sweep.compiled.fault(fault)
         n = len(self.network.inputs)
         return FaultResponse(
             fault,
@@ -126,17 +129,6 @@ class ScalSimulator:
     # ------------------------------------------------------------------
     # network-level verdicts
     # ------------------------------------------------------------------
-    def single_fault_universe(
-        self, include_inputs: bool = True, include_pins: bool = True
-    ) -> List[Fault]:
-        """All single faults on lines that can reach some output.
-
-        Unconnected primary inputs and dead gates are not lines of the
-        network in the thesis's sense (nothing reads them), so their
-        trivially untestable faults are excluded from the sweep.
-        """
-        return self._sweep.single_fault_universe(include_inputs, include_pins)
-
     def verdict(
         self,
         faults: Optional[Sequence[FaultLike]] = None,
@@ -144,10 +136,18 @@ class ScalSimulator:
         include_pins: bool = True,
     ) -> "ScalVerdict":
         """Self-checking verdict over a fault universe (default: all
-        single stem+pin stuck-at faults, Definition 2.1)."""
+        single stem+pin stuck-at faults, Definition 2.1, on lines that
+        reach some output, with pins folded into non-fanout stems).
+
+        Unconnected primary inputs and dead gates are not lines of the
+        network in the thesis's sense (nothing reads them), so their
+        trivially untestable faults are excluded from the default sweep.
+        """
         universe: Sequence[FaultLike]
         if faults is None:
-            universe = self.single_fault_universe(include_inputs, include_pins)
+            universe = self._sweep.compiled.universe_ids(
+                include_inputs, include_pins, collapse=False
+            )
         else:
             universe = list(faults)
         insecure: List[FaultResponse] = []
@@ -260,14 +260,12 @@ def fault_coverage(
 
     When no explicit fault list is given the default single-fault
     universe is structurally collapsed (one representative per
-    equivalence class, :mod:`repro.core.collapse`) — equivalent faults
+    equivalence class, ``compiled.universe_ids()``) — equivalent faults
     have identical faulty functions, so per-class classification is
     unchanged while the sweep shrinks.  Pass ``collapse=False`` for the
     raw universe; ``processes`` fans the sweep across fork workers.
     """
     sweep = FaultSweep(network)
-    if faults is not None:
-        universe: List[FaultLike] = list(faults)
-    else:
-        universe = sweep.compiled.fault_universe(collapse=collapse)
-    return sweep.coverage(universe, processes=processes)
+    if faults is None:
+        faults = sweep.compiled.universe_ids(collapse=collapse)
+    return sweep.coverage(faults, processes=processes)

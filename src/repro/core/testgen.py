@@ -24,11 +24,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+from ..engine.compiled import compile_network
 from ..logic.evaluate import line_tables
 from ..logic.faults import StuckAt
 from ..logic.network import Network
 from ..logic.truthtable import TruthTable
-from .collapse import equivalence_collapse
 from .simulate import canonical_pairs
 
 
@@ -160,9 +160,13 @@ def greedy_test_schedule(
     plans = all_test_pairs(network, output)
     rep: Dict[Tuple[str, int], Tuple[str, int]] = {}
     if collapse:
-        for members in equivalence_collapse(network).values():
+        comp = compile_network(network)
+        n_stems = 2 * len(comp.names)
+        for members in comp.fault_classes:
             stems = sorted(
-                (m.line, m.value) for m in members if isinstance(m, StuckAt)
+                (comp.names[fid >> 1], fid & 1)
+                for fid in members
+                if fid < n_stems
             )
             for key in stems:
                 rep[key] = stems[0]

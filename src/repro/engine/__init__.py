@@ -71,6 +71,7 @@ _EXPORTS = {
     "TransportError": "fork",
     "TransportFailure": "fork",
     "TransportUnavailable": "fork",
+    "atpg_targets": "atpg",
     "compile_network": "compiled",
     "engine_for": "backends",
     "program_fingerprint": "store",

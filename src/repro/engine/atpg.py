@@ -41,8 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..core.atpg import Podem, PodemResult
-from ..core.collapse import sorted_stem_universe
-from ..logic.faults import Fault
 from ..logic.network import Network
 from .backends import UNTILED_MAX_INPUTS, engine_for, pack_pattern_masks, run_ops
 from .compiled import CompiledNetwork, FaultLike, RowForcing
@@ -247,7 +245,7 @@ def _detected_candidates(mask: int, n_candidates: int, pairs: bool) -> set:
     return {j for j in range(n_candidates) if (mask >> (step * j)) & 1}
 
 
-def _table_tests(tables, universe: List[Fault], pairs: bool):
+def _table_tests(tables, universe: List[FaultLike], pairs: bool):
     """``(step, cover)`` over every fault's test set from the exhaustive
     tables (:meth:`~repro.engine.backends.BitmaskBackend.detection_mask`).
     ``step(remaining)`` returns ``(status, via, pattern or None, detected,
@@ -286,7 +284,7 @@ def _table_tests(tables, universe: List[Fault], pairs: bool):
 
 
 def _search_tests(
-    network: Network, compiled: CompiledNetwork, universe: List[Fault],
+    network: Network, compiled: CompiledNetwork, universe: List[FaultLike],
     tables, *, drop: bool, candidates: int, pairs: bool,
     target_timeout: Optional[float], max_backtracks: int, seed: int,
 ):
@@ -309,6 +307,8 @@ def _search_tests(
 
     def step(remaining: List[int]):
         target = universe[remaining[0]]
+        if type(target) is int:  # PODEM reads names
+            target = compiled.fault(target)
         if (
             tables is not None
             and compiled.fault_ids(target)
@@ -359,9 +359,26 @@ def _search_tests(
     return step, cover
 
 
+def atpg_targets(
+    compiled: CompiledNetwork, collapse: bool = True
+) -> List[int]:
+    """The default ATPG (and synthesis) target universe: the stem fault
+    ids of :meth:`~repro.engine.compiled.CompiledNetwork.universe_ids`,
+    collapsed representatives or every stem fault, sorted by ``(line
+    name, value)``.  The order is then independent of line numbering
+    and representative choice (equivalent faults are equi-testable)."""
+    names = compiled.names
+    return sorted(
+        compiled.universe_ids(
+            include_pins=False, collapse=collapse, live_only=False
+        ),
+        key=lambda fid: (names[fid >> 1], fid & 1),
+    )
+
+
 def run_atpg(
     network: Network,
-    faults: Optional[Sequence[Fault]] = None,
+    faults: Optional[Sequence[FaultLike]] = None,
     *,
     collapse: bool = True,
     drop: bool = True,
@@ -375,9 +392,9 @@ def run_atpg(
 ) -> AtpgReport:
     """Run the fault-dropping ATPG campaign and report classifications.
 
-    ``faults`` overrides the target universe (default: collapsed stem
-    representatives, or all stem faults with ``collapse=False``);
-    repeats are dropped, keeping first occurrences in order.
+    ``faults`` overrides the target universe (default:
+    :func:`atpg_targets`) with fault ids or named faults; repeats are
+    dropped, keeping first occurrences in order.
     ``drop=False`` disables fault dropping (every fault is its own
     PODEM target and a testable one keeps the scalar zero-fill
     completion — the scalar-parity reference mode), ``compact=False``
@@ -398,8 +415,12 @@ def run_atpg(
     universe = (
         list(dict.fromkeys(faults))
         if faults is not None
-        else sorted_stem_universe(network, collapse)
+        else atpg_targets(compiled, collapse)
     )
+    names = [
+        (compiled.fault(f) if type(f) is int else f).describe()
+        for f in universe
+    ]
 
     t_start = time.monotonic()
     # Up to the whole-table cut the exhaustive tables hold every test
@@ -423,8 +444,7 @@ def run_atpg(
     remaining = list(range(len(universe)))
     while remaining:
         target = remaining[0]
-        fault = universe[target]
-        with obs.span("atpg.target", fault=fault.describe()) as span:
+        with obs.span("atpg.target", fault=names[target]) as span:
             status, via, pattern, detected, n_cands = step(remaining)
             span.set(status=status, via=via)
         if _REG.enabled:
@@ -472,7 +492,6 @@ def run_atpg(
         _M_PATTERNS.inc(patterns_generated, stage="generated")
         _M_PATTERNS.inc(len(patterns), stage="kept")
         _M_CANDIDATES.inc(candidates_evaluated)
-    names = [fault.describe() for fault in universe]
     report = AtpgReport(
         circuit=network.name,
         pairs=pairs,

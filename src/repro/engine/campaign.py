@@ -101,13 +101,19 @@ class ResponseBits:
         return classify_status(self.detected, self.violations)
 
 
-def universe_fingerprint(universe: Sequence, n_inputs: int) -> str:
+def universe_fingerprint(
+    universe: Sequence, n_inputs: int, compiled=None
+) -> str:
     """Identity of a campaign: the ordered fault universe plus the
     input width.  Statuses are backend-independent, so this is all a
-    checkpoint needs to match to be resumable."""
+    checkpoint needs to match to be resumable.  A fault id digests as
+    ``compiled.fault(fid).describe()``, so an id universe and the
+    matching named one share a fingerprint."""
     digest = hashlib.sha256()
     digest.update(f"n_inputs={n_inputs}".encode())
     for fault in universe:
+        if type(fault) is int:
+            fault = compiled.fault(fault)
         describe = getattr(fault, "describe", None)
         name = describe() if callable(describe) else repr(fault)
         digest.update(b"\x00" + name.encode())
@@ -124,9 +130,10 @@ class FaultItems:
     table) are just the faults.  Consecutive ranges share a tile and
     the most recent tile is kept, so a process that evaluates its
     ranges in order derives each tile once.  The faults become fault ids
-    once, here, and fork workers inherit the ids.  :meth:`merge` folds
-    item statuses back into one most severe status per fault, and
-    :meth:`all_statuses` classifies every item in one range and merges.
+    once, here (an id is its own), and fork workers inherit the ids.
+    :meth:`merge` folds item statuses back into one most severe status
+    per fault, and :meth:`all_statuses` classifies every item in one
+    range and merges.
     """
 
     def __init__(self, network: Network, engine, faults: Sequence) -> None:
@@ -257,17 +264,6 @@ class FaultSweep:
     # ------------------------------------------------------------------
     # batched drivers
     # ------------------------------------------------------------------
-    def single_fault_universe(
-        self, include_inputs: bool = True, include_pins: bool = True
-    ) -> List[FaultLike]:
-        """All single faults on lines that can reach some output (dead
-        lines are not lines of the network in the thesis's sense), less
-        the pin faults folded into their stem by the non-fanout branch
-        rule: the uncollapsed campaign universe."""
-        return self.compiled.fault_universe(
-            include_inputs, include_pins, collapse=False
-        )
-
     def sweep(
         self,
         faults: Iterable[FaultLike],
@@ -280,8 +276,10 @@ class FaultSweep:
     ) -> List[Tuple[FaultLike, str]]:
         """Classify every fault under the supervised campaign runtime.
 
-        ``backend`` names the chunk kind (:data:`SWEEP_RUNGS`): ``auto`` and
-        ``bitmask`` classify by stem regions, ``vectorized`` re-simulates
+        ``faults`` are fault ids (``compiled.universe_ids(...)``) or
+        named faults; each returned pair carries the fault as given.
+        ``backend`` names the chunk kind (:data:`SWEEP_RUNGS`): ``auto``
+        and ``bitmask`` classify by stem regions, ``vectorized`` re-simulates
         every fault's cone plan; the statuses are identical.  Width is a
         question of time only: above
         :data:`~repro.engine.backends.UNTILED_MAX_INPUTS` inputs the
@@ -323,7 +321,9 @@ class FaultSweep:
         ckpt = None
         if checkpoint is not None:
             ckpt = CampaignCheckpoint(
-                checkpoint, universe_fingerprint(universe, self.n), len(items)
+                checkpoint,
+                universe_fingerprint(universe, self.n, self.compiled),
+                len(items),
             )
             if resume:
                 ckpt.load()
@@ -376,9 +376,12 @@ class FaultSweep:
         checkpoint: Optional[str] = None,
         resume: bool = False,
     ) -> dict:
-        """Section 2.4 coverage fractions over a fault universe."""
+        """Section 2.4 coverage fractions over a fault universe (default:
+        every live single fault, pins folded into non-fanout stems)."""
         universe = (
-            list(faults) if faults is not None else self.single_fault_universe()
+            list(faults)
+            if faults is not None
+            else self.compiled.universe_ids(collapse=False)
         )
         counts = {"detected": 0, "silent": 0, "dangerous": 0}
         for _fault, status in self.sweep(

@@ -32,6 +32,9 @@ the op program under a forcing, whole or over a cone.
 The single-fault universe lives here too, on fault ids, folded once per
 network into its structural equivalence classes (:attr:`fault_classes`,
 the thesis's "equivalent pairs of lines", Section 3.6 step 2).
+:meth:`CompiledNetwork.universe_ids` is the one definition of that
+universe, and :meth:`CompiledNetwork.fault` the one way from an id back
+to a name.  Sweeps and ATPG take the ids as they are.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ from ..logic.faults import fault_overrides
 from ..logic.gates import GateKind
 from ..logic.network import Network
 
-FaultLike = Union[Fault, MultipleFault]
+#: A fault: one fault id (:meth:`CompiledNetwork.universe_ids`) or a
+#: named stem/pin single or multiple fault.
+FaultLike = Union[int, Fault, MultipleFault]
 
 #: Gate-boundary equivalences: any input pin stuck at the first value is
 #: the output stuck at the second (the controlling value for AND/NAND/
@@ -208,12 +213,14 @@ class CompiledNetwork:
         return cone
 
     def fault_ids(self, fault: FaultLike) -> Tuple[int, ...]:
-        """The ascending fault ids of a named stem/pin single or multiple
-        fault: the one place a fault's names are read.  Absent lines, pins
-        of primary inputs and out-of-range slots are dropped (the legacy
-        dict-lookup semantics), a later part on the same site wins, and a
-        stem force shadows the pin forces on the gate driving that
-        stem."""
+        """The ascending fault ids of a fault: an id is its own, and this
+        is the one place a named stem/pin single or multiple fault is
+        read.  Absent lines, pins of primary inputs and out-of-range slots
+        are dropped (the legacy dict-lookup semantics), a later part on
+        the same site wins, and a stem force shadows the pin forces on
+        the gate driving that stem."""
+        if type(fault) is int:
+            return (fault,)
         if type(fault) is StuckAt:
             line = self.index.get(fault.line)
             return () if line is None else (2 * line + fault.value,)
@@ -351,21 +358,6 @@ class CompiledNetwork:
             return StuckAt(self.names[fid >> 1], fid & 1)
         gate, slot, _src = self.pin_sites[pin >> 1]
         return PinStuckAt(self.names[gate], slot, fid & 1)
-
-    def fault_universe(
-        self,
-        include_inputs: bool = True,
-        include_pins: bool = True,
-        collapse: bool = True,
-        live_only: bool = True,
-    ) -> List[Fault]:
-        """The named faults of :meth:`universe_ids`."""
-        return [
-            self.fault(fid)
-            for fid in self.universe_ids(
-                include_inputs, include_pins, collapse, live_only
-            )
-        ]
 
     def universe_ids(
         self,

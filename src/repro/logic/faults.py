@@ -105,22 +105,11 @@ def enumerate_single_faults(
     network: Network,
     include_inputs: bool = True,
     include_pins: bool = True,
-    collapse: bool = True,
 ) -> List[Fault]:
-    """The single-fault universe the SCAL analysis is run against.
-
-    With ``collapse=True`` a pin fault on the only branch of a non-fanout
-    stem is dropped as equivalent to the stem fault (the thesis's
-    "equivalent pairs of lines", Section 3.6 step 2), by the compiled
-    form's pin counts
-    (:attr:`~repro.engine.compiled.CompiledNetwork.branch_folds`).
-    """
-    if collapse:
-        from ..engine.compiled import compile_network  # engine imports us
-
-        return compile_network(network).fault_universe(
-            include_inputs, include_pins, collapse=False, live_only=False
-        )
+    """Every single stem fault, then every pin fault, uncollapsed: the
+    naive universe, read off the network alone.  The engine's universe
+    (:meth:`~repro.engine.compiled.CompiledNetwork.universe_ids`) folds
+    and collapses it; QA compares the two."""
     faults: List[Fault] = list(enumerate_stem_faults(network, include_inputs))
     if include_pins:
         faults.extend(enumerate_pin_faults(network))

@@ -80,9 +80,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.analysis import analyze_network
 from ..core.atpg import Podem
-from ..core.collapse import equivalence_collapse, sorted_stem_universe
 from ..core.simulate import ScalSimulator
-from ..engine.atpg import pattern_detections, run_atpg
+from ..engine.atpg import atpg_targets, pattern_detections, run_atpg
 from ..engine.backends import NetworkEngine, table_response
 from ..engine.campaign import FaultSweep
 from ..engine.compiled import RowForcing
@@ -165,7 +164,7 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
         return None
     n = len(net.inputs)
     engine = NetworkEngine(net)  # fresh — never trust another run's cache
-    universe = [None] + enumerate_single_faults(net, collapse=False)
+    universe = [None] + enumerate_single_faults(net)
     all_points = list(range(1 << n))
     for fault in universe:
         label = fault.describe() if fault is not None else "fault-free"
@@ -274,9 +273,9 @@ def _check_stem_region(case: Case) -> Optional[str]:
     bitmask = engine.bitmask
     n = len(net.inputs)
     normals = bitmask.normals()
-    universe = engine.compiled.fault_universe(collapse=False, live_only=False)
-    for fault in universe:
-        label = fault.describe()
+    compiled = engine.compiled
+    for fault in compiled.universe_ids(collapse=False, live_only=False):
+        label = compiled.fault(fault).describe()
         cone = bitmask.output_bits(fault)  # the fault_plan re-simulation
         region = bitmask.region_output_bits(fault)
         if region is None:
@@ -504,9 +503,10 @@ def _check_collapse(case: Case) -> Optional[str]:
     if net is None:
         return None
     sweep = FaultSweep(net)
-    for members in equivalence_collapse(net).values():
+    fault = sweep.compiled.fault
+    for members in sweep.compiled.fault_classes:
         statuses = {
-            member.describe(): sweep.classify(member) for member in members
+            fault(fid).describe(): sweep.classify(fid) for fid in members
         }
         if len(set(statuses.values())) > 1:
             return (
@@ -725,7 +725,7 @@ def _check_clocked_campaign(case: Case) -> Optional[str]:
     reference = machine.run(vectors)
     dualff = to_dual_flipflop(machine)
     circuit = dualff.circuit
-    universe: List = enumerate_single_faults(circuit.network, collapse=False)
+    universe: List = enumerate_single_faults(circuit.network)
     universe += [
         FlipFlopFault(line, stage, value)
         for line in circuit.feedback.values()
@@ -797,7 +797,7 @@ def _check_sampled_determinism(case: Case) -> Optional[str]:
     if verdicts_a != verdicts_b:
         return f"sampled verdicts differ across runs of seed {case.seed}"
     sweep = FaultSweep(net)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
     serial = [status for _f, status in sweep.sweep(universe)]
     forked = [
         status for _f, status in sweep.sweep(universe, processes=2)
@@ -847,13 +847,19 @@ def _gen_atpg_engine(rng: random.Random) -> Case:
     return Case(network=net)
 
 
+def _named_targets(engine: NetworkEngine) -> List:
+    """The named faults of the default ATPG universe, for the reference
+    interpreter."""
+    return list(map(engine.compiled.fault, atpg_targets(engine.compiled)))
+
+
 def _check_atpg_drop_soundness(case: Case) -> Optional[str]:
     net = case.network
     if net is None:
         return None
     n = len(net.inputs)
-    universe = sorted_stem_universe(net)
     engine = NetworkEngine(net)  # fresh — never trust another run's cache
+    universe = _named_targets(engine)
     report = run_atpg(net, engine=engine)
     if report.detected + report.redundant + report.aborted != report.requested:
         return (
@@ -930,8 +936,8 @@ def _check_atpg_compaction(case: Case) -> Optional[str]:
     net = case.network
     if net is None:
         return None
-    universe = sorted_stem_universe(net)
     engine = NetworkEngine(net)
+    universe = _named_targets(engine)
     compacted = run_atpg(net, engine=engine)
     full = run_atpg(net, engine=engine, drop=False, compact=False)
     claimed_c = {

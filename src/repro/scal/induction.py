@@ -23,7 +23,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from ..logic.faults import Fault, enumerate_stem_faults
+from ..engine.compiled import compile_network
+from ..logic.faults import Fault
 from ..seq.machine import StateTable
 from .dualff import DualFlipFlopMachine
 
@@ -75,15 +76,13 @@ def verify_inductively(
     """Prove (or refute) single-step fault security over all reachable
     states and inputs, for every fault in the universe."""
     table: StateTable = machine.machine
-    universe = (
-        list(faults)
-        if faults is not None
-        else list(
-            enumerate_stem_faults(
-                machine.circuit.network, include_inputs=include_inputs
-            )
+    if faults is None:
+        comp = compile_network(machine.circuit.network)
+        ids = comp.universe_ids(
+            include_inputs, include_pins=False, collapse=False, live_only=False
         )
-    )
+        faults = list(map(comp.fault, ids))
+    universe = list(faults)
     states = table.reachable_states()
     vectors = table.input_vectors()
     violations: List[Tuple[str, str, Tuple[int, ...]]] = []

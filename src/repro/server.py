@@ -468,11 +468,11 @@ def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
     from .engine.campaign import FaultSweep, universe_fingerprint
 
     sweep = FaultSweep(network)
-    universe = sweep.compiled.fault_universe(collapse=request["collapse"])
+    universe = sweep.compiled.universe_ids(collapse=request["collapse"])
     key = (
         "campaign",
         program_fingerprint(sweep.compiled),
-        universe_fingerprint(universe, sweep.n),
+        universe_fingerprint(universe, sweep.n, sweep.compiled),
         f"collapse={request['collapse']}",
     )
 

@@ -40,7 +40,6 @@ import json
 from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
-from ..core.collapse import sorted_stem_universe
 from ..engine.backends import (
     NetworkEngine,
     classify_status,
@@ -48,6 +47,7 @@ from ..engine.backends import (
     table_normals,
     table_response,
 )
+from ..engine.atpg import atpg_targets
 from ..engine.campaign import CHUNK_FAULTS, FaultItems
 from ..engine.supervisor import ChunkKind
 from ..logic.truthtable import reverse_bits
@@ -193,7 +193,7 @@ def evaluate_task(task: Dict[str, object]) -> FitnessRecord:
         n = genome.n_inputs
         points = 1 << n
         full = (1 << points) - 1
-        universe = sorted_stem_universe(network)
+        universe = atpg_targets(engine.compiled)
         if mode == "scalar":
             bits, statuses = _scalar_statuses(engine, universe)
             backend = "scalar"

@@ -19,8 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.atpg import Podem
-from repro.core.collapse import collapse_stem_faults
-from repro.engine import FaultSweep, NetworkEngine, atpg, engine_for
+from repro.engine import NetworkEngine, atpg, compile_network, engine_for
 from repro.engine.atpg import AtpgReport, pattern_detections, run_atpg
 from repro.engine.backends import pack_pattern_masks
 from repro.logic.benchfmt import load_bench, save_bench
@@ -51,13 +50,24 @@ DATA_DIR = os.path.join(
 )
 
 
+def stem_targets(net):
+    """The named faults of the default ATPG universe, in target order."""
+    comp = compile_network(net)
+    return list(map(comp.fault, atpg.atpg_targets(comp)))
+
+
+def stem_ids(net):
+    """The collapsed stem universe's fault ids, in id order."""
+    return compile_network(net).universe_ids(
+        include_pins=False, live_only=False
+    )
+
+
 def scalar_classifications(net, max_backtracks=2000):
     """The reference: one scalar PODEM search per collapsed fault."""
     podem = Podem(net, max_backtracks=max_backtracks)
     out = {}
-    for fault in sorted(
-        collapse_stem_faults(net), key=lambda f: (f.line, f.value)
-    ):
+    for fault in stem_targets(net):
         result = podem.generate_test_ex(fault)
         out[fault.describe()] = (
             "detected" if result.status == "test" else result.status
@@ -196,7 +206,7 @@ class TestPatternSeam:
                     for k in range(len(fig34.outputs))
                 )
 
-        faults = enumerate_single_faults(fig34, collapse=False)
+        faults = enumerate_single_faults(fig34)
         for pairs in (False, True):
             pats = alternating(patterns, n) if pairs else patterns
             assert pattern_detections(
@@ -219,7 +229,7 @@ class TestPatternSeam:
         n = len(fig34.inputs)
         rng = random.Random(5)
         patterns = [rng.randrange(1 << n) for _ in range(11)]
-        faults = enumerate_single_faults(fig34, collapse=False)
+        faults = enumerate_single_faults(fig34)
         for pairs in (False, True):
             pats = alternating(patterns, n) if pairs else patterns
             assert pattern_detections(
@@ -233,7 +243,7 @@ class TestPatternSeam:
         eng = engine_for(net)
         patterns = [rng.randrange(1 << 6) for _ in range(150)]
         assert len(set(patterns)) < len(patterns)
-        faults = enumerate_single_faults(net, collapse=False)
+        faults = enumerate_single_faults(net)
         for pairs in (False, True):
             pats = alternating(patterns, 6) if pairs else patterns
             assert pattern_detections(
@@ -246,7 +256,7 @@ class TestPatternSeam:
         n = rng.randint(3, 6)
         net = random_mixed_network(rng, n, rng.randint(8, 20), n_outputs=2)
         patterns = alternating([rng.randrange(1 << n) for _ in range(6)], n)
-        faults = enumerate_single_faults(net, collapse=False)
+        faults = enumerate_single_faults(net)
         masks = pattern_detections(
             NetworkEngine(net).compiled, patterns, faults, pairs=True
         )
@@ -266,7 +276,7 @@ class TestPatternSeam:
         )
         for net, patterns in ((consts, [0, 0, 0]), (inverter, [1, 0, 1])):
             eng = NetworkEngine(net)
-            faults = enumerate_single_faults(net, collapse=False)
+            faults = enumerate_single_faults(net)
             for pairs in (False, True):
                 pats = patterns[:2] if pairs else patterns
                 assert pattern_detections(
@@ -321,7 +331,7 @@ class TestPatternSeam:
         rng = random.Random(29)
         net = random_mixed_network(rng, 5, 24, n_outputs=2)
         eng = engine_for(net)
-        faults = enumerate_single_faults(net, collapse=False)[:150]
+        faults = enumerate_single_faults(net)[:150]
         assert len(faults) > 2 * 65
         patterns = [rng.randrange(1 << 5) for _ in range(1000)]
         assert pattern_detections(
@@ -346,7 +356,7 @@ class TestDetectionMasks:
         net = (seed_networks() + random_batch() + edge_networks())[index]
         n = len(net.inputs)
         lines = sorted(net.lines())
-        faults = list(enumerate_single_faults(net, collapse=False)) + [
+        faults = list(enumerate_single_faults(net)) + [
             MultipleFault((StuckAt(lines[0], 1), StuckAt(lines[-1], 0))),
             StuckAt("no_such_line", 1),
         ]
@@ -397,7 +407,7 @@ class TestParity:
         )
         if eng is None:
             return
-        faults = collapse_stem_faults(net)
+        faults = stem_targets(net)
         everywhere = list(range(1 << len(net.inputs)))
         masks = truth_table_masks(eng, everywhere, faults)
         for fault, mask in zip(faults, masks):
@@ -434,7 +444,9 @@ class TestParity:
         from .test_engine import TestWideInputGuard
 
         net = TestWideInputGuard()._wide_net()
-        faults = FaultSweep(net).single_fault_universe()[:8]
+        compiled = compile_network(net)
+        ids = compiled.universe_ids(collapse=False)[:8]
+        faults = list(map(compiled.fault, ids))
         report = run_atpg(net, faults=faults)
         podem = Podem(net)
         statuses = [podem.generate_test_ex(f).status for f in faults]
@@ -472,9 +484,7 @@ class TestDriver:
         # Every pattern the compacted report credits must really detect
         # the fault it covers, per the reference interpreter.
         n = len(fig34.inputs)
-        universe = {
-            f.describe(): f for f in collapse_stem_faults(fig34)
-        }
+        universe = {f.describe(): f for f in stem_targets(fig34)}
         for name, index in compacted.detected_by.items():
             point = point_tuple(n, compacted.patterns[index])
             assert reference_outputs(
@@ -488,9 +498,7 @@ class TestDriver:
         # collapsed fault is pair-testable.
         assert report.detected == report.requested
         n = len(fig37.inputs)
-        universe = {
-            f.describe(): f for f in collapse_stem_faults(fig37)
-        }
+        universe = {f.describe(): f for f in stem_targets(fig37)}
         for name, index in report.detected_by.items():
             pair = alternating([report.patterns[index]], n)
             assert reference_pair_masks(fig37, pair, [universe[name]]) == [1]
@@ -501,9 +509,7 @@ class TestDriver:
         report = run_atpg(fig34, drop=False, compact=False, candidates=1)
         podem = Podem(fig34)
         names = list(fig34.inputs)
-        for fault in sorted(
-            collapse_stem_faults(fig34), key=lambda f: (f.line, f.value)
-        ):
+        for fault in stem_targets(fig34):
             result = podem.generate_test_ex(fault)
             if result.status != "test":
                 continue
@@ -519,7 +525,7 @@ class TestDriver:
         whole-table cut; below it nothing is searched, so nothing
         aborts."""
         net = ripple_adder_network(10)
-        faults = collapse_stem_faults(net)[:6]
+        faults = stem_ids(net)[:6]  # searched targets may be fault ids
         report = run_atpg(net, faults=faults, target_timeout=1e-12)
         assert report.aborted == report.requested == 6
         assert report.patterns == ()
@@ -702,8 +708,9 @@ class TestTableRedundancy:
         net = ripple_adder_network(10)
         assert len(net.inputs) == 21
         eng = NetworkEngine(net)
-        faults = collapse_stem_faults(net)[:12]
-        report = run_atpg(net, faults=faults, engine=eng)
+        ids = stem_ids(net)[:12]
+        faults = list(map(eng.compiled.fault, ids))
+        report = run_atpg(net, faults=ids, engine=eng)
         assert eng.bitmask._baseline is None
         podem = Podem(net)
         statuses = [podem.generate_test_ex(f).status for f in faults]
@@ -908,9 +915,7 @@ class TestCommittedBatch:
         assert main(["atpg", path, "--json", "--report"]) == 0
         data = json.loads(capsys.readouterr().out)
         net = load_bench(path)
-        universe = sorted(
-            collapse_stem_faults(net), key=lambda f: (f.line, f.value)
-        )
+        universe = stem_targets(net)
         assert data["aborted"] == 0
         assert data["requested"] == len(universe)
         assert data["detected"] + data["redundant"] == data["requested"]

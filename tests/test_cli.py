@@ -137,6 +137,30 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", "/nonexistent/x.bench"])
 
+    def test_truth_table_cut_is_the_engines(self, tmp_path, capsys):
+        """The exhaustive route runs up to the engine's untiled cut (20
+        inputs); above it the CLI points at the structural route."""
+        import random
+
+        from repro.engine.backends import UNTILED_MAX_INPUTS
+        from repro.workloads.randomlogic import random_mixed_network
+
+        assert UNTILED_MAX_INPUTS == 20
+        codes = {}
+        for n_inputs in (13, 21):
+            path = str(tmp_path / f"mixed{n_inputs}.bench")
+            net = random_mixed_network(random.Random(n_inputs), n_inputs, 30)
+            save_bench(net, path)
+            codes[n_inputs] = main(["analyze", path])
+        out = capsys.readouterr().out
+        assert codes[13] in (0, 1)
+        assert "self-checking" in out.lower()
+        assert codes[21] == 2
+        assert (
+            "21 inputs exceed the exhaustive limit (20); run testgen for "
+            "structural checks"
+        ) in out
+
 
 class TestTestgen:
     def test_truth_table_route(self, fig37_bench, capsys):

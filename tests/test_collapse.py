@@ -1,4 +1,5 @@
-"""Tests for structural fault collapsing (repro.core.collapse)."""
+"""Tests for structural fault collapsing: ``CompiledNetwork``'s classes
+and universe, and the views in repro.core.collapse."""
 
 import random
 
@@ -7,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.atpg import Podem
-from repro.core.collapse import (
-    collapse_faults,
-    collapse_stem_faults,
-    collapsed_single_faults,
-    equivalence_collapse,
-)
+from repro.core.collapse import collapse_faults, collapsed_single_faults
 from repro.engine import FaultSweep, NetworkEngine, compile_network
 from repro.logic.evaluate import line_tables
 from repro.logic.faults import (
@@ -28,6 +24,18 @@ from repro.qa.reference import reference_output_bits
 from repro.workloads.randomlogic import random_mixed_network
 
 
+def named_classes(net):
+    """``fault_classes`` with each fault id written as its name."""
+    comp = compile_network(net)
+    return [list(map(comp.fault, members)) for members in comp.fault_classes]
+
+
+def named_universe(net, *args, **kwargs):
+    """``universe_ids`` with each fault id written as its name."""
+    comp = compile_network(net)
+    return list(map(comp.fault, comp.universe_ids(*args, **kwargs)))
+
+
 def fault_signature(net, fault):
     """Truth-table fingerprint of a fault's output behaviour."""
     tables = line_tables(net, fault)
@@ -39,10 +47,10 @@ class TestEquivalence:
         b = NetworkBuilder(["a", "b"])
         b.add("g", GateKind.AND, ["a", "b"])
         net = b.build(["g"])
-        classes = equivalence_collapse(net)
+        classes = named_classes(net)
         merged = next(
             members
-            for members in classes.values()
+            for members in classes
             if any(
                 isinstance(m, StuckAt) and m.line == "g" and m.value == 0
                 for m in members
@@ -55,11 +63,11 @@ class TestEquivalence:
         b = NetworkBuilder(["a"])
         b.add("n", GateKind.NOT, ["a"])
         net = b.build(["n"])
-        classes = equivalence_collapse(net)
+        classes = named_classes(net)
         # a s/0 == n-pin s/0 == n s/1 all one class (single fanout stem).
         target = next(
             members
-            for members in classes.values()
+            for members in classes
             if any(
                 isinstance(m, StuckAt) and m.line == "n" and m.value == 1
                 for m in members
@@ -74,7 +82,7 @@ class TestEquivalence:
     @given(st.randoms(use_true_random=False))
     def test_equivalent_faults_have_equal_signatures(self, rnd):
         net = random_mixed_network(rnd, 3, rnd.randint(2, 6))
-        for members in equivalence_collapse(net).values():
+        for members in named_classes(net):
             signatures = {fault_signature(net, m) for m in members}
             assert len(signatures) == 1, members
 
@@ -116,7 +124,7 @@ class TestCollapse:
             points = detection_points(rep)
             if points:
                 test_set.add(min(points))
-        for fault in enumerate_single_faults(net, collapse=False):
+        for fault in enumerate_single_faults(net):
             points = detection_points(fault)
             if points:
                 assert points & test_set, fault.describe()
@@ -148,7 +156,7 @@ class TestCollapse:
             if points:
                 test_set.add(min(points))
         # Every testable fault in the full universe must be hit.
-        for fault in enumerate_single_faults(net, collapse=False):
+        for fault in enumerate_single_faults(net):
             points = detection_points(fault)
             if points:
                 assert points & test_set, fault.describe()
@@ -175,7 +183,7 @@ class TestCompiledCollapse:
         a = comp.index["a"]
         assert len(comp.readers[a]) == 1  # readers de-duplicates...
         assert not comp.branch_folds[a]  # ...the pin count does not
-        classes = list(equivalence_collapse(net).values())
+        classes = named_classes(net)
         (cls,) = [m for m in classes if StuckAt("d", 0) in m]
         assert cls == [
             StuckAt("d", 0),
@@ -184,7 +192,8 @@ class TestCompiledCollapse:
             PinStuckAt("y", 0, 0),  # d drives one pin: its branch folds
         ]
         assert [StuckAt("a", 0)] in classes  # a drives two: no fold
-        assert PinStuckAt("d", 1, 1) in enumerate_single_faults(net)
+        folded = named_universe(net, collapse=False, live_only=False)
+        assert PinStuckAt("d", 1, 1) in folded
 
     def test_observed_single_pin_line_does_not_fold(self):
         net = Network(
@@ -195,11 +204,12 @@ class TestCompiledCollapse:
             ],
             ["y", "t"],
         )
-        classes = list(equivalence_collapse(net).values())
+        classes = named_classes(net)
         for value in (0, 1):
             (cls,) = [m for m in classes if StuckAt("t", value) in m]
             assert PinStuckAt("y", 0, value) not in cls
-        assert PinStuckAt("y", 0, 0) in enumerate_single_faults(net)
+        folded = named_universe(net, collapse=False, live_only=False)
+        assert PinStuckAt("y", 0, 0) in folded
 
     def test_dead_gate_and_unconnected_input_are_dropped(self):
         net = Network(
@@ -217,8 +227,9 @@ class TestCompiledCollapse:
             return {getattr(f, "line", None) or f.gate for f in faults}
 
         assert sites(collapsed_single_faults(net)).isdisjoint(dead)
-        assert sites(FaultSweep(net).single_fault_universe()).isdisjoint(dead)
-        assert {"u", "dead"} <= sites(collapse_stem_faults(net))  # no liveness
+        assert sites(named_universe(net, collapse=False)).isdisjoint(dead)
+        stems = named_universe(net, include_pins=False, live_only=False)
+        assert {"u", "dead"} <= sites(stems)  # no liveness
 
     def test_zero_gate_net(self):
         net = Network(["a", "b", "u"], [], ["a", "b"])
@@ -231,23 +242,23 @@ class TestCompiledCollapse:
 
     def test_one_input_net(self):
         net = Network(["a"], [Gate("y", GateKind.NOT, ("a",))], ["y"])
-        classes = list(equivalence_collapse(net).values())
+        classes = named_classes(net)
         assert classes == [
             [StuckAt("a", 0), StuckAt("y", 1), PinStuckAt("y", 0, 0)],
             [StuckAt("a", 1), StuckAt("y", 0), PinStuckAt("y", 0, 1)],
         ]
-        assert collapse_stem_faults(net, include_inputs=False) == [
-            StuckAt("y", 1), StuckAt("y", 0)
-        ]
+        assert named_universe(
+            net, include_inputs=False, include_pins=False, live_only=False
+        ) == [StuckAt("y", 1), StuckAt("y", 0)]
 
     def test_sweeps_share_one_collapse(self):
         net = random_mixed_network(random.Random(7), 5, 14, n_outputs=2)
         first = FaultSweep(net)
-        universe = first.single_fault_universe()
+        universe = first.compiled.universe_ids(collapse=False)
         classes = first.compiled.fault_classes
         second = FaultSweep(net)
         assert second.compiled.fault_classes is classes
-        assert second.single_fault_universe() == universe
+        assert second.compiled.universe_ids(collapse=False) == universe
         assert compile_network(net).fault_classes is classes
 
     def test_fault_ids_ignore_absent_sites_and_shadow_pins(self):

@@ -1,14 +1,20 @@
 """Golden fixture: every view of the structural fault universe, in order.
 
 ``tests/data/collapse_golden.json`` holds, for a fixed set of networks,
-the exact output of every public fault-universe view, order included:
+the exact output of every setting of the one universe function,
+``CompiledNetwork.universe_ids``, and of the views over it, order
+included, each fault id written as its name (``CompiledNetwork.fault``):
 
-* ``equivalence_collapse`` — the classes in order, members in order;
-* ``collapse_stem_faults`` with ``include_inputs`` on and off;
-* ``collapsed_single_faults`` for each ``include_inputs`` ×
-  ``include_pins`` combination;
-* ``FaultSweep.single_fault_universe`` for the same four combinations;
-* ``enumerate_single_faults`` with ``collapse`` on;
+* ``"classes"`` — ``CompiledNetwork.fault_classes`` in order, members in
+  order;
+* ``"stems-i*"`` — the collapsed stem universe (``include_pins=False,
+  live_only=False``) with ``include_inputs`` on and off;
+* ``"single-*"`` — ``collapsed_single_faults`` for each
+  ``include_inputs`` × ``include_pins`` combination;
+* ``"universe-*"`` — the uncollapsed live universe (``collapse=False``)
+  for the same four combinations;
+* ``"enumerate"`` — the uncollapsed universe with dead lines
+  (``collapse=False, live_only=False``);
 * ``collapse_faults`` with ``use_dominance`` on and off (the
   representatives and the three counts).
 
@@ -34,15 +40,10 @@ import random
 
 import pytest
 
-from repro.core.collapse import (
-    collapse_faults,
-    collapse_stem_faults,
-    collapsed_single_faults,
-    equivalence_collapse,
-)
-from repro.engine import FaultSweep
+from repro.core.collapse import collapse_faults, collapsed_single_faults
+from repro.engine.compiled import compile_network
 from repro.logic.benchfmt import load_bench
-from repro.logic.faults import StuckAt, enumerate_single_faults
+from repro.logic.faults import StuckAt
 from repro.logic.gates import GateKind
 from repro.logic.network import Gate, Network
 from repro.scal.codeconv import to_code_conversion
@@ -189,19 +190,21 @@ def _report(report):
 
 
 def universe_views(network):
-    """Every public universe view of ``network``, keyed by its settings."""
+    """Every universe setting of ``network``, keyed by its settings."""
+    comp = compile_network(network)
+
+    def names(ids):
+        return _faults(map(comp.fault, ids))
+
     out = {
-        "classes": [
-            _faults(members)
-            for members in equivalence_collapse(network).values()
-        ],
-        "enumerate": _faults(enumerate_single_faults(network, collapse=True)),
+        "classes": [names(members) for members in comp.fault_classes],
+        "enumerate": names(comp.universe_ids(collapse=False, live_only=False)),
         "dominance1": _report(collapse_faults(network, use_dominance=True)),
         "dominance0": _report(collapse_faults(network, use_dominance=False)),
     }
     for inputs in (True, False):
-        out[f"stems-i{int(inputs)}"] = _faults(
-            collapse_stem_faults(network, include_inputs=inputs)
+        out[f"stems-i{int(inputs)}"] = names(
+            comp.universe_ids(inputs, include_pins=False, live_only=False)
         )
         for pins in (True, False):
             key = f"i{int(inputs)}-p{int(pins)}"
@@ -210,10 +213,8 @@ def universe_views(network):
                     network, include_inputs=inputs, include_pins=pins
                 )
             )
-            out[f"universe-{key}"] = _faults(
-                FaultSweep(network).single_fault_universe(
-                    include_inputs=inputs, include_pins=pins
-                )
+            out[f"universe-{key}"] = names(
+                comp.universe_ids(inputs, pins, collapse=False)
             )
     return out
 

@@ -9,21 +9,17 @@ reference shares no code with the engine: it walks the named netlist
 gate by gate, resolving stem and pin overrides on its own.
 """
 
+import dataclasses
 import os
 import random
 
 import pytest
 
 from repro.engine import FaultSweep, NetworkEngine, backends, engine_for
-from repro.engine.atpg import pattern_detections
+from repro.engine.atpg import pattern_detections, run_atpg
 from repro.engine.campaign import FaultItems
 from repro.logic.benchfmt import load_bench
-from repro.logic.faults import (
-    MultipleFault,
-    PinStuckAt,
-    StuckAt,
-    enumerate_single_faults,
-)
+from repro.logic.faults import MultipleFault, PinStuckAt, StuckAt
 from repro.logic.gates import GateKind
 from repro.logic.network import Gate, Network
 from repro.qa.reference import (
@@ -148,13 +144,21 @@ class TestFaultFree:
         assert engine.pointwise.output_vectors(points) == expected
 
 
+def named_universe(network, **kwargs):
+    """The named faults of ``universe_ids(**kwargs)``; by default the
+    uncollapsed universe with dead lines kept."""
+    kwargs = {"collapse": False, "live_only": False, **kwargs}
+    comp = NetworkEngine(network).compiled
+    return list(map(comp.fault, comp.universe_ids(**kwargs)))
+
+
 class TestSingleFaultEquivalence:
     def test_backends_agree_under_every_single_fault(self, circuit):
         engine = engine_for(circuit)
         comp = engine.compiled
         points = check_points(circuit)
         n = len(circuit.inputs)
-        for fault in enumerate_single_faults(circuit):
+        for fault in named_universe(circuit):
             bits = engine.bitmask.line_bits(fault)
             sampled = engine.pointwise.output_vectors(points, fault)
             for pos, point in enumerate(points):
@@ -182,7 +186,7 @@ class TestSingleFaultEquivalence:
 def edge_faults(network):
     """Every single fault, a stem force shadowing a pin force on the same
     gate, and a fault on a line the net does not have."""
-    faults = list(enumerate_single_faults(network))
+    faults = named_universe(network)
     gate = next((g for g in network.gates if g.inputs), None)
     if gate is not None:
         faults.append(
@@ -195,7 +199,8 @@ def edge_faults(network):
 class TestEdgeMatrix:
     """The one interpreter's callers against :mod:`repro.qa.reference` on
     the layout edges and seed circuits: packed point lists, ATPG pattern
-    simulation (single and pairs) and a one-row clocked step."""
+    simulation (single and pairs), the ATPG driver over fault ids and a
+    one-row clocked step."""
 
     def test_output_vectors_and_pattern_detections(self, rung_circuit):
         net = rung_circuit
@@ -233,6 +238,17 @@ class TestEdgeMatrix:
                 if any(g0 != g1 and b0 == b1 for g0, g1, b0, b1 in rails):
                     want_pairs |= 1 << (2 * j)
             assert got_pairs == want_pairs, label
+        # The ATPG driver over fault ids reports as over their names.
+        ids = engine.compiled.universe_ids(collapse=False, live_only=False)
+        named = list(map(engine.compiled.fault, ids))
+        for mode in (False, True):
+            by_id, by_name = (
+                dataclasses.replace(
+                    run_atpg(net, universe, pairs=mode), wall_seconds=0
+                )
+                for universe in (ids, named)
+            )
+            assert by_id == by_name, mode
 
     def test_one_row_clocked_step(self, rung_circuit):
         """Output 0 fed back to input 0 through one flip-flop (where the
@@ -310,7 +326,7 @@ class TestVectorizedEquivalence:
     def test_vectorized_line_bits_match_bitmask(self, rung_circuit, tiles):
         n = len(rung_circuit.inputs)
         whole = NetworkEngine(rung_circuit).bitmask
-        faults = [None] + enumerate_single_faults(rung_circuit)
+        faults = [None] + named_universe(rung_circuit)
         for pairs in tile_widths(n):
             tiles(pairs)
             for k, tile in enumerate(table_tiles(whole)):
@@ -327,7 +343,7 @@ class TestVectorizedEquivalence:
         the tile's points."""
         n = len(rung_circuit.inputs)
         whole = NetworkEngine(rung_circuit).bitmask
-        universe = FaultSweep(rung_circuit).single_fault_universe()
+        universe = whole.compiled.universe_ids(collapse=False)
         for pairs in tile_widths(n):
             tiles(pairs)
             for k, tile in enumerate(table_tiles(whole)):
@@ -341,12 +357,19 @@ class TestVectorizedEquivalence:
                     assert tile._cone_response(ids) == want, fault
 
     def test_sweep_statuses_identical_across_backends(self, rung_circuit):
+        """Every backend, over named faults and over their fault ids."""
         sweep = FaultSweep(rung_circuit)
-        universe = sweep.single_fault_universe()
+        ids = sweep.compiled.universe_ids(collapse=False)
+        universe = list(map(sweep.compiled.fault, ids))
         reference = [(f, sweep.classify(f)) for f in universe]
         assert sweep.sweep(universe, backend="bitmask") == reference
         assert sweep.sweep(universe, backend="vectorized") == reference
         assert sweep.sweep(universe, backend="auto") == reference
+        statuses = [status for _f, status in reference]
+        for backend in ("bitmask", "vectorized"):
+            assert sweep.sweep(ids, backend=backend) == list(
+                zip(ids, statuses)
+            )
 
     def test_chunked_word_axis_matches_scalar(self, circuit, tiles):
         """Tiles of 1, 2 and 4 pairs on the seed circuits with a half
@@ -355,7 +378,7 @@ class TestVectorizedEquivalence:
         if len(circuit.inputs) < 8:
             pytest.skip("needs a half wider than one word to tile")
         sweep = FaultSweep(circuit)
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.universe_ids(collapse=False)
         reference = [sweep.classify(f) for f in universe]
         for pairs in (1, 2, 4):
             tiles(pairs)
@@ -369,7 +392,7 @@ class TestVectorizedEquivalence:
         net = random_mixed_network(
             random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
         )
-        universe = FaultSweep(net).single_fault_universe()
+        universe = FaultSweep(net).compiled.universe_ids(collapse=False)
         reference = FaultItems(net, NetworkEngine(net), universe).all_statuses()
         assert set(reference) == {"detected", "dangerous"}
         for k in range(9):
@@ -384,7 +407,7 @@ class TestVectorizedEquivalence:
         net = random_mixed_network(
             random.Random(0xBEEF), n_inputs=9, n_gates=90, n_outputs=5
         )
-        universe = FaultSweep(net).single_fault_universe()
+        universe = FaultSweep(net).compiled.universe_ids(collapse=False)
         reference = FaultItems(net, NetworkEngine(net), universe).all_statuses()
         for pairs in (1, 8, 64):
             tiles(pairs)
@@ -457,10 +480,7 @@ class TestStemRegion:
         )
 
         net = shape_network(n_inputs)
-        universe = NetworkEngine(net).compiled.fault_universe(
-            collapse=False, live_only=False
-        )
-        described = {fault.describe() for fault in universe}
+        described = {fault.describe() for fault in named_universe(net)}
         assert {"dead s/0", "d.pin1 s/1", "mj s/1"} <= described
         assert _check_stem_region(Case(network=net)) is None
         for seed in range(2 if n_inputs == 20 else 6):
@@ -500,7 +520,7 @@ class TestStemRegion:
         net = random_mixed_network(
             random.Random("stem-region-threads"), 9, 80, n_outputs=8
         )
-        universe = NetworkEngine(net).compiled.fault_universe(collapse=False)
+        universe = NetworkEngine(net).compiled.universe_ids(collapse=False)
         reference = FaultItems(net, NetworkEngine(net), universe).all_statuses()
         shared = NetworkEngine(net)
         results = [None] * 6
@@ -541,7 +561,7 @@ class TestStemRegion:
         obs.enable_metrics(True)
         engine = NetworkEngine(net)
         comp = engine.compiled
-        universe = comp.fault_universe()
+        universe = list(map(comp.fault, comp.universe_ids()))
         FaultSweep(net, engine=engine).sweep(universe, backend="bitmask")
         roots, _sens = engine.bitmask.regions()
         flipped = set()
@@ -593,9 +613,7 @@ class TestStemRegion:
             random_region_network(rng, n_inputs, 8),
             random_mixed_network(rng, n_inputs, 12, n_outputs=3),
         ):
-            universe = NetworkEngine(net).compiled.fault_universe(
-                collapse=False, live_only=False
-            )
+            universe = named_universe(net)
             if net.name.startswith("shapes"):
                 universe += extra
             normals = table_normals(reference_output_bits(net), n_inputs)
@@ -622,7 +640,7 @@ class TestStemRegion:
         from repro.logic.faults import MultipleFault
 
         net = shape_network(20)
-        universe = NetworkEngine(net).compiled.fault_universe(
+        universe = NetworkEngine(net).compiled.universe_ids(
             collapse=False, live_only=False
         ) + [
             MultipleFault((StuckAt("d", 1), PinStuckAt("y", 0, 0))),
@@ -659,7 +677,7 @@ class TestBackendSelection:
         # Above 20 inputs every sweep tiles, even of one fault, never
         # builds the whole table, and gives the whole table's statuses.
         net = shape_network(21)
-        universe = NetworkEngine(net).compiled.fault_universe(
+        universe = NetworkEngine(net).compiled.universe_ids(
             collapse=False, live_only=False
         )
         whole = FaultSweep(net, engine=NetworkEngine(net))
@@ -684,7 +702,7 @@ class TestBackendSelection:
     def test_unknown_backend_name_rejected(self):
         sweep = FaultSweep(fig34_network())
         with pytest.raises(ValueError):
-            sweep.sweep(sweep.single_fault_universe(), backend="gpu")
+            sweep.sweep(sweep.compiled.universe_ids(), backend="gpu")
 
 
 class TestThresholdFaultRows:
@@ -800,7 +818,7 @@ class TestWideInputGuard:
         monkeypatch.setitem(sys.modules, "numpy", None)
         net = self._wide_net(26)
         sweep = FaultSweep(net, engine=NetworkEngine(net))
-        universe = sweep.compiled.fault_universe()
+        universe = sweep.compiled.universe_ids()
         statuses = [s for _f, s in sweep.sweep(universe)]
         assert sweep.last_report.backend == "serial:bitmask"
         cone = [s for _f, s in sweep.sweep(universe, backend="vectorized")]
@@ -832,7 +850,7 @@ class TestSweepDrivers:
         if len(circuit.inputs) > EXHAUSTIVE_LIMIT:
             pytest.skip("word-parallel sweep only exercised on small seeds")
         sweep = FaultSweep(circuit)
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.universe_ids(collapse=False)
         serial = sweep.sweep(universe)
         parallel = sweep.sweep(universe, processes=2)
         assert serial == parallel
@@ -857,7 +875,7 @@ class TestSweepDrivers:
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         sweep = FaultSweep(fig37_fixed_network())
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.universe_ids(collapse=False)
         reference = [(f, sweep.classify(f)) for f in universe]
         result = sweep.sweep(universe, processes=4)
         assert result == reference
@@ -871,7 +889,7 @@ class TestSweepDrivers:
 
     def test_every_sweep_leaves_a_report(self, circuit):
         sweep = FaultSweep(circuit)
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.universe_ids(collapse=False)
         sweep.sweep(universe)
         report = sweep.last_report
         assert report is not None
@@ -888,7 +906,7 @@ class TestSweepDrivers:
 
         sweep = FaultSweep(circuit)
         sim = ScalSimulator(circuit)
-        for fault in sweep.single_fault_universe():
+        for fault in sweep.compiled.universe_ids(collapse=False):
             bits = sweep.response_bits(fault)
             resp = sim.response(fault)
             assert bits.affected == resp.affected.bits

@@ -222,7 +222,7 @@ class TestSpans:
 class TestForkMerge:
     def _campaign_flight(self, adder, tmp_path, chaos=None):
         sweep = fresh_sweep(adder)
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.universe_ids(collapse=False)
         path = str(tmp_path / "flight.jsonl")
         with obs.recording(trace_path=path):
             if chaos is not None:
@@ -316,7 +316,7 @@ class TestCampaignMetrics:
     def test_supervised_sweep_populates_registry(self, adder):
         obs.enable_metrics(True)
         sweep = fresh_sweep(adder)
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.universe_ids(collapse=False)
         sweep.sweep(universe, processes=2)
         report = sweep.last_report
         reg = obs.REGISTRY

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.core.collapse import equivalence_collapse
 from repro.engine import FaultSweep
 from repro.logic.faults import enumerate_single_faults
 from repro.workloads.benchcircuits import fig62_nand_network
@@ -39,18 +38,22 @@ def circuit(request):
 
 def test_equivalence_classes_are_status_uniform(circuit):
     sweep = FaultSweep(circuit)
-    for root, members in equivalence_collapse(circuit).items():
-        statuses = {m.describe(): sweep.classify(m) for m in members}
-        assert len(set(statuses.values())) == 1, (root, statuses)
+    fault = sweep.compiled.fault
+    for members in sweep.compiled.fault_classes:
+        statuses = {fault(m).describe(): sweep.classify(m) for m in members}
+        assert len(set(statuses.values())) == 1, statuses
 
 
 def test_collapsed_universe_preserves_campaign_verdict(circuit):
     sweep = FaultSweep(circuit)
-    raw = enumerate_single_faults(circuit, collapse=False)
-    collapsed = enumerate_single_faults(circuit, collapse=True)
+    raw = enumerate_single_faults(circuit)
+    collapsed = sweep.compiled.universe_ids()
     assert len(collapsed) <= len(raw)
     raw_statuses = {f.describe(): s for f, s in sweep.sweep(raw)}
-    collapsed_statuses = {f.describe(): s for f, s in sweep.sweep(collapsed)}
+    collapsed_statuses = {
+        sweep.compiled.fault(f).describe(): s
+        for f, s in sweep.sweep(collapsed)
+    }
     # Representatives report exactly what they reported uncollapsed...
     for name, status in collapsed_statuses.items():
         assert raw_statuses.get(name, status) == status

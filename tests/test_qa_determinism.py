@@ -59,7 +59,7 @@ def test_different_seeds_differ_somewhere():
 def test_serial_and_forked_sweeps_agree(label):
     network = CIRCUITS[label]()
     sweep = FaultSweep(network)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
     serial = sweep.sweep(universe)
     forked = sweep.sweep(universe, processes=2)
     assert serial == forked

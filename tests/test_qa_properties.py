@@ -94,7 +94,6 @@ def test_atpg_property_counterexamples_shrink(name):
             return None
         if check(case) is not None:  # pragma: no cover - healthy engine
             return "real violation"
-        from repro.core.collapse import collapse_stem_faults
         from repro.engine.atpg import run_atpg
 
         report = run_atpg(case.network)

@@ -9,6 +9,7 @@ from repro.core.simulate import (
     fault_coverage,
     is_scal_network,
 )
+from repro.engine.compiled import compile_network
 from repro.logic.faults import StuckAt
 from repro.logic.gates import GateKind
 from repro.logic.network import NetworkBuilder
@@ -121,7 +122,7 @@ class TestProperties:
         of difference must be a nonalternating (detected) pair."""
         net = random_alternating_network(rnd, 3)
         sim = ScalSimulator(net)
-        for fault in sim.single_fault_universe():
+        for fault in compile_network(net).universe_ids(collapse=False):
             resp = sim.response(fault)
             if resp.is_fault_secure and resp.is_self_testing:
                 assert resp.is_detected

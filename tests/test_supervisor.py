@@ -43,7 +43,7 @@ def adder():
 def adder_reference(adder):
     """Undisturbed serial statuses — the byte-identical yardstick."""
     sweep = FaultSweep(adder)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
     return universe, [s for _f, s in sweep.sweep(universe)]
 
 
@@ -210,7 +210,7 @@ class TestDegenerateChunking:
 
     def test_more_processes_than_faults(self):
         sweep = fresh_sweep(fig37_fixed_network())
-        universe = sweep.single_fault_universe()[:3]
+        universe = sweep.compiled.universe_ids(collapse=False)[:3]
         reference = [sweep.classify(f) for f in universe]
         result = sweep.sweep(universe, processes=8)
         assert _statuses(result) == reference
@@ -223,7 +223,7 @@ class TestDegenerateChunking:
 
     def test_single_fault_universe(self):
         sweep = fresh_sweep(fig37_fixed_network())
-        universe = sweep.single_fault_universe()[:1]
+        universe = sweep.compiled.universe_ids(collapse=False)[:1]
         reference = [sweep.classify(universe[0])]
         assert _statuses(sweep.sweep(universe, processes=2)) == reference
         assert sweep.last_report.chunks_total == 1
@@ -261,14 +261,17 @@ class TestCheckpointResume:
     def test_fault_checkpoint_identity_is_unchanged(self):
         """Fault checkpoints are keyed by ``universe_fingerprint``, so
         files written by earlier versions keep loading (digest recorded
-        before the campaign code last changed)."""
+        before the campaign code last changed).  An id universe digests
+        as its names."""
         from repro.workloads.fig34 import fig34_network
 
         sweep = fresh_sweep(fig34_network())
-        universe = sweep.single_fault_universe()
-        assert universe_fingerprint(universe, sweep.n) == (
-            "86ce70a1ccf6e9bdcfae87f53580f59c8d598953222db93989c75ec6762c092f"
-        )
+        ids = sweep.compiled.universe_ids(collapse=False)
+        names = list(map(sweep.compiled.fault, ids))
+        for universe in (names, ids):
+            assert universe_fingerprint(universe, sweep.n, sweep.compiled) == (
+                "86ce70a1ccf6e9bdcfae87f53580f59c8d598953222db93989c75ec6762c092f"
+            )
 
     @pytest.mark.parametrize(
         "first, second",
@@ -277,14 +280,17 @@ class TestCheckpointResume:
     def test_checkpoint_resumes_under_the_other_backend(
         self, adder, adder_reference, tmp_path, monkeypatch, first, second
     ):
-        """The checkpoint identity ignores the chunk kind: a campaign
-        interrupted on one backend resumes on the other, byte for byte,
+        """The checkpoint identity ignores the chunk kind and the fault
+        form: a campaign interrupted on one backend over named faults
+        resumes on the other over the matching fault ids, byte for byte,
         and the finished checkpoint holds the same statuses."""
         universe, reference = adder_reference
         ckpt = tmp_path / "campaign.json"
+        named = fresh_sweep(adder)
         with pytest.raises(CampaignCancelled):
-            fresh_sweep(adder).sweep(
-                universe, backend=first, checkpoint=str(ckpt),
+            named.sweep(
+                list(map(named.compiled.fault, universe)),
+                backend=first, checkpoint=str(ckpt),
                 cancel=cancel_after(monkeypatch, 3),
             )
         resumed = fresh_sweep(adder)
@@ -338,13 +344,13 @@ class TestCheckpointResume:
     def test_resume_requires_checkpoint_path(self, adder):
         sweep = fresh_sweep(adder)
         with pytest.raises(CheckpointError):
-            sweep.sweep(sweep.single_fault_universe(), resume=True)
+            sweep.sweep(sweep.compiled.universe_ids(), resume=True)
 
     def test_missing_checkpoint_rejected(self, adder, tmp_path):
         sweep = fresh_sweep(adder)
         with pytest.raises(CheckpointError, match="does not exist"):
             sweep.sweep(
-                sweep.single_fault_universe(),
+                sweep.compiled.universe_ids(),
                 checkpoint=str(tmp_path / "absent.json"),
                 resume=True,
             )
@@ -354,7 +360,7 @@ class TestCheckpointResume:
         not silently misapplied."""
         ckpt = str(tmp_path / "campaign.json")
         sweep = fresh_sweep(adder)
-        universe = sweep.single_fault_universe()
+        universe = sweep.compiled.universe_ids(collapse=False)
         with pytest.raises(CampaignCancelled):
             sweep.sweep(
                 universe, checkpoint=ckpt, cancel=cancel_after(monkeypatch, 1)
@@ -362,12 +368,15 @@ class TestCheckpointResume:
         other = fresh_sweep(fig37_fixed_network())
         with pytest.raises(CheckpointError, match="different campaign"):
             other.sweep(
-                other.single_fault_universe(), checkpoint=ckpt, resume=True
+                other.compiled.universe_ids(collapse=False),
+                checkpoint=ckpt,
+                resume=True,
             )
 
     def test_corrupt_checkpoint_rejected(self, adder, tmp_path):
-        universe = fresh_sweep(adder).single_fault_universe()
-        fingerprint = universe_fingerprint(universe, 9)
+        sweep = fresh_sweep(adder)
+        universe = sweep.compiled.universe_ids(collapse=False)
+        fingerprint = universe_fingerprint(universe, 9, sweep.compiled)
         bad_cases = [
             "not json at all {",
             json.dumps({"version": 99}),
@@ -479,7 +488,8 @@ class TestCampaignReport:
         assert report.backend == f"fork:{report.block_backend}"
 
     def test_fingerprint_is_order_sensitive(self, adder):
-        universe = fresh_sweep(adder).single_fault_universe()
+        compiled = fresh_sweep(adder).compiled
+        universe = list(map(compiled.fault, compiled.universe_ids()))
         forward = universe_fingerprint(universe, 9)
         backward = universe_fingerprint(list(reversed(universe)), 9)
         assert forward != backward
@@ -496,7 +506,7 @@ class TestCancellation:
         token.cancel("caller gave up")
         sweep = fresh_sweep(adder)
         with pytest.raises(CampaignCancelled, match="caller gave up"):
-            sweep.sweep(sweep.single_fault_universe(), cancel=token)
+            sweep.sweep(sweep.compiled.universe_ids(), cancel=token)
 
     def test_unfired_deadline_does_not_disturb_the_sweep(
         self, adder, adder_reference
@@ -537,7 +547,10 @@ class TestCancellation:
         try:
             with sabotage_service("campaign-slow", slow_s=0.1):
                 with pytest.raises(CampaignCancelled, match="client gone"):
-                    sweep.sweep(sweep.single_fault_universe(), cancel=token)
+                    sweep.sweep(
+                        sweep.compiled.universe_ids(collapse=False),
+                        cancel=token,
+                    )
         finally:
             timer.cancel()
         # Cancellation lands between chunks: well before the ~0.8s the
@@ -595,7 +608,7 @@ class TestTileMajorSweep:
         from repro.engine import backends
 
         net = self._net(n_inputs)
-        universe = fresh_sweep(net).single_fault_universe()
+        universe = fresh_sweep(net).compiled.universe_ids(collapse=False)
         with monkeypatch.context() as whole:
             whole.setattr(backends, "UNTILED_MAX_INPUTS", 64)
             reference = _statuses(fresh_sweep(net).sweep(universe))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.simulate import ScalSimulator
+from repro.engine.compiled import compile_network
 from repro.logic.evaluate import line_tables, network_function
 from repro.logic.faults import StuckAt, enumerate_stem_faults
 from repro.logic.selfdual import self_dualize_table
@@ -66,8 +67,11 @@ class TestChapter3:
         if not is_irredundant(net):
             return
         sim = ScalSimulator(net)
-        for fault in sim.single_fault_universe(include_pins=False):
-            assert sim.response(fault).is_self_testing, fault.describe()
+        universe = compile_network(net).universe_ids(
+            include_pins=False, collapse=False
+        )
+        for resp in sim.responses(universe):
+            assert resp.is_self_testing, resp.fault.describe()
 
     @settings(max_examples=15, deadline=None)
     @given(rnds)

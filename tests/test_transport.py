@@ -35,7 +35,7 @@ def adder():
 def adder_reference(adder):
     """Serial scalar statuses — the byte-identical yardstick."""
     sweep = FaultSweep(adder)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
     statuses = [
         s for _f, s in sweep.sweep(universe, backend="bitmask")
     ]
@@ -114,7 +114,7 @@ def test_fork_fanout_never_builds_bitmask_baseline(backend):
         random.Random("fork-baseline"), 13, 120, n_outputs=16
     )
     sweep = fresh_sweep(network)
-    universe = sweep.single_fault_universe()
+    universe = sweep.compiled.universe_ids(collapse=False)
     sweep.sweep(universe, processes=2, backend=backend)
     assert sweep.engine._bitmask is None
     rung = "bitmask" if backend == "auto" else "cone"
