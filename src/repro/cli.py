@@ -132,6 +132,12 @@ def cmd_testgen(args: argparse.Namespace) -> int:
 
     network = _load(args.netlist)
     if len(network.inputs) <= UNTILED_MAX_INPUTS and not args.structural:
+        if args.output is None and len(network.outputs) > 1:
+            print(
+                f"{len(network.outputs)} outputs; name one with --output "
+                f"({', '.join(network.outputs)}) or pass --structural"
+            )
+            return 2
         plans = all_test_pairs(network, output=args.output)
         names = network.inputs
         for (line, value), tests in sorted(plans.items()):
@@ -708,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=int, default=None,
                    help="worker lanes per campaign (default: in-process)")
     p.add_argument("--workers", type=int, default=2,
-                   help="concurrent campaign worker threads (default 2)")
+                   help="campaign worker processes, one request each at "
+                        "a time (default 2)")
     p.add_argument("--queue", type=int, default=8, dest="queue_limit",
                    help="accepted jobs allowed to wait beyond the worker "
                         "pool before shedding 429 (default 8)")

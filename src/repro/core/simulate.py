@@ -29,6 +29,10 @@ from ..logic.faults import Fault, MultipleFault
 from ..logic.network import Network
 from ..logic.truthtable import TruthTable
 
+#: Violation pairs :meth:`ScalVerdict.summary` prints per fault; the
+#: rest are counted, so a wide net's oracle report stays readable.
+SUMMARY_PAIRS = 4
+
 
 def _pair_close(table: TruthTable) -> TruthTable:
     """Close a point set under the pairing ``X ↔ X̄``.
@@ -220,9 +224,12 @@ class ScalVerdict:
             lines.append("  fault-secure violations:")
             for resp in self.insecure:
                 pairs = resp.violation_pairs()
+                shown = ", ".join(map(str, pairs[:SUMMARY_PAIRS]))
+                more = len(pairs) - SUMMARY_PAIRS
                 lines.append(
                     f"    {resp.fault.describe()} -> undetected wrong output "
-                    f"on pairs {pairs}"
+                    f"on pairs [{shown}]"
+                    + (f" … ({more} more)" if more > 0 else "")
                 )
         if self.untestable:
             lines.append("  untestable (redundant-line) faults:")

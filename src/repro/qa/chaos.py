@@ -163,9 +163,8 @@ SERVE_CHAOS_SLOW_ENV = "REPRO_CHAOS_SLOW_S"
 #: Kinds accepted by :func:`sabotage_service`.
 SERVICE_SABOTAGE: Tuple[str, ...] = ("campaign-slow", "campaign-hangs")
 
-# Hung campaigns park on this event instead of a bare sleep so an
-# in-process test can release the stuck worker thread at teardown
-# (ThreadPoolExecutor joins its threads at interpreter exit).
+# Hung campaigns park on this event instead of a bare sleep so a test
+# can release a campaign stuck in one of its own threads at teardown.
 _SERVICE_HANG = threading.Event()
 
 
@@ -203,13 +202,15 @@ def sabotage_service(kind: str, slow_s: float = 0.2) -> Iterator[None]:
     * ``campaign-hangs`` — every chunk parks until
       :func:`release_service_hangs` (or 3600 s): the campaign never
       finishes on its own, so only cancellation bounded by the drain
-      grace period gets the server out.
+      grace period gets the server out (a served worker parked here is
+      killed when the server closes).
 
     The sabotage patches :func:`repro.engine.supervisor.chunk_statuses`
     (``(kind, host, start, stop)``, whatever the chunk kind) — the one
     function fork workers and the serial loop both call — so
-    it bites fork fan-out and the in-process serial path ``repro
-    serve`` runs requests on by default.
+    it bites fork fan-out and the serial path a served request runs on
+    by default.  ``repro serve``'s worker processes inherit it when they
+    are forked, so arm it before the server's first request.
     """
     if kind not in SERVICE_SABOTAGE:
         known = ", ".join(SERVICE_SABOTAGE)

@@ -32,20 +32,32 @@ supervised campaign runtime into a long-lived service:
 The service supervises itself with the same discipline the campaign
 runtime applies to its workers:
 
-* **Admission control** — campaigns run on a bounded worker pool
-  (``workers`` threads; each campaign still owns its own fork
-  fan-out) behind a bounded accept queue.  When ``workers +
-  queue_limit`` jobs are outstanding, new *distinct* submissions are
-  shed with ``429 + Retry-After`` instead of queueing unboundedly
-  (coalescing onto an existing identical job is always admitted — it
-  adds no work).  Shed counts and queue depth are exported.
+* **Worker processes** — campaigns run in ``workers`` persistent
+  worker processes (:mod:`repro.serve_worker`), forked from the loop
+  process at the first dispatch and again for a slot whose worker
+  died.  Each runs one request at a time (and still owns its own fork
+  fan-out), so the event loop never waits on the GIL of a running
+  campaign.  The loop process keeps HTTP, admission, coalescing, the
+  journal, the result store and cancellation; one pipe per worker,
+  watched with ``loop.add_reader``, carries the job, the store-key
+  question and answer, the live ``campaign.*``/``synth.*`` events,
+  cancellation, and the result with the worker's metric samples
+  (merged into ``/metrics``).  A worker that dies fails its own
+  request alone.
+* **Admission control** — the workers sit behind a bounded accept
+  queue.  When ``workers + queue_limit`` jobs are outstanding, new
+  *distinct* submissions are shed with ``429 + Retry-After`` instead
+  of queueing unboundedly (coalescing onto an existing identical job
+  is always admitted — it adds no work).  Shed counts and queue depth
+  are exported.
 * **Deadlines & cancellation** — every execution carries a
   :class:`~repro.engine.supervisor.CancelToken` threaded into the
-  supervision poll loop.  A per-request ``deadline_s`` (or the server
-  default), the last subscriber disconnecting mid-stream, or a drain
-  fires the token; the campaign stops and frees its worker lanes
-  within one poll interval, recording a ``campaign.cancelled`` flight
-  event.
+  supervision poll loop; in the worker it is rebuilt with the same
+  absolute deadline and also reads ``cancel`` messages off the pipe.
+  A per-request ``deadline_s`` (or the server default), the last
+  subscriber disconnecting mid-stream, or a drain fires the token;
+  the campaign stops and frees its worker within one poll interval,
+  recording a ``campaign.cancelled`` flight event.
 * **Graceful drain** — SIGTERM/SIGINT stops the listener, lets
   in-flight jobs finish against ``drain_timeout``, then cancels the
   stragglers (their checkpoints survive) and exits.
@@ -54,8 +66,8 @@ runtime applies to its workers:
   write-ahead journal before it executes, and marked done after.
   ``repro serve --recover`` replays accepted-but-unfinished requests on
   restart, resuming each campaign from its supervisor checkpoint, so a
-  ``kill -9`` loses no accepted work and the replayed statuses are
-  byte-identical to an uninterrupted run.
+  ``kill -9`` of the server or of a worker loses no accepted work and
+  the replayed statuses are byte-identical to an uninterrupted run.
 
 Per-job memory is bounded too: the finished-job table is a pruned LRU
 (completed results replay from the content-addressed store, not from
@@ -67,27 +79,23 @@ is never dropped.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
 import hashlib
 import json
 import os
 import signal as signallib
 import socket as socketlib
-import threading
 import time
-from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from collections import OrderedDict, deque
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from . import obs
 from .engine.durable import append_line, atomic_write, open_log
-from .engine.store import STORE, program_fingerprint, text_fingerprint
-from .engine.supervisor import (
-    CampaignCancelled,
-    CancelToken,
-    CheckpointError,
-)
-from .obs.recorder import MemoryRecorder
+from .engine.store import STORE, text_fingerprint
+
+if TYPE_CHECKING:  # imported at the first dispatch, with the workers
+    from .engine.supervisor import CancelToken
+    from .serve_worker import Worker
 
 #: Request fields a client may set, with their defaults.  Anything else
 #: in the body is rejected — silent typos ("backnd") would otherwise
@@ -140,7 +148,7 @@ _M_SHED = _REG.counter(
     "Submissions shed by admission control, by reason",
 )
 _M_QUEUE_DEPTH = _REG.gauge(
-    "repro_serve_queue_depth", "Accepted jobs waiting for a worker thread"
+    "repro_serve_queue_depth", "Accepted jobs waiting for a worker process"
 )
 _M_CANCELLED = _REG.counter(
     "repro_serve_cancelled_total", "Campaigns cancelled, by reason kind"
@@ -287,26 +295,23 @@ class RequestJournal:
         self.directory = directory
         self.path = os.path.join(directory, "journal.jsonl")
         self._handle = None
-        self._lock = threading.Lock()
 
     def open(self) -> None:
         os.makedirs(self.directory, exist_ok=True)
         self._handle = open_log(self.path)
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def checkpoint_path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f"ckpt-{fingerprint}.json")
 
     def _append(self, record: dict) -> None:
-        with self._lock:
-            if self._handle is None:  # pragma: no cover - closed journal
-                return
-            append_line(self._handle, json.dumps(record, sort_keys=True))
+        if self._handle is None:  # pragma: no cover - closed journal
+            return
+        append_line(self._handle, json.dumps(record, sort_keys=True))
         _M_JOURNAL.inc(op=record["op"])
 
     def accepted(self, fingerprint: str, request: dict) -> None:
@@ -368,31 +373,9 @@ class RequestJournal:
                 for fingerprint, request in pending.items()
             ),
         )
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-            self._handle = open_log(self.path)
-
-
-class _BridgeRecorder(MemoryRecorder):
-    """A recorder that additionally forwards ``campaign.*`` and
-    ``synth.*`` events from the executing thread into the event loop
-    for live streaming."""
-
-    def __init__(self, loop: asyncio.AbstractEventLoop, job: "_Job") -> None:
-        super().__init__()
-        self._loop = loop
-        self._job = job
-
-    def emit(self, event: dict) -> None:
-        super().emit(event)
-        name = event.get("name", "")
-        if event.get("k") == "event" and name.startswith(
-            ("campaign.", "synth.")
-        ):
-            line = {"event": name, "t": event.get("t")}
-            line.update(event.get("attrs") or {})
-            self._loop.call_soon_threadsafe(self._job.publish, line)
+        if self._handle is not None:
+            self._handle.close()
+        self._handle = open_log(self.path)
 
 
 class _Job:
@@ -404,7 +387,10 @@ class _Job:
     it.  Both the shared history and every subscriber queue are bounded
     to ``queue_limit`` lines with a drop-oldest-progress policy: the
     terminal ``result`` line is published last and therefore always
-    survives.
+    survives.  ``worker`` is the :class:`~repro.serve_worker.Worker`
+    running the job (``None``
+    while it is queued or finished), and ``key``/``stored`` its store
+    key and the stored value the loop found under it.
     """
 
     def __init__(
@@ -424,6 +410,9 @@ class _Job:
         self.history: List[dict] = []
         self.result: Optional[dict] = None
         self.done = asyncio.Event()
+        self.worker: Optional[Worker] = None
+        self.key: Optional[tuple] = None
+        self.stored: Optional[dict] = None
 
     def subscribe(self) -> asyncio.Queue:
         queue: asyncio.Queue = asyncio.Queue()
@@ -440,7 +429,13 @@ class _Job:
         if queue in self.subscribers:
             self.subscribers.remove(queue)
         if not self.subscribers and not self.done.is_set() and not self.detached:
-            self.cancel.cancel("all subscribers disconnected")
+            self.stop("all subscribers disconnected")
+
+    def stop(self, reason: str) -> None:
+        """Fire the job's token and tell its worker, if it has one."""
+        self.cancel.cancel(reason)
+        if self.worker is not None:
+            self.worker.send(("cancel", self.worker.seq, reason))
 
     def publish(self, line: dict) -> None:
         self.history.append(line)
@@ -461,104 +456,13 @@ class _Job:
         self.done.set()
 
 
-def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
-    """Store key and run step of one fault campaign.  The key is pure
-    content (program + universe fingerprints + universe shape), so a
-    replay does not even need the supervised runtime."""
-    from .engine.campaign import FaultSweep, universe_fingerprint
-
-    sweep = FaultSweep(network)
-    universe = sweep.compiled.universe_ids(collapse=request["collapse"])
-    key = (
-        "campaign",
-        program_fingerprint(sweep.compiled),
-        universe_fingerprint(universe, sweep.n, sweep.compiled),
-        f"collapse={request['collapse']}",
-    )
-
-    def run(checkpoint: Optional[str], resume: bool) -> dict:
-        pairs = sweep.sweep(
-            universe,
-            processes=request["processes"],
-            timeout=request["timeout"],
-            checkpoint=checkpoint,
-            resume=resume,
-            cancel=cancel,
-        )
-        statuses = tuple(status for _fault, status in pairs)
-        total = max(len(statuses), 1)
-        return {
-            "faults": len(statuses),
-            "detected": statuses.count("detected") / total,
-            "silent": statuses.count("silent") / total,
-            "dangerous": statuses.count("dangerous") / total,
-            "backend": sweep.last_report.backend,
-            "report": sweep.last_report.to_dict(),
-            "statuses": statuses,
-        }
-
-    return key, run
-
-
-def _synth_job(request: dict, network, cancel: Optional[CancelToken]):
-    """Store key and run step of one synthesis/repair campaign, keyed
-    by the target identity (spec fingerprint, or the netlist text
-    fingerprint in repair mode) plus the search knobs."""
-    from .synth.campaign import SynthCampaign, repair_campaign
-    from .synth.specs import SPECS
-
-    if network is None:
-        spec = SPECS[request["spec"]]
-        target_fp = spec.fingerprint()
-    else:
-        target_fp = text_fingerprint(request["netlist"])
-    key = (
-        "synth",
-        target_fp,
-        f"seed={request['seed']},population={request['population']},"
-        f"generations={request['generations']},"
-        f"max_gates={request['max_gates']},damage={request['damage']}",
-    )
-
-    def run(checkpoint: Optional[str], resume: bool) -> dict:
-        common = dict(
-            seed=request["seed"],
-            population=request["population"],
-            generations=request["generations"],
-            max_gates=request["max_gates"],
-            processes=request["processes"],
-            timeout=request["timeout"],
-            checkpoint=checkpoint,
-            resume=resume,
-            cancel=cancel,
-        )
-        if network is None:
-            campaign = SynthCampaign(spec, **common)
-        else:
-            campaign = repair_campaign(
-                network, damage=request["damage"], **common
-            )
-        report = campaign.run()
-        return {
-            "kind": "synth",
-            "spec": report.spec,
-            "seed": report.seed,
-            "mode": report.mode,
-            "converged": report.converged,
-            "generations": report.generations_run,
-            "evaluations": report.evaluations,
-            "best_score": report.best_record.score,
-            "best_fingerprint": report.best_fingerprint,
-            "best_genome": json.loads(report.best_genome),
-            "pareto": report.pareto,
-            "report": report.to_dict(),
-        }
-
-    return key, run
-
-
-#: Request kind -> ``(request, network, cancel) -> (store key, run)``.
-_JOBS = {"campaign": _campaign_job, "synth": _synth_job}
+def _result_line(request: dict, value: dict, replayed: bool) -> dict:
+    """Shape a finished (or stored) run into the ``result`` line."""
+    result = dict(value, replayed=replayed, store=STORE.stats())
+    statuses = result.pop("statuses", None)
+    if request["statuses"] and statuses is not None:
+        result["statuses"] = list(statuses)
+    return result
 
 
 def _execute(
@@ -568,49 +472,18 @@ def _execute(
     checkpoint: Optional[str] = None,
     resume: bool = False,
 ) -> dict:
-    """Run one request (worker-thread side) and shape the result line.
+    """Run one request in this process against :data:`STORE` and shape
+    its result line: what a worker and the loop process do together,
+    in one place (the crash drills' uninterrupted yardstick)."""
+    from .serve_worker import run_request
 
-    Parses are deduped through the store (kind ``"network"`` by text
-    fingerprint) so identical netlists share one ``Network`` instance —
-    and therefore, via ``engine_for``, one compiled program and one
-    cached baseline.  A finished run lands in the store under its
-    kind's content key, so an identical resubmission replays without
-    touching the supervised runtime.
-
-    ``checkpoint``/``resume`` ride the journal's state directory: a
-    recovered request resumes from the work its interrupted run already
-    checkpointed.  An unusable checkpoint falls back to one fresh run —
-    both kinds are deterministic, so the result is identical either way.
-    """
-    from .logic.benchfmt import BenchFormatError, parse_bench
-
-    if cancel is not None:
-        cancel.check()
-    network = None
-    if request["netlist"] is not None:
-        text_fp = text_fingerprint(request["netlist"])
-        network = STORE.get("network", text_fp)
-        if network is None:
-            try:
-                network = parse_bench(request["netlist"], name="serve")
-            except BenchFormatError as error:
-                raise RequestError(f"netlist does not parse: {error}")
-            STORE.put("network", text_fp, value=network)
-    key, run = _JOBS[request["kind"]](request, network, cancel)
-    value = STORE.get(*key)
-    replayed = value is not None
+    with obs.recording(recorder=recorder):
+        key, value, replayed = run_request(
+            request, cancel, checkpoint, resume, lambda key: STORE.get(*key)
+        )
     if not replayed:
-        with obs.recording(recorder=recorder):
-            try:
-                value = run(checkpoint, resume)
-            except CheckpointError:
-                value = run(checkpoint, False)
         STORE.put(*key, value=value)
-    result = dict(value, replayed=replayed, store=STORE.stats())
-    statuses = result.pop("statuses", None)
-    if request["statuses"] and statuses is not None:
-        result["statuses"] = list(statuses)
-    return result
+    return _result_line(request, value, replayed)
 
 
 def _cancel_kind(reason: str) -> str:
@@ -661,13 +534,11 @@ class CampaignServer:
         # Live connection handlers: Python 3.11's ``wait_closed`` does
         # not wait for them, so ``close`` cancels and awaits them itself.
         self._connections: Set[asyncio.Task] = set()
-        # A bounded pool: the recorder/metrics seams are process-global
-        # but per-job recorders keep flights attributable, and each
-        # campaign owns its own fork fan-out, so a small number of
-        # concurrent campaigns shares the machine without oversubscribing.
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
+        # One slot per worker process, forked at the first dispatch that
+        # finds it empty (so also after a worker died); jobs wait in
+        # ``_queue`` for an idle one.
+        self._slots: List[Optional[Worker]] = [None] * self.workers
+        self._queue: Deque[_Job] = deque()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -724,7 +595,7 @@ class CampaignServer:
             await asyncio.sleep(DRAIN_POLL_SECONDS)
         for job in self.jobs.values():
             if not job.done.is_set():
-                job.cancel.cancel("server draining")
+                job.stop("server draining")
         grace = time.monotonic() + DRAIN_CANCEL_GRACE_SECONDS
         while self._outstanding() and time.monotonic() < grace:
             await asyncio.sleep(DRAIN_POLL_SECONDS)
@@ -732,7 +603,9 @@ class CampaignServer:
     async def close(self) -> None:
         """Immediate shutdown: drain with a zero wait (in-flight jobs
         are cancelled, not awaited), stop listening, cancel every live
-        connection handler, then release the pool and journal."""
+        connection handler, then stop the workers (one still running a
+        job after the grace is killed, and its job fails as a worker
+        death) and close the journal."""
         await self.drain(timeout=0.0)
         if self._server is not None:
             self._server.close()
@@ -741,7 +614,9 @@ class CampaignServer:
         for task in handlers:
             task.cancel()
         await asyncio.gather(*handlers, return_exceptions=True)
-        self._executor.shutdown(wait=False)
+        for worker in self._slots:
+            if worker is not None:
+                self._worker_gone(worker)
         if self.journal is not None:
             self.journal.close()
 
@@ -770,20 +645,23 @@ class CampaignServer:
 
     def submit(self, request: dict, detached: bool = False) -> Tuple[_Job, str]:
         """The job serving ``request`` and its disposition — a running
-        identical job (``coalesced``) or a fresh one (``executed``)."""
+        identical job (``coalesced``) or a fresh one (``executed``).  A
+        fresh job is queued; it reaches a worker on the loop's next
+        turn, after the caller has written its ``accepted`` line."""
         fingerprint = request_fingerprint(request)
         job = self.jobs.get(fingerprint)
         if job is not None and not job.done.is_set():
             _M_JOBS.inc(disposition="coalesced")
             return job, "coalesced"
+        from .engine.supervisor import CancelToken
+
         deadline_s = request.get("deadline_s")
         if deadline_s is None:
             deadline_s = self.default_deadline_s
-        cancel = CancelToken(deadline_s=deadline_s)
         job = _Job(
             fingerprint,
             request,
-            cancel,
+            CancelToken(deadline_s=deadline_s),
             queue_limit=self.subscriber_queue,
             detached=detached,
         )
@@ -791,85 +669,181 @@ class CampaignServer:
         self.jobs.move_to_end(fingerprint)
         self.executions += 1
         _M_JOBS.inc(disposition="executed")
-        checkpoint, resume = None, False
         if self.journal is not None:
             if not detached:
                 # WAL discipline: the accepted record is durable before
                 # any work happens, so a crash between here and the
                 # result can always be replayed.
                 self.journal.accepted(fingerprint, request)
-            checkpoint = self.journal.checkpoint_path(fingerprint)
-            resume = os.path.exists(checkpoint)
+        self._queue.append(job)
         self._set_queue_gauge()
-        loop = asyncio.get_running_loop()
-        recorder = _BridgeRecorder(loop, job)
-
-        def run() -> dict:
-            return _execute(
-                request,
-                recorder,
-                cancel=cancel,
-                checkpoint=checkpoint,
-                resume=resume,
-            )
-
-        def finish(future: "asyncio.Future") -> None:
-            error = future.exception()
-            if error is None:
-                result = future.result()
-                if result.get("replayed"):
-                    _M_JOBS.inc(disposition="replayed")
-                job.finish(result)
-                self._finalize(fingerprint, job, result, None)
-            else:
-                job.finish(self._shape_error(error))
-                self._finalize(fingerprint, job, None, error)
-            self._set_queue_gauge()
-            self._prune_jobs()
-
-        task = asyncio.ensure_future(
-            loop.run_in_executor(self._executor, run)
-        )
-        task.add_done_callback(finish)
+        asyncio.get_running_loop().call_soon(self._dispatch)
         return job, "executed"
 
-    def _shape_error(self, error: BaseException) -> dict:
-        if isinstance(error, CampaignCancelled):
-            reason = str(error)
-            _M_CANCELLED.inc(kind=_cancel_kind(reason))
-            return {"error": f"cancelled: {reason}", "cancelled": True}
-        return {"error": f"{type(error).__name__}: {error}"}
+    def _dispatch(self) -> None:
+        """Hand queued jobs to idle workers, in order.  A job whose
+        token fired while it waited finishes as cancelled without a
+        worker."""
+        while self._queue:
+            job = self._queue[0]
+            if job.cancel.cancelled:
+                self._queue.popleft()
+                reason = job.cancel.reason
+                self._complete(
+                    job, error=f"CampaignCancelled: {reason}", cancelled=reason
+                )
+                continue
+            try:
+                worker = self._idle_worker()
+            except OSError as error:
+                self._queue.popleft()
+                self._complete(job, error=f"cannot fork a worker: {error}")
+                continue
+            if worker is None:
+                return
+            self._queue.popleft()
+            checkpoint, resume = None, False
+            if self.journal is not None:
+                checkpoint = self.journal.checkpoint_path(job.fingerprint)
+                resume = os.path.exists(checkpoint)
+            worker.seq += 1
+            message = (
+                "job",
+                worker.seq,
+                job.request,
+                checkpoint,
+                resume,
+                job.cancel.deadline_s,
+                job.cancel._deadline,
+            )
+            if not worker.send(message):
+                # It died idle: retire it; the next pass forks its slot.
+                self._queue.appendleft(job)
+                self._worker_gone(worker)
+                continue
+            worker.job = job
+            job.worker = worker
+
+    def _idle_worker(self) -> Optional[Worker]:
+        """An idle worker, forking every empty slot first (the first
+        time, after importing the campaign stack, which every worker
+        then inherits instead of importing it)."""
+        if None in self._slots:
+            from .serve_worker import Worker
+
+            for slot, worker in enumerate(self._slots):
+                if worker is None:
+                    worker = self._slots[slot] = Worker.spawn()
+                    asyncio.get_running_loop().add_reader(
+                        worker.conn.fileno(), self._on_worker_readable, worker
+                    )
+        for worker in self._slots:
+            if worker.job is None:
+                return worker
+        return None
+
+    def _on_worker_readable(self, worker: Worker) -> None:
+        try:
+            while worker.conn.poll():
+                self._on_worker_message(worker, worker.conn.recv())
+        except (EOFError, OSError):
+            self._worker_gone(worker)
+        self._dispatch()
+
+    def _on_worker_message(self, worker: Worker, message: tuple) -> None:
+        from .serve_worker import merge_metrics
+
+        job = worker.job
+        tag = message[0]
+        if tag == "event":
+            job.publish(message[2])
+        elif tag == "key":
+            job.key = message[2]
+            job.stored = STORE.get(*job.key)
+            worker.send(("answer", worker.seq, job.stored is not None))
+        else:  # the job's last message
+            merge_metrics(message[-1])
+            worker.job = job.worker = None
+            if tag == "result":
+                self._complete(job, value=message[2])
+            else:
+                self._complete(job, error=message[2], cancelled=message[3])
+
+    def _worker_gone(self, worker: Worker) -> None:
+        """Retire a worker that exited or is being shut down: stop
+        watching its pipe, reap it and free its slot.  A job it was
+        running fails alone; with a journal it stays pending, to be
+        replayed by ``--recover``."""
+        with contextlib.suppress(ValueError, OSError):
+            asyncio.get_running_loop().remove_reader(worker.conn.fileno())
+        code = worker.retire()
+        self._slots[self._slots.index(worker)] = None
+        job = worker.job
+        if job is not None:
+            worker.job = job.worker = None
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            self._complete(
+                job,
+                error=f"worker died: campaign worker {worker.pid} ended "
+                f"with {how}",
+                died=True,
+            )
+
+    def _complete(
+        self,
+        job: _Job,
+        value: Optional[dict] = None,
+        error: Optional[str] = None,
+        cancelled: Optional[str] = None,
+        died: bool = False,
+    ) -> None:
+        """Finish ``job``: a run's ``value`` (``None``: the loop's stored
+        one) lands in the store, or ``error`` (with the token's reason
+        when it was a cancellation) becomes the result line."""
+        if error is None:
+            replayed = value is None
+            if replayed:
+                value = job.stored
+                _M_JOBS.inc(disposition="replayed")
+            else:
+                STORE.put(*job.key, value=value)
+            job.finish(_result_line(job.request, value, replayed))
+        elif cancelled is not None:
+            _M_CANCELLED.inc(kind=_cancel_kind(cancelled))
+            job.finish({"error": f"cancelled: {cancelled}", "cancelled": True})
+        else:
+            job.finish({"error": error})
+        self._finalize(job, error, cancelled, died)
+        self._set_queue_gauge()
+        self._prune_jobs()
 
     def _finalize(
         self,
-        fingerprint: str,
         job: _Job,
-        result: Optional[dict],
-        error: Optional[BaseException],
+        error: Optional[str],
+        cancelled: Optional[str],
+        died: bool,
     ) -> None:
         """Journal the outcome and clean the checkpoint up.  A
-        drain-cancelled job stays *pending* in the journal (and keeps
-        its checkpoint): that is exactly the work ``--recover`` must
-        finish after the restart."""
+        drain-cancelled job, or one whose worker died, stays *pending*
+        in the journal (and keeps its checkpoint): that is exactly the
+        work ``--recover`` must finish after the restart."""
         if self.journal is None:
             return
-        checkpoint = self.journal.checkpoint_path(fingerprint)
         if error is None:
             self.journal.done(
-                fingerprint, {"ok": True, "replayed": result["replayed"]}
+                job.fingerprint,
+                {"ok": True, "replayed": job.result["replayed"]},
             )
             with contextlib.suppress(OSError):
-                os.remove(checkpoint)
+                os.remove(self.journal.checkpoint_path(job.fingerprint))
             return
-        if (
-            isinstance(error, CampaignCancelled)
-            and _cancel_kind(str(error)) == "drain"
-        ):
+        if died or (cancelled is not None and _cancel_kind(cancelled) == "drain"):
             return  # still pending: survives for --recover
-        outcome = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        if isinstance(error, CampaignCancelled):
-            outcome["cancelled"] = str(error)
-        self.journal.done(fingerprint, outcome)
+        outcome = {"ok": False, "error": error}
+        if cancelled is not None:
+            outcome["cancelled"] = cancelled
+        self.journal.done(job.fingerprint, outcome)
 
     # ------------------------------------------------------------------
     # HTTP plumbing (four routes: campaign, metrics, healthz, readyz)
@@ -1049,20 +1023,18 @@ class CampaignServer:
         eof_task = asyncio.ensure_future(reader.read(1))
         get_task: Optional[asyncio.Future] = None
         try:
+            accepted = {
+                "event": "accepted",
+                "fingerprint": job.fingerprint,
+                "disposition": disposition,
+            }
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
                 b"Content-Type: application/x-ndjson\r\n"
                 b"Transfer-Encoding: chunked\r\n"
-                b"Connection: close\r\n\r\n"
+                b"Connection: close\r\n\r\n" + _chunk([accepted])
             )
-            await _send_chunk(
-                writer,
-                {
-                    "event": "accepted",
-                    "fingerprint": job.fingerprint,
-                    "disposition": disposition,
-                },
-            )
+            await writer.drain()
             get_task = asyncio.ensure_future(queue.get())
             while True:
                 await asyncio.wait(
@@ -1070,10 +1042,16 @@ class CampaignServer:
                     return_when=asyncio.FIRST_COMPLETED,
                 )
                 if get_task.done():
-                    line = get_task.result()
-                    await _send_chunk(writer, line)
-                    if line.get("event") == "result":
-                        break
+                    # Every line queued by now goes out in one chunk;
+                    # the result line is always the last one.
+                    lines = [get_task.result()]
+                    while not queue.empty():
+                        lines.append(queue.get_nowait())
+                    last = lines[-1].get("event") == "result"
+                    writer.write(_chunk(lines) + (b"0\r\n\r\n" if last else b""))
+                    await writer.drain()
+                    if last:
+                        return
                     get_task = asyncio.ensure_future(queue.get())
                     if not eof_task.done():
                         continue
@@ -1085,8 +1063,6 @@ class CampaignServer:
                     if not stray:
                         return  # client disconnected mid-stream
                     eof_task = asyncio.ensure_future(reader.read(1))
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
         finally:
             for task in (eof_task, get_task):
                 if task is not None and not task.done():
@@ -1099,10 +1075,12 @@ class CampaignServer:
             job.unsubscribe(queue)
 
 
-async def _send_chunk(writer, payload: dict) -> None:
-    data = (json.dumps(payload, sort_keys=True) + "\n").encode()
-    writer.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
-    await writer.drain()
+def _chunk(lines: List[dict]) -> bytes:
+    """One HTTP chunk holding ``lines`` as NDJSON."""
+    body = "".join(
+        json.dumps(line, sort_keys=True) + "\n" for line in lines
+    ).encode()
+    return f"{len(body):x}\r\n".encode() + body + b"\r\n"
 
 
 async def _respond(

@@ -168,6 +168,17 @@ class TestTestgen:
         out = capsys.readouterr().out
         assert "s/0" in out and "s/1" in out
 
+    def test_multi_output_without_output_is_a_usage_error(self, capsys):
+        """The truth-table route needs one output: without ``--output``
+        a multi-output net exits 2 naming its outputs, not a traceback."""
+        path = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "examples", "data", "adder4.bench",
+        )
+        assert main(["testgen", path]) == 2
+        out = capsys.readouterr().out
+        assert "name one with --output (s0, s1, s2, s3, c4)" in out
+
     def test_structural_route(self, fig37_bench, capsys):
         code = main(["testgen", fig37_bench, "--structural"])
         out = capsys.readouterr().out

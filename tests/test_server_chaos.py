@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.engine import supervisor
 from repro.engine.store import STORE
 from repro.engine.supervisor import CancelToken
 from repro.obs.recorder import MemoryRecorder
@@ -35,6 +36,7 @@ from repro.server import (
     _execute,
     _Job,
     canonical_request,
+    request_fingerprint,
 )
 
 from tests.test_server import BENCH, _get, _post_campaign, _run
@@ -625,6 +627,130 @@ class TestKillRecover:
                 proc2.kill()
                 proc2.wait()
             proc2.stdout.close()
+
+
+class TestWorkerProcesses:
+    """Campaigns run in persistent worker processes: a killed worker
+    fails (or, with a journal, leaves pending) its own request only,
+    and its slot is forked again for the next one."""
+
+    @staticmethod
+    async def _job_mid_campaign(server, body):
+        """The job serving ``body`` once it has streamed a chunk."""
+        fingerprint = request_fingerprint(canonical_request(dict(body)))
+        await _wait_for(lambda: fingerprint in server.jobs)
+        job = server.jobs[fingerprint]
+        await _wait_for(
+            lambda: job.worker is not None
+            and any(l["event"] == "campaign.chunk" for l in job.history)
+        )
+        return job
+
+    def test_killed_worker_fails_its_request_alone(self):
+        async def scenario(server):
+            victim = {"netlist": CHAIN_BENCH}
+            bystander = {"netlist": BENCH_B}
+            with chaos.sabotage_service("campaign-slow", slow_s=0.2):
+                runs = [
+                    asyncio.ensure_future(
+                        _post_campaign(server.host, server.port, body)
+                    )
+                    for body in (victim, bystander)
+                ]
+                job = await self._job_mid_campaign(server, victim)
+                killed = job.worker.pid
+                assert killed != os.getpid()
+                os.kill(killed, signal.SIGKILL)
+                (_s1, lost), (_s2, kept) = await asyncio.gather(*runs)
+            assert lost[-1]["event"] == "result"
+            assert lost[-1]["error"].startswith(
+                f"worker died: campaign worker {killed} ended with signal "
+                f"{int(signal.SIGKILL)}"
+            )
+            assert kept[-1]["event"] == "result"
+            assert "error" not in kept[-1]
+            # The next request runs on a worker forked into the slot.
+            _status, lines = await _post_campaign(
+                server.host, server.port, {"netlist": BENCH_C}
+            )
+            assert "error" not in lines[-1]
+            pids = {worker.pid for worker in server._slots}
+            assert killed not in pids and None not in server._slots
+            # Both finished campaigns' worker samples reached /metrics;
+            # the killed one's died with it.
+            _status, metrics = await _get(server.host, server.port, "/metrics")
+            assert "repro_campaign_wall_seconds_count 2" in metrics
+
+        _run(_with_server(scenario, workers=2))
+
+    def test_killed_worker_request_replays_under_recover(self, tmp_path):
+        state = str(tmp_path / "state")
+        request = {"netlist": CHAIN_BENCH, "statuses": True}
+        expected = _execute(
+            canonical_request(dict(request)), MemoryRecorder()
+        )["statuses"]
+
+        async def first_life(server):
+            with chaos.sabotage_service("campaign-slow", slow_s=0.2):
+                run = asyncio.ensure_future(
+                    _post_campaign(server.host, server.port, request)
+                )
+                job = await self._job_mid_campaign(server, request)
+                os.kill(job.worker.pid, signal.SIGKILL)
+                _status, lines = await run
+            assert lines[-1]["error"].startswith("worker died")
+            assert len(server.journal.load_pending()) == 1
+
+        async def second_life(server):
+            assert server.recovered == 1
+            await _wait_for(lambda: server._outstanding() == 0, timeout=30)
+            _status, lines = await _post_campaign(
+                server.host, server.port, request
+            )
+            assert lines[-1]["replayed"] is True
+            assert lines[-1]["statuses"] == expected
+            assert server.journal.load_pending() == {}
+
+        _run(_with_server(first_life, state_dir=state))
+        _run(_with_server(second_life, state_dir=state, recover=True))
+
+    def test_campaign_runs_in_a_worker_and_its_deadline_holds(
+        self, tmp_path, monkeypatch
+    ):
+        """Every chunk of a served campaign runs in the worker's pid,
+        not the server's, and the request's deadline, carried to the
+        worker as an absolute time, still cancels it there."""
+        log = tmp_path / "pids"
+        original = supervisor.chunk_statuses
+
+        def logging_chunk(kind, host, start, stop):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            time.sleep(0.2)
+            return original(kind, host, start, stop)
+
+        monkeypatch.setattr(supervisor, "chunk_statuses", logging_chunk)
+
+        async def scenario(server):
+            started = time.monotonic()
+            _status, lines = await _post_campaign(
+                server.host,
+                server.port,
+                {"netlist": CHAIN_BENCH, "deadline_s": 0.5},
+            )
+            assert time.monotonic() - started < 1.4
+            assert lines[-1].get("cancelled") is True
+            assert "deadline exceeded after 0.5s" in lines[-1]["error"]
+            assert any(l["event"] == "campaign.cancelled" for l in lines)
+            pids = {int(pid) for pid in log.read_text().split()}
+            (worker,) = [w for w in server._slots if w.pid in pids]
+            assert pids == {worker.pid} and worker.pid != os.getpid()
+            _status, metrics = await _get(server.host, server.port, "/metrics")
+            assert (
+                'repro_campaign_cancelled_total{kind="deadline"} 1' in metrics
+            )
+
+        _run(_with_server(scenario, workers=1))
 
 
 class TestServedForkFanout:

@@ -99,6 +99,29 @@ class TestVerdict:
         text = ScalSimulator(net).verdict().summary()
         assert "SELF-CHECKING" in text
 
+    def test_summary_caps_pairs_per_fault(self):
+        """A fault with more violation pairs than ``SUMMARY_PAIRS``
+        prints the first few and counts the rest."""
+        from repro.core.simulate import SUMMARY_PAIRS
+
+        net = parse_expression("a b | c d | e", inputs=list("abcde"))
+        verdict = ScalSimulator(net).verdict()
+        (wide,) = [r for r in verdict.insecure if len(r.violation_pairs()) > 4]
+        pairs = wide.violation_pairs()
+        shown = ", ".join(map(str, pairs[:SUMMARY_PAIRS]))
+        line = (
+            f"    {wide.fault.describe()} -> undetected wrong output on "
+            f"pairs [{shown}] … ({len(pairs) - SUMMARY_PAIRS} more)"
+        )
+        lines = verdict.summary().splitlines()
+        assert line in lines
+        # A fault within the cap prints every pair, as before.
+        narrow = verdict.insecure[0]
+        assert (
+            f"    {narrow.fault.describe()} -> undetected wrong output on "
+            f"pairs {narrow.violation_pairs()}"
+        ) in lines
+
     def test_explicit_fault_list(self):
         net = parse_expression("a b | b c | a c", inputs=["a", "b", "c"])
         sim = ScalSimulator(net)
