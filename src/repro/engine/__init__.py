@@ -54,12 +54,10 @@ _EXPORTS = {
     "CancelToken": "supervisor",
     "CheckpointError": "durable",
     "ChunkKind": "supervisor",
-    "ChunkResult": "fork",
     "CompiledNetwork": "compiled",
     "Degradation": "supervisor",
     "FaultPlan": "compiled",
     "FaultSweep": "campaign",
-    "ForkTransport": "fork",
     "NetworkEngine": "backends",
     "Op": "compiled",
     "PointQueries": "backends",
@@ -67,10 +65,6 @@ _EXPORTS = {
     "RetryEvent": "supervisor",
     "RowForcing": "compiled",
     "STORE": "store",
-    "SubmitFailed": "fork",
-    "TransportError": "fork",
-    "TransportFailure": "fork",
-    "TransportUnavailable": "fork",
     "atpg_targets": "atpg",
     "compile_network": "compiled",
     "engine_for": "backends",

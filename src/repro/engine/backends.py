@@ -77,7 +77,6 @@ callers that want them.
 from __future__ import annotations
 
 import functools
-import threading
 import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -276,7 +275,6 @@ class BitmaskBackend:
         )
         self._width = width
         self._baseline: Optional[Tuple[int, ...]] = None
-        self._baseline_lock = threading.Lock()
         self._words_per_line = max(1, (1 << width) >> 6)
         self._normals: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
         # Stem-region state, derived like the baseline and as immutable
@@ -317,14 +315,11 @@ class BitmaskBackend:
         ``serve`` requests, so an accidental in-place write by any
         consumer must raise instead of silently corrupting every other
         sweep on the same network.  Faulty queries copy it
-        (:meth:`line_bits`); the lock makes first-derivation safe under
-        the server's worker threads.
+        (:meth:`line_bits`).  Derivation is deterministic, so two threads
+        racing on first use store equal tuples and need no lock.
         """
         if self._baseline is None:
-            full = self.full  # refuses a whole table too wide to hold
-            with self._baseline_lock:
-                if self._baseline is None:
-                    self._baseline = self._derive_baseline(full)
+            self._baseline = self._derive_baseline(self.full)
         return self._baseline
 
     def _derive_baseline(self, full: int) -> Tuple[int, ...]:
@@ -444,10 +439,7 @@ class BitmaskBackend:
         reader)``.  Cached like :meth:`baseline`.
         """
         if self._regions is None:
-            baseline = self.baseline()
-            with self._baseline_lock:
-                if self._regions is None:
-                    self._regions = self._derive_regions(baseline)
+            self._regions = self._derive_regions(self.baseline())
         return self._regions
 
     def _derive_regions(self, baseline: Tuple[int, ...]):

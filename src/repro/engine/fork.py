@@ -1,16 +1,24 @@
-"""Fork workers: the one execution fabric behind supervised fan-out.
+"""Fork workers: the one way the package forks, and the chunk lanes of
+supervised fan-out.
+
+:class:`Child` is the primitive behind every worker process — the
+campaign lanes here and the ``repro serve`` workers
+(:mod:`repro.serve_worker`).  ``Child.spawn(target, *args)`` forks the
+calling process and runs ``target(conn, *args)`` in the child over one
+duplex pipe; the parent keeps ``pid`` and ``conn`` and ends the child
+with :meth:`Child.retire`.  The child never returns into its parent's
+frames.
 
 :mod:`repro.engine.supervisor` owns *policy* — timeouts, retries,
 splitting, the degradation ladder, checkpoints, flight merging.  A
 :class:`ForkTransport` owns *mechanics*: chunk lanes across forked
-worker processes over duplex pipes, driven through a handful of
-calls::
+children, driven through a handful of calls::
 
     transport.start()
     lane = transport.submit(key, start, stop, attempt)  # one chunk
     for result in transport.poll(t):   # completed / failed / died chunks
         ...
-    transport.replace(lane)            # kill + respawn one lane
+    transport.replace(lane)            # retire + respawn one lane
     transport.shutdown()
 
 Lanes are integer slots (0..lanes-1); every result names the lane it
@@ -29,32 +37,32 @@ both looked up late so the chaos suite's patches reach forked children
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 import signal
+import stat
+import sys
 import time
 from typing import List, Optional, Sequence
 
 from .. import obs
 
-#: Grace given to SIGTERM before a hung worker is SIGKILLed (seconds).
+#: Grace given to SIGTERM before a worker is SIGKILLed (seconds).
 KILL_GRACE = 0.25
 
 
-class TransportError(RuntimeError):
-    """Base class for fork-worker failures."""
+class TransportUnavailable(RuntimeError):
+    """Fork workers cannot start at all (no ``os.fork``); the campaign
+    steps down to the serial rung with this reason recorded."""
 
 
-class TransportUnavailable(TransportError):
-    """Fork workers cannot start at all (no fork start method); the
-    campaign steps down to the serial rung with this reason recorded."""
-
-
-class TransportFailure(TransportError):
+class TransportFailure(RuntimeError):
     """Running workers cannot make progress (a replacement lane cannot
     be spawned); completed chunks are salvaged on a lower rung."""
 
 
-class SubmitFailed(TransportError):
+class SubmitFailed(RuntimeError):
     """A task could not be placed on the chosen lane (the worker died
     while idle).  The supervisor requeues the task and replaces the
     lane."""
@@ -62,7 +70,6 @@ class SubmitFailed(TransportError):
     def __init__(self, lane: int, reason: str) -> None:
         super().__init__(reason)
         self.lane = lane
-        self.reason = reason
 
 
 @dataclasses.dataclass
@@ -84,19 +91,121 @@ class ChunkResult:
 
 
 # ----------------------------------------------------------------------
-# worker process
+# the fork primitive
+# ----------------------------------------------------------------------
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(Exception):
+            stream.flush()
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket a fresh child inherited except its own pipe
+    end: its parent's end of the pipe, its siblings' pipes, a server's
+    listener and client connections.  Only then does the child read EOF
+    once its parent is gone (even SIGKILLed), and a server restart can
+    rebind its port.  Files and pipes stay, so stdio keeps working."""
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
+        if fd <= 2 or fd == keep:
+            continue
+        with contextlib.suppress(OSError):
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+
+
+class Child:
+    """A forked child process: its ``pid`` and the parent's end of its
+    duplex pipe, ``conn``."""
+
+    __slots__ = ("pid", "conn")
+
+    def __init__(self, pid: int, conn) -> None:
+        self.pid = pid
+        self.conn = conn
+
+    @classmethod
+    def spawn(cls, target, *args) -> "Child":
+        """Fork ``target(conn, *args)`` into a child; raises ``OSError``
+        when the fork fails.
+
+        The child first drops the signal state it inherited (a parent
+        running an asyncio loop routes SIGTERM/SIGINT to the loop's
+        wakeup fd, and the SIGTERM that ends a child must not reach the
+        parent's handler through it), freezes the inherited heap (no
+        collection can close a socket object whose number was reused)
+        and closes the sockets it inherited.  It exits 0 when
+        ``target`` returns and 1 (printing the traceback) when it
+        raises, after flushing stdio.
+        """
+        import gc  # like the pipe, loaded only when a process forks
+        from multiprocessing.connection import Pipe
+
+        _flush_stdio()
+        ours, theirs = Pipe(duplex=True)
+        try:
+            pid = os.fork()
+        except OSError:
+            ours.close()
+            theirs.close()
+            raise
+        if pid == 0:  # the child: it never returns into the caller
+            code = 1
+            try:
+                signal.set_wakeup_fd(-1)
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                gc.freeze()
+                ours.close()
+                _close_inherited_sockets(theirs.fileno())
+                target(theirs, *args)
+                code = 0
+            except BaseException:
+                import traceback
+
+                traceback.print_exc()
+            finally:
+                _flush_stdio()
+                os._exit(code)
+        theirs.close()
+        return cls(pid, ours)
+
+    def send(self, message) -> bool:
+        """Send without raising; ``False`` means the child is gone."""
+        try:
+            self.conn.send(message)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    def retire(self) -> int:
+        """Close the pipe and SIGTERM the child, reap it within
+        :data:`KILL_GRACE`, else SIGKILL it and reap it; returns its
+        exit code (negative: the signal that ended it)."""
+        self.conn.close()
+        deadline = time.monotonic() + KILL_GRACE
+        try:
+            os.kill(self.pid, signal.SIGTERM)
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(self.pid, os.WNOHANG)
+                if done:
+                    return os.waitstatus_to_exitcode(status)
+                time.sleep(0.0005)
+            os.kill(self.pid, signal.SIGKILL)
+            return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        except (ChildProcessError, ProcessLookupError):  # pragma: no cover
+            return 0  # reaped elsewhere
+
+
+# ----------------------------------------------------------------------
+# chunk lanes
 # ----------------------------------------------------------------------
 def _forked_worker(conn, kind, host) -> None:
-    """One fork worker: build its host through ``kind.worker_host``,
-    then serve chunk jobs on ``conn`` until a ``None`` shutdown sentinel
-    (or the parent disappears).  Job messages are
-    ``(key, start, stop, attempt)`` tuples naming a range of the host's
-    items; replies are ``(kind, key, payload, events)``.
-
-    The child first drops the signal state it inherited: a parent
-    running an asyncio loop (``repro serve``) has SIGTERM/SIGINT routed
-    to the loop's wakeup fd, and the SIGTERM that stops this worker
-    must not reach the parent's drain handler through it.
+    """One lane: build its host through ``kind.worker_host``, then
+    serve chunk jobs on ``conn`` until the parent closes its end (or
+    goes away).  Job messages are ``(key, start, stop, attempt)``
+    tuples naming a range of the host's items; replies are
+    ``(kind, key, payload, events)``.
 
     The supervisor module is consulted late for both the chunk hook and
     ``chunk_statuses`` so chaos patches stay effective inside workers.
@@ -104,21 +213,14 @@ def _forked_worker(conn, kind, host) -> None:
     this chunk's spans back to the parent, which merges them into the
     flight exactly once.
     """
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-
     from . import supervisor as _sup
 
     host = kind.worker_host(host)
     while True:
         try:
-            job = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent vanished
-            break
-        if job is None:
-            break
-        key, start, stop, attempt = job
+            key, start, stop, attempt = conn.recv()
+        except (EOFError, OSError):
+            return
         hook = _sup.WORKER_CHUNK_HOOK
         try:
             with obs.span("worker.chunk", chunk=key, attempt=attempt):
@@ -129,35 +231,19 @@ def _forked_worker(conn, kind, host) -> None:
             reply = ("error", key, f"{type(error).__name__}: {error}")
         else:
             reply = ("ok", key, payloads)
-        conn.send(reply + (obs.drain_child_events(),))
-    conn.close()
+        try:
+            conn.send(reply + (obs.drain_child_events(),))
+        except OSError:  # the parent is gone
+            return
 
 
-class _Lane:
-    __slots__ = ("process", "conn", "busy", "dead")
+class _Lane(Child):
+    __slots__ = ("busy", "dead")
 
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
+    def __init__(self, pid: int, conn) -> None:
+        super().__init__(pid, conn)
         self.busy = False
         self.dead = False
-
-
-def _stop_lane(lane: _Lane) -> None:
-    """Tear one worker down, escalating SIGTERM -> SIGKILL."""
-    try:
-        lane.conn.close()
-    except OSError:  # pragma: no cover
-        pass
-    process = lane.process
-    if process.is_alive():
-        process.terminate()
-        process.join(KILL_GRACE)
-        if process.is_alive():
-            process.kill()
-            process.join(KILL_GRACE)
-    else:
-        process.join(0)
 
 
 class ForkTransport:
@@ -169,21 +255,14 @@ class ForkTransport:
         self.kind = kind
         self.host = host
         self.lanes = max(lanes, 1)
-        self._ctx = None
         self._lanes: List[_Lane] = []
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         """Bring the lanes up; raises :class:`TransportUnavailable` when
-        fork workers cannot be used at all."""
-        try:
-            import multiprocessing
-
-            self._ctx = multiprocessing.get_context("fork")
-        except (ImportError, ValueError) as error:
-            raise TransportUnavailable(
-                f"fork start method unavailable: {error}"
-            )
+        the platform cannot fork."""
+        if not hasattr(os, "fork"):
+            raise TransportUnavailable("fork unavailable: no os.fork")
         try:
             for _ in range(self.lanes):
                 self._lanes.append(self._spawn())
@@ -193,33 +272,23 @@ class ForkTransport:
 
     def _spawn(self) -> _Lane:
         try:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            process = self._ctx.Process(
-                target=_forked_worker,
-                args=(child_conn, self.kind, self.host),
-                daemon=True,
-            )
-            process.start()
+            return _Lane.spawn(_forked_worker, self.kind, self.host)
         except OSError as error:
             raise TransportFailure(f"cannot spawn fork worker: {error}")
-        child_conn.close()
-        return _Lane(process, parent_conn)
 
     def replace(self, lane: int) -> None:
-        """Tear down and respawn one lane; raises
-        :class:`TransportFailure` when a replacement cannot be built."""
-        _stop_lane(self._lanes[lane])
+        """Retire and respawn one lane; raises :class:`TransportFailure`
+        when a replacement cannot be built."""
+        self._lanes[lane].retire()
         self._lanes[lane] = self._spawn()
 
     def shutdown(self) -> None:
-        """Release every lane (idempotent)."""
+        """Retire every lane (idempotent).  All pipes close first, so
+        the lanes read EOF and exit side by side."""
         for entry in self._lanes:
-            try:
-                entry.conn.send(None)
-            except (OSError, ValueError):
-                pass
+            entry.conn.close()
         for entry in self._lanes:
-            _stop_lane(entry)
+            entry.retire()
         self._lanes = []
 
     # -- task flow -----------------------------------------------------
@@ -231,8 +300,8 @@ class ForkTransport:
             if not entry.busy and not entry.dead
         )
 
-    def lane_pid(self, lane: int) -> Optional[int]:
-        return self._lanes[lane].process.pid
+    def lane_pid(self, lane: int) -> int:
+        return self._lanes[lane].pid
 
     def submit(self, key: str, start: int, stop: int, attempt: int) -> int:
         """Place items ``start:stop`` on a free lane; returns the lane
@@ -242,20 +311,16 @@ class ForkTransport:
         for index, entry in enumerate(self._lanes):
             if entry.busy or entry.dead:
                 continue
-            try:
-                entry.conn.send((key, start, stop, attempt))
-            except (OSError, ValueError) as error:
+            if not entry.send((key, start, stop, attempt)):
                 entry.dead = True
-                raise SubmitFailed(
-                    index, f"worker unreachable at assignment: {error}"
-                )
+                raise SubmitFailed(index, "worker unreachable at assignment")
             entry.busy = True
             return index
         raise RuntimeError("no free lane")  # pragma: no cover - defended
 
     def poll(self, timeout: float) -> List[ChunkResult]:
         """Results that became available within ``timeout`` seconds
-        (possibly none)."""
+        (possibly none).  A lane that died shows as EOF on its pipe."""
         from multiprocessing import connection as mp_connection
 
         busy = [
@@ -269,26 +334,19 @@ class ForkTransport:
         ready = mp_connection.wait(
             [entry.conn for _i, entry in busy], timeout=timeout
         )
-        results: List[ChunkResult] = []
-        for index, entry in busy:
-            if entry.conn in ready:
-                results.extend(self._drain(index, entry))
-            elif not entry.process.is_alive():
-                results.append(self._death(index, entry))
-        return results
+        return [
+            self._drain(index, entry)
+            for index, entry in busy
+            if entry.conn in ready
+        ]
 
-    def _drain(self, index: int, entry: _Lane) -> List[ChunkResult]:
+    def _drain(self, index: int, entry: _Lane) -> ChunkResult:
+        entry.busy = False
         try:
-            message = entry.conn.recv()
+            kind, key, payload, events = entry.conn.recv()
         except (EOFError, OSError):
-            return [self._death(index, entry)]
-        kind, key, payload, events = message
-        entry.busy = False
-        return [ChunkResult(kind, key, index, payload=payload, events=events)]
-
-    def _death(self, index: int, entry: _Lane) -> ChunkResult:
-        entry.dead = True
-        entry.busy = False
-        return ChunkResult(
-            "died", None, index, payload="worker died mid-chunk"
-        )
+            entry.dead = True
+            return ChunkResult(
+                "died", None, index, payload="worker died mid-chunk"
+            )
+        return ChunkResult(kind, key, index, payload=payload, events=events)

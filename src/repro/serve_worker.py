@@ -5,9 +5,12 @@ worker processes that run it.
 result store and cancellation in its event-loop process.  It imports
 this module at its first dispatch, just before it forks its workers, so
 every worker inherits the campaign stack (and a server that has served
-nothing has loaded none of it).  A worker is forked from the loop
-process, runs one request at a time and never returns into the loop's
-frames; the loop watches its pipe with ``loop.add_reader``.
+nothing has loaded none of it).  A worker is a
+:class:`~repro.engine.fork.Child` forked from the loop process — the one
+fork primitive, which also drops the loop's signal state and closes the
+listener and client sockets in the child.  It runs one request at a
+time and never returns into the loop's frames; the loop watches its
+pipe with ``loop.add_reader`` and ends it with ``Child.retire``.
 
 One duplex pipe per worker carries tuples.  Loop -> worker::
 
@@ -30,18 +33,13 @@ into the loop's registry for ``/metrics``.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import os
-import signal
-import stat
-import time
 from typing import Callable, List, Optional, Tuple
 
 from . import obs
 from .engine.campaign import FaultSweep, universe_fingerprint
-from .engine.fork import KILL_GRACE
+from .engine.fork import Child
 from .engine.store import STORE, program_fingerprint, text_fingerprint
 from .engine.supervisor import CampaignCancelled, CancelToken, CheckpointError
 from .logic.benchfmt import BenchFormatError, parse_bench
@@ -299,38 +297,16 @@ class _StreamRecorder(MemoryRecorder):
             self._conn.send(("event", self._seq, line))
 
 
-def _close_inherited_sockets(keep: int) -> None:
-    """Close every socket a fresh worker inherited except its own pipe:
-    the listener and client connections must not outlive the loop
-    process (a client waits for EOF; a restart must rebind the port).
-    Files and pipes stay, so stdio keeps working."""
-    for name in os.listdir("/dev/fd"):
-        fd = int(name)
-        if fd <= 2 or fd == keep:
-            continue
-        with contextlib.suppress(OSError):
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-
-
 def _serve_worker(conn) -> None:
     """A campaign worker process: run jobs from ``conn`` one at a time
     until the loop process closes its end (or goes away).
 
-    The worker was forked inside the loop process's running event loop
-    and never returns into it.  It first drops the loop's signal
-    wakeup fd and handlers (SIGTERM stops a worker, not the server, and
-    its own fork fan-out must not reach the server either), freezes the
-    inherited heap (no collection can close a socket object whose
-    number was reused) and closes the inherited sockets.  Its metrics
-    start empty and are drained into each job's last message; its
-    store keeps only parsed networks (results live in the loop's).
+    :meth:`Child.spawn <repro.engine.fork.Child.spawn>` forked it
+    inside the loop process's running event loop, reset the loop's
+    signal state and closed the listener and client sockets.  Its
+    metrics start empty and are drained into each job's last message;
+    its store keeps only parsed networks (results live in the loop's).
     """
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    gc.freeze()
-    _close_inherited_sockets(conn.fileno())
     _REG.reset()
     STORE.clear()
     while True:
@@ -357,58 +333,19 @@ def _serve_worker(conn) -> None:
             return
 
 
-class Worker:
-    """The server's handle on one worker process: its pid, its pipe and
-    the job it runs (``seq`` numbers the jobs it has been sent)."""
+class Worker(Child):
+    """The server's handle on one worker process: a :class:`Child`
+    running :func:`_serve_worker`, plus the job it runs (``seq``
+    numbers the jobs it has been sent)."""
 
-    __slots__ = ("pid", "conn", "job", "seq")
+    __slots__ = ("job", "seq")
 
     def __init__(self, pid: int, conn) -> None:
-        self.pid = pid
-        self.conn = conn
+        super().__init__(pid, conn)
         self.job = None
         self.seq = 0
 
     @classmethod
     def spawn(cls) -> "Worker":
         """Fork a worker from the calling (event-loop) process."""
-        from multiprocessing.connection import Pipe
-
-        ours, theirs = Pipe(duplex=True)
-        pid = os.fork()
-        if pid == 0:  # the worker: it never returns into the loop
-            code = 1
-            try:
-                ours.close()
-                _serve_worker(theirs)
-                code = 0
-            finally:
-                os._exit(code)
-        theirs.close()
-        return cls(pid, ours)
-
-    def send(self, message) -> bool:
-        """Send without raising; ``False`` means the worker is gone (its
-        EOF reaches the loop's reader, which retires it)."""
-        try:
-            self.conn.send(message)
-        except (OSError, ValueError):
-            return False
-        return True
-
-    def retire(self) -> int:
-        """Close the pipe and collect the process, SIGKILLing it after
-        the kill grace; returns its exit code (negative: the signal
-        that ended it)."""
-        self.conn.close()
-        deadline = time.monotonic() + KILL_GRACE
-        try:
-            while time.monotonic() < deadline:
-                done, status = os.waitpid(self.pid, os.WNOHANG)
-                if done:
-                    return os.waitstatus_to_exitcode(status)
-                time.sleep(0.002)
-            os.kill(self.pid, signal.SIGKILL)
-            return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        except ChildProcessError:  # pragma: no cover - reaped elsewhere
-            return 0
+        return super().spawn(_serve_worker)

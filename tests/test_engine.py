@@ -511,9 +511,9 @@ class TestStemRegion:
             )
 
     def test_threads_share_one_engine(self):
-        """``serve`` threads share one engine: concurrent first-use
-        derivation of the regions and root flips must give every thread
-        the serial statuses."""
+        """Threads may share one engine: concurrent first-use derivation
+        of the baseline, the regions and the root flips must give every
+        thread the serial statuses."""
         import sys
         import threading
 
@@ -859,21 +859,9 @@ class TestSweepDrivers:
     def test_fork_unavailable_falls_back_to_serial_block_backend(
         self, monkeypatch
     ):
-        """Platforms without the fork start method must still serve
-        parallel requests — on the serial path, with the step down
-        recorded."""
-        import multiprocessing
-
-        import repro.engine.campaign as campaign_mod
-
-        real_get_context = multiprocessing.get_context
-
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return real_get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        """Platforms without ``os.fork`` must still serve parallel
+        requests — on the serial path, with the step down recorded."""
+        monkeypatch.delattr(os, "fork")
         sweep = FaultSweep(fig37_fixed_network())
         universe = sweep.compiled.universe_ids(collapse=False)
         reference = [(f, sweep.classify(f)) for f in universe]

@@ -79,6 +79,30 @@ def test_cli_import_skips_server_and_analysis():
     assert not loaded & {"repro.server", "repro.core.analysis"}
 
 
+def test_serial_sweep_skips_multiprocessing():
+    """Every supervised sweep imports ``engine/fork.py``; only a fan-out
+    imports the pipe machinery, so a serial cold start does not pay its
+    import time."""
+    code = (
+        "import sys\n"
+        "from repro.engine import FaultSweep\n"
+        "from repro.workloads.fig34 import fig37_fixed_network\n"
+        "sweep = FaultSweep(fig37_fixed_network())\n"
+        "sweep.sweep(sweep.compiled.universe_ids(collapse=False))\n"
+        "assert 'repro.engine.fork' in sys.modules\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_exported_name_resolves_and_is_listed(package):
     module = importlib.import_module(package)

@@ -192,6 +192,73 @@ class TestChaosWorkerFailures:
             "0"
         ]
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process states"
+    )
+    def test_killed_parent_leaves_no_lane(self, tmp_path):
+        """A sweep's lanes end with it even when it is SIGKILLed: a lane
+        holds no end of any pipe but its own, so it reads EOF (or a
+        broken pipe) once its parent is gone instead of waiting, as an
+        orphan, for a job that never comes."""
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        pids_path = tmp_path / "lanes"
+        script = f"""
+import os, signal, threading, time
+from repro.engine import FaultSweep, supervisor
+from repro.logic.benchfmt import load_bench
+
+def hook(key, attempt):
+    with open({str(pids_path)!r}, "a") as out:
+        out.write(f"{{os.getpid()}}\\n")
+    time.sleep(0.2)
+
+def kill_when_both_lanes_ran():
+    while True:
+        try:
+            pids = set(open({str(pids_path)!r}).read().split())
+        except FileNotFoundError:
+            pids = set()
+        if len(pids) >= 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.01)
+
+supervisor.WORKER_CHUNK_HOOK = hook
+sweep = FaultSweep(load_bench({os.path.join(DATA_DIR, "adder4.bench")!r}))
+universe = sweep.compiled.universe_ids(collapse=False)
+threading.Thread(target=kill_when_both_lanes_ran, daemon=True).start()
+sweep.sweep(universe, processes=2)
+"""
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(supervisor.__file__)
+        )))
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert child.returncode == -signal.SIGKILL
+        lanes = {int(pid) for pid in pids_path.read_text().split()}
+        assert len(lanes) == 2
+
+        def alive(pid):  # an exited orphan may linger as a zombie
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 2.0
+        while any(map(alive, lanes)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        survivors = sorted(pid for pid in lanes if alive(pid))
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"lanes outlived their parent: {survivors}"
+
     def test_unknown_sabotage_rejected(self):
         with pytest.raises(KeyError):
             with sabotage_campaign("frobnicate"):
