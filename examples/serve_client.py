@@ -18,7 +18,8 @@ campaign report::
 
 Submitting the same netlist twice concurrently demonstrates the
 service's coalescing: both clients receive the full stream, but only
-one campaign executes (``disposition: coalesced`` on the second).
+one campaign executes (``disposition: coalesced`` on the second); a
+third identical submission after them replays the finished result.
 ``--smoke URL`` runs exactly that as a self-checking scenario — the CI
 serve-smoke job's driver.  ``--recover-drill`` exercises the service's
 crash tolerance end to end: it SIGKILLs a serving subprocess
@@ -30,6 +31,7 @@ so ``urllib`` consumes it line by line.
 """
 
 import json
+import os
 import sys
 import threading
 from urllib.request import Request, urlopen
@@ -72,11 +74,15 @@ def submit(base_url, netlist, processes=2, quiet=False, **fields):
 
 def run_smoke(base_url):
     """Two identical concurrent submissions: both must stream, exactly
-    one may execute."""
+    one may execute; a third one after them replays its result.  Each
+    run sends a netlist of its own (a nonce comment line, which the
+    ``.bench`` parser ignores), so a second run on the same server
+    reaches a worker instead of replaying the first."""
+    netlist = f"# smoke {os.urandom(8).hex()}\n" + SMOKE_BENCH
     streams = [[], []]
 
     def client(slot):
-        for event in submit(base_url, SMOKE_BENCH, quiet=True):
+        for event in submit(base_url, netlist, quiet=True, statuses=True):
             streams[slot].append(event)
 
     threads = [
@@ -99,8 +105,12 @@ def run_smoke(base_url):
         results[1], sort_keys=True
     )
     assert same, "coalesced clients received different results"
+    replay = list(submit(base_url, netlist, quiet=True, statuses=True))[-1]
+    assert replay["replayed"] is True, replay
+    assert replay["faults"] == results[0]["faults"], replay
+    assert replay["statuses"] == results[0]["statuses"], replay
     print(
-        f"serve smoke OK: {dispositions}, one execution, "
+        f"serve smoke OK: {dispositions}, one execution, one replay, "
         f"{results[0]['faults']} faults via {results[0]['backend']}, "
         f"dangerous fraction {results[0]['dangerous']:.1%}"
     )
@@ -216,7 +226,6 @@ def run_local_demo():
     import asyncio
 
     from repro import obs
-    from repro.engine.store import STORE
     from repro.server import CampaignServer
 
     previous_metrics = obs.metrics_enabled()
@@ -244,10 +253,8 @@ def run_local_demo():
         loop.call_soon_threadsafe(stop.set_result, None)
         thread.join(timeout=10)
         loop.close()
-        # The server flips process-global switches; an in-process demo
-        # must hand them back the way it found them.
-        STORE.enabled = False
-        STORE.clear()
+        # The server switches metrics on for the process; an in-process
+        # demo must hand them back the way it found them.
         obs.enable_metrics(previous_metrics)
     return 0
 

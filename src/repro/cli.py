@@ -735,8 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "finished, resuming from their checkpoints "
                         "(requires --state-dir)")
     p.add_argument("--max-jobs", type=int, default=64,
-                   help="finished-job LRU size; older results still replay "
-                        "from the content-addressed store (default 64)")
+                   help="finished jobs kept to replay identical requests; "
+                        "the least recently used goes first, and an evicted "
+                        "request runs again (default 64)")
     p.add_argument("--read-timeout", type=float, default=10.0,
                    metavar="SECONDS",
                    help="per-connection header/body read timeout; slower "

@@ -22,16 +22,14 @@ simulates its candidate patterns the same way, one fault per slot of
 pattern bits.  Nothing in the package needs NumPy.
 
 The bitmask backend caches the fault-free baseline (an immutable tuple —
-engines are shared across sweeps and across ``serve`` requests, so
-in-place mutation must raise) and re-simulates only the injected fault's
-output cone (its classification needs even less: one flip simulation
-per fanout stem, then a few mask operations per single fault);
+engines are shared across sweeps, so in-place mutation must raise) and
+re-simulates only the injected fault's output cone (its classification
+needs even less: one flip simulation per fanout stem, then a few mask
+operations per single fault);
 :mod:`repro.engine.campaign` batches that into multi-fault
 sweep drivers with fan-out across supervised fork workers
 (:mod:`repro.engine.fork`) whenever ``processes > 1``, each run
-described by one :class:`~repro.engine.supervisor.ChunkKind`; the
-content-addressed :data:`repro.engine.store.STORE` lets ``repro
-serve`` replay finished campaigns across requests.
+described by one :class:`~repro.engine.supervisor.ChunkKind`.
 
 Usage::
 
@@ -45,7 +43,6 @@ Usage::
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "ArtifactStore": "store",
     "AtpgReport": "atpg",
     "BitmaskBackend": "backends",
     "CampaignCancelled": "supervisor",
@@ -64,11 +61,9 @@ _EXPORTS = {
     "ResponseBits": "campaign",
     "RetryEvent": "supervisor",
     "RowForcing": "compiled",
-    "STORE": "store",
     "atpg_targets": "atpg",
     "compile_network": "compiled",
     "engine_for": "backends",
-    "program_fingerprint": "store",
     "run_atpg": "atpg",
     "run_campaign": "supervisor",
     "universe_fingerprint": "campaign",

@@ -24,9 +24,8 @@ Instrumented seams: the engine backends (op/word counters),
 ``sweep.chunk`` span every execution path classifies through; synthesis
 fitness chunks open it in :func:`repro.synth.fitness.evaluate_chunk`),
 :mod:`repro.engine.supervisor` (chunk completions, retries, worker
-replacements, checkpoint writes), :mod:`repro.engine.store` (artifact
-hits/misses/evictions), :mod:`repro.server` (request/job/subscriber
-counters behind ``GET /metrics``),
+replacements, checkpoint writes), :mod:`repro.server` (request, job,
+replay and subscriber counters behind ``GET /metrics``),
 :class:`repro.engine.campaign.FaultSweep` (the ``campaign.run`` span,
 the report and cancel events, the wall-clock stopwatch and the fault
 metrics), and

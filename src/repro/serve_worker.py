@@ -1,8 +1,8 @@
 """The campaign side of ``repro serve``: what runs one request, and the
 worker processes that run it.
 
-:mod:`repro.server` keeps HTTP, admission, coalescing, the journal, the
-result store and cancellation in its event-loop process.  It imports
+:mod:`repro.server` keeps HTTP, admission, coalescing, replays, the
+journal and cancellation in its event-loop process.  It imports
 this module at its first dispatch, just before it forks its workers, so
 every worker inherits the campaign stack (and a server that has served
 nothing has loaded none of it).  A worker is a
@@ -15,14 +15,12 @@ pipe with ``loop.add_reader`` and ends it with ``Child.retire``.
 One duplex pipe per worker carries tuples.  Loop -> worker::
 
     ("job", seq, request, checkpoint, resume, deadline_s, deadline)
-    ("answer", seq, stored)          the reply to the job's store key
     ("cancel", seq, reason)
 
 Worker -> loop, for job ``seq``::
 
-    ("key", seq, key)                the content key, before any work
     ("event", seq, line)             one campaign.*/synth.* stream line
-    ("result", seq, value, metrics)  value is None when it was stored
+    ("result", seq, value, metrics)
     ("error", seq, text, cancel_reason, metrics)
 
 ``deadline`` is the loop token's absolute :func:`time.monotonic` time,
@@ -35,12 +33,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from . import obs
-from .engine.campaign import FaultSweep, universe_fingerprint
+from .engine.campaign import FaultSweep
 from .engine.fork import Child
-from .engine.store import STORE, program_fingerprint, text_fingerprint
 from .engine.supervisor import CampaignCancelled, CancelToken, CheckpointError
 from .logic.benchfmt import BenchFormatError, parse_bench
 from .obs.recorder import MemoryRecorder
@@ -49,120 +46,92 @@ from .server import RequestError
 _REG = obs.REGISTRY
 
 
-def _campaign_job(request: dict, network, cancel: Optional[CancelToken]):
-    """Store key and run step of one fault campaign.  The key is pure
-    content (program + universe fingerprints + universe shape), so a
-    replay does not even need the supervised runtime."""
+def _run_campaign(
+    request: dict,
+    network,
+    cancel: Optional[CancelToken],
+    checkpoint: Optional[str],
+    resume: bool,
+) -> dict:
+    """One fault campaign over the request's universe."""
     sweep = FaultSweep(network)
-    universe = sweep.compiled.universe_ids(collapse=request["collapse"])
-    key = (
-        "campaign",
-        program_fingerprint(sweep.compiled),
-        universe_fingerprint(universe, sweep.n, sweep.compiled),
-        f"collapse={request['collapse']}",
+    pairs = sweep.sweep(
+        sweep.compiled.universe_ids(collapse=request["collapse"]),
+        processes=request["processes"],
+        timeout=request["timeout"],
+        checkpoint=checkpoint,
+        resume=resume,
+        cancel=cancel,
     )
-
-    def run(checkpoint: Optional[str], resume: bool) -> dict:
-        pairs = sweep.sweep(
-            universe,
-            processes=request["processes"],
-            timeout=request["timeout"],
-            checkpoint=checkpoint,
-            resume=resume,
-            cancel=cancel,
-        )
-        statuses = tuple(status for _fault, status in pairs)
-        total = max(len(statuses), 1)
-        return {
-            "faults": len(statuses),
-            "detected": statuses.count("detected") / total,
-            "silent": statuses.count("silent") / total,
-            "dangerous": statuses.count("dangerous") / total,
-            "backend": sweep.last_report.backend,
-            "report": sweep.last_report.to_dict(),
-            "statuses": statuses,
-        }
-
-    return key, run
+    statuses = tuple(status for _fault, status in pairs)
+    total = max(len(statuses), 1)
+    return {
+        "faults": len(statuses),
+        "detected": statuses.count("detected") / total,
+        "silent": statuses.count("silent") / total,
+        "dangerous": statuses.count("dangerous") / total,
+        "backend": sweep.last_report.backend,
+        "report": sweep.last_report.to_dict(),
+        "statuses": statuses,
+    }
 
 
-def _synth_job(request: dict, network, cancel: Optional[CancelToken]):
-    """Store key and run step of one synthesis/repair campaign, keyed
-    by the target identity (spec fingerprint, or the netlist text
-    fingerprint in repair mode) plus the search knobs."""
+def _run_synth(
+    request: dict,
+    network,
+    cancel: Optional[CancelToken],
+    checkpoint: Optional[str],
+    resume: bool,
+) -> dict:
+    """One synthesis campaign (from a spec) or repair campaign (from
+    the request's netlist)."""
     from .synth.campaign import SynthCampaign, repair_campaign
     from .synth.specs import SPECS
 
-    if network is None:
-        spec = SPECS[request["spec"]]
-        target_fp = spec.fingerprint()
-    else:
-        target_fp = text_fingerprint(request["netlist"])
-    key = (
-        "synth",
-        target_fp,
-        f"seed={request['seed']},population={request['population']},"
-        f"generations={request['generations']},"
-        f"max_gates={request['max_gates']},damage={request['damage']}",
+    common = dict(
+        seed=request["seed"],
+        population=request["population"],
+        generations=request["generations"],
+        max_gates=request["max_gates"],
+        processes=request["processes"],
+        timeout=request["timeout"],
+        checkpoint=checkpoint,
+        resume=resume,
+        cancel=cancel,
     )
-
-    def run(checkpoint: Optional[str], resume: bool) -> dict:
-        common = dict(
-            seed=request["seed"],
-            population=request["population"],
-            generations=request["generations"],
-            max_gates=request["max_gates"],
-            processes=request["processes"],
-            timeout=request["timeout"],
-            checkpoint=checkpoint,
-            resume=resume,
-            cancel=cancel,
-        )
-        if network is None:
-            campaign = SynthCampaign(spec, **common)
-        else:
-            campaign = repair_campaign(
-                network, damage=request["damage"], **common
-            )
-        report = campaign.run()
-        return {
-            "kind": "synth",
-            "spec": report.spec,
-            "seed": report.seed,
-            "mode": report.mode,
-            "converged": report.converged,
-            "generations": report.generations_run,
-            "evaluations": report.evaluations,
-            "best_score": report.best_record.score,
-            "best_fingerprint": report.best_fingerprint,
-            "best_genome": json.loads(report.best_genome),
-            "pareto": report.pareto,
-            "report": report.to_dict(),
-        }
-
-    return key, run
+    if network is None:
+        campaign = SynthCampaign(SPECS[request["spec"]], **common)
+    else:
+        campaign = repair_campaign(network, damage=request["damage"], **common)
+    report = campaign.run()
+    return {
+        "kind": "synth",
+        "spec": report.spec,
+        "seed": report.seed,
+        "mode": report.mode,
+        "converged": report.converged,
+        "generations": report.generations_run,
+        "evaluations": report.evaluations,
+        "best_score": report.best_record.score,
+        "best_fingerprint": report.best_fingerprint,
+        "best_genome": json.loads(report.best_genome),
+        "pareto": report.pareto,
+        "report": report.to_dict(),
+    }
 
 
-#: Request kind -> ``(request, network, cancel) -> (store key, run)``.
-_JOBS = {"campaign": _campaign_job, "synth": _synth_job}
+#: Request kind -> ``(request, network, cancel, checkpoint, resume) ->
+#: value``.
+_JOBS = {"campaign": _run_campaign, "synth": _run_synth}
 
 
 def run_request(
     request: dict,
-    cancel: Optional[CancelToken],
-    checkpoint: Optional[str],
-    resume: bool,
-    lookup: Callable[[tuple], object],
-) -> Tuple[tuple, object, bool]:
-    """Run one request's campaign unless its result is already stored.
-
-    Parses are deduped through this process's store (kind
-    ``"network"``, by text fingerprint), so identical netlists share one
-    ``Network`` — and therefore, via ``engine_for``, one compiled
-    program and one cached baseline.  ``lookup`` is asked for the
-    kind's content key and answers with the stored value (in a worker,
-    just ``True``), or a false value to run.  Returns ``(key, value,
-    replayed)``.
+    cancel: Optional[CancelToken] = None,
+    checkpoint: Optional[str] = None,
+    resume: bool = False,
+) -> dict:
+    """Parse the request's netlist and run its campaign.
 
     ``checkpoint``/``resume`` ride the journal's state directory: a
     recovered request resumes from the work its interrupted run already
@@ -173,22 +142,15 @@ def run_request(
         cancel.check()
     network = None
     if request["netlist"] is not None:
-        text_fp = text_fingerprint(request["netlist"])
-        network = STORE.get("network", text_fp)
-        if network is None:
-            try:
-                network = parse_bench(request["netlist"], name="serve")
-            except BenchFormatError as error:
-                raise RequestError(f"netlist does not parse: {error}")
-            STORE.put("network", text_fp, value=network)
-    key, run = _JOBS[request["kind"]](request, network, cancel)
-    value = lookup(key)
-    if value:
-        return key, value, True
+        try:
+            network = parse_bench(request["netlist"], name="serve")
+        except BenchFormatError as error:
+            raise RequestError(f"netlist does not parse: {error}")
+    run = _JOBS[request["kind"]]
     try:
-        return key, run(checkpoint, resume), False
+        return run(request, network, cancel, checkpoint, resume)
     except CheckpointError:
-        return key, run(checkpoint, False), False
+        return run(request, network, cancel, checkpoint, False)
 
 
 def _drain_metrics() -> List[tuple]:
@@ -244,33 +206,17 @@ class _WorkerToken(CancelToken):
         self._conn = conn
         self._seq = seq
 
-    def _read(self):
-        """One loop message; a cancel is applied here and not returned."""
-        try:
-            message = self._conn.recv()
-        except (EOFError, OSError):
-            self.cancel("server gone")
-            return None
-        if message[0] != "cancel":
-            return message
-        if message[1] == self._seq:  # else it crossed an older job's result
-            self.cancel(message[2])
-        return None
-
     @property
     def cancelled(self) -> bool:
         while not self._cancelled and self._conn.poll():
-            self._read()
+            try:
+                _tag, seq, reason = self._conn.recv()
+            except (EOFError, OSError):
+                self.cancel("server gone")
+                break
+            if seq == self._seq:  # else it crossed an older job's result
+                self.cancel(reason)
         return super().cancelled
-
-    def stored(self, key: tuple) -> bool:
-        """Send the job's store key; block for the loop's answer."""
-        self._conn.send(("key", self._seq, key))
-        while True:
-            message = self._read()
-            self.check()
-            if message is not None:  # the answer
-                return message[2]
 
 
 class _StreamRecorder(MemoryRecorder):
@@ -304,11 +250,9 @@ def _serve_worker(conn) -> None:
     :meth:`Child.spawn <repro.engine.fork.Child.spawn>` forked it
     inside the loop process's running event loop, reset the loop's
     signal state and closed the listener and client sockets.  Its
-    metrics start empty and are drained into each job's last message;
-    its store keeps only parsed networks (results live in the loop's).
+    metrics start empty and are drained into each job's last message.
     """
     _REG.reset()
-    STORE.clear()
     while True:
         try:
             message = conn.recv()
@@ -320,10 +264,8 @@ def _serve_worker(conn) -> None:
         cancel = _WorkerToken(conn, seq, deadline_s, deadline)
         try:
             with obs.recording(recorder=_StreamRecorder(conn, seq)):
-                _key, value, replayed = run_request(
-                    request, cancel, checkpoint, resume, cancel.stored
-                )
-            reply = ("result", seq, None if replayed else value)
+                value = run_request(request, cancel, checkpoint, resume)
+            reply = ("result", seq, value)
         except Exception as error:
             reason = str(error) if isinstance(error, CampaignCancelled) else None
             reply = ("error", seq, f"{type(error).__name__}: {error}", reason)

@@ -14,15 +14,13 @@ supervised campaign runtime into a long-lived service:
   ``netlist`` for repair mode), streaming ``synth.*`` generation events
   and finishing with the structured
   :class:`~repro.synth.SynthReport`.
-* Identical requests are **coalesced**: an in-flight job is keyed by a
-  content fingerprint of the request (netlist text + universe shape +
-  execution knobs), and every later identical submission subscribes to
-  the same execution instead of starting its own.  Completed campaigns
-  additionally land in the process-wide content-addressed
-  :data:`~repro.engine.store.STORE` (kind ``"campaign"``, keyed by
-  compiled-program + universe fingerprints), so repeats after
-  completion replay instantly — the hit rate is visible in
-  ``/metrics``.
+* Identical requests share one job: the job table is keyed by a
+  content fingerprint of the canonical request (netlist text + universe
+  shape + execution knobs).  A later identical submission **coalesces**
+  onto a running job (it subscribes to the same execution) or
+  **replays** a finished one that succeeded (its result line comes back
+  at once, with ``"replayed": true``, and no worker is involved) — the
+  hit rate is visible in ``/metrics``.
 * ``GET /metrics`` serves the Prometheus text exposition of
   :data:`repro.obs.REGISTRY`; ``GET /healthz`` is a pure **liveness**
   probe (200 for as long as the process can answer), ``GET /readyz``
@@ -37,19 +35,17 @@ runtime applies to its workers:
   process at the first dispatch and again for a slot whose worker
   died.  Each runs one request at a time (and still owns its own fork
   fan-out), so the event loop never waits on the GIL of a running
-  campaign.  The loop process keeps HTTP, admission, coalescing, the
-  journal, the result store and cancellation; one pipe per worker,
-  watched with ``loop.add_reader``, carries the job, the store-key
-  question and answer, the live ``campaign.*``/``synth.*`` events,
-  cancellation, and the result with the worker's metric samples
-  (merged into ``/metrics``).  A worker that dies fails its own
-  request alone.
+  campaign.  The loop process keeps HTTP, admission, coalescing,
+  replays, the journal and cancellation; one pipe per worker, watched
+  with ``loop.add_reader``, carries the job, the live
+  ``campaign.*``/``synth.*`` events, cancellation, and the result with
+  the worker's metric samples (merged into ``/metrics``).  A worker
+  that dies fails its own request alone.
 * **Admission control** — the workers sit behind a bounded accept
   queue.  When ``workers + queue_limit`` jobs are outstanding, new
   *distinct* submissions are shed with ``429 + Retry-After`` instead
-  of queueing unboundedly (coalescing onto an existing identical job
-  is always admitted — it adds no work).  Shed counts and queue depth
-  are exported.
+  of queueing unboundedly (coalescing and replays are always admitted
+  — they add no work).  Shed counts and queue depth are exported.
 * **Deadlines & cancellation** — every execution carries a
   :class:`~repro.engine.supervisor.CancelToken` threaded into the
   supervision poll loop; in the worker it is rebuilt with the same
@@ -69,9 +65,9 @@ runtime applies to its workers:
   ``kill -9`` of the server or of a worker loses no accepted work and
   the replayed statuses are byte-identical to an uninterrupted run.
 
-Per-job memory is bounded too: the finished-job table is a pruned LRU
-(completed results replay from the content-addressed store, not from
-this table) and every subscriber queue drops its oldest *progress* line
+Per-job memory is bounded too: the job table keeps at most ``max_jobs``
+finished jobs, least recently used first out (so it is also the replay
+capacity), and every subscriber queue drops its oldest *progress* line
 when a slow NDJSON client falls behind — the terminal ``result`` line
 is never dropped.
 """
@@ -91,7 +87,6 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from . import obs
 from .engine.durable import append_line, atomic_write, open_log
-from .engine.store import STORE, text_fingerprint
 
 if TYPE_CHECKING:  # imported at the first dispatch, with the workers
     from .engine.supervisor import CancelToken
@@ -169,6 +164,14 @@ _M_JOURNAL = _REG.counter(
 )
 _M_RECOVERED = _REG.counter(
     "repro_serve_recovered_total", "Journaled requests replayed on recovery"
+)
+_M_HITS = _REG.counter(
+    "repro_store_hits_total",
+    "Submissions replayed from a finished job, by request kind",
+)
+_M_MISSES = _REG.counter(
+    "repro_store_misses_total",
+    "Submissions that start a fresh job, by request kind",
 )
 
 
@@ -255,12 +258,13 @@ def canonical_request(body: dict) -> dict:
 
 
 def request_fingerprint(request: dict) -> str:
-    """Content identity of one submission: the dedup key for in-flight
-    coalescing.  Statuses only depend on the netlist and the universe
-    shape, but the *stream* a client receives also depends on the
-    execution knobs, so all of them participate."""
+    """Content identity of one submission: the job table's key, for
+    coalescing and replays.  Statuses only depend on the netlist and the
+    universe shape, but the *stream* a client receives also depends on
+    the execution knobs, so all of them participate."""
     digest = hashlib.sha256()
-    digest.update(text_fingerprint(request["netlist"] or "").encode())
+    text = (request["netlist"] or "").encode()
+    digest.update(hashlib.sha256(text).hexdigest().encode())
     for key in sorted(REQUEST_DEFAULTS):
         digest.update(f"\x00{key}={request[key]!r}".encode())
     return digest.hexdigest()
@@ -388,16 +392,16 @@ class _Job:
     to ``queue_limit`` lines with a drop-oldest-progress policy: the
     terminal ``result`` line is published last and therefore always
     survives.  ``worker`` is the :class:`~repro.serve_worker.Worker`
-    running the job (``None``
-    while it is queued or finished), and ``key``/``stored`` its store
-    key and the stored value the loop found under it.
+    running the job (``None`` while it is queued or finished).  A
+    replay is a ``_Job`` born finished, outside the job table, with no
+    token.
     """
 
     def __init__(
         self,
         fingerprint: str,
         request: dict,
-        cancel: CancelToken,
+        cancel: Optional[CancelToken],
         queue_limit: int = 256,
         detached: bool = False,
     ) -> None:
@@ -411,8 +415,11 @@ class _Job:
         self.result: Optional[dict] = None
         self.done = asyncio.Event()
         self.worker: Optional[Worker] = None
-        self.key: Optional[tuple] = None
-        self.stored: Optional[dict] = None
+
+    @property
+    def replayable(self) -> bool:
+        """Finished without an error: its result answers repeats."""
+        return self.result is not None and "error" not in self.result
 
     def subscribe(self) -> asyncio.Queue:
         queue: asyncio.Queue = asyncio.Queue()
@@ -424,8 +431,7 @@ class _Job:
 
     def unsubscribe(self, queue: asyncio.Queue) -> None:
         """Detach one subscriber; the last one leaving a live job
-        cancels the now-orphaned campaign (nobody is listening, and a
-        late identical request replays from the store anyway)."""
+        cancels the now-orphaned campaign (nobody is listening)."""
         if queue in self.subscribers:
             self.subscribers.remove(queue)
         if not self.subscribers and not self.done.is_set() and not self.detached:
@@ -454,36 +460,6 @@ class _Job:
         self.publish(dict(result, event="result"))
         self.subscribers = []
         self.done.set()
-
-
-def _result_line(request: dict, value: dict, replayed: bool) -> dict:
-    """Shape a finished (or stored) run into the ``result`` line."""
-    result = dict(value, replayed=replayed, store=STORE.stats())
-    statuses = result.pop("statuses", None)
-    if request["statuses"] and statuses is not None:
-        result["statuses"] = list(statuses)
-    return result
-
-
-def _execute(
-    request: dict,
-    recorder,
-    cancel: Optional[CancelToken] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-) -> dict:
-    """Run one request in this process against :data:`STORE` and shape
-    its result line: what a worker and the loop process do together,
-    in one place (the crash drills' uninterrupted yardstick)."""
-    from .serve_worker import run_request
-
-    with obs.recording(recorder=recorder):
-        key, value, replayed = run_request(
-            request, cancel, checkpoint, resume, lambda key: STORE.get(*key)
-        )
-    if not replayed:
-        STORE.put(*key, value=value)
-    return _result_line(request, value, replayed)
 
 
 def _cancel_kind(reason: str) -> str:
@@ -529,6 +505,8 @@ class CampaignServer:
         self.jobs: "OrderedDict[str, _Job]" = OrderedDict()
         self.executions = 0
         self.recovered = 0
+        self.hits = 0
+        self.misses = 0
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         # Live connection handlers: Python 3.11's ``wait_closed`` does
@@ -544,7 +522,6 @@ class CampaignServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        STORE.enabled = True
         obs.enable_metrics(True)
         if self.journal is not None:
             self.journal.open()
@@ -558,8 +535,8 @@ class CampaignServer:
 
     def _recover_journal(self) -> None:
         """Replay accepted-but-unfinished journal records as detached
-        jobs (no subscribers; results land in the store and the journal
-        done records)."""
+        jobs (no subscribers; results land in the job table and the
+        journal done records)."""
         pending = self.journal.load_pending()
         self.journal.compact(pending)
         for fingerprint, raw in pending.items():
@@ -630,9 +607,8 @@ class CampaignServer:
         _M_QUEUE_DEPTH.set(max(self._outstanding() - self.workers, 0))
 
     def _prune_jobs(self) -> None:
-        """Bound the job table: evict the oldest *finished* jobs beyond
-        ``max_jobs`` (their results replay from the content-addressed
-        store; the table only carries live fan-out state)."""
+        """Bound the job table: evict the least recently used *finished*
+        jobs beyond ``max_jobs`` (an evicted request runs again)."""
         if len(self.jobs) <= self.max_jobs:
             return
         for fingerprint in [
@@ -643,16 +619,48 @@ class CampaignServer:
             del self.jobs[fingerprint]
             _M_EVICTED.inc()
 
+    def _answering(self, fingerprint: str) -> Optional[_Job]:
+        """The job that answers ``fingerprint`` with no new work: a
+        running one, or a finished one that succeeded."""
+        job = self.jobs.get(fingerprint)
+        if job is not None and (job.replayable or not job.done.is_set()):
+            return job
+        return None
+
+    def _store_stats(self) -> dict:
+        """The job table as a result cache: replayable entries, and the
+        submissions it answered (hits) or sent to a worker (misses)."""
+        return {
+            "entries": sum(job.replayable for job in self.jobs.values()),
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
     def submit(self, request: dict, detached: bool = False) -> Tuple[_Job, str]:
         """The job serving ``request`` and its disposition — a running
-        identical job (``coalesced``) or a fresh one (``executed``).  A
-        fresh job is queued; it reaches a worker on the loop's next
-        turn, after the caller has written its ``accepted`` line."""
+        identical job (``coalesced``), a finished one's result
+        (``replayed``: a finished job of its own, outside the table), or
+        a fresh one (``executed``).  A fresh job is queued; it reaches a
+        worker on the loop's next turn, after the caller has written its
+        ``accepted`` line."""
         fingerprint = request_fingerprint(request)
-        job = self.jobs.get(fingerprint)
+        job = self._answering(fingerprint)
         if job is not None and not job.done.is_set():
             _M_JOBS.inc(disposition="coalesced")
             return job, "coalesced"
+        self.executions += 1
+        if job is not None:
+            self.jobs.move_to_end(fingerprint)
+            self.hits += 1
+            _M_HITS.inc(kind=request["kind"])
+            _M_JOBS.inc(disposition="replayed")
+            replay = _Job(fingerprint, request, None)
+            replay.finish(
+                dict(job.result, replayed=True, store=self._store_stats())
+            )
+            return replay, "replayed"
+        self.misses += 1
+        _M_MISSES.inc(kind=request["kind"])
         from .engine.supervisor import CancelToken
 
         deadline_s = request.get("deadline_s")
@@ -667,7 +675,6 @@ class CampaignServer:
         )
         self.jobs[fingerprint] = job
         self.jobs.move_to_end(fingerprint)
-        self.executions += 1
         _M_JOBS.inc(disposition="executed")
         if self.journal is not None:
             if not detached:
@@ -757,10 +764,6 @@ class CampaignServer:
         tag = message[0]
         if tag == "event":
             job.publish(message[2])
-        elif tag == "key":
-            job.key = message[2]
-            job.stored = STORE.get(*job.key)
-            worker.send(("answer", worker.seq, job.stored is not None))
         else:  # the job's last message
             merge_metrics(message[-1])
             worker.job = job.worker = None
@@ -797,17 +800,16 @@ class CampaignServer:
         cancelled: Optional[str] = None,
         died: bool = False,
     ) -> None:
-        """Finish ``job``: a run's ``value`` (``None``: the loop's stored
-        one) lands in the store, or ``error`` (with the token's reason
-        when it was a cancellation) becomes the result line."""
+        """Finish ``job``: a run's ``value``, or ``error`` (with the
+        token's reason when it was a cancellation), becomes the result
+        line."""
         if error is None:
-            replayed = value is None
-            if replayed:
-                value = job.stored
-                _M_JOBS.inc(disposition="replayed")
-            else:
-                STORE.put(*job.key, value=value)
-            job.finish(_result_line(job.request, value, replayed))
+            result = dict(value, replayed=False, store=self._store_stats())
+            result["store"]["entries"] += 1  # this result replays too
+            statuses = result.pop("statuses", None)
+            if job.request["statuses"] and statuses is not None:
+                result["statuses"] = list(statuses)
+            job.finish(result)
         elif cancelled is not None:
             _M_CANCELLED.inc(kind=_cancel_kind(cancelled))
             job.finish({"error": f"cancelled: {cancelled}", "cancelled": True})
@@ -831,10 +833,7 @@ class CampaignServer:
         if self.journal is None:
             return
         if error is None:
-            self.journal.done(
-                job.fingerprint,
-                {"ok": True, "replayed": job.result["replayed"]},
-            )
+            self.journal.done(job.fingerprint, {"ok": True})
             with contextlib.suppress(OSError):
                 os.remove(self.journal.checkpoint_path(job.fingerprint))
             return
@@ -940,7 +939,7 @@ class CampaignServer:
                 for job in self.jobs.values()
                 if job.detached and not job.done.is_set()
             ),
-            "store": STORE.stats(),
+            "store": self._store_stats(),
         }
 
     async def _handle_campaign(self, reader, writer, headers) -> None:
@@ -982,9 +981,9 @@ class CampaignServer:
         if request["processes"] is None:
             request["processes"] = self.default_processes
 
-        # Admission control.  Coalescing onto a live identical job is
-        # always admitted (it adds no work); everything else is checked
-        # against the drain flag and the bounded accept queue.
+        # Admission control.  Coalescing and replays are always admitted
+        # (they add no work); everything else is checked against the
+        # drain flag and the bounded accept queue.
         if self.draining:
             _M_SHED.inc(reason="draining")
             await _respond(
@@ -994,10 +993,9 @@ class CampaignServer:
                 retry_after=max(self.drain_timeout, 1.0),
             )
             return
-        live = self.jobs.get(request_fingerprint(request))
-        coalescing = live is not None and not live.done.is_set()
+        answered = self._answering(request_fingerprint(request)) is not None
         outstanding = self._outstanding()
-        if not coalescing and outstanding >= self.workers + self.queue_limit:
+        if not answered and outstanding >= self.workers + self.queue_limit:
             retry_after = max(1, min(30, outstanding - self.workers + 1))
             _M_SHED.inc(reason="queue-full")
             obs.event("serve.shed", outstanding=outstanding)

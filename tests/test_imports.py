@@ -79,6 +79,20 @@ def test_cli_import_skips_server_and_analysis():
     assert not loaded & {"repro.server", "repro.core.analysis"}
 
 
+def test_serve_loop_skips_the_campaign_stack():
+    """A server that has served nothing has loaded no campaign stack:
+    the loop process imports it at its first dispatch, just before it
+    forks the workers that inherit it."""
+    loaded = loaded_after("repro.server", "repro.cli")
+    campaign_stack = {"repro.serve_worker", "repro.logic"} | {
+        f"repro.engine.{name}"
+        for name in (
+            "campaign", "supervisor", "backends", "compiled", "fork", "store"
+        )
+    }
+    assert not loaded & campaign_stack, sorted(loaded & campaign_stack)
+
+
 def test_serial_sweep_skips_multiprocessing():
     """Every supervised sweep imports ``engine/fork.py``; only a fan-out
     imports the pipe machinery, so a serial cold start does not pay its

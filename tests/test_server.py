@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro import obs
-from repro.engine.store import STORE
 from repro.server import (
     CampaignServer,
     RequestError,
@@ -35,11 +34,9 @@ OUTPUT(g2)
 
 @pytest.fixture(autouse=True)
 def isolated_telemetry():
-    """The server flips process-global switches (store, metrics);
-    return both to their boot state around every test."""
+    """The server switches metrics on for the process; return them to
+    their boot state around every test."""
     yield
-    STORE.enabled = False
-    STORE.clear()
     obs.reset()
 
 
@@ -185,7 +182,7 @@ class TestHttpSurface:
         assert status.endswith("200 OK")
         health = json.loads(body)
         assert health["ok"] is True
-        assert health["store"]["enabled"] is True
+        assert health["store"] == {"entries": 0, "hits": 0, "misses": 0}
 
     def test_close_cancels_idle_connections(self):
         """A connection that never sends a request head does not
@@ -279,9 +276,9 @@ class TestSynthKind:
         assert replay["best_fingerprint"] == result["best_fingerprint"]
 
     def test_synth_job_does_not_evict_a_served_campaign(self):
-        """Scoring a generation does not fill the store: a campaign
+        """Scoring a generation does not fill the job table: a campaign
         served before a synth job still replays after it.  (The maj3
-        job scores more candidates than the store's 64 entries.)"""
+        job scores more candidates than the table's 64 finished jobs.)"""
 
         async def scenario(server):
             body = {"netlist": BENCH}
@@ -296,10 +293,10 @@ class TestSynthKind:
             _status, again = await _post_campaign(
                 server.host, server.port, body
             )
-            return first[-1], synth[-1], again[-1]
+            return first[-1], synth[-1], again[-1], server.max_jobs
 
-        first, synth, again = _run(_with_server(scenario))
-        assert synth["evaluations"] > STORE.max_entries
+        first, synth, again, max_jobs = _run(_with_server(scenario))
+        assert synth["evaluations"] > max_jobs
         assert first["replayed"] is False
         assert again["replayed"] is True
         assert again["store"]["hits"] >= 1
@@ -381,31 +378,20 @@ class TestRequestCanonicalization:
         with pytest.raises(RequestError, match=self.KNOB_RULES[field]):
             canonical_request({"netlist": BENCH, field: value})
 
-    def test_unknown_backend_is_http_400(self):
+    @pytest.mark.parametrize("backend", ["numba", "kernel"])
+    def test_backend_field_is_http_400(self, backend):
+        """The ``backend`` field is gone (and with it the codegen
+        ``kernel`` rung): a request still naming one is refused at
+        admission, not run on some other rung."""
         async def scenario(server):
             return await _post_campaign(
                 server.host, server.port,
-                {"netlist": BENCH, "backend": "numba"},
+                {"netlist": BENCH, "backend": backend},
             )
 
         status, lines = _run(_with_server(scenario))
         assert "400" in status
         assert lines[0]["error"] == "unknown request field(s): backend"
-
-    def test_retired_kernel_backend_is_http_400(self):
-        """The codegen ``kernel`` rung is gone, and so is the ``backend``
-        field: a request still naming it is refused at admission, not
-        run on some other rung."""
-        async def scenario(server):
-            return await _post_campaign(
-                server.host, server.port,
-                {"netlist": BENCH, "backend": "kernel"},
-            )
-
-        status, lines = _run(_with_server(scenario))
-        assert "400" in status
-        error = lines[0]["error"]
-        assert error == "unknown request field(s): backend"
 
     def test_fingerprint_ignores_key_order(self):
         one = canonical_request(

@@ -26,14 +26,12 @@ import pytest
 
 from repro import obs
 from repro.engine import supervisor
-from repro.engine.store import STORE
 from repro.engine.supervisor import CancelToken
-from repro.obs.recorder import MemoryRecorder
 from repro.qa import chaos
+from repro.serve_worker import run_request
 from repro.server import (
     CampaignServer,
     RequestJournal,
-    _execute,
     _Job,
     canonical_request,
     request_fingerprint,
@@ -87,8 +85,6 @@ CHAIN_BENCH = "\n".join(
 def isolated_telemetry():
     yield
     chaos.release_service_hangs()
-    STORE.enabled = False
-    STORE.clear()
     obs.reset()
 
 
@@ -172,6 +168,43 @@ class TestAdmissionControl:
                 assert lines[-1]["event"] == "result"
                 await first
             assert server.executions == 1
+
+        _run(_with_server(scenario, workers=1, queue_limit=0))
+
+    def test_replay_needs_no_worker(self):
+        """A finished request's identical copy is answered from the job
+        table at once: it neither waits for the only worker, held by a
+        slow campaign, nor counts against the full accept queue."""
+
+        async def scenario(server):
+            # Armed before the first request: the worker forked for it
+            # inherits the sabotage.
+            with chaos.sabotage_service("campaign-slow", slow_s=0.3):
+                body = {"netlist": BENCH, "statuses": True}
+                _status, first = await _post_campaign(
+                    server.host, server.port, body
+                )
+                slow = asyncio.ensure_future(
+                    _post_campaign(
+                        server.host, server.port, {"netlist": CHAIN_BENCH}
+                    )
+                )
+                await _wait_for(
+                    lambda: any(w and w.job for w in server._slots)
+                )
+                started = time.monotonic()
+                status, again = await _post_campaign(
+                    server.host, server.port, body
+                )
+                elapsed = time.monotonic() - started
+                assert not slow.done()
+                _status, lines = await slow
+            assert status.endswith("200 OK"), (status, again)
+            assert again[0]["disposition"] == "replayed"
+            assert again[-1]["replayed"] is True
+            assert again[-1]["statuses"] == first[-1]["statuses"]
+            assert elapsed < 0.5, elapsed
+            assert "error" not in lines[-1]
 
         _run(_with_server(scenario, workers=1, queue_limit=0))
 
@@ -326,6 +359,21 @@ class TestBoundedBuffers:
             assert server.executions == 3
             _status, metrics = await _get(server.host, server.port, "/metrics")
             assert "repro_serve_jobs_evicted_total 1" in metrics
+
+            async def replayed(bench):
+                _status, lines = await _post_campaign(
+                    server.host, server.port, {"netlist": bench}
+                )
+                assert "error" not in lines[-1]
+                return lines[-1]["replayed"]
+
+            # A kept request replays, which makes it the most recently
+            # used; the evicted one runs again and evicts BENCH_C, now the
+            # least recently used, so BENCH_B survives on its replay.
+            assert await replayed(BENCH_B) is True
+            assert await replayed(BENCH) is False
+            assert await replayed(BENCH_B) is True
+            assert await replayed(BENCH_C) is False
 
         _run(_with_server(scenario, max_jobs=2))
 
@@ -567,10 +615,10 @@ class TestKillRecover:
             "statuses": True,
         }
         # The uninterrupted yardstick, computed in-process through the
-        # same execution path the server uses.
-        expected = _execute(
-            canonical_request(dict(request)), MemoryRecorder()
-        )["statuses"]
+        # same execution path the server's workers use.
+        expected = list(
+            run_request(canonical_request(dict(request)))["statuses"]
+        )
 
         base_env = dict(os.environ)
         base_env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
@@ -610,8 +658,8 @@ class TestKillRecover:
                 assert time.monotonic() < deadline, health
                 time.sleep(0.05)
             # The journaled request was completed by recovery: an
-            # identical submission replays from the store, byte-identical
-            # to the uninterrupted run.
+            # identical submission replays its job, byte-identical to the
+            # uninterrupted run.
             lines = _post_blocking(port2, request)
             final = lines[-1]
             assert final["event"] == "result"
@@ -686,9 +734,9 @@ class TestWorkerProcesses:
     def test_killed_worker_request_replays_under_recover(self, tmp_path):
         state = str(tmp_path / "state")
         request = {"netlist": CHAIN_BENCH, "statuses": True}
-        expected = _execute(
-            canonical_request(dict(request)), MemoryRecorder()
-        )["statuses"]
+        expected = list(
+            run_request(canonical_request(dict(request)))["statuses"]
+        )
 
         async def first_life(server):
             with chaos.sabotage_service("campaign-slow", slow_s=0.2):

@@ -1,12 +1,10 @@
-"""The execution layer: parity, chaos, the store.
+"""The execution layer: parity and chaos.
 
 Fan-out's one hard contract is indistinguishability: a sweep run
 in-process or fanned out over forked workers must return statuses
 byte-identical to the undisturbed serial scalar path, under health
 *and* under injected failure.  The chaos cases reuse the fuzz
-harness's sabotage discipline: workers killed mid-chunk.  The
-content-addressed artifact store is covered at the same level:
-observable bookkeeping, identical results.
+harness's sabotage discipline: workers killed mid-chunk.
 """
 
 import os
@@ -14,13 +12,8 @@ import random
 
 import pytest
 
-from repro.engine import (
-    FaultSweep,
-    NetworkEngine,
-    ArtifactStore,
-    program_fingerprint,
-)
-from repro.logic.benchfmt import load_bench, parse_bench
+from repro.engine import FaultSweep, NetworkEngine
+from repro.logic.benchfmt import load_bench
 from repro.qa.chaos import sabotage_campaign
 from repro.workloads.randomlogic import random_mixed_network
 
@@ -119,42 +112,6 @@ def test_fork_fanout_never_builds_bitmask_baseline(backend):
     assert sweep.engine._bitmask is None
     rung = "bitmask" if backend == "auto" else "cone"
     assert sweep.last_report.backend == f"fork:{rung}"
-
-
-class TestArtifactStore:
-    def test_disabled_store_is_inert(self):
-        store = ArtifactStore(enabled=False)
-        store.put("baseline", "fp", value=(1, 2))
-        assert store.get("baseline", "fp") is None
-        assert len(store) == 0
-
-    def test_roundtrip_and_lru_eviction(self):
-        store = ArtifactStore(max_entries=2, enabled=True)
-        store.put("k", "a", value=1)
-        store.put("k", "b", value=2)
-        assert store.get("k", "a") == 1  # refresh a
-        store.put("k", "c", value=3)  # evicts b
-        assert store.get("k", "b") is None
-        assert store.get("k", "a") == 1
-        assert store.get("k", "c") == 3
-        stats = store.stats()
-        assert stats["hits"] == 3 and stats["misses"] == 1
-
-    def test_program_fingerprint_is_content_addressed(self):
-        text = "INPUT(a)\nINPUT(b)\ng = NAND(a, b)\nOUTPUT(g)\n"
-        one = NetworkEngine(parse_bench(text, name="one"))
-        two = NetworkEngine(parse_bench(text, name="two"))
-        assert program_fingerprint(one.compiled) == program_fingerprint(
-            two.compiled
-        )
-        other = NetworkEngine(
-            parse_bench(
-                "INPUT(a)\nINPUT(b)\ng = NOR(a, b)\nOUTPUT(g)\n", name="three"
-            )
-        )
-        assert program_fingerprint(other.compiled) != program_fingerprint(
-            one.compiled
-        )
 
 
 class TestBaselineIsolation:
